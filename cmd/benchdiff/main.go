@@ -4,7 +4,7 @@
 // the main branch's most recent bench artifact, so a PR cannot silently
 // regress steady-state simulation throughput.
 //
-// Two gates run:
+// Three gates run:
 //
 //   - Cross-file: per scenario, the minimum event ns/cycle across shard
 //     counts (the minimum damps scheduler and machine noise far better
@@ -18,6 +18,12 @@
 //     OS parallelism (GoMaxProcs below the shard count) are skipped, not
 //     failed: on a 1-CPU runner a sharded row can only measure overhead,
 //     and gating it would reject every PR the runner ever sees.
+//
+//   - Intra-file speedup floors: within the NEW file alone, Sim.Step
+//     must not be slower than the refmodel full scan on the idle mesh,
+//     and incremental recompiles must stay >=10x cheaper than cold ones
+//     at 32x32 (see speedupGates). These are wall-clock ratios, so they
+//     live here rather than in go test.
 //
 // Scenarios present on only one side are reported but never fail the
 // gate — adding or retiring a scenario is not a regression.
@@ -59,6 +65,9 @@ func main() {
 	if checkScaling(newRows) {
 		failed = true
 	}
+	if checkSpeedups(newRows) {
+		failed = true
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -83,10 +92,9 @@ var gatedScenarios = map[string]bool{
 	// its "refmodel" the from-scratch parallel compile).
 	"churn_32x32":   true,
 	"compile_64x64": true,
-	// The 16x16 steady-saturation mesh is the dense stepper's gated
-	// regime at a size where neither the sparse wheel nor the dense
-	// sweep is trivially dominant; regressing it means the density
-	// heuristic or the fused arbitration pass lost its edge.
+	// The 16x16 steady-saturation mesh is the fused arbitration pass's
+	// gated regime: nearly the whole fabric is active every cycle, so
+	// regressing it means the bitset allocator lost its edge.
 	"saturation_steady_16x16": true,
 }
 
@@ -104,6 +112,44 @@ var scalingGates = []struct {
 }{
 	{"idle_mesh_16x16", 1.10},
 	{"saturation_steady_32x32", 0.80},
+}
+
+// speedupGates bound, within a single bench file, a scenario's measured
+// core against its own reference (Speedup = reference time / measured
+// time, at shards=1). On the idle mesh the reference is the refmodel
+// full scan: a ratio below 1 means skipping idle routers costs more
+// than visiting them. On compile_32x32 the reference is the cold
+// parallel compile: single-link churn must keep incremental epochs
+// >=10x cheaper (the margin is ~100x, so 10x is noise-safe).
+var speedupGates = []struct {
+	scenario string
+	min      float64
+}{
+	{"idle_mesh_16x16", 1},
+	{"compile_32x32", 10},
+}
+
+// checkSpeedups applies speedupGates to the new file and reports
+// whether any scenario fell below its floor.
+func checkSpeedups(newRows []experiments.SimBenchResult) bool {
+	failed := false
+	for _, g := range speedupGates {
+		r, ok := bestRow(newRows, g.scenario, 1)
+		if !ok {
+			fmt.Printf("speedup %-30s skipped: no shards=1 row\n", g.scenario)
+			continue
+		}
+		verdict := "ok"
+		if r.Speedup < g.min {
+			verdict = "BELOW FLOOR"
+			failed = true
+		}
+		fmt.Printf("speedup %-30s %.2fx vs reference (floor %.0fx)  %s\n", g.scenario, r.Speedup, g.min, verdict)
+	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "benchdiff: a scenario fell below its speedup floor")
+	}
+	return failed
 }
 
 // key identifies one bench row. GoMaxProcs is part of the identity

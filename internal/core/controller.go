@@ -224,8 +224,8 @@ func Attach(s *network.Sim, opt Options) *Controller {
 
 // horizon returns the earliest future cycle at which the controller may
 // act or observe cycle-varying state, assuming no packet moves before
-// it (the simulator guarantees that assumption via its own wake
-// horizon). Returning the current cycle vetoes fast-forward.
+// it (the simulator guarantees that assumption: it only asks while no
+// packet is buffered or queued anywhere). Returning the current cycle vetoes fast-forward.
 //
 // Per source of activity:
 //   - an in-flight control message is delivered exactly at its NextAt;
@@ -239,9 +239,9 @@ func Attach(s *network.Sim, opt Options) *Controller {
 //   - the remaining states (DD, Disable, CheckProbe, Enable) are pure
 //     countdowns: between now and the deadline the tick either does
 //     nothing or only re-checks packet state that cannot change while
-//     the network is frozen. (StateDD's watched packet can only leave
-//     via a grant — a wake — or RemovePacket, which voids the quiet
-//     window explicitly.)
+//     the network is frozen. (The simulator consults the horizon only
+//     while no buffer holds a packet, so a watched packet cannot leave
+//     mid-window.)
 func (c *Controller) horizon() int64 {
 	s := c.sim
 	now := s.Now

@@ -1,7 +1,7 @@
 package experiments
 
 // Micro/meso benchmarks of the simulator core: each scenario is run
-// twice on identical seeds — once through the event-driven Sim.Step and
+// twice on identical seeds — once through Sim.Step and
 // once through the refmodel full scan — timing both and checking they
 // land on identical Stats. Results feed BENCH_sim.json (sbsweep -fig
 // bench, also produced as a CI artifact) and EXPERIMENTS.md.
@@ -78,10 +78,10 @@ type simScenario struct {
 	build  func(shards int) (*network.Sim, func())
 }
 
-// simBenchScenarios covers the three load regimes the event core must
-// handle: a large mostly-idle mesh (the win case: sleeping routers cost
-// nothing), a saturated mesh (the guard case: everything is awake, so
-// scheduler overhead must stay negligible), and a deadlock-recovery
+// simBenchScenarios covers the three load regimes Sim.Step must
+// handle: a large mostly-idle mesh (the win case: inactive routers cost
+// nothing), a saturated mesh (the guard case: everything is active, so
+// active-set overhead must stay negligible), and a deadlock-recovery
 // burst on an irregular topology (the correctness-hard case: fences,
 // bubbles and probe storms waking routers out of band).
 func simBenchScenarios() []simScenario {
@@ -98,7 +98,7 @@ func simBenchScenarios() []simScenario {
 				inj := traffic.NewInjector(topo.AliveRouters(), routing.MinimalFor(topo),
 					traffic.NewUniformRandom(topo.AliveRouters()), 0.002, rand.New(rand.NewSource(12)))
 				// Trickle traffic for the first half, then a drained tail:
-				// the regime where routers sleep and the full scan pays for
+				// the regime where routers are inactive and the full scan pays for
 				// 256 no-op routers every cycle.
 				return s, func() {
 					if s.Now < 15000 {
@@ -160,9 +160,9 @@ func simBenchScenarios() []simScenario {
 			// scaling halves the 8×8 point: ~0.19*(8/16) ≈ 0.095
 			// flits/node/cycle). Nearly the whole fabric stays busy every
 			// cycle with a bounded in-flight population — the regime the
-			// dense stepper's hysteretic switch targets — so this row is
+			// fused bitset allocation pass targets — so this row is
 			// benchdiff-gated alongside the 8×8 saturation rows to keep
-			// the dense win from regressing at a size where the sharded
+			// that win from regressing at a size where the sharded
 			// stepper is also competitive.
 			name:   "saturation_steady_16x16",
 			cycles: 4000,
@@ -409,13 +409,13 @@ func benchProcCounts(shards int) []int {
 // the same reason the timing does: the runtime's own park/unpark
 // machinery occasionally allocates in a rep, while a real per-cycle
 // leak shows up in every rep.
-func runSimScenarioBest(sc simScenario, useRef bool, shards, procs int) (network.Stats, time.Duration, time.Duration, memprof.Delta, error) {
+func runSimScenarioBest(sc simScenario, useRef bool, shards, procs, reps int) (network.Stats, time.Duration, time.Duration, memprof.Delta, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	var stats network.Stats
 	var bestDur, bestBuild time.Duration
 	var bestAlloc memprof.Delta
-	for rep := 0; rep < simBenchReps; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		st, dur, build, alloc := runSimScenario(sc, useRef, shards)
 		if rep == 0 {
 			stats, bestDur, bestBuild, bestAlloc = st, dur, build, alloc
@@ -530,16 +530,34 @@ var BenchShardCounts = []int{1, 2, 4}
 // (scenario, shard count). The refmodel pass runs first so the event
 // passes cannot benefit from warmer caches.
 func SimBench() ([]SimBenchResult, error) {
+	out, err := simBenchRows(simBenchScenarios(), simBenchReps)
+	if err != nil {
+		return nil, err
+	}
+	for _, cb := range compileBenchSpecs {
+		row, err := runCompileBench(cb.name, cb.w, cb.h, cb.epochs, cb.seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// simBenchRows runs the given scenarios reps times per cell and returns
+// one row per (scenario, shard count, GOMAXPROCS), erroring on any
+// Stats divergence between the refmodel and a Sim.Step run.
+func simBenchRows(scenarios []simScenario, reps int) ([]SimBenchResult, error) {
 	var out []SimBenchResult
-	for _, sc := range simBenchScenarios() {
-		refStats, refDur, refBuild, _, err := runSimScenarioBest(sc, true, 1, 1)
+	for _, sc := range scenarios {
+		refStats, refDur, refBuild, _, err := runSimScenarioBest(sc, true, 1, 1, reps)
 		if err != nil {
 			return nil, err
 		}
 		measured := float64(sc.cycles - sc.warmup)
 		for _, shards := range BenchShardCounts {
 			for _, procs := range benchProcCounts(shards) {
-				evStats, evDur, evBuild, evAlloc, err := runSimScenarioBest(sc, false, shards, procs)
+				evStats, evDur, evBuild, evAlloc, err := runSimScenarioBest(sc, false, shards, procs, reps)
 				if err != nil {
 					return nil, err
 				}
@@ -565,13 +583,6 @@ func SimBench() ([]SimBenchResult, error) {
 			}
 		}
 	}
-	for _, cb := range compileBenchSpecs {
-		row, err := runCompileBench(cb.name, cb.w, cb.h, cb.epochs, cb.seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
 	return out, nil
 }
 
@@ -583,7 +594,7 @@ func SimBench() ([]SimBenchResult, error) {
 // windows are dominated by controller message churn and lazy
 // routing-table state whose growth is legitimate. Every gated scenario
 // is checked at every BenchShardCounts entry, so the sharded stepper's
-// sinks, plans and wheels are held to the same zero as the sequential
+// sinks and plans are held to the same zero as the sequential
 // core — at saturation included.
 var ZeroAllocScenarios = map[string]bool{
 	"idle_mesh_16x16":         true,

@@ -1,13 +1,12 @@
 package network
 
-// Microbenchmarks for the switch-allocation inner loops, sparse vs
-// dense, plus the grant and bubble-transfer primitives they share. The
+// Microbenchmarks for the switch-allocation inner loops, generic vs
+// fused, plus the grant and bubble-transfer primitives they share. The
 // trick making repeated calls honest: with s.Now frozen, one priming
 // sweep performs whatever grants the cycle allows (marking each granted
-// output busy via OutFreeAt and each wake deduplicated), after which
-// every further sweep over the same state is the pure classify-and-
-// reject inner loop — the dominant cost under congestion — with no
-// state drift between iterations.
+// output busy via OutFreeAt), after which every further sweep over the
+// same state is the pure classify-and-reject inner loop — the dominant
+// cost under congestion — with no state drift between iterations.
 
 import (
 	"math/rand"
@@ -53,7 +52,7 @@ func prime(s *Sim) {
 	}
 }
 
-// BenchmarkGatherAllocateSaturated times the sparse stepper's
+// BenchmarkGatherAllocateSaturated times the generic allocator's
 // classification inner loop (candidate bucketing plus conservative
 // pruning) over every router of a saturated mesh.
 func BenchmarkGatherAllocateSaturated(b *testing.B) {
@@ -68,12 +67,12 @@ func BenchmarkGatherAllocateSaturated(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseAllocNodeSaturated times the dense stepper's fused
+// BenchmarkDenseAllocNodeSaturated times the fused
 // classify-and-arbitrate pass over the same saturated state — the
-// direct sparse-vs-dense inner-loop comparison.
+// direct generic-vs-fused inner-loop comparison.
 func BenchmarkDenseAllocNodeSaturated(b *testing.B) {
 	s := saturatedSim(b)
-	if !s.denseAllocFast() {
+	if !s.fusedAlloc() {
 		b.Skip("fused pass unavailable for this configuration")
 	}
 	prime(s)
@@ -81,7 +80,7 @@ func BenchmarkDenseAllocNodeSaturated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for id := range s.Routers {
-			s.denseAllocNode(geom.NodeID(id))
+			s.denseAllocNode(geom.NodeID(id), nil)
 		}
 	}
 }

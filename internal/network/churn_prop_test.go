@@ -7,9 +7,10 @@ package network_test
 // Two properties, over quick-generated seeds:
 //
 //   - Conservation: Offered == Delivered + InFlight + Queued + Lost
-//     after every cycle, for abrupt router/link failures overlapping
-//     with recoveries, at every shard count — and the full Stats are
-//     byte-identical across shard counts 1/2/4/8.
+//     after every cycle (and validate.Check's full invariant set every
+//     64), for abrupt router/link failures overlapping with recoveries,
+//     at every shard count — and the full Stats are byte-identical
+//     across shard counts 1/2/4/8.
 //
 //   - No-loss: under *graceful* churn (power-gate drains and
 //     revocations only, no abrupt kills), not a single packet may be
@@ -26,6 +27,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/reconfig"
 	"repro/internal/topology"
+	"repro/internal/validate"
 )
 
 // churnProp drives one seeded Poisson-churn workload and returns the
@@ -115,6 +117,11 @@ func churnProp(seed int64, shards int, graceful bool) (network.Stats, error) {
 		s.Step()
 		if err := conserved(fmt.Sprintf("cycle %d", cyc)); err != nil {
 			return s.Stats, err
+		}
+		if cyc%64 == 63 {
+			if vs := validate.Check(s, ctl); len(vs) > 0 {
+				return s.Stats, fmt.Errorf("cycle %d: %d invariant violations, first: %v", cyc, len(vs), vs[0])
+			}
 		}
 	}
 	// Drain: keep pumping the event queue so scheduled recoveries apply

@@ -1,67 +1,29 @@
 package network
 
-// The dense saturation stepper. The event scheduler (sched.go) makes
-// quiescent routers free, but at saturation every router is active
-// every cycle and the wheel is pure overhead: each busy router pays a
-// collect-due drain, one to three wake pushes, and the allocGather
-// bucket machinery — per cycle, forever. BENCH_sim.json showed the
-// event core at or below parity with the naive full scan in that
-// regime. Dense mode removes the overhead instead of amortizing it:
+// The slot-occupancy mirror and the fused bitset allocation pass.
 //
-//   - The active set is rebuilt each cycle as a flat ascending sweep
-//     over the struct-of-arrays activity counters (occ[id] != 0, or a
-//     non-empty NI aggregate niPend[id]) — no wheel, no wake
-//     bookkeeping. Wakes are suppressed for the whole dense period
-//     (scheduler.suspended) and the invariant is restored on exit with
-//     a reset + WakeAll (see exitDense).
-//   - The allocation phase runs as a fused single pass per router
-//     (denseAllocNode): candidate heads fold into per-output uint64
-//     desire masks (candidate index in*slots+sl, the bubble at bit
-//     `total`), round-robin arbitration walks the mask cyclically from
-//     saPtr with TrailingZeros64, and downstream buffer availability is
-//     memoized per (output, vnet) instead of re-scanned per candidate —
-//     the dominant cost of gatherAllocate under congestion. The winner
-//     moves through the very same tryGrant the sparse commit uses.
-//   - Injection and bubble transfer reuse the sequential primitives
-//     unchanged (they are cheap; only their wake calls are suppressed).
+// denseAllocNode is gatherAllocate+commitAllocate with the bucket
+// indirection removed: candidate heads fold into per-output uint64
+// desire masks (candidate index in*slots+sl, the bubble at bit
+// `total`), round-robin arbitration walks the mask cyclically from
+// saPtr with TrailingZeros64, and downstream buffer availability is
+// memoized per (output, vnet) instead of re-scanned per candidate — the
+// dominant cost of gatherAllocate under congestion. The mask holds
+// exactly the gather's candidate set (same fence, liveness, readiness
+// and output filters, in the same ascending candidate order), the
+// cyclic mask walk visits candidates in the same order commitAllocate's
+// rotate-and-scan does, the memoized free-slot answer equals tryGrant's
+// own re-scan (no mutation can intervene: within one router's pass each
+// output port targets a distinct neighbor), and a candidate is skipped
+// exactly when tryGrant would have returned false. The winner moves
+// through the very same tryGrant the generic commit uses.
 //
-// Byte-identity argument. A dense cycle is the refmodel full scan with
-// provably inert visits skipped: the active set is built after the
-// PreCycle hooks, and a router outside it has occ==0 and empty NI rings
-// at that instant, so the full scan's InjectNode there is a no-op (no
-// queued packets) and its AllocateNode/TransferBubbleNode can only be
-// reached by a packet *arriving* later in the same cycle from an
-// earlier-id router — a packet whose ReadyAt lies in the future, for
-// which both primitives do nothing but schedule a wake (suppressed).
-// Phase order (all injects, then all allocations, then all bubble
-// transfers, ascending id within each) matches the sequential core
-// exactly. denseAllocNode itself is gatherAllocate+commitAllocate with
-// the bucket indirection removed: the mask holds exactly the gather's
-// candidate set (same fence, liveness, readiness and output filters, in
-// the same ascending candidate order), the cyclic mask walk visits
-// candidates in the same order commitAllocate's rotate-and-scan does,
-// the memoized free-slot answer equals tryGrant's own re-scan (no
-// mutation can intervene: within one router's pass each output port
-// targets a distinct neighbor), and a candidate is skipped exactly when
-// tryGrant would have returned false. The fused path is gated on no
-// VCFilter/GrantFilter/OutputOverride/OnGrant being installed (each may
-// consult per-packet or mid-phase state the fused pass does not
-// reproduce); with any of them present the dense sweep calls the
-// regular AllocateNode per active router and remains byte-identical by
-// construction. The differential harness proves all of this cycle-exact
-// against the refmodel with dense mode forced on, forced off, and
-// hysteretic, at every shard count.
-//
-// Mode switching is hysteretic so a workload hovering at the threshold
-// cannot flap: entering requires the due fraction to sit at or above
-// denseEnterFrac for denseStreak consecutive sparse cycles, leaving
-// requires the active fraction to drop below denseExitFrac (well under
-// the entry threshold) for denseStreak consecutive dense cycles. Any
-// activity level inside (denseExitFrac, denseEnterFrac) sustains
-// whichever mode is current, so one workload transition costs at most
-// one mode transition (TestDenseHysteresisNoFlap pins this down).
-// Density is execution configuration like Shards: it never changes
-// results, only speed, and StepperCounters exposes what ran.
+// The fused pass runs when no allocation hook is installed and the slot
+// space fits a word (fusedAlloc) — VCFilter, GrantFilter, OutputOverride
+// and OnGrant may each consult per-packet or mid-phase state the fused
+// pass does not reproduce; with any of them present the sweep calls the
+// generic AllocateNode per active router instead. That is the one
+// selection the stepper makes, from what the code observes.
 
 import (
 	"math/bits"
@@ -69,144 +31,9 @@ import (
 	"repro/internal/geom"
 )
 
-// DenseMode selects the stepper's density policy: the hysteretic
-// automatic switch (default), or either mode pinned for tests,
-// benchmarks and differential runs.
-type DenseMode int
-
-const (
-	// DenseAuto lets the hysteretic activity policy pick the stepper.
-	DenseAuto DenseMode = iota
-	// DenseForcedOff pins the sparse event-driven stepper.
-	DenseForcedOff
-	// DenseForcedOn pins the dense full-sweep stepper.
-	DenseForcedOn
-)
-
-// Dense policy defaults. Entry watches the sparse due count (the wheel
-// already knows it); exit watches the dense active count (the bitmap
-// popcount). The exit threshold sits well below the entry threshold so
-// activity noise at either boundary cannot oscillate the mode.
-const (
-	denseEnterFrac = 0.35
-	denseExitFrac  = 0.15
-	denseStreak    = 8
-)
-
-// densePolicy is the hysteretic mode controller. It is plain state —
-// observe methods are called once per cycle from the stepper — and is
-// kept free of Sim dependencies so the hysteresis contract is unit
-// testable on its own.
-type densePolicy struct {
-	mode DenseMode
-	// on is the current stepper: true while dense.
-	on bool
-	// enterStreak / exitStreak count consecutive cycles beyond the
-	// respective threshold; a cycle inside the hysteresis band resets
-	// them.
-	enterStreak int
-	exitStreak  int
-}
-
-// observeSparse records a sparse cycle's due-set size and reports
-// whether the stepper should switch to dense.
-func (p *densePolicy) observeSparse(due, total int) bool {
-	if p.mode != DenseAuto || total == 0 {
-		return false
-	}
-	if float64(due) >= denseEnterFrac*float64(total) {
-		p.enterStreak++
-	} else {
-		p.enterStreak = 0
-	}
-	if p.enterStreak >= denseStreak {
-		p.enterStreak = 0
-		return true
-	}
-	return false
-}
-
-// observeDense records a dense cycle's active-set size and reports
-// whether the stepper should switch back to sparse.
-func (p *densePolicy) observeDense(active, total int) bool {
-	if p.mode != DenseAuto || total == 0 {
-		return false
-	}
-	if float64(active) < denseExitFrac*float64(total) {
-		p.exitStreak++
-	} else {
-		p.exitStreak = 0
-	}
-	if p.exitStreak >= denseStreak {
-		p.exitStreak = 0
-		return true
-	}
-	return false
-}
-
-// SetDenseMode selects the density policy. Forcing a mode applies
-// immediately (between Steps); returning to DenseAuto keeps the current
-// stepper and lets the activity policy take over. Like Shards, the mode
-// is execution configuration: results are byte-identical under every
-// policy, so this is a performance knob, not a simulation parameter.
-func (s *Sim) SetDenseMode(m DenseMode) {
-	s.dense.mode = m
-	s.dense.enterStreak, s.dense.exitStreak = 0, 0
-	switch {
-	case m == DenseForcedOn && !s.dense.on:
-		s.enterDense()
-	case m == DenseForcedOff && s.dense.on:
-		s.exitDense()
-	}
-}
-
-// DenseActive reports whether the dense stepper is currently selected.
-func (s *Sim) DenseActive() bool { return s.dense.on }
-
-// enterDense switches the stepper to dense sweeps: wakes become no-ops
-// for the duration (every active router is visited anyway). A detached
-// Sim (refmodel-driven) never steps through the event loop, so density
-// is meaningless there and the switch is refused.
-func (s *Sim) enterDense() {
-	if s.sched.detached {
-		return
-	}
-	s.dense.on = true
-	s.quietUntil = 0
-	s.ctr.DenseEnters++
-	s.sched.suspended = true
-	for k := range s.shards {
-		s.shards[k].sched.suspended = true
-	}
-}
-
-// exitDense hands control back to the event scheduler. Wake state
-// accumulated before or during the dense period is stale (wakes were
-// suppressed), so every scheduler is reset and every router woken at
-// the current cycle: each is visited once by the next sparse cycle and
-// re-establishes its own forward wakes from its actual buffer state —
-// pending NI queues re-poll, blocked heads re-arm the pending hammer,
-// in-flight arrivals re-derive their ReadyAt wakes from gather's
-// minFuture scan. That restores the scheduler invariant (if the full
-// scan would change state at router R in cycle T, R has a wake at T)
-// from nothing but current state.
-func (s *Sim) exitDense() {
-	s.dense.on = false
-	s.ctr.DenseExits++
-	s.sched.resumeReset(s.Now)
-	for k := range s.shards {
-		s.shards[k].sched.resumeReset(s.Now)
-	}
-	s.WakeAll()
-}
-
-// denseState is the dense stepper's per-Sim state: the hysteretic mode
-// controller plus preallocated sweep scratch.
+// denseState holds the fused pass's per-Config constants and the
+// slot-occupancy mirror.
 type denseState struct {
-	densePolicy
-	// ids is the per-cycle active router set in ascending order (the
-	// phase sweeps' input).
-	ids []int32
 	// fastOK gates the fused allocation pass on the candidate space
 	// fitting one uint64 mask (bubble included); larger configurations
 	// take the generic AllocateNode per active router.
@@ -227,7 +54,7 @@ type denseState struct {
 	// set iff that buffer holds a packet. Maintained by every fill/clear
 	// site in the package (tryGrant, grantPar, injectNode, bubble
 	// transfer, placement and removal helpers); nil when the candidate
-	// space does not fit a word (fastOK false). The dense classification
+	// space does not fit a word (fastOK false). The fused classification
 	// walks only the set bits, so a barely-occupied router costs its
 	// occupancy, not its capacity. SPIN rotations (core) move packets
 	// between slots that stay occupied, so they preserve the bitmap
@@ -236,7 +63,6 @@ type denseState struct {
 }
 
 func (d *denseState) init(numNodes int, cfg Config) {
-	d.ids = make([]int32, 0, numNodes)
 	slots := cfg.SlotsPerPort()
 	d.fastOK = geom.NumPorts*slots+1 <= 64
 	if !d.fastOK {
@@ -295,7 +121,7 @@ func (s *Sim) occBitClearVC(id geom.NodeID, port geom.Direction, vc *VC) {
 // (bit in*slots+sl per buffer, bubble at NumPorts*slots), with ok false
 // when the mirror is disabled. Exposed for the validate package, which
 // cross-checks the mirror against actual buffer contents — the mirror
-// feeds the FSM scan fast path in both reference and event execution,
+// feeds the FSM scan fast path under the refmodel and under Step alike,
 // so drift would not show up as a differential mismatch.
 func (s *Sim) OccupancyMirror(id geom.NodeID) (uint64, bool) {
 	if s.dense.occBits == nil {
@@ -327,115 +153,26 @@ func (r *Router) OccupiedScanWord() (uint64, bool) {
 	return w, true
 }
 
-// denseMark reports whether router id must be visited this cycle: it
-// holds buffered packets (occ covers regular VCs and the bubble) or has
-// traffic queued at its NI (alive to inject, or dead and polling for a
-// re-enable). Routers that become occupied later in the same cycle can
-// only have gained a future-ReadyAt arrival, for which every phase
-// primitive is inert — see the byte-identity argument above.
-func (s *Sim) denseMark(id int) bool {
-	return s.occ[id] != 0 || s.niPend[id] != 0
-}
-
-// denseCollect materializes the active id set in ascending order (the
-// phase sweeps' input), returning the active count.
-func (s *Sim) denseCollect() int {
-	d := &s.dense
-	ids := d.ids[:0]
-	n := len(s.Routers)
-	for id := 0; id < n; id++ {
-		if s.occ[id] != 0 || s.niPend[id] != 0 {
-			ids = append(ids, int32(id))
-		}
-	}
-	d.ids = ids
-	return len(ids)
-}
-
-// denseDueBand fills due with the active routers of the contiguous band
-// [lo, hi) — the sharded dense stepper's per-shard due set. Reads only
-// band-owned state (occupancy, NI rings), so shard workers collect
-// concurrently.
-func (s *Sim) denseDueBand(lo, hi int32, due []int32) []int32 {
-	for id := lo; id < hi; id++ {
-		if s.denseMark(int(id)) {
-			due = append(due, id)
-		}
-	}
-	return due
-}
-
-// denseAllocFast reports whether the fused allocation pass may run: no
+// fusedAlloc reports whether the fused allocation pass may run: no
 // allocation hook that could veto or observe per-candidate decisions is
 // installed, and the candidate space fits the mask.
-func (s *Sim) denseAllocFast() bool {
+func (s *Sim) fusedAlloc() bool {
 	return s.dense.fastOK && s.VCFilter == nil && s.GrantFilter == nil &&
 		s.OutputOverride == nil && s.OnGrant == nil
-}
-
-// stepDense advances one cycle on the dense stepper (sequential form;
-// the sharded form rides stepSharded with dense due sets). Phase
-// structure and ordering are the sequential core's; only the visit set
-// and the allocation inner loop differ.
-func (s *Sim) stepDense() {
-	for _, f := range s.PreCycle {
-		f(s)
-	}
-	active := s.denseCollect()
-	ids := s.dense.ids
-	var inj injectDelta
-	for _, id := range ids {
-		// injectNode is a pure no-op for a router with empty NI rings
-		// (most of the active set at moderate load): skip the visit.
-		if s.niPend[id] != 0 {
-			s.injectNode(geom.NodeID(id), &inj)
-		}
-	}
-	inj.apply(s)
-	if s.denseAllocFast() {
-		for _, id := range ids {
-			s.denseAllocNode(geom.NodeID(id))
-		}
-	} else {
-		for _, id := range ids {
-			s.AllocateNode(geom.NodeID(id))
-		}
-	}
-	if ob := s.dense.occBits; ob != nil {
-		// The mirror's bubble bit is TransferBubbleNode's occupancy
-		// early-out (b.VC.Pkt != nil): consult it from the flat word
-		// array instead of striding through each Router struct.
-		bb := uint64(1) << uint(s.dense.total)
-		for _, id := range ids {
-			if ob[id]&bb != 0 {
-				s.TransferBubbleNode(geom.NodeID(id))
-			}
-		}
-	} else {
-		for _, id := range ids {
-			s.TransferBubbleNode(geom.NodeID(id))
-		}
-	}
-	for _, f := range s.PostCycle {
-		f(s)
-	}
-	s.Now++
-	s.ctr.DenseCycles++
-	if s.dense.observeDense(active, len(s.Routers)) {
-		s.exitDense()
-	}
 }
 
 // denseAllocNode is the fused switch-allocation pass for one router:
 // gatherAllocate's candidate classification and commitAllocate's
 // round-robin arbitration in a single sweep over bitmasks, with no
 // bucket building and no per-candidate downstream re-scans. Only valid
-// under denseAllocFast (no allocation hooks); produces bit-for-bit the
-// grants, Stats mutations and pool releases of AllocateNode.
-func (s *Sim) denseAllocNode(id geom.NodeID) {
+// under fusedAlloc (no allocation hooks); produces bit-for-bit the
+// grants, Stats mutations and pool releases of AllocateNode. With a
+// non-nil plan (a shard worker's parallel phase) the winners are
+// recorded there for the commit phase instead of being granted.
+func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
-		// A dead router's buffered traffic cannot move; the sparse core
-		// polls for a re-enable, the dense core revisits every cycle.
+		// A dead router's buffered traffic cannot move; it stays in the
+		// active set until a re-enable.
 		return
 	}
 	r := &s.Routers[id]
@@ -509,12 +246,12 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 			continue
 		}
 		eligible := m
+		nb, in := geom.InvalidNode, geom.Invalid
 		if out != geom.Local {
 			if !s.Topo.HasLink(id, out) {
 				continue
 			}
-			nb := s.Topo.Neighbor(id, out)
-			in := out.Opposite()
+			nb, in = s.Topo.Neighbor(id, out), out.Opposite()
 			if !s.Routers[nb].Bubble.EligibleFor(in, now) {
 				// No downstream bubble: a candidate is grantable iff its
 				// vnet has a free downstream VC right now.
@@ -540,7 +277,13 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 			ci = bits.TrailingZeros64(eligible)
 		}
 		vc, inPort := r.candVC(int32(ci), slots, total)
-		if s.tryGrant(r, out, vc, vc.Pkt, inPort, ci) {
+		if plan != nil {
+			dst := -1 // ejection, or the downstream bubble
+			if out != geom.Local {
+				dst = s.findFreeVCNoFilter(nb, in, vc.Pkt.Vnet)
+			}
+			*plan = append(*plan, planGrant{id: int32(id), out: int8(out), ci: int16(ci), dst: int16(dst)})
+		} else if s.tryGrant(r, out, vc, vc.Pkt, inPort, ci) {
 			r.saPtr[out] = (ci + 1) % (total + 1)
 		}
 	}

@@ -101,7 +101,6 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 					b.InPort = geom.LinkDirs[hrng.Intn(len(geom.LinkDirs))]
 				}
 			}
-			s.WakeAll()
 		}
 		mutate()
 

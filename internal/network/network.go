@@ -1,17 +1,18 @@
-// Package network implements a deterministic, event-driven, flit-timed
-// NoC simulator for mesh-derived irregular topologies: 5-port
-// virtual-channel routers with virtual cut-through flow control
+// Package network implements a deterministic, flit-timed NoC simulator
+// for mesh-derived irregular topologies: 5-port virtual-channel routers
+// with virtual cut-through flow control
 // (packet-sized VCs, as the paper assumes in Section IV-A),
 // credit-accurate buffer reuse, 1-cycle routers and 1-cycle links,
 // multiple virtual networks, and per-class link utilization accounting.
 //
-// Step is wakeup-driven: quiescent routers are skipped entirely, and a
-// router is processed only in cycles for which a wake was scheduled (see
-// sched.go for the wake rules and the equivalence invariant). The
-// per-node phase primitives InjectNode, AllocateNode and
-// TransferBubbleNode are exported so the deliberately naive full-scan
-// stepper in internal/network/refmodel can drive the identical movement
-// logic; a differential harness there proves the two cores cycle-exact.
+// Step sweeps an active set: a router is visited in a cycle only if it
+// holds a buffered packet or has traffic queued at its NI, and cycles in
+// which nothing can happen are fast-forwarded (see stepper.go for the
+// byte-identity argument). The per-node phase primitives InjectNode,
+// AllocateNode and TransferBubbleNode are exported so the deliberately
+// naive full-scan stepper in internal/network/refmodel can drive the
+// identical movement logic; a differential harness there proves the two
+// cores cycle-exact.
 //
 // The simulator is scheme-agnostic: deadlock-recovery machinery (Static
 // Bubble FSMs in internal/core, escape-VC timeouts in internal/escape)
@@ -143,27 +144,28 @@ type Sim struct {
 	occNL  []int32
 	grantN []int64
 	// niPend[id] counts packets queued across router id's NI rings —
-	// the dense stepper's activity predicate reads it instead of
-	// touching every ring. Maintained by Enqueue and injectNode; code
-	// that edits NIQueue contents directly must call RecountNIPending.
+	// the stepper's activity predicate reads it instead of touching
+	// every ring. Maintained by Enqueue and injectNode; code that edits
+	// NIQueue contents directly must call RecountNIPending.
 	niPend []int32
 	// pool recycles delivered/lost packets and their route spans (see
 	// pool.go for the ownership rules).
 	pool poolState
 	// seqGather is the switch-allocation scratch of the sequential
-	// stepper (and of the coordinator's plan decoding under the sharded
-	// one); each shard worker owns its own.
+	// sweep (and of AllocateNode under the refmodel); each shard worker
+	// owns its own.
 	seqGather allocGather
 
-	sched  scheduler
-	dueBuf []int32
+	// active, actPos and ids are the stepper's active set (stepper.go).
+	active []uint64
+	actPos []int32
+	ids    []int32
 
-	// nshards is the effective shard count; 1 selects the sequential
-	// Step path. shardOf maps a router id to its owning shard (nil when
-	// unsharded); shards holds the per-shard schedulers and scratch.
-	// shardWG is the per-cycle barrier; it lives on the Sim (not on the
-	// stepper's stack) so the parallel phase does not allocate.
-	nshards int
+	// shards holds the per-band state, one entry per effective shard —
+	// an unsharded Sim is the one-band case. shardOf maps a router id to
+	// its owning shard (nil when unsharded). shardWG is the per-cycle
+	// barrier; it lives on the Sim (not on the stepper's stack) so the
+	// parallel phase does not allocate.
 	shardOf []int8
 	shards  []shardState
 	shardWG sync.WaitGroup
@@ -171,8 +173,10 @@ type Sim struct {
 	// quietUntil > Now means the simulator proved that no state can
 	// change before cycle quietUntil: Step just advances Now (the
 	// quiet-epoch fast-forward). Established by maybeQuiet at the end of
-	// an empty-due cycle, torn down by any wake/mutation earlier than it
-	// (see wakeNode, RemovePacket, DeliverOutOfBand).
+	// a cycle with an empty active set, torn down by any mutation from
+	// outside the cycle loop that adds a packet (Enqueue, PlacePacket,
+	// PlaceBubblePacket, RecountNIPending) and by Wake. No buffer holds
+	// a packet while a window is open, so removals cannot land in one.
 	quietUntil int64
 	// quiesced counts the attached PreCycle+PostCycle hooks covered by a
 	// RegisterQuiescence call; quiet epochs engage only when every hook
@@ -180,56 +184,14 @@ type Sim struct {
 	// cycles would change behavior).
 	quiesced   int
 	horizonFns []func(*Sim) int64
-	// inlineThreshold selects the sharded stepper's inline sequential
-	// path: when the total number of pending wakes across all shards is
-	// at or below it, the cycle runs on the coordinator with no goroutine
-	// handoff. See SetShardInlineThreshold.
-	inlineThreshold int
-	// parCommit is latched per cycle by the sharded stepper: true when
-	// the commit phase may run fully parallel (GrantFilter and OnGrant
-	// nil); false falls back to the sequential plan-decode commit.
-	parCommit bool
-	ctr       StepperCounters
-	// dense holds the dense stepper's mode controller and sweep scratch
-	// (see dense.go): at saturation the stepper drops the wakeup wheel
-	// and runs flat phase sweeps over an active-router bitmap.
+	ctr        StepperCounters
+	// dense holds the slot-occupancy mirror and the constants of the
+	// fused bitset allocation pass (see dense.go).
 	dense denseState
 	// xfillObs, when non-nil, observes cross-shard buffer fills at fold
 	// time (SetXFillObserver) — seam-invariant test instrumentation.
 	xfillObs func(src, dst geom.NodeID)
 }
-
-// StepperCounters returns the stepper path counters accumulated so far.
-func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
-
-// RegisterQuiescence declares that nHooks of the attached
-// PreCycle/PostCycle hooks belong to a scheme that is quiescent between
-// its announced horizons: horizon (if non-nil) returns the earliest
-// future cycle at which the scheme may act or observe state, given that
-// no packet moves before it (return the current cycle to veto
-// fast-forward). Quiet-epoch batching engages only when every attached
-// hook is covered by a registration; schemes that cannot bound their
-// next action simply do not register and cost nothing.
-func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
-	s.quiesced += nHooks
-	if horizon != nil {
-		s.horizonFns = append(s.horizonFns, horizon)
-	}
-}
-
-// SetShardInlineThreshold tunes the sharded stepper's inline fallback:
-// when the total pending-wake count across shards is at or below n, the
-// cycle runs sequentially on the coordinator, skipping the parallel
-// phase handoff (which costs more than the work itself on a near-idle
-// network). n < 0 forces the parallel path every cycle; a very large n
-// forces inline. The choice affects speed only — results are
-// byte-identical on every path.
-func (s *Sim) SetShardInlineThreshold(n int) { s.inlineThreshold = n }
-
-// defaultInlineThreshold: a cycle with ≤32 active routers is cheaper to
-// run inline than to fan out (two barrier crossings cost ~a few µs;
-// 32 router visits cost well under that).
-const defaultInlineThreshold = 32
 
 // New builds a simulator over topo. The topology may be irregular; dead
 // routers carry no state.
@@ -261,13 +223,9 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 		s.NIQueue[id] = make([]NIRing, cfg.NumVnets)
 	}
 	s.seqGather.init(cfg)
-	s.sched.init(n)
 	s.dense.init(n, cfg)
-	s.nshards = 1
-	s.inlineThreshold = defaultInlineThreshold
-	if k := effectiveShards(cfg.Shards, topo.Height()); k > 1 {
-		s.initShards(k)
-	}
+	s.ids = make([]int32, 0, n)
+	s.initShards(effectiveShards(cfg.Shards, topo.Height()))
 	return s
 }
 
@@ -325,11 +283,12 @@ func (s *Sim) Enqueue(p *Packet) {
 	s.NIQueue[p.Src][p.Vnet].Push(p)
 	s.niPend[p.Src]++
 	s.Stats.Offered++
-	s.wakeNode(p.Src, s.Now)
+	s.markActive(p.Src)
+	s.quietUntil = 0
 }
 
 // NIPending returns the number of packets queued across router id's NI
-// rings (the aggregate the dense activity predicate reads).
+// rings (the aggregate the activity predicate reads).
 func (s *Sim) NIPending(id geom.NodeID) int { return int(s.niPend[id]) }
 
 // RecountNIPending resynchronizes router id's NI-pending counter from
@@ -342,54 +301,8 @@ func (s *Sim) RecountNIPending(id geom.NodeID) {
 		n += int32(s.NIQueue[id][v].Len())
 	}
 	s.niPend[id] = n
-}
-
-// wakeNode routes a wake to the scheduler owning router id: the
-// per-shard scheduler under the sharded stepper, the global one
-// otherwise. Inside a parallel phase every caller targets its own
-// shard (injection and gather only self-wake); cross-shard wakes
-// happen only in sequential contexts (the commit pass, Enqueue,
-// hooks), so no scheduler is ever touched concurrently.
-func (s *Sim) wakeNode(id geom.NodeID, t int64) {
-	if t < s.quietUntil {
-		// A wake landing inside a proven-quiet window voids the proof
-		// (e.g. Enqueue during fast-forward): resume cycle-by-cycle
-		// stepping. On the hot path this is one always-false compare.
-		s.quietUntil = 0
-	}
-	if s.shardOf != nil {
-		s.shards[s.shardOf[id]].sched.wake(id, t)
-		return
-	}
-	s.sched.wake(id, t)
-}
-
-// Wake schedules router n for processing in the current cycle (or the
-// next one if this cycle's work already started). Step's wake rules
-// cover every mutation the simulator or its documented hooks perform;
-// call Wake after mutating router or VC state through any other channel
-// — e.g. tests that hand-place packets into buffers, or re-enabling a
-// router in the topology.
-func (s *Sim) Wake(n geom.NodeID) { s.wakeNode(n, s.Now) }
-
-// WakeAll schedules every router — the blunt form of Wake for callers
-// that mutated state broadly.
-func (s *Sim) WakeAll() {
-	for id := range s.Routers {
-		s.wakeNode(geom.NodeID(id), s.Now)
-	}
-}
-
-// DetachScheduler permanently disables the event scheduler: every wake
-// becomes a no-op and Sim.Step stops advancing simulation state. Used by
-// the refmodel full-scan stepper, which visits every router every cycle
-// and needs no (and must not accumulate) scheduling state.
-func (s *Sim) DetachScheduler() {
+	s.markActive(id)
 	s.quietUntil = 0
-	s.sched.detached = true
-	for k := range s.shards {
-		s.shards[k].sched.detached = true
-	}
 }
 
 // Drop records a packet that could not be routed (destination
@@ -406,7 +319,6 @@ func (s *Sim) RemovePacket(vc *VC, at geom.NodeID, port geom.Direction) {
 	if p == nil {
 		return
 	}
-	s.quietUntil = 0 // out-of-band mutation: void any quiet proof
 	s.occBitClearVC(at, port, vc)
 	vc.Pkt = nil
 	vc.FreeAt = s.Now
@@ -431,7 +343,7 @@ func (s *Sim) DiscardQueued(p *Packet) {
 // a precise hand-built buffer state (e.g. the recovery-FSM transition
 // table's dependence chains) without arranging traffic to produce it.
 // Occupancy and conservation counters are adjusted as if the packet had
-// been offered and injected, and the router is woken.
+// been offered and injected, and the router joins the active set.
 func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet) {
 	vc := &s.Routers[id].In[in][slot]
 	if vc.Pkt != nil {
@@ -467,7 +379,8 @@ func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
 	s.Stats.Injected++
 	s.Stats.InjectedFlits += int64(p.Len)
 	p.InjectedAt = s.Now
-	s.wakeNode(id, s.Now)
+	s.markActive(id)
+	s.quietUntil = 0
 }
 
 // DeliverOutOfBand removes the packet in vc (buffered at router at's
@@ -483,7 +396,6 @@ func (s *Sim) DeliverOutOfBand(vc *VC, at geom.NodeID, port geom.Direction, deli
 	if deliverAt < s.Now {
 		deliverAt = s.Now
 	}
-	s.quietUntil = 0 // out-of-band mutation: void any quiet proof
 	s.occBitClearVC(at, port, vc)
 	vc.Pkt = nil
 	vc.FreeAt = s.Now + int64(p.Len)
@@ -500,100 +412,6 @@ func (s *Sim) DeliverOutOfBand(vc *VC, at geom.NodeID, port geom.Direction, deli
 	}
 	s.LastProgress = s.Now
 	s.releasePacket(p)
-}
-
-// Step advances the simulation by one cycle. Hooks run unconditionally
-// (recovery FSM timers depend on it); the per-router phases run only
-// over routers with a wake scheduled for this cycle, in ascending id
-// order — the same order the naive stepper visits them, so the two
-// cores are cycle-exact (proved by the refmodel differential harness).
-// With Config.Shards > 1 the cycle runs on the sharded stepper
-// (shard.go), which is byte-identical by construction.
-//
-// Quiet epochs: when a cycle ends with an empty due set, every hook is
-// covered by a quiescence registration, and the earliest pending wake
-// and every registered horizon lie strictly in the future, Step
-// fast-forwards — subsequent calls only advance Now until the proven
-// horizon (or until a wake/mutation lands inside the window and voids
-// the proof). Skipped cycles are exactly the cycles in which neither
-// the phases nor the registered hooks would have changed any state, so
-// results stay byte-identical (the quiet-batching differential tests
-// prove this against the full-scan refmodel).
-func (s *Sim) Step() {
-	if s.Now < s.quietUntil {
-		s.Now++
-		s.ctr.QuietCycles++
-		return
-	}
-	if s.nshards > 1 {
-		s.stepSharded()
-		return
-	}
-	if s.dense.on {
-		s.stepDense()
-		return
-	}
-	for _, f := range s.PreCycle {
-		f(s)
-	}
-	due := s.sched.collectDue(s.Now, s.dueBuf[:0])
-	s.dueBuf = due
-	for _, id := range due {
-		s.InjectNode(geom.NodeID(id))
-	}
-	for _, id := range due {
-		s.AllocateNode(geom.NodeID(id))
-	}
-	for _, id := range due {
-		s.TransferBubbleNode(geom.NodeID(id))
-	}
-	for _, f := range s.PostCycle {
-		f(s)
-	}
-	s.Now++
-	if len(due) == 0 {
-		s.maybeQuiet()
-	} else if s.dense.observeSparse(len(due), len(s.Routers)) {
-		s.enterDense()
-	}
-}
-
-// maybeQuiet attempts to open a quiet epoch after an empty-due cycle:
-// compute the earliest cycle H at which anything can happen — the
-// minimum over every shard scheduler's earliest pending wake and every
-// registered hook horizon — and if H is still in the future, mark
-// [Now, H) quiet. Hooks are skipped during the window; that is sound
-// because each registered scheme promised (via its horizon) that with
-// no packet movement before H it neither acts nor observes
-// cycle-varying state before H. Packet movement before H is impossible
-// because every potential mover has a wake (sched.go's invariant) and
-// the earliest wake is ≥ H; mutations from outside the cycle loop
-// (Enqueue, RemovePacket, reconfiguration) void the window.
-func (s *Sim) maybeQuiet() {
-	if s.sched.detached || s.quiesced != len(s.PreCycle)+len(s.PostCycle) {
-		return
-	}
-	h := int64(wakeNever)
-	if s.nshards > 1 {
-		for k := range s.shards {
-			if w := s.shards[k].sched.earliestWake(); w < h {
-				h = w
-			}
-		}
-	} else {
-		h = s.sched.earliestWake()
-	}
-	for _, f := range s.horizonFns {
-		if h <= s.Now {
-			return
-		}
-		if v := f(s); v < h {
-			h = v
-		}
-	}
-	if h > s.Now {
-		s.quietUntil = h
-	}
 }
 
 // Run advances the simulation by n cycles.
@@ -620,8 +438,8 @@ func (s *Sim) QueuedPackets() int64 {
 
 // InjectNode moves node id's NI-queue heads into free local-port VCs,
 // one packet per vnet per cycle — the injection phase for a single
-// node. Exported as a stepper building block; the event core invokes it
-// for due routers, the refmodel for every router.
+// node. Exported as a stepper building block; Step invokes it for
+// active routers, the refmodel for every router.
 func (s *Sim) InjectNode(id geom.NodeID) {
 	var d injectDelta
 	s.injectNode(id, &d)
@@ -650,18 +468,10 @@ func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 	qs := s.NIQueue[id]
 	if !s.Topo.RouterAlive(id) {
 		// A dead router cannot inject, but its queue survives (the
-		// router may be re-enabled): poll while anything is queued,
-		// exactly what the naive core's full scan paid.
-		for vnet := range qs {
-			if qs[vnet].Len() > 0 {
-				s.wakeNode(id, s.Now+1)
-				return
-			}
-		}
+		// router may be re-enabled) and keeps it in the active set.
 		return
 	}
 	r := &s.Routers[id]
-	pending := false
 	for vnet := range qs {
 		q := &qs[vnet]
 		if q.Len() == 0 {
@@ -670,29 +480,20 @@ func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 		p := q.Front()
 		slot := s.findFreeVC(id, geom.Local, p, vnet)
 		if slot < 0 {
-			pending = true // blocked on a free VC: retry next cycle
-			continue
+			continue // blocked on a free VC: retry next cycle
 		}
 		vc := &r.In[geom.Local][slot]
 		vc.Pkt = p
 		vc.ReadyAt = s.Now + int64(s.Cfg.RouterLatency)
 		s.occBitSet(id, int(geom.Local)*s.Cfg.SlotsPerPort()+slot)
 		p.InjectedAt = s.Now
-		q.PopFront()
+		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
 		d.injected++
 		d.flits += int64(p.Len)
 		d.inFlight++
 		s.occ[id]++
-		if q.Len() > 0 {
-			pending = true // one injection per vnet per cycle
-		}
 	}
-	if pending {
-		s.wakeNode(id, s.Now+1)
-	}
-	// A freshly injected packet's ReadyAt wake comes from AllocateNode,
-	// which always runs in the same cycle for a due router.
 }
 
 // findFreeVC returns a free VC slot index (within the full slot array) at
@@ -716,7 +517,7 @@ func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet in
 }
 
 // findFreeVCNoFilter is findFreeVC for callers that have already
-// established VCFilter is nil (the dense fused allocation pass, which
+// established VCFilter is nil (the fused allocation pass, which
 // memoizes the answer per (output, vnet)): with no filter the result
 // depends only on (node, in, vnet), not on the packet.
 func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int) int {

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"repro/internal/geom"
-	"repro/internal/routing"
-)
+import "repro/internal/routing"
 
 // Packet pooling: in steady state a simulator creates and destroys one
 // packet per delivery, which under plain allocation costs two heap
@@ -92,9 +89,10 @@ func (s *Sim) PoolStats() PoolStats {
 //     (cover the scenario's in-flight population ceiling and its longest
 //     minimal route);
 //   - every NI injection ring is reserved to niDepth entries (first-touch
-//     and high-water ring growth otherwise land in the window);
-//   - scheduler wheel buckets, the overflow heap and the due-set scratch
-//     (per shard when sharded) are reserved to their practical bounds.
+//     and high-water ring growth otherwise land in the window).
+//
+// The stepper's own scratch (active set, per-shard plans and sinks) is
+// sized to its bounds at construction and needs no prewarming.
 //
 // The prewarm allocates deterministically, draws no randomness and moves
 // no packets, so the simulated trajectory is byte-identical with or
@@ -114,45 +112,6 @@ func (s *Sim) PrewarmPool(packets, routeLen, niDepth int) {
 			s.NIQueue[id][v].Reserve(niDepth)
 		}
 	}
-	n := len(s.Routers)
-	// A wheel bucket or the heap holds live wakes plus a bounded tail of
-	// superseded entries — 2× the owned router count is comfortable.
-	perRouterPlan := geom.NumPorts*(s.Cfg.SlotsPerPort()+1) + 1
-	if s.nshards > 1 {
-		w := s.Topo.Width()
-		for k := range s.shards {
-			sh := &s.shards[k]
-			band := 0
-			for _, owner := range s.shardOf {
-				if int(owner) == k {
-					band++
-				}
-			}
-			sh.sched.reserve(2 * band)
-			sh.due = reserveInt32(sh.due, band)
-			sh.plan.reserve(band, perRouterPlan)
-			// Commit-sink bounds: at most one ejection per router per
-			// cycle; cross-shard fills cross a band seam, of which a
-			// shard touches at most two (2 rows × width links).
-			if cap(sh.sink.released) < band {
-				sh.sink.released = make([]*Packet, 0, band)
-			}
-			if cap(sh.sink.xf) < 2*w {
-				sh.sink.xf = make([]xfill, 0, 2*w)
-			}
-		}
-	} else {
-		s.sched.reserve(2 * n)
-		s.dueBuf = reserveInt32(s.dueBuf, n)
-	}
-}
-
-// reserveInt32 returns s with capacity at least n, preserving contents.
-func reserveInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s
-	}
-	return append(make([]int32, 0, n), s...)
 }
 
 // releasePacket returns p to the free list. The caller must have removed

@@ -22,12 +22,11 @@ import (
 
 // steadyLoop builds an 8x8 mesh with the static-bubble controller and a
 // below-saturation uniform-random load, runs warmup cycles so every
-// pool, arena, ring and scheduler reaches its steady size, and returns a
-// one-cycle advance function.
-func steadyLoop(shards int, useRef bool, mode network.DenseMode) func() {
+// pool, arena and ring reaches its steady size, and returns a one-cycle
+// advance function.
+func steadyLoop(shards int, useRef bool) func() {
 	topo := topology.NewMesh(8, 8)
 	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(41)))
-	s.SetDenseMode(mode)
 	core.Attach(s, core.Options{})
 	s.PrewarmPool(1024, 16, 32)
 	// Routing tables are fully compiled at construction, so nothing
@@ -51,8 +50,8 @@ func steadyLoop(shards int, useRef bool, mode network.DenseMode) func() {
 }
 
 // TestZeroAllocSteadyState drives ≥10k post-warmup cycles under the
-// sequential event core, the sharded stepper and the refmodel full scan,
-// and requires exactly zero heap allocations from each.
+// sequential sweep, the sharded sweep and the refmodel full scan, and
+// requires exactly zero heap allocations from each.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state run")
@@ -61,18 +60,15 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		name   string
 		shards int
 		useRef bool
-		mode   network.DenseMode
 	}{
-		{"event_sequential", 1, false, network.DenseAuto},
-		{"event_dense_forced", 1, false, network.DenseForcedOn},
-		{"sharded_2", 2, false, network.DenseAuto},
-		{"sharded_4", 4, false, network.DenseAuto},
-		{"sharded_4_dense_forced", 4, false, network.DenseForcedOn},
-		{"refmodel_fullscan", 1, true, network.DenseAuto},
+		{"event_sequential", 1, false},
+		{"sharded_2", 2, false},
+		{"sharded_4", 4, false},
+		{"refmodel_fullscan", 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cycle := steadyLoop(tc.shards, tc.useRef, tc.mode)
+			cycle := steadyLoop(tc.shards, tc.useRef)
 			// AllocsPerRun runs the body once extra as its own warm-up, so
 			// the measured pass covers cycles well past any growth.
 			allocs := testing.AllocsPerRun(1, func() {
@@ -114,7 +110,7 @@ func saturatedLoop(shards int) func() {
 	return cycle
 }
 
-// TestZeroAllocSaturation holds the event core — sequential and sharded
+// TestZeroAllocSaturation holds the stepper — sequential and sharded
 // — to the zero-allocation contract past the saturation point, where
 // the historical leaks lived (ring release-on-drain churn, controller
 // Turns-capacity erosion, under-sized prewarm). A handful of objects

@@ -14,15 +14,39 @@ import (
 // conservation and occupancy invariants hold at every step, and XY
 // workloads always drain (testing/quick drives the workload shape).
 
-// TestPropDenseSparseEquivalence is the in-package half of the dense
+// fullScan advances s one cycle the way the refmodel does — every phase
+// at every router — as the in-package reference for Step's visit set.
+func fullScan(s *Sim) {
+	for _, f := range s.PreCycle {
+		f(s)
+	}
+	for id := range s.Routers {
+		s.InjectNode(geom.NodeID(id))
+	}
+	for id := range s.Routers {
+		s.AllocateNode(geom.NodeID(id))
+	}
+	for id := range s.Routers {
+		s.TransferBubbleNode(geom.NodeID(id))
+	}
+	for _, f := range s.PostCycle {
+		f(s)
+	}
+	s.Now++
+}
+
+// TestPropDenseSparseEquivalence is the in-package half of the
 // byte-identity contract (the refmodel differential harness is the
 // other): for arbitrary seeds — random irregular topology shape, fault
-// kind and count, offered rate, flip period — a sparse-pinned sim, a
-// dense-pinned sim, a hysteretic sim, and one whose mode is forcibly
-// flipped mid-run must agree on Stats, occupancy and progress after
-// every cycle.
+// kind and count, and offered rates from sparse (a few routers active)
+// to dense (the whole fabric active, past saturation), with and without
+// a VCFilter (which moves Step from the fused allocation pass to the
+// generic one) — the active-set sweep, its sharded form and the full
+// scan must agree on Stats, occupancy and progress after every cycle,
+// and the active summary must cover every router holding or queueing a
+// packet.
 func TestPropDenseSparseEquivalence(t *testing.T) {
-	f := func(seed int64, rateRaw, flipRaw uint8) bool {
+	f := func(seed int64, rateRaw uint8) bool {
 		hrng := rand.New(rand.NewSource(seed))
 		w, h := 4+hrng.Intn(4), 4+hrng.Intn(4)
 		kind := topology.LinkFaults
@@ -32,31 +56,28 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 		faults := hrng.Intn(1 + w*h/5)
 		topoSeed := hrng.Int63()
 		simSeed := hrng.Int63()
-		mk := func() *Sim {
+		mk := func(shards int) *Sim {
 			return New(topology.RandomIrregular(w, h, kind, faults, topoSeed),
-				Config{}, rand.New(rand.NewSource(simSeed)))
+				Config{Shards: shards}, rand.New(rand.NewSource(simSeed)))
 		}
-		sparse, dense, auto, flip := mk(), mk(), mk(), mk()
-		sparse.SetDenseMode(DenseForcedOff)
-		dense.SetDenseMode(DenseForcedOn)
-		units := []*Sim{sparse, dense, auto, flip}
-		min := routing.NewMinimal(sparse.Topo)
-		alive := sparse.Topo.AliveRouters()
+		scan, swept, sharded := mk(1), mk(1), mk(3)
+		units := []*Sim{scan, swept, sharded}
+		if seed%2 == 0 {
+			for _, u := range units {
+				u.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
+					return vcIdx != 0 || int(dst)%2 == 0
+				}
+			}
+		}
+		min := routing.NewMinimal(scan.Topo)
+		alive := scan.Topo.AliveRouters()
 		if len(alive) < 2 {
 			return true
 		}
 		rate := 0.05 + float64(rateRaw%35)/100
-		flipEvery := 20 + int(flipRaw%60)
 		rng := rand.New(rand.NewSource(seed + 9))
 		const cycles = 600
 		for c := 0; c < cycles; c++ {
-			if c%flipEvery == 0 {
-				if (c/flipEvery)%2 == 0 {
-					flip.SetDenseMode(DenseForcedOn)
-				} else {
-					flip.SetDenseMode(DenseForcedOff)
-				}
-			}
 			if c < cycles*2/3 {
 				for _, src := range alive {
 					if rng.Float64() >= rate {
@@ -74,19 +95,25 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 						continue
 					}
 					ln := 1 + 4*rng.Intn(2)
-					vnet := rng.Intn(sparse.Cfg.NumVnets)
+					vnet := rng.Intn(scan.Cfg.NumVnets)
 					for _, u := range units {
 						u.Enqueue(u.NewPacket(src, dst, vnet, ln, r))
 					}
 				}
 			}
-			for _, u := range units {
-				u.Step()
-			}
+			fullScan(scan)
+			swept.Step()
+			sharded.Step()
 			for _, u := range units[1:] {
-				if u.Stats != sparse.Stats || u.InFlight() != sparse.InFlight() ||
-					u.QueuedPackets() != sparse.QueuedPackets() || u.LastProgress != sparse.LastProgress {
+				if u.Stats != scan.Stats || u.InFlight() != scan.InFlight() ||
+					u.QueuedPackets() != scan.QueuedPackets() || u.LastProgress != scan.LastProgress {
 					return false
+				}
+				for id := range u.Routers {
+					if (u.occ[id] != 0 || u.niPend[id] != 0) && !u.ActiveMarked(geom.NodeID(id)) {
+						t.Logf("cycle %d: router %d busy but not in the active summary", c, id)
+						return false
+					}
 				}
 			}
 		}

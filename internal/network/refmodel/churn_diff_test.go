@@ -8,8 +8,9 @@ package refmodel
 // unit's manager and additionally demands the *managers* agree:
 // identical outcomes, identical epochs, identical pending queues, and
 // identical gate completions, every cycle. A divergence here isolates
-// either nondeterminism in the overlap state machine or a missing wake
-// in a reconfiguration path.
+// either nondeterminism in the overlap state machine or a
+// reconfiguration path that leaves the stepper's active set or quiet
+// window stale.
 
 import (
 	"fmt"
@@ -56,7 +57,6 @@ func runChurnScenario(sc churnScenario) error {
 	for _, n := range diffShardCounts {
 		units = append(units, &unit{name: fmt.Sprintf("shards%d", n)})
 	}
-	ctls := make([]*core.Controller, len(units))
 	for i, u := range units {
 		var cfg network.Config
 		if i >= 2 {
@@ -73,9 +73,9 @@ func runChurnScenario(sc churnScenario) error {
 		if tdd == 0 {
 			tdd = 34
 		}
-		ctls[i] = core.Attach(u.sim, core.Options{TDD: tdd, Spin: sc.spin})
+		u.ctl = core.Attach(u.sim, core.Options{TDD: tdd, Spin: sc.spin})
 		u.mgr = reconfig.New(u.sim)
-		u.mgr.SetScheme(ctls[i])
+		u.mgr.SetScheme(u.ctl)
 		u.delivered = make(map[int64]int64)
 		d := u.delivered
 		u.sim.OnDeliver = func(p *network.Packet) { d[p.ID] = p.DeliveredAt }
@@ -187,6 +187,11 @@ func runChurnScenario(sc churnScenario) error {
 			if got := s.Stats.Delivered + s.InFlight() + s.QueuedPackets() + s.Stats.Lost; got != s.Stats.Offered {
 				return fmt.Errorf("cycle %d: %s conservation violated: %d != Offered %d",
 					cyc, u.name, got, s.Stats.Offered)
+			}
+			if cyc%checkEvery == checkEvery-1 {
+				if err := checkUnit(cyc, u); err != nil {
+					return err
+				}
 			}
 		}
 		for _, u := range units[1:] {

@@ -1,16 +1,13 @@
 package refmodel
 
-// Dense-mode differential coverage at saturation — the regime the
-// dense stepper exists for. The randomized harness (diff_test.go)
-// rotates density policies across its 60 scenarios, but their offered
-// loads sit mostly below the dense entry threshold; this test drives a
-// mesh past saturation so the hysteretic policy must engage, and pins
-// the counters: a forced-on unit executes every cycle dense, a
-// forced-off unit none, and the auto unit enters exactly once under
-// monotone load. Cycle-exactness against the refmodel and across shard
-// counts is asserted throughout, so the assertion "density never
-// changes results, only speed" is checked precisely where the dense
-// code actually runs.
+// Differential coverage at saturation — the regime where nearly every
+// router is active every cycle, the fused bitset allocation pass does
+// all the arbitration, and every busy cycle of a sharded Sim takes the
+// parallel sweep. The randomized harness (diff_test.go) mostly offers
+// loads below that; this test drives a mesh past saturation and
+// asserts cycle-exactness against the refmodel and across shard counts
+// precisely where that code runs, with the counters pinned so the claim
+// is not vacuous.
 
 import (
 	"math/rand"
@@ -28,37 +25,19 @@ func TestDifferentialDenseSaturated(t *testing.T) {
 		window = 1600
 		rate   = 0.30
 	)
-	mk := func(shards int) *network.Sim {
+	mk := func(shards int) (*network.Sim, *core.Controller) {
 		topo := topology.NewMesh(8, 8)
 		s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(7)))
-		core.Attach(s, core.Options{})
-		return s
+		return s, core.Attach(s, core.Options{})
 	}
-	type unit struct {
-		name string
-		sim  *network.Sim
-		step func()
+	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "shards2"}, {name: "shards4"}}
+	for i, u := range units {
+		u.sim, u.ctl = mk([]int{1, 1, 2, 4}[i])
+		u.step = u.sim.Step
 	}
-	ref := mk(1)
-	refUnit := &unit{name: "refmodel", sim: ref, step: New(ref).Step}
+	ref := units[0].sim
+	units[0].step = New(ref).Step
 	ref.SetPooling(false)
-
-	auto := mk(1)
-	forcedOff := mk(1)
-	forcedOn := mk(1)
-	shAuto := mk(4)
-	shOn := mk(4)
-	forcedOff.SetDenseMode(network.DenseForcedOff)
-	forcedOn.SetDenseMode(network.DenseForcedOn)
-	shOn.SetDenseMode(network.DenseForcedOn)
-	units := []*unit{
-		refUnit,
-		{name: "auto", sim: auto, step: auto.Step},
-		{name: "forced_off", sim: forcedOff, step: forcedOff.Step},
-		{name: "forced_on", sim: forcedOn, step: forcedOn.Step},
-		{name: "sharded_auto", sim: shAuto, step: shAuto.Step},
-		{name: "sharded_forced_on", sim: shOn, step: shOn.Step},
-	}
 
 	hrng := rand.New(rand.NewSource(8))
 	min := routing.NewMinimal(ref.Topo)
@@ -96,21 +75,22 @@ func TestDifferentialDenseSaturated(t *testing.T) {
 				t.Fatalf("cycle %d: occupancy diverged (%s)", cyc, u.name)
 			}
 		}
+		if cyc%checkEvery == checkEvery-1 {
+			for _, u := range units {
+				if err := checkUnit(cyc, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 
-	if c := forcedOn.StepperCounters(); c.DenseCycles != cycles {
-		t.Errorf("forced_on ran %d/%d cycles dense", c.DenseCycles, cycles)
-	}
-	if c := forcedOff.StepperCounters(); c.DenseCycles != 0 || c.DenseEnters != 0 {
-		t.Errorf("forced_off ran %d cycles dense (%d enters)", c.DenseCycles, c.DenseEnters)
-	}
-	if c := auto.StepperCounters(); c.DenseEnters < 1 || c.DenseCycles == 0 {
-		t.Errorf("auto policy never engaged at saturation: %+v", c)
-	}
-	if c := shOn.StepperCounters(); c.DenseCycles != cycles {
-		t.Errorf("sharded forced_on ran %d/%d cycles dense", c.DenseCycles, cycles)
-	}
-	if c := shAuto.StepperCounters(); c.DenseEnters < 1 {
-		t.Errorf("sharded auto policy never engaged at saturation: %+v", c)
+	for _, u := range units[1:] {
+		c := u.sim.StepperCounters()
+		if c.QuietCycles+c.DenseCycles != cycles {
+			t.Errorf("%s: counters don't partition the run: %+v", u.name, c)
+		}
+		if u.sim.Shards() > 1 && c.ParallelCycles < window/2 {
+			t.Errorf("%s: parallel sweep ran %d cycles of a %d-cycle saturated window", u.name, c.ParallelCycles, window)
+		}
 	}
 }

@@ -3,17 +3,19 @@ package refmodel
 // The differential harness: every scenario builds a fleet of
 // identically seeded simulations — topology, fault set, traffic
 // schedule, recovery controller, runtime reconfiguration — and drives
-// one through the event-driven Sim.Step, one through this package's
-// full-scan Stepper, and one per requested shard count through the
-// sharded parallel stepper, comparing the complete Stats struct,
-// occupancy, and progress marker after EVERY cycle, plus per-packet
-// delivery times at the end. All cores share the per-node movement
-// primitives, so any divergence isolates a wake-scheduling bug in the
-// event core or an ordering/raciness bug in the sharded stepper.
+// one through Sim.Step, one through this package's full-scan Stepper,
+// and one per requested shard count through the sharded stepper,
+// comparing the complete Stats struct, occupancy, and progress marker
+// after EVERY cycle, plus per-packet delivery times at the end, and
+// running validate.Check on every unit every checkEvery cycles. All
+// cores share the per-node movement primitives, so any divergence
+// isolates a visit-set, fused-allocation or quiet-window bug in Step or
+// an ordering/raciness bug in the sharded sweep.
 
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +26,28 @@ import (
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/validate"
 )
+
+// checkEvery is how often (in cycles) the differential runs call
+// validate.Check on every unit: a drifted counter, mirror word or
+// active-summary bit is reported within checkEvery cycles of the cycle
+// that caused it instead of whenever it finally perturbs Stats.
+const checkEvery = 64
+
+// parallelCycles totals the parallel-sweep cycles the sharded units of
+// every finished scenario ran, so the corpus-level tests can assert the
+// sharded code was reached (the meshes are small and Step only fans out
+// above a fixed active-router count).
+var parallelCycles atomic.Int64
+
+// checkUnit runs the full invariant set over one unit.
+func checkUnit(cyc int, u *unit) error {
+	if vs := validate.Check(u.sim, u.ctl); len(vs) > 0 {
+		return fmt.Errorf("cycle %d: %s: %d invariant violations, first: %v", cyc, u.name, len(vs), vs[0])
+	}
+	return nil
+}
 
 // diffShardCounts are the sharded-core variants every full scenario
 // runs alongside the reference pair. 1 exercises the knob's sequential
@@ -38,6 +61,7 @@ type unit struct {
 	sim       *network.Sim
 	step      func()
 	mgr       *reconfig.Manager
+	ctl       *core.Controller
 	delivered map[int64]int64
 }
 
@@ -72,16 +96,16 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 
 	var cfg network.Config
 	if hrng.Intn(4) == 0 {
-		// Non-default pipeline latencies stress the scheduler's wake
-		// horizons.
+		// Non-default pipeline latencies stress arrival timing (a packet
+		// sits unready in its new buffer for several cycles).
 		cfg.RouterLatency = 1 + hrng.Intn(2)
 		cfg.LinkLatency = 1 + hrng.Intn(3)
 	}
 	simSeed := hrng.Int63()
 
 	// SB recovery on most scenarios (deadlock storms are the hard case
-	// for wake scheduling); occasionally SPIN mode or no recovery at all
-	// (wedged deadlocks must wedge identically).
+	// for the visit set and the quiet horizon); occasionally SPIN mode or
+	// no recovery at all (wedged deadlocks must wedge identically).
 	attachSB := hrng.Intn(5) != 0
 	opt := core.Options{TDD: int64(16 + hrng.Intn(32))}
 	opt.Spin = hrng.Intn(4) == 0
@@ -109,37 +133,6 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 		topo := topology.RandomIrregular(w, h, kind, faults, topoSeed)
 		u.sim = network.New(topo, ucfg, rand.New(rand.NewSource(simSeed)))
 		u.step = u.sim.Step
-		if i >= 2 {
-			// Exercise every sharded execution path across the corpus:
-			// a third of the scenarios force the parallel phases (these
-			// meshes are small enough that the live-count heuristic
-			// would otherwise stay inline), a third force the inline
-			// sequential path, and the rest leave the heuristic free to
-			// mix paths cycle by cycle. Results must be identical on
-			// every path — that is exactly what this harness proves.
-			switch seed % 3 {
-			case 0:
-				u.sim.SetShardInlineThreshold(-1)
-			case 1:
-				u.sim.SetShardInlineThreshold(1 << 30)
-			}
-		}
-		if u.name != "refmodel" {
-			// Density is execution configuration like Shards: each unit
-			// draws a different policy — hysteretic, pinned sparse, pinned
-			// dense, rotating with the seed and the unit's position — and
-			// the harness demands they all stay cycle-exact anyway. Across
-			// the corpus this runs every scenario with dense forced on,
-			// forced off, and free to switch mid-run, at every shard
-			// count. (The refmodel is detached from the event loop, so
-			// density does not apply there.)
-			switch (seed + int64(i)) % 3 {
-			case 1:
-				u.sim.SetDenseMode(network.DenseForcedOff)
-			case 2:
-				u.sim.SetDenseMode(network.DenseForcedOn)
-			}
-		}
 		if u.name == "refmodel" {
 			u.step = New(u.sim).Step
 			// The reference unit runs unpooled: a pooling bug in the
@@ -156,7 +149,7 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 				// first-stepped core consume the other units' draws.
 				uopt.Perturb = perturb.New(perturb.Config{Default: knobs, Seed: perturbSeed})
 			}
-			core.Attach(u.sim, uopt)
+			u.ctl = core.Attach(u.sim, uopt)
 		}
 		u.delivered = make(map[int64]int64)
 		d := u.delivered
@@ -313,6 +306,11 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 				return fmt.Errorf("cycle %d: %s core conservation violated: Delivered+InFlight+Queued+Lost=%d, Offered=%d",
 					cyc, u.name, got, s.Stats.Offered)
 			}
+			if cyc%checkEvery == checkEvery-1 {
+				if err := checkUnit(cyc, u); err != nil {
+					return err
+				}
+			}
 		}
 		if !checkEqual {
 			continue
@@ -333,6 +331,9 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 		}
 	}
 
+	for _, u := range units {
+		parallelCycles.Add(u.sim.StepperCounters().ParallelCycles)
+	}
 	if checkEqual {
 		for _, u := range units[1:] {
 			if len(u.delivered) != len(ev.delivered) {
@@ -349,8 +350,8 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 	return nil
 }
 
-// TestDifferentialEventVsRefModel proves the event-driven core AND the
-// sharded parallel core cycle-exact against the full-scan reference
+// TestDifferentialEventVsRefModel proves Sim.Step AND its sharded
+// parallel sweep cycle-exact against the full-scan reference
 // across 60 seeded irregular-topology scenarios (20 under -short):
 // mixed traffic, deadlock storms with SB (and SPIN) recovery,
 // non-default pipeline latencies, mid-run link/router kills with
@@ -363,6 +364,14 @@ func TestDifferentialEventVsRefModel(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
+	before := parallelCycles.Load()
+	t.Cleanup(func() { // runs once the parallel subtests have finished
+		n := parallelCycles.Load() - before
+		t.Logf("sharded units ran %d parallel-sweep cycles", n)
+		if n == 0 {
+			t.Error("no sharded unit ever took the parallel sweep — the corpus no longer reaches shard.go")
+		}
+	})
 	for i := 0; i < seeds; i++ {
 		i := i
 		t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {

@@ -1,6 +1,6 @@
 package refmodel
 
-// Quiet-epoch batching differential: the event and sharded cores may
+// Quiet-epoch batching differential: Step (sequential or sharded) may
 // fast-forward through cycles in which no router state can change, but
 // only when every attached hook has registered a quiescence horizon and
 // that horizon is honored. These scenarios are built so the interesting
@@ -21,7 +21,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/network"
+	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -58,7 +60,7 @@ func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool, shardCoun
 			u.step = New(u.sim).Step
 			u.sim.SetPooling(false)
 		}
-		core.Attach(u.sim, opt)
+		u.ctl = core.Attach(u.sim, opt)
 		u.delivered = make(map[int64]int64)
 		d := u.delivered
 		u.sim.OnDeliver = func(p *network.Packet) { d[p.ID] = p.DeliveredAt }
@@ -103,6 +105,11 @@ func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool, shardCoun
 		}
 		for _, u := range units {
 			u.step()
+			if cyc%checkEvery == checkEvery-1 {
+				if err := checkUnit(cyc, u); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
 		}
 		for _, u := range units[1:] {
 			if u.sim.Stats != ev.sim.Stats {
@@ -187,5 +194,163 @@ func TestDifferentialQuietSpinStorm(t *testing.T) {
 	}
 	if spins == 0 {
 		t.Fatal("no SPIN rotations across the corpus — no storm ever fired")
+	}
+}
+
+// TestQuietParityIdleSB pins the quiet-epoch contract of Sim.Step
+// against the refmodel on the regime fast-forward exists for: an idle
+// SB-attached 16×16 with on/off trickle traffic. Stats must be
+// identical after every cycle, windows must actually open, every
+// out-of-band event landing inside a window (Enqueue, a placed and
+// removed packet, a reconfiguration recover) must void it, and a dead
+// router with a non-empty NI queue must hold the window closed — it
+// stays in the active set until it is re-enabled.
+func TestQuietParityIdleSB(t *testing.T) {
+	type side struct {
+		sim  *network.Sim
+		mgr  *reconfig.Manager
+		step func()
+	}
+	mk := func(ref bool) *side {
+		topo := topology.NewMesh(16, 16)
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(5)))
+		sd := &side{sim: s, step: s.Step}
+		if ref {
+			sd.step = New(s).Step
+			s.SetPooling(false)
+		}
+		ctl := core.Attach(s, core.Options{})
+		sd.mgr = reconfig.New(s)
+		sd.mgr.SetScheme(ctl)
+		return sd
+	}
+	ev, ref := mk(false), mk(true)
+	both := []*side{ev, ref}
+	quiet := func() int64 { return ev.sim.StepperCounters().QuietCycles }
+	step := func(tag string) {
+		t.Helper()
+		for _, sd := range both {
+			sd.mgr.Tick()
+			sd.step()
+		}
+		if ev.sim.Stats != ref.sim.Stats || ev.sim.InFlight() != ref.sim.InFlight() ||
+			ev.sim.QueuedPackets() != ref.sim.QueuedPackets() || ev.sim.LastProgress != ref.sim.LastProgress {
+			t.Fatalf("%s, cycle %d: diverged\nstep:     %+v\nrefmodel: %+v", tag, ev.sim.Now, ev.sim.Stats, ref.sim.Stats)
+		}
+	}
+	enqueue := func(src, dst geom.NodeID) *network.Packet {
+		var p *network.Packet
+		for _, sd := range both {
+			r, ok := sd.mgr.Route(src, dst)
+			if !ok {
+				t.Fatalf("no route %v->%v", src, dst)
+			}
+			q := sd.sim.NewPacket(src, dst, 0, 5, r)
+			sd.sim.Enqueue(q)
+			if sd == ev {
+				p = q
+			}
+		}
+		return p
+	}
+	// intoWindow steps until Step skips a cycle, i.e. a window is open.
+	intoWindow := func(tag string) {
+		t.Helper()
+		for i := 0; i < 2000; i++ {
+			q := quiet()
+			step(tag)
+			if quiet() > q {
+				return
+			}
+		}
+		t.Fatalf("%s: network never went quiet", tag)
+	}
+	// voided asserts the next cycle is swept, not skipped.
+	voided := func(tag string) {
+		t.Helper()
+		q := quiet()
+		step(tag)
+		if quiet() != q {
+			t.Fatalf("%s inside a quiet window did not void it", tag)
+		}
+	}
+
+	// On/off trickle: 300 cycles at 0.002 packets/node/cycle, 300 silent.
+	rng := rand.New(rand.NewSource(6))
+	for cyc := 0; cyc < 2400; cyc++ {
+		if cyc%600 < 300 {
+			for n := 0; n < 256; n++ {
+				if rng.Float64() < 0.002 {
+					if dst := geom.NodeID(rng.Intn(256)); dst != geom.NodeID(n) {
+						enqueue(geom.NodeID(n), dst)
+					}
+				}
+			}
+		}
+		step("trickle")
+	}
+	if quiet() == 0 {
+		t.Fatal("idle SB mesh never fast-forwarded")
+	}
+	if ev.sim.Stats.Delivered == 0 {
+		t.Fatal("trickle delivered nothing")
+	}
+
+	intoWindow("enqueue")
+	p := enqueue(17, 200)
+	at := ev.sim.Now
+	voided("Enqueue")
+	if p.InjectedAt != at {
+		t.Fatalf("packet enqueued inside a window injected at %d, want %d", p.InjectedAt, at)
+	}
+
+	intoWindow("remove")
+	for _, sd := range both {
+		sd.sim.PlacePacket(40, geom.West, 0, sd.sim.NewPacket(39, 41, 0, 1, routing.Route{geom.East, geom.East}))
+		sd.sim.RemovePacket(&sd.sim.Routers[40].In[geom.West][0], 40, geom.West)
+	}
+	voided("PlacePacket+RemovePacket")
+
+	intoWindow("reconfig")
+	for _, sd := range both {
+		sd.mgr.FailLink(100, geom.East)
+	}
+	step("fail link")
+	intoWindow("reconfig recover")
+	for _, sd := range both {
+		sd.mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverLink, Node: 100, Dir: geom.East})
+	}
+	voided("link recovery")
+
+	// A dead router with queued traffic polls: no window while it waits.
+	intoWindow("dead router")
+	for _, sd := range both {
+		sd.sim.Topo.DisableRouter(77)
+	}
+	p = enqueue(77, 80)
+	q := quiet()
+	for i := 0; i < 200; i++ {
+		step("dead router queued")
+	}
+	if quiet() != q {
+		t.Fatalf("%d cycles fast-forwarded past a dead router's non-empty NI queue", quiet()-q)
+	}
+	if p.InjectedAt >= 0 {
+		t.Fatal("dead router injected")
+	}
+	for _, sd := range both {
+		sd.sim.Topo.EnableRouter(77)
+		sd.sim.Wake(77)
+	}
+	at = ev.sim.Now
+	step("re-enable")
+	if p.InjectedAt != at {
+		t.Fatalf("re-enabled router injected at %d, want %d", p.InjectedAt, at)
+	}
+	for i := 0; i < 100; i++ {
+		step("drain")
+	}
+	if p.DeliveredAt < 0 {
+		t.Fatal("packet queued at the dead router was never delivered")
 	}
 }

@@ -1,21 +1,19 @@
-// Package refmodel drives a network.Sim with the deliberately simple
-// full-scan stepper that internal/network used before its core became
-// event-driven: every cycle, every node runs the inject, allocate and
-// bubble-transfer phases, whether or not anything could possibly happen
-// there.
+// Package refmodel drives a network.Sim with a deliberately simple
+// full-scan stepper: every cycle, every node runs the inject, allocate
+// and bubble-transfer phases, whether or not anything could possibly
+// happen there.
 //
 // The stepper exists as the reference half of a differential harness
 // (see diff_test.go): both cores share the per-node movement primitives
 // (Sim.InjectNode, Sim.AllocateNode, Sim.TransferBubbleNode), so any
 // divergence between a refmodel-driven run and a Sim.Step-driven run
-// isolates a bug in the event core's wake scheduling — the only layer
-// that differs.
+// isolates a bug in Sim.Step's visit set, its fused allocation pass,
+// its quiet fast-forward or its sharded sweep — the layers that differ.
 //
-// Contract: a Sim handed to New is permanently detached from its event
-// scheduler and must only be advanced through the returned Stepper.
-// Ordering is the historical one — hooks, then per-phase ascending-id
-// scans — which the event core reproduces by draining its due set in
-// ascending id order under the same phase structure.
+// Contract: a Sim handed to New must only be advanced through the
+// returned Stepper (never through Sim.Step). Ordering is hooks, then
+// per-phase ascending-id scans — which Sim.Step reproduces by sweeping
+// its active set in ascending id order under the same phase structure.
 package refmodel
 
 import (
@@ -23,15 +21,13 @@ import (
 	"repro/internal/network"
 )
 
-// Stepper advances a detached Sim one cycle at a time by full scans.
+// Stepper advances a Sim one cycle at a time by full scans.
 type Stepper struct {
 	S *network.Sim
 }
 
-// New detaches s from its event scheduler and returns a full-scan
-// stepper for it.
+// New returns a full-scan stepper for s.
 func New(s *network.Sim) *Stepper {
-	s.DetachScheduler()
 	return &Stepper{S: s}
 }
 

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"math"
-
 	"repro/internal/geom"
 )
 
@@ -86,37 +84,24 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // The phase is split in two so the sharded stepper can parallelize it:
 // gatherAllocate reads only state that is stable for the whole
 // allocation phase and produces the candidate buckets; commitAllocate
-// arbitrates and moves packets. The sequential core (and the refmodel
-// full scan) runs both back to back, which is exactly the historical
-// single-pass behaviour.
+// arbitrates and moves packets. The sequential sweep (and the refmodel
+// full scan) runs both back to back.
 func (s *Sim) AllocateNode(id geom.NodeID) {
 	if s.gatherAllocate(id, &s.seqGather) {
 		s.commitAllocate(id, &s.seqGather)
 	}
 }
 
-// allocGather is one router's switch-allocation plan: per-output
+// allocGather is one router's switch-allocation scratch: per-output
 // candidate buckets (ascending candidate index: in*slots+sl, or
-// NumPorts*slots for the bubble) plus the wake classification inputs.
+// NumPorts*slots for the bubble).
 type allocGather struct {
-	cand      [geom.NumPorts][]int32
-	headReady int
-	minFuture int64
-	// recordSlots, set by the sharded stepper's fully parallel commit
-	// mode, makes the gather record each kept link candidate's free
-	// downstream slot (slot[out][i] for cand[out][i]; -1 means the
-	// static bubble). The availability-constancy argument in shard.go
-	// proves the gather-time answer equals the commit-time answer, so
-	// the parallel commit uses the recorded slot and never scans a
-	// foreign router's (concurrently mutated) VC array.
-	recordSlots bool
-	slot        [geom.NumPorts][]int32
+	cand [geom.NumPorts][]int32
 }
 
 func (g *allocGather) init(cfg Config) {
 	for i := range g.cand {
 		g.cand[i] = make([]int32, 0, geom.NumPorts*cfg.SlotsPerPort()+1)
-		g.slot[i] = make([]int32, 0, geom.NumPorts*cfg.SlotsPerPort()+1)
 	}
 }
 
@@ -144,25 +129,16 @@ func (r *Router) candVC(ci int32, slots, total int) (*VC, geom.Direction) {
 // the sequential single pass.
 //
 // The pruning also carries the load: in a deadlock storm most ready
-// heads have no free downstream buffer, and classifying them (plus the
-// re-poll wake — a blocked router polls because fences, hooks and link
-// state may change with no timestamped event) happens entirely in this
-// parallel pass; such routers never reach the sequential commit.
+// heads have no free downstream buffer, and classifying them happens
+// entirely in this parallel pass; such routers never reach the commit.
 func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	r := &s.Routers[id]
-	if s.occ[id] == 0 {
-		return false
-	}
-	if !s.Topo.RouterAlive(id) {
-		// Buffered traffic at a dead router cannot move, but a re-enable
-		// would free it with no event: poll, as the naive scan did.
-		s.wakeNode(id, s.Now+1)
+	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
+		// Buffered traffic at a dead router cannot move.
 		return false
 	}
 	slots := s.Cfg.SlotsPerPort()
 	total := geom.NumPorts * slots // bubble uses index `total`
-	g.headReady = 0
-	g.minFuture = int64(math.MaxInt64)
 	for i := range g.cand {
 		g.cand[i] = g.cand[i][:0]
 	}
@@ -170,16 +146,9 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 		vcs := r.In[in]
 		for sl := range vcs {
 			vc := &vcs[sl]
-			if vc.Pkt == nil {
+			if vc.Pkt == nil || vc.ReadyAt > s.Now {
 				continue
 			}
-			if vc.ReadyAt > s.Now {
-				if vc.ReadyAt < g.minFuture {
-					g.minFuture = vc.ReadyAt
-				}
-				continue
-			}
-			g.headReady++
 			out := s.OutputOf(vc.Pkt, id)
 			if out == geom.Invalid ||
 				(r.Fence.Active && out == r.Fence.Out && geom.Direction(in) != r.Fence.In) {
@@ -188,18 +157,11 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			g.cand[out] = append(g.cand[out], int32(in*slots+sl))
 		}
 	}
-	if b := &r.Bubble; b.Present && b.VC.Pkt != nil {
-		if b.VC.ReadyAt > s.Now {
-			if b.VC.ReadyAt < g.minFuture {
-				g.minFuture = b.VC.ReadyAt
-			}
-		} else {
-			g.headReady++
-			out := s.OutputOf(b.VC.Pkt, id)
-			if out != geom.Invalid &&
-				!(r.Fence.Active && out == r.Fence.Out && b.InPort != r.Fence.In) {
-				g.cand[out] = append(g.cand[out], int32(total))
-			}
+	if b := &r.Bubble; b.Present && b.VC.Pkt != nil && b.VC.ReadyAt <= s.Now {
+		out := s.OutputOf(b.VC.Pkt, id)
+		if out != geom.Invalid &&
+			!(r.Fence.Active && out == r.Fence.Out && b.InPort != r.Fence.In) {
+			g.cand[out] = append(g.cand[out], int32(total))
 		}
 	}
 	work := false
@@ -219,23 +181,10 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			in := out.Opposite()
 			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
 			keep := cands[:0]
-			if g.recordSlots {
-				ks := g.slot[out][:0]
-				for _, ci := range cands {
-					vc, _ := r.candVC(ci, slots, total)
-					sl := s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet)
-					if sl >= 0 || bubbleOK {
-						keep = append(keep, ci)
-						ks = append(ks, int32(sl))
-					}
-				}
-				g.slot[out] = ks
-			} else {
-				for _, ci := range cands {
-					vc, _ := r.candVC(ci, slots, total)
-					if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
-						keep = append(keep, ci)
-					}
+			for _, ci := range cands {
+				vc, _ := r.candVC(ci, slots, total)
+				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
+					keep = append(keep, ci)
 				}
 			}
 			g.cand[out] = keep
@@ -244,37 +193,21 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			work = true
 		}
 	}
-	if !work {
-		// Nothing can be granted, so the wake decision needs no commit:
-		// re-poll while a ready head is blocked, else sleep until the
-		// earliest in-flight arrival.
-		if g.headReady > 0 {
-			s.wakeNode(id, s.Now+1)
-		} else if g.minFuture < int64(math.MaxInt64) {
-			s.wakeNode(id, g.minFuture)
-		}
-		return false
-	}
-	return true
+	return work
 }
 
 // commitAllocate arbitrates router id's gathered candidate buckets and
-// moves the winners — the sequential half of the allocation phase. Under
-// the sharded stepper it runs on the coordinator in ascending global
-// router id, the exact order the sequential core interleaves its
-// per-router passes, so round-robin pointer movement, grant-filter
-// consultation and every Stats mutation replay identically. Candidates
-// another router's earlier commit has since starved are skipped by
-// tryGrant's re-validation; skipping them cannot change the winner
-// because the round-robin scan accepts the first candidate in cyclic
-// index order from saPtr that passes both the grant filter and the
-// downstream space check — the same packet whether or not doomed
+// moves the winners — the sequential half of the allocation phase.
+// Candidates another router's earlier commit has since starved are
+// skipped by tryGrant's re-validation; skipping them cannot change the
+// winner because the round-robin scan accepts the first candidate in
+// cyclic index order from saPtr that passes both the grant filter and
+// the downstream space check — the same packet whether or not doomed
 // candidates before it remain in the bucket.
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
 	slots := s.Cfg.SlotsPerPort()
 	total := geom.NumPorts * slots
-	granted := 0
 	for _, out := range geom.AllPorts {
 		cands := g.cand[out]
 		n := len(cands)
@@ -299,15 +232,9 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 			}
 			if s.tryGrant(r, out, vc, vc.Pkt, inPort, int(ci)) {
 				r.saPtr[out] = (int(ci) + 1) % (total + 1)
-				granted++
 				break
 			}
 		}
-	}
-	if g.headReady > granted {
-		s.wakeNode(id, s.Now+1)
-	} else if g.minFuture < int64(math.MaxInt64) {
-		s.wakeNode(id, g.minFuture)
 	}
 }
 
@@ -316,19 +243,12 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 // footnote 6: a chain packet advancing vacates a VC at the port; the
 // bubble occupant moves there, freeing the bubble for reclaim). Without
 // this path a packet wedged in the bubble would block every later
-// recovery at the router. While an occupant is present the router
-// re-polls every cycle: the VC it waits for can be freed by any external
-// actor (a neighbor's grant, RemovePacket, a hook).
+// recovery at the router.
 func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 	b := &s.Routers[id].Bubble
-	if !b.Present || b.VC.Pkt == nil {
+	if !b.Present || b.VC.Pkt == nil || b.VC.ReadyAt > s.Now {
 		return
 	}
-	if b.VC.ReadyAt > s.Now {
-		s.wakeNode(id, b.VC.ReadyAt)
-		return
-	}
-	s.wakeNode(id, s.Now+1)
 	p := b.VC.Pkt
 	slot := s.findFreeVC(id, b.InPort, p, p.Vnet)
 	if slot < 0 {
@@ -409,7 +329,7 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort 
 	}
 	s.occ[nb]++
 	s.occNL[nb]++ // arrivals always land on a link-side port
-	s.wakeNode(nb, dst.ReadyAt)
+	s.markActive(nb)
 	s.LastProgress = s.Now
 	return true
 }

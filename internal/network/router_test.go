@@ -24,20 +24,19 @@ func TestBubbleTransferToFreedVC(t *testing.T) {
 	for i := range stalled {
 		stalled[i] = s.NewPacket(0, 1, 0, 5, routing.Route{geom.East})
 		stalled[i].Hop = 1
-		r.In[geom.West][i].Pkt = stalled[i]
+		s.PlacePacket(1, geom.West, i, stalled[i])
 	}
 	occupant := s.NewPacket(0, 1, 0, 5, routing.Route{geom.East})
 	occupant.Hop = 1
-	r.Bubble.VC.Pkt = occupant
+	s.PlaceBubblePacket(1, geom.West, occupant)
 	r.Bubble.Active = false // transfer works regardless of Active
-	s.Wake(1)               // hand-placed packets: tell the event scheduler
 
 	s.Run(3)
 	if r.Bubble.VC.Pkt == nil {
 		t.Fatal("no VC free yet: occupant must stay put")
 	}
 	// Free one VC.
-	r.In[geom.West][2].Pkt = nil
+	s.RemovePacket(&r.In[geom.West][2], 1, geom.West)
 	s.Run(3)
 	if r.Bubble.VC.Pkt != nil {
 		t.Fatal("occupant should have transferred into the freed VC")
@@ -59,15 +58,14 @@ func TestBubbleTransferRespectsVnet(t *testing.T) {
 	// Occupant is vnet 1; only a vnet-0 VC is free.
 	occupant := s.NewPacket(0, 1, 1, 5, routing.Route{geom.East})
 	occupant.Hop = 1
-	r.Bubble.VC.Pkt = occupant
+	s.PlaceBubblePacket(1, geom.West, occupant)
 	base := 1 * s.Cfg.VCsPerVnet
 	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
 		p := s.NewPacket(0, 1, 1, 5, routing.Route{geom.East})
 		p.Hop = 1
-		r.In[geom.West][base+i].Pkt = p
+		s.PlacePacket(1, geom.West, base+i, p)
 	}
 	s.Routers[1].OutFreeAt[geom.Local] = 1 << 30
-	s.Wake(1) // hand-placed packets: tell the event scheduler
 	s.Run(5)
 	if r.Bubble.VC.Pkt == nil {
 		t.Fatal("occupant must not transfer into a different vnet's VC")
@@ -133,18 +131,14 @@ func TestSwitchAllocationRoundRobinRotates(t *testing.T) {
 		if r.In[geom.West][0].Pkt == nil {
 			p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 			p.Hop = 1
-			r.In[geom.West][0].Pkt = p
-			s.occ[mid]++
-			s.occNL[mid]++
+			s.PlacePacket(mid, geom.West, 0, p)
 		}
 		if r.In[geom.Local][0].Pkt == nil {
 			p := s.NewPacket(1, 2, 0, 1, routing.Route{geom.East})
-			r.In[geom.Local][0].Pkt = p
-			s.occ[mid]++
+			s.PlacePacket(mid, geom.Local, 0, p)
 		}
 		wBefore := r.In[geom.West][0].Pkt
 		lBefore := r.In[geom.Local][0].Pkt
-		s.Wake(mid) // hand-placed packets: tell the event scheduler
 		s.Step()
 		if r.In[geom.West][0].Pkt == nil && wBefore != nil {
 			westGrants++
@@ -200,10 +194,7 @@ func TestBubbleHeadReadyParticipatesInSA(t *testing.T) {
 	r.Bubble.Present = true
 	r.Bubble.InPort = geom.East
 	p := s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
-	r.Bubble.VC.Pkt = p
-	s.occ[0]++
-	s.occNL[0]++
-	s.Wake(0) // hand-placed packet: tell the event scheduler
+	s.PlaceBubblePacket(0, geom.East, p)
 	s.Run(20)
 	if p.DeliveredAt < 0 {
 		t.Fatal("bubble occupant should be forwarded and delivered")

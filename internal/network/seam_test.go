@@ -29,16 +29,16 @@ func seamRouters(s *Sim) map[geom.NodeID]bool {
 	return seam
 }
 
-// driveSeamWorkload runs a seeded random workload with the parallel
-// path forced and an xfill observer asserting the seam invariant: every
-// cross-shard buffer fill happens between two seam routers in adjacent
-// shards. Returns the sim and the number of observed crossings.
+// driveSeamWorkload runs a seeded random workload (heavy enough that
+// busy cycles take the parallel sweep) with an xfill observer asserting
+// the seam invariant: every cross-shard buffer fill happens between two
+// seam routers in adjacent shards. Returns the sim and the number of
+// observed crossings.
 func driveSeamWorkload(t *testing.T, topo *topology.Topology, shards int, seed int64, cycles int, rate float64) (*Sim, int64) {
 	t.Helper()
 	s := New(topo, Config{Shards: shards}, rand.New(rand.NewSource(seed)))
 	var crossings int64
 	if s.Shards() > 1 {
-		s.SetShardInlineThreshold(-1) // force the parallel phases
 		seam := seamRouters(s)
 		s.SetXFillObserver(func(src, dst geom.NodeID) {
 			crossings++
@@ -112,7 +112,7 @@ func TestSeamInvariantSharded(t *testing.T) {
 }
 
 // TestShardedParity32x32 scales the parity check to the ROADMAP's 32x32
-// target with the parallel commit forced: Stats byte-identical across
+// target: Stats byte-identical across
 // shards 1/2/4/8 under a saturating workload on a faulted mesh. This is
 // the CI 32x32 sharded differential tier's anchor test.
 func TestShardedParity32x32(t *testing.T) {
@@ -142,18 +142,20 @@ func TestShardedParity32x32(t *testing.T) {
 	}
 }
 
-// TestStepperPathCounters pins the path-selection machinery itself:
-// under the default threshold a bursty workload must mix inline and
-// parallel cycles, and a drained network with no hooks must
-// fast-forward through quiet epochs.
+// TestStepperPathCounters pins what the counters mean: every cycle is
+// either skipped by a quiet window or swept (QuietCycles + DenseCycles
+// partition the run), the parallel sweep is a subset of the swept
+// cycles that a bursty workload on a sharded Sim does reach, a drained
+// network with no hooks fast-forwards, and an OnGrant observer keeps
+// every cycle on the sequential sweep.
 func TestStepperPathCounters(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	s := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
 	min := routing.NewMinimal(topo)
 	rng := rand.New(rand.NewSource(4))
 	for cyc := 0; cyc < 2000; cyc++ {
-		// Bursts saturate (parallel path), gaps drain to idle (inline,
-		// then quiet once the last in-flight packet lands).
+		// Bursts saturate (parallel sweep), gaps drain to idle
+		// (sequential sweep, then quiet once the last packet lands).
 		if cyc%500 < 30 {
 			for n := 0; n < 64; n++ {
 				if rng.Float64() >= 0.4 {
@@ -173,30 +175,33 @@ func TestStepperPathCounters(t *testing.T) {
 		s.Step()
 	}
 	ctr := s.StepperCounters()
-	if ctr.ParallelCycles == 0 || ctr.InlineCycles == 0 || ctr.QuietCycles == 0 {
-		t.Fatalf("expected all three paths to engage, got %+v", ctr)
+	if ctr.ParallelCycles == 0 || ctr.QuietCycles == 0 {
+		t.Fatalf("expected parallel and quiet cycles, got %+v", ctr)
 	}
-	if ctr.SeqCommitCycles != 0 {
-		t.Fatalf("no GrantFilter/OnGrant installed, yet %d sequential-commit cycles", ctr.SeqCommitCycles)
+	if ctr.ParallelCycles >= ctr.DenseCycles {
+		t.Fatalf("draining tails should sweep sequentially, got %+v", ctr)
 	}
-	if got := ctr.QuietCycles + ctr.InlineCycles + ctr.ParallelCycles; got != 2000 {
-		t.Fatalf("path counters don't partition the run: %+v sums to %d, want 2000", ctr, got)
+	if got := ctr.QuietCycles + ctr.DenseCycles; got != 2000 {
+		t.Fatalf("counters don't partition the run: %+v sums to %d, want 2000", ctr, got)
 	}
-	// An OnGrant observer must force the commit off the parallel path.
-	s2 := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
-	s2.SetShardInlineThreshold(-1)
-	s2.OnGrant = func(p *Packet, vc *VC, at geom.NodeID, in, out geom.Direction) {}
-	for n := 0; n < 64; n += 3 {
-		r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
-		if !ok {
-			continue
+	// An OnGrant observer must keep the cycle off the parallel sweep; the
+	// same busy workload without it must reach it.
+	for _, observe := range []bool{false, true} {
+		s2 := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
+		if observe {
+			s2.OnGrant = func(p *Packet, vc *VC, at geom.NodeID, in, out geom.Direction) {}
 		}
-		s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
-	}
-	s2.Run(50)
-	c2 := s2.StepperCounters()
-	if c2.SeqCommitCycles == 0 || c2.ParallelCycles != 0 {
-		t.Fatalf("OnGrant should force the sequential commit fallback, got %+v", c2)
+		for n := 0; n < 64; n++ {
+			r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
+			if !ok {
+				continue
+			}
+			s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
+		}
+		s2.Run(50)
+		if c2 := s2.StepperCounters(); (c2.ParallelCycles == 0) != observe {
+			t.Fatalf("OnGrant=%v: parallel sweep engagement wrong, got %+v", observe, c2)
+		}
 	}
 }
 

@@ -1,83 +1,69 @@
 package network
 
-// The sharded parallel stepper. The mesh is partitioned into contiguous
-// row bands — one shard per band, each owning its routers' timing-wheel
-// scheduler and scratch. A cycle picks one of three execution paths:
+// The sharded parallel sweep. The mesh is partitioned into contiguous
+// row bands — one shard per band, each owning a whole-word range of the
+// active bitmap and its own scratch. A busy cycle on a sharded Sim
+// (Step selects it; see stepper.go) runs:
 //
-//   - Quiet fast-forward (Step, network.go): when a previous cycle
-//     proved nothing can happen before a horizon, Step only advances
-//     Now. Costs two compares per cycle; no shard machinery runs.
-//   - Inline sequential: when the total pending-wake count across
-//     shards is at or below the inline threshold, the coordinator runs
-//     the sequential phases itself over the per-shard due sets in shard
-//     order (= ascending router id). A near-idle network pays no
-//     goroutine handoff — this is what fixes the sharded core being
-//     *slower* than the sequential one on idle meshes.
-//   - Parallel phases: PreCycle hooks, then one goroutine per shard
-//     runs collect-due + inject + gather; after a barrier the
-//     coordinator folds injection deltas; then the commit runs — fully
-//     parallel (one goroutine per shard, private commit sinks, folded
-//     in shard order) when no GrantFilter/OnGrant is installed, else
-//     sequentially on the coordinator by plan decode. Bubble transfers
-//     and PostCycle hooks close the cycle.
+//	plan    one goroutine per shard: inject at the band's active
+//	        routers, then decide each router's grants (planGrant
+//	        records) without moving anything;
+//	fold    the coordinator folds the injection deltas;
+//	commit  one goroutine per shard moves its planned winners, with
+//	        every effect that crosses the band or touches a global
+//	        accumulator deferred into the shard's commit sink;
+//	fold    the coordinator applies the sinks in shard order;
 //
-// Determinism contract — the sharded stepper is byte-identical to the
-// sequential event core (and hence to the refmodel full scan) for any
-// shard count and any path mix:
+// then bubble transfers and PostCycle hooks close the cycle on the
+// coordinator.
+//
+// Determinism contract — the parallel sweep is byte-identical to the
+// sequential sweep (and hence to the refmodel full scan) for any shard
+// count:
 //
 //   - The epoch is one cycle: no speculative lookahead, no dependence
-//     on goroutine scheduling. Quiet epochs skip only cycles proven to
-//     change nothing (see maybeQuiet), so skipping is unobservable.
-//   - The parallel gather phase touches only node-local state; its
-//     cross-shard *reads* (downstream buffer occupancy for pruning) see
-//     phase-stable or monotone state, so pruning is conservative — the
-//     argument lives with gatherAllocate.
-//   - The parallel commit relies on availability constancy: the
-//     destination pool of a grant through output `out` is (neighbor,
-//     in=out.Opposite()), and the only router that ever *fills* a VC of
-//     that pool is this router (its unique upstream on that port).
-//     The pool's own commits only *empty* slots, and an emptied slot
-//     advertises FreeAt = now+len, so Empty(now) stays false for the
-//     rest of the cycle. Downstream availability observed at gather
-//     time therefore equals availability at commit time, grant
-//     decisions are order-independent across routers, and a kept
-//     candidate's grant cannot fail. The gather records each kept
-//     candidate's free slot (allocGather.recordSlots) and the commit
-//     writes exactly that slot — it never re-scans a foreign VC array,
-//     whose bookkeeping fields are being rewritten concurrently.
-//     A same-cycle bubble destination is safe for the same reason: the
-//     bubble serves exactly one input port (EligibleFor checks InPort),
-//     so its writer is unique too.
-//   - Writes crossing a seam during parallel commit are exactly: the
+//     on goroutine scheduling.
+//   - The plan phase touches only node-local state; its cross-shard
+//     *reads* (downstream buffer occupancy) see phase-stable or
+//     monotone state — the argument lives with gatherAllocate.
+//   - Grant decisions are order-independent (availability constancy):
+//     the destination pool of a grant through output `out` is
+//     (neighbor, in=out.Opposite()), and the only router that ever
+//     *fills* a VC of that pool is this router (its unique upstream on
+//     that port). The pool's own commits only *empty* slots, and an
+//     emptied slot advertises FreeAt = now+len, so Empty(now) stays
+//     false for the rest of the cycle. Downstream availability observed
+//     at plan time therefore equals availability at commit time, every
+//     grantable candidate stays grantable whatever other routers do, and
+//     each output's winner is simply the first grantable candidate at or
+//     past the round-robin pointer — exactly what the sequential
+//     commit's rotate-and-scan converges on. The plan records the
+//     winner's free downstream slot and the commit writes exactly that
+//     slot — it never re-scans a foreign VC array, whose bookkeeping
+//     fields are being rewritten concurrently. A bubble destination is
+//     safe for the same reason: the bubble serves exactly one input
+//     port (EligibleFor checks InPort), so its writer is unique too.
+//   - Writes crossing a seam during the commit are exactly: the
 //     destination VC fill (unique writer, see above — the downstream
-//     router's own commit only reads its *occupied* candidate slots,
+//     router's own commit only touches its *occupied* candidate slots,
 //     which are different elements). Everything else the sequential
-//     commit would do to a foreign-shard router — its occupancy
-//     counters and its wake — is deferred into the shard's commit sink
-//     (xfill records) and applied by the coordinator's fold. Own-shard
-//     neighbors are updated directly. Global counters (Stats, inFlight,
-//     LastProgress) accumulate in per-shard sinks and fold in shard
-//     order; all are sums plus one max, so the totals match the
-//     sequential core's bit for bit. Delivered packets are retained in
+//     grant would do to a foreign-shard router — its occupancy counters,
+//     mirror word and active bit — is deferred into the shard's commit
+//     sink (xfill records) and applied by the coordinator's fold.
+//     Own-shard neighbors are updated directly. Global counters (Stats,
+//     inFlight, LastProgress) accumulate in per-shard sinks and fold in
+//     shard order; all are sums plus one max, so the totals match the
+//     sequential sweep's bit for bit. Delivered packets are retained in
 //     the sink and their OnDeliver callbacks + pool releases replay at
-//     fold time in ascending-router-id order — the sequential core's
-//     call and free-list order (at most one ejection per router per
-//     cycle, so within-shard append order is ascending id).
-//   - When a GrantFilter or OnGrant observer is installed, commit
-//     decisions stop being provably order-independent (a filter may
-//     consult arbitrary state mid-phase), so the cycle latches
-//     parCommit=false and decodes the plans sequentially in ascending
-//     router id through the very same commitAllocate the sequential
-//     core runs. VCFilter is compatible with the parallel commit: it is
-//     only ever consulted during gather (both cores prune and allocate
-//     with gather-time answers), which requires it to be a pure
-//     function of phase-stable state — already a documented obligation.
-//   - Each shard's scheduler holds exactly the wakes of its own
-//     routers. During parallel phases a worker wakes only its own
-//     routers (inject/gather re-polls, commit tail wakes, own-shard
-//     arrivals); cross-shard wakes ride the xfill records and are
-//     issued by the coordinator's fold at the same cycle values the
-//     sequential core would use, so due sets match cycle for cycle.
+//     fold time in ascending-router-id order — the sequential call and
+//     free-list order (at most one ejection per router per cycle, so
+//     within-shard append order is ascending id).
+//   - VCFilter and OutputOverride are compatible with the parallel
+//     sweep: they are only ever consulted during the plan phase, which
+//     requires them to be pure functions of phase-stable state — already
+//     a documented obligation (hooks that read other routers mid-phase
+//     call RequireUnsharded). GrantFilter and OnGrant are not, and keep
+//     the cycle on the sequential sweep.
 //   - RNG ownership: the simulator core draws nothing from Sim.Rng, and
 //     traffic/hooks run only on the coordinator, so the draw sequence
 //     is untouched by sharding.
@@ -108,26 +94,35 @@ func effectiveShards(requested, height int) int {
 	return requested
 }
 
-// shardState is one shard's private scheduler and per-cycle scratch.
-// Workers never touch another shard's state, so none of it is locked.
+// shardState is one band's slice of the active set plus, for the
+// parallel sweep, its private per-cycle scratch. Workers never touch
+// another shard's state, so none of it is locked.
 type shardState struct {
-	sched  scheduler
-	due    []int32
+	// The band owns words [wlo, whi) of Sim.active; router id sits at
+	// bit id+pad. Bands are whole row groups, so the id range is exact.
+	wlo, whi int
+	pad      int32
+	// ids is the band's share of this cycle's active set.
+	ids    []int32
 	gather allocGather
 	inj    injectDelta
-	plan   shardPlan
+	plan   []planGrant
 	sink   commitSink
-	// lo/hi delimit the shard's contiguous router-id band [lo, hi) —
-	// bands are whole row groups, so the range is exact. The dense
-	// stepper fills the due set by sweeping the band's occupancy state
-	// instead of draining the (suspended) shard scheduler.
-	lo, hi int32
-	// worker/commitWorker are the shard's goroutine bodies, built once
-	// at initShards: spawning a pre-bound func value (`go sh.worker()`)
-	// costs no allocation per cycle, whereas a literal closure with
-	// arguments would heap-allocate its context every Step.
-	worker       func()
+	// planWorker/commitWorker are the shard's goroutine bodies, built
+	// once at initShards: spawning a pre-bound func value costs no
+	// allocation per cycle, whereas a literal closure with arguments
+	// would heap-allocate its context every Step.
+	planWorker   func()
 	commitWorker func()
+}
+
+// planGrant is one decided grant handed from the plan phase to the
+// commit phase: router id moves candidate ci through output out into
+// downstream slot dst (-1: ejection, or the downstream bubble).
+type planGrant struct {
+	id      int32
+	out     int8
+	ci, dst int16
 }
 
 // commitSink accumulates one shard's deferred commit effects for the
@@ -143,15 +138,13 @@ type commitSink struct {
 }
 
 // xfill records a grant that filled a buffer in a router owned by
-// another shard: the destination's occupancy increments (counters and
-// the slot-occupancy mirror, whose word would otherwise be written by
-// two shards) and its wake at the arrival cycle are applied by the
-// coordinator after the commit barrier. src rides along for the seam
-// observability hook; bit is the filled buffer's candidate index.
+// another shard: the destination's occupancy increments (counters, the
+// slot-occupancy mirror and the active bit, whose words would otherwise
+// be written by two shards) are applied by the coordinator after the
+// commit barrier. src rides along for the seam observability hook; bit
+// is the filled buffer's candidate index.
 type xfill struct {
-	src, nb int32
-	bit     int32
-	at      int64
+	src, nb, bit int32
 }
 
 func (c *commitSink) reset() {
@@ -165,124 +158,76 @@ func (c *commitSink) reset() {
 	c.xf = c.xf[:0]
 }
 
-// shardPlan is the gather output a shard hands to the commit pass:
-// for each router with at least one feasible candidate bucket, its wake
-// classification and the buckets, flattened into one int32 stream
-// (per bucket: a header out|len<<3, then the candidate indices). Under
-// the parallel commit, slots carries the recorded free downstream slot
-// for every link-bucket candidate, in stream order (-1 = bubble).
-type shardPlan struct {
-	ids     []int32
-	heads   []int32
-	futures []int64
-	boff    []int32 // stream offsets, len(ids)+1
-	stream  []int32
-	slots   []int32
-}
-
-func (p *shardPlan) reset() {
-	p.ids = p.ids[:0]
-	p.heads = p.heads[:0]
-	p.futures = p.futures[:0]
-	p.stream = p.stream[:0]
-	p.slots = p.slots[:0]
-	p.boff = append(p.boff[:0], 0)
-}
-
-// reserve pre-grows the plan's slices for a band of n routers whose
-// per-router stream never exceeds perRouter entries (PrewarmPool).
-func (p *shardPlan) reserve(n, perRouter int) {
-	p.ids = reserveInt32(p.ids, n)
-	p.heads = reserveInt32(p.heads, n)
-	p.boff = reserveInt32(p.boff, n+1)
-	p.stream = reserveInt32(p.stream, n*perRouter)
-	p.slots = reserveInt32(p.slots, n*perRouter)
-	if cap(p.futures) < n {
-		p.futures = append(make([]int64, 0, n), p.futures...)
-	}
-}
-
-func (p *shardPlan) add(id int32, g *allocGather) {
-	p.ids = append(p.ids, id)
-	p.heads = append(p.heads, int32(g.headReady))
-	p.futures = append(p.futures, g.minFuture)
-	for _, out := range geom.AllPorts {
-		c := g.cand[out]
-		if len(c) == 0 {
-			continue
-		}
-		p.stream = append(p.stream, int32(out)|int32(len(c))<<3)
-		p.stream = append(p.stream, c...)
-		if g.recordSlots && out != geom.Local {
-			p.slots = append(p.slots, g.slot[out]...)
-		}
-	}
-	p.boff = append(p.boff, int32(len(p.stream)))
-}
-
-// initShards switches the Sim onto the sharded stepper with n > 1
-// shards: contiguous row bands of near-equal height (router ids are
-// row-major, so each band is a contiguous id range and visiting shards
-// in order visits routers in ascending global id).
+// initShards lays the Sim out as n >= 1 shards: contiguous row bands of
+// near-equal height (router ids are row-major, so each band is a
+// contiguous id range and visiting shards in order visits routers in
+// ascending global id), each owning a word-aligned range of the active
+// bitmap.
 func (s *Sim) initShards(n int) {
 	w, h := s.Topo.Width(), s.Topo.Height()
-	s.nshards = n
-	s.shardOf = make([]int8, len(s.Routers))
 	s.shards = make([]shardState, n)
-	for k := 0; k < n; k++ {
+	s.shardOf = nil
+	if n > 1 {
+		s.shardOf = make([]int8, len(s.Routers))
+	}
+	s.actPos = make([]int32, len(s.Routers))
+	word := 0
+	for k := range s.shards {
 		sh := &s.shards[k]
-		sh.sched.init(len(s.Routers))
+		lo, hi := k*h/n*w, (k+1)*h/n*w
+		sh.wlo, sh.pad = word, int32(word<<6-lo)
+		word += (hi - lo + 63) >> 6
+		sh.whi = word
+		for id := lo; id < hi; id++ {
+			s.actPos[id] = int32(id) + sh.pad
+			if n > 1 {
+				s.shardOf[id] = int8(k)
+			}
+		}
+		if n == 1 {
+			continue // the parallel sweep's scratch is never used
+		}
+		// Scratch bounds: at most one grant per output and one ejection
+		// per router per cycle; cross-shard fills cross a band seam, of
+		// which a shard touches at most two (2 rows × width links).
 		sh.gather.init(s.Cfg)
-		sh.plan.reset()
-		sh.worker = func() {
-			s.shardInjectGather(sh)
+		sh.plan = make([]planGrant, 0, (hi-lo)*geom.NumPorts)
+		sh.sink.released = make([]*Packet, 0, hi-lo)
+		sh.sink.xf = make([]xfill, 0, 2*w)
+		sh.planWorker = func() {
+			s.shardPlan(sh)
 			s.shardWG.Done()
 		}
 		sh.commitWorker = func() {
-			s.commitShardPar(sh)
+			s.shardCommit(sh)
 			s.shardWG.Done()
 		}
-		sh.lo = int32(k * h / n * w)
-		sh.hi = int32((k + 1) * h / n * w)
-		for y := k * h / n; y < (k+1)*h/n; y++ {
-			for x := 0; x < w; x++ {
-				s.shardOf[y*w+x] = int8(k)
-			}
-		}
 	}
+	s.active = make([]uint64, word)
 }
 
-// RequireUnsharded permanently collapses the simulation onto the
-// sequential stepper, migrating pending wakes to the global scheduler.
-// Hooks whose callbacks read other routers' state mid-phase call this
-// at attach time: such reads are deterministic only under the strictly
-// ordered sequential phases (the adaptive routing scheme's
-// downstream-occupancy probe is the one in-tree example). Results are
-// unchanged — the sharded stepper is byte-identical to the sequential
-// one — so this is purely an execution-mode downgrade.
+// RequireUnsharded permanently collapses the simulation onto one band,
+// carrying the active set over. Hooks whose callbacks read other
+// routers' state mid-phase call this at attach time: such reads are
+// deterministic only under the strictly ordered sequential phases (the
+// adaptive routing scheme's downstream-occupancy probe is the one
+// in-tree example). Results are unchanged — the parallel sweep is
+// byte-identical to the sequential one — so this is purely an
+// execution-mode downgrade.
 func (s *Sim) RequireUnsharded() {
-	if s.nshards <= 1 {
+	if len(s.shards) <= 1 {
 		return
 	}
-	s.quietUntil = 0 // the quiet proof was computed over shard schedulers
-	if s.sched.drained < s.Now-1 {
-		s.sched.drained = s.Now - 1
-	}
-	for k := range s.shards {
-		sh := &s.shards[k]
-		for id, t := range sh.sched.wakeAt {
-			if t != wakeNever {
-				s.sched.wake(geom.NodeID(id), t)
-			}
+	s.initShards(1)
+	for id := range s.Routers {
+		if s.occ[id] != 0 || s.niPend[id] != 0 {
+			s.markActive(geom.NodeID(id))
 		}
 	}
-	s.nshards = 1
-	s.shardOf = nil
-	s.shards = nil
 }
 
 // Shards reports the effective shard count the stepper is running with.
-func (s *Sim) Shards() int { return s.nshards }
+func (s *Sim) Shards() int { return len(s.shards) }
 
 // SetXFillObserver installs a callback invoked (on the coordinator, at
 // fold time) for every cross-shard buffer fill with the granting and
@@ -290,236 +235,106 @@ func (s *Sim) Shards() int { return s.nshards }
 // Pass nil to remove.
 func (s *Sim) SetXFillObserver(f func(src, dst geom.NodeID)) { s.xfillObs = f }
 
-// stepSharded advances one cycle on the sharded stepper. See the
-// package comment above for the phase structure and the determinism
-// argument.
-func (s *Sim) stepSharded() {
-	// Dense cycles always take the parallel phases: every shard's due set
-	// is near its whole band, so the inline path's premise (barely any
-	// work) cannot hold, and sched.live is meaningless while suspended.
-	dense := s.dense.on
-	if !dense && s.inlineThreshold >= 0 {
-		live := 0
-		for k := range s.shards {
-			live += s.shards[k].sched.live
-		}
-		if live <= s.inlineThreshold {
-			s.stepShardedInline()
-			return
-		}
+// sweepParallel runs the three phases over the active set with the
+// inject, plan and commit work fanned out to one goroutine per shard
+// (shard 0's share runs on the coordinator). See the file comment for
+// the phase structure and the determinism argument.
+func (s *Sim) sweepParallel() {
+	s.shardWG.Add(len(s.shards) - 1)
+	for k := 1; k < len(s.shards); k++ {
+		go s.shards[k].planWorker()
 	}
-	s.parCommit = s.GrantFilter == nil && s.OnGrant == nil
-	for k := range s.shards {
-		s.shards[k].gather.recordSlots = s.parCommit
-	}
-	for _, f := range s.PreCycle {
-		f(s)
-	}
-	s.shardWG.Add(s.nshards - 1)
-	for k := 1; k < s.nshards; k++ {
-		go s.shards[k].worker()
-	}
-	s.shardInjectGather(&s.shards[0])
+	s.shardPlan(&s.shards[0])
 	s.shardWG.Wait()
-	totalDue, work := 0, false
+	work := false
 	for k := range s.shards {
 		sh := &s.shards[k]
 		sh.inj.apply(s)
-		totalDue += len(sh.due)
-		if len(sh.plan.ids) > 0 {
-			work = true
-		}
+		work = work || len(sh.plan) > 0
 	}
 	if work {
-		if s.parCommit {
-			s.shardWG.Add(s.nshards - 1)
-			for k := 1; k < s.nshards; k++ {
-				go s.shards[k].commitWorker()
-			}
-			s.commitShardPar(&s.shards[0])
-			s.shardWG.Wait()
-			s.foldSinks()
-		} else {
-			for k := range s.shards {
-				s.commitShard(&s.shards[k])
-			}
+		s.shardWG.Add(len(s.shards) - 1)
+		for k := 1; k < len(s.shards); k++ {
+			go s.shards[k].commitWorker()
+		}
+		s.shardCommit(&s.shards[0])
+		s.shardWG.Wait()
+		s.foldSinks()
+	}
+	s.ctr.ParallelCycles++
+	s.transferBubbles()
+}
+
+// shardPlan is the plan phase of one shard: inject at every active
+// router of the band (node-local; counter movements go to the shard's
+// private delta), then decide this cycle's grants.
+func (s *Sim) shardPlan(sh *shardState) {
+	for _, id := range sh.ids {
+		if s.niPend[id] != 0 {
+			s.injectNode(geom.NodeID(id), &sh.inj)
 		}
 	}
-	if s.parCommit {
-		s.ctr.ParallelCycles++
-	} else {
-		s.ctr.SeqCommitCycles++
-	}
-	for k := range s.shards {
-		for _, id := range s.shards[k].due {
-			s.TransferBubbleNode(geom.NodeID(id))
-		}
-	}
-	for _, f := range s.PostCycle {
-		f(s)
-	}
-	s.Now++
-	if dense {
-		s.ctr.DenseCycles++
-		if s.dense.observeDense(totalDue, len(s.Routers)) {
-			s.exitDense()
+	sh.plan = sh.plan[:0]
+	if s.fusedAlloc() {
+		for _, id := range sh.ids {
+			s.denseAllocNode(geom.NodeID(id), &sh.plan)
 		}
 		return
 	}
-	if totalDue == 0 {
-		s.maybeQuiet()
-	} else if s.dense.observeSparse(totalDue, len(s.Routers)) {
-		s.enterDense()
-	}
-}
-
-// stepShardedInline runs one sharded cycle entirely on the coordinator:
-// the per-shard due sets are drained in shard order (= ascending global
-// router id, bands being contiguous) and fed through the sequential
-// phase primitives — literally the sequential core's cycle. Chosen when
-// so few routers are pending that two barrier crossings would dominate.
-func (s *Sim) stepShardedInline() {
-	for _, f := range s.PreCycle {
-		f(s)
-	}
-	totalDue := 0
-	for k := range s.shards {
-		sh := &s.shards[k]
-		sh.due = sh.sched.collectDue(s.Now, sh.due[:0])
-		totalDue += len(sh.due)
-	}
-	for k := range s.shards {
-		for _, id := range s.shards[k].due {
-			s.InjectNode(geom.NodeID(id))
-		}
-	}
-	for k := range s.shards {
-		for _, id := range s.shards[k].due {
-			s.AllocateNode(geom.NodeID(id))
-		}
-	}
-	for k := range s.shards {
-		for _, id := range s.shards[k].due {
-			s.TransferBubbleNode(geom.NodeID(id))
-		}
-	}
-	for _, f := range s.PostCycle {
-		f(s)
-	}
-	s.Now++
-	s.ctr.InlineCycles++
-	if totalDue == 0 {
-		s.maybeQuiet()
-	} else if s.dense.observeSparse(totalDue, len(s.Routers)) {
-		s.enterDense()
-	}
-}
-
-// shardInjectGather is the parallel phase of one shard: drain the
-// shard's due set for this cycle, inject at every due router
-// (node-local; counter movements go to the shard's private delta), then
-// gather allocation plans for the commit pass.
-func (s *Sim) shardInjectGather(sh *shardState) {
-	if s.dense.on {
-		sh.due = s.denseDueBand(sh.lo, sh.hi, sh.due[:0])
-	} else {
-		sh.due = sh.sched.collectDue(s.Now, sh.due[:0])
-	}
-	for _, id := range sh.due {
-		s.injectNode(geom.NodeID(id), &sh.inj)
-	}
-	sh.plan.reset()
-	for _, id := range sh.due {
-		if s.gatherAllocate(geom.NodeID(id), &sh.gather) {
-			sh.plan.add(id, &sh.gather)
-		}
-	}
-}
-
-// commitShard replays one shard's plan through commitAllocate on the
-// coordinator. Plans are decoded into the coordinator's scratch so the
-// commit code is the very same the sequential core runs. This is the
-// fallback for cycles with a GrantFilter or OnGrant installed.
-func (s *Sim) commitShard(sh *shardState) {
-	g := &s.seqGather
-	p := &sh.plan
-	for i, id := range p.ids {
-		for o := range g.cand {
-			g.cand[o] = g.cand[o][:0]
-		}
-		g.headReady = int(p.heads[i])
-		g.minFuture = p.futures[i]
-		seg := p.stream[p.boff[i]:p.boff[i+1]]
-		for len(seg) > 0 {
-			out := geom.Direction(seg[0] & 7)
-			n := int(seg[0] >> 3)
-			g.cand[out] = append(g.cand[out], seg[1:1+n]...)
-			seg = seg[1+n:]
-		}
-		s.commitAllocate(geom.NodeID(id), g)
-	}
-}
-
-// commitShardPar commits one shard's plan on the shard's own goroutine.
-// With no GrantFilter, every candidate that survived the gather prune
-// is grantable (availability constancy — see the package comment), so
-// each bucket's winner is simply its first candidate at or past the
-// round-robin pointer, moving into the slot recorded at gather time.
-// All effects that cross the shard boundary or touch global accumulators
-// are deferred into the shard's commit sink.
-func (s *Sim) commitShardPar(sh *shardState) {
-	p := &sh.plan
 	slots := s.Cfg.SlotsPerPort()
 	total := geom.NumPorts * slots
-	sc := 0 // cursor into p.slots, advanced per link bucket
-	for i, id := range p.ids {
+	g := &sh.gather
+	for _, id := range sh.ids {
+		if !s.gatherAllocate(geom.NodeID(id), g) {
+			continue
+		}
 		r := &s.Routers[id]
-		granted := 0
-		seg := p.stream[p.boff[i]:p.boff[i+1]]
-		for len(seg) > 0 {
-			out := geom.Direction(seg[0] & 7)
-			n := int(seg[0] >> 3)
-			cands := seg[1 : 1+n]
-			var dsts []int32
-			if out != geom.Local {
-				dsts = p.slots[sc : sc+n]
-				sc += n
+		for _, out := range geom.AllPorts {
+			cands := g.cand[out]
+			if len(cands) == 0 {
+				continue
 			}
-			seg = seg[1+n:]
-			// Rotate to the first candidate at or past the round-robin
-			// pointer (candidates are in ascending index order) — the
-			// winner, since no candidate can fail.
-			start := 0
-			for j, ci := range cands {
-				if int(ci) >= r.saPtr[out] {
-					start = j
+			// Every candidate that survived the gather prune is grantable
+			// (availability constancy), so the winner is the first at or
+			// past the round-robin pointer (candidates ascend).
+			ci := cands[0]
+			for _, c := range cands {
+				if int(c) >= r.saPtr[out] {
+					ci = c
 					break
 				}
 			}
-			ci := cands[start]
-			vc, inPort := r.candVC(ci, slots, total)
-			dstSlot := int32(-1)
+			dst := -1
 			if out != geom.Local {
-				dstSlot = dsts[start]
+				vc, _ := r.candVC(ci, slots, total)
+				dst = s.findFreeVC(s.Topo.Neighbor(r.ID, out), out.Opposite(), vc.Pkt, vc.Pkt.Vnet)
 			}
-			s.grantPar(sh, r, out, vc, vc.Pkt, inPort, int(ci), dstSlot)
-			r.saPtr[out] = (int(ci) + 1) % (total + 1)
-			granted++
+			sh.plan = append(sh.plan, planGrant{id: id, out: int8(out), ci: int16(ci), dst: int16(dst)})
 		}
-		if int(p.heads[i]) > granted {
-			sh.sched.wake(geom.NodeID(id), s.Now+1)
-		} else if f := p.futures[i]; f < wakeNever {
-			sh.sched.wake(geom.NodeID(id), f)
-		}
+	}
+}
+
+// shardCommit moves one shard's planned winners on the shard's own
+// goroutine. All effects that cross the shard boundary or touch global
+// accumulators are deferred into the shard's commit sink.
+func (s *Sim) shardCommit(sh *shardState) {
+	slots := s.Cfg.SlotsPerPort()
+	total := geom.NumPorts * slots
+	for _, pg := range sh.plan {
+		r := &s.Routers[pg.id]
+		out := geom.Direction(pg.out)
+		vc, inPort := r.candVC(int32(pg.ci), slots, total)
+		s.grantPar(sh, r, out, vc, vc.Pkt, inPort, int(pg.ci), int32(pg.dst))
+		r.saPtr[out] = (int(pg.ci) + 1) % (total + 1)
 	}
 }
 
 // grantPar is tryGrant's parallel-commit counterpart: it performs the
-// same buffer movement (the destination slot was recorded at gather
-// time and cannot have changed), updates this shard's own routers
-// directly, and defers everything else — Stats, inFlight, LastProgress,
-// delivery callbacks, pool releases, and foreign-shard occupancy/wakes
-// — into the shard's commit sink.
+// same buffer movement (the destination slot was recorded at plan time
+// and cannot have changed), updates this shard's own routers directly,
+// and defers everything else — Stats, inFlight, LastProgress, delivery
+// callbacks, pool releases, and foreign-shard occupancy — into the
+// shard's commit sink.
 func (s *Sim) grantPar(sh *shardState, r *Router, out geom.Direction, vc *VC, p *Packet, inPort geom.Direction, ci int, dstSlot int32) {
 	sink := &sh.sink
 	length := int64(p.Len)
@@ -571,17 +386,17 @@ func (s *Sim) grantPar(sh *shardState, r *Router, out geom.Direction, vc *VC, p 
 		s.occ[nb]++
 		s.occNL[nb]++ // arrivals always land on a link-side port
 		s.occBitSet(nb, dstBit)
-		sh.sched.wake(nb, dst.ReadyAt)
+		s.markActive(nb)
 	} else {
-		sink.xf = append(sink.xf, xfill{src: int32(r.ID), nb: int32(nb), bit: int32(dstBit), at: dst.ReadyAt})
+		sink.xf = append(sink.xf, xfill{src: int32(r.ID), nb: int32(nb), bit: int32(dstBit)})
 	}
 	sink.progressed = true
 }
 
 // foldSinks applies every shard's deferred commit effects in shard
 // order (= ascending router id): global accumulators (all sums plus one
-// max), cross-shard occupancy and arrival wakes, then the delivery
-// callbacks and pool releases in the sequential core's exact order.
+// max), cross-shard occupancy, then the delivery callbacks and pool
+// releases in the sequential sweep's exact order.
 func (s *Sim) foldSinks() {
 	for k := range s.shards {
 		sink := &s.shards[k].sink
@@ -595,7 +410,7 @@ func (s *Sim) foldSinks() {
 			s.occ[x.nb]++
 			s.occNL[x.nb]++
 			s.occBitSet(geom.NodeID(x.nb), int(x.bit))
-			s.wakeNode(geom.NodeID(x.nb), x.at)
+			s.markActive(geom.NodeID(x.nb))
 			if s.xfillObs != nil {
 				s.xfillObs(geom.NodeID(x.src), geom.NodeID(x.nb))
 			}

@@ -13,11 +13,20 @@ import (
 // runShardWorkload drives one seeded random workload on a fresh 8x6
 // mesh sim with the given shard count and returns the final sim. The
 // traffic schedule depends only on the seed, so two runs at different
-// shard counts execute the identical offered load.
-func runShardWorkload(t *testing.T, shards int, seed int64, cycles int) *Sim {
+// shard counts execute the identical offered load. With hooks set, a
+// VCFilter and an (inert) OutputOverride are installed, which moves
+// allocation — the shard workers' plan phase included — from the fused
+// pass to the generic gather.
+func runShardWorkload(t *testing.T, shards int, seed int64, cycles int, hooks bool) *Sim {
 	t.Helper()
 	topo := topology.RandomIrregular(8, 6, topology.LinkFaults, 8, seed)
 	s := New(topo, Config{Shards: shards}, rand.New(rand.NewSource(seed)))
+	if hooks {
+		s.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
+			return vcIdx != 0 || int(dst)%2 == 0
+		}
+		s.OutputOverride = func(p *Packet, at geom.NodeID) (geom.Direction, bool) { return 0, false }
+	}
 	min := routing.NewMinimal(topo)
 	rng := rand.New(rand.NewSource(seed + 1))
 	alive := topo.AliveRouters()
@@ -52,15 +61,20 @@ func runShardWorkload(t *testing.T, shards int, seed int64, cycles int) *Sim {
 // guard).
 func TestShardedStepMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{3, 17, 40} {
-		want := runShardWorkload(t, 1, seed, 700)
-		for _, n := range []int{2, 3, 6} {
-			got := runShardWorkload(t, n, seed, 700)
-			if got.Stats != want.Stats {
-				t.Fatalf("seed %d shards %d: stats diverged\n got %+v\nwant %+v",
-					seed, n, got.Stats, want.Stats)
-			}
-			if got.InFlight() != want.InFlight() || got.QueuedPackets() != want.QueuedPackets() {
-				t.Fatalf("seed %d shards %d: occupancy diverged", seed, n)
+		for _, hooks := range []bool{false, true} {
+			want := runShardWorkload(t, 1, seed, 700, hooks)
+			for _, n := range []int{2, 3, 6} {
+				got := runShardWorkload(t, n, seed, 700, hooks)
+				if got.Stats != want.Stats {
+					t.Fatalf("seed %d shards %d hooks %v: stats diverged\n got %+v\nwant %+v",
+						seed, n, hooks, got.Stats, want.Stats)
+				}
+				if got.InFlight() != want.InFlight() || got.QueuedPackets() != want.QueuedPackets() {
+					t.Fatalf("seed %d shards %d hooks %v: occupancy diverged", seed, n, hooks)
+				}
+				if got.StepperCounters().ParallelCycles == 0 {
+					t.Fatalf("seed %d shards %d hooks %v: the parallel sweep never ran", seed, n, hooks)
+				}
 			}
 		}
 	}
@@ -99,8 +113,9 @@ func TestShardPartition(t *testing.T) {
 }
 
 // TestRequireUnshardedMigratesWakes collapses a sharded sim mid-run and
-// checks nothing is lost: queued traffic still delivers, matching a
-// sequential run byte for byte.
+// checks nothing is lost — the active set is carried over to the one
+// remaining band: queued traffic still delivers, matching a sequential
+// run byte for byte.
 func TestRequireUnshardedMigratesWakes(t *testing.T) {
 	run := func(collapseAt int) *Sim {
 		topo := topology.NewMesh(6, 6)
@@ -150,8 +165,8 @@ func TestRequireUnshardedMigratesWakes(t *testing.T) {
 // and demands bit-identical outcomes: goroutine scheduling must never
 // leak into results.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
-	a := runShardWorkload(t, 4, 9, 500)
-	b := runShardWorkload(t, 4, 9, 500)
+	a := runShardWorkload(t, 4, 9, 500, false)
+	b := runShardWorkload(t, 4, 9, 500, false)
 	if a.Stats != b.Stats || a.InFlight() != b.InFlight() {
 		t.Fatalf("sharded runs diverged:\n a %+v\n b %+v", a.Stats, b.Stats)
 	}

@@ -31,34 +31,29 @@ func (c LinkClass) String() string {
 }
 
 // StepperCounters reports how many cycles each execution path of the
-// stepper has taken, plus cross-shard traffic and dense/sparse mode
-// transitions, for tests and tuning. Counters are execution
-// observability, not simulation state: they vary with Shards, mode
-// policy and thresholds while Stats does not.
+// stepper has taken, plus cross-shard traffic, for tests and the
+// benchmark. Counters are execution observability, not simulation
+// state: they vary with Shards while Stats does not. QuietCycles +
+// DenseCycles equals the number of Step calls.
 type StepperCounters struct {
 	// QuietCycles is the number of cycles skipped by quiet-epoch
 	// fast-forward (Step returned without running any phase).
 	QuietCycles int64
-	// InlineCycles counts sharded cycles run inline on the coordinator
-	// (pending-wake count at or below the inline threshold).
-	InlineCycles int64
-	// ParallelCycles counts sharded cycles run with parallel gather and
-	// parallel commit; SeqCommitCycles counts sharded cycles whose commit
-	// fell back to the sequential plan-decode path (GrantFilter/OnGrant
-	// installed). Sharded dense cycles increment these too (density
-	// selects the due sets, not the commit structure).
-	ParallelCycles  int64
-	SeqCommitCycles int64
+	// DenseCycles counts swept cycles: every Step that ran the hooks and
+	// the active-set sweep. (The name predates the single stepper; bench/
+	// reads it as network.dense_cycle_share.)
+	DenseCycles int64
+	// ParallelCycles counts the swept cycles a sharded Sim fanned out to
+	// its shard workers; the rest ran the sequential sweep on the
+	// coordinator.
+	ParallelCycles int64
 	// XFills counts grants that filled a VC in a router owned by another
 	// shard — seam crossings. The seam property test asserts these occur
 	// only at band-boundary routers.
 	XFills int64
-	// DenseCycles counts cycles executed by the dense stepper (flat
-	// sweeps over the active-router bitmap, scheduler suspended).
-	// DenseEnters/DenseExits count sparse→dense and dense→sparse mode
-	// transitions; under the hysteretic auto policy a steady workload
-	// produces at most one of each (see dense.go).
-	DenseCycles int64
+	// DenseEnters and DenseExits are always 0: there is no mode to enter
+	// or leave. They stay until a benchmark change retires
+	// network.mode_switches, which bench/ computes from them.
 	DenseEnters int64
 	DenseExits  int64
 }

@@ -65,7 +65,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 				id, r.OccupiedNonLocal(), nonLocal)
 		}
 		// The NI-pending aggregate must equal the sum of ring lengths
-		// (the dense stepper's activity predicate trusts it).
+		// (the stepper's activity predicate trusts it).
 		queued := 0
 		for vnet := range s.NIQueue[id] {
 			queued += s.NIQueue[id][vnet].Len()
@@ -74,9 +74,15 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			report("occupancy", "router %d: NI-pending counter %d != actual %d",
 				id, s.NIPending(geom.NodeID(id)), queued)
 		}
+		// The active summary must cover every router holding or queueing
+		// a packet: a missed bit is a packet Step never visits again.
+		if (occ != 0 || queued != 0) && !s.ActiveMarked(geom.NodeID(id)) {
+			report("active-set", "router %d holds %d and queues %d packets but is not in the active summary",
+				id, occ, queued)
+		}
 		// The slot-granular occupancy mirror must match buffer contents
-		// bit for bit: it drives the dense allocator's classification and
-		// the recovery FSM's round-robin scan in every execution mode, so
+		// bit for bit: it drives the fused allocator's classification and
+		// the recovery FSM's round-robin scan under every stepper, so
 		// drift would alter results without tripping the differential
 		// harness.
 		if mirror, ok := s.OccupancyMirror(geom.NodeID(id)); ok {

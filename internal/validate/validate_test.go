@@ -83,12 +83,16 @@ func TestDetectsOrphanBubbleActivation(t *testing.T) {
 func TestDetectsCounterCorruption(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(7)))
-	// Plant a packet without bookkeeping: occupancy invariant must trip.
+	// Plant a packet without bookkeeping: the occupancy invariant must
+	// trip, and so must active-set coverage — Step would never visit it.
 	p := s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
 	s.Routers[0].In[geom.West][0].Pkt = p
-	vs := Check(s, nil)
-	if len(vs) == 0 {
-		t.Fatal("counter corruption not detected")
+	seen := map[string]bool{}
+	for _, v := range Check(s, nil) {
+		seen[v.Invariant] = true
+	}
+	if !seen["occupancy"] || !seen["active-set"] {
+		t.Fatalf("planted packet should trip occupancy and active-set, got %v", seen)
 	}
 }
 
