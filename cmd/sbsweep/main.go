@@ -17,13 +17,15 @@
 //	sbsweep -fig 8|9|10|11|12|13
 //	sbsweep -fig all -scale quick
 //	sbsweep -fig 9 -resume -progress   # continue an interrupted sweep
-//	sbsweep -fig scale16               # 16x16 sharded-stepper timing sweep
+//	sbsweep -fig scalegrid             # sharded-stepper timing table (16x16/32x32/64x64; never part of "all")
 //	sbsweep -fig adversary -scale quick -adv-evals 24   # worst-case SLO search
 //	sbsweep -fig churn -scale quick    # continuous-churn availability/recovery SLOs
 //	sbsweep -fig 9 -shards 4           # run each simulation sharded
-//	sbsweep -fig bench -check-zero-alloc           # fail on steady-state allocation
 //	sbsweep -fig 9 -route-cache-stats  # report compiled routing-table cache efficiency
-//	sbsweep -fig bench -cpuprofile cpu.pprof -memprofile mem.pprof
+//	sbsweep -fig 9 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// How fast the simulator itself runs is measured by `go run ./bench`,
+// not here.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -41,10 +44,30 @@ import (
 	"repro/internal/sweep"
 )
 
+// figIDs are the experiments -fig can name, in the order "all" runs them.
+var figIDs = []string{"t1", "2", "3", "8", "9", "10", "11", "12", "13",
+	"failures", "churn", "scale", "scalegrid", "adversary", "ablation"}
+
+// selectFigs resolves a -fig value to the set of experiments to run.
+// "all" is every experiment except scalegrid: a wall-clock timing run
+// up to 64x64 that ignores -scale/-topos/-seed/-jobs and must not share
+// the machine with a sweep, so it runs only when named.
+func selectFigs(fig string) (map[string]bool, error) {
+	sel := map[string]bool{}
+	for _, id := range figIDs {
+		if fig == id || (fig == "all" && id != "scalegrid") {
+			sel[id] = true
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown -fig %q (valid: %s, or all)", fig, strings.Join(figIDs, ", "))
+	}
+	return sel, nil
+}
+
 func main() {
-	fig := flag.String("fig", "all", "experiment: 2, 3, t1, 8, 9, 10, 11, 12, 13, scale, scale16, scalegrid, failures, churn, ablation, adversary, bench, or all")
+	fig := flag.String("fig", "all", "experiment: "+strings.Join(figIDs, ", ")+", or all (everything but scalegrid)")
 	advEvals := flag.Int("adv-evals", 0, "with -fig adversary: cap on unique scenario evaluations (0 = scale default)")
-	benchOut := flag.String("bench-out", "BENCH_sim.json", "output file for -fig bench results")
 	shards := flag.Int("shards", 1, "per-simulation shard count (1 = sequential core; results are identical for any value)")
 	scale := flag.String("scale", "full", "quick or full")
 	topos := flag.Int("topos", 0, "override topologies per point")
@@ -57,10 +80,14 @@ func main() {
 	cacheDir := flag.String("cache-dir", sweep.DefaultCacheDir, "result cache location")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
-	checkZeroAlloc := flag.Bool("check-zero-alloc", false, "with -fig bench: fail if a steady-state scenario allocated after warmup")
 	routeCacheStats := flag.Bool("route-cache-stats", false, "print compiled routing-table cache counters (compiles, hit rate, bytes held) to stderr at exit")
 	flag.Parse()
 	asCSV := *format == "csv"
+	figs, err := selectFigs(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sbsweep:", err)
+		os.Exit(2)
+	}
 
 	// flushProfiles finalizes -cpuprofile/-memprofile output. It runs via
 	// defer on the normal path and is called explicitly before every
@@ -94,13 +121,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sbsweep:", err)
 		flushProfiles()
 		os.Exit(1)
-	}
-	if *checkZeroAlloc && *cpuProfile != "" {
-		// The CPU profiler's own background allocations land in the
-		// process-wide MemStats windows the gate measures, so the two are
-		// mutually exclusive; run them as separate invocations.
-		fmt.Fprintln(os.Stderr, "sbsweep: -check-zero-alloc cannot run under -cpuprofile (the profiler allocates)")
-		os.Exit(2)
 	}
 
 	var p experiments.Params
@@ -143,10 +163,7 @@ func main() {
 	p.Engine = engine
 
 	run := func(id string, fn func()) {
-		if *fig != "all" && *fig != id {
-			return
-		}
-		if ctx.Err() != nil {
+		if !figs[id] || ctx.Err() != nil {
 			return
 		}
 		start := time.Now()
@@ -221,25 +238,14 @@ func main() {
 			experiments.PrintScale(os.Stdout, experiments.Scale(p, nil))
 			return nil
 		}))
-	// 16x16 sharded-stepper timing sweep: the paper's 256-router scale
-	// point (89 SBs) under a recovery storm, run at shard counts 1/2/4/8
-	// with byte-identical Stats verified across all of them. Like bench
-	// it is not a sweep-engine job — timings must not share the machine.
-	run("scale16", func() {
-		rows, err := experiments.Scale16()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintScale16(os.Stdout, rows)
-	})
-	// Mesh-size scaling grid: the scale16 recovery-storm recipe at
-	// 16x16, 32x32 and 64x64 with bisection-scaled injection, each size
-	// run at shard counts 1/2/4/8 with byte-identical Stats verified.
-	// The numbers behind EXPERIMENTS.md's sharded-stepper scaling
-	// section; each row records GOMAXPROCS so single-CPU measurements
-	// are self-describing.
+	// Sharded-stepper timing table: one recovery-storm recipe at 16x16
+	// (the paper's 256-router scale point, 89 SBs), 32x32 and 64x64 with
+	// bisection-scaled injection, each size run at shard counts 1/2/4/8
+	// with byte-identical Stats verified. Not a sweep-engine job —
+	// timings must not share the machine — and each row records
+	// GOMAXPROCS so single-CPU measurements are self-describing.
 	run("scalegrid", func() {
-		rows, err := experiments.ScaleGrid()
+		rows, err := experiments.ScaleGrid(nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -266,36 +272,6 @@ func main() {
 	run("ablation", emit(
 		func() { experiments.PrintAblation(os.Stdout, experiments.Ablation(p)) },
 		func() error { return experiments.AblationCSV(os.Stdout, experiments.Ablation(p)) }))
-	// Simulator-core benchmark: event-driven Step vs refmodel full scan on
-	// identical seeds. Not a sweep — it runs locally and single-threaded so
-	// the timings are comparable — and it double-checks both cores land on
-	// identical Stats.
-	run("bench", func() {
-		rows, err := experiments.SimBench()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintSimBench(os.Stdout, rows)
-		f, err := os.Create(*benchOut)
-		if err == nil {
-			err = experiments.WriteSimBenchJSON(f, rows)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *benchOut)
-		// The CI regression gate: steady-state scenarios must report a
-		// post-warmup allocation rate of exactly zero.
-		if *checkZeroAlloc {
-			if err := experiments.CheckZeroAlloc(rows); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintln(os.Stderr, "zero-alloc gate: ok")
-		}
-	})
 
 	st := engine.Stats()
 	fmt.Fprintf(os.Stderr, "sweep engine: %d jobs (%d executed, %d cached, %d failed, %d cancelled)\n",

@@ -7,8 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/network"
+	"repro/internal/network/refmodel"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/validate"
 )
 
 func TestAdaptiveDeliversMinimally(t *testing.T) {
@@ -147,5 +149,68 @@ func TestAdaptiveParksWhenDisconnected(t *testing.T) {
 	}
 	if s.InFlight() != 1 {
 		t.Fatal("packet should be parked in the network")
+	}
+}
+
+// TestAdaptiveMatchesRefmodel is the per-hop adaptive scheme's
+// differential check: a 40-link-fault 16×16 with Static Bubble attached
+// runs identically seeded under the refmodel full scan and under
+// Sim.Step built with Shards 1 and 4 (Attach collapses the latter onto
+// one band), and the complete Stats struct must agree after every
+// cycle. The per-hop OutputOverride forces the hook-bearing allocation
+// path, which the 60-scenario harness never attaches.
+func TestAdaptiveMatchesRefmodel(t *testing.T) {
+	type unit struct {
+		name string
+		sim  *network.Sim
+		ctl  *core.Controller
+		tick func()
+	}
+	build := func(name string, shards int, useRef bool) *unit {
+		topo := topology.RandomIrregular(16, 16, topology.LinkFaults, 40, 7)
+		s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(51)))
+		ctl := core.Attach(s, core.Options{})
+		c := Attach(s)
+		if s.Shards() != 1 {
+			t.Fatalf("%s: Attach left %d shards", name, s.Shards())
+		}
+		step := s.Step
+		if useRef {
+			step = refmodel.New(s).Step
+		}
+		alive := topo.AliveRouters()
+		rng := rand.New(rand.NewSource(52))
+		return &unit{name, s, ctl, func() {
+			for _, src := range alive {
+				if rng.Float64() >= 0.05 {
+					continue
+				}
+				dst := alive[rng.Intn(len(alive))]
+				if dst == src || !c.Reachable(src, dst) {
+					continue
+				}
+				s.Enqueue(c.NewPacket(src, dst, 0, 5))
+			}
+			step()
+		}}
+	}
+	ref := build("refmodel", 1, true)
+	units := []*unit{ref, build("shards1", 1, false), build("shards4", 4, false)}
+	for cyc := 1; cyc <= 400; cyc++ {
+		for _, u := range units {
+			u.tick()
+			if u.sim.Stats != ref.sim.Stats {
+				t.Fatalf("cycle %d: %s diverged from refmodel\n%s: %+v\nrefmodel: %+v",
+					cyc, u.name, u.name, u.sim.Stats, ref.sim.Stats)
+			}
+			if cyc%64 == 0 {
+				if vs := validate.Check(u.sim, u.ctl); len(vs) > 0 {
+					t.Fatalf("cycle %d: %s: %d invariant violations, first: %v", cyc, u.name, len(vs), vs[0])
+				}
+			}
+		}
+	}
+	if ref.sim.Stats.Delivered == 0 {
+		t.Fatal("delivered nothing — the scenario is not exercising the scheme")
 	}
 }

@@ -41,7 +41,7 @@ func Scale(p Params, sizes [][2]int) []ScaleRow {
 		pp := p
 		pp.Width, pp.Height = sz[0], sz[1]
 		faults := topology.MaxFaults(sz[0], sz[1], topology.LinkFaults) / 10
-		point := fig9PointWith(pp, topology.LinkFaults, faults)
+		point := fig9Point(pp, topology.LinkFaults, faults)
 		rows = append(rows, ScaleRow{
 			Width: sz[0], Height: sz[1],
 			Bubbles:        core.PlacementCount(sz[0], sz[1]),
@@ -53,11 +53,6 @@ func Scale(p Params, sizes [][2]int) []ScaleRow {
 		})
 	}
 	return rows
-}
-
-// fig9PointWith reuses the Fig. 9 measurement at explicit params.
-func fig9PointWith(p Params, kind topology.FaultKind, faults int) Fig9Row {
-	return fig9Point(p, kind, faults)
 }
 
 // PrintScale writes the study.

@@ -1,16 +1,18 @@
 package experiments
 
-// ScaleGrid extends scale16 along the mesh-size axis: the same fixed
-// recovery-storm recipe at 16×16, 32×32 and 64×64, each run once per
-// shard count with byte-identical Stats demanded across all counts.
-// It exists to put honest numbers under the sharded stepper's scaling
-// story (EXPERIMENTS.md): injection rates are bisection-scaled so every
-// size sits in the same past-saturation regime, and each row records
-// GOMAXPROCS so a single-CPU measurement (where sharded rows can only
-// show overhead) is distinguishable from a real parallel one.
+// ScaleGrid is the sharded stepper's manual timing table: one fixed
+// recovery-storm recipe — an irregular topology under adversarial link
+// faults with injection heavy enough to keep deadlock recovery active —
+// at 16×16 (the paper's 256-router scale point, Table I: 89 static
+// bubbles), 32×32 and 64×64, each run once per shard count with
+// byte-identical Stats demanded across all counts (the shard
+// determinism contract, DESIGN.md §9). Injection rates are
+// bisection-scaled so every size sits in the same past-saturation
+// regime, and each row records GOMAXPROCS so a single-CPU measurement
+// (where sharded rows can only show overhead) is distinguishable from a
+// real parallel one.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,23 +28,23 @@ import (
 
 // ScaleGridResult is one (mesh size, shard count) timing row.
 type ScaleGridResult struct {
-	Width      int     `json:"width"`
-	Height     int     `json:"height"`
-	Shards     int     `json:"shards"`
-	Cycles     int     `json:"cycles"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
+	Width      int
+	Height     int
+	Shards     int
+	Cycles     int
+	NsPerCycle float64
 	// Speedup is the same size's Shards=1 step time over this row's.
-	Speedup float64 `json:"speedup_vs_1"`
+	Speedup float64
 	// Delivered and Recoveries are identical across a size's shard
 	// counts — verified before any row is emitted.
-	Delivered  int64 `json:"delivered"`
-	Recoveries int64 `json:"deadlock_recoveries"`
+	Delivered  int64
+	Recoveries int64
 	// SBRouters is the static-bubble placement size for this mesh.
-	SBRouters int `json:"sb_routers"`
+	SBRouters int
 	// GoMaxProcs records the host parallelism the wall-clock numbers
 	// were taken under: with GOMAXPROCS=1 the sharded rows can only
 	// show scheduling overhead, never parallel speedup.
-	GoMaxProcs int `json:"gomaxprocs"`
+	GoMaxProcs int
 }
 
 // scaleGridPoint fixes one mesh size's trajectory. Rates scale with the
@@ -105,12 +107,16 @@ func runScaleGrid(pt scaleGridPoint, shards int) (network.Stats, time.Duration) 
 	return s.Stats, total
 }
 
-// ScaleGrid runs every size at every shard count, verifies each size's
-// shard counts land on byte-identical Stats, and returns the timing
-// rows (Speedup relative to the same size's Shards=1 run).
-func ScaleGrid() ([]ScaleGridResult, error) {
+// ScaleGrid runs every point at every shard count, verifies each
+// point's shard counts land on byte-identical Stats, and returns the
+// timing rows (Speedup relative to the same point's Shards=1 run). Nil
+// points selects scaleGridPoints.
+func ScaleGrid(points []scaleGridPoint) ([]ScaleGridResult, error) {
+	if points == nil {
+		points = scaleGridPoints
+	}
 	var out []ScaleGridResult
-	for _, pt := range scaleGridPoints {
+	for _, pt := range points {
 		sbRouters := len(core.Placement(pt.w, pt.h))
 		var base network.Stats
 		var baseNs float64
@@ -138,14 +144,6 @@ func ScaleGrid() ([]ScaleGridResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteScaleGridJSON writes results as indented JSON (a top-level array
-// of ScaleGridResult).
-func WriteScaleGridJSON(w io.Writer, rs []ScaleGridResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rs)
 }
 
 // PrintScaleGrid renders the sweep as a table, one block per mesh size.

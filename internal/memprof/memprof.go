@@ -6,8 +6,8 @@
 // The central measurement is a Snapshot pair around a work window:
 // Mallocs and TotalAlloc are monotonic lifetime counters, so the delta
 // is exact regardless of when (or whether) the garbage collector runs in
-// between. This is what BENCH_sim.json's allocs-per-cycle columns and
-// the zero-alloc CI gate are built on.
+// between. This is what the repository benchmark's
+// network.allocs_per_kcycle / network.bytes_per_kcycle rows are built on.
 package memprof
 
 import (

@@ -9,8 +9,8 @@ import "repro/internal/routing"
 // a packet free list and a routing.Arena: delivered and lost packets are
 // recycled, and every route lives in an arena span that returns to a
 // size-class free list with its packet. After warm-up the cycle loop
-// allocates nothing (verified by TestZeroAllocSteadyState and gated in
-// CI via BENCH_sim.json).
+// allocates nothing (verified by TestZeroAllocSteadyState and
+// TestZeroAllocSaturation, which CI runs).
 //
 // Ownership rules:
 //

@@ -1,11 +1,11 @@
 package network_test
 
-// The zero-allocation steady-state gate, as a plain test: after warm-up,
-// an inject→deliver→recycle loop at a below-saturation load must not
-// allocate a single heap object under any of the three cores. The
-// benchmark harness (internal/experiments, BENCH_sim.json) measures the
-// same property with MemStats windows; this is the fast in-tree
-// regression hook using testing.AllocsPerRun.
+// The zero-allocation steady-state gate: after warm-up, an
+// inject→deliver→recycle loop at a below-saturation load must not
+// allocate a single heap object under the sequential sweep, the sharded
+// sweep or the refmodel full scan, measured with testing.AllocsPerRun.
+// `go run ./bench` reports the same property per workload as
+// network.allocs_per_kcycle from a MemStats window.
 
 import (
 	"fmt"
@@ -20,64 +20,103 @@ import (
 	"repro/internal/traffic"
 )
 
-// steadyLoop builds an 8x8 mesh with the static-bubble controller and a
-// below-saturation uniform-random load, runs warmup cycles so every
-// pool, arena and ring reaches its steady size, and returns a one-cycle
-// advance function.
-func steadyLoop(shards int, useRef bool) func() {
-	topo := topology.NewMesh(8, 8)
+// steadyWarmup and steadyWindow are the cycles a steady-state case runs
+// before measurement and per measured pass.
+const (
+	steadyWarmup = 3000
+	steadyWindow = 10000
+)
+
+// steadyLoad is one zero-allocation scenario's mesh and traffic: a w×h
+// mesh with the static-bubble controller under uniform-random load at
+// rate.
+type steadyLoad struct {
+	w, h int
+	rate float64
+	// msgs sizes core.PrewarmMessages (0 = not called); pool is the
+	// PrewarmPool (packets, routeLen, niDepth) triple.
+	msgs int
+	pool [3]int
+	// injectUntil stops injection at that cycle so the rest of the run
+	// is a drained tail; 0 injects throughout.
+	injectUntil int64
+}
+
+// steadyLoop builds the load under the chosen core, runs steadyWarmup
+// cycles so every pool, arena and ring reaches its steady size, and
+// returns a one-cycle advance function.
+func steadyLoop(ld steadyLoad, shards int, useRef bool) func() {
+	topo := topology.NewMesh(ld.w, ld.h)
 	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(41)))
-	core.Attach(s, core.Options{})
-	s.PrewarmPool(1024, 16, 32)
+	ctl := core.Attach(s, core.Options{})
+	if ld.msgs > 0 {
+		ctl.PrewarmMessages(ld.msgs)
+	}
+	s.PrewarmPool(ld.pool[0], ld.pool[1], ld.pool[2])
 	// Routing tables are fully compiled at construction, so nothing
 	// route-related can allocate inside the measured window.
 	min := routing.NewMinimal(topo)
 	alive := topo.AliveRouters()
 	inj := traffic.NewInjector(alive, min,
-		traffic.NewUniformRandom(alive), 0.15, rand.New(rand.NewSource(42)))
+		traffic.NewUniformRandom(alive), ld.rate, rand.New(rand.NewSource(42)))
 	step := s.Step
 	if useRef {
 		step = refmodel.New(s).Step
 	}
 	cycle := func() {
-		inj.Tick(s)
+		if ld.injectUntil == 0 || s.Now < ld.injectUntil {
+			inj.Tick(s)
+		}
 		step()
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < steadyWarmup; i++ {
 		cycle()
 	}
 	return cycle
 }
 
-// TestZeroAllocSteadyState drives ≥10k post-warmup cycles under the
-// sequential sweep, the sharded sweep and the refmodel full scan, and
-// requires exactly zero heap allocations from each.
+// TestZeroAllocSteadyState drives ≥10k post-warmup cycles of each case
+// and requires exactly zero heap allocations: the 8x8 loop just below
+// saturation under all three cores, a 16x16 trickle whose injection
+// stops half-way through the measured pass (active-set sweep, quiet
+// windows and a fully drained tail), and the 1024-router mesh below its
+// saturation point under the sharded sweep.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state run")
 	}
+	steady8 := steadyLoad{w: 8, h: 8, rate: 0.15, pool: [3]int{1024, 16, 32}}
+	idle16 := steadyLoad{w: 16, h: 16, rate: 0.002, pool: [3]int{512, 32, 16},
+		// AllocsPerRun's own warm-up pass comes first; the measured pass
+		// is cycles [warmup+window, warmup+2·window).
+		injectUntil: steadyWarmup + steadyWindow + steadyWindow/2}
+	steady32 := steadyLoad{w: 32, h: 32, rate: 0.04, msgs: 2048, pool: [3]int{16384, 64, 128}}
 	cases := []struct {
 		name   string
+		load   steadyLoad
 		shards int
 		useRef bool
 	}{
-		{"event_sequential", 1, false},
-		{"sharded_2", 2, false},
-		{"sharded_4", 4, false},
-		{"refmodel_fullscan", 1, true},
+		{"event_sequential", steady8, 1, false},
+		{"sharded_2", steady8, 2, false},
+		{"sharded_4", steady8, 4, false},
+		{"refmodel_fullscan", steady8, 1, true},
+		{"idle_16x16_drained", idle16, 1, false},
+		{"idle_16x16_drained_sharded_4", idle16, 4, false},
+		{"steady_32x32_sharded_4", steady32, 4, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cycle := steadyLoop(tc.shards, tc.useRef)
+			cycle := steadyLoop(tc.load, tc.shards, tc.useRef)
 			// AllocsPerRun runs the body once extra as its own warm-up, so
 			// the measured pass covers cycles well past any growth.
 			allocs := testing.AllocsPerRun(1, func() {
-				for i := 0; i < 10000; i++ {
+				for i := 0; i < steadyWindow; i++ {
 					cycle()
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("steady state allocated %.0f objects per 10k cycles, want 0", allocs)
+				t.Errorf("steady state allocated %.0f objects per %d cycles, want 0", allocs, steadyWindow)
 			}
 		})
 	}
@@ -116,8 +155,7 @@ func saturatedLoop(shards int) func() {
 // Turns-capacity erosion, under-sized prewarm). A handful of objects
 // are tolerated per measured pass: the sharded stepper's worker
 // goroutines occasionally make the runtime allocate park/unpark
-// machinery, which is scheduler noise, not simulator state (the
-// benchmark gate in internal/experiments applies the same budget).
+// machinery, which is scheduler noise, not simulator state.
 func TestZeroAllocSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long saturation run")

@@ -173,7 +173,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 }
 
 // BenchmarkShardedStep measures the sharded stepper against the
-// sequential one on a saturated 16x16 mesh (the scale16 experiment does
+// sequential one on a saturated 16x16 mesh (sbsweep -fig scalegrid does
 // the wall-clock comparison on the full recovery storm).
 func BenchmarkShardedStep(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {

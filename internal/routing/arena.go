@@ -26,7 +26,7 @@ type Arena struct {
 }
 
 // ArenaStats counts arena traffic for the allocation-observability
-// harness (Sim.PoolStats, BENCH_sim.json).
+// harness (Sim.PoolStats).
 type ArenaStats struct {
 	// Gets is the total number of spans handed out.
 	Gets int64

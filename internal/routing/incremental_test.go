@@ -142,7 +142,8 @@ func TestIncrementalColumnSharing(t *testing.T) {
 // speedup: one link flap on a healthy 32x32 mesh must repair columns by
 // rewriting a near-constant number of entries, not rebuild them — the
 // deterministic work counters are the flake-free proxy for the ≥10x
-// wall-clock claim the compile_* bench scenarios measure.
+// wall-clock claim (`go run ./bench` shows the measured side as
+// routing.compile_cold_ms vs routing.recompile_us_per_event).
 func TestIncrementalRepairIsLocal(t *testing.T) {
 	topo := topology.NewMesh(32, 32)
 	n := int64(topo.NumNodes())
