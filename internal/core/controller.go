@@ -1003,7 +1003,10 @@ func (c *Controller) spinCycle(f *fsm) bool {
 		s.Stats.LinkCycles[network.ClassFlit] += int64(p.Len)
 	}
 	// Occupancy counts are unchanged at every router (one out, one in,
-	// both on link-side ports); only progress bookkeeping updates.
+	// both on link-side ports), but every rotated slot now holds a
+	// different packet with a different next hop: tell the stepper, whose
+	// request vectors were registered for the old occupants.
+	s.Wake(f.node)
 	s.LastProgress = s.Now
 	s.Stats.SpinRotations++
 	return true

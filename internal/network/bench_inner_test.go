@@ -162,3 +162,48 @@ func BenchmarkTransferBubbleNodeBlocked(b *testing.B) {
 		s.TransferBubbleNode(target)
 	}
 }
+
+// BenchmarkDenseAllocBlocked10 times the fused pass at the occupancy a
+// recovery storm actually runs at: one router holding ten ready heads
+// (three input ports, all three vnets, two wanted outputs) whose
+// downstream ports are full, so every visit classifies ten candidates
+// and grants none — the visit the saturated-mesh benchmark above
+// averages away among routers with one or two heads.
+func BenchmarkDenseAllocBlocked10(b *testing.B) {
+	topo := topology.NewMesh(3, 3)
+	s := New(topo, Config{}, rand.New(rand.NewSource(1)))
+	if !s.fusedAlloc() {
+		b.Skip("fused pass unavailable for this configuration")
+	}
+	mid := topo.ID(geom.Coord{X: 1, Y: 1})
+	east, north := topo.Neighbor(mid, geom.East), topo.Neighbor(mid, geom.North)
+	per := s.Cfg.VCsPerVnet
+	// Fill the two downstream input ports completely.
+	for slot := 0; slot < s.Cfg.SlotsPerPort(); slot++ {
+		p := s.NewPacket(mid, east, slot/per, 5, routing.Route{geom.East})
+		p.Hop = 1
+		s.PlacePacket(east, geom.West, slot, p)
+		p = s.NewPacket(mid, north, slot/per, 5, routing.Route{geom.North})
+		p.Hop = 1
+		s.PlacePacket(north, geom.South, slot, p)
+	}
+	// Ten heads at the center: 4 + 3 + 3 over West/South/Local.
+	place := func(in geom.Direction, vnet, n int, out geom.Direction) {
+		for i := 0; i < n; i++ {
+			p := s.NewPacket(mid, topo.Neighbor(mid, out), vnet, 5, routing.Route{out})
+			s.PlacePacket(mid, in, vnet*per+i, p)
+		}
+	}
+	place(geom.West, 0, 4, geom.East)
+	place(geom.South, 1, 3, geom.North)
+	place(geom.Local, 2, 3, geom.East)
+	grants := s.grantN[mid]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.denseAllocNode(mid, nil)
+	}
+	if s.grantN[mid] != grants {
+		b.Fatal("a blocked head was granted")
+	}
+}

@@ -1,22 +1,53 @@
 package network
 
-// The slot-occupancy mirror and the fused bitset allocation pass.
+// The slot-occupancy mirror, the registered request vectors and the
+// fused bitset allocation pass.
 //
 // denseAllocNode is gatherAllocate+commitAllocate with the bucket
-// indirection removed: candidate heads fold into per-output uint64
-// desire masks (candidate index in*slots+sl, the bubble at bit
-// `total`), round-robin arbitration walks the mask cyclically from
-// saPtr with TrailingZeros64, and downstream buffer availability is
-// memoized per (output, vnet) instead of re-scanned per candidate — the
-// dominant cost of gatherAllocate under congestion. The mask holds
-// exactly the gather's candidate set (same fence, liveness, readiness
-// and output filters, in the same ascending candidate order), the
-// cyclic mask walk visits candidates in the same order commitAllocate's
-// rotate-and-scan does, the memoized free-slot answer equals tryGrant's
-// own re-scan (no mutation can intervene: within one router's pass each
-// output port targets a distinct neighbor), and a candidate is skipped
-// exactly when tryGrant would have returned false. The winner moves
-// through the very same tryGrant the generic commit uses.
+// indirection and the per-head classification removed. Each router's
+// per-output request vectors are state, like the request registers of a
+// hardware allocator: want[id][out] has bit ci set (candidate index
+// in*slots+sl, the bubble at bit `total`) iff that buffer holds a packet
+// whose next hop at id is out, and pend[id] marks occupied buffers whose
+// head may not have arrived yet. Both are written where occBits is — at
+// a buffer fill (occBitSet, after the packet is in place) and at a
+// buffer clear (occBitClear) — so a visit derives its desire masks with
+// a few word operations, whatever the router holds, and touches a VC
+// only to retire a pend bit (a packet is looked at on the two or three
+// visits after it arrives, never again while it waits). Round-robin
+// arbitration walks the mask cyclically from saPtr with TrailingZeros64,
+// and downstream buffer availability is memoized per (output, vnet)
+// instead of re-scanned per candidate. The mask holds exactly the
+// gather's candidate set (same fence, liveness, readiness and output
+// filters, in the same ascending candidate order), the cyclic mask walk
+// visits candidates in the same order commitAllocate's rotate-and-scan
+// does, the memoized free-slot answer equals tryGrant's own re-scan (no
+// mutation can intervene: within one router's pass each output port
+// targets a distinct neighbor), and a candidate is skipped exactly when
+// tryGrant would have returned false. The winner moves through the very
+// same tryGrant the generic commit uses.
+//
+// Staleness rule. The vectors are maintained only while fusedAlloc
+// holds (deriving a next hop under an OutputOverride would add hook
+// invocations) and only by the package's own fill/clear sites. Anything
+// else that changes what a buffered packet wants raises one flag,
+// dense.stale, on the coordinator: a sweep that runs non-fused, exported
+// SetRoute (reconfig's reroutes), an out-of-cycle placement under a
+// hook, and Wake — the notice a scheme that moves packets by hand
+// (core's SPIN rotation) owes the simulator. A fused sweep rebuilds the
+// vectors from the buffers before it starts (syncVectors; O(resident
+// packets)). Invariant: whenever a fused pass reads want/pend they equal
+// a from-scratch rebuild, pend up to bits whose head has since arrived
+// (validate.Check and TestRequestVectorsMatchRebuild assert it). The
+// fence and Bubble.Present/InPort stay live reads in the pass: core
+// writes those fields directly, every cycle of a recovery, and reading
+// two fields per visit is cheaper than a notice per write.
+//
+// A router's vectors are read and written only by the shard that owns
+// it (plan phase: the pass itself and the band's injections; commit
+// phase: own-band grants; foreign arrivals go through the xfill fold on
+// the coordinator). The pass never reads a neighbor's occBits/want/pend
+// word: another shard's plan-phase injection may be writing it.
 //
 // The fused pass runs when no allocation hook is installed and the slot
 // space fits a word (fusedAlloc) — VCFilter, GrantFilter, OutputOverride
@@ -57,9 +88,23 @@ type denseState struct {
 	// space does not fit a word (fastOK false). The fused classification
 	// walks only the set bits, so a barely-occupied router costs its
 	// occupancy, not its capacity. SPIN rotations (core) move packets
-	// between slots that stay occupied, so they preserve the bitmap
-	// without knowing about it.
+	// between slots that stay occupied, so the bitmap survives them; the
+	// request vectors do not, which is why core announces a rotation
+	// with Wake.
 	occBits []uint64
+	// want[id][out] and pend[id] are router id's registered request
+	// vectors (file comment): bit ci of want[id][out] is set iff buffer
+	// ci holds a packet whose next hop at id is out; bit ci of pend[id]
+	// is set while buffer ci's ReadyAt may still lie ahead (a superset of
+	// the heads in flight — denseAllocNode retires arrived bits). Both
+	// are subsets of occBits[id] at all times, and equal a rebuild
+	// whenever stale is false and fusedAlloc holds.
+	want [][geom.NumPorts]uint64
+	pend []uint64
+	// stale records that something other than a maintained fill/clear
+	// may have changed what a buffered packet wants; the next fused sweep
+	// rebuilds. Read and written on the coordinator only.
+	stale bool
 }
 
 func (d *denseState) init(numNodes int, cfg Config) {
@@ -79,21 +124,99 @@ func (d *denseState) init(numNodes int, cfg Config) {
 		}
 	}
 	d.occBits = make([]uint64, numNodes)
+	d.want = make([][geom.NumPorts]uint64, numNodes)
+	d.pend = make([]uint64, numNodes)
 }
 
-// occBitSet / occBitClear maintain the slot-occupancy mirror. bit is the
-// candidate index of the buffer being filled or emptied. No-ops when the
-// mirror is disabled (candidate space wider than a word).
-func (s *Sim) occBitSet(id geom.NodeID, bit int) {
-	if s.dense.occBits != nil {
-		s.dense.occBits[id] |= 1 << uint(bit)
+// occBitSet / occBitClear maintain the slot-occupancy mirror and the
+// request vectors. bit is the candidate index of the buffer being filled
+// or emptied. No-ops when the mirror is disabled (candidate space wider
+// than a word).
+//
+// occBitSet must run after p is in place at its new hop (buffer written,
+// p.Hop advanced): it derives p's next hop at id. Under an allocation
+// hook it leaves the vectors alone — the sweep that runs there, or the
+// out-of-cycle caller, marks them stale.
+func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet) {
+	d := &s.dense
+	if d.occBits == nil {
+		return
 	}
+	m := uint64(1) << uint(bit)
+	d.occBits[id] |= m
+	if !s.fusedAlloc() {
+		return
+	}
+	if out := s.OutputOf(p, id); out != geom.Invalid {
+		d.want[id][out] |= m
+	}
+	d.pend[id] |= m
 }
 
 func (s *Sim) occBitClear(id geom.NodeID, bit int) {
-	if s.dense.occBits != nil {
-		s.dense.occBits[id] &^= 1 << uint(bit)
+	d := &s.dense
+	if d.occBits == nil {
+		return
 	}
+	m := ^(uint64(1) << uint(bit))
+	d.occBits[id] &= m
+	d.pend[id] &= m
+	w := &d.want[id]
+	for out := range w {
+		w[out] &= m
+	}
+}
+
+// vectorsOf derives router id's request vectors from its buffers: the
+// definition the maintained copies must equal (pend exactly the heads
+// not yet arrived).
+func (s *Sim) vectorsOf(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64) {
+	d := &s.dense
+	r := &s.Routers[id]
+	for w := d.occBits[id]; w != 0; w &= w - 1 {
+		ci := bits.TrailingZeros64(w)
+		vc, _ := r.candVC(int32(ci), d.slots, d.total)
+		if out := s.OutputOf(vc.Pkt, id); out != geom.Invalid {
+			want[out] |= 1 << uint(ci)
+		}
+		if vc.ReadyAt > s.Now {
+			pend |= 1 << uint(ci)
+		}
+	}
+	return want, pend
+}
+
+// syncVectors runs on the coordinator at the top of every sweep, before
+// any worker starts: it reports whether this sweep allocates through the
+// fused pass, rebuilding the request vectors first if they are stale,
+// and marks them stale when it does not (its fills go unrecorded).
+func (s *Sim) syncVectors() bool {
+	d := &s.dense
+	if !s.fusedAlloc() {
+		d.stale = true
+		return false
+	}
+	if d.stale {
+		for id := range d.occBits {
+			d.want[id], d.pend[id] = s.vectorsOf(geom.NodeID(id))
+		}
+		d.stale = false
+	}
+	return true
+}
+
+// RequestVectors returns router id's registered request vectors (want
+// per output, pend) and whether they are live — maintained and not
+// marked stale, i.e. what the next fused pass would read as is. Exposed
+// for the validate package, which recomputes them from buffer contents:
+// a drifted bit moves or strands a packet under Step only, so the
+// refmodel harness would catch it late and far from the cause.
+func (s *Sim) RequestVectors(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64, live bool) {
+	d := &s.dense
+	if d.occBits == nil || d.stale || !s.fusedAlloc() {
+		return want, 0, false
+	}
+	return d.want[id], d.pend[id], true
 }
 
 // occBitClearVC is occBitClear for callers holding only the buffer
@@ -162,13 +285,15 @@ func (s *Sim) fusedAlloc() bool {
 }
 
 // denseAllocNode is the fused switch-allocation pass for one router:
-// gatherAllocate's candidate classification and commitAllocate's
-// round-robin arbitration in a single sweep over bitmasks, with no
-// bucket building and no per-candidate downstream re-scans. Only valid
-// under fusedAlloc (no allocation hooks); produces bit-for-bit the
-// grants, Stats mutations and pool releases of AllocateNode. With a
-// non-nil plan (a shard worker's parallel phase) the winners are
-// recorded there for the commit phase instead of being granted.
+// gatherAllocate's candidate classification, read off the registered
+// request vectors, and commitAllocate's round-robin arbitration in a
+// single sweep over bitmasks, with no bucket building, no per-head work
+// and no per-candidate downstream re-scans. Only valid under fusedAlloc
+// (no allocation hooks) with the vectors in sync (syncVectors); produces
+// bit-for-bit the grants, Stats mutations and pool releases of
+// AllocateNode. With a non-nil plan (a shard worker's parallel phase)
+// the winners are recorded there for the commit phase instead of being
+// granted.
 func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
 		// A dead router's buffered traffic cannot move; it stays in the
@@ -180,56 +305,42 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	d := &s.dense
 	slots := d.slots
 	total := d.total // bubble uses candidate index `total`
-	fenceOut := geom.Invalid
-	fenceIn := geom.Invalid
-	if r.Fence.Active {
-		fenceOut, fenceIn = r.Fence.Out, r.Fence.In
-	}
+	bubbleBit := uint64(1) << uint(total)
 
-	// Classification: fold every ready head into its output's desire
-	// mask, candidate index in*slots+sl (ascending by construction —
-	// the order commitAllocate's buckets carry). Only occupied slots are
-	// visited, via the occBits mirror — a barely-occupied router costs
-	// its occupancy, not its capacity. The packet's memoized route-cache
-	// read is inlined (OutputOf's override branch is dead here: the
-	// fused pass is gated on OutputOverride == nil).
-	var desire [geom.NumPorts]uint64
-	bubbleVnet := -1
-	occw := d.occBits[id]
-	slotMask := d.slotMask
-	for in := 0; in < geom.NumPorts; in++ {
-		base := in * slots
-		wp := (occw >> uint(base)) & slotMask
-		if wp == 0 {
-			continue
+	// Classification: a buffer is a candidate for the output its packet
+	// wants once its head has arrived. Retire the pend bits whose ReadyAt
+	// has passed (the only VC reads here: heads still in flight, two or
+	// three visits per hop), then every output's desire mask is its want
+	// word restricted to the ready buffers — ascending candidate index by
+	// construction, the order commitAllocate's buckets carry.
+	pw := d.pend[id]
+	if pw != 0 {
+		for w := pw; w != 0; w &= w - 1 {
+			ci := bits.TrailingZeros64(w)
+			if vc, _ := r.candVC(int32(ci), slots, total); vc.ReadyAt <= now {
+				pw &^= 1 << uint(ci)
+			}
 		}
-		vcs := r.In[in]
-		for wp != 0 {
-			sl := bits.TrailingZeros64(wp)
-			wp &= wp - 1
-			vc := &vcs[sl]
-			p := vc.Pkt
-			if vc.ReadyAt > now {
-				continue
-			}
-			var out geom.Direction
-			if p.cacheOK && int(p.cacheHop) == p.Hop {
-				out = p.cacheOut
-			} else {
-				out = s.OutputOf(p, id)
-			}
-			if out == geom.Invalid || (out == fenceOut && geom.Direction(in) != fenceIn) {
-				continue
-			}
-			desire[out] |= 1 << uint(base+sl)
-		}
+		d.pend[id] = pw
 	}
-	if b := &r.Bubble; b.Present && occw>>uint(total)&1 != 0 && b.VC.ReadyAt <= now {
-		out := s.OutputOf(b.VC.Pkt, id)
-		if out != geom.Invalid && !(out == fenceOut && b.InPort != fenceIn) {
-			desire[out] |= 1 << uint(total)
-			bubbleVnet = b.VC.Pkt.Vnet
+	ready := d.occBits[id] &^ pw
+	if !r.Bubble.Present {
+		ready &^= bubbleBit
+	}
+	desire := d.want[id]
+	for out := range desire {
+		desire[out] &= ready
+	}
+	if f := &r.Fence; f.Active && uint(f.Out) < geom.NumPorts {
+		// Only traffic from the fence's input port may take its output.
+		var from uint64
+		if uint(f.In) < geom.NumPorts {
+			from = d.slotMask << uint(int(f.In)*slots)
 		}
+		if r.Bubble.InPort == f.In {
+			from |= bubbleBit
+		}
+		desire[f.Out] &= from
 	}
 
 	// Arbitration: per output, reduce the desire mask to the grantable
@@ -239,7 +350,6 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	// exactly the winner commitAllocate's rotate-and-scan converges on,
 	// since the candidates it would skip are those tryGrant rejects.
 	vnetBits := d.vnetBits
-	bubbleBit := uint64(1) << uint(total)
 	for _, out := range geom.AllPorts {
 		m := desire[out]
 		if m == 0 || r.OutFreeAt[out] > now {
@@ -261,7 +371,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 						eligible |= m & vb
 					}
 				}
-				if m&bubbleBit != 0 && s.findFreeVCNoFilter(nb, in, bubbleVnet) >= 0 {
+				if m&bubbleBit != 0 && s.findFreeVCNoFilter(nb, in, r.Bubble.VC.Pkt.Vnet) >= 0 {
 					eligible |= bubbleBit
 				}
 				if eligible == 0 {

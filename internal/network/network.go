@@ -185,8 +185,9 @@ type Sim struct {
 	quiesced   int
 	horizonFns []func(*Sim) int64
 	ctr        StepperCounters
-	// dense holds the slot-occupancy mirror and the constants of the
-	// fused bitset allocation pass (see dense.go).
+	// dense holds the slot-occupancy mirror, the registered request
+	// vectors and the constants of the fused bitset allocation pass (see
+	// dense.go).
 	dense denseState
 	// xfillObs, when non-nil, observes cross-shard buffer fills at fold
 	// time (SetXFillObserver) — seam-invariant test instrumentation.
@@ -262,7 +263,7 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 		s.pool.free = s.pool.free[:n-1]
 		s.pool.stats.PacketReuses++
 		// Reset everything except the recycling identity (gen) and the
-		// arena span, which SetRoute below reuses in place when it fits.
+		// arena span, which setRoute below reuses in place when it fits.
 		*p = Packet{gen: p.gen, Route: p.Route, routeOwned: p.routeOwned}
 	} else {
 		p = new(Packet)
@@ -273,7 +274,7 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 	p.Vnet, p.Len = vnet, length
 	p.CreatedAt = s.Now
 	p.InjectedAt, p.DeliveredAt = -1, -1
-	s.SetRoute(p, route)
+	s.setRoute(p, route)
 	return p
 }
 
@@ -351,7 +352,7 @@ func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet
 	}
 	vc.Pkt = p
 	vc.ReadyAt = s.Now
-	s.occBitSet(id, int(in)*s.Cfg.SlotsPerPort()+slot)
+	s.occBitSet(id, int(in)*s.Cfg.SlotsPerPort()+slot, p)
 	s.placeAccount(id, in, p)
 }
 
@@ -365,7 +366,7 @@ func (s *Sim) PlaceBubblePacket(id geom.NodeID, in geom.Direction, p *Packet) {
 	b.InPort = in
 	b.VC.Pkt = p
 	b.VC.ReadyAt = s.Now
-	s.occBitSet(id, geom.NumPorts*s.Cfg.SlotsPerPort())
+	s.occBitSet(id, geom.NumPorts*s.Cfg.SlotsPerPort(), p)
 	s.placeAccount(id, in, p)
 }
 
@@ -381,6 +382,9 @@ func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
 	p.InjectedAt = s.Now
 	s.markActive(id)
 	s.quietUntil = 0
+	if !s.fusedAlloc() {
+		s.dense.stale = true // occBitSet left the request vectors alone
+	}
 }
 
 // DeliverOutOfBand removes the packet in vc (buffered at router at's
@@ -485,7 +489,7 @@ func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 		vc := &r.In[geom.Local][slot]
 		vc.Pkt = p
 		vc.ReadyAt = s.Now + int64(s.Cfg.RouterLatency)
-		s.occBitSet(id, int(geom.Local)*s.Cfg.SlotsPerPort()+slot)
+		s.occBitSet(id, int(geom.Local)*s.Cfg.SlotsPerPort()+slot, p)
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
@@ -535,9 +539,11 @@ func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int) 
 // OutputOf returns the output port packet p wants at router `at`: the
 // override if installed, else the next hop of its source route, else
 // Local (ejection) once the route is exhausted. The route-derived answer
-// depends only on (Route, Hop) and is cached on the packet, so repeated
-// allocation attempts don't re-derive it; rewriting Route in place
-// requires InvalidateOutputCache.
+// depends only on (Route, Hop) and is cached on the packet — and, for a
+// buffered packet, registered in its router's request vectors (dense.go)
+// — so SetRoute is the only sanctioned way to change a live packet's
+// route: it resets the cache and marks the vectors stale, which a write
+// to Route or Hop from outside the package cannot.
 func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 	if s.OutputOverride != nil {
 		if d, ok := s.OutputOverride(p, at); ok {

@@ -87,11 +87,6 @@ func (r PacketRef) Valid() bool {
 	return r.p != nil && r.p.gen == r.gen
 }
 
-// InvalidateOutputCache discards the packet's memoized next-hop output.
-// Required after rewriting Route in place (reconfig's reroutes), since
-// the cache is keyed on Hop alone.
-func (p *Packet) InvalidateOutputCache() { p.cacheOK = false }
-
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt%d(%v→%v vnet%d len%d hop%d)", p.ID, p.Src, p.Dst, p.Vnet, p.Len, p.Hop)
 }

@@ -130,8 +130,17 @@ func (s *Sim) releasePacket(p *Packet) {
 // (reconfig's in-place reroute). r must not alias p.Route. Under pooling
 // the copy goes to the arena, reusing p's current span when it fits;
 // without pooling it is a fresh heap slice, mirroring what reroute
-// callers allocated historically.
+// callers allocated historically. p may sit in a buffer, so the request
+// vectors are marked stale (dense.go); call it from the stepping
+// goroutine.
 func (s *Sim) SetRoute(p *Packet, r routing.Route) {
+	s.dense.stale = true
+	s.setRoute(p, r)
+}
+
+// setRoute is SetRoute for a packet known to be in no buffer (NewPacket:
+// every packet passes through here, and must not cost a rebuild).
+func (s *Sim) setRoute(p *Packet, r routing.Route) {
 	p.Hop = 0
 	p.cacheOK = false
 	if s.pool.disabled {

@@ -1,0 +1,226 @@
+package refmodel
+
+// The registered request vectors (network/dense.go) are state the fused
+// allocation pass trusts instead of looking at packets, so every way a
+// buffered packet's wanted output can change must either maintain them
+// or mark them stale. This test drives all of those ways in one run —
+// grants and injections (maintained at the fill), SPIN rotations (core
+// announces them with Wake), a reconfig link failure (SetRoute on
+// buffered packets), a VCFilter installed and removed (fused → generic →
+// fused), and PlacePacket / RemovePacket / DeliverOutOfBand between
+// cycles (one placement bracketed by a hook that no sweep ever sees) —
+// and asserts, in a PreCycle hook that runs after every other
+// hook and therefore immediately before the sweep, that vectors claiming
+// to be live equal a recomputation from the buffers, while Stats stay
+// equal to the refmodel after every cycle. Reverting any one of the
+// invalidation sources (tryGrant writing the vectors before the packet
+// has moved, SetRoute, SPIN's Wake, the non-fused sweep) fails it.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/network"
+	"repro/internal/reconfig"
+	"repro/internal/topology"
+	"repro/internal/validate"
+)
+
+func TestRequestVectorsMatchRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		spin     bool
+		topoSeed int64
+	}{
+		{"sb", false, 11},
+		{"spin", true, 23},
+	} {
+		t.Run(tc.name, func(t *testing.T) { requestVectorRun(t, tc.spin, tc.topoSeed) })
+	}
+}
+
+func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
+	const (
+		cycles     = 2400
+		window     = 1400
+		rate       = 0.30 // past saturation on a faulty 8x8
+		failAt     = 300
+		filterOn   = 500
+		filterOff  = 700
+		pokeEvery  = 97
+		hookedPoke = 9*pokeEvery - 1 // this poke runs under a hook no sweep sees
+		linkFaults = 12
+	)
+	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "shards4"}}
+	var drift error
+	for i, u := range units {
+		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, linkFaults, topoSeed)
+		u.sim = network.New(topo, network.Config{Shards: []int{1, 1, 4}[i]}, rand.New(rand.NewSource(5)))
+		u.step = u.sim.Step
+		if i == 0 {
+			u.step = New(u.sim).Step
+			u.sim.SetPooling(false)
+		}
+		u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
+		u.mgr = reconfig.New(u.sim)
+		name := u.name
+		u.sim.PreCycle = append(u.sim.PreCycle, func(s *network.Sim) {
+			for _, v := range validate.Check(s, nil) {
+				if v.Invariant == "request-vectors" && drift == nil {
+					drift = fmt.Errorf("cycle %d: %s: %v", s.Now, name, v)
+				}
+			}
+		})
+	}
+	ref := units[0].sim
+	hrng := rand.New(rand.NewSource(topoSeed + 1))
+
+	// A slot-vetoing filter: pure in its arguments, so every core sees
+	// the same decisions; its only role is to push the sweep off the
+	// fused pass for a while.
+	filter := func(p *network.Packet, _ geom.NodeID, _ geom.Direction, vcIdx int) bool {
+		return vcIdx != 3 || p.Len == 5
+	}
+
+	// findVC returns the first buffer (ascending router, port, slot) from
+	// router `from` on satisfying pred, located on the reference unit;
+	// the pokes below apply the same coordinates to every unit.
+	findVC := func(from int, pred func(vc *network.VC, port geom.Direction) bool) (geom.NodeID, geom.Direction, int, bool) {
+		n := len(ref.Routers)
+		for k := 0; k < n; k++ {
+			id := (from + k) % n
+			if !ref.Topo.RouterAlive(geom.NodeID(id)) {
+				continue
+			}
+			for _, port := range geom.AllPorts {
+				for slot := range ref.Routers[id].In[port] {
+					if pred(&ref.Routers[id].In[port][slot], port) {
+						return geom.NodeID(id), port, slot, true
+					}
+				}
+			}
+		}
+		return 0, 0, 0, false
+	}
+	var placed, removed, sideDelivered int
+
+	for cyc := 0; cyc < cycles; cyc++ {
+		if cyc == failAt {
+			links := ref.Topo.AliveUndirectedLinks()
+			l := links[hrng.Intn(len(links))]
+			for _, u := range units {
+				u.mgr.FailLink(l.From, l.Dir)
+			}
+		}
+		if cyc == filterOn || cyc == filterOff {
+			for _, u := range units {
+				u.sim.VCFilter = nil
+				if cyc == filterOn {
+					u.sim.VCFilter = filter
+				}
+			}
+		}
+		// Out-of-cycle pokes, kept out of the filter window so that there
+		// the non-fused sweep is the only thing marking the vectors stale.
+		if cyc%pokeEvery == pokeEvery-1 && (cyc < filterOn || cyc >= filterOff) {
+			start := hrng.Intn(len(ref.Routers))
+			if cyc == hookedPoke {
+				for _, u := range units {
+					u.sim.VCFilter = filter
+				}
+			}
+			// Place a fresh packet into a free local-port buffer.
+			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction) bool {
+				return port == geom.Local && vc.Empty(ref.Now)
+			}); ok {
+				alive := ref.Topo.AliveRouters()
+				dst := alive[hrng.Intn(len(alive))]
+				for _, u := range units {
+					if rt, ok := u.mgr.Route(id, dst); ok && dst != id {
+						u.sim.PlacePacket(id, port, slot, u.sim.NewPacket(id, dst, slot/u.sim.Cfg.VCsPerVnet, 5, rt))
+						placed++
+					}
+				}
+			}
+			// Destroy one buffered packet, side-deliver another.
+			occupied := func(vc *network.VC, _ geom.Direction) bool { return vc.Pkt != nil }
+			if id, port, slot, ok := findVC(start, occupied); ok {
+				for _, u := range units {
+					u.sim.RemovePacket(&u.sim.Routers[id].In[port][slot], id, port)
+				}
+				removed++
+			}
+			if id, port, slot, ok := findVC(start, occupied); ok {
+				for _, u := range units {
+					u.sim.DeliverOutOfBand(&u.sim.Routers[id].In[port][slot], id, port, u.sim.Now)
+				}
+				sideDelivered++
+			}
+			if cyc == hookedPoke {
+				for _, u := range units {
+					u.sim.VCFilter = nil
+				}
+			}
+		}
+		if cyc < window {
+			alive := ref.Topo.AliveRouters()
+			for _, src := range alive {
+				if hrng.Float64() >= rate {
+					continue
+				}
+				dst := alive[hrng.Intn(len(alive))]
+				if dst == src {
+					continue
+				}
+				vnet, ln := hrng.Intn(ref.Cfg.NumVnets), 1+4*hrng.Intn(2)
+				for _, u := range units {
+					if rt, ok := u.mgr.Route(src, dst); ok {
+						u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, rt))
+					} else {
+						u.sim.Drop()
+					}
+				}
+			}
+		}
+
+		for _, u := range units {
+			u.step()
+		}
+		if drift != nil {
+			t.Fatal(drift)
+		}
+		for _, u := range units[1:] {
+			if u.sim.Stats != ref.Stats {
+				t.Fatalf("cycle %d: stats diverged\nrefmodel: %+v\n%s: %+v", cyc, ref.Stats, u.name, u.sim.Stats)
+			}
+		}
+		if cyc%checkEvery == checkEvery-1 {
+			for _, u := range units {
+				if err := checkUnit(cyc, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	// The run must have exercised what it claims to cover.
+	st := ref.Stats
+	if placed == 0 || removed == 0 || sideDelivered == 0 {
+		t.Errorf("out-of-cycle pokes did not all happen: placed %d removed %d side-delivered %d", placed, removed, sideDelivered)
+	}
+	if units[1].mgr.Rerouted == 0 {
+		t.Error("the link failure rerouted no packet")
+	}
+	if spin && st.SpinRotations == 0 {
+		t.Error("SPIN variant performed no rotation")
+	}
+	if !spin && (st.DeadlockRecoveries == 0 || st.BubbleOccupancies == 0) {
+		t.Errorf("SB variant saw no recovery: recoveries %d, bubble occupancies %d", st.DeadlockRecoveries, st.BubbleOccupancies)
+	}
+	if c := units[2].sim.StepperCounters(); c.ParallelCycles < window/2 {
+		t.Errorf("shards4 ran the parallel sweep on only %d cycles", c.ParallelCycles)
+	}
+}

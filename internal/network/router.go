@@ -85,8 +85,14 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // gatherAllocate reads only state that is stable for the whole
 // allocation phase and produces the candidate buckets; commitAllocate
 // arbitrates and moves packets. The sequential sweep (and the refmodel
-// full scan) runs both back to back.
+// full scan) runs both back to back, on the stepping goroutine. Under an
+// allocation hook its grants leave the request vectors unrecorded
+// (dense.go), so it marks them stale — the refmodel's scan has no sweep
+// prologue to do that for it.
 func (s *Sim) AllocateNode(id geom.NodeID) {
+	if !s.fusedAlloc() {
+		s.dense.stale = true
+	}
 	if s.gatherAllocate(id, &s.seqGather) {
 		s.commitAllocate(id, &s.seqGather)
 	}
@@ -257,7 +263,7 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 	vc := &s.Routers[id].In[b.InPort][slot]
 	vc.Pkt = p
 	vc.ReadyAt = s.Now + 1
-	s.occBitSet(id, int(b.InPort)*s.Cfg.SlotsPerPort()+slot)
+	s.occBitSet(id, int(b.InPort)*s.Cfg.SlotsPerPort()+slot, p)
 	b.VC.Pkt = nil
 	b.VC.FreeAt = s.Now + 1
 	s.occBitClear(id, geom.NumPorts*s.Cfg.SlotsPerPort())
@@ -300,12 +306,13 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort 
 	nbr := &s.Routers[nb]
 	in := out.Opposite()
 	var dst *VC
+	var dstBit int
 	if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
 		dst = &nbr.In[in][slot]
-		s.occBitSet(nb, int(in)*s.Cfg.SlotsPerPort()+slot)
+		dstBit = int(in)*s.Cfg.SlotsPerPort() + slot
 	} else if nbr.Bubble.EligibleFor(in, s.Now) {
 		dst = &nbr.Bubble.VC
-		s.occBitSet(nb, geom.NumPorts*s.Cfg.SlotsPerPort())
+		dstBit = geom.NumPorts * s.Cfg.SlotsPerPort()
 		s.Stats.BubbleOccupancies++
 	} else {
 		return false
@@ -320,6 +327,7 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort 
 	dst.Pkt = p
 	dst.ReadyAt = s.Now + int64(s.Cfg.RouterLatency+s.Cfg.LinkLatency)
 	p.Hop++
+	s.occBitSet(nb, dstBit, p) // after the move: it derives p's next hop at nb
 	r.OutFreeAt[out] = s.Now + length
 	s.Stats.LinkCycles[ClassFlit] += length
 	s.Stats.HopMoves++

@@ -316,3 +316,35 @@ func TestGrantsCounterAdvances(t *testing.T) {
 			s.Routers[0].Grants(), s.Routers[1].Grants(), s.Routers[2].Grants())
 	}
 }
+
+// A stepper that drives the per-node primitives itself (the refmodel's
+// full scan) has no sweep prologue: AllocateNode under a hook must mark
+// the request vectors stale itself, or they would be vouched for as
+// live once the hook is removed although its grants went unrecorded.
+func TestHookedScanMarksVectorsStale(t *testing.T) {
+	topo := topology.NewMesh(3, 1)
+	s := mkSim(topo, 1)
+	s.VCFilter = func(*Packet, geom.NodeID, geom.Direction, int) bool { return true }
+	s.Enqueue(s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East}))
+	for cyc := 0; cyc < 3; cyc++ {
+		for id := range s.Routers {
+			s.InjectNode(geom.NodeID(id))
+		}
+		for id := range s.Routers {
+			s.AllocateNode(geom.NodeID(id))
+		}
+		s.Now++
+	}
+	s.VCFilter = nil
+	if s.occ[1] != 1 {
+		t.Fatal("packet should be buffered at router 1")
+	}
+	if _, _, live := s.RequestVectors(1); live {
+		t.Fatal("vectors reported live after hooked, unrecorded grants")
+	}
+	s.Step() // the fused sweep rebuilds
+	want, _, live := s.RequestVectors(1)
+	if exp, _ := s.vectorsOf(1); !live || want != exp {
+		t.Fatalf("after the rebuild: live %v, want %#x, buffers say %#x", live, want, exp)
+	}
+}

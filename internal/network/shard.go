@@ -24,8 +24,11 @@ package network
 //   - The epoch is one cycle: no speculative lookahead, no dependence
 //     on goroutine scheduling.
 //   - The plan phase touches only node-local state; its cross-shard
-//     *reads* (downstream buffer occupancy) see phase-stable or
-//     monotone state — the argument lives with gatherAllocate.
+//     *reads* (downstream buffer occupancy, read from the VCs
+//     themselves) see phase-stable or monotone state — the argument
+//     lives with gatherAllocate. It never reads a foreign router's
+//     occBits/want/pend word: the owning shard's plan-phase injections
+//     write those (dense.go).
 //   - Grant decisions are order-independent (availability constancy):
 //     the destination pool of a grant through output `out` is
 //     (neighbor, in=out.Opposite()), and the only router that ever
@@ -48,8 +51,9 @@ package network
 //     router's own commit only touches its *occupied* candidate slots,
 //     which are different elements). Everything else the sequential
 //     grant would do to a foreign-shard router — its occupancy counters,
-//     mirror word and active bit — is deferred into the shard's commit
-//     sink (xfill records) and applied by the coordinator's fold.
+//     mirror word, request vectors and active bit — is deferred into the
+//     shard's commit sink (xfill records) and applied by the
+//     coordinator's fold.
 //     Own-shard neighbors are updated directly. Global counters (Stats,
 //     inFlight, LastProgress) accumulate in per-shard sinks and fold in
 //     shard order; all are sums plus one max, so the totals match the
@@ -139,10 +143,10 @@ type commitSink struct {
 
 // xfill records a grant that filled a buffer in a router owned by
 // another shard: the destination's occupancy increments (counters, the
-// slot-occupancy mirror and the active bit, whose words would otherwise
-// be written by two shards) are applied by the coordinator after the
-// commit barrier. src rides along for the seam observability hook; bit
-// is the filled buffer's candidate index.
+// slot-occupancy mirror with its request vectors and the active bit,
+// whose words would otherwise be written by two shards) are applied by
+// the coordinator after the commit barrier. src rides along for the seam
+// observability hook; bit is the filled buffer's candidate index.
 type xfill struct {
 	src, nb, bit int32
 }
@@ -240,6 +244,7 @@ func (s *Sim) SetXFillObserver(f func(src, dst geom.NodeID)) { s.xfillObs = f }
 // (shard 0's share runs on the coordinator). See the file comment for
 // the phase structure and the determinism argument.
 func (s *Sim) sweepParallel() {
+	s.syncVectors() // before the workers start: they read the vectors
 	s.shardWG.Add(len(s.shards) - 1)
 	for k := 1; k < len(s.shards); k++ {
 		go s.shards[k].planWorker()
@@ -385,7 +390,7 @@ func (s *Sim) grantPar(sh *shardState, r *Router, out geom.Direction, vc *VC, p 
 	if s.shardOf[nb] == s.shardOf[r.ID] {
 		s.occ[nb]++
 		s.occNL[nb]++ // arrivals always land on a link-side port
-		s.occBitSet(nb, dstBit)
+		s.occBitSet(nb, dstBit, p)
 		s.markActive(nb)
 	} else {
 		sink.xf = append(sink.xf, xfill{src: int32(r.ID), nb: int32(nb), bit: int32(dstBit)})
@@ -398,6 +403,7 @@ func (s *Sim) grantPar(sh *shardState, r *Router, out geom.Direction, vc *VC, p 
 // max), cross-shard occupancy, then the delivery callbacks and pool
 // releases in the sequential sweep's exact order.
 func (s *Sim) foldSinks() {
+	slots := s.Cfg.SlotsPerPort()
 	for k := range s.shards {
 		sink := &s.shards[k].sink
 		s.Stats.merge(&sink.stats)
@@ -409,7 +415,8 @@ func (s *Sim) foldSinks() {
 		for _, x := range sink.xf {
 			s.occ[x.nb]++
 			s.occNL[x.nb]++
-			s.occBitSet(geom.NodeID(x.nb), int(x.bit))
+			vc, _ := s.Routers[x.nb].candVC(x.bit, slots, geom.NumPorts*slots)
+			s.occBitSet(geom.NodeID(x.nb), int(x.bit), vc.Pkt)
 			s.markActive(geom.NodeID(x.nb))
 			if s.xfillObs != nil {
 				s.xfillObs(geom.NodeID(x.src), geom.NodeID(x.nb))

@@ -68,15 +68,26 @@ func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
 	}
 }
 
-// Wake voids any open quiet window. The simulator's own entry points
-// that add a packet (Enqueue, PlacePacket, PlaceBubblePacket,
-// RecountNIPending) do this themselves; call Wake after changing state
-// a registered horizon or a router phase depends on through any other
-// channel — re-enabling a router or link in the topology, clearing a
-// fence — at or near router n. It does not make a hand-written vc.Pkt
-// visible to the stepper: occupancy is tracked by counters, so packets
-// enter buffers only through Enqueue, PlacePacket or PlaceBubblePacket.
-func (s *Sim) Wake(n geom.NodeID) { s.quietUntil = 0 }
+// Wake tells the stepper that state it derives its work from changed
+// behind its back at or near router n: it voids any open quiet window
+// and marks the registered request vectors stale, so the next fused
+// sweep rebuilds them from the buffers (dense.go). The simulator's own
+// entry points that add, move, remove or reroute a packet (Enqueue,
+// PlacePacket, PlaceBubblePacket, RemovePacket, DeliverOutOfBand,
+// SetRoute, RecountNIPending) look after themselves; call Wake after
+// changing state a registered horizon or a router phase depends on
+// through any other channel — re-enabling a router or link in the
+// topology, clearing a fence, or moving buffered packets between
+// occupied slots by hand (core's SPIN rotation rewrites vc.Pkt, ReadyAt
+// and p.Hop along a chain). It does not make a packet written into an
+// *empty* buffer visible to the stepper: occupancy is tracked by
+// counters, so packets enter buffers only through Enqueue, PlacePacket
+// or PlaceBubblePacket. Call it from the stepping goroutine (hooks run
+// there).
+func (s *Sim) Wake(n geom.NodeID) {
+	s.quietUntil = 0
+	s.dense.stale = true
+}
 
 // markActive adds router id to the active set. Bits live at actPos[id]:
 // each shard band owns whole words of the bitmap (bands are padded to
@@ -158,6 +169,7 @@ func (s *Sim) Step() {
 // sweep runs the three phases over the active set on the calling
 // goroutine.
 func (s *Sim) sweep() {
+	fused := s.syncVectors()
 	var inj injectDelta
 	for _, id := range s.ids {
 		if s.niPend[id] != 0 {
@@ -165,7 +177,7 @@ func (s *Sim) sweep() {
 		}
 	}
 	inj.apply(s)
-	if s.fusedAlloc() {
+	if fused {
 		for _, id := range s.ids {
 			s.denseAllocNode(geom.NodeID(id), nil)
 		}

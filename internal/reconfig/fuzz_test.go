@@ -25,7 +25,7 @@ import (
 //     alive links in the topology's view.
 func FuzzReconfigOverlap(f *testing.F) {
 	// Seed corpus: the overlap shapes the state machine is built for.
-	f.Add([]byte{0x00, 0x0c, 0x02, 0x0c, 0x05, 0x0c}) // gate, then abrupt fail of the same router, then recover
+	f.Add([]byte{0x00, 0x0c, 0x02, 0x0c, 0x05, 0x0c})                         // gate, then abrupt fail of the same router, then recover
 	f.Add([]byte{0x00, 0x07, 0x01, 0x07, 0x00, 0x07, 0x01, 0x07})             // gate/revoke flapping
 	f.Add([]byte{0x03, 0x11, 0x03, 0x11, 0x04, 0x11, 0x04, 0x11})             // link down twice, up twice (idempotence)
 	f.Add([]byte{0x02, 0x0a, 0x05, 0x0a, 0x02, 0x0a, 0x06, 0x30, 0x05, 0x0a}) // fail, recover, fail again with traffic

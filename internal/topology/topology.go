@@ -24,8 +24,13 @@ type Topology struct {
 	routerAlive   []bool
 	// linkAlive[n][d] records whether the directed link from router n in
 	// direction d is intact. Bidirectional faults clear both directions;
-	// unidirectional faults (uDIREC-style) clear one.
+	// unidirectional faults (uDIREC-style) clear one. Always false for an
+	// off-mesh position.
 	linkAlive [][geom.NumLinkDirs]bool
+	// nbr[n][d] is the mesh position one hop from n in direction d
+	// (InvalidNode off-mesh): the geometry of the underlying mesh, which
+	// faults never change, so clones share it.
+	nbr [][geom.NumLinkDirs]geom.NodeID
 }
 
 // NewMesh returns a fully healthy width×height mesh.
@@ -39,12 +44,17 @@ func NewMesh(width, height int) *Topology {
 		height:      height,
 		routerAlive: make([]bool, n),
 		linkAlive:   make([][geom.NumLinkDirs]bool, n),
+		nbr:         make([][geom.NumLinkDirs]geom.NodeID, n),
 	}
 	for id := 0; id < n; id++ {
 		t.routerAlive[id] = true
 		c := geom.NodeID(id).CoordOf(width)
 		for _, d := range geom.LinkDirs {
-			t.linkAlive[id][d] = t.InBounds(c.Add(d))
+			t.nbr[id][d] = geom.InvalidNode
+			if nc := c.Add(d); t.InBounds(nc) {
+				t.nbr[id][d] = nc.IDOf(width)
+				t.linkAlive[id][d] = true
+			}
 		}
 	}
 	return t
@@ -57,6 +67,7 @@ func (t *Topology) Clone() *Topology {
 		height:      t.height,
 		routerAlive: append([]bool(nil), t.routerAlive...),
 		linkAlive:   append([][geom.NumLinkDirs]bool(nil), t.linkAlive...),
+		nbr:         t.nbr,
 	}
 	return c
 }
@@ -90,14 +101,10 @@ func (t *Topology) ID(c geom.Coord) geom.NodeID {
 // Neighbor returns the node one hop from n in direction d, or InvalidNode
 // if that position is off-mesh. It does not consider faults; see HasLink.
 func (t *Topology) Neighbor(n geom.NodeID, d geom.Direction) geom.NodeID {
-	if !d.IsLink() {
+	if !d.IsLink() || uint(n) >= uint(len(t.nbr)) {
 		return geom.InvalidNode
 	}
-	c := t.Coord(n).Add(d)
-	if !t.InBounds(c) {
-		return geom.InvalidNode
-	}
-	return c.IDOf(t.width)
+	return t.nbr[n][d]
 }
 
 // RouterAlive reports whether router n is present and on.
@@ -145,11 +152,9 @@ func (t *Topology) DisableDirectedLink(n geom.NodeID, d geom.Direction) {
 // HasLink reports whether the directed channel from n in direction d is
 // usable: both endpoint routers alive and the directed link intact.
 func (t *Topology) HasLink(n geom.NodeID, d geom.Direction) bool {
-	if !t.RouterAlive(n) || !d.IsLink() {
-		return false
-	}
-	nb := t.Neighbor(n, d)
-	return nb != geom.InvalidNode && t.routerAlive[nb] && t.linkAlive[n][d]
+	// linkAlive is false off-mesh, so nbr is only read where it names a
+	// router.
+	return t.RouterAlive(n) && d.IsLink() && t.linkAlive[n][d] && t.routerAlive[t.nbr[n][d]]
 }
 
 // LinkIntact reports whether the directed link from n toward d is

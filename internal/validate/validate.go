@@ -102,6 +102,40 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 				report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, want)
 			}
 		}
+		// The registered request vectors, while live, must equal what the
+		// buffers say: the fused allocator reads them in place of the
+		// packets, so a drifted bit misroutes or strands a head under Step
+		// and nowhere else. pend may lag behind arrivals (the allocator
+		// retires it lazily) but must cover every head still in flight.
+		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
+			slots := s.Cfg.SlotsPerPort()
+			var expWant [geom.NumPorts]uint64
+			var occupied, inFlight uint64
+			note := func(vc *network.VC, bit int) {
+				if vc.Pkt == nil {
+					return
+				}
+				occupied |= 1 << uint(bit)
+				if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
+					expWant[out] |= 1 << uint(bit)
+				}
+				if vc.ReadyAt > s.Now {
+					inFlight |= 1 << uint(bit)
+				}
+			}
+			for _, port := range geom.AllPorts {
+				for slot := range r.In[port] {
+					note(&r.In[port][slot], int(port)*slots+slot)
+				}
+			}
+			note(&r.Bubble.VC, geom.NumPorts*slots)
+			if want != expWant {
+				report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
+			}
+			if pend&^occupied != 0 || inFlight&^pend != 0 {
+				report("request-vectors", "router %d: pend %#x outside [in-flight %#x, occupied %#x]", id, pend, inFlight, occupied)
+			}
+		}
 		globalOcc += int64(occ)
 
 		// Dead routers must be empty and unfenced.

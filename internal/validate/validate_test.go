@@ -132,3 +132,44 @@ func TestViolationError(t *testing.T) {
 		t.Fatalf("Error() = %q", v.Error())
 	}
 }
+
+func TestDetectsRequestVectorDrift(t *testing.T) {
+	topo := topology.NewMesh(3, 1)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(10)))
+	p := s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East})
+	s.Enqueue(p)
+	s.Run(3) // p now sits in router 1's West port, registered as wanting East
+	if s.Routers[1].Occupied() != 1 {
+		t.Fatalf("packet is not buffered at router 1 (hop %d)", p.Hop)
+	}
+	if _, _, live := s.RequestVectors(1); !live {
+		t.Fatal("request vectors should be live on a hook-free sim")
+	}
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Fatalf("violations before the corruption: %v", vs)
+	}
+	// Change what the packet wants behind the simulator's back: its want
+	// bit is now registered under the wrong output.
+	p.Hop++
+	drifted := func() bool {
+		for _, v := range Check(s, nil) {
+			if v.Invariant == "request-vectors" {
+				return true
+			}
+		}
+		return false
+	}
+	if !drifted() {
+		t.Fatal("request-vector drift not detected")
+	}
+	// A Wake marks the vectors stale: nothing is vouched for until the
+	// next fused sweep rebuilds them, after which they match again.
+	s.Wake(1)
+	if _, _, live := s.RequestVectors(1); live {
+		t.Fatal("vectors still reported live after Wake")
+	}
+	s.Step()
+	if _, _, live := s.RequestVectors(1); !live || drifted() {
+		t.Fatalf("vectors not rebuilt by the sweep after Wake (live %v)", live)
+	}
+}
