@@ -5,7 +5,6 @@
 package repro
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
@@ -41,16 +40,18 @@ func BenchmarkFig2DeadlockProne(b *testing.B) {
 		topology.RouterFaults: {1, 10, 25, 40},
 	}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig2(p, steps)
-		experiments.PrintFig2(io.Discard, rows)
+		if len(experiments.Fig2(p, steps)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
 func BenchmarkFig3DeadlockHeatmap(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig3(p, []int{5, 20}, []float64{0.10, 0.25})
-		experiments.PrintFig3(io.Discard, rows)
+		if len(experiments.Fig3(p, []int{5, 20}, []float64{0.10, 0.25})) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -66,8 +67,9 @@ func BenchmarkPlacement(b *testing.B) {
 
 func BenchmarkTable1BufferCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(experiments.Quick(), nil)
-		experiments.PrintTable1(io.Discard, rows)
+		if len(experiments.Table1(experiments.Quick(), nil)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -78,8 +80,9 @@ func BenchmarkFig8LowLoadLatency(b *testing.B) {
 		topology.RouterFaults: {8},
 	}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig8(p, []string{"uniform_random"}, steps)
-		experiments.PrintFig8(io.Discard, rows)
+		if len(experiments.Fig8(p, []string{"uniform_random"}, steps)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -87,16 +90,18 @@ func BenchmarkFig9Throughput(b *testing.B) {
 	p := benchParams()
 	steps := map[topology.FaultKind][]int{topology.LinkFaults: {10}}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig9(p, steps)
-		experiments.PrintFig9(io.Discard, rows)
+		if len(experiments.Fig9(p, steps)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
 func BenchmarkFig10Energy(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig10(p, []int{7})
-		experiments.PrintFig10(io.Discard, rows)
+		if len(experiments.Fig10(p, []int{7})) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -104,8 +109,9 @@ func BenchmarkFig11ThresholdSweep(b *testing.B) {
 	p := benchParams()
 	p.MeasureCycles = 3000
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig11(p, []int64{10, 60})
-		experiments.PrintFig11(io.Discard, rows)
+		if len(experiments.Fig11(p, []int64{10, 60})) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -114,8 +120,9 @@ func BenchmarkFig12Rodinia(b *testing.B) {
 	apps := []traffic.AppProfile{traffic.Rodinia()[4]} // BFS (lightest)
 	steps := map[topology.FaultKind][]int{topology.LinkFaults: {4}}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12(p, apps, steps)
-		experiments.PrintFig12(io.Discard, rows)
+		if len(experiments.Fig12(p, apps, steps)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -123,8 +130,9 @@ func BenchmarkFig13Parsec(b *testing.B) {
 	p := benchParams()
 	apps := []traffic.AppProfile{traffic.Parsec()[3]} // swaptions (lightest)
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig13(p, apps)
-		experiments.PrintFig13(io.Discard, rows)
+		if len(experiments.Fig13(p, apps)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -217,8 +225,9 @@ func BenchmarkScaleStudy(b *testing.B) {
 	p := benchParams()
 	p.MeasureCycles = 800
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Scale(p, [][2]int{{4, 4}, {6, 6}})
-		experiments.PrintScale(io.Discard, rows)
+		if len(experiments.Scale(p, [][2]int{{4, 4}, {6, 6}})) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -226,8 +235,9 @@ func BenchmarkScaleStudy(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Ablation(p)
-		experiments.PrintAblation(io.Discard, rows)
+		if len(experiments.Ablation(p)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 
@@ -339,7 +349,8 @@ func BenchmarkFailureTimeline(b *testing.B) {
 	p := benchParams()
 	p.MeasureCycles = 2500
 	for i := 0; i < b.N; i++ {
-		rows := experiments.FailureTimeline(p, 500, 2)
-		experiments.PrintFailureTimeline(io.Discard, rows)
+		if len(experiments.FailureTimeline(p, 500, 2)) == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }

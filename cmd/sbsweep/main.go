@@ -1,7 +1,10 @@
 // Command sbsweep regenerates the paper's evaluation tables and figures
-// (Section V). Each -fig selects one experiment; -scale quick runs a
-// reduced sweep for a fast smoke pass, -scale full approaches the paper's
-// sampling.
+// (Section V) and this repository's extension studies. It is a loop over
+// experiments.Figures: -fig selects one entry by ID (or "all": every
+// entry not marked standalone), -scale quick runs a reduced sweep for a
+// fast smoke pass, -scale full approaches the paper's sampling, and
+// -format renders whatever the experiment returns as an aligned table or
+// as CSV. Unknown -fig, -format and -scale values exit 2.
 //
 // Sweeps run on the internal/sweep engine: a bounded worker pool
 // (-jobs) with a content-addressed on-disk result cache under
@@ -9,20 +12,16 @@
 // keeps every completed cell; rerunning with -resume simulates only the
 // missing ones. -progress prints live status and an ETA to stderr.
 //
-// Usage:
+// Usage (sbsweep -h lists the IDs -fig accepts):
 //
-//	sbsweep -fig 2          # deadlock-prone topology fraction
-//	sbsweep -fig 3          # deadlock-onset heat map
-//	sbsweep -fig t1         # Table I buffer counts
-//	sbsweep -fig 8|9|10|11|12|13
-//	sbsweep -fig all -scale quick
-//	sbsweep -fig 9 -resume -progress   # continue an interrupted sweep
-//	sbsweep -fig scalegrid             # sharded-stepper timing table (16x16/32x32/64x64; never part of "all")
-//	sbsweep -fig adversary -scale quick -adv-evals 24   # worst-case SLO search
-//	sbsweep -fig churn -scale quick    # continuous-churn availability/recovery SLOs
-//	sbsweep -fig 9 -shards 4           # run each simulation sharded
-//	sbsweep -fig 9 -route-cache-stats  # report compiled routing-table cache efficiency
-//	sbsweep -fig 9 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	sbsweep -fig <id>                  # one experiment at paper scale
+//	sbsweep -fig all -scale quick      # smoke-run everything but the standalone timing table
+//	sbsweep -fig <id> -format csv      # the same rows, machine-readable
+//	sbsweep -fig <id> -resume -progress   # continue an interrupted sweep
+//	sbsweep -fig <id> -adv-evals 24    # cap the worst-case SLO search's unique evaluations
+//	sbsweep -fig <id> -shards 4        # run each simulation sharded
+//	sbsweep -fig <id> -route-cache-stats  # report compiled routing-table cache efficiency
+//	sbsweep -fig <id> -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // How fast the simulator itself runs is measured by `go run ./bench`,
 // not here.
@@ -44,35 +43,41 @@ import (
 	"repro/internal/sweep"
 )
 
-// figIDs are the experiments -fig can name, in the order "all" runs them.
-var figIDs = []string{"t1", "2", "3", "8", "9", "10", "11", "12", "13",
-	"failures", "churn", "scale", "scalegrid", "adversary", "ablation"}
+// figIDs lists what -fig can name, in the order "all" runs them — or,
+// with standaloneOnly, just the entries "all" leaves out.
+func figIDs(standaloneOnly bool) string {
+	var ids []string
+	for _, f := range experiments.Figures {
+		if f.Standalone || !standaloneOnly {
+			ids = append(ids, f.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
+}
 
-// selectFigs resolves a -fig value to the set of experiments to run.
-// "all" is every experiment except scalegrid: a wall-clock timing run
-// up to 64x64 that ignores -scale/-topos/-seed/-jobs and must not share
-// the machine with a sweep, so it runs only when named.
-func selectFigs(fig string) (map[string]bool, error) {
-	sel := map[string]bool{}
-	for _, id := range figIDs {
-		if fig == id || (fig == "all" && id != "scalegrid") {
-			sel[id] = true
+// selectFigs resolves a -fig value to the experiments to run, in
+// registry order. "all" is every experiment not marked Standalone.
+func selectFigs(fig string) ([]experiments.Figure, error) {
+	var sel []experiments.Figure
+	for _, f := range experiments.Figures {
+		if fig == f.ID || (fig == "all" && !f.Standalone) {
+			sel = append(sel, f)
 		}
 	}
 	if len(sel) == 0 {
-		return nil, fmt.Errorf("unknown -fig %q (valid: %s, or all)", fig, strings.Join(figIDs, ", "))
+		return nil, fmt.Errorf("unknown -fig %q (valid: %s, or all)", fig, figIDs(false))
 	}
 	return sel, nil
 }
 
 func main() {
-	fig := flag.String("fig", "all", "experiment: "+strings.Join(figIDs, ", ")+", or all (everything but scalegrid)")
+	fig := flag.String("fig", "all", "experiment: "+figIDs(false)+", or all (everything but "+figIDs(true)+", which runs only when named)")
 	advEvals := flag.Int("adv-evals", 0, "with -fig adversary: cap on unique scenario evaluations (0 = scale default)")
 	shards := flag.Int("shards", 1, "per-simulation shard count (1 = sequential core; results are identical for any value)")
 	scale := flag.String("scale", "full", "quick or full")
 	topos := flag.Int("topos", 0, "override topologies per point")
 	seed := flag.Int64("seed", 0, "base seed for topology sampling")
-	format := flag.String("format", "table", "output format: table or csv")
+	format := flag.String("format", "table", "output format, for every experiment: table or csv")
 	jobs := flag.Int("jobs", 0, "concurrent simulation jobs (0 = all cores)")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache")
 	resume := flag.Bool("resume", false, "reuse cached cells from a previous or interrupted run")
@@ -82,8 +87,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
 	routeCacheStats := flag.Bool("route-cache-stats", false, "print compiled routing-table cache counters (compiles, hit rate, bytes held) to stderr at exit")
 	flag.Parse()
-	asCSV := *format == "csv"
 	figs, err := selectFigs(*fig)
+	if err == nil && *format != "table" && *format != "csv" {
+		err = fmt.Errorf("-format must be table or csv")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sbsweep:", err)
 		os.Exit(2)
@@ -162,116 +169,26 @@ func main() {
 	engine := sweep.New(cfg)
 	p.Engine = engine
 
-	run := func(id string, fn func()) {
-		if !figs[id] || ctx.Err() != nil {
-			return
+	for _, f := range figs {
+		if ctx.Err() != nil {
+			break
 		}
 		start := time.Now()
-		fn()
-		fmt.Fprintf(os.Stderr, "(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
-
-	emit := func(table func(), csvFn func() error) func() {
-		if asCSV {
-			return func() {
-				if err := csvFn(); err != nil {
-					fatal(err)
-				}
+		tables, err := f.Run(p, *scale == "quick", *advEvals)
+		if err != nil {
+			fatal(err)
+		}
+		for _, t := range tables {
+			write := t.WriteText
+			if *format == "csv" {
+				write = t.WriteCSV
 			}
-		}
-		return table
-	}
-	run("t1", emit(
-		func() { experiments.PrintTable1(os.Stdout, experiments.Table1(p, nil)) },
-		func() error { return experiments.Table1CSV(os.Stdout, experiments.Table1(p, nil)) }))
-	run("2", emit(
-		func() { experiments.PrintFig2(os.Stdout, experiments.Fig2(p, nil)) },
-		func() error { return experiments.Fig2CSV(os.Stdout, experiments.Fig2(p, nil)) }))
-	run("3", emit(
-		func() { experiments.PrintFig3(os.Stdout, experiments.Fig3(p, nil, nil)) },
-		func() error { return experiments.Fig3CSV(os.Stdout, experiments.Fig3(p, nil, nil)) }))
-	run("8", emit(
-		func() { experiments.PrintFig8(os.Stdout, experiments.Fig8(p, nil, nil)) },
-		func() error { return experiments.Fig8CSV(os.Stdout, experiments.Fig8(p, nil, nil)) }))
-	run("9", emit(
-		func() { experiments.PrintFig9(os.Stdout, experiments.Fig9(p, nil)) },
-		func() error { return experiments.Fig9CSV(os.Stdout, experiments.Fig9(p, nil)) }))
-	run("10", emit(
-		func() { experiments.PrintFig10(os.Stdout, experiments.Fig10(p, nil)) },
-		func() error { return experiments.Fig10CSV(os.Stdout, experiments.Fig10(p, nil)) }))
-	run("11", emit(
-		func() { experiments.PrintFig11(os.Stdout, experiments.Fig11(p, nil)) },
-		func() error { return experiments.Fig11CSV(os.Stdout, experiments.Fig11(p, nil)) }))
-	run("12", emit(
-		func() { experiments.PrintFig12(os.Stdout, experiments.Fig12(p, nil, nil)) },
-		func() error { return experiments.Fig12CSV(os.Stdout, experiments.Fig12(p, nil, nil)) }))
-	run("13", emit(
-		func() { experiments.PrintFig13(os.Stdout, experiments.Fig13(p, nil)) },
-		func() error { return experiments.Fig13CSV(os.Stdout, experiments.Fig13(p, nil)) }))
-	run("failures", emit(
-		func() { experiments.PrintFailureTimeline(os.Stdout, experiments.FailureTimeline(p, 0, 0)) },
-		func() error {
-			experiments.PrintFailureTimeline(os.Stdout, experiments.FailureTimeline(p, 0, 0))
-			return nil
-		}))
-	// Continuous-churn availability/recovery-SLO comparison: Poisson
-	// link/router fail+recover events overlapping freely over ≥1M cycles
-	// (full scale), Static Bubble vs spanning-tree re-election vs a
-	// DBR-style regional-stall baseline. Reports p50/p99/p99.9 recovery
-	// latency, availability, and delivered-packet latency SLOs from
-	// streaming quantile sketches merged across seeds.
-	churnCfg := experiments.ChurnConfig{}
-	churnP := p
-	if *scale == "quick" {
-		churnCfg = experiments.QuickChurn()
-	} else {
-		// Full scale runs the 256-router mesh so a router loss is a 1/256
-		// event, matching the availability framing.
-		churnP.Width, churnP.Height = 16, 16
-	}
-	run("churn", emit(
-		func() { experiments.PrintChurn(os.Stdout, churnCfg, experiments.Churn(churnP, churnCfg)) },
-		func() error { return experiments.ChurnCSV(os.Stdout, experiments.Churn(churnP, churnCfg)) }))
-	run("scale", emit(
-		func() { experiments.PrintScale(os.Stdout, experiments.Scale(p, nil)) },
-		func() error {
-			experiments.PrintScale(os.Stdout, experiments.Scale(p, nil))
-			return nil
-		}))
-	// Sharded-stepper timing table: one recovery-storm recipe at 16x16
-	// (the paper's 256-router scale point, 89 SBs), 32x32 and 64x64 with
-	// bisection-scaled injection, each size run at shard counts 1/2/4/8
-	// with byte-identical Stats verified. Not a sweep-engine job —
-	// timings must not share the machine — and each row records
-	// GOMAXPROCS so single-CPU measurements are self-describing.
-	run("scalegrid", func() {
-		rows, err := experiments.ScaleGrid(nil)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintScaleGrid(os.Stdout, rows)
-	})
-	// Adversarial worst-case SLO search: hill climb with restarts over
-	// (faults × traffic × control-plane perturbation), each candidate
-	// evaluated as one sweep-engine job. Reproducible for a fixed -seed
-	// and budget; cached cells make a rerun or -resume instant.
-	run("adversary", func() {
-		cfg := experiments.AdversaryConfig(*scale == "quick", *seed, *advEvals)
-		res, err := experiments.Adversary(p, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if asCSV {
-			if err := experiments.AdversaryCSV(os.Stdout, res); err != nil {
+			if err := write(os.Stdout); err != nil {
 				fatal(err)
 			}
-		} else {
-			experiments.PrintAdversary(os.Stdout, res)
 		}
-	})
-	run("ablation", emit(
-		func() { experiments.PrintAblation(os.Stdout, experiments.Ablation(p)) },
-		func() error { return experiments.AblationCSV(os.Stdout, experiments.Ablation(p)) }))
+		fmt.Fprintf(os.Stderr, "(%s completed in %.1fs)\n\n", f.ID, time.Since(start).Seconds())
+	}
 
 	st := engine.Stats()
 	fmt.Fprintf(os.Stderr, "sweep engine: %d jobs (%d executed, %d cached, %d failed, %d cancelled)\n",

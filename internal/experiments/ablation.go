@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/core"
@@ -130,13 +128,17 @@ func primeSquareLoop(s *network.Sim, x, y, perNode int) int {
 	return total
 }
 
-// PrintAblation writes the comparison.
-func PrintAblation(w io.Writer, rows []AblationRow) {
-	fmt.Fprintf(w, "Ablation: SB design variants on constructed ring deadlocks (8x8 mesh)\n")
-	fmt.Fprintf(w, "%-22s %-9s %-15s %-12s %-12s %s\n",
-		"variant", "buffers", "drain(cycles)", "recoveries", "chk_probes", "runs")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %-9d %-15.0f %-12.1f %-12.1f %d\n",
-			r.Variant, r.Buffers, r.RecoveryCycles, r.Recoveries, r.CheckProbes, r.Runs)
+func ablationTable(rows []AblationRow) Table {
+	t := Table{
+		Title: "Ablation: SB design variants on constructed ring deadlocks (8x8 mesh)",
+		Cols: []Column{
+			{"variant", "%-22s", "variant"}, {"buffers", "%-9d", "buffers"},
+			{"drain(cycles)", "%-15.0f", "drain_cycles"}, {"recoveries", "%-12.1f", "recoveries"},
+			{"chk_probes", "%-12.1f", "check_probes"}, {"runs", "%d", "runs"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.Variant, r.Buffers, r.RecoveryCycles, r.Recoveries, r.CheckProbes, r.Runs})
+	}
+	return t
 }

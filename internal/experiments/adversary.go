@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -174,9 +171,9 @@ func drainWedged(s *network.Sim) bool {
 	return false
 }
 
-// AdversaryConfig builds the search configuration for a scale preset;
+// adversaryConfig builds the search configuration for a scale preset;
 // evals caps unique simulations (0 keeps the preset default).
-func AdversaryConfig(quick bool, seed int64, evals int) adversary.Config {
+func adversaryConfig(quick bool, seed int64, evals int) adversary.Config {
 	cfg := adversary.Config{Seed: seed}
 	if quick {
 		cfg.Restarts, cfg.Generations, cfg.Neighbors = 2, 3, 2
@@ -191,49 +188,41 @@ func AdversaryConfig(quick bool, seed int64, evals int) adversary.Config {
 	return cfg
 }
 
-// PrintAdversary writes the worst-case SLO table.
-func PrintAdversary(w io.Writer, r AdversaryResult) {
-	fmt.Fprintf(w, "Adversarial worst-case SLO search (%d unique evals, %d proposals)\n",
-		r.Result.Evals, r.Result.Proposed)
-	fmt.Fprintf(w, "%-9s %-44s %-8s %-8s %-8s %-8s %-9s %s\n",
-		"score", "scenario", "recov", "rec/kcy", "p50", "p99", "avg_lat", "wedged")
-	for _, e := range r.Result.Table {
-		o := e.Outcome
-		fmt.Fprintf(w, "%-9.1f %-44s %-8d %-8.3f %-8.0f %-8.0f %-9.1f %v\n",
-			o.Score(), r.Space.Describe(e.Gene), o.Recoveries, o.DeadlockFreq,
-			o.RecoveryP50, o.RecoveryP99, o.AvgLatency, o.Wedged)
-	}
-}
-
-// AdversaryCSV writes the table in machine-readable form.
-func AdversaryCSV(w io.Writer, r AdversaryResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"score", "kind", "faults", "topo", "pattern", "traffic", "rate",
-		"loss", "jitter", "reorder", "dup",
-		"recoveries", "recoveries_per_kcycle", "recovery_p50", "recovery_p99",
-		"avg_latency", "delivered", "wedged",
-	}); err != nil {
-		return err
+// adversaryTable renders the worst-case SLO table. The text view
+// describes each scenario in one column and the CSV spells out its ten
+// genes; the CSV cells keep their fixed precisions as pre-formatted
+// strings.
+func adversaryTable(r AdversaryResult) Table {
+	t := Table{
+		Title: fmt.Sprintf("Adversarial worst-case SLO search (%d unique evals, %d proposals)",
+			r.Result.Evals, r.Result.Proposed),
+		Cols: []Column{
+			{Head: "score", Verb: "%-9.1f"}, {Head: "scenario", Verb: "%-44s"},
+			{CSV: "score"}, {CSV: "kind"}, {CSV: "faults"}, {CSV: "topo"}, {CSV: "pattern"}, {CSV: "traffic"},
+			{CSV: "rate"}, {CSV: "loss"}, {CSV: "jitter"}, {CSV: "reorder"}, {CSV: "dup"},
+			{"recov", "%-8d", "recoveries"},
+			{Head: "rec/kcy", Verb: "%-8.3f"}, {Head: "p50", Verb: "%-8.0f"}, {Head: "p99", Verb: "%-8.0f"},
+			{Head: "avg_lat", Verb: "%-9.1f"},
+			{CSV: "recoveries_per_kcycle"}, {CSV: "recovery_p50"}, {CSV: "recovery_p99"},
+			{CSV: "avg_latency"}, {CSV: "delivered"},
+			{"wedged", "%v", "wedged"},
+		},
 	}
 	sp := r.Space
+	f3 := func(v float64) string { return fmt.Sprintf("%.3f", v) }
 	for _, e := range r.Result.Table {
 		g, o := e.Gene, e.Outcome
-		rec := []string{
-			fmt.Sprintf("%.2f", o.Score()),
-			sp.FaultKinds[g.Kind], strconv.Itoa(sp.FaultCounts[g.Faults]), strconv.Itoa(g.Topo),
-			sp.Patterns[g.Pattern], sp.Traffics[g.Traffic], fmt.Sprintf("%.3f", sp.Rates[g.Rate]),
-			fmt.Sprintf("%.3f", sp.Loss[g.Loss]), fmt.Sprintf("%.3f", sp.Jitter[g.Jitter]),
-			fmt.Sprintf("%.3f", sp.Reorder[g.Reorder]), fmt.Sprintf("%.3f", sp.Dup[g.Dup]),
-			strconv.FormatInt(o.Recoveries, 10), fmt.Sprintf("%.4f", o.DeadlockFreq),
-			fmt.Sprintf("%.1f", o.RecoveryP50), fmt.Sprintf("%.1f", o.RecoveryP99),
-			fmt.Sprintf("%.2f", o.AvgLatency), strconv.FormatInt(o.Delivered, 10),
-			strconv.FormatBool(o.Wedged),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []any{
+			o.Score(), sp.Describe(g),
+			fmt.Sprintf("%.2f", o.Score()), sp.FaultKinds[g.Kind], sp.FaultCounts[g.Faults], g.Topo,
+			sp.Patterns[g.Pattern], sp.Traffics[g.Traffic],
+			f3(sp.Rates[g.Rate]), f3(sp.Loss[g.Loss]), f3(sp.Jitter[g.Jitter]), f3(sp.Reorder[g.Reorder]), f3(sp.Dup[g.Dup]),
+			o.Recoveries,
+			o.DeadlockFreq, o.RecoveryP50, o.RecoveryP99, o.AvgLatency,
+			fmt.Sprintf("%.4f", o.DeadlockFreq), fmt.Sprintf("%.1f", o.RecoveryP50), fmt.Sprintf("%.1f", o.RecoveryP99),
+			fmt.Sprintf("%.2f", o.AvgLatency), o.Delivered,
+			o.Wedged,
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -78,16 +77,11 @@ func TestAdversarySmoke(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	PrintAdversary(&buf, r1)
-	if !strings.Contains(buf.String(), "score") {
+	tbl := adversaryTable(r1)
+	if !strings.Contains(renderText(t, tbl), "score") {
 		t.Fatal("table print missing header")
 	}
-	buf.Reset()
-	if err := AdversaryCSV(&buf, r1); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != len(r1.Result.Table)+1 {
+	if lines := strings.Count(renderCSV(t, tbl), "\n"); lines != len(r1.Result.Table)+1 {
 		t.Fatalf("CSV has %d lines for %d rows", lines, len(r1.Result.Table))
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -602,53 +601,38 @@ func ChurnShardStats(p Params, cfg ChurnConfig, shards int, seed int64) network.
 	return cell.Stats
 }
 
-// PrintChurn writes the contender table.
-func PrintChurn(w io.Writer, cfg ChurnConfig, rows []ChurnRow) {
+// churnTable renders the contender comparison; per-contender routing-
+// table reuse counters are CSV columns and, where non-zero, text notes.
+func churnTable(cfg ChurnConfig, rows []ChurnRow) Table {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "Continuous churn: Poisson fail/recover events (mean every %.0f cycles, repair %.0f) over %d cycles\n",
-		cfg.MeanFail, cfg.MeanRepair, cfg.Cycles)
-	fmt.Fprintf(w, "%-14s %-6s %-7s %-9s %-9s %-9s %-7s %-9s %-9s %-9s %-10s %-6s %-5s %-10s %-10s %s\n",
-		"scheme", "stall", "events", "recP50", "recP99", "recP99.9", "avail%", "pktP50", "pktP99", "pktP99.9",
-		"delivered", "lost", "cens", "cmpP50ns", "cmpP99ns", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-6d %-7d %-9.0f %-9.0f %-9.0f %-7.3f %-9.0f %-9.0f %-9.0f %-10d %-6d %-5d %-10.0f %-10.0f %d\n",
-			r.Label, r.Stall, r.Events, r.RecP50, r.RecP99, r.RecP999,
-			100*r.Availability, r.PktP50, r.PktP99, r.PktP999,
-			r.Delivered, r.Lost, r.Censored, r.CmpP50Ns, r.CmpP99Ns, r.Sampled)
+	t := Table{
+		Title: fmt.Sprintf("Continuous churn: Poisson fail/recover events (mean every %.0f cycles, repair %.0f) over %d cycles",
+			cfg.MeanFail, cfg.MeanRepair, cfg.Cycles),
+		Cols: []Column{
+			{"scheme", "%-14s", "scheme"}, {"stall", "%-6d", "stall"}, {"events", "%-7d", "events"},
+			{"recP50", "%-9.0f", "rec_p50"}, {"recP99", "%-9.0f", "rec_p99"}, {"recP99.9", "%-9.0f", "rec_p999"},
+			{"avail%", "%-7.3f", ""}, {"", "", "availability"},
+			{"pktP50", "%-9.0f", "pkt_p50"}, {"pktP99", "%-9.0f", "pkt_p99"}, {"pktP99.9", "%-9.0f", "pkt_p999"},
+			{"delivered", "%-10d", "delivered"}, {"lost", "%-6d", "lost"},
+			{"", "", "dropped_unreachable"}, {"", "", "rerouted"}, {"cens", "%-5d", "censored"}, {"", "", "sampled"},
+			{"cmpP50ns", "%-10.0f", "cmp_p50_ns"}, {"cmpP99ns", "%-10.0f", "cmp_p99_ns"}, {"n", "%d", ""},
+			{"", "", "tab_hits"}, {"", "", "tab_misses"}, {"", "", "tab_incremental"}, {"", "", "tab_full"},
+			{"", "", "cols_shared"}, {"", "", "cols_repaired"}, {"", "", "cols_rebuilt"}, {"", "", "entries_rewritten"},
+		},
 	}
 	for _, r := range rows {
-		if r.TabHits+r.TabMisses == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "tables[%s]: hits=%d misses=%d incremental=%d full=%d cols shared=%d repaired=%d rebuilt=%d entries_rewritten=%d\n",
-			r.Label, r.TabHits, r.TabMisses, r.TabIncremental, r.TabFull,
-			r.ColsShared, r.ColsRepaired, r.ColsRebuilt, r.EntriesRewritten)
-	}
-}
-
-// ChurnCSV emits the comparison as CSV.
-func ChurnCSV(w io.Writer, rows []ChurnRow) error {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			r.Label, d(int64(r.Stall)), d(r.Events),
-			f(r.RecP50), f(r.RecP99), f(r.RecP999),
-			f(r.Availability),
-			f(r.PktP50), f(r.PktP99), f(r.PktP999),
-			d(r.Delivered), d(r.Lost), d(r.DroppedUnreach), d(r.Rerouted),
-			d(r.Censored), d(int64(r.Sampled)),
-			f(r.CmpP50Ns), f(r.CmpP99Ns),
-			d(r.TabHits), d(r.TabMisses), d(r.TabIncremental), d(r.TabFull),
-			d(r.ColsShared), d(r.ColsRepaired), d(r.ColsRebuilt), d(r.EntriesRewritten),
+		t.Rows = append(t.Rows, []any{r.Label, r.Stall, r.Events, r.RecP50, r.RecP99, r.RecP999,
+			100 * r.Availability, r.Availability, r.PktP50, r.PktP99, r.PktP999,
+			r.Delivered, r.Lost, r.DroppedUnreach, r.Rerouted, r.Censored, r.Sampled,
+			r.CmpP50Ns, r.CmpP99Ns, r.Sampled,
+			r.TabHits, r.TabMisses, r.TabIncremental, r.TabFull,
+			r.ColsShared, r.ColsRepaired, r.ColsRebuilt, r.EntriesRewritten})
+		if r.TabHits+r.TabMisses > 0 {
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"tables[%s]: hits=%d misses=%d incremental=%d full=%d cols shared=%d repaired=%d rebuilt=%d entries_rewritten=%d",
+				r.Label, r.TabHits, r.TabMisses, r.TabIncremental, r.TabFull,
+				r.ColsShared, r.ColsRepaired, r.ColsRebuilt, r.EntriesRewritten))
 		}
 	}
-	return writeCSV(w, []string{
-		"scheme", "stall", "events",
-		"rec_p50", "rec_p99", "rec_p999", "availability",
-		"pkt_p50", "pkt_p99", "pkt_p999",
-		"delivered", "lost", "dropped_unreachable", "rerouted", "censored", "sampled",
-		"cmp_p50_ns", "cmp_p99_ns",
-		"tab_hits", "tab_misses", "tab_incremental", "tab_full",
-		"cols_shared", "cols_repaired", "cols_rebuilt", "entries_rewritten",
-	}, out)
+	return t
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -126,11 +125,8 @@ func TestChurnCSV(t *testing.T) {
 	cfg := churnTestCfg()
 	cfg.Cycles = 6000
 	rows := Churn(p, cfg)
-	var buf bytes.Buffer
-	if err := ChurnCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	tbl := churnTable(cfg, rows)
+	lines := strings.Split(strings.TrimSpace(renderCSV(t, tbl)), "\n")
 	if len(lines) != len(rows)+1 {
 		t.Fatalf("want %d lines, got %d", len(rows)+1, len(lines))
 	}
@@ -140,10 +136,9 @@ func TestChurnCSV(t *testing.T) {
 			t.Fatalf("line %d has %d columns, want %d", i, got, wantCols)
 		}
 	}
-	var tbl bytes.Buffer
-	PrintChurn(&tbl, cfg, rows)
+	text := renderText(t, tbl)
 	for _, label := range []string{"static_bubble", "sp_tree", "dbr"} {
-		if !strings.Contains(tbl.String(), label) {
+		if !strings.Contains(text, label) {
 			t.Fatalf("table output missing %s", label)
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/topology"
@@ -80,9 +79,7 @@ func TestFig2Shape(t *testing.T) {
 			t.Fatalf("at %d link faults prone fraction %.2f, want low", r.Faults, r.ProneFraction)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig2(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig2Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -106,9 +103,7 @@ func TestFig3Shape(t *testing.T) {
 	if cum[len(cum)-1] < 0.5 {
 		t.Fatalf("cumulative at 0.30 = %.2f, expected most topologies deadlocked", cum[len(cum)-1])
 	}
-	var buf bytes.Buffer
-	PrintFig3(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig3Tables(rows)...) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -129,9 +124,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 			t.Fatalf("verification failed: %+v", r)
 		}
 	}
-	var buf bytes.Buffer
-	PrintTable1(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, table1Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -168,9 +161,7 @@ func TestFig8LowLoadShape(t *testing.T) {
 				r.AvgNorm[StaticBubble], r.AvgNorm[EscapeVC])
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig8(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig8Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -197,9 +188,7 @@ func TestFig9ThroughputShape(t *testing.T) {
 	if r.Norm[StaticBubble] <= r.Norm[EscapeVC]*0.95 {
 		t.Fatalf("SB %.3f should be at or above eVC %.3f", r.Norm[StaticBubble], r.Norm[EscapeVC])
 	}
-	var buf bytes.Buffer
-	PrintFig9(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig9Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -233,9 +222,7 @@ func TestFig10EnergyShape(t *testing.T) {
 	if sb.LinkDynamic > tree.LinkDynamic*1.02 {
 		t.Fatalf("SB link dynamic %.3f should not exceed tree %.3f", sb.LinkDynamic, tree.LinkDynamic)
 	}
-	var buf bytes.Buffer
-	PrintFig10(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig10Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -260,9 +247,7 @@ func TestFig11ThresholdShape(t *testing.T) {
 			t.Fatalf("flit utilization %.4f should dominate probes %.4f", r.FlitUtil, r.ProbeUtil)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig11(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig11Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -287,9 +272,7 @@ func TestFig12AppShape(t *testing.T) {
 			t.Fatalf("SB app throughput norm %.3f unexpectedly low", r.Norm[StaticBubble])
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig12(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig12Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -317,9 +300,7 @@ func TestFig13ParsecShape(t *testing.T) {
 	if r.EDPNorm[StaticBubble] >= 1.0 {
 		t.Fatalf("SB EDP %.3f should beat the tree", r.EDPNorm[StaticBubble])
 	}
-	var buf bytes.Buffer
-	PrintFig13(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, fig13Table(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -391,9 +372,7 @@ func TestAblationVariants(t *testing.T) {
 	if byName["paper_placement"].CheckProbes == 0 {
 		t.Fatal("paper variant should use check probes")
 	}
-	var buf bytes.Buffer
-	PrintAblation(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, ablationTable(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -420,9 +399,7 @@ func TestScaleStudyShape(t *testing.T) {
 			t.Fatalf("degenerate saturation result: %+v", r)
 		}
 	}
-	var buf bytes.Buffer
-	PrintScale(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, scaleTable(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -451,9 +428,7 @@ func TestScaleGridShardsAgree(t *testing.T) {
 	if rows[0].Delivered == 0 || rows[0].Recoveries == 0 {
 		t.Fatalf("no recovery storm: %+v", rows[0])
 	}
-	var buf bytes.Buffer
-	PrintScaleGrid(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, scaleGridTables(rows)...) == "" {
 		t.Fatal("empty print")
 	}
 }
@@ -487,9 +462,7 @@ func TestFailureTimelineShape(t *testing.T) {
 	if _, ok := byLabel["disha"]; !ok {
 		t.Fatal("DISHA row missing")
 	}
-	var buf bytes.Buffer
-	PrintFailureTimeline(&buf, rows)
-	if buf.Len() == 0 {
+	if renderText(t, failuresTable(rows)) == "" {
 		t.Fatal("empty print")
 	}
 }

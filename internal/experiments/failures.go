@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/core"
@@ -221,14 +219,18 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	return out
 }
 
-// PrintFailureTimeline writes the comparison.
-func PrintFailureTimeline(w io.Writer, rows []FailureTimelineRow) {
-	fmt.Fprintf(w, "Failure timeline: live link failures with per-failure reconfiguration stalls\n")
-	fmt.Fprintf(w, "%-14s %-9s %-12s %-10s %-10s %-6s %-15s %s\n",
-		"scheme", "stall", "delivered", "avgLat", "p99Lat", "lost", "recovery-intact", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-9d %-12d %-10.1f %-10.1f %-6d %-15.0f %d\n",
-			r.Label, r.ReconfigStall, r.Delivered, r.AvgLatency, r.P99Latency, r.Lost,
-			100*r.RecoveryIntact, r.Sampled)
+func failuresTable(rows []FailureTimelineRow) Table {
+	t := Table{
+		Title: "Failure timeline: live link failures with per-failure reconfiguration stalls",
+		Cols: []Column{
+			{"scheme", "%-14s", "scheme"}, {"stall", "%-9d", "stall"}, {"delivered", "%-12d", "delivered"},
+			{"avgLat", "%-10.1f", "avg_latency"}, {"p99Lat", "%-10.1f", "p99_latency"}, {"lost", "%-6d", "lost"},
+			{"recovery-intact", "%-15.0f", ""}, {"", "", "recovery_intact"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.Label, r.ReconfigStall, r.Delivered, r.AvgLatency, r.P99Latency, r.Lost,
+			100 * r.RecoveryIntact, r.RecoveryIntact, r.Sampled})
+	}
+	return t
 }

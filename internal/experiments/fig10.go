@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/energy"
 	"repro/internal/sweep"
 	"repro/internal/topology"
@@ -35,50 +32,35 @@ func Fig10(p Params, gatedRouters []int) []Fig10Row {
 	}
 	var rows []Fig10Row
 	for _, k := range gatedRouters {
-		type res struct {
-			B [3]energy.Breakdown
-		}
 		key := func(i int) *sweep.Key {
 			return p.cellKey("fig10").Int("gated", k).Int("topo", i)
 		}
-		results := sweep.Run(p.engine(), p.Topologies, key,
-			func(i int, seed int64) (res, error) {
-				topo := p.SampleTopology(topology.RouterFaults, k, i)
-				var r res
-				for _, sch := range Schemes {
-					inst := p.Build(topo.Clone(), sch, sweep.SubSeed(seed, 2*int(sch)))
-					inj := inst.Injector(inst.Pattern("uniform_random"), LowLoadRate, sweep.SubSeed(seed, 2*int(sch)+1))
-					m := measure(p, inst, inj)
-					model := energy.Default32nm()
-					extra := energy.SchemeOverheadBuffers(inst.Sim, sch.EnergyKey())
-					r.B[sch] = model.Compute(inst.Sim, extra, m.Cycles)
-				}
-				return r, nil
+		cells := p.schemeCells(key, topology.RouterFaults, k,
+			func(topo *topology.Topology, sch Scheme, seed int64) ([]float64, bool) {
+				inst, m := p.synthetic(topo, sch, "uniform_random", LowLoadRate, seed, 2*int(sch))
+				b := inst.energyOver(m.Cycles)
+				return []float64{b.RouterDynamic, b.LinkDynamic, b.RouterLeakage, b.LinkLeakage}, true
 			})
-		// Average each component, then normalize everything to the tree
-		// total.
-		var avg [3]energy.Breakdown
-		n := 0
-		for _, res := range results {
-			if !res.OK() {
-				continue
-			}
-			r := res.Value
-			n++
-			for _, sch := range Schemes {
-				avg[sch].RouterDynamic += r.B[sch].RouterDynamic
-				avg[sch].LinkDynamic += r.B[sch].LinkDynamic
-				avg[sch].RouterLeakage += r.B[sch].RouterLeakage
-				avg[sch].LinkLeakage += r.B[sch].LinkLeakage
-			}
-		}
-		if n == 0 {
+		if len(cells) == 0 {
 			continue
 		}
-		treeTotal := avg[SpanningTree].Total() / float64(n)
+		// Sum each component over the topologies, then normalize the
+		// means to the tree's mean total — not a mean of per-topology
+		// ratios, so this reduction is not normToTree.
+		var sum [3]energy.Breakdown
+		for _, c := range cells {
+			for _, sch := range Schemes {
+				sum[sch].RouterDynamic += c.V[sch][0]
+				sum[sch].LinkDynamic += c.V[sch][1]
+				sum[sch].RouterLeakage += c.V[sch][2]
+				sum[sch].LinkLeakage += c.V[sch][3]
+			}
+		}
+		n := float64(len(cells))
+		treeTotal := sum[SpanningTree].Total() / n
 		for _, sch := range Schemes {
-			b := avg[sch]
-			norm := func(v float64) float64 { return safeRatio(v/float64(n), treeTotal) }
+			b := sum[sch]
+			norm := func(v float64) float64 { return safeRatio(v/n, treeTotal) }
 			rows = append(rows, Fig10Row{
 				FaultyRouters: k,
 				Scheme:        sch,
@@ -87,21 +69,26 @@ func Fig10(p Params, gatedRouters []int) []Fig10Row {
 				LinkLeakage:   norm(b.LinkLeakage),
 				RouterLeakage: norm(b.RouterLeakage),
 				Total:         norm(b.Total()),
-				Sampled:       n,
+				Sampled:       len(cells),
 			})
 		}
 	}
 	return rows
 }
 
-// PrintFig10 writes the energy breakdown table.
-func PrintFig10(w io.Writer, rows []Fig10Row) {
-	fmt.Fprintf(w, "Fig 10: network energy, normalized to spanning-tree total per fault count\n")
-	fmt.Fprintf(w, "%-8s %-14s %-9s %-9s %-9s %-9s %-7s %s\n",
-		"gated", "scheme", "linkDyn", "rtrDyn", "linkLeak", "rtrLeak", "total", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8d %-14s %-9.3f %-9.3f %-9.3f %-9.3f %-7.3f %d\n",
-			r.FaultyRouters, r.Scheme, r.LinkDynamic, r.RouterDynamic,
-			r.LinkLeakage, r.RouterLeakage, r.Total, r.Sampled)
+func fig10Table(rows []Fig10Row) Table {
+	t := Table{
+		Title: "Fig 10: network energy, normalized to spanning-tree total per fault count",
+		Cols: []Column{
+			{"gated", "%-8d", "gated_routers"}, {"scheme", "%-14s", "scheme"},
+			{"linkDyn", "%-9.3f", "link_dynamic"}, {"rtrDyn", "%-9.3f", "router_dynamic"},
+			{"linkLeak", "%-9.3f", "link_leakage"}, {"rtrLeak", "%-9.3f", "router_leakage"},
+			{"total", "%-7.3f", "total"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.FaultyRouters, r.Scheme, r.LinkDynamic, r.RouterDynamic,
+			r.LinkLeakage, r.RouterLeakage, r.Total, r.Sampled})
+	}
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/network"
 	"repro/internal/sweep"
@@ -56,9 +55,7 @@ func Fig11(p Params, thresholds []int64) []Fig11Row {
 		results := sweep.Run(p.engine(), p.Topologies, key,
 			func(i int, seed int64) (res, error) {
 				topo := p.SampleTopology(topology.RouterFaults, faults, i)
-				inst := pp.Build(topo, StaticBubble, sweep.SubSeed(seed, 0))
-				inj := inst.Injector(inst.Pattern("uniform_random"), Fig11HighLoadRate, sweep.SubSeed(seed, 1))
-				m := measure(pp, inst, inj)
+				inst, m := pp.synthetic(topo, StaticBubble, "uniform_random", Fig11HighLoadRate, seed, 0)
 				var r res
 				r.Probes = float64(m.Stats.ProbesSent)
 				r.Recov = float64(m.Stats.DeadlockRecoveries)
@@ -100,15 +97,23 @@ func Fig11(p Params, thresholds []int64) []Fig11Row {
 	return rows
 }
 
-// PrintFig11 writes the threshold sweep.
-func PrintFig11(w io.Writer, rows []Fig11Row) {
-	fmt.Fprintf(w, "Fig 11: t_DD sweep at high load (rate %.2f, 20 router faults)\n", Fig11HighLoadRate)
-	fmt.Fprintf(w, "%-6s %-10s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %s\n",
-		"tDD", "probes", "recov", "flit%", "probe%", "disable%", "enable%", "chkprb%", "avgLat", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %-10.0f %-10.1f %-9.2f %-9.3f %-9.4f %-9.4f %-9.4f %-9.1f %d\n",
-			r.TDD, r.ProbesSent, r.Recoveries,
-			100*r.FlitUtil, 100*r.ProbeUtil, 100*r.DisableUtil,
-			100*r.EnableUtil, 100*r.CheckProbeUtil, r.AvgLatency, r.Sampled)
+func fig11Table(rows []Fig11Row) Table {
+	t := Table{
+		Title: fmt.Sprintf("Fig 11: t_DD sweep at high load (rate %.2f, 20 router faults)", Fig11HighLoadRate),
+		Cols: []Column{
+			{"tDD", "%-6d", "tdd"}, {"probes", "%-10.0f", "probes_sent"}, {"recov", "%-10.1f", "recoveries"},
+			{"flit%", "%-9.2f", ""}, {"probe%", "%-9.3f", ""}, {"disable%", "%-9.4f", ""},
+			{"enable%", "%-9.4f", ""}, {"chkprb%", "%-9.4f", ""},
+			{"", "", "flit_util"}, {"", "", "probe_util"}, {"", "", "disable_util"},
+			{"", "", "enable_util"}, {"", "", "check_probe_util"},
+			{"avgLat", "%-9.1f", "avg_latency"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.TDD, r.ProbesSent, r.Recoveries,
+			100 * r.FlitUtil, 100 * r.ProbeUtil, 100 * r.DisableUtil, 100 * r.EnableUtil, 100 * r.CheckProbeUtil,
+			r.FlitUtil, r.ProbeUtil, r.DisableUtil, r.EnableUtil, r.CheckProbeUtil,
+			r.AvgLatency, r.Sampled})
+	}
+	return t
 }

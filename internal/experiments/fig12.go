@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-	"math/rand"
-
 	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -49,72 +45,33 @@ func Fig12(p Params, apps []traffic.AppProfile, faultSteps map[topology.FaultKin
 }
 
 func fig12Point(p Params, app traffic.AppProfile, kind topology.FaultKind, faults int) Fig12Row {
-	maxCycles := appHorizon(app)
-	type res struct {
-		Thr [3]float64
-		OK  bool
-	}
 	key := func(i int) *sweep.Key {
 		return p.cellKey("fig12").Str("app", app.Name).
 			Str("kind", kind.String()).Int("faults", faults).Int("topo", i)
 	}
-	results := sweep.Run(p.engine(), p.Topologies, key,
-		func(i int, seed int64) (res, error) {
-			var r res
-			topo := p.SampleTopology(kind, faults, i)
+	cells := p.schemeCells(key, kind, faults,
+		func(topo *topology.Topology, sch Scheme, seed int64) ([]float64, bool) {
 			if !mcReachable(topo) {
-				return r, nil // skipped: the paper only maps apps on usable chips
+				return nil, false // skipped: the paper only maps apps on usable chips
 			}
-			r.OK = true
-			for _, sch := range Schemes {
-				inst := p.Build(topo.Clone(), sch, sweep.SubSeed(seed, 2*int(sch)))
-				run := traffic.NewAppRun(inst.Sim, inst.Alg, app,
-					rand.New(rand.NewSource(sweep.SubSeed(seed, 2*int(sch)+1))))
-				out := run.Run(inst.Sim, maxCycles)
-				r.Thr[sch] = out.Throughput
-			}
-			if r.Thr[SpanningTree] == 0 {
-				r.OK = false
-			}
-			return r, nil
+			_, out := p.application(topo, sch, app, seed)
+			return []float64{out.Throughput}, sch != SpanningTree || out.Throughput != 0
 		})
-	row := Fig12Row{App: app.Name, Kind: kind, Faults: faults}
-	var norm [3][]float64
-	for _, res := range results {
-		if !res.OK() || !res.Value.OK {
-			continue
-		}
-		r := res.Value
-		for _, sch := range Schemes {
-			norm[sch] = append(norm[sch], safeRatio(r.Thr[sch], r.Thr[SpanningTree]))
-		}
-	}
-	for _, sch := range Schemes {
-		row.Norm[sch] = mean(norm[sch])
-	}
-	row.Sampled = len(norm[SpanningTree])
+	row := Fig12Row{App: app.Name, Kind: kind, Faults: faults, Sampled: len(cells)}
+	row.Norm, _ = normToTree(cells, 0)
 	return row
 }
 
-// appHorizon bounds an application run generously relative to its work.
-func appHorizon(app traffic.AppProfile) int {
-	period := app.BurstLen + app.IdleLen
-	if period == 0 {
-		period = 1
+func fig12Table(rows []Fig12Row) Table {
+	t := Table{
+		Title: "Fig 12: Rodinia-like application throughput normalized to spanning tree",
+		Cols: []Column{
+			{"app", "%-14s", "app"}, {"kind", "%-8s", "kind"}, {"faults", "%-7d", "faults"},
+			{"eVC", "%-10.3f", "evc_norm"}, {"SB", "%-10.3f", "sb_norm"}, {"n", "%d", "sampled"},
+		},
 	}
-	h := app.WorkPackets * 300
-	if h < 50000 {
-		h = 50000
-	}
-	return h
-}
-
-// PrintFig12 writes the scatter as a table.
-func PrintFig12(w io.Writer, rows []Fig12Row) {
-	fmt.Fprintf(w, "Fig 12: Rodinia-like application throughput normalized to spanning tree\n")
-	fmt.Fprintf(w, "%-14s %-8s %-7s %-10s %-10s %s\n", "app", "kind", "faults", "eVC", "SB", "n")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-8s %-7d %-10.3f %-10.3f %d\n",
-			r.App, r.Kind, r.Faults, r.Norm[EscapeVC], r.Norm[StaticBubble], r.Sampled)
+		t.Rows = append(t.Rows, []any{r.App, r.Kind, r.Faults, r.Norm[EscapeVC], r.Norm[StaticBubble], r.Sampled})
 	}
+	return t
 }

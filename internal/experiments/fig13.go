@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-	"math/rand"
-
-	"repro/internal/energy"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -32,71 +27,39 @@ func Fig13(p Params, apps []traffic.AppProfile) []Fig13Row {
 	const faults = 4
 	var rows []Fig13Row
 	for _, app := range apps {
-		maxCycles := appHorizon(app)
-		type res struct {
-			Runtime [3]float64
-			EDP     [3]float64
-			OK      bool
-		}
 		key := func(i int) *sweep.Key {
 			return p.cellKey("fig13").Str("app", app.Name).
 				Int("faults", faults).Int("topo", i)
 		}
-		results := sweep.Run(p.engine(), p.Topologies, key,
-			func(i int, seed int64) (res, error) {
-				var r res
-				topo := p.SampleTopology(topology.LinkFaults, faults, i)
+		cells := p.schemeCells(key, topology.LinkFaults, faults,
+			func(topo *topology.Topology, sch Scheme, seed int64) ([]float64, bool) {
 				if !mcReachable(topo) {
-					return r, nil
+					return nil, false
 				}
-				r.OK = true
-				for _, sch := range Schemes {
-					inst := p.Build(topo.Clone(), sch, sweep.SubSeed(seed, 2*int(sch)))
-					run := traffic.NewAppRun(inst.Sim, inst.Alg, app,
-						rand.New(rand.NewSource(sweep.SubSeed(seed, 2*int(sch)+1))))
-					out := run.Run(inst.Sim, maxCycles)
-					if out.Runtime == 0 {
-						r.OK = false
-						break
-					}
-					r.Runtime[sch] = float64(out.Runtime)
-					model := energy.Default32nm()
-					extra := energy.SchemeOverheadBuffers(inst.Sim, sch.EnergyKey())
-					b := model.Compute(inst.Sim, extra, inst.Sim.Now)
-					r.EDP[sch] = b.EDP(float64(out.Runtime))
-				}
-				return r, nil
+				inst, out := p.application(topo, sch, app, seed)
+				runtime := float64(out.Runtime)
+				return []float64{runtime, inst.energyOver(inst.Sim.Now).EDP(runtime)}, out.Runtime != 0
 			})
-		row := Fig13Row{App: app.Name}
-		var rt, edp [3][]float64
-		for _, res := range results {
-			if !res.OK() || !res.Value.OK {
-				continue
-			}
-			r := res.Value
-			for _, sch := range Schemes {
-				rt[sch] = append(rt[sch], safeRatio(r.Runtime[sch], r.Runtime[SpanningTree]))
-				edp[sch] = append(edp[sch], safeRatio(r.EDP[sch], r.EDP[SpanningTree]))
-			}
-		}
-		for _, sch := range Schemes {
-			row.RuntimeNorm[sch] = mean(rt[sch])
-			row.EDPNorm[sch] = mean(edp[sch])
-		}
-		row.Sampled = len(rt[SpanningTree])
+		row := Fig13Row{App: app.Name, Sampled: len(cells)}
+		row.RuntimeNorm, _ = normToTree(cells, 0)
+		row.EDPNorm, _ = normToTree(cells, 1)
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// PrintFig13 writes runtime and EDP tables.
-func PrintFig13(w io.Writer, rows []Fig13Row) {
-	fmt.Fprintf(w, "Fig 13: PARSEC-like runtime (a) and network EDP (b), 4 link faults, normalized to spanning tree\n")
-	fmt.Fprintf(w, "%-16s %-12s %-12s %-10s %-10s %s\n",
-		"app", "eVC runtime", "SB runtime", "eVC EDP", "SB EDP", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-12.3f %-12.3f %-10.3f %-10.3f %d\n",
-			r.App, r.RuntimeNorm[EscapeVC], r.RuntimeNorm[StaticBubble],
-			r.EDPNorm[EscapeVC], r.EDPNorm[StaticBubble], r.Sampled)
+func fig13Table(rows []Fig13Row) Table {
+	t := Table{
+		Title: "Fig 13: PARSEC-like runtime (a) and network EDP (b), 4 link faults, normalized to spanning tree",
+		Cols: []Column{
+			{"app", "%-16s", "app"},
+			{"eVC runtime", "%-12.3f", "evc_runtime_norm"}, {"SB runtime", "%-12.3f", "sb_runtime_norm"},
+			{"eVC EDP", "%-10.3f", "evc_edp_norm"}, {"SB EDP", "%-10.3f", "sb_edp_norm"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.App, r.RuntimeNorm[EscapeVC], r.RuntimeNorm[StaticBubble],
+			r.EDPNorm[EscapeVC], r.EDPNorm[StaticBubble], r.Sampled})
+	}
+	return t
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -73,11 +70,16 @@ func stepRange(lo, hi, step int) []int {
 	return out
 }
 
-// PrintFig2 writes the sweep as an aligned table.
-func PrintFig2(w io.Writer, rows []Fig2Row) {
-	fmt.Fprintf(w, "Fig 2: deadlock-prone irregular topologies (8x8 mesh substrate)\n")
-	fmt.Fprintf(w, "%-8s %-7s %-12s %s\n", "kind", "faults", "prone(%)", "sampled")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-7d %-12.1f %d\n", r.Kind, r.Faults, 100*r.ProneFraction, r.Sampled)
+func fig2Table(rows []Fig2Row) Table {
+	t := Table{
+		Title: "Fig 2: deadlock-prone irregular topologies (8x8 mesh substrate)",
+		Cols: []Column{
+			{"kind", "%-8s", "kind"}, {"faults", "%-7d", "faults"},
+			{"prone(%)", "%-12.1f", ""}, {"", "", "prone_fraction"}, {"sampled", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.Kind, r.Faults, 100 * r.ProneFraction, r.ProneFraction, r.Sampled})
+	}
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/deadlock"
@@ -114,23 +113,31 @@ func deadlocksAt(p Params, topo *topology.Topology, rate float64, seed int64) bo
 	return deadlock.IsDeadlocked(inst.Sim)
 }
 
-// PrintFig3 writes the heat map as a rate × fault-count grid of
-// cumulative deadlock percentages.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
-	if len(rows) == 0 {
-		return
+// fig3Tables renders the heat map twice: a rate × fault-count grid of
+// cumulative deadlock percentages for reading, and one (faults, rate)
+// record per cell for machines.
+func fig3Tables(rows []Fig3Row) []Table {
+	grid := Table{
+		Title: "Fig 3: cumulative % of topologies deadlocked at injection rate (uniform random)",
+		Cols:  []Column{{Head: "rate", Verb: "%-6.2f"}},
 	}
-	fmt.Fprintf(w, "Fig 3: cumulative %% of topologies deadlocked at injection rate (uniform random)\n")
-	fmt.Fprintf(w, "%-6s", "rate")
+	long := Table{Cols: []Column{
+		{CSV: "faulty_links"}, {CSV: "rate"}, {CSV: "cumulative_deadlocked"}, {CSV: "sampled"},
+	}}
 	for _, r := range rows {
-		fmt.Fprintf(w, " L=%-4d", r.FaultyLinks)
-	}
-	fmt.Fprintln(w)
-	for ri, rate := range rows[0].Rates {
-		fmt.Fprintf(w, "%-6.2f", rate)
-		for _, r := range rows {
-			fmt.Fprintf(w, " %-6.0f", 100*r.CumulativeDeadlocked[ri])
+		grid.Cols = append(grid.Cols, Column{Head: fmt.Sprintf("L=%d", r.FaultyLinks), Verb: "%-6.0f"})
+		for ri, rate := range r.Rates {
+			long.Rows = append(long.Rows, []any{r.FaultyLinks, rate, r.CumulativeDeadlocked[ri], r.Sampled})
 		}
-		fmt.Fprintln(w)
 	}
+	if len(rows) > 0 {
+		for ri, rate := range rows[0].Rates {
+			line := []any{rate}
+			for _, r := range rows {
+				line = append(line, 100*r.CumulativeDeadlocked[ri])
+			}
+			grid.Rows = append(grid.Rows, line)
+		}
+	}
+	return []Table{grid, long}
 }

@@ -56,65 +56,38 @@ func Fig8(p Params, patterns []string, faultSteps map[topology.FaultKind][]int) 
 }
 
 func fig8Point(p Params, pattern string, kind topology.FaultKind, faults int) Fig8Row {
-	type res struct {
-		Avg, Max [3]float64
-		OK       bool
-	}
 	key := func(i int) *sweep.Key {
 		return p.cellKey("fig8").Str("pattern", pattern).
 			Str("kind", kind.String()).Int("faults", faults).Int("topo", i)
 	}
-	results := sweep.Run(p.engine(), p.Topologies, key,
-		func(i int, seed int64) (res, error) {
-			topo := p.SampleTopology(kind, faults, i)
-			var r res
-			r.OK = true
-			for _, sch := range Schemes {
-				inst := p.Build(topo.Clone(), sch, sweep.SubSeed(seed, 2*int(sch)))
-				inj := inst.Injector(inst.Pattern(pattern), LowLoadRate, sweep.SubSeed(seed, 2*int(sch)+1))
-				m := measure(p, inst, inj)
-				if m.Delivered == 0 {
-					r.OK = false
-					return r, nil
-				}
-				r.Avg[sch] = m.AvgLatency
-				r.Max[sch] = m.MaxLatency
-			}
-			return r, nil
+	cells := p.schemeCells(key, kind, faults,
+		func(topo *topology.Topology, sch Scheme, seed int64) ([]float64, bool) {
+			_, m := p.synthetic(topo, sch, pattern, LowLoadRate, seed, 2*int(sch))
+			return []float64{m.AvgLatency, m.MaxLatency}, m.Delivered != 0
 		})
-	row := Fig8Row{Pattern: pattern, Kind: kind, Faults: faults}
-	var avgN, maxN [3][]float64
-	var treeAbs []float64
-	for _, res := range results {
-		if !res.OK() || !res.Value.OK {
-			continue
-		}
-		r := res.Value
-		treeAbs = append(treeAbs, r.Avg[SpanningTree])
-		for _, sch := range Schemes {
-			avgN[sch] = append(avgN[sch], safeRatio(r.Avg[sch], r.Avg[SpanningTree]))
-			maxN[sch] = append(maxN[sch], safeRatio(r.Max[sch], r.Max[SpanningTree]))
-		}
-	}
-	for _, sch := range Schemes {
-		row.AvgNorm[sch] = mean(avgN[sch])
-		row.MaxNorm[sch] = mean(maxN[sch])
-	}
-	row.AvgAbs = mean(treeAbs)
-	row.Sampled = len(treeAbs)
+	row := Fig8Row{Pattern: pattern, Kind: kind, Faults: faults, Sampled: len(cells)}
+	row.AvgNorm, row.AvgAbs = normToTree(cells, 0)
+	row.MaxNorm, _ = normToTree(cells, 1)
 	return row
 }
 
-// PrintFig8 writes the sweep.
-func PrintFig8(w io.Writer, rows []Fig8Row) {
-	fmt.Fprintf(w, "Fig 8: low-load latency normalized to spanning tree (rate %.2f flits/node/cycle)\n", LowLoadRate)
-	fmt.Fprintf(w, "%-16s %-8s %-7s %-10s %-10s %-10s %-10s %-9s %s\n",
-		"pattern", "kind", "faults", "eVC avg", "SB avg", "eVC max", "SB max", "tree(cyc)", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-8s %-7d %-10.3f %-10.3f %-10.3f %-10.3f %-9.1f %d\n",
-			r.Pattern, r.Kind, r.Faults,
-			r.AvgNorm[EscapeVC], r.AvgNorm[StaticBubble],
-			r.MaxNorm[EscapeVC], r.MaxNorm[StaticBubble],
-			r.AvgAbs, r.Sampled)
+func fig8Table(rows []Fig8Row) Table {
+	t := Table{
+		Title: fmt.Sprintf("Fig 8: low-load latency normalized to spanning tree (rate %.2f flits/node/cycle)", LowLoadRate),
+		Cols: []Column{
+			{"pattern", "%-16s", "pattern"}, {"kind", "%-8s", "kind"}, {"faults", "%-7d", "faults"},
+			{"eVC avg", "%-10.3f", "evc_avg_norm"}, {"SB avg", "%-10.3f", "sb_avg_norm"},
+			{"eVC max", "%-10.3f", "evc_max_norm"}, {"SB max", "%-10.3f", "sb_max_norm"},
+			{"tree(cyc)", "%-9.1f", "tree_avg_cycles"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.Pattern, r.Kind, r.Faults,
+			r.AvgNorm[EscapeVC], r.AvgNorm[StaticBubble],
+			r.MaxNorm[EscapeVC], r.MaxNorm[StaticBubble], r.AvgAbs, r.Sampled})
+	}
+	return t
 }
+
+// Fig8CSV emits the low-load latency sweep as CSV (bench/ digests it).
+func Fig8CSV(w io.Writer, rows []Fig8Row) error { return fig8Table(rows).WriteCSV(w) }

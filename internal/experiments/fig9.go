@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/sweep"
@@ -51,72 +50,49 @@ func Fig9(p Params, faultSteps map[topology.FaultKind][]int) []Fig9Row {
 }
 
 func fig9Point(p Params, kind topology.FaultKind, faults int) Fig9Row {
-	type res struct {
-		Thr [3]float64
-		OK  bool
-	}
 	key := func(i int) *sweep.Key {
 		return p.cellKey("fig9").Str("kind", kind.String()).Int("faults", faults).
 			Floats("rates", SaturationRates).Int("topo", i)
 	}
-	results := sweep.Run(p.engine(), p.Topologies, key,
-		func(i int, seed int64) (res, error) {
-			topo := p.SampleTopology(kind, faults, i)
-			var r res
-			r.OK = true
-			for _, sch := range Schemes {
-				best := 0.0
-				for ri, rate := range SaturationRates {
-					stream := int(sch)*2*len(SaturationRates) + 2*ri
-					inst := p.Build(topo.Clone(), sch, sweep.SubSeed(seed, stream))
-					inj := inst.Injector(inst.Pattern("uniform_random"), rate, sweep.SubSeed(seed, stream+1))
-					m := measure(p, inst, inj)
-					if m.AcceptedFlits > best {
-						best = m.AcceptedFlits
-					}
-					// Past the knee: accepted throughput has started falling
-					// away from the offered load; higher rates only collapse
-					// further.
-					if m.AcceptedFlits < 0.6*rate && best > m.AcceptedFlits {
-						break
-					}
+	cells := p.schemeCells(key, kind, faults,
+		func(topo *topology.Topology, sch Scheme, seed int64) ([]float64, bool) {
+			best := 0.0
+			for ri, rate := range SaturationRates {
+				stream := int(sch)*2*len(SaturationRates) + 2*ri
+				_, m := p.synthetic(topo, sch, "uniform_random", rate, seed, stream)
+				if m.AcceptedFlits > best {
+					best = m.AcceptedFlits
 				}
-				r.Thr[sch] = best
+				// Past the knee: accepted throughput has started falling
+				// away from the offered load; higher rates only collapse
+				// further.
+				if m.AcceptedFlits < 0.6*rate && best > m.AcceptedFlits {
+					break
+				}
 			}
-			if r.Thr[SpanningTree] == 0 {
-				r.OK = false
-			}
-			return r, nil
+			// A tree that accepts nothing leaves nothing to normalize to.
+			return []float64{best}, sch != SpanningTree || best != 0
 		})
-	row := Fig9Row{Kind: kind, Faults: faults}
-	var norm [3][]float64
-	var abs []float64
-	for _, res := range results {
-		if !res.OK() || !res.Value.OK {
-			continue
-		}
-		r := res.Value
-		abs = append(abs, r.Thr[SpanningTree])
-		for _, sch := range Schemes {
-			norm[sch] = append(norm[sch], safeRatio(r.Thr[sch], r.Thr[SpanningTree]))
-		}
-	}
-	for _, sch := range Schemes {
-		row.Norm[sch] = mean(norm[sch])
-	}
-	row.Abs = mean(abs)
-	row.Sampled = len(abs)
+	row := Fig9Row{Kind: kind, Faults: faults, Sampled: len(cells)}
+	row.Norm, row.Abs = normToTree(cells, 0)
 	return row
 }
 
-// PrintFig9 writes the sweep.
-func PrintFig9(w io.Writer, rows []Fig9Row) {
-	fmt.Fprintf(w, "Fig 9: saturation throughput normalized to spanning tree (uniform random)\n")
-	fmt.Fprintf(w, "%-8s %-7s %-10s %-10s %-10s %-14s %s\n",
-		"kind", "faults", "tree", "eVC", "SB", "tree(fl/n/cy)", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-7d %-10.3f %-10.3f %-10.3f %-14.4f %d\n",
-			r.Kind, r.Faults, r.Norm[SpanningTree], r.Norm[EscapeVC], r.Norm[StaticBubble],
-			r.Abs, r.Sampled)
+func fig9Table(rows []Fig9Row) Table {
+	t := Table{
+		Title: "Fig 9: saturation throughput normalized to spanning tree (uniform random)",
+		Cols: []Column{
+			{"kind", "%-8s", "kind"}, {"faults", "%-7d", "faults"}, {"tree", "%-10.3f", ""},
+			{"eVC", "%-10.3f", "evc_norm"}, {"SB", "%-10.3f", "sb_norm"},
+			{"tree(fl/n/cy)", "%-14.4f", "tree_flits_node_cycle"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{r.Kind, r.Faults, r.Norm[SpanningTree],
+			r.Norm[EscapeVC], r.Norm[StaticBubble], r.Abs, r.Sampled})
+	}
+	return t
 }
+
+// Fig9CSV emits the saturation-throughput sweep as CSV (bench/ digests it).
+func Fig9CSV(w io.Writer, rows []Fig9Row) error { return fig9Table(rows).WriteCSV(w) }

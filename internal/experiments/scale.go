@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -55,14 +54,18 @@ func Scale(p Params, sizes [][2]int) []ScaleRow {
 	return rows
 }
 
-// PrintScale writes the study.
-func PrintScale(w io.Writer, rows []ScaleRow) {
-	fmt.Fprintf(w, "Scale study: placement cost and saturation advantage across mesh sizes\n")
-	fmt.Fprintf(w, "%-8s %-9s %-9s %-7s %-10s %-10s %-14s %s\n",
-		"mesh", "bubbles", "frac", "faults", "eVC", "SB", "tree(fl/n/cy)", "n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%dx%-6d %-9d %-9.3f %-7d %-10.3f %-10.3f %-14.4f %d\n",
-			r.Width, r.Height, r.Bubbles, r.BubbleFraction, r.Faults,
-			r.Norm[EscapeVC], r.Norm[StaticBubble], r.Abs, r.Sampled)
+func scaleTable(rows []ScaleRow) Table {
+	t := Table{
+		Title: "Scale study: placement cost and saturation advantage across mesh sizes",
+		Cols: []Column{
+			{"mesh", "%-8s", "mesh"}, {"bubbles", "%-9d", "bubbles"}, {"frac", "%-9.3f", "bubble_fraction"},
+			{"faults", "%-7d", "faults"}, {"eVC", "%-10.3f", "evc_norm"}, {"SB", "%-10.3f", "sb_norm"},
+			{"tree(fl/n/cy)", "%-14.4f", "tree_flits_node_cycle"}, {"n", "%d", "sampled"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{fmt.Sprintf("%dx%d", r.Width, r.Height), r.Bubbles, r.BubbleFraction,
+			r.Faults, r.Norm[EscapeVC], r.Norm[StaticBubble], r.Abs, r.Sampled})
+	}
+	return t
 }

@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"time"
@@ -146,18 +145,29 @@ func ScaleGrid(points []scaleGridPoint) ([]ScaleGridResult, error) {
 	return out, nil
 }
 
-// PrintScaleGrid renders the sweep as a table, one block per mesh size.
-func PrintScaleGrid(w io.Writer, rs []ScaleGridResult) {
-	lastSize := 0
-	for _, r := range rs {
-		if r.Width != lastSize {
-			lastSize = r.Width
-			fmt.Fprintf(w, "%dx%d irregular recovery storm: %d SB routers, %d cycles, GOMAXPROCS=%d\n",
-				r.Width, r.Height, r.SBRouters, r.Cycles, r.GoMaxProcs)
-			fmt.Fprintf(w, "%7s %14s %12s %10s %11s\n",
-				"shards", "ns/cycle", "speedup", "delivered", "recoveries")
+// scaleGridTables renders the sweep for reading as one block per mesh
+// size, and for machines as one table over every (size, shards) row.
+func scaleGridTables(rs []ScaleGridResult) []Table {
+	var out []Table
+	all := Table{Cols: []Column{
+		{CSV: "mesh"}, {CSV: "shards"}, {CSV: "cycles"}, {CSV: "ns_per_cycle"}, {CSV: "speedup"},
+		{CSV: "delivered"}, {CSV: "recoveries"}, {CSV: "sb_routers"}, {CSV: "gomaxprocs"},
+	}}
+	for i, r := range rs {
+		if i == 0 || r.Width != rs[i-1].Width {
+			out = append(out, Table{
+				Title: fmt.Sprintf("%dx%d irregular recovery storm: %d SB routers, %d cycles, GOMAXPROCS=%d",
+					r.Width, r.Height, r.SBRouters, r.Cycles, r.GoMaxProcs),
+				Cols: []Column{
+					{Head: "shards", Verb: "%7d"}, {Head: "ns/cycle", Verb: "%14.0f"}, {Head: "speedup", Verb: "%12s"},
+					{Head: "delivered", Verb: "%10d"}, {Head: "recoveries", Verb: "%11d"},
+				},
+			})
 		}
-		fmt.Fprintf(w, "%7d %14.0f %11.2fx %10d %11d\n",
-			r.Shards, r.NsPerCycle, r.Speedup, r.Delivered, r.Recoveries)
+		block := &out[len(out)-1]
+		block.Rows = append(block.Rows, []any{r.Shards, r.NsPerCycle, fmt.Sprintf("%.2fx", r.Speedup), r.Delivered, r.Recoveries})
+		all.Rows = append(all.Rows, []any{fmt.Sprintf("%dx%d", r.Width, r.Height), r.Shards, r.Cycles,
+			r.NsPerCycle, r.Speedup, r.Delivered, r.Recoveries, r.SBRouters, r.GoMaxProcs})
 	}
+	return append(out, all)
 }

@@ -31,9 +31,7 @@ func renderFig8(t *testing.T, e *sweep.Engine) string {
 	t.Helper()
 	p := Quick()
 	p.Engine = e
-	var buf bytes.Buffer
-	PrintFig8(&buf, Fig8(p, []string{"uniform_random"}, fig8Grid))
-	return buf.String()
+	return renderText(t, fig8Table(Fig8(p, []string{"uniform_random"}, fig8Grid)))
 }
 
 // TestFig8Determinism is the tentpole regression: the rendered sweep is

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -58,12 +57,17 @@ func Table1(p Params, sizes [][2]int) []Table1Row {
 	return rows
 }
 
-// PrintTable1 writes the comparison.
-func PrintTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintf(w, "Table I: additional buffers, Static Bubble vs escape VC\n")
-	fmt.Fprintf(w, "%-8s %-12s %-14s %-12s %s\n", "mesh", "SB buffers", "eVC buffers", "closed-form", "coverage")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%dx%-6d %-12d %-14d %-12v %v\n",
-			r.Width, r.Height, r.SBBuffers, r.EscapeBuffers, r.ClosedFormAgrees, r.CoverageVerified)
+func table1Table(rows []Table1Row) Table {
+	t := Table{
+		Title: "Table I: additional buffers, Static Bubble vs escape VC",
+		Cols: []Column{
+			{"mesh", "%-8s", "mesh"}, {"SB buffers", "%-12d", "sb_buffers"}, {"eVC buffers", "%-14d", "evc_buffers"},
+			{"closed-form", "%-12v", "closed_form_agrees"}, {"coverage", "%v", "coverage_verified"},
+		},
 	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []any{fmt.Sprintf("%dx%d", r.Width, r.Height),
+			r.SBBuffers, r.EscapeBuffers, r.ClosedFormAgrees, r.CoverageVerified})
+	}
+	return t
 }
