@@ -30,9 +30,8 @@ type Controller struct {
 // cache, so s.Topo must not be mutated after Attach.
 func Attach(s *network.Sim) *Controller {
 	c := &Controller{sim: s, min: routing.MinimalFor(s.Topo)}
-	// The override probes downstream buffer occupancy, which is only
-	// deterministic under the strictly ordered sequential phases.
-	s.RequireUnsharded()
+	// The override probes downstream buffer occupancy mid-phase; like
+	// every hook it runs on the stepping goroutine, in sweep order.
 	s.OutputOverride = c.output
 	return c
 }
@@ -61,9 +60,8 @@ func (c *Controller) output(p *network.Packet, at geom.NodeID) (geom.Direction, 
 	}
 	best := geom.Invalid
 	bestFree := -1
-	// Mask bits enumerate in N,E,S,W order — the same candidate order as
-	// the graph walk this replaced, so the first-strictly-greater
-	// tie-break picks identical directions.
+	// Mask bits enumerate in N,E,S,W order, so the first-strictly-greater
+	// tie-break prefers the earlier direction among equally free ones.
 	for i := 0; i < geom.NumLinkDirs; i++ {
 		if m&(1<<uint(i)) == 0 {
 			continue

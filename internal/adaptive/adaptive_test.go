@@ -155,10 +155,10 @@ func TestAdaptiveParksWhenDisconnected(t *testing.T) {
 // TestAdaptiveMatchesRefmodel is the per-hop adaptive scheme's
 // differential check: a 40-link-fault 16×16 with Static Bubble attached
 // runs identically seeded under the refmodel full scan and under
-// Sim.Step built with Shards 1 and 4 (Attach collapses the latter onto
-// one band), and the complete Stats struct must agree after every
-// cycle. The per-hop OutputOverride forces the hook-bearing allocation
-// path, which the 60-scenario harness never attaches.
+// Sim.Step built with Shards 1 and 4 (the override keeps the latter on
+// the sequential sweep), and the complete Stats struct must agree after
+// every cycle. The per-hop OutputOverride forces the hook-bearing
+// allocation path, which the 60-scenario harness never attaches.
 func TestAdaptiveMatchesRefmodel(t *testing.T) {
 	type unit struct {
 		name string
@@ -171,9 +171,6 @@ func TestAdaptiveMatchesRefmodel(t *testing.T) {
 		s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(51)))
 		ctl := core.Attach(s, core.Options{})
 		c := Attach(s)
-		if s.Shards() != 1 {
-			t.Fatalf("%s: Attach left %d shards", name, s.Shards())
-		}
 		step := s.Step
 		if useRef {
 			step = refmodel.New(s).Step
@@ -212,5 +209,10 @@ func TestAdaptiveMatchesRefmodel(t *testing.T) {
 	}
 	if ref.sim.Stats.Delivered == 0 {
 		t.Fatal("delivered nothing — the scenario is not exercising the scheme")
+	}
+	for _, u := range units {
+		if n := u.sim.StepperCounters().ParallelCycles; n != 0 {
+			t.Fatalf("%s: %d cycles took the parallel sweep under an OutputOverride", u.name, n)
+		}
 	}
 }

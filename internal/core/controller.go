@@ -488,10 +488,9 @@ func (c *Controller) transport() {
 	}
 	// Stable insertion sort by destination router: groups each router's
 	// messages contiguously in ascending router-id order while keeping
-	// their arrival (queue) order within a router — exactly the order the
-	// previous map-partition + sorted-router walk produced, with no
-	// per-cycle map or sort.Slice allocation. Due sets are tiny (a burst
-	// of probe forks), so quadratic worst case is irrelevant.
+	// their arrival (queue) order within a router, with no per-cycle map
+	// or sort.Slice allocation. Due sets are tiny (a burst of probe
+	// forks), so quadratic worst case is irrelevant.
 	for i := 1; i < len(due); i++ {
 		m := due[i]
 		j := i

@@ -154,6 +154,56 @@ func TestCoverageLemmaLargerMeshRandomFaults(t *testing.T) {
 	}
 }
 
+// TestCoverageLemmaExhaustiveSmallMeshes enumerates every derivative of
+// the 4x4 mesh with at most 4 dead links (12 951 topologies) or at most
+// 2 dead routers (137), and of the 5x5 mesh with at most 3 dead links
+// (10 701), and requires the placement lemma on each: no sampled fault
+// set can hide a coverage hole at these sizes.
+func TestCoverageLemmaExhaustiveSmallMeshes(t *testing.T) {
+	check := func(topo *topology.Topology) {
+		if !VerifyCoverage(topo) {
+			t.Fatalf("coverage violated on %v: cycle %v", topo, CoverageCounterexample(topo))
+		}
+	}
+	// visit calls check on topo with every subset of at most k of the
+	// remaining elements disabled (disable/enable restore topo in place).
+	var visit func(topo *topology.Topology, from, n, k int, disable, enable func(i int)) int
+	visit = func(topo *topology.Topology, from, n, k int, disable, enable func(i int)) int {
+		check(topo)
+		seen := 1
+		if k == 0 {
+			return seen
+		}
+		for i := from; i < n; i++ {
+			disable(i)
+			seen += visit(topo, i+1, n, k-1, disable, enable)
+			enable(i)
+		}
+		return seen
+	}
+	for _, tc := range []struct{ w, h, links, routers, want int }{
+		{4, 4, 4, 0, 12951},
+		{4, 4, 0, 2, 137},
+		{5, 5, 3, 0, 10701},
+	} {
+		topo := topology.NewMesh(tc.w, tc.h)
+		var got int
+		if tc.links > 0 {
+			links := topo.AliveUndirectedLinks()
+			got = visit(topo, 0, len(links), tc.links,
+				func(i int) { topo.DisableLink(links[i].From, links[i].Dir) },
+				func(i int) { topo.EnableLink(links[i].From, links[i].Dir) })
+		} else {
+			got = visit(topo, 0, topo.NumNodes(), tc.routers,
+				func(i int) { topo.DisableRouter(geom.NodeID(i)) },
+				func(i int) { topo.EnableRouter(geom.NodeID(i)) })
+		}
+		if got != tc.want {
+			t.Fatalf("%dx%d: visited %d topologies, want %d", tc.w, tc.h, got, tc.want)
+		}
+	}
+}
+
 func TestCustomCoverage(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	// Bubble-everywhere trivially covers.

@@ -128,9 +128,6 @@ func Attach(s *network.Sim, opt Options) (*Controller, error) {
 	return c, nil
 }
 
-// TokenAt returns the router currently holding or hosting the token.
-func (c *Controller) TokenAt() geom.NodeID { return c.path[c.tokenPos] }
-
 // TokenPathIntact reports whether every link of the token's fixed
 // circulation cycle is still alive — once false, DISHA can no longer
 // recover deadlocks at routers beyond the break.

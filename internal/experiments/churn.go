@@ -28,11 +28,11 @@ import (
 //     local (the SB FSMs, kept consistent via reconfig.SchemeHandler).
 //   - sp_tree: Ariadne-style spanning-tree re-election. Every event
 //     triggers a global re-election that stalls injection network-wide
-//     for TreeStall cycles ("1000s of cycles", paper Section I).
+//     for churnTreeStall cycles ("1000s of cycles", paper Section I).
 //   - dbr: a DBR-style dynamic reconfiguration baseline (ValadBeigi et
 //     al., PAPERS.md): the up*/down* structure is patched incrementally,
-//     so only routers within DBRRadius hops of the event stall, for the
-//     much shorter DBRStall window.
+//     so only routers within churnDBRRadius hops of the event stall, for
+//     the much shorter churnDBRStall window.
 //
 // Recovery latency of an event is the span from the event to the later
 // of (a) its stall window closing and (b) the last packet the event
@@ -42,39 +42,44 @@ import (
 // latencies), merged across seeds — exercising the sharded-collection
 // merge path.
 
-// ChurnConfig parameterizes the churn process and the baselines' stall
-// model. Zero values select full-scale defaults.
+// The baselines' stall model and the offered load have one value in
+// every figure; the churn cell key still writes them, so cached cells
+// and derived seeds do not depend on where the values live.
+const (
+	// churnRate is the injection rate per node-cycle: below every
+	// contender's saturation so the comparison isolates reconfiguration
+	// downtime, like the failures experiment.
+	churnRate = 0.01
+	// churnRouterFrac is the fraction of failure events that hit a router
+	// (the rest hit links).
+	churnRouterFrac = 0.25
+	// churnTreeStall is sp_tree's global injection stall per event (the
+	// failures experiment's "1000s of cycles").
+	churnTreeStall = 2000
+	// Routers within churnDBRRadius Manhattan hops of an event stall
+	// churnDBRStall cycles under dbr.
+	churnDBRStall  = 250
+	churnDBRRadius = 3
+	// churnTableUpdateRate is how many routing-table entries a router can
+	// install per cycle. Each applied event's recovery window is extended
+	// to cover installing the entries its recompile rewrote (full rebuild
+	// charges the whole table; an incremental repair or a cache hit
+	// charges only what changed). Deterministic by construction — the
+	// model consumes rewritten-entry counts, never wall time.
+	churnTableUpdateRate = 64
+)
+
+// ChurnConfig parameterizes the churn process. Zero values select
+// full-scale defaults.
 type ChurnConfig struct {
 	// Cycles is the churn phase length. Default 1_000_000.
 	Cycles int
-	// Rate is the injection rate per node-cycle. Default 0.01 (below
-	// every contender's saturation so the comparison isolates
-	// reconfiguration downtime, like the failures experiment).
-	Rate float64
 	// MeanFail is the mean cycles between failure events (Poisson).
 	// Default 2500.
 	MeanFail float64
 	// MeanRepair is the mean downtime before a failed element recovers.
 	// Default 4000.
 	MeanRepair float64
-	// RouterFrac is the fraction of failure events that hit a router
-	// (the rest hit links). Default 0.25.
-	RouterFrac float64
-	// TreeStall is sp_tree's global injection stall per event. Default
-	// 2000 (the failures experiment's "1000s of cycles").
-	TreeStall int
-	// DBRStall and DBRRadius bound dbr's regional stall: routers within
-	// DBRRadius Manhattan hops of the event stall DBRStall cycles.
-	// Defaults 250 and 3.
-	DBRStall  int
-	DBRRadius int
-	// TableUpdateRate is how many routing-table entries a router can
-	// install per cycle. Each applied event's recovery window is extended
-	// to cover installing the entries its recompile rewrote (full rebuild
-	// charges the whole table; an incremental repair or a cache hit
-	// charges only what changed). Deterministic by construction — the
-	// model consumes rewritten-entry counts, never wall time. Default 64.
-	TableUpdateRate int
 	// Seeds is the number of independent runs per contender. Default 3.
 	Seeds int
 }
@@ -83,29 +88,11 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Cycles == 0 {
 		c.Cycles = 1_000_000
 	}
-	if c.Rate == 0 {
-		c.Rate = 0.01
-	}
 	if c.MeanFail == 0 {
 		c.MeanFail = 2500
 	}
 	if c.MeanRepair == 0 {
 		c.MeanRepair = 4000
-	}
-	if c.RouterFrac == 0 {
-		c.RouterFrac = 0.25
-	}
-	if c.TreeStall == 0 {
-		c.TreeStall = 2000
-	}
-	if c.DBRStall == 0 {
-		c.DBRStall = 250
-	}
-	if c.DBRRadius == 0 {
-		c.DBRRadius = 3
-	}
-	if c.TableUpdateRate == 0 {
-		c.TableUpdateRate = 64
 	}
 	if c.Seeds == 0 {
 		c.Seeds = 3
@@ -166,7 +153,7 @@ type ChurnRow struct {
 	// CmpP50Ns/CmpP99Ns are measured epoch compile cost percentiles in
 	// wall nanoseconds per applied event. Observability only and
 	// nondeterministic — the recovery fold above uses the deterministic
-	// entries-rewritten model (ChurnConfig.TableUpdateRate), never wall
+	// entries-rewritten model (churnTableUpdateRate), never wall
 	// time, so every other field stays byte-reproducible.
 	CmpP50Ns, CmpP99Ns float64
 	// Compiled-table cache and compiler work counters summed over seeds.
@@ -201,22 +188,19 @@ func Churn(p Params, cfg ChurnConfig) []ChurnRow {
 		stall := 0
 		switch kind {
 		case churnTree:
-			stall = cfg.TreeStall
+			stall = churnTreeStall
 		case churnDBR:
-			stall = cfg.DBRStall
+			stall = churnDBRStall
 		}
 		row := ChurnRow{Label: churnLabel(kind), Stall: stall}
 		key := func(i int) *sweep.Key {
 			return p.cellKey("churn").Str("scheme", row.Label).
-				Int("cycles", cfg.Cycles).Float("rate", cfg.Rate).
+				Int("cycles", cfg.Cycles).Float("rate", churnRate).
 				Float("mean_fail", cfg.MeanFail).Float("mean_repair", cfg.MeanRepair).
-				Float("router_frac", cfg.RouterFrac).
-				Int("tree_stall", cfg.TreeStall).Int("dbr_stall", cfg.DBRStall).
-				Int("dbr_radius", cfg.DBRRadius).
-				// In the key because it changes the recovery fold — note
-				// cell seeds derive from the key, so adding it reseeded
-				// every churn cell relative to pre-accounting runs.
-				Int("upd_rate", cfg.TableUpdateRate).Int("run", i)
+				Float("router_frac", churnRouterFrac).
+				Int("tree_stall", churnTreeStall).Int("dbr_stall", churnDBRStall).
+				Int("dbr_radius", churnDBRRadius).
+				Int("upd_rate", churnTableUpdateRate).Int("run", i)
 		}
 		results := sweep.Run(p.engine(), cfg.Seeds, key,
 			func(i int, seed int64) (churnCell, error) {
@@ -386,10 +370,10 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	chargeStall := func(at geom.NodeID, now int64) int64 {
 		switch kind {
 		case churnTree:
-			globalStallUntil = now + int64(cfg.TreeStall)
+			globalStallUntil = now + churnTreeStall
 			return globalStallUntil
 		case churnDBR:
-			end := now + int64(cfg.DBRStall)
+			end := now + churnDBRStall
 			ec := topo.Coord(at)
 			for n := 0; n < numNodes; n++ {
 				c := topo.Coord(geom.NodeID(n))
@@ -400,7 +384,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 				if dy < 0 {
 					dy = -dy
 				}
-				if dx+dy <= cfg.DBRRadius && end > stallUntil[n] {
+				if dx+dy <= churnDBRRadius && end > stallUntil[n] {
 					stallUntil[n] = end
 				}
 			}
@@ -440,8 +424,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		} else {
 			entries, wallNs = rebuildAlg()
 		}
-		upd := int64(cfg.TableUpdateRate)
-		e.compileEnd = now + (entries+upd-1)/upd
+		e.compileEnd = now + (entries+churnTableUpdateRate-1)/churnTableUpdateRate
 		open = append(open, e)
 		out.Events++
 		out.Cmp.Add(float64(wallNs))
@@ -472,7 +455,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		}
 		if now >= nextFail {
 			nextFail = now + 1 + int64(erng.ExpFloat64()*cfg.MeanFail)
-			if erng.Float64() < cfg.RouterFrac {
+			if erng.Float64() < churnRouterFrac {
 				// Kill a router (keep at least half the mesh up so the
 				// process can't grind the network away entirely).
 				alive := topo.AliveRouters()
@@ -521,7 +504,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		if usable > 0 {
 			for n := 0; n < numNodes; n++ {
 				src := geom.NodeID(n)
-				if rng.Float64() >= cfg.Rate {
+				if rng.Float64() >= churnRate {
 					continue
 				}
 				if !topo.RouterAlive(src) {
@@ -589,16 +572,6 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	out.OK = s.Stats.Delivered > 0 &&
 		s.Stats.Offered == s.Stats.Delivered+int64(s.InFlight())+int64(s.QueuedPackets())+s.Stats.Lost
 	return out
-}
-
-// ChurnShardStats runs the static_bubble churn workload at the given
-// shard count and returns the final simulator statistics — the CI churn
-// smoke tier byte-compares the result across shard counts.
-func ChurnShardStats(p Params, cfg ChurnConfig, shards int, seed int64) network.Stats {
-	p = p.withDefaults()
-	p.Shards = shards
-	cell := churnRun(p, cfg, churnSB, seed)
-	return cell.Stats
 }
 
 // churnTable renders the contender comparison; per-contender routing-

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/network"
 )
 
 // churnTestCfg is small enough for the unit-test tier while still
@@ -21,6 +23,14 @@ func churnTestParams() Params {
 	p := Quick()
 	p.Topologies = 1
 	return p
+}
+
+// churnShardStats runs the static_bubble churn workload at the given
+// shard count and returns the final simulator statistics.
+func churnShardStats(p Params, cfg ChurnConfig, shards int, seed int64) network.Stats {
+	p = p.withDefaults()
+	p.Shards = shards
+	return churnRun(p, cfg, churnSB, seed).Stats
 }
 
 // TestChurnShape: all three contenders run the churn workload to
@@ -89,8 +99,8 @@ func TestChurnShape(t *testing.T) {
 func TestChurnShardEquality(t *testing.T) {
 	p := churnTestParams()
 	cfg := churnTestCfg()
-	a := ChurnShardStats(p, cfg, 1, 12345)
-	b := ChurnShardStats(p, cfg, 4, 12345)
+	a := churnShardStats(p, cfg, 1, 12345)
+	b := churnShardStats(p, cfg, 4, 12345)
 	if a != b {
 		t.Fatalf("churn trajectories diverged across shard counts\nshards=1: %+v\nshards=4: %+v", a, b)
 	}

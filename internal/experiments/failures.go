@@ -158,8 +158,8 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	}
 	mgr := reconfig.New(s)
 
-	var lat stats.LatencyCollector
-	s.OnDeliver = func(pk *network.Packet) { lat.Observe(pk.Latency()) }
+	var lat stats.Sample
+	s.OnDeliver = func(pk *network.Packet) { lat.Add(float64(pk.Latency())) }
 
 	rng := rand.New(rand.NewSource(sweep.SubSeed(seed, 1)))
 	horizon := p.WarmupCycles + p.MeasureCycles
@@ -213,7 +213,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	out.Delivered = s.Stats.Delivered
 	out.Lost = s.Stats.Lost
 	out.Avg = lat.Mean()
-	out.P99 = lat.P(99)
+	out.P99 = lat.Percentile(99)
 	out.Intact = dishaCtl == nil || dishaCtl.TokenPathIntact()
 	out.OK = s.Stats.Delivered > 0
 	return out

@@ -3,10 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/deadlock"
+	"repro/internal/network"
+	"repro/internal/routing"
 	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // Fig3Row is one heat-map column: for a given number of faulty links, the
@@ -90,27 +94,24 @@ func Fig3(p Params, faultCounts []int, rates []float64) []Fig3Row {
 // given rate and reports whether the operational detector fires within
 // the measurement horizon.
 func deadlocksAt(p Params, topo *topology.Topology, rate float64, seed int64) bool {
-	// A bare instance: minimal routes, no recovery attached.
-	inst := p.Build(topo, StaticBubble, seed)
-	// Strip the SB hooks: Fig 3 characterizes the unprotected network.
-	inst.Sim.PreCycle = nil
-	inst.Sim.PostCycle = nil
-	for id := range inst.Sim.Routers {
-		inst.Sim.Routers[id].Bubble.Present = false
-	}
-	inj := inst.Injector(inst.Pattern("uniform_random"), rate, seed+7777)
+	// The unprotected network: minimal routes, no recovery scheme.
+	p = p.withDefaults()
+	s := network.New(topo, network.Config{Shards: p.Shards}, rand.New(rand.NewSource(seed)))
+	alive := topo.AliveRouters()
+	inj := traffic.NewInjector(alive, routing.MinimalFor(topo), traffic.NewUniformRandom(alive), rate,
+		rand.New(rand.NewSource(seed+7777)))
 	horizon := p.WarmupCycles + p.MeasureCycles
 	for c := 0; c < horizon; c++ {
-		inj.Tick(inst.Sim)
-		inst.Sim.Step()
+		inj.Tick(s)
+		s.Step()
 		// The exact drainability analyzer catches localized deadlocks that
 		// a global-progress watcher would miss while unrelated traffic
 		// still flows.
-		if c%500 == 499 && deadlock.IsDeadlocked(inst.Sim) {
+		if c%500 == 499 && deadlock.IsDeadlocked(s) {
 			return true
 		}
 	}
-	return deadlock.IsDeadlocked(inst.Sim)
+	return deadlock.IsDeadlocked(s)
 }
 
 // fig3Tables renders the heat map twice: a rate × fault-count grid of

@@ -53,8 +53,9 @@ package network
 // space fits a word (fusedAlloc) — VCFilter, GrantFilter, OutputOverride
 // and OnGrant may each consult per-packet or mid-phase state the fused
 // pass does not reproduce; with any of them present the sweep calls the
-// generic AllocateNode per active router instead. That is the one
-// selection the stepper makes, from what the code observes.
+// generic AllocateNode per active router instead, on the stepping
+// goroutine. That is the one selection the stepper makes, from what the
+// code observes: only a fused cycle may fan out to the shard workers.
 
 import (
 	"math/bits"

@@ -151,9 +151,8 @@ type Sim struct {
 	// pool recycles delivered/lost packets and their route spans (see
 	// pool.go for the ownership rules).
 	pool poolState
-	// seqGather is the switch-allocation scratch of the sequential
-	// sweep (and of AllocateNode under the refmodel); each shard worker
-	// owns its own.
+	// seqGather is AllocateNode's switch-allocation scratch (the
+	// sequential sweep under a hook, and the refmodel).
 	seqGather allocGather
 
 	// active, actPos and ids are the stepper's active set (stepper.go).

@@ -38,7 +38,8 @@ const checkEvery = 64
 // parallelCycles totals the parallel-sweep cycles the sharded units of
 // every finished scenario ran, so the corpus-level tests can assert the
 // sharded code was reached (the meshes are small and Step only fans out
-// above a fixed active-router count).
+// a fused cycle above a fixed active-router count; every unit of this
+// corpus is free of allocation hooks, so every sharded unit is eligible).
 var parallelCycles atomic.Int64
 
 // checkUnit runs the full invariant set over one unit.

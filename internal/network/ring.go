@@ -1,11 +1,11 @@
 package network
 
 // NIRing is the source-side injection FIFO: a growable ring buffer of
-// queued packets. It replaces the earlier `q = q[1:]` slice queue, which
-// pinned the whole backing array (and every delivered packet in it) for
-// as long as the queue stayed non-empty. PopFront nils the vacated slot
-// immediately and the buffer is released outright once the queue drains,
-// so a congestion burst cannot retain memory after it clears.
+// queued packets. A `q = q[1:]` slice queue would pin the whole backing
+// array (and every delivered packet in it) for as long as the queue
+// stayed non-empty; PopFront nils the vacated slot immediately and the
+// buffer is released outright once the queue drains, so a congestion
+// burst cannot retain memory after it clears.
 type NIRing struct {
 	buf  []*Packet
 	head int

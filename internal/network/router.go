@@ -81,11 +81,11 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // availability (virtual cut-through: the downstream VC must be able to
 // hold the whole packet).
 //
-// The phase is split in two so the sharded stepper can parallelize it:
-// gatherAllocate reads only state that is stable for the whole
-// allocation phase and produces the candidate buckets; commitAllocate
-// arbitrates and moves packets. The sequential sweep (and the refmodel
-// full scan) runs both back to back, on the stepping goroutine. Under an
+// It runs on the stepping goroutine whenever an allocation hook is
+// installed or the slot space exceeds a word (the sequential sweep), and
+// always under the refmodel full scan; hook-free cycles take the fused
+// pass (dense.go) instead. gatherAllocate buckets and prunes the
+// candidates, commitAllocate arbitrates and moves packets. Under an
 // allocation hook its grants leave the request vectors unrecorded
 // (dense.go), so it marks them stale — the refmodel's scan has no sweep
 // prologue to do that for it.
@@ -122,21 +122,13 @@ func (r *Router) candVC(ci int32, slots, total int) (*VC, geom.Direction) {
 
 // gatherAllocate buckets router id's ready heads by desired output and
 // prunes buckets that cannot possibly be granted, returning whether a
-// commit pass is needed. It is the simulator's hottest loop and the
-// parallel half of the allocation phase: everything it reads is stable
-// across the whole phase — the router's own VCs and fence, its
-// OutFreeAt and link state (only written by its own commit and by
-// hooks), and downstream buffer occupancy, which is monotone during
+// commit pass is needed. Downstream buffer occupancy is monotone during
 // allocation (a VC emptied by a grant stays unusable until FreeAt, so
-// "empty now" can only become false). Pruning on that monotone state is
-// therefore conservative: a pruned candidate could never be granted by
-// the sequential core either, and a kept candidate is re-validated at
-// commit time, so the commit's grant decisions are bit-for-bit those of
-// the sequential single pass.
-//
-// The pruning also carries the load: in a deadlock storm most ready
-// heads have no free downstream buffer, and classifying them happens
-// entirely in this parallel pass; such routers never reach the commit.
+// "empty now" can only become false), so pruning on it is conservative:
+// a pruned candidate could never be granted, and a kept candidate is
+// re-validated by tryGrant. The pruning carries the load in a deadlock
+// storm, where most ready heads have no free downstream buffer and the
+// router never reaches the commit.
 func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	r := &s.Routers[id]
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
@@ -203,13 +195,12 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 }
 
 // commitAllocate arbitrates router id's gathered candidate buckets and
-// moves the winners — the sequential half of the allocation phase.
-// Candidates another router's earlier commit has since starved are
-// skipped by tryGrant's re-validation; skipping them cannot change the
-// winner because the round-robin scan accepts the first candidate in
-// cyclic index order from saPtr that passes both the grant filter and
-// the downstream space check — the same packet whether or not doomed
-// candidates before it remain in the bucket.
+// moves the winners. Candidates another router's earlier commit has
+// since starved are skipped by tryGrant's re-validation; skipping them
+// cannot change the winner because the round-robin scan accepts the
+// first candidate in cyclic index order from saPtr that passes both the
+// grant filter and the downstream space check — the same packet whether
+// or not doomed candidates before it remain in the bucket.
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
 	slots := s.Cfg.SlotsPerPort()

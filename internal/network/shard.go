@@ -2,12 +2,12 @@ package network
 
 // The sharded parallel sweep. The mesh is partitioned into contiguous
 // row bands — one shard per band, each owning a whole-word range of the
-// active bitmap and its own scratch. A busy cycle on a sharded Sim
+// active bitmap and its own scratch. A busy fused cycle on a sharded Sim
 // (Step selects it; see stepper.go) runs:
 //
 //	plan    one goroutine per shard: inject at the band's active
-//	        routers, then decide each router's grants (planGrant
-//	        records) without moving anything;
+//	        routers, then decide each router's grants with the fused
+//	        pass (planGrant records) without moving anything;
 //	fold    the coordinator folds the injection deltas;
 //	commit  one goroutine per shard moves its planned winners, with
 //	        every effect that crosses the band or touches a global
@@ -25,8 +25,9 @@ package network
 //     on goroutine scheduling.
 //   - The plan phase touches only node-local state; its cross-shard
 //     *reads* (downstream buffer occupancy, read from the VCs
-//     themselves) see phase-stable or monotone state — the argument
-//     lives with gatherAllocate. It never reads a foreign router's
+//     themselves) see phase-stable or monotone state: a VC emptied by
+//     a grant stays unusable until FreeAt, so "empty now" can only
+//     become false during allocation. It never reads a foreign router's
 //     occBits/want/pend word: the owning shard's plan-phase injections
 //     write those (dense.go).
 //   - Grant decisions are order-independent (availability constancy):
@@ -62,12 +63,9 @@ package network
 //     fold time in ascending-router-id order — the sequential call and
 //     free-list order (at most one ejection per router per cycle, so
 //     within-shard append order is ascending id).
-//   - VCFilter and OutputOverride are compatible with the parallel
-//     sweep: they are only ever consulted during the plan phase, which
-//     requires them to be pure functions of phase-stable state — already
-//     a documented obligation (hooks that read other routers mid-phase
-//     call RequireUnsharded). GrantFilter and OnGrant are not, and keep
-//     the cycle on the sequential sweep.
+//   - Every hook runs on the stepping goroutine: the parallel sweep is
+//     taken only under fusedAlloc (no allocation hook installed), and
+//     PreCycle, PostCycle and OnDeliver run on the coordinator.
 //   - RNG ownership: the simulator core draws nothing from Sim.Rng, and
 //     traffic/hooks run only on the coordinator, so the draw sequence
 //     is untouched by sharding.
@@ -107,11 +105,10 @@ type shardState struct {
 	wlo, whi int
 	pad      int32
 	// ids is the band's share of this cycle's active set.
-	ids    []int32
-	gather allocGather
-	inj    injectDelta
-	plan   []planGrant
-	sink   commitSink
+	ids  []int32
+	inj  injectDelta
+	plan []planGrant
+	sink commitSink
 	// planWorker/commitWorker are the shard's goroutine bodies, built
 	// once at initShards: spawning a pre-bound func value costs no
 	// allocation per cycle, whereas a literal closure with arguments
@@ -194,7 +191,6 @@ func (s *Sim) initShards(n int) {
 		// Scratch bounds: at most one grant per output and one ejection
 		// per router per cycle; cross-shard fills cross a band seam, of
 		// which a shard touches at most two (2 rows × width links).
-		sh.gather.init(s.Cfg)
 		sh.plan = make([]planGrant, 0, (hi-lo)*geom.NumPorts)
 		sh.sink.released = make([]*Packet, 0, hi-lo)
 		sh.sink.xf = make([]xfill, 0, 2*w)
@@ -208,26 +204,6 @@ func (s *Sim) initShards(n int) {
 		}
 	}
 	s.active = make([]uint64, word)
-}
-
-// RequireUnsharded permanently collapses the simulation onto one band,
-// carrying the active set over. Hooks whose callbacks read other
-// routers' state mid-phase call this at attach time: such reads are
-// deterministic only under the strictly ordered sequential phases (the
-// adaptive routing scheme's downstream-occupancy probe is the one
-// in-tree example). Results are unchanged — the parallel sweep is
-// byte-identical to the sequential one — so this is purely an
-// execution-mode downgrade.
-func (s *Sim) RequireUnsharded() {
-	if len(s.shards) <= 1 {
-		return
-	}
-	s.initShards(1)
-	for id := range s.Routers {
-		if s.occ[id] != 0 || s.niPend[id] != 0 {
-			s.markActive(geom.NodeID(id))
-		}
-	}
 }
 
 // Shards reports the effective shard count the stepper is running with.
@@ -272,7 +248,8 @@ func (s *Sim) sweepParallel() {
 
 // shardPlan is the plan phase of one shard: inject at every active
 // router of the band (node-local; counter movements go to the shard's
-// private delta), then decide this cycle's grants.
+// private delta), then decide this cycle's grants with the fused pass
+// (Step takes the parallel sweep only under fusedAlloc).
 func (s *Sim) shardPlan(sh *shardState) {
 	for _, id := range sh.ids {
 		if s.niPend[id] != 0 {
@@ -280,42 +257,8 @@ func (s *Sim) shardPlan(sh *shardState) {
 		}
 	}
 	sh.plan = sh.plan[:0]
-	if s.fusedAlloc() {
-		for _, id := range sh.ids {
-			s.denseAllocNode(geom.NodeID(id), &sh.plan)
-		}
-		return
-	}
-	slots := s.Cfg.SlotsPerPort()
-	total := geom.NumPorts * slots
-	g := &sh.gather
 	for _, id := range sh.ids {
-		if !s.gatherAllocate(geom.NodeID(id), g) {
-			continue
-		}
-		r := &s.Routers[id]
-		for _, out := range geom.AllPorts {
-			cands := g.cand[out]
-			if len(cands) == 0 {
-				continue
-			}
-			// Every candidate that survived the gather prune is grantable
-			// (availability constancy), so the winner is the first at or
-			// past the round-robin pointer (candidates ascend).
-			ci := cands[0]
-			for _, c := range cands {
-				if int(c) >= r.saPtr[out] {
-					ci = c
-					break
-				}
-			}
-			dst := -1
-			if out != geom.Local {
-				vc, _ := r.candVC(ci, slots, total)
-				dst = s.findFreeVC(s.Topo.Neighbor(r.ID, out), out.Opposite(), vc.Pkt, vc.Pkt.Vnet)
-			}
-			sh.plan = append(sh.plan, planGrant{id: id, out: int8(out), ci: int16(ci), dst: int16(dst)})
-		}
+		s.denseAllocNode(geom.NodeID(id), &sh.plan)
 	}
 }
 

@@ -3,6 +3,8 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,8 +17,8 @@ import (
 // traffic schedule depends only on the seed, so two runs at different
 // shard counts execute the identical offered load. With hooks set, a
 // VCFilter and an (inert) OutputOverride are installed, which moves
-// allocation — the shard workers' plan phase included — from the fused
-// pass to the generic gather.
+// allocation from the fused pass to the generic AllocateNode and keeps
+// every cycle on the sequential sweep.
 func runShardWorkload(t *testing.T, shards int, seed int64, cycles int, hooks bool) *Sim {
 	t.Helper()
 	topo := topology.RandomIrregular(8, 6, topology.LinkFaults, 8, seed)
@@ -72,8 +74,9 @@ func TestShardedStepMatchesSequential(t *testing.T) {
 				if got.InFlight() != want.InFlight() || got.QueuedPackets() != want.QueuedPackets() {
 					t.Fatalf("seed %d shards %d hooks %v: occupancy diverged", seed, n, hooks)
 				}
-				if got.StepperCounters().ParallelCycles == 0 {
-					t.Fatalf("seed %d shards %d hooks %v: the parallel sweep never ran", seed, n, hooks)
+				if par := got.StepperCounters().ParallelCycles; (par == 0) != hooks {
+					t.Fatalf("seed %d shards %d hooks %v: %d parallel cycles (want none under hooks, some without)",
+						seed, n, hooks, par)
 				}
 			}
 		}
@@ -112,52 +115,56 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
-// TestRequireUnshardedMigratesWakes collapses a sharded sim mid-run and
-// checks nothing is lost — the active set is carried over to the one
-// remaining band: queued traffic still delivers, matching a sequential
-// run byte for byte.
-func TestRequireUnshardedMigratesWakes(t *testing.T) {
-	run := func(collapseAt int) *Sim {
-		topo := topology.NewMesh(6, 6)
-		s := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(5)))
-		min := routing.NewMinimal(topo)
-		rng := rand.New(rand.NewSource(6))
-		for cyc := 0; cyc < 400; cyc++ {
-			if cyc == collapseAt {
-				s.RequireUnsharded()
-			}
-			if cyc < 200 {
-				for n := 0; n < 36; n++ {
-					if rng.Float64() >= 0.08 {
-						continue
-					}
-					dst := geom.NodeID(rng.Intn(36))
-					if dst == geom.NodeID(n) {
-						continue
-					}
-					r, ok := min.Route(geom.NodeID(n), dst, rng)
-					if !ok {
-						continue
-					}
-					s.Enqueue(s.NewPacket(geom.NodeID(n), dst, 0, 5, r))
+// TestHooksRunOnSteppingGoroutine pins the contract scheme authors read:
+// every hook runs on the stepping goroutine. A saturated 8x8 at Shards 4
+// with a VCFilter installed must never see two invocations in flight at
+// once (the filter is called from no shard worker) and must stay off the
+// parallel sweep entirely; the same run without the hook must reach it.
+func TestHooksRunOnSteppingGoroutine(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	min := routing.NewMinimal(topo)
+	for _, hooked := range []bool{false, true} {
+		s := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
+		var inFlight, calls, overlaps atomic.Int64
+		if hooked {
+			s.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
+				if inFlight.Add(1) > 1 {
+					overlaps.Add(1)
 				}
+				calls.Add(1)
+				runtime.Gosched() // widen the window a concurrent caller would land in
+				inFlight.Add(-1)
+				return true
+			}
+		}
+		rng := rand.New(rand.NewSource(4))
+		for cyc := 0; cyc < 300; cyc++ {
+			for n := 0; n < 64; n++ {
+				dst := geom.NodeID(rng.Intn(64))
+				if rng.Float64() >= 0.4 || dst == geom.NodeID(n) {
+					continue
+				}
+				r, _ := min.Route(geom.NodeID(n), dst, rng)
+				s.Enqueue(s.NewPacket(geom.NodeID(n), dst, rng.Intn(3), 5, r))
 			}
 			s.Step()
 		}
-		return s
-	}
-	want := run(0) // collapses before any work: plain sequential run
-	for _, at := range []int{1, 57, 199} {
-		got := run(at)
-		if got.Stats != want.Stats {
-			t.Fatalf("collapse at %d: stats diverged\n got %+v\nwant %+v", at, got.Stats, want.Stats)
+		par := s.StepperCounters().ParallelCycles
+		if !hooked {
+			if par == 0 {
+				t.Fatal("hook-free saturated run never took the parallel sweep — the test is vacuous")
+			}
+			continue
 		}
-		if got.Shards() != 1 {
-			t.Fatalf("collapse at %d: still sharded", at)
+		if calls.Load() == 0 {
+			t.Fatal("VCFilter was never consulted")
 		}
-	}
-	if want.Stats.Delivered == 0 {
-		t.Fatal("workload delivered nothing — test is vacuous")
+		if n := overlaps.Load(); n != 0 {
+			t.Fatalf("VCFilter ran concurrently with itself %d times", n)
+		}
+		if par != 0 {
+			t.Fatalf("%d cycles took the parallel sweep with a VCFilter installed", par)
+		}
 	}
 }
 

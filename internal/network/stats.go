@@ -159,23 +159,6 @@ func (st *Stats) AvgNetLatency() float64 {
 	return float64(st.SumNetLatency) / float64(st.Delivered)
 }
 
-// Throughput returns delivered flits per node per cycle over the given
-// horizon, the paper's throughput metric.
-func (st *Stats) ThroughputFlits(cycles int64, nodes int, avgFlitsPerPacket float64) float64 {
-	if cycles == 0 || nodes == 0 {
-		return 0
-	}
-	return float64(st.Delivered) * avgFlitsPerPacket / float64(cycles) / float64(nodes)
-}
-
-// ThroughputPackets returns delivered packets per node per cycle.
-func (st *Stats) ThroughputPackets(cycles int64, nodes int) float64 {
-	if cycles == 0 || nodes == 0 {
-		return 0
-	}
-	return float64(st.Delivered) / float64(cycles) / float64(nodes)
-}
-
 // LinkUtilization returns, per class, the fraction of (alive directed
 // link × cycle) slots occupied by that class.
 func (st *Stats) LinkUtilization(cycles int64, aliveDirectedLinks int) [NumLinkClasses]float64 {

@@ -69,21 +69,22 @@ func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
 }
 
 // Wake tells the stepper that state it derives its work from changed
-// behind its back at or near router n: it voids any open quiet window
-// and marks the registered request vectors stale, so the next fused
-// sweep rebuilds them from the buffers (dense.go). The simulator's own
-// entry points that add, move, remove or reroute a packet (Enqueue,
-// PlacePacket, PlaceBubblePacket, RemovePacket, DeliverOutOfBand,
-// SetRoute, RecountNIPending) look after themselves; call Wake after
-// changing state a registered horizon or a router phase depends on
-// through any other channel — re-enabling a router or link in the
-// topology, clearing a fence, or moving buffered packets between
-// occupied slots by hand (core's SPIN rotation rewrites vc.Pkt, ReadyAt
-// and p.Hop along a chain). It does not make a packet written into an
-// *empty* buffer visible to the stepper: occupancy is tracked by
-// counters, so packets enter buffers only through Enqueue, PlacePacket
-// or PlaceBubblePacket. Call it from the stepping goroutine (hooks run
-// there).
+// behind its back: it voids any open quiet window and marks the
+// registered request vectors stale, so the next fused sweep rebuilds
+// them from the buffers (dense.go). The effect is global — n names where
+// the change happened for the reader of the call site and is otherwise
+// unused. The simulator's own entry points that add, move, remove or
+// reroute a packet (Enqueue, PlacePacket, PlaceBubblePacket,
+// RemovePacket, DeliverOutOfBand, SetRoute, RecountNIPending) look after
+// themselves; call Wake after changing state a registered horizon or a
+// router phase depends on through any other channel — re-enabling a
+// router or link in the topology, clearing a fence, or moving buffered
+// packets between occupied slots by hand (core's SPIN rotation rewrites
+// vc.Pkt, ReadyAt and p.Hop along a chain). It does not make a packet
+// written into an *empty* buffer visible to the stepper: occupancy is
+// tracked by counters, so packets enter buffers only through Enqueue,
+// PlacePacket or PlaceBubblePacket. Call it from the stepping goroutine
+// (every hook runs there).
 func (s *Sim) Wake(n geom.NodeID) {
 	s.quietUntil = 0
 	s.dense.stale = true
@@ -136,11 +137,11 @@ func (s *Sim) collectActive() {
 
 // Step advances the simulation by one cycle: hooks, then the phases
 // over the active set in ascending id order — the order the naive
-// stepper visits routers, so the two cores are cycle-exact. A sharded
-// Sim fans a busy cycle out to its shard workers (shard.go), unless a
-// GrantFilter or OnGrant is installed: those may consult arbitrary
-// state mid-phase, so grant decisions stop being provably
-// order-independent and the cycle runs the sequential sweep.
+// stepper visits routers, so the two cores are cycle-exact. A swept
+// cycle is either fused (fusedAlloc: no allocation hook, slot space fits
+// a word) — and then a busy cycle on a sharded Sim fans out to the shard
+// workers (shard.go) — or it is the plain sequential sweep. That one
+// predicate is why every hook runs on the stepping goroutine.
 func (s *Sim) Step() {
 	if s.Now < s.quietUntil {
 		s.Now++
@@ -151,7 +152,7 @@ func (s *Sim) Step() {
 		f(s)
 	}
 	s.collectActive()
-	if len(s.shards) > 1 && len(s.ids) > parallelMinActive && s.GrantFilter == nil && s.OnGrant == nil {
+	if len(s.shards) > 1 && len(s.ids) > parallelMinActive && s.fusedAlloc() {
 		s.sweepParallel()
 	} else {
 		s.sweep()

@@ -13,10 +13,9 @@ const tableCacheCap = 32
 
 // tableCache is a tiny fingerprint-keyed LRU of compiled minimal
 // routing tables, private to one Manager. Lookups, inserts, and
-// recency updates are all O(1): an index map plus an intrusive
-// doubly-linked recency list (the old implementation rescanned and
-// recopied an order slice on every touch — O(cap) per access, on the
-// per-event path of every churn run).
+// recency updates are all O(1) — they sit on the per-event path of
+// every churn run: an index map plus an intrusive doubly-linked recency
+// list.
 //
 // Why not routing.MinimalFor? That process-wide cache is documented as
 // off-limits for callers that mutate their topology in place (see

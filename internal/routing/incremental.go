@@ -8,7 +8,7 @@ import (
 // Incremental recompilation: rebuild compiled routing tables after a
 // topology epoch in time proportional to the damage, not the chip.
 //
-// The key fact (DESIGN.md §14): a destination column of the minimal
+// The key fact (DESIGN.md §10): a destination column of the minimal
 // tables can change only if the epoch's channel delta touches a *tight*
 // edge of that column's shortest-path DAG. Concretely, with row0 the
 // previous distance column for destination dst:
@@ -84,56 +84,80 @@ func (m *Minimal) Recompile(t *topology.Topology) (*Minimal, RecompileStats) {
 	n := g1.N
 	delta, ok := topology.DiffFlat(m.g, g1)
 	if !ok || m.tab == nil || m.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
-		return &Minimal{g: g1, tab: compileMinimal(g1)},
-			RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: 2 * int64(n) * int64(n)}
+		return &Minimal{g: g1, tab: compileMinimal(g1, compileWorkers(n))}, fullRecompile(n, 1)
 	}
 	if delta.Empty() {
 		return &Minimal{g: g1, tab: m.tab}, RecompileStats{ColsShared: n}
 	}
 	rep := newMinRepairer(g1, &delta)
-	// Pass 1: classify every column (share / repair / rebuild) so the
-	// non-shared columns can be carved from one arena allocation.
-	const (
-		clsShare = iota
-		clsRepair
-		clsRebuild
-	)
 	cls := make([]uint8, n)
-	fresh := 0
 	for dst := 0; dst < n; dst++ {
 		switch {
 		case rep.aliveFlip[dst]:
 			cls[dst] = clsRebuild
-			fresh++
 		case rep.columnPerturbed(m.tab.cols[dst].dist):
 			cls[dst] = clsRepair
+		}
+	}
+	tab, st := patchTables(m.tab, 1, cls, rep.repairColumn, func(dst int, c col) {
+		rep.queue = compileMinColumn(g1, dst, c, rep.queue)
+	})
+	return &Minimal{g: g1, tab: tab}, st
+}
+
+// Column classes of an incremental recompile.
+const (
+	clsShare   = iota // alias the previous epoch's pages
+	clsRepair         // patch a copy of the previous column
+	clsRebuild        // full column BFS
+)
+
+// columnEntries is the number of table entries in one destination
+// column: distPerNode distances plus one mask byte per node.
+func columnEntries(n, distPerNode int) int64 { return int64(distPerNode+1) * int64(n) }
+
+// fullRecompile is the RecompileStats of a from-scratch fallback.
+func fullRecompile(n, distPerNode int) RecompileStats {
+	return RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: int64(n) * columnEntries(n, distPerNode)}
+}
+
+// patchTables assembles the next epoch's table from prev under a
+// per-destination classification: clsShare columns alias prev's pages;
+// the rest are carved from one arena allocation and filled by repair
+// (clsRepair; a repair that declines falls through to a rebuild) or by
+// rebuild. It owns the RecompileStats accounting, so both algorithms
+// charge a rebuilt column at its full size and a repaired one at the
+// entries that changed.
+func patchTables(prev *tables, distPerNode int, cls []uint8,
+	repair func(prev, c col) (distChanged, maskChanged int, ok bool),
+	rebuild func(dst int, c col)) (*tables, RecompileStats) {
+	n := prev.n
+	fresh := 0
+	for _, k := range cls {
+		if k != clsShare {
 			fresh++
 		}
 	}
-	t1 := &minTables{n: n, cols: make([]minCol, n)}
-	distArena := make([]int16, fresh*n)
-	maskArena := make([]uint8, fresh*n)
+	t1 := &tables{n: n, cols: make([]col, n)}
+	at := colArena(fresh, n, distPerNode)
 	var st RecompileStats
 	slot := 0
 	for dst := 0; dst < n; dst++ {
-		prev := m.tab.cols[dst]
+		p := prev.cols[dst]
 		if cls[dst] == clsShare {
-			t1.cols[dst] = prev
+			t1.cols[dst] = p
 			st.ColsShared++
 			continue
 		}
-		col := minCol{
-			dist: distArena[slot*n : (slot+1)*n : (slot+1)*n],
-			mask: maskArena[slot*n : (slot+1)*n : (slot+1)*n],
-		}
+		c := at(slot)
 		slot++
 		if cls[dst] == clsRepair {
-			if dc, mc, ok := rep.repairColumn(prev, col); ok {
+			if dc, mc, ok := repair(p, c); ok {
 				if dc == 0 {
-					col.dist = prev.dist // untouched row: share it too
+					c.dist = p.dist // untouched row: share it too
 					st.DistShared++
 				}
-				t1.cols[dst] = col
+				t1.cols[dst] = c
 				st.ColsRepaired++
 				st.EntriesRewritten += int64(dc) + int64(mc)
 				continue
@@ -141,12 +165,12 @@ func (m *Minimal) Recompile(t *topology.Topology) (*Minimal, RecompileStats) {
 			// Exact-increase set blew past the repair limit: the column
 			// BFS is cheaper from here.
 		}
-		rep.queue = compileMinColumn(g1, dst, col, rep.queue)
-		t1.cols[dst] = col
+		rebuild(dst, c)
+		t1.cols[dst] = c
 		st.ColsRebuilt++
-		st.EntriesRewritten += 2 * int64(n)
+		st.EntriesRewritten += columnEntries(n, distPerNode)
 	}
-	return &Minimal{g: g1, tab: t1}, st
+	return t1, st
 }
 
 // minRepairer holds the per-Recompile scratch for column repairs: the
@@ -254,16 +278,16 @@ func (r *minRepairer) recordChanged(x int32) {
 	}
 }
 
-// repairColumn patches prev (for one destination) into col under the
+// repairColumn patches prev (for one destination) into c under the
 // repairer's delta. Returns the number of distance and mask entries
 // whose value changed, or ok=false when the increase set exceeded the
-// repair limit (caller rebuilds the column instead). col must not alias
-// prev; on return col holds the exact column a fresh BFS would produce.
-func (r *minRepairer) repairColumn(prev minCol, col minCol) (distChanged, maskChanged int, ok bool) {
+// repair limit (caller rebuilds the column instead). c must not alias
+// prev; on return c holds the exact column a fresh BFS would produce.
+func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, ok bool) {
 	g1, n := r.g1, r.n
-	copy(col.dist, prev.dist)
-	copy(col.mask, prev.mask)
-	dist := col.dist
+	copy(c.dist, prev.dist)
+	copy(c.mask, prev.mask)
+	dist := c.dist
 	r.stamp++
 	r.aff = r.aff[:0]
 	r.changed = r.changed[:0]
@@ -441,8 +465,8 @@ func (r *minRepairer) repairColumn(prev minCol, col minCol) (distChanged, maskCh
 				}
 			}
 		}
-		if col.mask[x] != m {
-			col.mask[x] = m
+		if c.mask[x] != m {
+			c.mask[x] = m
 			maskChanged++
 		}
 	}
@@ -466,8 +490,8 @@ func (u *UpDown) Recompile(t *topology.Topology) (*UpDown, RecompileStats) {
 	nu := newUpDownTree(t, u.policy)
 	n := nu.g.N
 	full := func() (*UpDown, RecompileStats) {
-		nu.tab = compileUpDown(nu.g, nu.level, nu.upMask)
-		return nu, RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: 3 * int64(n) * int64(n)}
+		nu.tab = compileUpDown(nu.g, nu.level, nu.upMask, compileWorkers(n))
+		return nu, fullRecompile(n, 2)
 	}
 	delta, ok := topology.DiffFlat(u.g, nu.g)
 	if !ok || u.tab == nil || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
@@ -539,115 +563,27 @@ func (u *UpDown) Recompile(t *topology.Topology) (*UpDown, RecompileStats) {
 		}
 		return false
 	}
-	dirty := make([]int32, 0, 16)
+	// Share or rebuild: a perturbed state-graph column is recompiled
+	// whole, never repaired.
+	cls := make([]uint8, n)
 	for dst := 0; dst < n; dst++ {
 		if perturbed(u.tab.cols[dst].dist) {
-			dirty = append(dirty, int32(dst))
+			cls[dst] = clsRebuild
 		}
 	}
-	t1 := &udTables{n: n, cols: make([]udCol, n)}
-	copy(t1.cols, u.tab.cols)
-	var st RecompileStats
-	st.ColsShared = n - len(dirty)
-	distArena := make([]int16, 2*len(dirty)*n)
-	maskArena := make([]uint8, len(dirty)*n)
 	queue := make([]int32, 0, 2*n)
-	for i, dst := range dirty {
-		col := udCol{
-			dist: distArena[2*i*n : 2*(i+1)*n : 2*(i+1)*n],
-			mask: maskArena[i*n : (i+1)*n : (i+1)*n],
-		}
-		queue = compileUDColumn(nu.g, nu.level, nu.upMask, int(dst), col, queue)
-		t1.cols[dst] = col
-		st.ColsRebuilt++
-		st.EntriesRewritten += 3 * int64(n)
-	}
-	nu.tab = t1
+	var st RecompileStats
+	nu.tab, st = patchTables(u.tab, 2, cls, nil, func(dst int, c col) {
+		queue = compileUDColumn(nu.g, nu.level, nu.upMask, dst, c, queue)
+	})
 	return nu, st
 }
 
 // TableEntries returns the number of table entries a full compile of
 // this router writes (the churn experiment's unit of table-install
 // cost).
-func (m *Minimal) TableEntries() int64 { n := int64(m.tab.n); return 2 * n * n }
+func (m *Minimal) TableEntries() int64 { return fullRecompile(m.tab.n, 1).EntriesRewritten }
 
 // TableEntries is the up*/down* analog: per destination column, 2n state
 // distances plus n mask bytes.
-func (u *UpDown) TableEntries() int64 { n := int64(u.tab.n); return 3 * n * n }
-
-// MinimalTablesEqual reports whether a and b hold bit-identical compiled
-// tables — the incremental-vs-full equality the property tests assert.
-func MinimalTablesEqual(a, b *Minimal) bool {
-	if a.tab.n != b.tab.n {
-		return false
-	}
-	for dst := range a.tab.cols {
-		ca, cb := &a.tab.cols[dst], &b.tab.cols[dst]
-		if !int16SlicesEqual(ca.dist, cb.dist) || !bytesEqualU8(ca.mask, cb.mask) {
-			return false
-		}
-	}
-	return true
-}
-
-// UpDownTablesEqual reports whether a and b route identically: same
-// levels, channel classification, state-graph distances, and masks.
-func UpDownTablesEqual(a, b *UpDown) bool {
-	if a.tab.n != b.tab.n || len(a.level) != len(b.level) {
-		return false
-	}
-	for i := range a.level {
-		if a.level[i] != b.level[i] {
-			return false
-		}
-	}
-	if !bytesEqualU8(a.upMask, b.upMask) {
-		return false
-	}
-	for dst := range a.tab.cols {
-		ca, cb := &a.tab.cols[dst], &b.tab.cols[dst]
-		if !int16SlicesEqual(ca.dist, cb.dist) || !bytesEqualU8(ca.mask, cb.mask) {
-			return false
-		}
-	}
-	return true
-}
-
-// SharesColumn reports whether m and o share destination dst's column
-// pages pointer-identically — the COW invariant tests use it.
-func (m *Minimal) SharesColumn(o *Minimal, dst geom.NodeID) bool {
-	a, b := &m.tab.cols[dst], &o.tab.cols[dst]
-	return len(a.dist) > 0 && len(b.dist) > 0 && &a.dist[0] == &b.dist[0] &&
-		len(a.mask) > 0 && len(b.mask) > 0 && &a.mask[0] == &b.mask[0]
-}
-
-// SharesColumn is the UpDown analog of Minimal.SharesColumn.
-func (u *UpDown) SharesColumn(o *UpDown, dst geom.NodeID) bool {
-	a, b := &u.tab.cols[dst], &o.tab.cols[dst]
-	return len(a.dist) > 0 && len(b.dist) > 0 && &a.dist[0] == &b.dist[0] &&
-		len(a.mask) > 0 && len(b.mask) > 0 && &a.mask[0] == &b.mask[0]
-}
-
-func int16SlicesEqual(a, b []int16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func bytesEqualU8(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (u *UpDown) TableEntries() int64 { return fullRecompile(u.tab.n, 2).EntriesRewritten }

@@ -178,17 +178,17 @@ func TestIncrementalRepairIsLocal(t *testing.T) {
 func TestParallelCompileDeterminism(t *testing.T) {
 	topo := topology.RandomIrregular(20, 20, topology.LinkFaults, 60, 9)
 	g := topo.Flatten()
-	seq := compileMinimalWorkers(g, 1)
+	seq := compileMinimal(g, 1)
 	ud := newUpDownTree(topo, RootLowestID)
-	seqUD := compileUpDownWorkers(g, ud.level, ud.upMask, 1)
+	seqUD := compileUpDown(g, ud.level, ud.upMask, 1)
 	for _, workers := range []int{2, 3, 8} {
-		par := compileMinimalWorkers(g, workers)
+		par := compileMinimal(g, workers)
 		a := &Minimal{g: g, tab: seq}
 		b := &Minimal{g: g, tab: par}
 		if !MinimalTablesEqual(a, b) {
 			t.Fatalf("parallel minimal compile (workers=%d) not byte-identical", workers)
 		}
-		parUD := compileUpDownWorkers(g, ud.level, ud.upMask, workers)
+		parUD := compileUpDown(g, ud.level, ud.upMask, workers)
 		ua := &UpDown{g: g, level: ud.level, upMask: ud.upMask, tab: seqUD}
 		ub := &UpDown{g: g, level: ud.level, upMask: ud.upMask, tab: parUD}
 		if !UpDownTablesEqual(ua, ub) {

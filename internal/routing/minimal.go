@@ -19,7 +19,7 @@ import (
 // for concurrent use from any number of goroutines.
 type Minimal struct {
 	g   *topology.FlatGraph
-	tab *minTables
+	tab *tables
 }
 
 // NewMinimal compiles a minimal router over t's current state. Later
@@ -27,7 +27,7 @@ type Minimal struct {
 // to share compiled tables across identical topologies.
 func NewMinimal(t *topology.Topology) *Minimal {
 	g := t.Flatten()
-	return &Minimal{g: g, tab: compileMinimal(g)}
+	return &Minimal{g: g, tab: compileMinimal(g, compileWorkers(g.N))}
 }
 
 // Name implements Algorithm.

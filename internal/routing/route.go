@@ -106,21 +106,3 @@ func AppendRoute(a Algorithm, buf Route, src, dst geom.NodeID, rng *rand.Rand) (
 	}
 	return append(buf, r...), true
 }
-
-// Deterministic wraps an Algorithm so that route sampling ignores the
-// rng: every source-destination pair always gets the same path, modeling
-// table-based routing (Ariadne and its kin populate per-pair tables once
-// per reconfiguration; there is no per-packet adaptivity).
-func Deterministic(a Algorithm) Algorithm { return deterministic{a} }
-
-type deterministic struct{ inner Algorithm }
-
-func (d deterministic) Name() string { return d.inner.Name() + "_det" }
-
-func (d deterministic) Route(src, dst geom.NodeID, _ *rand.Rand) (Route, bool) {
-	return d.inner.Route(src, dst, nil)
-}
-
-func (d deterministic) AppendRoute(buf Route, src, dst geom.NodeID, _ *rand.Rand) (Route, bool) {
-	return AppendRoute(d.inner, buf, src, dst, nil)
-}

@@ -463,26 +463,6 @@ func TestTreeRoutingHasStretch(t *testing.T) {
 	}
 }
 
-func TestDeterministicWrapper(t *testing.T) {
-	topo := topology.NewMesh(5, 5)
-	det := Deterministic(NewMinimal(topo))
-	if det.Name() != "minimal_det" {
-		t.Fatalf("name = %q", det.Name())
-	}
-	rng := rand.New(rand.NewSource(2))
-	first := map[geom.Direction]bool{}
-	for i := 0; i < 32; i++ {
-		r, ok := det.Route(0, 24, rng)
-		if !ok {
-			t.Fatal("route must exist")
-		}
-		first[r[0]] = true
-	}
-	if len(first) != 1 {
-		t.Fatalf("deterministic wrapper produced %d distinct first hops", len(first))
-	}
-}
-
 func TestRootPolicyLowestID(t *testing.T) {
 	topo := topology.NewMesh(5, 5)
 	u := NewUpDownRooted(topo, RootLowestID)

@@ -14,54 +14,72 @@ import (
 // algorithm) pair into flat arrays so the per-packet hot path never
 // walks the graph. For every destination the compiler stores
 //
-//   - a dense int16 distance row (replacing the lazy map[NodeID][]int
-//     caches the BFS implementations used to grow at route time), and
+//   - a dense int16 distance row, and
 //   - one packed next-hop candidate byte per (node, dst): bit i set
 //     means geom.LinkDirs[i] is a legal minimal next hop. AppendRoute
-//     then reduces to two array loads plus a popcount-indexed pick per
-//     hop, with rng draw semantics identical to the graph walk it
-//     replaced (one Intn(candidates) draw iff candidates > 1).
+//     is then two array loads plus a popcount-indexed pick per hop,
+//     with one rng draw (Intn(candidates)) iff candidates > 1 — the
+//     draw sequence every seeded trajectory depends on.
+//
+// Both algorithms share one table shape. Minimal routing keeps one
+// distance per node; up*/down* keeps two (one per phase of the
+// (node, phase) state graph) and packs the two phases' candidates into
+// the nibbles of the mask byte.
 //
 // Tables are stored as per-destination column pages rather than one
 // n×n slab so an incremental recompile (incremental.go) can share the
 // columns an epoch did not perturb pointer-identically with the
 // previous epoch's table. A cold compile still allocates each array as
-// one contiguous block sliced per column, so the cache behavior of the
-// hot path is unchanged.
+// one contiguous block sliced per column, so the hot path sees one
+// contiguous block per array.
 //
 // Compiled tables are immutable after construction, which is what makes
 // one instance shareable across the sweep engine's workers, the sharded
-// core's parallel injection phase (see race_test.go), and — new with
-// column sharing — across the epochs of a churn run; the lazy maps they
-// replace mutated under Route and were unsafe to share.
+// core's parallel injection phase (see race_test.go), and across the
+// epochs of a churn run.
 
-// minCol is one destination's column of the compiled minimal tables.
-// Copying the struct aliases the backing arrays: column sharing between
-// epochs is exactly assigning a minCol value.
-type minCol struct {
-	dist []int16 // [node]: directed-hop distance node→dst, -1 unreachable
-	mask []uint8 // [node]: bit d set iff d is a minimal next hop toward dst
+// col is one destination's column of a compiled table. Copying the
+// struct aliases the backing arrays: column sharing between epochs is
+// exactly assigning a col value.
+type col struct {
+	// dist holds distPerNode distances per node toward the destination,
+	// -1 unreachable. Minimal: [node], directed hops. Up*/down*:
+	// [2*node+phase], distance on the state graph.
+	dist []int16
+	// mask[node] is the next-hop candidate byte. Minimal: bit d set iff d
+	// is a minimal next hop. Up*/down*: low nibble = phaseUp candidates,
+	// high nibble = phaseDown candidates.
+	mask []uint8
 }
 
-// minTables is the compiled form of minimal routing: all-pairs
-// distances and per-(node,dst) candidate masks over a FlatGraph, one
-// column page per destination.
-type minTables struct {
+// tables is the compiled form of a routing algorithm over a FlatGraph,
+// one column page per destination.
+type tables struct {
 	n    int
-	cols []minCol // [dst]
+	cols []col // [dst]
 }
 
-// newMinTables allocates a table with every column backed by one
-// contiguous block (the cold-compile layout).
-func newMinTables(n int) *minTables {
-	dist := make([]int16, n*n)
-	mask := make([]uint8, n*n)
-	t := &minTables{n: n, cols: make([]minCol, n)}
-	for d := 0; d < n; d++ {
-		t.cols[d] = minCol{
-			dist: dist[d*n : (d+1)*n : (d+1)*n],
-			mask: mask[d*n : (d+1)*n : (d+1)*n],
+// colArena allocates k columns out of one contiguous block per array and
+// returns the i-th column of it.
+func colArena(k, n, distPerNode int) func(i int) col {
+	w := distPerNode * n
+	dist := make([]int16, k*w)
+	mask := make([]uint8, k*n)
+	return func(i int) col {
+		return col{
+			dist: dist[i*w : (i+1)*w : (i+1)*w],
+			mask: mask[i*n : (i+1)*n : (i+1)*n],
 		}
+	}
+}
+
+// newTables allocates a table with every column backed by one
+// contiguous block (the cold-compile layout).
+func newTables(n, distPerNode int) *tables {
+	t := &tables{n: n, cols: make([]col, n)}
+	at := colArena(n, n, distPerNode)
+	for d := range t.cols {
+		t.cols[d] = at(d)
 	}
 	return t
 }
@@ -69,7 +87,7 @@ func newMinTables(n int) *minTables {
 // bytes returns the heap footprint of the table arrays. Shared columns
 // are counted once per table that references them, so this is an upper
 // bound under incremental column sharing.
-func (t *minTables) bytes() int64 {
+func (t *tables) bytes() int64 {
 	var b int64
 	for i := range t.cols {
 		b += 2*int64(len(t.cols[i].dist)) + int64(len(t.cols[i].mask))
@@ -92,63 +110,56 @@ func compileWorkers(n int) int {
 	if n < compileParallelThreshold {
 		return 1
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > maxCompileWorkers {
-		w = maxCompileWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), maxCompileWorkers)
 }
 
-// compileMinimal builds the minimal-routing tables for every destination
-// of g: one reverse BFS per destination (O(N) each over the flat
-// arrays), then a candidate-mask fill. Large graphs fan destinations
-// across a bounded worker pool; every column is computed independently
-// and workers write disjoint columns, so the output is byte-identical
-// to the sequential compile at any worker count.
-func compileMinimal(g *topology.FlatGraph) *minTables {
-	return compileMinimalWorkers(g, compileWorkers(g.N))
-}
-
-// compileMinimalWorkers is compileMinimal at an explicit worker count
-// (exercised directly by the determinism tests).
-func compileMinimalWorkers(g *topology.FlatGraph, workers int) *minTables {
-	n := g.N
-	t := newMinTables(n)
-	if workers <= 1 {
-		queue := make([]int32, 0, n)
-		for dst := 0; dst < n; dst++ {
-			queue = compileMinColumn(g, dst, t.cols[dst], queue)
-		}
-		return t
-	}
+// compileColumns cold-compiles a table: fill computes one destination's
+// column (queue is per-worker BFS scratch, returned so capacity growth
+// is kept). With workers > 1 the destinations fan across a bounded pool;
+// every column is computed independently and workers write disjoint
+// columns, so the output is byte-identical to the sequential compile at
+// any worker count.
+func compileColumns(n, distPerNode, workers int, fill func(dst int, c col, queue []int32) []int32) *tables {
+	t := newTables(n, distPerNode)
+	workers = max(workers, 1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			queue := make([]int32, 0, n)
+			queue := make([]int32, 0, distPerNode*n)
 			for dst := w; dst < n; dst += workers {
-				queue = compileMinColumn(g, dst, t.cols[dst], queue)
+				queue = fill(dst, t.cols[dst], queue)
 			}
 		}(w)
+	}
+	queue := make([]int32, 0, distPerNode*n)
+	for dst := 0; dst < n; dst += workers {
+		queue = fill(dst, t.cols[dst], queue)
 	}
 	wg.Wait()
 	return t
 }
 
+// compileMinimal builds the minimal-routing tables for every destination
+// of g: one reverse BFS per destination (O(N) each over the flat
+// arrays), then a candidate-mask fill.
+func compileMinimal(g *topology.FlatGraph, workers int) *tables {
+	return compileColumns(g.N, 1, workers, func(dst int, c col, queue []int32) []int32 {
+		return compileMinColumn(g, dst, c, queue)
+	})
+}
+
 // compileMinColumn fills one destination's column: reverse BFS for the
 // distance row, then the candidate-mask fill. queue is caller-provided
 // scratch (returned so capacity growth is kept).
-func compileMinColumn(g *topology.FlatGraph, dst int, col minCol, queue []int32) []int32 {
-	row := col.dist
+func compileMinColumn(g *topology.FlatGraph, dst int, c col, queue []int32) []int32 {
+	row := c.dist
 	for i := range row {
 		row[i] = -1
 	}
-	for i := range col.mask {
-		col.mask[i] = 0
+	for i := range c.mask {
+		c.mask[i] = 0
 	}
 	if !g.Alive[dst] {
 		return queue
@@ -182,7 +193,7 @@ func compileMinColumn(g *topology.FlatGraph, dst int, col minCol, queue []int32)
 				m |= 1 << uint(d)
 			}
 		}
-		col.mask[v] = m
+		c.mask[v] = m
 	}
 	return queue
 }
@@ -192,86 +203,27 @@ const (
 	phaseDown = 1 // committed to down channels only
 )
 
-// udCol is one destination's column of the compiled up*/down* tables.
-type udCol struct {
-	dist []int16 // [2*node + phase]: state-graph distance, -1 unreachable
-	mask []uint8 // [node]: low nibble = phaseUp, high nibble = phaseDown
-}
-
-// udTables is the compiled form of up*/down* routing: distances on the
-// (node, phase) state graph and per-(node,dst) candidate masks with the
-// two phases packed into one byte (low nibble = phaseUp candidates,
-// high nibble = phaseDown candidates), one column page per destination.
-type udTables struct {
-	n    int
-	cols []udCol // [dst]
-}
-
-func newUDTables(n int) *udTables {
-	dist := make([]int16, 2*n*n)
-	mask := make([]uint8, n*n)
-	t := &udTables{n: n, cols: make([]udCol, n)}
-	for d := 0; d < n; d++ {
-		t.cols[d] = udCol{
-			dist: dist[2*d*n : 2*(d+1)*n : 2*(d+1)*n],
-			mask: mask[d*n : (d+1)*n : (d+1)*n],
-		}
-	}
-	return t
-}
-
-func (t *udTables) bytes() int64 {
-	var b int64
-	for i := range t.cols {
-		b += 2*int64(len(t.cols[i].dist)) + int64(len(t.cols[i].mask))
-	}
-	return b
-}
-
-// compileUpDown builds the up*/down* tables. level is the BFS-tree
-// level array (-1 dead/unrouted) and upMask[v] has bit d set iff the
-// channel v→d is an "up" channel; both come from the spanning-tree
-// construction in updown.go. Parallelized over destinations exactly
-// like compileMinimal, with the same byte-identical guarantee.
-func compileUpDown(g *topology.FlatGraph, level []int, upMask []uint8) *udTables {
-	return compileUpDownWorkers(g, level, upMask, compileWorkers(g.N))
-}
-
-func compileUpDownWorkers(g *topology.FlatGraph, level []int, upMask []uint8, workers int) *udTables {
-	n := g.N
-	t := newUDTables(n)
-	if workers <= 1 {
-		queue := make([]int32, 0, 2*n)
-		for dst := 0; dst < n; dst++ {
-			queue = compileUDColumn(g, level, upMask, dst, t.cols[dst], queue)
-		}
-		return t
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			queue := make([]int32, 0, 2*n)
-			for dst := w; dst < n; dst += workers {
-				queue = compileUDColumn(g, level, upMask, dst, t.cols[dst], queue)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return t
+// compileUpDown builds the up*/down* tables: distances on the (node,
+// phase) state graph and the two phases' candidates packed into one
+// mask byte. level is the BFS-tree level array (-1 dead/unrouted) and
+// upMask[v] has bit d set iff the channel v→d is an "up" channel; both
+// come from the spanning-tree construction in updown.go.
+func compileUpDown(g *topology.FlatGraph, level []int, upMask []uint8, workers int) *tables {
+	return compileColumns(g.N, 2, workers, func(dst int, c col, queue []int32) []int32 {
+		return compileUDColumn(g, level, upMask, dst, c, queue)
+	})
 }
 
 // compileUDColumn fills one destination's up*/down* column: BFS over
 // (node, phase) states walking legal transitions backward, then the
 // per-phase candidate-mask fill. queue is caller-provided scratch.
-func compileUDColumn(g *topology.FlatGraph, level []int, upMask []uint8, dst int, col udCol, queue []int32) []int32 {
-	row := col.dist
+func compileUDColumn(g *topology.FlatGraph, level []int, upMask []uint8, dst int, c col, queue []int32) []int32 {
+	row := c.dist
 	for i := range row {
 		row[i] = -1
 	}
-	for i := range col.mask {
-		col.mask[i] = 0
+	for i := range c.mask {
+		c.mask[i] = 0
 	}
 	if level[dst] < 0 {
 		return queue
@@ -314,7 +266,7 @@ func compileUDColumn(g *topology.FlatGraph, level []int, upMask []uint8, dst int
 		}
 	}
 	// Candidate masks per phase.
-	n := len(col.mask)
+	n := len(c.mask)
 	for v := 0; v < n; v++ {
 		if level[v] < 0 {
 			continue
@@ -340,15 +292,16 @@ func compileUDColumn(g *topology.FlatGraph, level []int, upMask []uint8, dst int
 				m |= 1 << (4 + uint(d))
 			}
 		}
-		col.mask[v] = m
+		c.mask[v] = m
 	}
 	return queue
 }
 
 // pickDir returns the k-th set direction of candidate mask m (bit i is
-// geom.LinkDirs[i], so candidates enumerate in N,E,S,W order exactly as
-// the graph walk did), drawing k from rng iff more than one candidate
-// exists — the rng contract every seeded trajectory depends on.
+// geom.LinkDirs[i], so candidates enumerate in N,E,S,W order — the
+// order AppendRouteOneShot's graph walk uses), drawing k from rng iff
+// more than one candidate exists — the rng contract every seeded
+// trajectory depends on.
 func pickDir(m uint8, rng *rand.Rand) geom.Direction {
 	cnt := bits.OnesCount8(uint8(m))
 	k := 0

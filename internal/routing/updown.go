@@ -19,9 +19,8 @@ import (
 // legal minimal next hops when an rng is supplied.
 //
 // Like Minimal, an UpDown is fully compiled at construction (table.go):
-// state-graph distances and per-(node,dst) candidate masks replace the
-// lazy per-destination BFS the type used to run at route time, so
-// instances are immutable and safe for concurrent use.
+// state-graph distances and per-(node,dst) candidate masks, so instances
+// are immutable and safe for concurrent use.
 type UpDown struct {
 	topo   *topology.Topology
 	g      *topology.FlatGraph
@@ -31,7 +30,7 @@ type UpDown struct {
 	// upMask[n] has bit d set iff the channel n→d is an "up" channel
 	// (usable, both levels known, toward the root ordering).
 	upMask []uint8
-	tab    *udTables
+	tab    *tables
 	// policy is retained so Recompile (incremental.go) rebuilds the
 	// spanning trees under the same root-selection rule.
 	policy RootPolicy
@@ -71,7 +70,7 @@ func NewUpDown(t *topology.Topology) *UpDown {
 // policy and compiles the routing tables.
 func NewUpDownRooted(t *topology.Topology, policy RootPolicy) *UpDown {
 	u := newUpDownTree(t, policy)
-	u.tab = compileUpDown(u.g, u.level, u.upMask)
+	u.tab = compileUpDown(u.g, u.level, u.upMask, compileWorkers(u.g.N))
 	return u
 }
 

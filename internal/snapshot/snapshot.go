@@ -134,10 +134,3 @@ func DecodeJSON(r io.Reader, v any) error {
 func Write(w io.Writer, st State) error {
 	return EncodeJSON(w, st)
 }
-
-// Read parses a snapshot produced by Write.
-func Read(r io.Reader) (State, error) {
-	var st State
-	err := DecodeJSON(r, &st)
-	return st, err
-}

@@ -70,8 +70,8 @@ func TestRoundTripJSON(t *testing.T) {
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
-	if err != nil {
+	var back State
+	if err := DecodeJSON(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st, back) {

@@ -1,8 +1,7 @@
 // Package stats provides the aggregation helpers the experiment harness
-// uses to average metrics over sampled irregular topologies: running
-// samples, trend-stabilization detection (the paper grows the topology
-// sample until the studied average stabilizes, Section V-A), and simple
-// histograms for the Fig. 3 heat map.
+// uses to average metrics over sampled irregular topologies and
+// simulated packets: running samples, mergeable quantile sketches, and
+// sweep progress counters.
 package stats
 
 import (
@@ -82,95 +81,7 @@ func (s *Sample) Percentile(p float64) float64 {
 	return sorted[rank]
 }
 
-// Stable reports whether the running mean has stabilized: the mean of the
-// last half of the observations is within tol (relative) of the overall
-// mean, given at least minN observations. This is the paper's "increase
-// the number of topologies till the trend stabilizes" criterion.
-func (s *Sample) Stable(minN int, tol float64) bool {
-	if s.n < minN {
-		return false
-	}
-	half := s.values[s.n/2:]
-	var hs float64
-	for _, v := range half {
-		hs += v
-	}
-	hm := hs / float64(len(half))
-	m := s.Mean()
-	if m == 0 {
-		return hm == 0
-	}
-	return math.Abs(hm-m)/math.Abs(m) <= tol
-}
-
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
 		s.n, s.Mean(), s.minV, s.maxV, s.Stddev())
 }
-
-// Histogram counts observations into fixed-width bins over [lo, hi);
-// out-of-range values clamp to the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	total  int
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// CumulativeFraction returns, per bin, the fraction of observations at or
-// below that bin — the cumulative distribution the Fig. 3 heat map plots.
-func (h *Histogram) CumulativeFraction() []float64 {
-	out := make([]float64, len(h.Bins))
-	run := 0
-	for i, c := range h.Bins {
-		run += c
-		if h.total > 0 {
-			out[i] = float64(run) / float64(h.total)
-		}
-	}
-	return out
-}
-
-// LatencyCollector accumulates per-packet latencies (install its Observe
-// via the simulator's OnDeliver hook) and reports percentiles.
-type LatencyCollector struct {
-	sample Sample
-}
-
-// Observe records one delivered packet's latency.
-func (c *LatencyCollector) Observe(latency int64) { c.sample.Add(float64(latency)) }
-
-// N returns the number of observations.
-func (c *LatencyCollector) N() int { return c.sample.N() }
-
-// Mean returns the mean latency.
-func (c *LatencyCollector) Mean() float64 { return c.sample.Mean() }
-
-// P returns the p-th percentile latency.
-func (c *LatencyCollector) P(p float64) float64 { return c.sample.Percentile(p) }
-
-// Max returns the largest observed latency.
-func (c *LatencyCollector) Max() float64 { return c.sample.Max() }

@@ -24,9 +24,6 @@ func TestSampleEmpty(t *testing.T) {
 	if s.Mean() != 0 || s.Stddev() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty sample should be all zeros")
 	}
-	if s.Stable(1, 0.1) {
-		t.Fatal("empty sample cannot be stable")
-	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -45,33 +42,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Fatalf("p0 = %v", got)
-	}
-}
-
-func TestStable(t *testing.T) {
-	var s Sample
-	for i := 0; i < 40; i++ {
-		s.Add(10)
-	}
-	if !s.Stable(20, 0.05) {
-		t.Fatal("constant sample must be stable")
-	}
-	var d Sample
-	for i := 0; i < 40; i++ {
-		d.Add(float64(i)) // strong trend
-	}
-	if d.Stable(20, 0.05) {
-		t.Fatal("trending sample must not be stable")
-	}
-}
-
-func TestStableAllZeros(t *testing.T) {
-	var s Sample
-	for i := 0; i < 30; i++ {
-		s.Add(0)
-	}
-	if !s.Stable(10, 0.05) {
-		t.Fatal("all-zero sample is stable")
 	}
 }
 
@@ -100,59 +70,5 @@ func TestMeanMatchesNaiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for _, v := range []float64{0.05, 0.15, 0.15, 0.95, 1.5, -0.5} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Bins[0] != 2 { // 0.05 and clamped -0.5
-		t.Fatalf("bin 0 = %d", h.Bins[0])
-	}
-	if h.Bins[1] != 2 {
-		t.Fatalf("bin 1 = %d", h.Bins[1])
-	}
-	if h.Bins[9] != 2 { // 0.95 and clamped 1.5
-		t.Fatalf("bin 9 = %d", h.Bins[9])
-	}
-	cum := h.CumulativeFraction()
-	if cum[9] != 1.0 {
-		t.Fatalf("final cumulative = %v", cum[9])
-	}
-	if cum[0] != 2.0/6 {
-		t.Fatalf("first cumulative = %v", cum[0])
-	}
-	// Monotone non-decreasing.
-	for i := 1; i < len(cum); i++ {
-		if cum[i] < cum[i-1] {
-			t.Fatal("cumulative fraction must be monotone")
-		}
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 0, 10)
-}
-
-func TestLatencyCollector(t *testing.T) {
-	var c LatencyCollector
-	for i := int64(1); i <= 100; i++ {
-		c.Observe(i)
-	}
-	if c.N() != 100 || c.Mean() != 50.5 || c.Max() != 100 {
-		t.Fatalf("collector: n=%d mean=%v max=%v", c.N(), c.Mean(), c.Max())
-	}
-	if c.P(99) != 99 || c.P(50) != 50 {
-		t.Fatalf("percentiles: p99=%v p50=%v", c.P(99), c.P(50))
 	}
 }
