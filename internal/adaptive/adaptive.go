@@ -24,9 +24,9 @@ type Controller struct {
 }
 
 // Attach installs adaptive minimal routing on s. It takes over the
-// simulator's OutputOverride; schemes that also need an override (the
-// escape-VC baseline) are incompatible with it by design — Static Bubble
-// composes fine. The routing tables come from the shared compiled-table
+// simulator's OutputOverride, which answers for every packet and so
+// outranks an escape class's tree hop: the escape-VC baseline is
+// incompatible with it by design — Static Bubble composes fine. The routing tables come from the shared compiled-table
 // cache, so s.Topo must not be mutated after Attach.
 func Attach(s *network.Sim) *Controller {
 	c := &Controller{sim: s, min: routing.MinimalFor(s.Topo)}

@@ -6,9 +6,20 @@
 // routing: from then on they follow a deadlock-free spanning-tree path
 // (up/down tree routing, Router Parking style) and may only occupy escape
 // VCs, which the tree's acyclicity guarantees will drain.
+//
+// The reservation and the tree routing are an escape class the simulator
+// reads as data (network.AttachEscapeClass), so an escape run keeps the
+// fused allocation pass and the sharded sweep; this package owns the
+// policy, one PostCycle hook that promotes a packet once it has sat in
+// the same buffer for Timeout cycles. The hook is driven by deadlines,
+// not by a scan: the simulator records each buffer's fill cycle, and a
+// router's buffers are walked only on the cycle its earliest resident
+// could time out.
 package escape
 
 import (
+	"math"
+
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/routing"
@@ -26,96 +37,86 @@ type Options struct {
 	Timeout int64
 }
 
-// vcTimer tracks how long the current occupant of one VC has been parked.
-type vcTimer struct {
-	pktID int64
-	since int64
-}
-
 // Controller wires escape-VC recovery into a simulator.
 type Controller struct {
 	sim     *network.Sim
-	updown  *routing.UpDown
 	timeout int64
-	// timers is indexed router×port×slot (flat), bounded by VC count.
-	timers []vcTimer
-	slots  int
+	// due[id] is a lower bound on the cycle at which a packet buffered at
+	// router id can time out: the earliest deadline (fill cycle + timeout)
+	// among the regular packets found there by the last walk, capped by
+	// that walk's cycle + timeout + 1 — a packet that arrived later cannot
+	// time out sooner. soonest is the minimum over due.
+	due     []int64
+	soonest int64
 }
 
 // Attach installs escape-VC recovery on s using the given up/down tree
-// for the escape paths. It registers the VC filter (escape VCs reserved),
-// the output override (escaped packets follow the tree), and the timeout
-// scan.
+// for the escape paths: the escape class (escape VCs reserved, escaped
+// packets follow the tree) and the timeout hook.
 func Attach(s *network.Sim, ud *routing.UpDown, opt Options) *Controller {
 	if opt.Timeout == 0 {
 		opt.Timeout = 34
 	}
-	slots := s.Cfg.SlotsPerPort()
 	c := &Controller{
 		sim:     s,
-		updown:  ud,
 		timeout: opt.Timeout,
-		timers:  make([]vcTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
-		slots:   slots,
+		due:     make([]int64, s.Topo.NumNodes()),
 	}
-	s.VCFilter = func(p *network.Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
-		if p.Escaped {
-			return vcIdx == EscapeVCIndex
-		}
-		return vcIdx != EscapeVCIndex
-	}
-	s.OutputOverride = func(p *network.Packet, at geom.NodeID) (geom.Direction, bool) {
-		if !p.Escaped {
-			return geom.Invalid, false
-		}
-		d := c.updown.TreeNextHop(at, p.Dst)
-		if d == geom.Invalid {
-			// Destination unreachable over the tree (cannot happen within
-			// a connected component); park rather than misroute.
-			return geom.Local, p.Dst == at
-		}
-		return d, true
-	}
-	s.PostCycle = append(s.PostCycle, func(sim *network.Sim) { c.scan() })
+	s.AttachEscapeClass(EscapeVCIndex, ud)
+	s.PostCycle = append(s.PostCycle, c.promoteDue)
 	return c
 }
 
 // SetTree swaps the spanning tree used for escape paths — called after a
 // runtime reconfiguration rebuilds the tree. Escaped packets immediately
 // follow the new tree.
-func (c *Controller) SetTree(ud *routing.UpDown) { c.updown = ud }
+func (c *Controller) SetTree(ud *routing.UpDown) { c.sim.SetEscapeTree(ud) }
 
-// scan promotes packets stuck longer than the timeout to escape routing.
-func (c *Controller) scan() {
-	s := c.sim
+// promoteDue moves every packet that has sat in its buffer for the
+// timeout to escape routing, visiting only routers whose bound has come
+// due.
+func (c *Controller) promoteDue(s *network.Sim) {
 	now := s.Now
-	for id := range s.Routers {
-		r := &s.Routers[id]
-		if r.Occupied() == 0 {
-			continue
+	if now < c.soonest {
+		return
+	}
+	soonest := int64(math.MaxInt64)
+	for id, at := range c.due {
+		if at <= now {
+			at = c.walk(geom.NodeID(id), now)
+			c.due[id] = at
 		}
-		base := id * geom.NumPorts * c.slots
-		for _, port := range geom.AllPorts {
-			pbase := base + int(port)*c.slots
-			for slot := 0; slot < c.slots; slot++ {
-				p := r.In[port][slot].Pkt
-				tm := &c.timers[pbase+slot]
-				if p == nil || p.Escaped {
-					tm.pktID = 0
-					continue
-				}
-				if tm.pktID != p.ID {
-					// New occupant: restart the timer.
-					tm.pktID = p.ID
-					tm.since = now
-					continue
-				}
-				if now-tm.since >= c.timeout {
-					p.Escaped = true
-					s.Stats.EscapeTransfers++
-					tm.pktID = 0
-				}
+		if at < soonest {
+			soonest = at
+		}
+	}
+	c.soonest = soonest
+}
+
+// walk promotes router id's expired packets and returns its next bound.
+// Escaped packets and the static bubble's occupant carry no timer.
+func (c *Controller) walk(id geom.NodeID, now int64) int64 {
+	s := c.sim
+	next := now + c.timeout + 1
+	r := &s.Routers[id]
+	if r.Occupied() == 0 {
+		return next
+	}
+	fill := s.FillCycles(id)
+	for _, port := range geom.AllPorts {
+		vcs := r.In[port]
+		for slot := range vcs {
+			p := vcs[slot].Pkt
+			if p == nil || p.Escaped {
+				continue
+			}
+			at := fill[int(port)*len(vcs)+slot] + c.timeout
+			if at <= now {
+				s.PromoteEscape(id, port, slot)
+			} else if at < next {
+				next = at
 			}
 		}
 	}
+	return next
 }

@@ -32,8 +32,14 @@ func TestBuildSchemes(t *testing.T) {
 	}
 	p.TreeBaselineAllLinks = false
 	evc := p.Build(topo.Clone(), EscapeVC, 1)
-	if evc.UpDown == nil || evc.Sim.VCFilter == nil || evc.Sim.OutputOverride == nil {
+	if _, ok := evc.Sim.EscapeClass(); evc.UpDown == nil || !ok {
 		t.Fatal("escape VC instance misconfigured")
+	}
+	// The scheme is data, not allocation hooks: after the first sweep the
+	// request vectors are live, i.e. the fused pass is what runs.
+	evc.Sim.Step()
+	if _, _, live := evc.Sim.RequestVectors(0); !live {
+		t.Fatal("escape VC instance is off the fused allocation pass")
 	}
 	sb := p.Build(topo.Clone(), StaticBubble, 1)
 	if sb.SB == nil || len(sb.SB.BubbleRouters()) != 21 {

@@ -110,7 +110,7 @@ func BenchmarkTryGrantRejected(b *testing.B) {
 			nb := s.Topo.Neighbor(geom.NodeID(id), out)
 			in := out.Opposite()
 			if s.Routers[nb].Bubble.EligibleFor(in, s.Now) ||
-				s.findFreeVCNoFilter(nb, in, p.Vnet) >= 0 {
+				s.findFreeVCNoFilter(nb, in, p.Vnet, p.Escaped) >= 0 {
 				continue
 			}
 			b.ReportAllocs()

@@ -8,40 +8,48 @@ package network
 // per-output request vectors are state, like the request registers of a
 // hardware allocator: want[id][out] has bit ci set (candidate index
 // in*slots+sl, the bubble at bit `total`) iff that buffer holds a packet
-// whose next hop at id is out, and pend[id] marks occupied buffers whose
-// head may not have arrived yet. Both are written where occBits is — at
-// a buffer fill (occBitSet, after the packet is in place) and at a
-// buffer clear (occBitClear) — so a visit derives its desire masks with
-// a few word operations, whatever the router holds, and touches a VC
-// only to retire a pend bit (a packet is looked at on the two or three
-// visits after it arrives, never again while it waits). Round-robin
-// arbitration walks the mask cyclically from saPtr with TrailingZeros64,
-// and downstream buffer availability is memoized per (output, vnet)
-// instead of re-scanned per candidate. The mask holds exactly the
-// gather's candidate set (same fence, liveness, readiness and output
-// filters, in the same ascending candidate order), the cyclic mask walk
-// visits candidates in the same order commitAllocate's rotate-and-scan
-// does, the memoized free-slot answer equals tryGrant's own re-scan (no
-// mutation can intervene: within one router's pass each output port
-// targets a distinct neighbor), and a candidate is skipped exactly when
-// tryGrant would have returned false. The winner moves through the very
-// same tryGrant the generic commit uses.
+// whose next hop at id is out — the source route's, or the escape tree's
+// for an escaped packet (escclass.go) — pend[id] marks occupied buffers
+// whose head may not have arrived yet, and esc[id] marks the buffers
+// whose packet is escaped. All three are written where occBits is — at a
+// buffer fill (occBitSet, after the packet is in place) and at a buffer
+// clear (occBitClear) — so a visit derives its desire masks with a few
+// word operations, whatever the router holds, and touches a VC only to
+// retire a pend bit (a packet is looked at on the two or three visits
+// after it arrives, never again while it waits). Round-robin arbitration
+// walks the mask cyclically from saPtr with TrailingZeros64, and
+// downstream buffer availability is memoized per (output, vnet, class)
+// instead of re-scanned per candidate: which VC indices of a vnet a
+// packet may enter depends only on whether it is escaped, so esc[id]
+// splits each vnet's candidates into the two groups that share an
+// answer. The mask holds exactly the gather's candidate set (same fence,
+// liveness, readiness and output filters, in the same ascending candidate
+// order), the cyclic mask walk visits candidates in the same order
+// commitAllocate's rotate-and-scan does, the memoized free-slot answer
+// equals tryGrant's own re-scan (no mutation can intervene: within one
+// router's pass each output port targets a distinct neighbor), and a
+// candidate is skipped exactly when tryGrant would have returned false.
+// The winner moves through the very same tryGrant the generic commit
+// uses.
 //
 // Staleness rule. The vectors are maintained only while fusedAlloc
 // holds (deriving a next hop under an OutputOverride would add hook
-// invocations) and only by the package's own fill/clear sites. Anything
-// else that changes what a buffered packet wants raises one flag,
-// dense.stale, on the coordinator: a sweep that runs non-fused, exported
-// SetRoute (reconfig's reroutes), an out-of-cycle placement under a
-// hook, and Wake — the notice a scheme that moves packets by hand
-// (core's SPIN rotation) owes the simulator. A fused sweep rebuilds the
-// vectors from the buffers before it starts (syncVectors; O(resident
-// packets)). Invariant: whenever a fused pass reads want/pend they equal
-// a from-scratch rebuild, pend up to bits whose head has since arrived
-// (validate.Check and TestRequestVectorsMatchRebuild assert it). The
-// fence and Bubble.Present/InPort stay live reads in the pass: core
-// writes those fields directly, every cycle of a recovery, and reading
-// two fields per visit is cheaper than a notice per write.
+// invocations) and only by the package's own fill/clear sites and by
+// PromoteEscape, which re-registers the one buffer whose packet it moves
+// to the escape class. Anything else that changes what a buffered packet
+// wants raises one flag, dense.stale, on the coordinator: a sweep that
+// runs non-fused, exported SetRoute (reconfig's reroutes), attaching an
+// escape class or swapping its tree (SetEscapeTree), an out-of-cycle
+// placement under a hook, and Wake — the notice a scheme that moves
+// packets by hand (core's SPIN rotation) owes the simulator. A fused
+// sweep rebuilds the vectors from the buffers before it starts
+// (syncVectors; O(resident packets)). Invariant: whenever a fused pass
+// reads want/pend/esc they equal a from-scratch rebuild, pend up to bits
+// whose head has since arrived (validate.Check and
+// TestRequestVectorsMatchRebuild assert it). The fence and
+// Bubble.Present/InPort stay live reads in the pass: core writes those
+// fields directly, every cycle of a recovery, and reading two fields per
+// visit is cheaper than a notice per write.
 //
 // A router's vectors are read and written only by the shard that owns
 // it (plan phase: the pass itself and the band's injections; commit
@@ -56,6 +64,8 @@ package network
 // generic AllocateNode per active router instead, on the stepping
 // goroutine. That is the one selection the stepper makes, from what the
 // code observes: only a fused cycle may fan out to the shard workers.
+// An escape class is not a hook: its two rules are state the pass reads,
+// so an escape-VC run stays fused.
 
 import (
 	"math/bits"
@@ -102,6 +112,12 @@ type denseState struct {
 	// whenever stale is false and fusedAlloc holds.
 	want [][geom.NumPorts]uint64
 	pend []uint64
+	// esc[id] is the class word beside them: bit ci is set iff buffer ci
+	// holds an escaped packet (escclass.go) — all zero without an escape
+	// class. Downstream buffer availability differs by class, so the pass
+	// splits each output's candidates on it. Same subset and rebuild rules
+	// as want.
+	esc []uint64
 	// stale records that something other than a maintained fill/clear
 	// may have changed what a buffered packet wants; the next fused sweep
 	// rebuilds. Read and written on the coordinator only.
@@ -127,18 +143,23 @@ func (d *denseState) init(numNodes int, cfg Config) {
 	d.occBits = make([]uint64, numNodes)
 	d.want = make([][geom.NumPorts]uint64, numNodes)
 	d.pend = make([]uint64, numNodes)
+	d.esc = make([]uint64, numNodes)
 }
 
 // occBitSet / occBitClear maintain the slot-occupancy mirror and the
 // request vectors. bit is the candidate index of the buffer being filled
-// or emptied. No-ops when the mirror is disabled (candidate space wider
-// than a word).
+// or emptied. Without the mirror (candidate space wider than a word)
+// occBitSet only records the fill cycle an attached escape class keeps
+// per buffer, and occBitClear does nothing.
 //
 // occBitSet must run after p is in place at its new hop (buffer written,
 // p.Hop advanced): it derives p's next hop at id. Under an allocation
 // hook it leaves the vectors alone — the sweep that runs there, or the
 // out-of-cycle caller, marks them stale.
 func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet) {
+	if e := s.escClass; e != nil {
+		e.fill[int(id)*e.stride+bit] = s.Now
+	}
 	d := &s.dense
 	if d.occBits == nil {
 		return
@@ -152,6 +173,9 @@ func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet) {
 		d.want[id][out] |= m
 	}
 	d.pend[id] |= m
+	if p.Escaped {
+		d.esc[id] |= m
+	}
 }
 
 func (s *Sim) occBitClear(id geom.NodeID, bit int) {
@@ -162,6 +186,7 @@ func (s *Sim) occBitClear(id geom.NodeID, bit int) {
 	m := ^(uint64(1) << uint(bit))
 	d.occBits[id] &= m
 	d.pend[id] &= m
+	d.esc[id] &= m
 	w := &d.want[id]
 	for out := range w {
 		w[out] &= m
@@ -171,7 +196,7 @@ func (s *Sim) occBitClear(id geom.NodeID, bit int) {
 // vectorsOf derives router id's request vectors from its buffers: the
 // definition the maintained copies must equal (pend exactly the heads
 // not yet arrived).
-func (s *Sim) vectorsOf(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64) {
+func (s *Sim) vectorsOf(id geom.NodeID) (want [geom.NumPorts]uint64, pend, esc uint64) {
 	d := &s.dense
 	r := &s.Routers[id]
 	for w := d.occBits[id]; w != 0; w &= w - 1 {
@@ -183,8 +208,11 @@ func (s *Sim) vectorsOf(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64
 		if vc.ReadyAt > s.Now {
 			pend |= 1 << uint(ci)
 		}
+		if vc.Pkt.Escaped {
+			esc |= 1 << uint(ci)
+		}
 	}
-	return want, pend
+	return want, pend, esc
 }
 
 // syncVectors runs on the coordinator at the top of every sweep, before
@@ -199,7 +227,7 @@ func (s *Sim) syncVectors() bool {
 	}
 	if d.stale {
 		for id := range d.occBits {
-			d.want[id], d.pend[id] = s.vectorsOf(geom.NodeID(id))
+			d.want[id], d.pend[id], d.esc[id] = s.vectorsOf(geom.NodeID(id))
 		}
 		d.stale = false
 	}
@@ -213,11 +241,23 @@ func (s *Sim) syncVectors() bool {
 // a drifted bit moves or strands a packet under Step only, so the
 // refmodel harness would catch it late and far from the cause.
 func (s *Sim) RequestVectors(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64, live bool) {
-	d := &s.dense
-	if d.occBits == nil || d.stale || !s.fusedAlloc() {
+	if !s.vectorsLive() {
 		return want, 0, false
 	}
-	return d.want[id], d.pend[id], true
+	return s.dense.want[id], s.dense.pend[id], true
+}
+
+// EscapedVector returns router id's class word (bit ci set iff buffer ci
+// holds an escaped packet); it is live exactly when RequestVectors is.
+func (s *Sim) EscapedVector(id geom.NodeID) (esc uint64, live bool) {
+	if !s.vectorsLive() {
+		return 0, false
+	}
+	return s.dense.esc[id], true
+}
+
+func (s *Sim) vectorsLive() bool {
+	return s.dense.occBits != nil && !s.dense.stale && s.fusedAlloc()
 }
 
 // occBitClearVC is occBitClear for callers holding only the buffer
@@ -365,14 +405,18 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 			nb, in = s.Topo.Neighbor(id, out), out.Opposite()
 			if !s.Routers[nb].Bubble.EligibleFor(in, now) {
 				// No downstream bubble: a candidate is grantable iff its
-				// vnet has a free downstream VC right now.
+				// vnet has a free downstream VC of its class right now.
 				eligible = 0
+				ew := d.esc[id]
 				for v, vb := range vnetBits {
-					if m&vb != 0 && s.findFreeVCNoFilter(nb, in, v) >= 0 {
-						eligible |= m & vb
+					if reg := m & vb &^ ew; reg != 0 && s.findFreeVCNoFilter(nb, in, v, false) >= 0 {
+						eligible |= reg
+					}
+					if esc := m & vb & ew; esc != 0 && s.findFreeVCNoFilter(nb, in, v, true) >= 0 {
+						eligible |= esc
 					}
 				}
-				if m&bubbleBit != 0 && s.findFreeVCNoFilter(nb, in, r.Bubble.VC.Pkt.Vnet) >= 0 {
+				if m&bubbleBit != 0 && s.findFreeVCNoFilter(nb, in, r.Bubble.VC.Pkt.Vnet, ew&bubbleBit != 0) >= 0 {
 					eligible |= bubbleBit
 				}
 				if eligible == 0 {
@@ -391,7 +435,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 		if plan != nil {
 			dst := -1 // ejection, or the downstream bubble
 			if out != geom.Local {
-				dst = s.findFreeVCNoFilter(nb, in, vc.Pkt.Vnet)
+				dst = s.findFreeVCNoFilter(nb, in, vc.Pkt.Vnet, vc.Pkt.Escaped)
 			}
 			*plan = append(*plan, planGrant{id: int32(id), out: int8(out), ci: int16(ci), dst: int16(dst)})
 		} else if s.tryGrant(r, out, vc, vc.Pkt, inPort, ci) {

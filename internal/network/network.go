@@ -16,9 +16,14 @@
 //
 // The simulator is scheme-agnostic: deadlock-recovery machinery (Static
 // Bubble FSMs in internal/core, escape-VC timeouts in internal/escape)
-// attaches through hooks — per-cycle callbacks, a VC allocation filter, an
-// output override, injection fences (the is_deadlock mechanism), and an
-// optional extra buffer per router (the static bubble).
+// attaches through per-cycle callbacks plus state the allocator reads —
+// injection fences (the is_deadlock mechanism), an optional extra buffer
+// per router (the static bubble) and an escape class (a reserved VC index
+// and a tree for promoted packets, escclass.go) — or, for policies that
+// are not table-shaped (per-hop adaptive routing, bubble flow control),
+// through allocation hooks: a VC allocation filter, an output override, a
+// grant filter. A hook costs the fused allocation pass and the parallel
+// sweep (dense.go); state does not.
 package network
 
 import (
@@ -103,12 +108,14 @@ type Sim struct {
 	PostCycle []func(*Sim)
 	// VCFilter, when non-nil, restricts which downstream VC slot a packet
 	// may be allocated: return false to veto slot vcIdx (within the
-	// packet's vnet) at router dst's input port in. Used by the escape-VC
-	// scheme to reserve escape channels.
+	// packet's vnet) at router dst's input port in. No scheme in the
+	// repository installs one (escape channels are reserved by the escape
+	// class); tests use it to push a run off the fused pass.
 	VCFilter func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool
 	// OutputOverride, when non-nil, may supply the desired output port for
-	// a packet at a router, overriding its embedded source route. Used by
-	// the escape-VC scheme once a packet moves to escape routing.
+	// a packet at a router, overriding its embedded source route (and an
+	// escaped packet's tree hop). Used by per-hop adaptive routing
+	// (internal/adaptive).
 	OutputOverride func(p *Packet, at geom.NodeID) (geom.Direction, bool)
 	// GrantFilter, when non-nil, may veto a switch-allocation candidate:
 	// packet p buffered at router at's input port `in` asking for output
@@ -188,6 +195,8 @@ type Sim struct {
 	// vectors and the constants of the fused bitset allocation pass (see
 	// dense.go).
 	dense denseState
+	// escClass, when non-nil, is the attached escape class (escclass.go).
+	escClass *escapeClass
 	// xfillObs, when non-nil, observes cross-shard buffer fills at fold
 	// time (SetXFillObserver) — seam-invariant test instrumentation.
 	xfillObs func(src, dst geom.NodeID)
@@ -501,43 +510,44 @@ func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 
 // findFreeVC returns a free VC slot index (within the full slot array) at
 // router node's input port `in` for packet p, or -1. Only slots of p's
-// vnet are considered; VCFilter may veto individual slots.
+// vnet that admit p's class (escclass.go) are considered; VCFilter may
+// veto individual slots.
 func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet int) int {
-	r := &s.Routers[node]
+	if s.VCFilter == nil {
+		return s.findFreeVCNoFilter(node, in, vnet, p.Escaped)
+	}
+	vcs := s.Routers[node].In[in]
 	base := vnet * s.Cfg.VCsPerVnet
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
-		slot := base + i
-		vc := &r.In[in][slot]
-		if !vc.Empty(s.Now) {
-			continue
+	lo, hi, skip := s.classVCs(p.Escaped)
+	for i := lo; i < hi; i++ {
+		if i != skip && vcs[base+i].Empty(s.Now) && s.VCFilter(p, node, in, i) {
+			return base + i
 		}
-		if s.VCFilter != nil && !s.VCFilter(p, node, in, i) {
-			continue
-		}
-		return slot
 	}
 	return -1
 }
 
-// findFreeVCNoFilter is findFreeVC for callers that have already
-// established VCFilter is nil (the fused allocation pass, which
-// memoizes the answer per (output, vnet)): with no filter the result
-// depends only on (node, in, vnet), not on the packet.
-func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int) int {
-	r := &s.Routers[node]
+// findFreeVCNoFilter is findFreeVC with VCFilter known to be nil (the
+// fused allocation pass, which memoizes the answer per (output, vnet,
+// class)): the result then depends only on (node, in, vnet, escaped),
+// not on the packet.
+func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, escaped bool) int {
+	vcs := s.Routers[node].In[in]
 	base := vnet * s.Cfg.VCsPerVnet
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
-		slot := base + i
-		if r.In[in][slot].Empty(s.Now) {
-			return slot
+	lo, hi, skip := s.classVCs(escaped)
+	for i := lo; i < hi; i++ {
+		if i != skip && vcs[base+i].Empty(s.Now) {
+			return base + i
 		}
 	}
 	return -1
 }
 
 // OutputOf returns the output port packet p wants at router `at`: the
-// override if installed, else the next hop of its source route, else
-// Local (ejection) once the route is exhausted. The route-derived answer
+// override if installed, else the escape class's tree hop for an escaped
+// packet (a destination the tree cannot reach falls back to the source
+// route), else the next hop of its source route, else Local (ejection)
+// once the route is exhausted. The route-derived answer
 // depends only on (Route, Hop) and is cached on the packet — and, for a
 // buffered packet, registered in its router's request vectors (dense.go)
 // — so SetRoute is the only sanctioned way to change a live packet's
@@ -547,6 +557,14 @@ func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 	if s.OutputOverride != nil {
 		if d, ok := s.OutputOverride(p, at); ok {
 			return d
+		}
+	}
+	if e := s.escClass; e != nil && p.Escaped {
+		if d := e.tree.TreeNextHop(at, p.Dst); d != geom.Invalid {
+			return d
+		}
+		if p.Dst == at {
+			return geom.Local
 		}
 	}
 	if p.cacheOK && int(p.cacheHop) == p.Hop {

@@ -23,8 +23,11 @@ type Packet struct {
 	// many hops have been granted so far.
 	Route routing.Route
 	Hop   int
-	// Escaped marks a packet that has moved to escape-VC routing (the
-	// escape-VC baseline sets this on timeout).
+	// Escaped marks a packet that has moved to the escape class
+	// (escclass.go): it follows the class's tree and may enter only
+	// reserved VCs. Set by Sim.PromoteEscape — the escape-VC baseline
+	// calls it on timeout — or before the packet is placed; writing it on
+	// a buffered packet bypasses the request vectors.
 	Escaped bool
 
 	// CreatedAt is the cycle the packet entered the NI queue; InjectedAt

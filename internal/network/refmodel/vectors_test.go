@@ -7,14 +7,17 @@ package refmodel
 // grants and injections (maintained at the fill), SPIN rotations (core
 // announces them with Wake), a reconfig link failure (SetRoute on
 // buffered packets), a VCFilter installed and removed (fused → generic →
-// fused), and PlacePacket / RemovePacket / DeliverOutOfBand between
-// cycles (one placement bracketed by a hook that no sweep ever sees) —
+// fused), PlacePacket / RemovePacket / DeliverOutOfBand between cycles
+// (one placement bracketed by a hook that no sweep ever sees), and, in
+// the escape variant, promotions (PromoteEscape re-registers the buffer)
+// and a tree swap after the link failure (SetEscapeTree marks stale) —
 // and asserts, in a PreCycle hook that runs after every other
 // hook and therefore immediately before the sweep, that vectors claiming
 // to be live equal a recomputation from the buffers, while Stats stay
 // equal to the refmodel after every cycle. Reverting any one of the
 // invalidation sources (tryGrant writing the vectors before the packet
-// has moved, SetRoute, SPIN's Wake, the non-fused sweep) fails it.
+// has moved, SetRoute, SPIN's Wake, the non-fused sweep, the promotion's
+// re-registration, the tree swap's Wake) fails it.
 
 import (
 	"fmt"
@@ -22,27 +25,29 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/escape"
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/reconfig"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/validate"
 )
 
 func TestRequestVectorsMatchRebuild(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		spin     bool
+		scheme   string
 		topoSeed int64
 	}{
-		{"sb", false, 11},
-		{"spin", true, 23},
+		{"sb", 11},
+		{"spin", 23},
+		{"escape", 31},
 	} {
-		t.Run(tc.name, func(t *testing.T) { requestVectorRun(t, tc.spin, tc.topoSeed) })
+		t.Run(tc.scheme, func(t *testing.T) { requestVectorRun(t, tc.scheme, tc.topoSeed) })
 	}
 }
 
-func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
+func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 	const (
 		cycles     = 2400
 		window     = 1400
@@ -50,11 +55,14 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 		failAt     = 300
 		filterOn   = 500
 		filterOff  = 700
+		swapAt     = 900 // escape variant: a tree swap with nothing else going on
 		pokeEvery  = 97
 		hookedPoke = 9*pokeEvery - 1 // this poke runs under a hook no sweep sees
 		linkFaults = 12
 	)
+	spin, esc := scheme == "spin", scheme == "escape"
 	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "shards4"}}
+	escs := make([]*escape.Controller, len(units))
 	var drift error
 	for i, u := range units {
 		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, linkFaults, topoSeed)
@@ -64,12 +72,16 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 			u.step = New(u.sim).Step
 			u.sim.SetPooling(false)
 		}
-		u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
+		if esc {
+			escs[i] = escape.Attach(u.sim, routing.NewUpDown(topo), escape.Options{Timeout: 24})
+		} else {
+			u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
+		}
 		u.mgr = reconfig.New(u.sim)
 		name := u.name
 		u.sim.PreCycle = append(u.sim.PreCycle, func(s *network.Sim) {
 			for _, v := range validate.Check(s, nil) {
-				if v.Invariant == "request-vectors" && drift == nil {
+				if (v.Invariant == "request-vectors" || v.Invariant == "escape-class") && drift == nil {
 					drift = fmt.Errorf("cycle %d: %s: %v", s.Now, name, v)
 				}
 			}
@@ -85,25 +97,8 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 		return vcIdx != 3 || p.Len == 5
 	}
 
-	// findVC returns the first buffer (ascending router, port, slot) from
-	// router `from` on satisfying pred, located on the reference unit;
-	// the pokes below apply the same coordinates to every unit.
-	findVC := func(from int, pred func(vc *network.VC, port geom.Direction) bool) (geom.NodeID, geom.Direction, int, bool) {
-		n := len(ref.Routers)
-		for k := 0; k < n; k++ {
-			id := (from + k) % n
-			if !ref.Topo.RouterAlive(geom.NodeID(id)) {
-				continue
-			}
-			for _, port := range geom.AllPorts {
-				for slot := range ref.Routers[id].In[port] {
-					if pred(&ref.Routers[id].In[port][slot], port) {
-						return geom.NodeID(id), port, slot, true
-					}
-				}
-			}
-		}
-		return 0, 0, 0, false
+	findVC := func(from int, pred func(vc *network.VC, port geom.Direction, slot int) bool) (geom.NodeID, geom.Direction, int, bool) {
+		return findBuffer(ref, from, pred)
 	}
 	var placed, removed, sideDelivered int
 
@@ -111,8 +106,17 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 		if cyc == failAt {
 			links := ref.Topo.AliveUndirectedLinks()
 			l := links[hrng.Intn(len(links))]
-			for _, u := range units {
+			for i, u := range units {
 				u.mgr.FailLink(l.From, l.Dir)
+				if esc {
+					// The old tree may cross the dead link.
+					escs[i].SetTree(routing.NewUpDown(u.sim.Topo))
+				}
+			}
+		}
+		if esc && cyc == swapAt {
+			for i, u := range units {
+				escs[i].SetTree(routing.NewUpDownRooted(u.sim.Topo, routing.RootLowestID))
 			}
 		}
 		if cyc == filterOn || cyc == filterOff {
@@ -132,9 +136,10 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 					u.sim.VCFilter = filter
 				}
 			}
-			// Place a fresh packet into a free local-port buffer.
-			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction) bool {
-				return port == geom.Local && vc.Empty(ref.Now)
+			// Place a fresh packet into a free local-port buffer (one a
+			// regular packet may occupy).
+			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction, slot int) bool {
+				return port == geom.Local && vc.Empty(ref.Now) && !(esc && slot%ref.Cfg.VCsPerVnet == escape.EscapeVCIndex)
 			}); ok {
 				alive := ref.Topo.AliveRouters()
 				dst := alive[hrng.Intn(len(alive))]
@@ -146,7 +151,7 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 				}
 			}
 			// Destroy one buffered packet, side-deliver another.
-			occupied := func(vc *network.VC, _ geom.Direction) bool { return vc.Pkt != nil }
+			occupied := func(vc *network.VC, _ geom.Direction, _ int) bool { return vc.Pkt != nil }
 			if id, port, slot, ok := findVC(start, occupied); ok {
 				for _, u := range units {
 					u.sim.RemovePacket(&u.sim.Routers[id].In[port][slot], id, port)
@@ -217,10 +222,35 @@ func requestVectorRun(t *testing.T, spin bool, topoSeed int64) {
 	if spin && st.SpinRotations == 0 {
 		t.Error("SPIN variant performed no rotation")
 	}
-	if !spin && (st.DeadlockRecoveries == 0 || st.BubbleOccupancies == 0) {
+	if esc && st.EscapeTransfers == 0 {
+		t.Error("escape variant promoted no packet")
+	}
+	if scheme == "sb" && (st.DeadlockRecoveries == 0 || st.BubbleOccupancies == 0) {
 		t.Errorf("SB variant saw no recovery: recoveries %d, bubble occupancies %d", st.DeadlockRecoveries, st.BubbleOccupancies)
 	}
 	if c := units[2].sim.StepperCounters(); c.ParallelCycles < window/2 {
 		t.Errorf("shards4 ran the parallel sweep on only %d cycles", c.ParallelCycles)
 	}
+}
+
+// findBuffer returns the first buffer of s, scanning alive routers in
+// ascending id from router `from` on (wrapping), then ports, then slots,
+// that satisfies pred. The differential tests locate a buffer on their
+// reference unit and apply the coordinates to every unit.
+func findBuffer(s *network.Sim, from int, pred func(vc *network.VC, port geom.Direction, slot int) bool) (geom.NodeID, geom.Direction, int, bool) {
+	n := len(s.Routers)
+	for k := 0; k < n; k++ {
+		id := (from + k) % n
+		if !s.Topo.RouterAlive(geom.NodeID(id)) {
+			continue
+		}
+		for _, port := range geom.AllPorts {
+			for slot := range s.Routers[id].In[port] {
+				if pred(&s.Routers[id].In[port][slot], port, slot) {
+					return geom.NodeID(id), port, slot, true
+				}
+			}
+		}
+	}
+	return 0, 0, 0, false
 }

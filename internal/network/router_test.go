@@ -344,7 +344,7 @@ func TestHookedScanMarksVectorsStale(t *testing.T) {
 	}
 	s.Step() // the fused sweep rebuilds
 	want, _, live := s.RequestVectors(1)
-	if exp, _ := s.vectorsOf(1); !live || want != exp {
+	if exp, _, _ := s.vectorsOf(1); !live || want != exp {
 		t.Fatalf("after the rebuild: live %v, want %#x, buffers say %#x", live, want, exp)
 	}
 }

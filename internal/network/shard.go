@@ -55,7 +55,10 @@ package network
 //     mirror word, request vectors and active bit — is deferred into the
 //     shard's commit sink (xfill records) and applied by the
 //     coordinator's fold.
-//     Own-shard neighbors are updated directly. Global counters (Stats,
+//     Own-shard neighbors are updated directly. The fill cycle an escape
+//     class records per buffer (escclass.go) is written by occBitSet and
+//     so follows the same rule: band-local on the workers (injection,
+//     own-band arrivals), the coordinator's fold for the rest. Global counters (Stats,
 //     inFlight, LastProgress) accumulate in per-shard sinks and fold in
 //     shard order; all are sums plus one max, so the totals match the
 //     sequential sweep's bit for bit. Delivered packets are retained in
@@ -65,7 +68,10 @@ package network
 //     within-shard append order is ascending id).
 //   - Every hook runs on the stepping goroutine: the parallel sweep is
 //     taken only under fusedAlloc (no allocation hook installed), and
-//     PreCycle, PostCycle and OnDeliver run on the coordinator.
+//     PreCycle, PostCycle and OnDeliver run on the coordinator. Escape
+//     promotions are a PostCycle hook's work (PromoteEscape), so no
+//     worker ever changes a packet's class; workers read the class's
+//     tree and reserved index, which change only between cycles.
 //   - RNG ownership: the simulator core draws nothing from Sim.Rng, and
 //     traffic/hooks run only on the coordinator, so the draw sequence
 //     is untouched by sharding.

@@ -73,9 +73,10 @@ func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
 // registered request vectors stale, so the next fused sweep rebuilds
 // them from the buffers (dense.go). The effect is global — n names where
 // the change happened for the reader of the call site and is otherwise
-// unused. The simulator's own entry points that add, move, remove or
-// reroute a packet (Enqueue, PlacePacket, PlaceBubblePacket,
-// RemovePacket, DeliverOutOfBand, SetRoute, RecountNIPending) look after
+// unused. The simulator's own entry points that add, move, remove,
+// reroute or reclassify a packet (Enqueue, PlacePacket,
+// PlaceBubblePacket, RemovePacket, DeliverOutOfBand, SetRoute,
+// RecountNIPending, PromoteEscape, SetEscapeTree) look after
 // themselves; call Wake after changing state a registered horizon or a
 // router phase depends on through any other channel — re-enabling a
 // router or link in the topology, clearing a fence, or moving buffered

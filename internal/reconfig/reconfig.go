@@ -524,10 +524,13 @@ func (a managerAlg) Route(src, dst geom.NodeID, _ *rand.Rand) (routing.Route, bo
 }
 
 // routeValidFrom reports whether p's remaining route is walkable from at
-// over the current topology.
+// over the current topology. An escaped packet travels on the escape
+// tree and may have taken more hops than its source route holds; its
+// remaining route is then empty, and it is repaired like any other
+// packet whose route does not end at its destination.
 func (m *Manager) routeValidFrom(p *network.Packet, at geom.NodeID) bool {
 	cur := at
-	for _, d := range p.Route[p.Hop:] {
+	for _, d := range p.Route[min(p.Hop, len(p.Route)):] {
 		if !m.topo.HasLink(cur, d) {
 			return false
 		}

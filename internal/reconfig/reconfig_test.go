@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/network"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -165,6 +166,29 @@ func TestFailLinkReroutesInFlight(t *testing.T) {
 	conserve(t, s2)
 	_ = m
 	_ = s
+}
+
+func TestFailLinkRepairsEscapedPacketPastItsRoute(t *testing.T) {
+	// An escaped packet follows the escape tree and may have taken more
+	// hops than its source route holds. A repair pass must treat its
+	// remaining route as empty — not index past the end — and hand it a
+	// fresh route from where it stands.
+	topo := topology.NewMesh(4, 2)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(7)))
+	m := New(s)
+	p := s.NewPacket(0, 3, 0, 1, routing.Route{geom.East})
+	p.Escaped = true
+	p.Hop = 2 // two tree hops beyond a one-hop route
+	s.PlacePacket(1, geom.West, 1, p)
+	m.FailLink(2, geom.East)
+	if m.Rerouted != 1 || p.Hop != 0 {
+		t.Fatalf("rerouted %d packets, hop %d; want the packet re-homed at hop 0", m.Rerouted, p.Hop)
+	}
+	s.Run(60)
+	if p.DeliveredAt < 0 {
+		t.Fatal("repaired packet not delivered")
+	}
+	conserve(t, s)
 }
 
 func TestFailLinkDropsWhenDisconnected(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package validate provides runtime invariant checking for simulations:
-// conservation of packets, occupancy-counter consistency, fence
-// ownership, and bubble-state sanity. Tests use it as a one-call oracle;
-// cmd/sbsim exposes it with -check to validate long runs.
+// conservation of packets, occupancy-counter consistency, the escape
+// class's reservation, fence ownership, and bubble-state sanity. Tests
+// use it as a one-call oracle; cmd/sbsim exposes it with -check to
+// validate long runs.
 package validate
 
 import (
@@ -36,6 +37,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	}
 
 	// Occupancy counters match buffer contents; in-flight matches the sum.
+	escVC, hasClass := s.EscapeClass()
 	var globalOcc int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
@@ -110,7 +112,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
 			slots := s.Cfg.SlotsPerPort()
 			var expWant [geom.NumPorts]uint64
-			var occupied, inFlight uint64
+			var occupied, inFlight, expEsc uint64
 			note := func(vc *network.VC, bit int) {
 				if vc.Pkt == nil {
 					return
@@ -121,6 +123,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 				}
 				if vc.ReadyAt > s.Now {
 					inFlight |= 1 << uint(bit)
+				}
+				if vc.Pkt.Escaped {
+					expEsc |= 1 << uint(bit)
 				}
 			}
 			for _, port := range geom.AllPorts {
@@ -134,6 +139,27 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			}
 			if pend&^occupied != 0 || inFlight&^pend != 0 {
 				report("request-vectors", "router %d: pend %#x outside [in-flight %#x, occupied %#x]", id, pend, inFlight, occupied)
+			}
+			if esc, _ := s.EscapedVector(geom.NodeID(id)); hasClass && esc != expEsc {
+				report("escape-class", "router %d: class word %#x != actual %#x", id, esc, expEsc)
+			}
+		}
+		// The escape class's reservation: whatever sits in the reserved VC
+		// index has been promoted, and injection (regular packets only)
+		// never fills it.
+		if hasClass {
+			for _, port := range geom.AllPorts {
+				for vnet := 0; vnet < s.Cfg.NumVnets; vnet++ {
+					p := r.VCAt(s.Cfg, port, vnet, escVC).Pkt
+					if p == nil {
+						continue
+					}
+					if port == geom.Local {
+						report("escape-class", "router %d: packet %d in the reserved VC of the local port (vnet %d)", id, p.ID, vnet)
+					} else if !p.Escaped {
+						report("escape-class", "router %d: regular packet %d in the reserved VC of port %v (vnet %d)", id, p.ID, port, vnet)
+					}
+				}
 			}
 		}
 		globalOcc += int64(occ)
@@ -149,13 +175,14 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		}
 
 		// Buffered packets must be at a position consistent with their
-		// route (the remaining route starts here and is walkable, unless
-		// an output override is installed).
+		// route (the remaining route starts here and is walkable) — except
+		// those that no longer follow it: an escaped packet is on the tree,
+		// and under an output override the route may be unused altogether.
 		if s.OutputOverride == nil {
 			for _, port := range geom.AllPorts {
 				for slot := range r.In[port] {
 					p := r.In[port][slot].Pkt
-					if p == nil {
+					if p == nil || p.Escaped {
 						continue
 					}
 					if p.Hop > len(p.Route) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/escape"
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/routing"
@@ -171,5 +172,72 @@ func TestDetectsRequestVectorDrift(t *testing.T) {
 	s.Step()
 	if _, _, live := s.RequestVectors(1); !live || drifted() {
 		t.Fatalf("vectors not rebuilt by the sweep after Wake (live %v)", live)
+	}
+}
+
+func TestDetectsEscapeClassViolation(t *testing.T) {
+	build := func() (*network.Sim, *network.Packet) {
+		topo := topology.NewMesh(3, 1)
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(11)))
+		escape.Attach(s, routing.NewUpDown(topo), escape.Options{})
+		p := s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East})
+		s.Enqueue(p)
+		s.Run(3) // p sits in a regular VC of router 1's West port
+		if s.Routers[1].Occupied() != 1 {
+			t.Fatalf("packet is not buffered at router 1 (hop %d)", p.Hop)
+		}
+		if _, live := s.EscapedVector(1); !live {
+			t.Fatal("the class word should be live on an escape sim")
+		}
+		if vs := Check(s, nil); len(vs) != 0 {
+			t.Fatalf("violations before the corruption: %v", vs)
+		}
+		return s, p
+	}
+	reported := func(s *network.Sim) bool {
+		for _, v := range Check(s, nil) {
+			if v.Invariant == "escape-class" {
+				return true
+			}
+		}
+		return false
+	}
+	fresh := func(s *network.Sim, src geom.NodeID) *network.Packet {
+		return s.NewPacket(src, 2, 0, 1, routing.Route{geom.East})
+	}
+
+	// A promotion that bypassed PromoteEscape: the class word still files
+	// the buffer under the regular class.
+	s, p := build()
+	p.Escaped = true
+	if !reported(s) {
+		t.Error("a packet escaped behind the simulator's back went unreported")
+	}
+
+	// A regular packet in the reserved VC of a link port.
+	s, _ = build()
+	s.PlacePacket(1, geom.West, escape.EscapeVCIndex, fresh(s, 1))
+	if !reported(s) {
+		t.Error("a regular packet in a reserved VC went unreported")
+	}
+
+	// Anything at all in the reserved VC of a local port.
+	s, _ = build()
+	q := fresh(s, 1)
+	q.Escaped = true
+	s.PlacePacket(1, geom.Local, escape.EscapeVCIndex, q)
+	if !reported(s) {
+		t.Error("a packet in the local port's reserved VC went unreported")
+	}
+
+	// The sanctioned promotion keeps every invariant.
+	s, _ = build()
+	for slot := range s.Routers[1].In[geom.West] {
+		if s.Routers[1].In[geom.West][slot].Pkt != nil {
+			s.PromoteEscape(1, geom.West, slot)
+		}
+	}
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Errorf("violations after PromoteEscape: %v", vs)
 	}
 }
