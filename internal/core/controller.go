@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/network"
@@ -64,17 +65,20 @@ type Controller struct {
 	// router processing plus link traversal (2 cycles in the paper's
 	// 1+1 configuration). t_DR = hopLatency × path length.
 	hopLatency int64
-	fsms       map[geom.NodeID]*fsm
 	// placed is the full intended placement, including routers that were
 	// dead at Attach time: if one recovers at runtime, RouterRecovered
 	// arms its bubble and creates its FSM on the spot.
 	placed map[geom.NodeID]bool
-	// order is the deterministic FSM iteration order; fsmList holds the
-	// FSMs in that order so the per-cycle tick and the quiescence horizon
-	// iterate a dense slice instead of doing a map lookup per FSM.
-	order   []geom.NodeID
-	fsmList []*fsm
-	msgs    []*Message
+	// The tick set (DESIGN.md §7). act and pos are the stepper's active
+	// summary (Sim.ActiveSummary: router n at bit pos[n], ascending in
+	// n); fsms, sb and busy live in the same positions: fsms[pos[n]] is
+	// n's FSM (nil where there is none), its sb bit says the FSM exists,
+	// its busy bit that its state is not StateOff (setState keeps it).
+	act      []uint64
+	pos      []int32
+	fsms     []*fsm
+	sb, busy []uint64
+	msgs     []*Message
 	// recoveryDurations records, per completed recovery round, the cycles
 	// from the disable's return (bubble on) to the enable's return
 	// (fences cleared) and the latched path length in hops.
@@ -137,39 +141,24 @@ func consumeTurn(m *Message) {
 func (c *Controller) PrewarmMessages(n int) {
 	ms := make([]*Message, n)
 	for i := range ms {
-		m := c.newMsg()
-		if cap(m.Turns) < c.opt.MaxTurns {
-			m.Turns = make([]geom.Turn, 0, c.opt.MaxTurns)
-		}
-		ms[i] = m
+		ms[i] = c.newMsg()
+		ms[i].Turns = slices.Grow(ms[i].Turns, c.opt.MaxTurns)
 	}
 	for _, m := range ms {
 		c.freeMsg(m)
 	}
-	if cap(c.msgs) < n {
-		c.msgs = append(make([]*Message, 0, n), c.msgs...)
-	}
-	if cap(c.dueBuf) < n {
-		c.dueBuf = append(make([]*Message, 0, n), c.dueBuf...)
-	}
-	if cap(c.reqBuf) < n {
-		c.reqBuf = append(make([]outReq, 0, n), c.reqBuf...)
-	}
-	if cap(c.recoveryDurations) < n {
-		c.recoveryDurations = append(make([]RecoveryRecord, 0, n), c.recoveryDurations...)
-	}
-	if cap(c.spinChain) < n {
-		c.spinChain = append(make([]spinLink, 0, n), c.spinChain...)
-	}
-	if cap(c.spinPkts) < n {
-		c.spinPkts = append(make([]*network.Packet, 0, n), c.spinPkts...)
-	}
+	c.msgs = slices.Grow(c.msgs, n)
+	c.dueBuf = slices.Grow(c.dueBuf, n)
+	c.reqBuf = slices.Grow(c.reqBuf, n)
+	c.recoveryDurations = slices.Grow(c.recoveryDurations, n)
+	c.spinChain = slices.Grow(c.spinChain, n)
+	c.spinPkts = slices.Grow(c.spinPkts, n)
 	// Each FSM's Turn Buffer is filled by copying a returned probe's
 	// turns (probeReturned); give it MaxTurns capacity up front so that
 	// copy never grows it mid-run.
-	for _, f := range c.fsmList {
-		if cap(f.turnBuf) < c.opt.MaxTurns {
-			f.turnBuf = append(make([]geom.Turn, 0, c.opt.MaxTurns), f.turnBuf...)
+	for _, f := range c.fsms {
+		if f != nil {
+			f.turnBuf = slices.Grow(f.turnBuf, c.opt.MaxTurns)
 		}
 	}
 }
@@ -195,22 +184,19 @@ func Attach(s *network.Sim, opt Options) *Controller {
 	c := &Controller{
 		sim:        s,
 		opt:        opt,
-		fsms:       make(map[geom.NodeID]*fsm),
 		placed:     make(map[geom.NodeID]bool, len(placement)),
 		hopLatency: int64(s.Cfg.RouterLatency + s.Cfg.LinkLatency),
 	}
+	c.act, c.pos = s.ActiveSummary()
+	c.fsms = make([]*fsm, 64*len(c.act))
+	c.sb = make([]uint64, len(c.act))
+	c.busy = make([]uint64, len(c.act))
 	for _, n := range placement {
 		c.placed[n] = true
-		if !s.Topo.RouterAlive(n) {
-			continue
+		if s.Topo.RouterAlive(n) {
+			s.Routers[n].Bubble.Present = true
+			c.addFSM(n)
 		}
-		s.Routers[n].Bubble.Present = true
-		c.fsms[n] = newFSM(n)
-		c.order = append(c.order, n)
-	}
-	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
-	for _, n := range c.order {
-		c.fsmList = append(c.fsmList, c.fsms[n])
 	}
 	s.PreCycle = append(s.PreCycle, func(sim *network.Sim) { c.transport() })
 	s.PostCycle = append(s.PostCycle, func(sim *network.Sim) { c.tickAll() })
@@ -222,6 +208,36 @@ func Attach(s *network.Sim, opt Options) *Controller {
 	return c
 }
 
+// addFSM gives static-bubble router n a fresh FSM, with its deterministic
+// jitter seed (an LCG stream keyed by the node id).
+func (c *Controller) addFSM(n geom.NodeID) {
+	b := uint(c.pos[n])
+	c.fsms[b] = &fsm{node: n, rngState: uint64(n)*2654435761 + 0x9e3779b97f4a7c15}
+	c.sb[b>>6] |= 1 << (b & 63)
+}
+
+// fsmAt returns router n's FSM, nil unless n is a static-bubble router.
+func (c *Controller) fsmAt(n geom.NodeID) *fsm { return c.fsms[c.pos[n]] }
+
+// setState is the one place an FSM's state is written; it keeps the busy
+// mask's invariant (bit set iff state != StateOff).
+func (c *Controller) setState(f *fsm, st State) {
+	f.state = st
+	b := uint(c.pos[f.node])
+	c.busy[b>>6] &^= 1 << (b & 63)
+	if st != StateOff {
+		c.busy[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// tickSet returns word w of the set of FSMs that can act this cycle:
+// those not in StateOff, and those whose router is in the active
+// summary. Every site that buffers a packet raises that bit (arrivals
+// granted earlier in this cycle included) and only a sweep that finds
+// the router empty retires it, so an FSM outside the set is in StateOff
+// with OccupiedNonLocal() == 0: its tick would return without effect.
+func (c *Controller) tickSet(w int) uint64 { return c.act[w]&c.sb[w] | c.busy[w] }
+
 // horizon returns the earliest future cycle at which the controller may
 // act or observe cycle-varying state, assuming no packet moves before
 // it (the simulator guarantees that assumption: it only asks while no
@@ -229,10 +245,10 @@ func Attach(s *network.Sim, opt Options) *Controller {
 //
 // Per source of activity:
 //   - an in-flight control message is delivered exactly at its NextAt;
-//   - StateOff parked behind a foreign fence waits for an enable (a
-//     message, covered above), and with no non-local occupancy it has
-//     nothing to watch: both skip. With occupancy it may enter
-//     detection on the very next tick, so it vetoes;
+//   - an FSM in StateOff has nothing to watch in an empty network (parked
+//     behind a foreign fence it waits for an enable, a message covered
+//     above), and with no router in the active summary the tick set is
+//     the busy mask: only those FSMs are consulted;
 //   - StateSBActive re-evaluates progress predicates (grant counters,
 //     bubble occupancy, dependence existence) that can fire on any
 //     tick, so it vetoes — a recovery in progress never fast-forwards;
@@ -243,29 +259,17 @@ func Attach(s *network.Sim, opt Options) *Controller {
 //     while no buffer holds a packet, so a watched packet cannot leave
 //     mid-window.)
 func (c *Controller) horizon() int64 {
-	s := c.sim
-	now := s.Now
+	now := c.sim.Now
 	h := int64(math.MaxInt64)
 	for _, m := range c.msgs {
 		if m.NextAt < h {
 			h = m.NextAt
 		}
 	}
-	for _, f := range c.fsmList {
-		switch f.state {
-		case StateOff:
-			r := &s.Routers[f.node]
-			if r.Fence.Active && r.Fence.SrcID != f.node {
-				continue
-			}
-			if r.OccupiedNonLocal() == 0 {
-				continue
-			}
-			return now
-		case StateSBActive:
-			return now
-		default:
-			if f.deadline <= now {
+	for w, m := range c.busy {
+		for ; m != 0; m &= m - 1 {
+			f := c.fsms[w<<6+bits.TrailingZeros64(m)]
+			if f.state == StateSBActive || f.deadline <= now {
 				return now
 			}
 			if f.deadline < h {
@@ -279,8 +283,8 @@ func (c *Controller) horizon() int64 {
 // FSMState reports the recovery state of the FSM at node n (StateOff for
 // non-SB routers), for tests and instrumentation.
 func (c *Controller) FSMState(n geom.NodeID) State {
-	if f, ok := c.fsms[n]; ok {
-		return f.state
+	if uint(n) < uint(len(c.pos)) && c.fsmAt(n) != nil {
+		return c.fsmAt(n).state
 	}
 	return StateOff
 }
@@ -298,14 +302,20 @@ func (c *Controller) RecoveryRecords() []RecoveryRecord {
 
 // BubbleRouters returns the attached static-bubble routers in id order.
 func (c *Controller) BubbleRouters() []geom.NodeID {
-	return append([]geom.NodeID(nil), c.order...)
+	var out []geom.NodeID
+	for _, f := range c.fsms {
+		if f != nil {
+			out = append(out, f.node)
+		}
+	}
+	return out
 }
 
-// newFSM builds a fresh FSM for node n with its deterministic jitter
-// seed (an LCG stream keyed by the node id).
-func newFSM(n geom.NodeID) *fsm {
-	return &fsm{node: n, rngState: uint64(n)*2654435761 + 0x9e3779b97f4a7c15}
-}
+// TickMasks returns the controller's tick-set masks, read-only and in
+// the bit positions of Sim.ActiveSummary: sb marks the routers that have
+// an FSM, busy those whose FSM is not in StateOff. For the validate
+// package, which checks both against the FSMs themselves.
+func (c *Controller) TickMasks() (sb, busy []uint64) { return c.sb, c.busy }
 
 // --- reconfig.SchemeHandler ------------------------------------------------
 //
@@ -328,11 +338,11 @@ func (c *Controller) RouterFailed(n geom.NodeID) {
 	r := &s.Routers[n]
 	r.Fence = network.Fence{}
 	r.Bubble.Active = false
-	if f, ok := c.fsms[n]; ok {
+	if f := c.fsmAt(n); f != nil {
 		if c.opt.Trace != nil {
 			c.trace(n, "router failed in %v: FSM reset", f.state)
 		}
-		f.reset()
+		c.reset(f)
 	}
 	c.sweepFences(n)
 }
@@ -350,20 +360,11 @@ func (c *Controller) RouterRecovered(n geom.NodeID) {
 		return
 	}
 	r.Bubble.Present = true
-	if f, ok := c.fsms[n]; ok {
-		f.reset()
+	if f := c.fsmAt(n); f != nil {
+		c.reset(f)
 		return
 	}
-	f := newFSM(n)
-	c.fsms[n] = f
-	// Keep the deterministic id-sorted iteration order intact.
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= n })
-	c.order = append(c.order, 0)
-	copy(c.order[i+1:], c.order[i:])
-	c.order[i] = n
-	c.fsmList = append(c.fsmList, nil)
-	copy(c.fsmList[i+1:], c.fsmList[i:])
-	c.fsmList[i] = f
+	c.addFSM(n)
 }
 
 // LinkChanged records a link failure or recovery. Static Bubble needs
@@ -532,7 +533,7 @@ func (c *Controller) processAt(id geom.NodeID, msgs []*Message) {
 		return
 	}
 	r := &s.Routers[id]
-	f := c.fsms[id] // nil unless id is a static-bubble router
+	f := c.fsmAt(id) // nil unless id is a static-bubble router
 	reqs := c.reqBuf[:0]
 	for _, m := range msgs {
 		reqs = c.processOne(id, r, f, m, reqs)
@@ -668,7 +669,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		if f != nil {
 			// An SB router accepting a foreign (higher-id) disable parks
 			// its own detection until the enable arrives (Section IV-B).
-			f.state = StateOff
+			c.setState(f, StateOff)
 		}
 		consumeTurn(m)
 		return append(reqs, outReq{out, m})
@@ -701,7 +702,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 			if f != nil && f.state == StateOff {
 				// Resume detection now that the foreign chain cleared.
 				if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
-					f.state = StateDD
+					c.setState(f, StateDD)
 					f.ptr, f.ptrPkt = ptr, pid
 					f.deadline = s.Now + c.opt.TDD
 				}
@@ -806,7 +807,7 @@ func (c *Controller) probeReturned(f *fsm, m *Message) {
 	f.vnet = m.Vnet
 	c.send(f.node, MsgDisable, f.vnet, f.probeOut, f.turnBuf, f.seq)
 	s.Stats.DisablesSent++
-	f.state = StateDisable
+	c.setState(f, StateDisable)
 	f.deadline = s.Now + f.tDR
 }
 
@@ -839,14 +840,14 @@ func (c *Controller) disableReturned(f *fsm, m *Message) {
 		f.recoveryStart = s.Now
 		c.send(f.node, MsgCheckProbe, f.vnet, f.probeOut, f.turnBuf, f.seq)
 		s.Stats.CheckProbesSent++
-		f.state = StateCheckProbe
+		c.setState(f, StateCheckProbe)
 		f.deadline = s.Now + f.tDR
 		return
 	}
 	r.Fence = network.Fence{Active: true, In: f.probeIn, Out: f.probeOut, SrcID: f.node}
 	r.Bubble.Active = true
 	r.Bubble.InPort = f.probeIn
-	f.state = StateSBActive
+	c.setState(f, StateSBActive)
 	f.bubbleWasOccupied = false
 	f.recoveryStart = s.Now
 	f.lastGrants = r.Grants()
@@ -885,7 +886,7 @@ func (c *Controller) checkProbeReturned(f *fsm) {
 		return
 	}
 	r.Bubble.Active = true
-	f.state = StateSBActive
+	c.setState(f, StateSBActive)
 	f.bubbleWasOccupied = false
 	f.deadline = s.Now + c.sbActiveGuard(f)
 }
@@ -905,11 +906,11 @@ func (c *Controller) enableReturned(f *fsm) {
 	}
 	f.turnBuf = f.turnBuf[:0] // keep the capacity for the next round
 	if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
-		f.state = StateDD
+		c.setState(f, StateDD)
 		f.ptr, f.ptrPkt = ptr, pid
 		f.deadline = s.Now + c.opt.TDD
 	} else {
-		f.state = StateOff
+		c.setState(f, StateOff)
 	}
 }
 
@@ -1017,16 +1018,24 @@ func (c *Controller) sendEnable(f *fsm) {
 	s := c.sim
 	c.send(f.node, MsgEnable, f.vnet, f.probeOut, f.turnBuf, f.seq)
 	s.Stats.EnablesSent++
-	f.state = StateEnable
+	c.setState(f, StateEnable)
 	f.enableRetries = 0
 	f.deadline = s.Now + f.tDR
 }
 
 // --- FSM counter ticks ------------------------------------------------------
 
+// tickAll ticks the FSMs of the tick set in ascending router id. The
+// word is re-read after every tick, so an FSM that a tick (or a Trace
+// hook under it) brings into the set at a higher id is still ticked
+// this cycle, as a scan over every FSM would.
 func (c *Controller) tickAll() {
-	for _, f := range c.fsmList {
-		c.tickFSM(f)
+	for w := range c.busy {
+		for m := c.tickSet(w); m != 0; {
+			b := uint(bits.TrailingZeros64(m))
+			c.tickFSM(c.fsms[w<<6+int(b)])
+			m = c.tickSet(w) &^ (2<<b - 1)
+		}
 	}
 }
 
@@ -1044,7 +1053,7 @@ func (c *Controller) tickFSM(f *fsm) {
 			return // nothing to watch; skip the VC scan (hot path)
 		}
 		if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
-			f.state = StateDD
+			c.setState(f, StateDD)
 			f.ptr, f.ptrPkt = ptr, pid
 			f.deadline = now + c.opt.TDD
 		}
@@ -1058,7 +1067,7 @@ func (c *Controller) tickFSM(f *fsm) {
 				f.ptr, f.ptrPkt = ptr, pid
 				f.deadline = now + c.opt.TDD
 			} else {
-				f.state = StateOff
+				c.setState(f, StateOff)
 			}
 			return
 		}
@@ -1152,7 +1161,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		}
 		c.send(f.node, MsgCheckProbe, f.vnet, f.probeOut, f.turnBuf, f.seq)
 		s.Stats.CheckProbesSent++
-		f.state = StateCheckProbe
+		c.setState(f, StateCheckProbe)
 		f.deadline = now + f.tDR
 
 	case StateCheckProbe:

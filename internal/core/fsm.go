@@ -134,8 +134,8 @@ type fsm struct {
 // re-phase-lock retransmissions the stream already decorrelated), and
 // seq (stale in-flight messages from pre-death rounds must never match
 // a post-recovery round's sequence number). turnBuf keeps its capacity.
-func (f *fsm) reset() {
-	f.state = StateOff
+func (c *Controller) reset(f *fsm) {
+	c.setState(f, StateOff)
 	f.deadline = 0
 	f.tDR = 0
 	f.ptr = vcPtr{}

@@ -44,7 +44,7 @@ func newFSMHarness(t *testing.T, opt Options) *fsmHarness {
 	}
 	opt.Placement = []geom.NodeID{node}
 	c := Attach(s, opt)
-	return &fsmHarness{t: t, s: s, c: c, topo: topo, node: node, r: &s.Routers[node], f: c.fsms[node]}
+	return &fsmHarness{t: t, s: s, c: c, topo: topo, node: node, r: &s.Routers[node], f: c.fsmAt(node)}
 }
 
 // at moves the simulator clock (the FSM reads time only through s.Now).
@@ -79,7 +79,7 @@ func (h *fsmHarness) latch(withDependence bool) *network.Packet {
 	f.probeIn = geom.North
 	f.vnet = 0
 	f.tDR = h.c.hopLatency * f.pathLen()
-	f.state = StateDisable
+	h.c.setState(f, StateDisable)
 	f.deadline = h.s.Now + f.tDR
 	if withDependence {
 		return h.stuck(h.node, f.probeIn, 0, f.probeOut)
@@ -158,7 +158,7 @@ func (h *fsmHarness) latchRing() []geom.NodeID {
 	f.probeIn = headings[n-1].Opposite()
 	f.vnet = 0
 	f.tDR = h.c.hopLatency * f.pathLen()
-	f.state = StateDisable
+	h.c.setState(f, StateDisable)
 	f.deadline = h.s.Now + f.tDR
 	return nodes
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // The churn experiment measures what the paper's static analysis cannot:
@@ -432,6 +433,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 
 	erng := rand.New(rand.NewSource(sweep.SubSeed(seed, 1)))
 	rng := rand.New(rand.NewSource(sweep.SubSeed(seed, 2)))
+	offer := traffic.NewBernoulli(churnRate)
 	var recovers []pendingRecover
 	scheduleRecover := func(now int64, ev reconfig.Event) {
 		at := now + 1 + int64(erng.ExpFloat64()*cfg.MeanRepair)
@@ -504,7 +506,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		if usable > 0 {
 			for n := 0; n < numNodes; n++ {
 				src := geom.NodeID(n)
-				if rng.Float64() >= churnRate {
+				if !offer.Draw(rng) {
 					continue
 				}
 				if !topo.RouterAlive(src) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // FailureTimelineRow is one scheme's outcome when links keep failing
@@ -168,7 +169,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	// Below every scheme's saturation so the comparison isolates
 	// reconfiguration downtime, not congestion (tree saturates near
 	// 0.06 flits/node/cycle; this offers ~0.024).
-	const rate = 0.008
+	offer := traffic.NewBernoulli(0.008)
 	for cyc := 0; cyc < horizon; cyc++ {
 		if failures > 0 && cyc > 0 && cyc%failEvery == 0 && cyc/failEvery <= failures {
 			// Fail a random alive link; the manager repairs or drops
@@ -186,7 +187,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 		if cyc >= stallUntil {
 			for n := 0; n < topo.NumNodes(); n++ {
 				src := geom.NodeID(n)
-				if !topo.RouterAlive(src) || rng.Float64() >= rate {
+				if !topo.RouterAlive(src) || !offer.Draw(rng) {
 					continue
 				}
 				dst := geom.NodeID(rng.Intn(topo.NumNodes()))

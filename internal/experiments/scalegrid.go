@@ -23,6 +23,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // ScaleGridResult is one (mesh size, shard count) timing row.
@@ -79,11 +80,12 @@ func runScaleGrid(pt scaleGridPoint, shards int) (network.Stats, time.Duration) 
 	core.Attach(s, core.Options{TDD: 34})
 	rng := rand.New(rand.NewSource(2))
 	nodes := pt.w * pt.h
+	offer := traffic.NewBernoulli(pt.rate)
 	var total time.Duration
 	for cyc := 0; cyc < pt.cycles; cyc++ {
 		if cyc < pt.injectEnd {
 			for n := 0; n < nodes; n++ {
-				if !topo.RouterAlive(geom.NodeID(n)) || rng.Float64() >= pt.rate {
+				if !topo.RouterAlive(geom.NodeID(n)) || !offer.Draw(rng) {
 					continue
 				}
 				dst := geom.NodeID(rng.Intn(nodes))

@@ -12,7 +12,11 @@ package network
 // sweep clears a bit when it finds both counters zero. Each non-quiet
 // cycle runs the PreCycle hooks, walks the set bits in ascending router
 // id, and runs inject / allocate / bubble-transfer over exactly those
-// routers before the PostCycle hooks.
+// routers before the PostCycle hooks. The summary is also what a scheme
+// may read in place of polling its routers (ActiveSummary): by the time
+// the PostCycle hooks run it covers every router that holds or queues a
+// packet, this cycle's arrivals included, and errs only towards routers
+// that have just drained. core's FSM tick is driven by it.
 //
 // Byte-identity argument (stated once; dense.go and shard.go refer
 // here). The sweep is the refmodel full scan with provably inert visits
@@ -109,6 +113,15 @@ func (s *Sim) ActiveMarked(id geom.NodeID) bool {
 	b := uint(s.actPos[id])
 	return s.active[b>>6]>>(b&63)&1 != 0
 }
+
+// ActiveSummary returns the active summary itself: the live bitmap words
+// and, per router id, its bit position in them (ascending in id; shard
+// bands pad to word boundaries, so position and id differ on a sharded
+// Sim). Read-only for callers, and stable for the Sim's lifetime. A
+// scheme that keeps per-router masks in the same positions can ask "which
+// of my routers hold or queue a packet" one word per 64 routers instead
+// of polling each; the file header says what the bits promise when.
+func (s *Sim) ActiveSummary() (words []uint64, pos []int32) { return s.active, s.actPos }
 
 // collectActive materializes this cycle's active set in ascending id
 // order into s.ids (each shard's ids is its band's sub-slice), retiring

@@ -91,6 +91,44 @@ func (h Hotspot) Dest(src geom.NodeID, rng *rand.Rand) geom.NodeID {
 	return h.Uniform.Dest(src, rng)
 }
 
+// Bernoulli is a success probability p compiled for math/rand's value
+// stream: Draw reports exactly what `rng.Float64() < p` would and leaves
+// rng at the same position, without the float. Float64 is
+// float64(Int63())/(1<<63), resampled when that rounds up to 1 (the top
+// 512 integers); the quotient is monotone in the drawn integer, so the
+// comparison is `Int63() < t` for one threshold t. The zero value is
+// p = 0 (never hits).
+type Bernoulli struct{ t uint64 }
+
+// resampleFrom is the least k for which float64(k)/(1<<63) == 1, the
+// draws Float64 discards.
+const resampleFrom = 1<<63 - 512
+
+// NewBernoulli compiles p. Any float64 is accepted: p <= 0 and NaN never
+// hit, p >= 1 always hits.
+func NewBernoulli(p float64) Bernoulli {
+	// Least k in [0, 1<<63] that fails the float test itself, by bisection
+	// (the test holds below t and fails from t on).
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; float64(mid)/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return Bernoulli{lo}
+}
+
+// Draw makes one trial from rng.
+func (b Bernoulli) Draw(rng *rand.Rand) bool {
+	for {
+		if k := rng.Int63(); k < resampleFrom {
+			return uint64(k) < b.t
+		}
+	}
+}
+
 // Injector drives Bernoulli open-loop traffic into a simulator: each
 // alive node offers packets at the configured flit rate, with the
 // control/data mix of Table II.
@@ -103,6 +141,11 @@ type Injector struct {
 	// routeBuf is the scratch the per-packet route is appended into
 	// (recycled when the target sim copies routes into its arena).
 	routeBuf routing.Route
+	// hit is the per-node injection test compiled for probability hitP;
+	// bernoulli re-derives it when the rate or the mix (public, mutable
+	// fields) moved the probability.
+	hit  Bernoulli
+	hitP float64
 
 	// RateFlits is the offered load in flits/node/cycle.
 	RateFlits float64
@@ -140,20 +183,34 @@ func (in *Injector) meanLen() float64 {
 // Tick offers one cycle's worth of traffic to s. Unreachable destinations
 // are dropped at the source, per the paper's methodology.
 func (in *Injector) Tick(s *network.Sim) {
-	pPkt := in.RateFlits / in.meanLen()
+	hit := in.bernoulli(in.RateFlits / in.meanLen())
 	for _, src := range in.sources {
-		in.offer(s, src, pPkt)
+		if hit.Draw(in.rng) {
+			in.emit(s, src)
+		}
 	}
 }
 
-// offer makes one node's injection decision for this cycle: with
-// probability pPkt it picks a destination from the pattern, routes, and
-// enqueues a packet of the configured control/data mix. The bursty
-// arrival processes (ParetoOnOff) reuse this with per-node gating.
-func (in *Injector) offer(s *network.Sim, src geom.NodeID, pPkt float64) {
-	if in.rng.Float64() >= pPkt {
-		return
+// bernoulli returns the injection test for per-node probability p.
+func (in *Injector) bernoulli(p float64) Bernoulli {
+	if p != in.hitP {
+		in.hit, in.hitP = NewBernoulli(p), p
 	}
+	return in.hit
+}
+
+// offer makes one node's injection decision for this cycle: with
+// probability pPkt it emits a packet. The bursty arrival processes
+// (ParetoOnOff) use this with per-node gating.
+func (in *Injector) offer(s *network.Sim, src geom.NodeID, pPkt float64) {
+	if in.bernoulli(pPkt).Draw(in.rng) {
+		in.emit(s, src)
+	}
+}
+
+// emit picks a destination for src from the pattern, routes, and
+// enqueues a packet of the configured control/data mix.
+func (in *Injector) emit(s *network.Sim, src geom.NodeID) {
 	dst := in.pattern.Dest(src, in.rng)
 	if dst == src {
 		return

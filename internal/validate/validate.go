@@ -1,12 +1,13 @@
 // Package validate provides runtime invariant checking for simulations:
 // conservation of packets, occupancy-counter consistency, the escape
-// class's reservation, fence ownership, and bubble-state sanity. Tests
-// use it as a one-call oracle; cmd/sbsim exposes it with -check to
-// validate long runs.
+// class's reservation, fence ownership, bubble-state sanity, and the
+// recovery controller's tick-set masks. Tests use it as a one-call
+// oracle; cmd/sbsim exposes it with -check to validate long runs.
 package validate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -200,8 +201,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	// whose FSM is mid-recovery (with a controller attached, a stale
 	// fence means a teardown guard failed).
 	if ctrl != nil {
-		inRecovery := map[geom.NodeID]bool{}
+		inRecovery, hasFSM := map[geom.NodeID]bool{}, map[geom.NodeID]bool{}
 		for _, n := range ctrl.BubbleRouters() {
+			hasFSM[n] = true
 			switch ctrl.FSMState(n) {
 			case core.StateDisable, core.StateSBActive, core.StateCheckProbe, core.StateEnable:
 				inRecovery[n] = true
@@ -213,6 +215,36 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 				report("fence", "router %d fenced by %v whose FSM is %v",
 					id, fe.SrcID, ctrl.FSMState(fe.SrcID))
 			}
+		}
+		// The controller ticks only the FSMs of act&sb | busy, so its two
+		// masks must say what the FSMs say: an sb bit exactly where an FSM
+		// exists (a stray one is a nil FSM ticked, a missing one an FSM
+		// never armed), a busy bit exactly where the FSM is not in S_OFF
+		// (a missing one freezes a recovery mid-round).
+		_, pos := s.ActiveSummary()
+		sb, busy := ctrl.TickMasks()
+		stray := 0 // mask bits at positions no router occupies
+		for w := range sb {
+			stray += bits.OnesCount64(sb[w]) + bits.OnesCount64(busy[w])
+		}
+		for id := range s.Routers {
+			n, b := geom.NodeID(id), uint(pos[id])
+			inSB, inBusy := sb[b>>6]>>(b&63)&1 != 0, busy[b>>6]>>(b&63)&1 != 0
+			if inSB != hasFSM[n] {
+				report("fsm-busy-set", "router %d: sb bit %v but FSM present %v", id, inSB, hasFSM[n])
+			}
+			if st := ctrl.FSMState(n); inBusy != (st != core.StateOff) {
+				report("fsm-busy-set", "router %d: busy bit %v but FSM is %v", id, inBusy, st)
+			}
+			if inSB {
+				stray--
+			}
+			if inBusy {
+				stray--
+			}
+		}
+		if stray != 0 {
+			report("fsm-busy-set", "%d mask bits at positions no router occupies", stray)
 		}
 		// Active bubbles belong to recovering FSMs.
 		for id := range s.Routers {

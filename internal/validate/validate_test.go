@@ -175,6 +175,80 @@ func TestDetectsRequestVectorDrift(t *testing.T) {
 	}
 }
 
+func TestDetectsBusySetDrift(t *testing.T) {
+	// A 2x2 ring deadlock, stepped until router 3's FSM is mid-recovery:
+	// one FSM out of S_OFF, its busy bit set.
+	topo := topology.NewMesh(2, 2)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(12)))
+	ctrl := core.Attach(s, core.Options{TDD: 20})
+	ring := []geom.NodeID{0, 2, 3, 1}
+	for i, n := range ring {
+		next, next2 := ring[(i+1)%4], ring[(i+2)%4]
+		route := routing.Route{
+			geom.DirectionBetween(topo.Coord(n), topo.Coord(next)),
+			geom.DirectionBetween(topo.Coord(next), topo.Coord(next2)),
+		}
+		for k := 0; k < 12; k++ {
+			s.Enqueue(s.NewPacket(n, next2, 0, 5, route))
+		}
+	}
+	var hot geom.NodeID = geom.InvalidNode
+	for i := 0; i < 4000 && hot == geom.InvalidNode; i++ {
+		s.Step()
+		for _, n := range ctrl.BubbleRouters() {
+			if ctrl.FSMState(n) != core.StateOff {
+				hot = n
+			}
+		}
+	}
+	if hot == geom.InvalidNode {
+		t.Fatal("no FSM left S_OFF")
+	}
+	if vs := Check(s, ctrl); len(vs) != 0 {
+		t.Fatalf("violations before the corruption: %v", vs)
+	}
+	_, pos := s.ActiveSummary()
+	sb, busy := ctrl.TickMasks()
+	var plain geom.NodeID = geom.InvalidNode // a router without an FSM
+	for id := range s.Routers {
+		if sb[pos[id]>>6]>>(uint(pos[id])&63)&1 == 0 {
+			plain = geom.NodeID(id)
+		}
+	}
+	if plain == geom.InvalidNode {
+		t.Fatal("every router of the 2x2 has an FSM")
+	}
+	drifted := func() bool {
+		for _, v := range Check(s, ctrl) {
+			if v.Invariant == "fsm-busy-set" {
+				return true
+			}
+		}
+		return false
+	}
+	// Each mask, one bit each way.
+	for _, c := range []struct {
+		name string
+		mask []uint64
+		at   geom.NodeID
+	}{
+		{"busy bit dropped under a recovering FSM", busy, hot},
+		{"busy bit raised at a router with no FSM", busy, plain},
+		{"sb bit dropped under an FSM", sb, hot},
+		{"sb bit raised at a router with no FSM", sb, plain},
+	} {
+		w, bit := pos[c.at]>>6, uint64(1)<<(uint(pos[c.at])&63)
+		c.mask[w] ^= bit
+		if !drifted() {
+			t.Errorf("%s: not detected", c.name)
+		}
+		c.mask[w] ^= bit
+		if drifted() {
+			t.Fatalf("%s: still reported after the bit was restored", c.name)
+		}
+	}
+}
+
 func TestDetectsEscapeClassViolation(t *testing.T) {
 	build := func() (*network.Sim, *network.Packet) {
 		topo := topology.NewMesh(3, 1)
