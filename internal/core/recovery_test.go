@@ -7,7 +7,9 @@ import (
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // enqueueClockwiseRing primes a 2x2 mesh with a guaranteed deadlock:
@@ -677,5 +679,59 @@ func TestEnableRetryLimitReleasesAfterPathDeath(t *testing.T) {
 	}
 	if s.Routers[3].Fence.Active {
 		t.Fatal("originator's fence must be released after abandoning the round")
+	}
+}
+
+// firstWedgedStormEpisode runs bench's recovery-storm recipe (bench/
+// workloads.go buildStormPair: a 25-link-fault 8x8, 500-cycle bursts of
+// uniform random traffic at 0.25 flits/node/cycle per 4000-cycle
+// episode, seeds derived from the (topology, variant) pair) and returns
+// the first of 64 episodes the network has not drained by the end of, or
+// -1 when all of them drain.
+func firstWedgedStormEpisode(topoSeed, variant int64, spin bool) int {
+	const burst, episode, episodes = 500, 4000, 64
+	topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 25, topoSeed)
+	base := sweep.NewKey("bench-storm").Int64("topo", topoSeed).Int64("variant", variant).Seed()
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(sweep.SubSeed(base, 0))))
+	Attach(s, Options{Spin: spin})
+	alive := topo.AliveRouters()
+	inj := traffic.NewInjector(alive, routing.NewMinimal(topo), traffic.NewUniformRandom(alive), 0.25,
+		rand.New(rand.NewSource(sweep.SubSeed(base, 1))))
+	for e := 0; e < episodes; e++ {
+		for c := 0; c < episode; c++ {
+			if c < burst {
+				inj.Tick(s)
+			}
+			s.Step()
+		}
+		if s.InFlight()+s.QueuedPackets() != 0 {
+			return e
+		}
+	}
+	return -1
+}
+
+// TestWedgeReproducerBubbleVsSpin pins ROADMAP item 1(a)'s discriminating
+// experiment (EXPERIMENTS.md "Reproduction verdicts"): the storm
+// reproducers that wedge under Static Bubble mostly drain under SPIN,
+// which shares detection, probes, fences and enables but needs no spare
+// buffer — so the wedge is mostly recovery capacity (bubble poisoning) —
+// and one of them still wedges under SPIN, later, so a residual lives in
+// the shared protocol. A characterisation, not a requirement: a change
+// that moves these episodes is expected to update them.
+func TestWedgeReproducerBubbleVsSpin(t *testing.T) {
+	for _, c := range []struct {
+		topoSeed, variant int64
+		spin              bool
+		want              int
+	}{
+		{13, 1, false, 16},
+		{13, 1, true, -1},
+		{57, 2, true, 55},
+	} {
+		if got := firstWedgedStormEpisode(c.topoSeed, c.variant, c.spin); got != c.want {
+			t.Errorf("topology %d variant %d spin=%v: first wedged episode %d, want %d (-1: none of 64)",
+				c.topoSeed, c.variant, c.spin, got, c.want)
+		}
 	}
 }

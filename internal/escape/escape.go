@@ -50,9 +50,10 @@ type Controller struct {
 	soonest int64
 }
 
-// Attach installs escape-VC recovery on s using the given up/down tree
+// Attach installs escape-VC recovery on s using the given spanning tree
 // for the escape paths: the escape class (escape VCs reserved, escaped
-// packets follow the tree) and the timeout hook.
+// packets follow the tree) and the timeout hook. The tree is all it
+// needs — a routing.UpDown holds no per-destination table.
 func Attach(s *network.Sim, ud *routing.UpDown, opt Options) *Controller {
 	if opt.Timeout == 0 {
 		opt.Timeout = 34

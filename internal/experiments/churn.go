@@ -307,29 +307,33 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	}
 
 	// Routing: SB routes through the manager's live tables; the
-	// baselines rebuild their up*/down* structure after every event.
-	// rebuildAlg returns the modeled table-install work (entries
-	// rewritten) and the measured rebuild wall time. sp_tree re-elects
-	// globally and reinstalls its whole table; dbr's defining trait is
-	// incremental patching, so it is charged only the entries its patch
-	// actually rewrote (the incremental recompiler is property-tested
-	// bit-identical to a full rebuild, so routes are unchanged).
+	// baselines rebuild their spanning tree after every event and route
+	// along it. rebuildAlg returns the modeled table-install work
+	// (entries rewritten) and the measured rebuild wall time. sp_tree
+	// re-elects globally and reinstalls its whole table; dbr's defining
+	// trait is incremental patching, so it is charged only the entries
+	// its patch of the all-links table actually rewrote (the incremental
+	// recompiler is property-tested bit-identical to a full rebuild).
 	var alg routing.Algorithm
-	var baseUD *routing.UpDown
+	var dbrTab *routing.UpDownTable
 	rebuildAlg := func() (entries, wallNs int64) {
 		if kind == churnSB {
 			return 0, 0
 		}
 		t0 := time.Now()
-		if kind == churnDBR && baseUD != nil {
+		if kind == churnDBR && dbrTab != nil {
 			var st routing.RecompileStats
-			baseUD, st = baseUD.Recompile(topo)
+			dbrTab, st = dbrTab.Recompile(topo)
 			entries = st.EntriesRewritten
+			alg = dbrTab.TreeAlgorithm()
 		} else {
-			baseUD = routing.NewUpDownRooted(topo, routing.RootLowestID)
-			entries = baseUD.TableEntries()
+			tree := routing.NewUpDownRooted(topo, routing.RootLowestID)
+			entries = tree.TableEntries()
+			if kind == churnDBR {
+				dbrTab = tree.Compile()
+			}
+			alg = tree.TreeAlgorithm()
 		}
-		alg = baseUD.TreeAlgorithm()
 		return entries, time.Since(t0).Nanoseconds()
 	}
 	if kind == churnSB {

@@ -88,11 +88,6 @@ type Params struct {
 	// SpinMode switches Static Bubble recovery to the follow-up work's
 	// synchronized cycle rotation (core.Options.Spin).
 	SpinMode bool
-	// TreeBaselineAllLinks switches baseline 1 from conservative tree-path
-	// routing (via the lowest common ancestor, matching the paper's
-	// description and reported magnitudes) to the stronger all-links
-	// up*/down* routing with adaptive shortest legal paths.
-	TreeBaselineAllLinks bool
 	// Engine selects the sweep execution engine (worker count, result
 	// cache, cancellation, progress). It is execution configuration
 	// only — it never affects simulated results and is excluded from
@@ -165,17 +160,10 @@ func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance
 	case SpanningTree:
 		// Baseline 1 uses Ariadne's topology-agnostic root election; the
 		// escape scheme's tree (below) is the optimized Router
-		// Parking-style one.
+		// Parking-style one. It routes along tree paths through the
+		// lowest common ancestor ("via the root", paper Section I).
 		inst.UpDown = routing.UpDownFor(topo, routing.RootLowestID)
-		if p.TreeBaselineAllLinks {
-			// Stronger variant: adaptive shortest legal up*/down* paths
-			// over all surviving links.
-			inst.Alg = inst.UpDown
-		} else {
-			// The conservative baseline routes along tree paths through
-			// the lowest common ancestor ("via the root", paper Section I).
-			inst.Alg = inst.UpDown.TreeAlgorithm()
-		}
+		inst.Alg = inst.UpDown.TreeAlgorithm()
 	case EscapeVC:
 		inst.UpDown = routing.UpDownFor(topo, routing.RootMedian)
 		inst.Alg = routing.MinimalFor(topo)
@@ -229,7 +217,9 @@ func (p Params) engine() *sweep.Engine {
 // append the cell coordinates (pattern, fault kind/count, topology
 // index, ...). Topologies is deliberately absent — it is the sweep's
 // extent, not cell content, so growing the sample reuses every cell
-// already computed.
+// already computed. tree_all_links is the key of a removed Params field,
+// written at the only value any cached cell ever had so derived seeds
+// and cache entries keep their identity.
 func (p Params) cellKey(experiment string) *sweep.Key {
 	p = p.withDefaults()
 	return sweep.NewKey(experiment).
@@ -237,7 +227,7 @@ func (p Params) cellKey(experiment string) *sweep.Key {
 		Int("warmup", p.WarmupCycles).Int("measure", p.MeasureCycles).
 		Int64("tdd", p.TDD).Int64("escape_timeout", p.EscapeTimeout).
 		Int64("base_seed", p.BaseSeed).
-		Bool("spin", p.SpinMode).Bool("tree_all_links", p.TreeBaselineAllLinks)
+		Bool("spin", p.SpinMode).Bool("tree_all_links", false)
 }
 
 // mean returns the arithmetic mean of xs (0 when empty).

@@ -25,12 +25,6 @@ func TestBuildSchemes(t *testing.T) {
 	if tree.UpDown == nil || tree.Alg.Name() != "spanning_tree" || tree.SB != nil {
 		t.Fatal("spanning tree instance misconfigured")
 	}
-	p.TreeBaselineAllLinks = true
-	treeAL := p.Build(topo.Clone(), SpanningTree, 1)
-	if treeAL.Alg.Name() != "updown" {
-		t.Fatal("all-links baseline variant misconfigured")
-	}
-	p.TreeBaselineAllLinks = false
 	evc := p.Build(topo.Clone(), EscapeVC, 1)
 	if _, ok := evc.Sim.EscapeClass(); evc.UpDown == nil || !ok {
 		t.Fatal("escape VC instance misconfigured")

@@ -12,8 +12,9 @@ import (
 
 // RunMetrics is the outcome of one warmup+measure simulation run.
 type RunMetrics struct {
-	// AvgLatency and MaxLatency are total packet latencies (cycles) over
-	// packets delivered in the measurement window.
+	// AvgLatency is the mean total packet latency (cycles) over packets
+	// delivered in the measurement window; MaxLatency is the cumulative
+	// maximum since cycle 0, warmup included.
 	AvgLatency float64
 	MaxLatency float64
 	// AcceptedFlits is the delivered throughput in flits/node/cycle over

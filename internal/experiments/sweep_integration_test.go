@@ -131,11 +131,6 @@ func TestCacheKeyCoversSimulationParams(t *testing.T) {
 		"EscapeTimeout": func() Params { p := Quick(); p.EscapeTimeout = 50; return p }(),
 		"BaseSeed":      func() Params { p := Quick(); p.BaseSeed = 1; return p }(),
 		"SpinMode":      func() Params { p := Quick(); p.SpinMode = true; return p }(),
-		"TreeBaselineAllLinks": func() Params {
-			p := Quick()
-			p.TreeBaselineAllLinks = true
-			return p
-		}(),
 	}
 	for field, p := range mutations {
 		if p.cellKey("fig8").Int("topo", 0).Hash(CodeVersion) == baseHash {

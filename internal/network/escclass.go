@@ -22,8 +22,8 @@ import (
 // Invalid when the tree does not connect the two. The lookup must be a
 // pure function of its arguments for as long as the value is attached
 // and safe for concurrent calls — shard workers look up the hop of an
-// escaped packet arriving in their band (*routing.UpDown is both); a new
-// tree goes through SetEscapeTree.
+// escaped packet arriving in their band (*routing.UpDown, the immutable
+// spanning tree, is both); a new tree goes through SetEscapeTree.
 type TreeRouter interface {
 	TreeNextHop(at, dst geom.NodeID) geom.Direction
 }

@@ -547,12 +547,11 @@ func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, 
 // override if installed, else the escape class's tree hop for an escaped
 // packet (a destination the tree cannot reach falls back to the source
 // route), else the next hop of its source route, else Local (ejection)
-// once the route is exhausted. The route-derived answer
-// depends only on (Route, Hop) and is cached on the packet — and, for a
-// buffered packet, registered in its router's request vectors (dense.go)
-// — so SetRoute is the only sanctioned way to change a live packet's
-// route: it resets the cache and marks the vectors stale, which a write
-// to Route or Hop from outside the package cannot.
+// once the route is exhausted. The route-derived answer depends only on
+// (Route, Hop) and, for a buffered packet, is registered in its router's
+// request vectors (dense.go) — so SetRoute is the only sanctioned way to
+// change a live packet's route: it marks the vectors stale, which a
+// write to Route or Hop from outside the package cannot.
 func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 	if s.OutputOverride != nil {
 		if d, ok := s.OutputOverride(p, at); ok {
@@ -567,15 +566,10 @@ func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 			return geom.Local
 		}
 	}
-	if p.cacheOK && int(p.cacheHop) == p.Hop {
-		return p.cacheOut
-	}
-	d := geom.Local
 	if p.Hop < len(p.Route) {
-		d = p.Route[p.Hop]
+		return p.Route[p.Hop]
 	}
-	p.cacheOut, p.cacheHop, p.cacheOK = d, int32(p.Hop), true
-	return d
+	return geom.Local
 }
 
 // UseLink records one cycle of control-message occupancy on the outgoing

@@ -37,12 +37,6 @@ type Packet struct {
 	InjectedAt  int64
 	DeliveredAt int64
 
-	// Memoized OutputOf answer for the current hop (valid while cacheOK
-	// and cacheHop == Hop; see Sim.OutputOf).
-	cacheOut geom.Direction
-	cacheHop int32
-	cacheOK  bool
-
 	// gen is the recycling generation: bumped every time the owning
 	// Sim's pool reclaims this packet, so a PacketRef taken before the
 	// release can detect that the pointer now names a different packet.

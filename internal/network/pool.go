@@ -142,7 +142,6 @@ func (s *Sim) SetRoute(p *Packet, r routing.Route) {
 // every packet passes through here, and must not cost a rebuild).
 func (s *Sim) setRoute(p *Packet, r routing.Route) {
 	p.Hop = 0
-	p.cacheOK = false
 	if s.pool.disabled {
 		p.Route = append(routing.Route(nil), r...)
 		p.routeOwned = false

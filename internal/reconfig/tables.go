@@ -5,10 +5,13 @@ import (
 	"repro/internal/topology"
 )
 
-// tableCacheCap bounds the per-Manager compiled-table cache. Churn
-// revisits topologies constantly (a link flaps down and back up, a
-// router fails and recovers), so a window this size captures nearly
-// all repeats while keeping worst-case memory at ~cap × table size.
+// tableCacheCap bounds the per-Manager compiled-table cache, keeping
+// worst-case memory at ~cap × table size. A hit needs the *whole*
+// topology to return to an earlier state (one link flapping down and
+// back up with nothing else changing in between), which overlapping
+// churn rarely allows — measured: 0 hits on the benchmark's churn_32x32
+// (bench/baseline.json, reconfig.table_hit_ratio) and 14 of 108 lookups
+// on `sbsweep -fig churn -scale quick`.
 const tableCacheCap = 32
 
 // tableCache is a tiny fingerprint-keyed LRU of compiled minimal

@@ -7,11 +7,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Process-wide compiled-table cache. The paper's evaluation (Figs.
+// Process-wide routing-artifact cache. The paper's evaluation (Figs.
 // 8–13) simulates thousands of (seed, injection rate, scheme) points
-// over the *same* sampled irregular topologies; compiling the routing
-// tables once per (topology content, algorithm) pair and sharing the
-// immutable result removes the per-point BFS family entirely. Entries
+// over the *same* sampled irregular topologies; building the minimal
+// tables and the baselines' spanning trees once per (topology content,
+// algorithm) pair and sharing the immutable result removes the
+// per-point BFS family entirely. Entries
 // are content-addressed by topology.Fingerprint — clones, resampled
 // identical topologies, and concurrent sweep workers all converge on
 // one compile — and duplicate concurrent requests are deduplicated
@@ -137,13 +138,14 @@ func MinimalFor(t *topology.Topology) *Minimal {
 	}).(*Minimal)
 }
 
-// UpDownFor returns the compiled up*/down* router for t's current
-// content under the given root policy, shared like MinimalFor. t must
-// not be mutated afterwards.
+// UpDownFor returns the up*/down* spanning trees for t's current content
+// under the given root policy, shared like MinimalFor (RootMedian runs a
+// BFS per root candidate, so the tree is worth sharing too). t must not
+// be mutated afterwards.
 func UpDownFor(t *topology.Topology, policy RootPolicy) *UpDown {
 	key := tableKey{fp: t.Fingerprint(), alg: "updown/" + policy.String()}
 	return cachedCompile(key, func() (any, int64) {
 		u := NewUpDownRooted(t, policy)
-		return u, u.tableBytes()
+		return u, u.treeBytes()
 	}).(*UpDown)
 }

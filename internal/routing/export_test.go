@@ -29,7 +29,7 @@ func MinimalTablesEqual(a, b *Minimal) bool { return a.tab.equal(b.tab) }
 
 // UpDownTablesEqual reports whether a and b route identically: same
 // levels, channel classification, state-graph distances, and masks.
-func UpDownTablesEqual(a, b *UpDown) bool {
+func UpDownTablesEqual(a, b *UpDownTable) bool {
 	return slices.Equal(a.level, b.level) && bytes.Equal(a.upMask, b.upMask) && a.tab.equal(b.tab)
 }
 
@@ -39,7 +39,7 @@ func (m *Minimal) SharesColumn(o *Minimal, dst geom.NodeID) bool {
 	return m.tab.cols[dst].shares(o.tab.cols[dst])
 }
 
-// SharesColumn is the UpDown analog of Minimal.SharesColumn.
-func (u *UpDown) SharesColumn(o *UpDown, dst geom.NodeID) bool {
+// SharesColumn is the UpDownTable analog of Minimal.SharesColumn.
+func (u *UpDownTable) SharesColumn(o *UpDownTable, dst geom.NodeID) bool {
 	return u.tab.cols[dst].shares(o.tab.cols[dst])
 }

@@ -46,7 +46,7 @@ func FuzzUpDownLegality(f *testing.F) {
 		topo := topology.NewMesh(8, 8)
 		rng := rand.New(rand.NewSource(seed))
 		topology.RandomLinkFaults(topo, rng, int(lf)%113)
-		u := NewUpDown(topo)
+		u := NewUpDown(topo).Compile()
 		s, d := geom.NodeID(src%64), geom.NodeID(dst%64)
 		if r, ok := u.Route(s, d, rng); ok {
 			if err := r.Validate(topo, s, d); err != nil {

@@ -478,23 +478,24 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 	return distChanged, maskChanged, true
 }
 
-// Recompile rebuilds the up*/down* structure for t's current state,
-// sharing table columns with u when the spanning trees are effectively
-// unchanged. The result is bit-identical to NewUpDownRooted(t, policy)
-// with u's policy. Tree construction is always rerun (it is O(V+E) and
-// its output feeds the comparison); when the levels and the up/down
-// classification of every channel usable in both snapshots are
-// unchanged, only columns whose state-graph tight edges the delta
-// touched are recompiled — the rest share u's column pages.
-func (u *UpDown) Recompile(t *topology.Topology) (*UpDown, RecompileStats) {
-	nu := newUpDownTree(t, u.policy)
+// Recompile rebuilds the tree and the all-links tables for t's current
+// state, sharing table columns with u when the spanning trees are
+// effectively unchanged. The result is bit-identical to
+// NewUpDownRooted(t, policy).Compile() with u's policy. Tree
+// construction is always rerun (it is O(V+E) and its output feeds the
+// comparison); when the levels and the up/down classification of every
+// channel usable in both snapshots are unchanged, only columns whose
+// state-graph tight edges the delta touched are recompiled — the rest
+// share u's column pages.
+func (u *UpDownTable) Recompile(t *topology.Topology) (*UpDownTable, RecompileStats) {
+	nu := &UpDownTable{UpDown: NewUpDownRooted(t, u.policy), g: t.Flatten()}
 	n := nu.g.N
-	full := func() (*UpDown, RecompileStats) {
-		nu.tab = compileUpDown(nu.g, nu.level, nu.upMask, compileWorkers(n))
+	full := func() (*UpDownTable, RecompileStats) {
+		nu.compile()
 		return nu, fullRecompile(n, 2)
 	}
 	delta, ok := topology.DiffFlat(u.g, nu.g)
-	if !ok || u.tab == nil || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
+	if !ok || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
 		return full()
 	}
 	for i := range nu.level {
@@ -584,6 +585,8 @@ func (u *UpDown) Recompile(t *topology.Topology) (*UpDown, RecompileStats) {
 // cost).
 func (m *Minimal) TableEntries() int64 { return fullRecompile(m.tab.n, 1).EntriesRewritten }
 
-// TableEntries is the up*/down* analog: per destination column, 2n state
-// distances plus n mask bytes.
-func (u *UpDown) TableEntries() int64 { return fullRecompile(u.tab.n, 2).EntriesRewritten }
+// TableEntries is the up*/down* analog — per destination column, 2n state
+// distances plus n mask bytes — as arithmetic on the tree's node count:
+// the churn experiment charges sp_tree a whole-table reinstall per event
+// without building the table.
+func (u *UpDown) TableEntries() int64 { return fullRecompile(len(u.level), 2).EntriesRewritten }

@@ -69,7 +69,7 @@ func TestIncrementalVsFullProperty(t *testing.T) {
 		}
 		topo := topology.RandomIrregular(w, h, kind, rng.Intn(w*h/2), seed)
 		min := NewMinimal(topo)
-		ud := NewUpDownRooted(topo, RootLowestID)
+		ud := NewUpDownRooted(topo, RootLowestID).Compile()
 		for s := 0; s < steps; s++ {
 			op := randomDeltaStep(topo, rng)
 			incMin, mst := min.Recompile(topo)
@@ -79,7 +79,7 @@ func TestIncrementalVsFullProperty(t *testing.T) {
 					c, s, op, mst)
 			}
 			incUD, ust := ud.Recompile(topo)
-			fullUD := NewUpDownRooted(topo, RootLowestID)
+			fullUD := NewUpDownRooted(topo, RootLowestID).Compile()
 			if !UpDownTablesEqual(incUD, fullUD) {
 				t.Fatalf("case %d step %d (%s): incremental updown diverged from full compile (stats %+v)",
 					c, s, op, ust)
@@ -102,7 +102,7 @@ func TestIncrementalColumnSharing(t *testing.T) {
 		topo.DisableLink(geom.NodeID(y*8+3), geom.East)
 	}
 	min := NewMinimal(topo)
-	ud := NewUpDownRooted(topo, RootLowestID)
+	ud := NewUpDownRooted(topo, RootLowestID).Compile()
 
 	topo.DisableLink(0, geom.East) // node 0 → node 1, deep inside the left half
 	incMin, st := min.Recompile(topo)
@@ -179,7 +179,7 @@ func TestParallelCompileDeterminism(t *testing.T) {
 	topo := topology.RandomIrregular(20, 20, topology.LinkFaults, 60, 9)
 	g := topo.Flatten()
 	seq := compileMinimal(g, 1)
-	ud := newUpDownTree(topo, RootLowestID)
+	ud := NewUpDownRooted(topo, RootLowestID)
 	seqUD := compileUpDown(g, ud.level, ud.upMask, 1)
 	for _, workers := range []int{2, 3, 8} {
 		par := compileMinimal(g, workers)
@@ -189,8 +189,8 @@ func TestParallelCompileDeterminism(t *testing.T) {
 			t.Fatalf("parallel minimal compile (workers=%d) not byte-identical", workers)
 		}
 		parUD := compileUpDown(g, ud.level, ud.upMask, workers)
-		ua := &UpDown{g: g, level: ud.level, upMask: ud.upMask, tab: seqUD}
-		ub := &UpDown{g: g, level: ud.level, upMask: ud.upMask, tab: parUD}
+		ua := &UpDownTable{UpDown: ud, g: g, tab: seqUD}
+		ub := &UpDownTable{UpDown: ud, g: g, tab: parUD}
 		if !UpDownTablesEqual(ua, ub) {
 			t.Fatalf("parallel updown compile (workers=%d) not byte-identical", workers)
 		}
@@ -214,7 +214,7 @@ func FuzzIncrementalCompile(f *testing.F) {
 		seed := int64(len(data))*1315423911 + int64(data[0])<<8 + int64(data[1])
 		topo := topology.RandomIrregular(w, h, topology.LinkFaults, faults, seed)
 		min := NewMinimal(topo)
-		ud := NewUpDownRooted(topo, RootLowestID)
+		ud := NewUpDownRooted(topo, RootLowestID).Compile()
 		ops := data[3:]
 		if len(ops) > 12 {
 			ops = ops[:12]
@@ -231,7 +231,7 @@ func FuzzIncrementalCompile(f *testing.F) {
 				t.Fatal("incremental minimal diverged from full compile")
 			}
 			incUD, _ := ud.Recompile(topo)
-			fullUD := NewUpDownRooted(topo, RootLowestID)
+			fullUD := NewUpDownRooted(topo, RootLowestID).Compile()
 			if !UpDownTablesEqual(incUD, fullUD) {
 				t.Fatal("incremental updown diverged from full compile")
 			}

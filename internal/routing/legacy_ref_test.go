@@ -85,8 +85,8 @@ func (m *legacyMinimal) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.R
 	return route, true
 }
 
-// legacyUpDown is the old lazy state-graph up*/down* router over the
-// tree of a compiled UpDown.
+// legacyUpDown is the old lazy state-graph up*/down* router over an
+// UpDown tree.
 type legacyUpDown struct {
 	topo   *topology.Topology
 	u      *UpDown
@@ -265,8 +265,8 @@ func TestUpDownMatchesLegacy(t *testing.T) {
 	for name, topo := range equivalenceTopologies() {
 		for _, policy := range []RootPolicy{RootMedian, RootLowestID} {
 			t.Run(name+"/"+policy.String(), func(t *testing.T) {
-				compiled := NewUpDownRooted(topo, policy)
-				legacy := newLegacyUpDown(topo, compiled)
+				compiled := NewUpDownRooted(topo, policy).Compile()
+				legacy := newLegacyUpDown(topo, compiled.UpDown)
 				n := topo.NumNodes()
 				rngC := rand.New(rand.NewSource(99))
 				rngL := rand.New(rand.NewSource(99))
@@ -288,7 +288,7 @@ func TestUpDownMatchesLegacy(t *testing.T) {
 							if got, want := len(rc), compiled.Distance(src, dst); got != want {
 								t.Fatalf("Route(%v,%v): %d hops, Distance %d", src, dst, got, want)
 							}
-							checkUpDownLegalRef(t, topo, compiled, src, rc)
+							checkUpDownLegalRef(t, topo, compiled.UpDown, src, rc)
 						}
 					}
 				}

@@ -1,8 +1,8 @@
 package routing
 
-// Compiled routing instances are immutable after construction, so one
-// instance may serve every sweep worker and the sharded core's parallel
-// injection phase concurrently. These tests drive shared instances from
+// Minimal, UpDown trees and UpDownTable are immutable after construction,
+// so one instance may serve every sweep worker and the sharded core's
+// parallel injection phase concurrently. These tests drive shared instances from
 // many goroutines; run under -race (CI's race tier does) they prove the
 // lazy-map data race the compilation removed stays gone.
 
@@ -45,7 +45,7 @@ func TestMinimalConcurrentUse(t *testing.T) {
 
 func TestUpDownConcurrentUse(t *testing.T) {
 	topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 15, 11)
-	u := NewUpDown(topo)
+	u := NewUpDown(topo).Compile()
 	n := topo.NumNodes()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -60,6 +60,7 @@ func TestUpDownConcurrentUse(t *testing.T) {
 				u.Distance(src, dst)
 				u.TreeNextHop(src, dst)
 				buf, _ = u.AppendRoute(buf[:0], src, dst, rng)
+				buf, _ = u.AppendTreeRoute(buf[:0], src, dst)
 			}
 		}(int64(w + 1))
 	}

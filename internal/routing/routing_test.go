@@ -153,14 +153,14 @@ func TestXYNameAndMinimalName(t *testing.T) {
 	if NewXY(topo).Name() != "xy" || NewMinimal(topo).Name() != "minimal" {
 		t.Fatal("unexpected algorithm names")
 	}
-	if NewUpDown(topo).Name() != "updown" {
+	if NewUpDown(topo).Compile().Name() != "updown" {
 		t.Fatal("unexpected updown name")
 	}
 }
 
 func TestUpDownHealthyMeshRoutesAllPairs(t *testing.T) {
 	topo := topology.NewMesh(6, 6)
-	u := NewUpDown(topo)
+	u := NewUpDown(topo).Compile()
 	rng := rand.New(rand.NewSource(3))
 	for src := geom.NodeID(0); src < 36; src += 3 {
 		for dst := geom.NodeID(0); dst < 36; dst += 4 {
@@ -171,7 +171,7 @@ func TestUpDownHealthyMeshRoutesAllPairs(t *testing.T) {
 			if err := r.Validate(topo, src, dst); err != nil {
 				t.Fatal(err)
 			}
-			if err := checkUpDownLegal(u, topo, src, r); err != nil {
+			if err := checkUpDownLegal(u.UpDown, topo, src, r); err != nil {
 				t.Fatalf("%v→%v: %v", src, dst, err)
 			}
 		}
@@ -202,7 +202,7 @@ func TestUpDownIrregularConnectivityAndLegality(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 25, int64(100+trial))
-		u := NewUpDown(topo)
+		u := NewUpDown(topo).Compile()
 		m := NewMinimal(topo)
 		for n := 0; n < 30; n++ {
 			src := geom.NodeID(rng.Intn(64))
@@ -222,7 +222,7 @@ func TestUpDownIrregularConnectivityAndLegality(t *testing.T) {
 			if err := r.Validate(topo, src, dst); err != nil {
 				t.Fatal(err)
 			}
-			if err := checkUpDownLegal(u, topo, src, r); err != nil {
+			if err := checkUpDownLegal(u.UpDown, topo, src, r); err != nil {
 				t.Fatalf("trial %d %v→%v: %v (route %v)", trial, src, dst, err, r)
 			}
 			if r.Len() < m.Distance(src, dst) {
@@ -255,7 +255,7 @@ func TestUpDownNonMinimalExists(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
 		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 30, seed)
-		u := NewUpDown(topo)
+		u := NewUpDown(topo).Compile()
 		m := NewMinimal(topo)
 		for src := geom.NodeID(0); src < 64 && !found; src++ {
 			for dst := geom.NodeID(0); dst < 64; dst++ {
@@ -386,7 +386,7 @@ func TestRouteDestAndString(t *testing.T) {
 func TestUpDownSelfAndDeadRoutes(t *testing.T) {
 	topo := topology.NewMesh(3, 3)
 	topo.DisableRouter(8)
-	u := NewUpDown(topo)
+	u := NewUpDown(topo).Compile()
 	if r, ok := u.Route(2, 2, nil); !ok || r.Len() != 0 {
 		t.Fatal("self route should be empty and ok")
 	}

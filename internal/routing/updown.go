@@ -15,24 +15,23 @@ import (
 // every cyclic channel dependency, making the scheme deadlock-free on any
 // surviving topology, at the cost of non-minimal paths.
 //
-// Routes returned are the shortest *legal* paths, sampled uniformly among
-// legal minimal next hops when an rng is supplied.
-//
-// Like Minimal, an UpDown is fully compiled at construction (table.go):
-// state-graph distances and per-(node,dst) candidate masks, so instances
-// are immutable and safe for concurrent use.
+// An UpDown is the spanning forest and the channel classification only —
+// what both of the paper's baselines need (Section V-B: baseline 1 routes
+// along the tree, baseline 2's escape VCs follow it). Construction is
+// O(V+E) per root candidate; nothing is compiled per (node, dst) pair.
+// The all-links up*/down* Algorithm (shortest legal paths over every
+// surviving link) is a separate value, built on request by Compile.
+// Instances are immutable and safe for concurrent use.
 type UpDown struct {
 	topo   *topology.Topology
-	g      *topology.FlatGraph
 	level  []int         // BFS level within the component; -1 if dead
 	parent []geom.NodeID // BFS tree parent; InvalidNode at roots/dead
 	root   []geom.NodeID // component root per node; InvalidNode if dead
 	// upMask[n] has bit d set iff the channel n→d is an "up" channel
 	// (usable, both levels known, toward the root ordering).
 	upMask []uint8
-	tab    *tables
-	// policy is retained so Recompile (incremental.go) rebuilds the
-	// spanning trees under the same root-selection rule.
+	// policy is retained so UpDownTable.Recompile (incremental.go)
+	// rebuilds the spanning trees under the same root-selection rule.
 	policy RootPolicy
 }
 
@@ -66,22 +65,12 @@ func NewUpDown(t *topology.Topology) *UpDown {
 	return NewUpDownRooted(t, RootMedian)
 }
 
-// NewUpDownRooted constructs the spanning trees using the given root
-// policy and compiles the routing tables.
+// NewUpDownRooted constructs the spanning trees and the channel
+// classification using the given root policy.
 func NewUpDownRooted(t *topology.Topology, policy RootPolicy) *UpDown {
-	u := newUpDownTree(t, policy)
-	u.tab = compileUpDown(u.g, u.level, u.upMask, compileWorkers(u.g.N))
-	return u
-}
-
-// newUpDownTree builds the spanning trees and channel classification but
-// not the compiled tables — the shared prefix of NewUpDownRooted and
-// Recompile.
-func newUpDownTree(t *topology.Topology, policy RootPolicy) *UpDown {
 	n := t.NumNodes()
 	u := &UpDown{
 		topo:   t,
-		g:      t.Flatten(),
 		level:  make([]int, n),
 		parent: make([]geom.NodeID, n),
 		root:   make([]geom.NodeID, n),
@@ -110,10 +99,9 @@ func newUpDownTree(t *topology.Topology, policy RootPolicy) *UpDown {
 	return u
 }
 
-// tableBytes returns the compiled-table footprint for cache accounting.
-func (u *UpDown) tableBytes() int64 {
-	return u.g.Bytes() + u.tab.bytes() +
-		int64(len(u.upMask)) + int64(len(u.level))*8 + int64(len(u.parent))*8 + int64(len(u.root))*8
+// treeBytes returns the tree's footprint for cache accounting.
+func (u *UpDown) treeBytes() int64 {
+	return int64(len(u.upMask)) + int64(len(u.level))*8 + int64(len(u.parent))*8 + int64(len(u.root))*8
 }
 
 // chooseRoot picks the 1-median of the component (lowest id on ties).
@@ -166,9 +154,6 @@ func (u *UpDown) buildTree(root geom.NodeID) {
 	// unroutable by this scheme.
 }
 
-// Name implements Algorithm.
-func (u *UpDown) Name() string { return "updown" }
-
 // Level returns the BFS-tree level of n, or -1 if n is dead or unrouted.
 func (u *UpDown) Level(n geom.NodeID) int { return u.level[n] }
 
@@ -219,57 +204,6 @@ func (u *UpDown) TurnLegal(n geom.NodeID, in, out geom.Direction) bool {
 	cameDown := !u.IsUp(prev, in) // channel prev→n was a down channel
 	goesUp := u.IsUp(n, out)
 	return !(cameDown && goesUp)
-}
-
-// Distance returns the shortest legal up*/down* hop count from src to dst,
-// or -1 if unreachable under this scheme.
-func (u *UpDown) Distance(src, dst geom.NodeID) int {
-	if u.level[src] < 0 || u.level[dst] < 0 {
-		return -1
-	}
-	return int(u.tab.cols[dst].dist[2*int(src)+phaseUp])
-}
-
-// Route implements Algorithm: the shortest legal up*/down* route, sampled
-// uniformly among legal minimal next hops when rng is non-nil.
-func (u *UpDown) Route(src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	return u.AppendRoute(nil, src, dst, rng)
-}
-
-// AppendRoute implements RouteAppender: same sampling as Route, hops
-// appended onto buf. Per hop: one candidate-mask byte (nibble-selected
-// by the current phase), one next-hop word, one up-mask bit for the
-// phase transition.
-func (u *UpDown) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	if src == dst {
-		return buf, u.level[src] >= 0
-	}
-	col := &u.tab.cols[dst]
-	if u.level[src] < 0 || col.dist[2*int(src)+phaseUp] < 0 {
-		return buf, false
-	}
-	route := buf
-	cur, phase := int(src), phaseUp
-	for cur != int(dst) {
-		m := col.mask[cur]
-		if phase == phaseUp {
-			m &= 0x0f
-		} else {
-			m >>= 4
-		}
-		d := pickDir(m, rng)
-		if d == geom.Invalid {
-			return buf, false
-		}
-		route = append(route, d)
-		if u.upMask[cur]&(1<<uint(d)) != 0 {
-			phase = phaseUp
-		} else {
-			phase = phaseDown
-		}
-		cur = int(u.g.Next[geom.NumLinkDirs*cur+int(d)])
-	}
-	return route, true
 }
 
 // TreeNextHop returns the next-hop direction from n toward dst using pure
@@ -379,8 +313,8 @@ func (u *UpDown) AppendTreeRoute(buf Route, src, dst geom.NodeID) (Route, bool) 
 // TreeAlgorithm adapts the spanning tree to the Algorithm interface:
 // every packet follows the tree path through the lowest common ancestor.
 // This is the conservative tree-routing baseline the paper's introduction
-// describes ("messages are routed via the root"); the UpDown Algorithm
-// itself is the stronger all-links up*/down* variant.
+// describes ("messages are routed via the root"); UpDownTable is the
+// stronger all-links up*/down* variant.
 func (u *UpDown) TreeAlgorithm() Algorithm { return treeAlg{u} }
 
 type treeAlg struct{ u *UpDown }
@@ -393,4 +327,86 @@ func (t treeAlg) Route(src, dst geom.NodeID, _ *rand.Rand) (Route, bool) {
 
 func (t treeAlg) AppendRoute(buf Route, src, dst geom.NodeID, _ *rand.Rand) (Route, bool) {
 	return t.u.AppendTreeRoute(buf, src, dst)
+}
+
+// UpDownTable is the all-links up*/down* Algorithm over a tree: the
+// (node, phase) state-graph distances and per-(node, dst) candidate masks
+// of table.go, compiled from the tree's levels and channel
+// classification. Routes are the shortest *legal* paths, sampled
+// uniformly among legal minimal next hops when an rng is supplied. No
+// figure routes with it (the paper's baseline 1 is the tree path); the
+// churn experiment's dbr contender prices its incremental patching with
+// Recompile. Immutable, like Minimal.
+type UpDownTable struct {
+	*UpDown
+	g   *topology.FlatGraph
+	tab *tables
+}
+
+// Compile builds the all-links up*/down* tables for the tree. The
+// topology must still be in the state the tree was built from.
+func (u *UpDown) Compile() *UpDownTable {
+	t := &UpDownTable{UpDown: u, g: u.topo.Flatten()}
+	t.compile()
+	return t
+}
+
+// compile cold-compiles tab from the tree and the snapshot; construction
+// only (Compile, and Recompile's fallback on the snapshot it already took).
+func (u *UpDownTable) compile() {
+	u.tab = compileUpDown(u.g, u.level, u.upMask, compileWorkers(u.g.N))
+}
+
+// Name implements Algorithm.
+func (u *UpDownTable) Name() string { return "updown" }
+
+// Distance returns the shortest legal up*/down* hop count from src to dst,
+// or -1 if unreachable under this scheme.
+func (u *UpDownTable) Distance(src, dst geom.NodeID) int {
+	if u.level[src] < 0 || u.level[dst] < 0 {
+		return -1
+	}
+	return int(u.tab.cols[dst].dist[2*int(src)+phaseUp])
+}
+
+// Route implements Algorithm: the shortest legal up*/down* route, sampled
+// uniformly among legal minimal next hops when rng is non-nil.
+func (u *UpDownTable) Route(src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
+	return u.AppendRoute(nil, src, dst, rng)
+}
+
+// AppendRoute implements RouteAppender: same sampling as Route, hops
+// appended onto buf. Per hop: one candidate-mask byte (nibble-selected
+// by the current phase), one next-hop word, one up-mask bit for the
+// phase transition.
+func (u *UpDownTable) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
+	if src == dst {
+		return buf, u.level[src] >= 0
+	}
+	col := &u.tab.cols[dst]
+	if u.level[src] < 0 || col.dist[2*int(src)+phaseUp] < 0 {
+		return buf, false
+	}
+	route := buf
+	cur, phase := int(src), phaseUp
+	for cur != int(dst) {
+		m := col.mask[cur]
+		if phase == phaseUp {
+			m &= 0x0f
+		} else {
+			m >>= 4
+		}
+		d := pickDir(m, rng)
+		if d == geom.Invalid {
+			return buf, false
+		}
+		route = append(route, d)
+		if u.upMask[cur]&(1<<uint(d)) != 0 {
+			phase = phaseUp
+		} else {
+			phase = phaseDown
+		}
+		cur = int(u.g.Next[geom.NumLinkDirs*cur+int(d)])
+	}
+	return route, true
 }

@@ -116,21 +116,9 @@ func packetState(s *network.Sim, p *network.Packet, at geom.NodeID, port geom.Di
 	}
 }
 
-// EncodeJSON writes any value in the repository's on-disk JSON format
-// (indented, trailing newline) — shared by snapshots and the sweep
-// result cache (internal/sweep).
-func EncodeJSON(w io.Writer, v any) error {
+// Write serializes the snapshot as indented JSON with a trailing newline.
+func Write(w io.Writer, st State) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-// DecodeJSON parses a value produced by EncodeJSON.
-func DecodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(r).Decode(v)
-}
-
-// Write serializes the snapshot as indented JSON.
-func Write(w io.Writer, st State) error {
-	return EncodeJSON(w, st)
+	return enc.Encode(st)
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -71,7 +72,7 @@ func TestRoundTripJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back State
-	if err := DecodeJSON(&buf, &back); err != nil {
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st, back) {

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"repro/internal/snapshot"
 )
 
 // DefaultCacheDir is where cmd/sbsweep keeps its result cache.
@@ -56,7 +54,7 @@ func (c *Cache) Get(k *Key, out any) (bool, error) {
 	}
 	defer f.Close()
 	var e entry
-	if err := snapshot.DecodeJSON(f, &e); err != nil {
+	if err := json.NewDecoder(f).Decode(&e); err != nil {
 		return false, nil
 	}
 	if e.Key != k.Canonical() || e.Salt != c.Salt {
@@ -82,8 +80,11 @@ func (c *Cache) Put(k *Key, v any) error {
 	if err != nil {
 		return err
 	}
-	e := entry{Key: k.Canonical(), Salt: c.Salt, Value: raw}
-	if err := snapshot.EncodeJSON(tmp, e); err != nil {
+	// Indented with a trailing newline: the format every entry already on
+	// disk has.
+	enc := json.NewEncoder(tmp)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(entry{Key: k.Canonical(), Salt: c.Salt, Value: raw}); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
