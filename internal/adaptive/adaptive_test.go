@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/escape"
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/network/refmodel"
@@ -154,11 +155,12 @@ func TestAdaptiveParksWhenDisconnected(t *testing.T) {
 
 // TestAdaptiveMatchesRefmodel is the per-hop adaptive scheme's
 // differential check: a 40-link-fault 16×16 with Static Bubble attached
-// runs identically seeded under the refmodel full scan and under
-// Sim.Step built with Shards 1 and 4 (the override keeps the latter on
-// the sequential sweep), and the complete Stats struct must agree after
-// every cycle. The per-hop OutputOverride forces the hook-bearing
-// allocation path, which the 60-scenario harness never attaches.
+// runs identically seeded under the refmodel full scan — the generic
+// AllocateNode asking OutputOf per head — and under Sim.Step built with
+// Shards 1 and 4, where the hop class keeps the fused pass, the request
+// vectors and the parallel sweep; the complete Stats struct must agree
+// after every cycle, through at least one deadlock recovery and one
+// bubble occupancy. The 60-scenario harness never attaches a hop class.
 func TestAdaptiveMatchesRefmodel(t *testing.T) {
 	type unit struct {
 		name string
@@ -192,8 +194,9 @@ func TestAdaptiveMatchesRefmodel(t *testing.T) {
 		}}
 	}
 	ref := build("refmodel", 1, true)
-	units := []*unit{ref, build("shards1", 1, false), build("shards4", 4, false)}
-	for cyc := 1; cyc <= 400; cyc++ {
+	seq, par := build("shards1", 1, false), build("shards4", 4, false)
+	units := []*unit{ref, seq, par}
+	for cyc := 1; cyc <= 1600; cyc++ { // the first recovery completes near cycle 1100
 		for _, u := range units {
 			u.tick()
 			if u.sim.Stats != ref.sim.Stats {
@@ -207,12 +210,83 @@ func TestAdaptiveMatchesRefmodel(t *testing.T) {
 			}
 		}
 	}
-	if ref.sim.Stats.Delivered == 0 {
-		t.Fatal("delivered nothing — the scenario is not exercising the scheme")
+	if st := ref.sim.Stats; st.Delivered == 0 || st.DeadlockRecoveries == 0 || st.BubbleOccupancies == 0 {
+		t.Fatalf("the scenario is not exercising the scheme: delivered %d, recoveries %d, bubble occupancies %d",
+			st.Delivered, st.DeadlockRecoveries, st.BubbleOccupancies)
 	}
-	for _, u := range units {
-		if n := u.sim.StepperCounters().ParallelCycles; n != 0 {
-			t.Fatalf("%s: %d cycles took the parallel sweep under an OutputOverride", u.name, n)
+	if _, _, live := seq.sim.RequestVectors(0); !live {
+		t.Fatal("shards1: request vectors not live under a hop class")
+	}
+	if n := par.sim.StepperCounters().ParallelCycles; n == 0 {
+		t.Fatal("shards4: no cycle took the parallel sweep under a hop class")
+	}
+}
+
+// The hop class answers for every packet and the escape class moves
+// packets onto a tree: attached together, whichever came second would be
+// silently ignored, so the second attach refuses.
+func TestAdaptiveRefusesEscapeClass(t *testing.T) {
+	for _, escapeFirst := range []bool{false, true} {
+		topo := topology.NewMesh(3, 3)
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(8)))
+		attach := []func(){
+			func() { Attach(s) },
+			func() { escape.Attach(s, routing.NewUpDown(topo), escape.Options{}) },
 		}
+		if escapeFirst {
+			attach[0], attach[1] = attach[1], attach[0]
+		}
+		attach[0]()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("escape first %v: the second attach did not panic", escapeFirst)
+				}
+			}()
+			attach[1]()
+		}()
+	}
+}
+
+// TestOverrideBesideHopClassIsInert pins what bench's traced pass rests
+// on: it wraps s.OutputOverride after Attach (the inner value is nil now
+// that the scheme is a hop class), and that wrapper must be neither
+// called nor cost the run the fused pass.
+func TestOverrideBesideHopClassIsInert(t *testing.T) {
+	calls := 0
+	run := func(wrap bool) (network.Stats, network.StepperCounters) {
+		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 10, 9)
+		s := network.New(topo, network.Config{Shards: 2}, rand.New(rand.NewSource(10)))
+		core.Attach(s, core.Options{TDD: 24})
+		c := Attach(s)
+		if wrap {
+			inner := s.OutputOverride
+			s.OutputOverride = func(p *network.Packet, at geom.NodeID) (geom.Direction, bool) {
+				calls++
+				return inner(p, at)
+			}
+		}
+		alive := topo.AliveRouters()
+		rng := rand.New(rand.NewSource(11))
+		for cyc := 0; cyc < 600; cyc++ {
+			for _, src := range alive {
+				if dst := alive[rng.Intn(len(alive))]; rng.Float64() < 0.08 && dst != src && c.Reachable(src, dst) {
+					s.Enqueue(c.NewPacket(src, dst, rng.Intn(3), 5))
+				}
+			}
+			s.Step()
+		}
+		return s.Stats, s.StepperCounters()
+	}
+	plainStats, plainCtr := run(false)
+	wrapStats, wrapCtr := run(true)
+	if calls != 0 {
+		t.Fatalf("the override beside the hop class was called %d times", calls)
+	}
+	if plainStats != wrapStats || plainCtr != wrapCtr {
+		t.Fatalf("the wrapper changed the run\nplain: %+v %+v\nwrapped: %+v %+v", plainStats, plainCtr, wrapStats, wrapCtr)
+	}
+	if plainStats.Delivered == 0 || plainCtr.ParallelCycles == 0 {
+		t.Fatalf("vacuous: delivered %d, parallel cycles %d", plainStats.Delivered, plainCtr.ParallelCycles)
 	}
 }

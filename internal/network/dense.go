@@ -9,28 +9,31 @@ package network
 // hardware allocator: want[id][out] has bit ci set (candidate index
 // in*slots+sl, the bubble at bit `total`) iff that buffer holds a packet
 // whose next hop at id is out — the source route's, or the escape tree's
-// for an escaped packet (escclass.go) — pend[id] marks occupied buffers
-// whose head may not have arrived yet, and esc[id] marks the buffers
-// whose packet is escaped. All three are written where occBits is — at a
-// buffer fill (occBitSet, after the packet is in place) and at a buffer
-// clear (occBitClear) — so a visit derives its desire masks with a few
-// word operations, whatever the router holds, and touches a VC only to
-// retire a pend bit (a packet is looked at on the two or three visits
-// after it arrives, never again while it waits). Round-robin arbitration
-// walks the mask cyclically from saPtr with TrailingZeros64, and
-// downstream buffer availability is memoized per (output, vnet, class)
-// instead of re-scanned per candidate: which VC indices of a vnet a
-// packet may enter depends only on whether it is escaped, so esc[id]
-// splits each vnet's candidates into the two groups that share an
-// answer. The mask holds exactly the gather's candidate set (same fence,
-// liveness, readiness and output filters, in the same ascending candidate
-// order), the cyclic mask walk visits candidates in the same order
-// commitAllocate's rotate-and-scan does, the memoized free-slot answer
-// equals tryGrant's own re-scan (no mutation can intervene: within one
-// router's pass each output port targets a distinct neighbor), and a
-// candidate is skipped exactly when tryGrant would have returned false.
-// The winner moves through the very same tryGrant the generic commit
-// uses.
+// for an escaped packet (escclass.go), or under a hop class the single
+// minimal direction (hopclass.go) — pend[id] marks occupied buffers whose
+// head may not have arrived yet, and esc[id] marks the buffers whose
+// packet is escaped. A hop class adds one word of its own, choose[id]:
+// the buffers whose packet has several minimal directions, which are in
+// no want word and which the pass files under an output each visit. All
+// are written where occBits is — at a buffer fill (occBitSet, after the
+// packet is in place) and at a buffer clear (occBitClear) — so a visit
+// derives its desire masks with a few word operations, whatever the
+// router holds, and touches a VC only to retire a pend bit (a packet is
+// looked at on the two or three visits after it arrives, never again
+// while it waits). Round-robin arbitration walks the mask cyclically from
+// saPtr with TrailingZeros64, and downstream buffer availability is
+// memoized per (output, vnet, class) instead of re-scanned per candidate:
+// which VC indices of a vnet a packet may enter depends only on whether
+// it is escaped, so esc[id] splits each vnet's candidates into the two
+// groups that share an answer. The mask holds exactly the gather's
+// candidate set (same fence, liveness, readiness and output filters, in
+// the same ascending candidate order), the cyclic mask walk visits
+// candidates in the same order commitAllocate's rotate-and-scan does, the
+// memoized free-slot answer equals tryGrant's own re-scan (no mutation
+// can intervene: within one router's pass each output port targets a
+// distinct neighbor), and a candidate is skipped exactly when tryGrant
+// would have returned false. The winner moves through the very same
+// tryGrant the generic commit uses.
 //
 // Staleness rule. The vectors are maintained only while fusedAlloc
 // holds (deriving a next hop under an OutputOverride would add hook
@@ -39,13 +42,13 @@ package network
 // to the escape class. Anything else that changes what a buffered packet
 // wants raises one flag, dense.stale, on the coordinator: a sweep that
 // runs non-fused, exported SetRoute (reconfig's reroutes), attaching an
-// escape class or swapping its tree (SetEscapeTree), an out-of-cycle
-// placement under a hook, and Wake — the notice a scheme that moves
-// packets by hand (core's SPIN rotation) owes the simulator. A fused
-// sweep rebuilds the vectors from the buffers before it starts
+// escape or hop class or swapping the escape tree (SetEscapeTree), an
+// out-of-cycle placement under a hook, and Wake — the notice a scheme
+// that moves packets by hand (core's SPIN rotation) owes the simulator. A
+// fused sweep rebuilds the vectors from the buffers before it starts
 // (syncVectors; O(resident packets)). Invariant: whenever a fused pass
-// reads want/pend/esc they equal a from-scratch rebuild, pend up to bits
-// whose head has since arrived (validate.Check and
+// reads want/pend/esc/choose they equal a from-scratch rebuild, pend up
+// to bits whose head has since arrived (validate.Check and
 // TestRequestVectorsMatchRebuild assert it). The fence and
 // Bubble.Present/InPort stay live reads in the pass: core writes those
 // fields directly, every cycle of a recovery, and reading two fields per
@@ -64,8 +67,10 @@ package network
 // generic AllocateNode per active router instead, on the stepping
 // goroutine. That is the one selection the stepper makes, from what the
 // code observes: only a fused cycle may fan out to the shard workers.
-// An escape class is not a hook: its two rules are state the pass reads,
-// so an escape-VC run stays fused.
+// A class is not a hook: the escape class's two rules and the hop
+// class's mask table are state the pass reads, so an escape-VC run and a
+// per-hop adaptive run stay fused (and an OutputOverride beside a hop
+// class is never consulted, so it does not count).
 
 import (
 	"math/bits"
@@ -169,12 +174,38 @@ func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet) {
 	if !s.fusedAlloc() {
 		return
 	}
-	if out := s.OutputOf(p, id); out != geom.Invalid {
+	if s.hopClass != nil {
+		s.registerHop(id, bit, p)
+	} else if out := s.OutputOf(p, id); out != geom.Invalid {
+		// registerHop without a class, in line: every hop of every packet
+		// passes here.
 		d.want[id][out] |= m
 	}
 	d.pend[id] |= m
 	if p.Escaped {
 		d.esc[id] |= m
+	}
+}
+
+// registerHop files buffer ci of router id, holding p, under the output p
+// wants there: a want bit, nothing for a packet with nowhere to go, or —
+// under a hop class, for a packet with several minimal directions — the
+// class's choose-per-visit word and mask byte (hopclass.go).
+func (s *Sim) registerHop(id geom.NodeID, ci int, p *Packet) {
+	m := uint64(1) << uint(ci)
+	var out geom.Direction
+	if h := s.hopClass; h != nil {
+		var mask uint8
+		if out, mask = h.hopOf(p, id); mask != 0 {
+			h.choose[id] |= m
+			h.mask[int(id)*h.stride+ci] = mask
+			return
+		}
+	} else {
+		out = s.OutputOf(p, id)
+	}
+	if out != geom.Invalid {
+		s.dense.want[id][out] |= m
 	}
 }
 
@@ -191,28 +222,32 @@ func (s *Sim) occBitClear(id geom.NodeID, bit int) {
 	for out := range w {
 		w[out] &= m
 	}
+	if h := s.hopClass; h != nil {
+		h.choose[id] &= m
+	}
 }
 
-// vectorsOf derives router id's request vectors from its buffers: the
-// definition the maintained copies must equal (pend exactly the heads
-// not yet arrived).
-func (s *Sim) vectorsOf(id geom.NodeID) (want [geom.NumPorts]uint64, pend, esc uint64) {
+// rebuildVectors derives router id's request vectors (and the hop
+// class's word) from its buffers: the definition the maintained copies
+// must equal (pend exactly the heads not yet arrived).
+func (s *Sim) rebuildVectors(id geom.NodeID) {
 	d := &s.dense
 	r := &s.Routers[id]
+	d.want[id], d.pend[id], d.esc[id] = [geom.NumPorts]uint64{}, 0, 0
+	if h := s.hopClass; h != nil {
+		h.choose[id] = 0
+	}
 	for w := d.occBits[id]; w != 0; w &= w - 1 {
 		ci := bits.TrailingZeros64(w)
 		vc, _ := r.candVC(int32(ci), d.slots, d.total)
-		if out := s.OutputOf(vc.Pkt, id); out != geom.Invalid {
-			want[out] |= 1 << uint(ci)
-		}
+		s.registerHop(id, ci, vc.Pkt)
 		if vc.ReadyAt > s.Now {
-			pend |= 1 << uint(ci)
+			d.pend[id] |= 1 << uint(ci)
 		}
 		if vc.Pkt.Escaped {
-			esc |= 1 << uint(ci)
+			d.esc[id] |= 1 << uint(ci)
 		}
 	}
-	return want, pend, esc
 }
 
 // syncVectors runs on the coordinator at the top of every sweep, before
@@ -227,7 +262,7 @@ func (s *Sim) syncVectors() bool {
 	}
 	if d.stale {
 		for id := range d.occBits {
-			d.want[id], d.pend[id], d.esc[id] = s.vectorsOf(geom.NodeID(id))
+			s.rebuildVectors(geom.NodeID(id))
 		}
 		d.stale = false
 	}
@@ -319,10 +354,11 @@ func (r *Router) OccupiedScanWord() (uint64, bool) {
 
 // fusedAlloc reports whether the fused allocation pass may run: no
 // allocation hook that could veto or observe per-candidate decisions is
-// installed, and the candidate space fits the mask.
+// installed (a hop class outranks an OutputOverride, which is then dead),
+// and the candidate space fits the mask.
 func (s *Sim) fusedAlloc() bool {
 	return s.dense.fastOK && s.VCFilter == nil && s.GrantFilter == nil &&
-		s.OutputOverride == nil && s.OnGrant == nil
+		(s.OutputOverride == nil || s.hopClass != nil) && s.OnGrant == nil
 }
 
 // denseAllocNode is the fused switch-allocation pass for one router:
@@ -353,7 +389,9 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	// has passed (the only VC reads here: heads still in flight, two or
 	// three visits per hop), then every output's desire mask is its want
 	// word restricted to the ready buffers — ascending candidate index by
-	// construction, the order commitAllocate's buckets carry.
+	// construction, the order commitAllocate's buckets carry — plus, under
+	// a hop class, the ready buffers that choose among several minimal
+	// directions this visit.
 	pw := d.pend[id]
 	if pw != 0 {
 		for w := pw; w != 0; w &= w - 1 {
@@ -371,6 +409,11 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	desire := d.want[id]
 	for out := range desire {
 		desire[out] &= ready
+	}
+	if h := s.hopClass; h != nil {
+		if cw := h.choose[id] & ready; cw != 0 {
+			s.hopResolve(id, cw, &desire)
+		}
 	}
 	if f := &r.Fence; f.Active && uint(f.Out) < geom.NumPorts {
 		// Only traffic from the fence's input port may take its output.

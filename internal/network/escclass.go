@@ -49,6 +49,9 @@ func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
 	if s.escClass != nil {
 		panic("network: escape class already attached")
 	}
+	if s.hopClass != nil {
+		panic("network: an escape class cannot share a Sim with a hop class")
+	}
 	if vcIndex < 0 || vcIndex >= s.Cfg.VCsPerVnet {
 		panic("network: escape VC index outside the vnet")
 	}
@@ -104,14 +107,13 @@ func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
 	if d.occBits == nil || !s.fusedAlloc() {
 		return // no vectors, or a non-fused sweep has marked them stale
 	}
-	m := uint64(1) << uint(int(in)*d.slots+slot)
+	ci := int(in)*d.slots + slot
+	m := uint64(1) << uint(ci)
 	w := &d.want[id]
 	for out := range w {
 		w[out] &^= m
 	}
-	if out := s.OutputOf(p, id); out != geom.Invalid {
-		w[out] |= m
-	}
+	s.registerHop(id, ci, p)
 	d.esc[id] |= m
 }
 

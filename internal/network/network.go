@@ -18,12 +18,13 @@
 // Bubble FSMs in internal/core, escape-VC timeouts in internal/escape)
 // attaches through per-cycle callbacks plus state the allocator reads —
 // injection fences (the is_deadlock mechanism), an optional extra buffer
-// per router (the static bubble) and an escape class (a reserved VC index
-// and a tree for promoted packets, escclass.go) — or, for policies that
-// are not table-shaped (per-hop adaptive routing, bubble flow control),
-// through allocation hooks: a VC allocation filter, an output override, a
-// grant filter. A hook costs the fused allocation pass and the parallel
-// sweep (dense.go); state does not.
+// per router (the static bubble), an escape class (a reserved VC index
+// and a tree for promoted packets, escclass.go) and a hop class (per-hop
+// adaptive routing over a mask table, hopclass.go) — or, for policies
+// that are not table-shaped (bubble flow control), through allocation
+// hooks: a VC allocation filter, an output override, a grant filter. A
+// hook costs the fused allocation pass and the parallel sweep (dense.go);
+// state does not.
 package network
 
 import (
@@ -114,8 +115,10 @@ type Sim struct {
 	VCFilter func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool
 	// OutputOverride, when non-nil, may supply the desired output port for
 	// a packet at a router, overriding its embedded source route (and an
-	// escaped packet's tree hop). Used by per-hop adaptive routing
-	// (internal/adaptive).
+	// escaped packet's tree hop). No scheme in the repository installs one
+	// (per-hop adaptive routing is the hop class); tests do, and bench's
+	// traced pass wraps it beside a hop class, where it is never consulted.
+	// It goes with ROADMAP item 6(c).
 	OutputOverride func(p *Packet, at geom.NodeID) (geom.Direction, bool)
 	// GrantFilter, when non-nil, may veto a switch-allocation candidate:
 	// packet p buffered at router at's input port `in` asking for output
@@ -197,6 +200,8 @@ type Sim struct {
 	dense denseState
 	// escClass, when non-nil, is the attached escape class (escclass.go).
 	escClass *escapeClass
+	// hopClass, when non-nil, is the attached hop class (hopclass.go).
+	hopClass *hopClass
 	// xfillObs, when non-nil, observes cross-shard buffer fills at fold
 	// time (SetXFillObserver) — seam-invariant test instrumentation.
 	xfillObs func(src, dst geom.NodeID)
@@ -287,7 +292,7 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 }
 
 // Enqueue places p into its source NI queue. The caller is responsible
-// for having computed a valid route (or an OutputOverride).
+// for having computed a valid route (or attached a hop class).
 func (s *Sim) Enqueue(p *Packet) {
 	s.NIQueue[p.Src][p.Vnet].Push(p)
 	s.niPend[p.Src]++
@@ -544,15 +549,20 @@ func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, 
 }
 
 // OutputOf returns the output port packet p wants at router `at`: the
-// override if installed, else the escape class's tree hop for an escaped
-// packet (a destination the tree cannot reach falls back to the source
-// route), else the next hop of its source route, else Local (ejection)
-// once the route is exhausted. The route-derived answer depends only on
-// (Route, Hop) and, for a buffered packet, is registered in its router's
-// request vectors (dense.go) — so SetRoute is the only sanctioned way to
-// change a live packet's route: it marks the vectors stale, which a
-// write to Route or Hop from outside the package cannot.
+// hop class's choice when one is attached (it answers for every packet,
+// hopclass.go), else the override if installed, else the escape class's
+// tree hop for an escaped packet (a destination the tree cannot reach
+// falls back to the source route), else the next hop of its source route,
+// else Local (ejection) once the route is exhausted. The route-derived
+// answer depends only on (Route, Hop) and, for a buffered packet, is
+// registered in its router's request vectors (dense.go) — so SetRoute is
+// the only sanctioned way to change a live packet's route: it marks the
+// vectors stale, which a write to Route or Hop from outside the package
+// cannot.
 func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
+	if s.hopClass != nil {
+		return s.hopOutput(p, at)
+	}
 	if s.OutputOverride != nil {
 		if d, ok := s.OutputOverride(p, at); ok {
 			return d

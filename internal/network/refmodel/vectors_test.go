@@ -10,7 +10,9 @@ package refmodel
 // fused), PlacePacket / RemovePacket / DeliverOutOfBand between cycles
 // (one placement bracketed by a hook that no sweep ever sees), and, in
 // the escape variant, promotions (PromoteEscape re-registers the buffer)
-// and a tree swap after the link failure (SetEscapeTree marks stale) —
+// and a tree swap after the link failure (SetEscapeTree marks stale);
+// the adaptive variant runs the same schedule under a hop class, whose
+// choose-per-visit word and mask bytes follow the same rules —
 // and asserts, in a PreCycle hook that runs after every other
 // hook and therefore immediately before the sweep, that vectors claiming
 // to be live equal a recomputation from the buffers, while Stats stay
@@ -24,6 +26,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/escape"
 	"repro/internal/geom"
@@ -42,6 +45,7 @@ func TestRequestVectorsMatchRebuild(t *testing.T) {
 		{"sb", 11},
 		{"spin", 23},
 		{"escape", 31},
+		{"adaptive", 43},
 	} {
 		t.Run(tc.scheme, func(t *testing.T) { requestVectorRun(t, tc.scheme, tc.topoSeed) })
 	}
@@ -60,7 +64,11 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 		hookedPoke = 9*pokeEvery - 1 // this poke runs under a hook no sweep sees
 		linkFaults = 12
 	)
-	spin, esc := scheme == "spin", scheme == "escape"
+	// The adaptive variant recovers by SPIN: rotations rewrite buffers in
+	// place, the one change the hop class's word and mask bytes survive
+	// only through Wake.
+	adapt := scheme == "adaptive"
+	spin, esc := scheme == "spin" || adapt, scheme == "escape"
 	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "shards4"}}
 	escs := make([]*escape.Controller, len(units))
 	var drift error
@@ -77,11 +85,16 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 		} else {
 			u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
 		}
+		if adapt {
+			// Packets keep their source routes (reconfig reroutes them, and
+			// SetRoute marks the vectors stale) but follow the hop class.
+			adaptive.Attach(u.sim)
+		}
 		u.mgr = reconfig.New(u.sim)
 		name := u.name
 		u.sim.PreCycle = append(u.sim.PreCycle, func(s *network.Sim) {
 			for _, v := range validate.Check(s, nil) {
-				if (v.Invariant == "request-vectors" || v.Invariant == "escape-class") && drift == nil {
+				if (v.Invariant == "request-vectors" || v.Invariant == "escape-class" || v.Invariant == "hop-class") && drift == nil {
 					drift = fmt.Errorf("cycle %d: %s: %v", s.Now, name, v)
 				}
 			}

@@ -71,7 +71,11 @@ package network
 //     PreCycle, PostCycle and OnDeliver run on the coordinator. Escape
 //     promotions are a PostCycle hook's work (PromoteEscape), so no
 //     worker ever changes a packet's class; workers read the class's
-//     tree and reserved index, which change only between cycles.
+//     tree and reserved index, which change only between cycles. A hop
+//     class is read the same way: its mask table is immutable, and the
+//     free-buffer counts behind its per-visit choice are plan-phase reads
+//     of exactly the pools the availability argument above covers
+//     (hopclass.go); commit-phase fills register masks only.
 //   - RNG ownership: the simulator core draws nothing from Sim.Rng, and
 //     traffic/hooks run only on the coordinator, so the draw sequence
 //     is untouched by sharding.

@@ -1,8 +1,9 @@
 // Package validate provides runtime invariant checking for simulations:
 // conservation of packets, occupancy-counter consistency, the escape
-// class's reservation, fence ownership, bubble-state sanity, and the
-// recovery controller's tick-set masks. Tests use it as a one-call
-// oracle; cmd/sbsim exposes it with -check to validate long runs.
+// class's reservation, the hop class's registrations, fence ownership,
+// bubble-state sanity, and the recovery controller's tick-set masks.
+// Tests use it as a one-call oracle; cmd/sbsim exposes it with -check to
+// validate long runs.
 package validate
 
 import (
@@ -39,6 +40,8 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 
 	// Occupancy counters match buffer contents; in-flight matches the sum.
 	escVC, hasClass := s.EscapeClass()
+	masker, hasHops := s.HopClass()
+	choose, hopMasks, _ := s.HopVectors()
 	var globalOcc int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
@@ -113,13 +116,26 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
 			slots := s.Cfg.SlotsPerPort()
 			var expWant [geom.NumPorts]uint64
-			var occupied, inFlight, expEsc uint64
+			var occupied, inFlight, expEsc, expChoose uint64
+			stride := geom.NumPorts*slots + 1
 			note := func(vc *network.VC, bit int) {
 				if vc.Pkt == nil {
 					return
 				}
 				occupied |= 1 << uint(bit)
-				if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
+				// Under a hop class only the fixed hops are want bits: a
+				// packet with several minimal directions is registered in
+				// the class's word, its mask byte beside it.
+				var mask uint8
+				if hasHops && vc.Pkt.Dst != geom.NodeID(id) {
+					mask = masker.NextHopMask(geom.NodeID(id), vc.Pkt.Dst)
+				}
+				if mask&(mask-1) != 0 {
+					expChoose |= 1 << uint(bit)
+					if got := hopMasks[id*stride+bit]; got != mask {
+						report("hop-class", "router %d buffer %d: mask byte %#x != table %#x", id, bit, got, mask)
+					}
+				} else if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
 					expWant[out] |= 1 << uint(bit)
 				}
 				if vc.ReadyAt > s.Now {
@@ -143,6 +159,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			}
 			if esc, _ := s.EscapedVector(geom.NodeID(id)); hasClass && esc != expEsc {
 				report("escape-class", "router %d: class word %#x != actual %#x", id, esc, expEsc)
+			}
+			if hasHops && choose[id] != expChoose {
+				report("hop-class", "router %d: choose-per-visit word %#x != actual %#x", id, choose[id], expChoose)
 			}
 		}
 		// The escape class's reservation: whatever sits in the reserved VC
@@ -178,8 +197,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// Buffered packets must be at a position consistent with their
 		// route (the remaining route starts here and is walkable) — except
 		// those that no longer follow it: an escaped packet is on the tree,
-		// and under an output override the route may be unused altogether.
-		if s.OutputOverride == nil {
+		// and under a hop class (or an output override) the route may be
+		// unused altogether.
+		if !hasHops && s.OutputOverride == nil {
 			for _, port := range geom.AllPorts {
 				for slot := range r.In[port] {
 					p := r.In[port][slot].Pkt

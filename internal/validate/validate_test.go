@@ -315,3 +315,58 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 		t.Errorf("violations after PromoteEscape: %v", vs)
 	}
 }
+
+func TestDetectsHopClassDrift(t *testing.T) {
+	topo := topology.NewMesh(3, 3)
+	dead := topo.ID(geom.Coord{X: 1, Y: 2})
+	topo.DisableRouter(dead)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(12)))
+	s.AttachHopClass(routing.NewMinimal(topo))
+	s.Step() // the attach marked the vectors stale; an empty sweep vouches for them again
+	// One buffer per kind of registration at router 0 = (0,0): several
+	// minimal directions, one, none (destination unreachable), and a
+	// packet at its destination.
+	for slot, dst := range []geom.NodeID{topo.ID(geom.Coord{X: 2, Y: 2}), topo.ID(geom.Coord{X: 2, Y: 0}), dead, 0} {
+		s.PlacePacket(0, geom.Local, slot, s.NewPacket(1, dst, 0, 1, nil))
+	}
+	choose, masks, live := s.HopVectors()
+	if !live {
+		t.Fatal("hop vectors should be live on a hook-free sim with a hop class")
+	}
+	slots := s.Cfg.SlotsPerPort()
+	ci := int(geom.Local) * slots // slot 0: the only choose-per-visit buffer
+	want, _, _ := s.RequestVectors(0)
+	exp := [geom.NumPorts]uint64{geom.East: 1 << uint(ci+1), geom.Local: 1 << uint(ci+3)}
+	if choose[0] != 1<<uint(ci) || masks[ci] != 1<<geom.North|1<<geom.East || want != exp {
+		t.Fatalf("registered choose %#x mask %#x want %#x", choose[0], masks[ci], want)
+	}
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Fatalf("violations before the corruption: %v", vs)
+	}
+	reported := func() bool {
+		for _, v := range Check(s, nil) {
+			if v.Invariant == "hop-class" {
+				return true
+			}
+		}
+		return false
+	}
+	masks[ci] ^= 1 << geom.South
+	if !reported() {
+		t.Error("a flipped mask byte went unreported")
+	}
+	masks[ci] ^= 1 << geom.South
+	choose[0] = 0
+	if !reported() {
+		t.Error("a dropped choose-per-visit bit went unreported")
+	}
+	choose[0] = 1 << uint(ci)
+	choose[0] |= 1 << uint(ci+1) // registered both as a want bit and for a per-visit choice
+	if !reported() {
+		t.Error("a buffer registered twice went unreported")
+	}
+	choose[0] = 1 << uint(ci)
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Fatalf("violations after the state was restored: %v", vs)
+	}
+}
