@@ -37,8 +37,8 @@ import (
 // zero at the destination and when dst is unreachable. The lookup must be
 // a pure function of its arguments for as long as the value is attached
 // and safe for concurrent calls — shard workers look up the mask of a
-// packet arriving in their band (*routing.Minimal, an immutable compiled
-// table, is both).
+// packet arriving in their band (a MinimalFor *routing.Minimal, an
+// immutable compiled table, is both).
 type HopMasker interface {
 	NextHopMask(at, dst geom.NodeID) uint8
 }

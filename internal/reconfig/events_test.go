@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/network"
+	"repro/internal/routing"
 )
 
 // TestSubmitOutcomeMatrix pins the overlap rules: events are idempotent
@@ -207,24 +208,25 @@ func TestScheduledGateOnDeadRouterDegrades(t *testing.T) {
 }
 
 // TestTableCacheReusesFingerprints: flapping one link back and forth
-// revisits two topology fingerprints; the per-manager LRU must serve the
-// revisits from cache (same *Minimal), not recompile.
+// revisits two topology fingerprints; the per-manager LRU must score the
+// revisits as hits, and the repaired table must equal a cold compile of
+// every state it visits.
 func TestTableCacheReusesFingerprints(t *testing.T) {
-	_, m := mkLiveSim(t, 7)
-	base := m.minimal
-	m.Submit(Event{Kind: EvFailLink, Node: 14, Dir: geom.East})
-	failed := m.minimal
-	if failed == base {
-		t.Fatal("table must change when the topology does")
+	s, m := mkLiveSim(t, 7)
+	n := s.Topo.NumNodes()
+	step := func(ev Event, hits int64) {
+		t.Helper()
+		m.Submit(ev)
+		if st := m.TableStats(); st.Hits != hits || st.Misses != 2 {
+			t.Fatalf("after %v: want %d hits over 2 misses, got %+v", ev, hits, st)
+		}
+		if !sameTables(m.minimal, routing.NewMinimal(s.Topo), n) {
+			t.Fatalf("after %v: table differs from a cold compile", ev)
+		}
 	}
-	m.Submit(Event{Kind: EvRecoverLink, Node: 14, Dir: geom.East})
-	if m.minimal != base {
-		t.Fatal("recovering to a seen fingerprint must reuse the cached table")
-	}
-	m.Submit(Event{Kind: EvFailLink, Node: 14, Dir: geom.East})
-	if m.minimal != failed {
-		t.Fatal("re-failing to a seen fingerprint must reuse the cached table")
-	}
+	step(Event{Kind: EvFailLink, Node: 14, Dir: geom.East}, 0)
+	step(Event{Kind: EvRecoverLink, Node: 14, Dir: geom.East}, 1)
+	step(Event{Kind: EvFailLink, Node: 14, Dir: geom.East}, 2)
 }
 
 // TestRepairAvoidsPendingGates: in-flight traffic rerouted after a link

@@ -23,10 +23,10 @@
 // the reconfiguration epoch (Epoch), the validity domain for compiled
 // tables and one-shot detour routes.
 //
-// After every change the manager rebuilds its minimal-routing tables
-// (through a bounded fingerprint-keyed cache, since churn revisits
-// topologies), so newly injected packets always use the current
-// topology.
+// After every change the manager repairs its one minimal-routing table in
+// place, so newly injected packets always use the current topology; a
+// bounded fingerprint LRU decides which epochs count as table-cache
+// hits.
 package reconfig
 
 import (
@@ -47,10 +47,10 @@ import (
 type Manager struct {
 	sim  *network.Sim
 	topo *topology.Topology
-	// minimal is rebuilt whenever the topology changes.
+	// minimal is the manager's own table, recompiled in place whenever
+	// the topology changes.
 	minimal *routing.Minimal
-	// tables caches compiled minimal tables by topology fingerprint so a
-	// flapping element doesn't recompile all-pairs routing twice.
+	// tables is the fingerprint LRU that scores epochs as hits or misses.
 	tables *tableCache
 	// tabStats counts cache and compiler activity; see TableStats.
 	tabStats TableStats
@@ -95,30 +95,30 @@ func New(s *network.Sim) *Manager {
 	return m
 }
 
-// rebuild refreshes m.minimal for the topology's current state: a
-// fingerprint-LRU hit returns the identical object compiled when this
-// connectivity was last current (flap-backs are free); a miss runs the
-// incremental recompiler against the outgoing tables, sharing every
-// column the epoch's delta did not perturb, and falls back to the
-// parallel cold compile on the first build or an oversized delta.
+// rebuild brings m.minimal to the topology's current state in place:
+// the incremental recompiler repairs exactly the columns the epoch's
+// delta perturbed (the first build and oversized deltas compile cold).
+// A fingerprint-LRU hit — the connectivity was current within the last
+// tableCacheCap distinct states — models swapping a retained table in:
+// the repair still runs, but only its wall time is counted.
 func (m *Manager) rebuild() {
 	fp := m.topo.Fingerprint()
-	if min, ok := m.tables.get(fp); ok {
-		m.tabStats.Hits++
-		m.minimal = min
-		return
-	}
-	m.tabStats.Misses++
+	hit := m.tables.get(fp)
 	t0 := time.Now()
 	var st routing.RecompileStats
 	if m.minimal != nil {
-		m.minimal, st = m.minimal.Recompile(m.topo)
+		st = m.minimal.Recompile(m.topo)
 	} else {
 		m.minimal = routing.NewMinimal(m.topo)
 		st = routing.RecompileStats{Full: true, EntriesRewritten: m.minimal.TableEntries()}
 	}
 	m.tabStats.LastCompileNs = time.Since(t0).Nanoseconds()
 	m.tabStats.CompileNs += m.tabStats.LastCompileNs
+	if hit {
+		m.tabStats.Hits++
+		return
+	}
+	m.tabStats.Misses++
 	if st.Full {
 		m.tabStats.Full++
 	} else {
@@ -128,7 +128,7 @@ func (m *Manager) rebuild() {
 	m.tabStats.ColsRepaired += int64(st.ColsRepaired)
 	m.tabStats.ColsRebuilt += int64(st.ColsRebuilt)
 	m.tabStats.EntriesRewritten += st.EntriesRewritten
-	if m.tables.put(fp, m.minimal) {
+	if m.tables.put(fp) {
 		m.tabStats.Evictions++
 	}
 }

@@ -1,41 +1,33 @@
 package reconfig
 
-import (
-	"repro/internal/routing"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
-// tableCacheCap bounds the per-Manager compiled-table cache, keeping
-// worst-case memory at ~cap × table size. A hit needs the *whole*
-// topology to return to an earlier state (one link flapping down and
-// back up with nothing else changing in between), which overlapping
-// churn rarely allows — measured: 0 hits on the benchmark's churn_32x32
-// (bench/baseline.json, reconfig.table_hit_ratio) and 14 of 108 lookups
-// on `sbsweep -fig churn -scale quick`.
+// tableCacheCap bounds the per-Manager fingerprint recency list, which
+// models a cache of that many retained compiled tables. A hit needs the
+// *whole* topology to return to an earlier state (one link flapping
+// down and back up with nothing else changing in between), which
+// overlapping churn rarely allows — measured: 0 hits on the benchmark's
+// churn_32x32 (bench/baseline.json, reconfig.table_hit_ratio) and 14 of
+// 108 lookups on `sbsweep -fig churn -scale quick`.
 const tableCacheCap = 32
 
-// tableCache is a tiny fingerprint-keyed LRU of compiled minimal
-// routing tables, private to one Manager. Lookups, inserts, and
+// tableCache is a tiny fingerprint LRU, private to one Manager. It keeps
+// fingerprints, not tables: the manager holds one table and repairs it
+// in place on every epoch, and the LRU only decides which epochs count
+// as hits — the churn figure charges a hit zero table-install work, as
+// if a retained table had been swapped in. Lookups, inserts, and
 // recency updates are all O(1) — they sit on the per-event path of
 // every churn run: an index map plus an intrusive doubly-linked recency
 // list.
 //
-// Why not routing.MinimalFor? That process-wide cache is documented as
-// off-limits for callers that mutate their topology in place (see
-// routing/cache.go): the manager's topology changes on every event, so
-// sharing compiled snapshots across simulations keyed by a pointer
-// would be wrong, and keying globally by fingerprint would let one
-// churn run grow process memory without bound. A per-Manager LRU keeps
-// the win (recovering a flapped element reuses the previous compile)
-// with a hard cap, and dies with the manager.
+// Why not routing.MinimalFor? That process-wide cache hands out
+// immutable tables (see routing/cache.go), while the manager's topology
+// changes on every event; keying globally by fingerprint would also let
+// one churn run grow process memory without bound.
 //
-// Determinism: keys are content fingerprints, so a hit returns exactly
-// the table a compile would produce for that connectivity — the
-// simulated trajectory is byte-identical with or without hits. With the
-// incremental recompiler the returned object is moreover the *identical*
-// object built when that fingerprint was last current, so a flap back to
-// a cached fingerprint keeps sharing column pages with its neighbors in
-// the flap sequence.
+// Determinism: keys are content fingerprints and the repaired table is
+// bit-identical to a cold compile, so the simulated trajectory is
+// byte-identical with or without hits.
 type tableCache struct {
 	entries    map[topology.Fingerprint]*tableCacheNode
 	head, tail *tableCacheNode // head = least recently used, tail = most
@@ -43,7 +35,6 @@ type tableCache struct {
 
 type tableCacheNode struct {
 	fp         topology.Fingerprint
-	min        *routing.Minimal
 	prev, next *tableCacheNode
 }
 
@@ -51,19 +42,18 @@ func newTableCache() *tableCache {
 	return &tableCache{entries: make(map[topology.Fingerprint]*tableCacheNode, tableCacheCap)}
 }
 
-func (c *tableCache) get(fp topology.Fingerprint) (*routing.Minimal, bool) {
+// get reports whether fp is resident, making it most recently used.
+func (c *tableCache) get(fp topology.Fingerprint) bool {
 	nd, ok := c.entries[fp]
-	if !ok {
-		return nil, false
+	if ok {
+		c.moveToTail(nd)
 	}
-	c.moveToTail(nd)
-	return nd.min, true
+	return ok
 }
 
 // put inserts or refreshes fp and reports whether an entry was evicted.
-func (c *tableCache) put(fp topology.Fingerprint, min *routing.Minimal) (evicted bool) {
+func (c *tableCache) put(fp topology.Fingerprint) (evicted bool) {
 	if nd, ok := c.entries[fp]; ok {
-		nd.min = min
 		c.moveToTail(nd)
 		return false
 	}
@@ -73,7 +63,7 @@ func (c *tableCache) put(fp topology.Fingerprint, min *routing.Minimal) (evicted
 		delete(c.entries, old.fp)
 		evicted = true
 	}
-	nd := &tableCacheNode{fp: fp, min: min}
+	nd := &tableCacheNode{fp: fp}
 	c.entries[fp] = nd
 	c.linkTail(nd)
 	return evicted
@@ -122,15 +112,17 @@ type TableStats struct {
 	Hits, Misses, Evictions int64
 	// Incremental and Full count how cache misses were compiled.
 	Incremental, Full int64
-	// Column fates summed over incremental compiles (routing.RecompileStats).
+	// Column fates summed over the misses' incremental compiles
+	// (routing.RecompileStats).
 	ColsShared, ColsRepaired, ColsRebuilt int64
 	// EntriesRewritten is the deterministic table-install work metric:
-	// entries whose value changed across epochs (full compiles charge
-	// the whole table).
+	// entries whose value changed across missed epochs (full compiles
+	// charge the whole table; a hit charges nothing).
 	EntriesRewritten int64
-	// CompileNs is total wall time spent compiling (misses only);
-	// LastCompileNs is the most recent miss's compile time. Wall-clock
-	// fields are observability only — nothing simulated depends on them.
+	// CompileNs is total wall time spent bringing the table to each
+	// epoch — misses, and the in-place repair a hit still runs;
+	// LastCompileNs is the most recent epoch's. Wall-clock fields are
+	// observability only — nothing simulated depends on them.
 	CompileNs, LastCompileNs int64
 }
 

@@ -20,9 +20,8 @@ func fakeFingerprint(i int) topology.Fingerprint {
 // both get and put.
 func TestTableCacheLRU(t *testing.T) {
 	c := newTableCache()
-	min := routing.NewMinimal(topology.NewMesh(2, 2))
 	for i := 0; i < tableCacheCap; i++ {
-		if c.put(fakeFingerprint(i), min) {
+		if c.put(fakeFingerprint(i)) {
 			t.Fatalf("unexpected eviction filling to cap (i=%d)", i)
 		}
 	}
@@ -31,26 +30,26 @@ func TestTableCacheLRU(t *testing.T) {
 	}
 	// Touch entry 0 via get: it becomes most-recently-used, so the next
 	// insert must evict entry 1 instead.
-	if _, ok := c.get(fakeFingerprint(0)); !ok {
+	if !c.get(fakeFingerprint(0)) {
 		t.Fatal("entry 0 missing")
 	}
-	if !c.put(fakeFingerprint(1000), min) {
+	if !c.put(fakeFingerprint(1000)) {
 		t.Fatal("insert at cap should evict")
 	}
-	if _, ok := c.get(fakeFingerprint(1)); ok {
+	if c.get(fakeFingerprint(1)) {
 		t.Fatal("entry 1 should have been evicted (LRU after 0 was touched)")
 	}
-	if _, ok := c.get(fakeFingerprint(0)); !ok {
+	if !c.get(fakeFingerprint(0)) {
 		t.Fatal("entry 0 should have survived")
 	}
 	// put of an existing key refreshes recency without eviction.
-	if c.put(fakeFingerprint(2), min) {
+	if c.put(fakeFingerprint(2)) {
 		t.Fatal("refreshing put must not evict")
 	}
-	if !c.put(fakeFingerprint(1001), min) {
+	if !c.put(fakeFingerprint(1001)) {
 		t.Fatal("insert at cap should evict")
 	}
-	if _, ok := c.get(fakeFingerprint(2)); !ok {
+	if !c.get(fakeFingerprint(2)) {
 		t.Fatal("refreshed entry 2 should have survived the next eviction")
 	}
 }
@@ -60,23 +59,36 @@ func TestTableCacheLRU(t *testing.T) {
 // every recent entry resident.
 func TestTableCacheChurnSweep(t *testing.T) {
 	c := newTableCache()
-	min := routing.NewMinimal(topology.NewMesh(2, 2))
 	for i := 0; i < 5*tableCacheCap; i++ {
-		c.put(fakeFingerprint(i), min)
+		c.put(fakeFingerprint(i))
 		if c.len() > tableCacheCap {
 			t.Fatalf("cache exceeded cap: %d", c.len())
 		}
 	}
 	for i := 4*tableCacheCap + 1; i < 5*tableCacheCap; i++ {
-		if _, ok := c.get(fakeFingerprint(i)); !ok {
+		if !c.get(fakeFingerprint(i)) {
 			t.Fatalf("recent entry %d evicted early", i)
 		}
 	}
 }
 
-// TestManagerTableStats: the manager's counters track hits, misses,
-// incremental compiles, and — critically for the COW contract — a flap
-// back to a cached fingerprint returns the identical *routing.Minimal.
+// sameTables reports whether a and b answer every (src, dst) query of an
+// n-node mesh identically: distance and next-hop candidate mask.
+func sameTables(a, b *routing.Minimal, n int) bool {
+	for src := geom.NodeID(0); int(src) < n; src++ {
+		for dst := geom.NodeID(0); int(dst) < n; dst++ {
+			if a.Distance(src, dst) != b.Distance(src, dst) || a.NextHopMask(src, dst) != b.NextHopMask(src, dst) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestManagerTableStats: the manager's counters track hits, misses and
+// incremental compiles, and — the in-place contract — a flap back to a
+// cached fingerprint counts as a hit, charges no table work, and leaves
+// the manager's one table equal to a cold compile.
 func TestManagerTableStats(t *testing.T) {
 	topo := topology.NewMesh(6, 6)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
@@ -85,15 +97,15 @@ func TestManagerTableStats(t *testing.T) {
 	if st.Misses != 1 || st.Full != 1 || st.Hits != 0 {
 		t.Fatalf("construction should cost exactly one full-compile miss: %+v", st)
 	}
-	before := m.minimal
+	table := m.minimal
 	m.FailLink(0, geom.East)
 	st = m.TableStats()
 	if st.Misses != 2 || st.Incremental != 1 {
 		t.Fatalf("fail-link should be one incremental miss: %+v", st)
 	}
 	// On a mesh this small a central link cut perturbs every column, so
-	// sharing isn't guaranteed — but the repair path must dominate and
-	// the rewrite work must stay far below a full-table recompile.
+	// keeping columns isn't guaranteed — but the repair path must dominate
+	// and the rewrite work must stay far below a full-table recompile.
 	full := m.minimal.TableEntries()
 	if st.ColsRepaired == 0 {
 		t.Fatalf("incremental compile should repair columns: %+v", st)
@@ -104,11 +116,15 @@ func TestManagerTableStats(t *testing.T) {
 	if out, _ := m.Submit(Event{Kind: EvRecoverLink, Node: 0, Dir: geom.East}); out != OutApplied {
 		t.Fatalf("recover-link outcome %v", out)
 	}
-	st = m.TableStats()
-	if st.Hits != 1 {
-		t.Fatalf("flap back should hit the fingerprint cache: %+v", st)
+	after := m.TableStats()
+	if after.Hits != 1 || after.Misses != st.Misses || after.EntriesRewritten != st.EntriesRewritten ||
+		after.Incremental != st.Incremental || after.ColsRepaired != st.ColsRepaired {
+		t.Fatalf("flap back should be a hit charging no table work: before %+v after %+v", st, after)
 	}
-	if m.minimal != before {
-		t.Fatal("flap back must return the identical compiled object")
+	if m.minimal != table {
+		t.Fatal("the manager must keep repairing its one table, not install another")
+	}
+	if !sameTables(m.minimal, routing.NewMinimal(topo), topo.NumNodes()) {
+		t.Fatal("table after the flap back differs from a cold compile")
 	}
 }

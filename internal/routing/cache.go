@@ -19,10 +19,10 @@ import (
 // singleflight-style: the first caller compiles, the rest wait on the
 // entry's ready channel.
 //
-// Only immutable-topology callers may use MinimalFor/UpDownFor. Code
-// that mutates its topology afterwards (reconfig, the failure-timeline
-// experiment) must keep constructing private instances with
-// NewMinimal/NewUpDownRooted.
+// Everything here is process-wide and immutable (Recompile panics on a
+// MinimalFor table), so only immutable-topology callers may use it. Code
+// that mutates its topology (reconfig, the failure-timeline experiment)
+// owns NewMinimal/NewUpDownRooted instances, changed only by Recompile.
 
 // tableKey identifies one compiled artifact.
 type tableKey struct {
@@ -134,6 +134,7 @@ func MinimalFor(t *topology.Topology) *Minimal {
 	key := tableKey{fp: t.Fingerprint(), alg: "minimal"}
 	return cachedCompile(key, func() (any, int64) {
 		m := NewMinimal(t)
+		m.shared = true
 		return m, m.tableBytes()
 	}).(*Minimal)
 }

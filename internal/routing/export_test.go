@@ -3,13 +3,11 @@ package routing
 import (
 	"bytes"
 	"slices"
-
-	"repro/internal/geom"
 )
 
 // Test-only views of the compiled tables: the incremental-vs-full
-// equality and the copy-on-write column-sharing invariant the property
-// and fuzz tests assert.
+// equality the property and fuzz tests assert, the snapshots the
+// in-place contract is checked against, and the repairer's stamp.
 
 func (t *tables) equal(o *tables) bool {
 	return t.n == o.n && slices.EqualFunc(t.cols, o.cols, func(a, b col) bool {
@@ -17,10 +15,13 @@ func (t *tables) equal(o *tables) bool {
 	})
 }
 
-// shares reports whether a and b alias the same pages.
-func (a col) shares(b col) bool {
-	return len(a.dist) > 0 && len(b.dist) > 0 && &a.dist[0] == &b.dist[0] &&
-		len(a.mask) > 0 && len(b.mask) > 0 && &a.mask[0] == &b.mask[0]
+// clone deep-copies the table arrays.
+func (t *tables) clone() *tables {
+	c := &tables{n: t.n, cols: make([]col, t.n)}
+	for i, x := range t.cols {
+		c.cols[i] = col{dist: slices.Clone(x.dist), mask: slices.Clone(x.mask)}
+	}
+	return c
 }
 
 // MinimalTablesEqual reports whether a and b hold bit-identical compiled
@@ -33,13 +34,34 @@ func UpDownTablesEqual(a, b *UpDownTable) bool {
 	return slices.Equal(a.level, b.level) && bytes.Equal(a.upMask, b.upMask) && a.tab.equal(b.tab)
 }
 
-// SharesColumn reports whether m and o share destination dst's column
-// pages pointer-identically.
-func (m *Minimal) SharesColumn(o *Minimal, dst geom.NodeID) bool {
-	return m.tab.cols[dst].shares(o.tab.cols[dst])
+// snapshot returns a deep copy of m that later in-place Recompiles of m
+// leave alone.
+func (m *Minimal) snapshot() *Minimal { return &Minimal{g: m.g, tab: m.tab.clone()} }
+
+// columnDiff compares destination dst's column in a and b: whether the
+// distance rows differ, and how many distance plus mask entries do.
+func columnDiff(a, b *tables, dst int) (distDiffers bool, entries int64) {
+	ca, cb := a.cols[dst], b.cols[dst]
+	for i := range ca.dist {
+		if ca.dist[i] != cb.dist[i] {
+			distDiffers = true
+			entries++
+		}
+	}
+	for i := range ca.mask {
+		if ca.mask[i] != cb.mask[i] {
+			entries++
+		}
+	}
+	return distDiffers, entries
 }
 
-// SharesColumn is the UpDownTable analog of Minimal.SharesColumn.
-func (u *UpDownTable) SharesColumn(o *UpDownTable, dst geom.NodeID) bool {
-	return u.tab.cols[dst].shares(o.tab.cols[dst])
+// presetRepairStamp sets the repairer's stamp, allocating the repairer if
+// no incremental Recompile has yet, so a test can drive it across the
+// wrap.
+func (m *Minimal) presetRepairStamp(s int32) {
+	if m.rep == nil {
+		m.rep = newMinRepairer(m.tab.n)
+	}
+	m.rep.stamp = s
 }

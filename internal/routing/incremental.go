@@ -1,12 +1,16 @@
 package routing
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/topology"
 )
 
-// Incremental recompilation: rebuild compiled routing tables after a
-// topology epoch in time proportional to the damage, not the chip.
+// Incremental recompilation: bring an owned compiled table to a
+// topology epoch's new state in place, in time proportional to the
+// damage, not the chip.
 //
 // The key fact (DESIGN.md §10): a destination column of the minimal
 // tables can change only if the epoch's channel delta touches a *tight*
@@ -22,9 +26,9 @@ import (
 // If neither condition holds for any delta channel, the old column is a
 // Bellman fixed point of the new graph with an unchanged tight-edge set,
 // so both the distance row and the candidate masks are bit-identical —
-// the column is shared pointer-identically with the previous table.
+// the column is left untouched.
 //
-// Perturbed columns are *repaired*, not recomputed: a Ramalingam/Reps
+// Perturbed columns are *repaired* where they stand: a Ramalingam/Reps
 // style two-phase pass finds the exact set of nodes whose distance
 // increased (phase A: layered candidate scan seeded at removed tight
 // edges, then a bucket Dijkstra re-settles exactly that set), then an
@@ -33,21 +37,22 @@ import (
 // out-neighbor's distance, or an outgoing channel changed. For the
 // dominant churn event — one link flapping on a large mesh — the repair
 // touches a handful of nodes per column while a from-scratch column BFS
-// touches all of them.
+// touches all of them. Column BFSes (a router flipped, a repair declined)
+// and same-size full fallbacks reuse the storage: no table is allocated.
 
 // RecompileStats describes what one incremental recompile did, for the
 // reconfig manager's counters and the churn experiment's deterministic
 // table-update cost model.
 type RecompileStats struct {
-	// Full marks a from-scratch fallback (incomparable snapshots, first
-	// build, or a delta too large to be worth repairing).
+	// Full marks a from-scratch fallback (incomparable snapshots, or a
+	// delta too large to be worth repairing).
 	Full bool
-	// ColsShared counts destination columns shared pointer-identically
-	// with the previous table; ColsRepaired were patched in place from
-	// the previous column; ColsRebuilt ran a full column BFS.
+	// ColsShared counts destination columns the delta provably could not
+	// change, left untouched; ColsRepaired were patched in place;
+	// ColsRebuilt ran a full column BFS.
 	ColsShared, ColsRepaired, ColsRebuilt int
 	// DistShared counts repaired columns whose distance row turned out
-	// untouched (mask-only repair), sharing the previous distance slice.
+	// untouched (mask-only repair).
 	DistShared int
 	// EntriesRewritten counts table entries that actually changed value
 	// (repair) or were recomputed wholesale (rebuilt columns, charged at
@@ -71,45 +76,51 @@ func affRepairLimit(n int) int {
 	return n / 8
 }
 
-// Recompile compiles tables for t's current state, reusing m (the tables
-// compiled for some earlier state of the same mesh) wherever the delta
-// between the two states provably cannot have changed the result. The
-// returned Minimal is bit-identical to NewMinimal(t) — the property and
-// fuzz tests in incremental_test.go hold it to that — and columns the
-// delta did not perturb are shared pointer-identically with m. m itself
-// is never mutated (compiled tables stay immutable), so previous epochs
-// and cached fingerprints remain valid.
-func (m *Minimal) Recompile(t *topology.Topology) (*Minimal, RecompileStats) {
-	g1 := t.Flatten()
+// Recompile brings m to t's current state in place: afterwards m is
+// bit-identical to NewMinimal(t) — the property and fuzz tests in
+// incremental_test.go hold it to that — and columns the delta did not
+// perturb were never written. m must be owned by the caller (NewMinimal):
+// a MinimalFor table is read concurrently by every simulation that asked
+// for its fingerprint, so Recompile panics on one. Callers run it
+// between cycles, never while another goroutine routes through m.
+func (m *Minimal) Recompile(t *topology.Topology) RecompileStats {
+	if m.shared {
+		panic("routing: Recompile on a shared MinimalFor table; compile an owned one with NewMinimal")
+	}
+	g0, g1 := m.g, t.Flatten()
 	n := g1.N
-	delta, ok := topology.DiffFlat(m.g, g1)
-	if !ok || m.tab == nil || m.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
-		return &Minimal{g: g1, tab: compileMinimal(g1, compileWorkers(n))}, fullRecompile(n, 1)
+	m.g = g1
+	delta, ok := topology.DiffFlat(g0, g1)
+	if !ok || m.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
+		m.tab = compileMinimal(m.tab, g1, compileWorkers(n))
+		return fullRecompile(n, 1)
 	}
 	if delta.Empty() {
-		return &Minimal{g: g1, tab: m.tab}, RecompileStats{ColsShared: n}
+		return RecompileStats{ColsShared: n}
 	}
-	rep := newMinRepairer(g1, &delta)
-	cls := make([]uint8, n)
-	for dst := 0; dst < n; dst++ {
+	if m.rep == nil || m.rep.n != n {
+		m.rep = newMinRepairer(n)
+	}
+	rep := m.rep
+	rep.load(g1, &delta)
+	return patchTables(m.tab, 1, func(dst int, c col) int {
 		switch {
-		case rep.aliveFlip[dst]:
-			cls[dst] = clsRebuild
-		case rep.columnPerturbed(m.tab.cols[dst].dist):
-			cls[dst] = clsRepair
+		case g0.Alive[dst] != g1.Alive[dst]:
+			return colRebuild
+		case rep.columnPerturbed(c.dist):
+			return colRepair
 		}
-	}
-	tab, st := patchTables(m.tab, 1, cls, rep.repairColumn, func(dst int, c col) {
+		return colKeep
+	}, rep.repairColumn, func(dst int, c col) {
 		rep.queue = compileMinColumn(g1, dst, c, rep.queue)
 	})
-	return &Minimal{g: g1, tab: tab}, st
 }
 
 // Column classes of an incremental recompile.
 const (
-	clsShare   = iota // alias the previous epoch's pages
-	clsRepair         // patch a copy of the previous column
-	clsRebuild        // full column BFS
+	colKeep    = iota // the delta cannot have changed the column
+	colRepair         // patch the column in place
+	colRebuild        // full column BFS into the same storage
 )
 
 // columnEntries is the number of table entries in one destination
@@ -121,61 +132,43 @@ func fullRecompile(n, distPerNode int) RecompileStats {
 	return RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: int64(n) * columnEntries(n, distPerNode)}
 }
 
-// patchTables assembles the next epoch's table from prev under a
-// per-destination classification: clsShare columns alias prev's pages;
-// the rest are carved from one arena allocation and filled by repair
-// (clsRepair; a repair that declines falls through to a rebuild) or by
-// rebuild. It owns the RecompileStats accounting, so both algorithms
-// charge a rebuilt column at its full size and a repaired one at the
-// entries that changed.
-func patchTables(prev *tables, distPerNode int, cls []uint8,
-	repair func(prev, c col) (distChanged, maskChanged int, ok bool),
-	rebuild func(dst int, c col)) (*tables, RecompileStats) {
-	n := prev.n
-	fresh := 0
-	for _, k := range cls {
-		if k != clsShare {
-			fresh++
-		}
-	}
-	t1 := &tables{n: n, cols: make([]col, n)}
-	at := colArena(fresh, n, distPerNode)
-	var st RecompileStats
-	slot := 0
-	for dst := 0; dst < n; dst++ {
-		p := prev.cols[dst]
-		if cls[dst] == clsShare {
-			t1.cols[dst] = p
+// patchTables brings tab to the next epoch column by column under
+// classify: colKeep columns are left alone, colRepair ones are patched in
+// place by repair (a repair that declines falls through to a rebuild),
+// colRebuild ones are recomputed by rebuild. It owns the RecompileStats
+// accounting, so both algorithms charge a rebuilt column at its full
+// size and a repaired one at the entries that changed.
+func patchTables(tab *tables, distPerNode int, classify func(dst int, c col) int,
+	repair func(c col) (distChanged, maskChanged int, ok bool),
+	rebuild func(dst int, c col)) (st RecompileStats) {
+	for dst, c := range tab.cols {
+		switch classify(dst, c) {
+		case colKeep:
 			st.ColsShared++
 			continue
-		}
-		c := at(slot)
-		slot++
-		if cls[dst] == clsRepair {
-			if dc, mc, ok := repair(p, c); ok {
+		case colRepair:
+			if dc, mc, ok := repair(c); ok {
 				if dc == 0 {
-					c.dist = p.dist // untouched row: share it too
 					st.DistShared++
 				}
-				t1.cols[dst] = c
 				st.ColsRepaired++
 				st.EntriesRewritten += int64(dc) + int64(mc)
 				continue
 			}
-			// Exact-increase set blew past the repair limit: the column
-			// BFS is cheaper from here.
+			// Exact-increase set blew past the repair limit before any
+			// write: the column BFS is cheaper from here.
 		}
 		rebuild(dst, c)
-		t1.cols[dst] = c
 		st.ColsRebuilt++
-		st.EntriesRewritten += columnEntries(n, distPerNode)
+		st.EntriesRewritten += columnEntries(tab.n, distPerNode)
 	}
-	return t1, st
+	return st
 }
 
-// minRepairer holds the per-Recompile scratch for column repairs: the
-// delta split into endpoint arrays and stamped node sets reused across
-// columns (one stamp bump per column instead of O(n) clears).
+// minRepairer is a Minimal's column-repair scratch, allocated at its
+// first incremental Recompile and reused by every later one: the delta
+// split into endpoint arrays and stamped node sets (one stamp bump per
+// column instead of O(n) clears).
 type minRepairer struct {
 	g1 *topology.FlatGraph
 	n  int
@@ -183,14 +176,17 @@ type minRepairer struct {
 	// heads are identical in both snapshots.
 	remU, remV []int32
 	addU, addV []int32
-	aliveFlip  []bool
 
+	// stamp persists across Recompiles; the stamp arrays are cleared
+	// when it would wrap, so no stale mark can alias a new stamp.
 	stamp int32
 	candS []int32 // phase-A candidate dedupe
 	affS  []int32 // exact increase set membership
 	setS  []int32 // Dijkstra settled
 	chgS  []int32 // distance-changed membership
 	dirtS []int32 // mask-dirty membership
+	oldS  []int32 // old[x] holds x's distance before this column's repair
+	old   []int16
 
 	buckets [][]int32 // shared by phase-A levels and the Dijkstra keys
 	bkUsed  []int32   // touched bucket indices, for O(touched) cleanup
@@ -200,17 +196,16 @@ type minRepairer struct {
 	queue   []int32 // phase-B cascade + column-BFS scratch
 }
 
-func newMinRepairer(g1 *topology.FlatGraph, delta *topology.FlatDelta) *minRepairer {
-	n := g1.N
-	r := &minRepairer{
-		g1:        g1,
-		n:         n,
-		aliveFlip: make([]bool, n),
-		candS:     make([]int32, n),
-		affS:      make([]int32, n),
-		setS:      make([]int32, n),
-		chgS:      make([]int32, n),
-		dirtS:     make([]int32, n),
+func newMinRepairer(n int) *minRepairer {
+	return &minRepairer{
+		n:     n,
+		candS: make([]int32, n),
+		affS:  make([]int32, n),
+		setS:  make([]int32, n),
+		chgS:  make([]int32, n),
+		dirtS: make([]int32, n),
+		oldS:  make([]int32, n),
+		old:   make([]int16, n),
 		// Bucket keys: phase-A candidate levels stay < n, but Dijkstra
 		// keys derive from boundary values that may sit above the true
 		// distance (a neighbor that later decreases), growing by one per
@@ -218,6 +213,12 @@ func newMinRepairer(g1 *topology.FlatGraph, delta *topology.FlatDelta) *minRepai
 		buckets: make([][]int32, n+affRepairLimit(n)+4),
 		queue:   make([]int32, 0, n),
 	}
+}
+
+// load points the repairer at the next snapshot and the delta to it.
+func (r *minRepairer) load(g1 *topology.FlatGraph, delta *topology.FlatDelta) {
+	r.g1 = g1
+	r.remU, r.remV, r.addU, r.addV = r.remU[:0], r.remV[:0], r.addU[:0], r.addV[:0]
 	for _, idx := range delta.Removed {
 		r.remU = append(r.remU, idx/geom.NumLinkDirs)
 		r.remV = append(r.remV, g1.Adj[idx])
@@ -226,10 +227,39 @@ func newMinRepairer(g1 *topology.FlatGraph, delta *topology.FlatDelta) *minRepai
 		r.addU = append(r.addU, idx/geom.NumLinkDirs)
 		r.addV = append(r.addV, g1.Adj[idx])
 	}
-	for _, x := range delta.AliveChanged {
-		r.aliveFlip[x] = true
+}
+
+// nextColumn starts a column: a fresh stamp and empty work lists.
+func (r *minRepairer) nextColumn() {
+	if r.stamp == math.MaxInt32 {
+		for _, s := range [][]int32{r.candS, r.affS, r.setS, r.chgS, r.dirtS, r.oldS} {
+			clear(s)
+		}
+		r.stamp = 0
 	}
-	return r
+	r.stamp++
+	r.aff = r.aff[:0]
+	r.changed = r.changed[:0]
+	r.dirty = r.dirty[:0]
+	r.clearBuckets()
+}
+
+// setDist overwrites dist[x], remembering the value it replaces the first
+// time x is written in this column.
+func (r *minRepairer) setDist(dist []int16, x int32, d int16) {
+	if r.oldS[x] != r.stamp {
+		r.oldS[x] = r.stamp
+		r.old[x] = dist[x]
+	}
+	dist[x] = d
+}
+
+// prevDist is x's distance before this column's repair began.
+func (r *minRepairer) prevDist(dist []int16, x int32) int16 {
+	if r.oldS[x] == r.stamp {
+		return r.old[x]
+	}
+	return dist[x]
 }
 
 // columnPerturbed applies the tight-edge conditions above to one
@@ -278,21 +308,15 @@ func (r *minRepairer) recordChanged(x int32) {
 	}
 }
 
-// repairColumn patches prev (for one destination) into c under the
-// repairer's delta. Returns the number of distance and mask entries
-// whose value changed, or ok=false when the increase set exceeded the
-// repair limit (caller rebuilds the column instead). c must not alias
-// prev; on return c holds the exact column a fresh BFS would produce.
-func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, ok bool) {
+// repairColumn patches column c in place under the repairer's delta.
+// Returns the number of distance and mask entries whose value changed, or
+// ok=false — before writing anything — when the increase set exceeded the
+// repair limit (caller rebuilds the column instead). On ok, c holds the
+// exact column a fresh BFS would produce.
+func (r *minRepairer) repairColumn(c col) (distChanged, maskChanged int, ok bool) {
 	g1, n := r.g1, r.n
-	copy(c.dist, prev.dist)
-	copy(c.mask, prev.mask)
 	dist := c.dist
-	r.stamp++
-	r.aff = r.aff[:0]
-	r.changed = r.changed[:0]
-	r.dirty = r.dirty[:0]
-	r.clearBuckets()
+	r.nextColumn()
 	limit := affRepairLimit(n)
 
 	// Phase A: find the exact set of nodes whose distance increased.
@@ -361,7 +385,7 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 	if len(r.aff) > 0 {
 		r.clearBuckets()
 		for _, a := range r.aff {
-			dist[a] = -1
+			r.setDist(dist, a, -1)
 		}
 		hi = -1
 		for _, a := range r.aff {
@@ -386,8 +410,8 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 					continue
 				}
 				r.setS[x] = r.stamp
-				dist[x] = int16(d)
-				if prev.dist[x] != int16(d) {
+				dist[x] = int16(d) // x is in aff: its old value is kept
+				if r.prevDist(dist, x) != int16(d) {
 					r.recordChanged(x)
 				}
 				for dir := 0; dir < geom.NumLinkDirs; dir++ {
@@ -406,7 +430,7 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 		}
 		// Unsettled members are unreachable in the new graph.
 		for _, a := range r.aff {
-			if r.setS[a] != r.stamp && prev.dist[a] >= 0 {
+			if r.setS[a] != r.stamp && r.prevDist(dist, a) >= 0 {
 				r.recordChanged(a)
 			}
 		}
@@ -436,7 +460,7 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 				continue
 			}
 			if dist[p] < 0 || dist[p] > dx+1 {
-				dist[p] = dx + 1
+				r.setDist(dist, p, dx+1)
 				r.recordChanged(p)
 				q = append(q, p)
 			}
@@ -471,49 +495,40 @@ func (r *minRepairer) repairColumn(prev, c col) (distChanged, maskChanged int, o
 		}
 	}
 	for _, x := range r.changed {
-		if dist[x] != prev.dist[x] {
+		if dist[x] != r.prevDist(dist, x) {
 			distChanged++
 		}
 	}
 	return distChanged, maskChanged, true
 }
 
-// Recompile rebuilds the tree and the all-links tables for t's current
-// state, sharing table columns with u when the spanning trees are
-// effectively unchanged. The result is bit-identical to
-// NewUpDownRooted(t, policy).Compile() with u's policy. Tree
-// construction is always rerun (it is O(V+E) and its output feeds the
-// comparison); when the levels and the up/down classification of every
-// channel usable in both snapshots are unchanged, only columns whose
-// state-graph tight edges the delta touched are recompiled — the rest
-// share u's column pages.
-func (u *UpDownTable) Recompile(t *topology.Topology) (*UpDownTable, RecompileStats) {
-	nu := &UpDownTable{UpDown: NewUpDownRooted(t, u.policy), g: t.Flatten()}
-	n := nu.g.N
-	full := func() (*UpDownTable, RecompileStats) {
-		nu.compile()
-		return nu, fullRecompile(n, 2)
-	}
-	delta, ok := topology.DiffFlat(u.g, nu.g)
-	if !ok || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
-		return full()
-	}
-	for i := range nu.level {
-		if nu.level[i] != u.level[i] {
-			return full()
-		}
-	}
+// Recompile brings u to t's current state in place: a new spanning tree
+// and snapshot, and a table bit-identical to NewUpDownRooted(t,
+// policy).Compile() with u's policy. Tree construction is always rerun
+// (it is O(V+E) and its output feeds the comparison); when the levels and
+// the up/down classification of every channel usable in both snapshots
+// are unchanged, only columns whose state-graph tight edges the delta
+// touched are recompiled — the rest are left untouched. Otherwise the
+// whole table recompiles into the same storage. The previous tree is not
+// mutated, so an UpDownFor tree's Compile() may be recompiled freely.
+func (u *UpDownTable) Recompile(t *topology.Topology) RecompileStats {
+	old, g0 := u.UpDown, u.g
+	u.UpDown, u.g = NewUpDownRooted(t, old.policy), t.Flatten()
+	n := u.g.N
+	delta, ok := topology.DiffFlat(g0, u.g)
+	full := !ok || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) || !slices.Equal(u.level, old.level)
 	// The up/down classification must agree on every channel usable in
 	// both snapshots; channels usable in only one are exactly the delta
 	// and are checked per column below.
-	for v := 0; v < n; v++ {
-		if (nu.upMask[v]^u.upMask[v])&u.g.LinkMask[v]&nu.g.LinkMask[v] != 0 {
-			return full()
-		}
+	for v := 0; !full && v < n; v++ {
+		full = (old.upMask[v]^u.upMask[v])&g0.LinkMask[v]&u.g.LinkMask[v] != 0
+	}
+	if full {
+		u.compile()
+		return fullRecompile(n, 2)
 	}
 	if delta.Empty() {
-		nu.tab = u.tab
-		return nu, RecompileStats{ColsShared: n}
+		return RecompileStats{ColsShared: n}
 	}
 	type stateEdge struct {
 		u, v   int32
@@ -522,20 +537,22 @@ func (u *UpDownTable) Recompile(t *topology.Topology) (*UpDownTable, RecompileSt
 	edges := func(idxs []int32, upMask []uint8) []stateEdge {
 		var out []stateEdge
 		for _, idx := range idxs {
-			eu, ev := idx/geom.NumLinkDirs, nu.g.Adj[idx]
-			if nu.level[eu] < 0 || nu.level[ev] < 0 {
+			eu, ev := idx/geom.NumLinkDirs, u.g.Adj[idx]
+			if u.level[eu] < 0 || u.level[ev] < 0 {
 				continue // dead/unrouted endpoints never enter the state graph
 			}
 			out = append(out, stateEdge{eu, ev, upMask[eu]&(1<<uint(idx%geom.NumLinkDirs)) != 0})
 		}
 		return out
 	}
-	removed := edges(delta.Removed, u.upMask) // classified as of the old snapshot
-	added := edges(delta.Added, nu.upMask)    // classified as of the new snapshot
+	removed := edges(delta.Removed, old.upMask) // classified as of the old snapshot
+	added := edges(delta.Added, u.upMask)       // classified as of the new snapshot
 	// Per-column perturbation check on the (node, phase) state graph.
 	// An up channel u→v carries state edge (u,up)→(v,up); a down channel
-	// carries (u,up)→(v,down) and (u,down)→(v,down).
-	perturbed := func(row []int16) bool {
+	// carries (u,up)→(v,down) and (u,down)→(v,down). Keep or rebuild: a
+	// perturbed state-graph column is recompiled whole, never repaired.
+	classify := func(_ int, c col) int {
+		row := c.dist
 		tightRemoved := func(su, sv int) bool {
 			return row[sv] >= 0 && row[su] == row[sv]+1
 		}
@@ -545,39 +562,29 @@ func (u *UpDownTable) Recompile(t *topology.Topology) (*UpDownTable, RecompileSt
 		for _, e := range removed {
 			if e.chanUp {
 				if tightRemoved(2*int(e.u)+phaseUp, 2*int(e.v)+phaseUp) {
-					return true
+					return colRebuild
 				}
 			} else if tightRemoved(2*int(e.u)+phaseUp, 2*int(e.v)+phaseDown) ||
 				tightRemoved(2*int(e.u)+phaseDown, 2*int(e.v)+phaseDown) {
-				return true
+				return colRebuild
 			}
 		}
 		for _, e := range added {
 			if e.chanUp {
 				if improves(2*int(e.u)+phaseUp, 2*int(e.v)+phaseUp) {
-					return true
+					return colRebuild
 				}
 			} else if improves(2*int(e.u)+phaseUp, 2*int(e.v)+phaseDown) ||
 				improves(2*int(e.u)+phaseDown, 2*int(e.v)+phaseDown) {
-				return true
+				return colRebuild
 			}
 		}
-		return false
-	}
-	// Share or rebuild: a perturbed state-graph column is recompiled
-	// whole, never repaired.
-	cls := make([]uint8, n)
-	for dst := 0; dst < n; dst++ {
-		if perturbed(u.tab.cols[dst].dist) {
-			cls[dst] = clsRebuild
-		}
+		return colKeep
 	}
 	queue := make([]int32, 0, 2*n)
-	var st RecompileStats
-	nu.tab, st = patchTables(u.tab, 2, cls, nil, func(dst int, c col) {
-		queue = compileUDColumn(nu.g, nu.level, nu.upMask, dst, c, queue)
+	return patchTables(u.tab, 2, classify, nil, func(dst int, c col) {
+		queue = compileUDColumn(u.g, u.level, u.upMask, dst, c, queue)
 	})
-	return nu, st
 }
 
 // TableEntries returns the number of table entries a full compile of

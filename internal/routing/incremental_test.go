@@ -1,7 +1,11 @@
 package routing
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -49,10 +53,45 @@ func randomDeltaStep(t *topology.Topology, rng *rand.Rand) string {
 	return "noop"
 }
 
+// checkMinimalRecompile holds one in-place Minimal recompile to its
+// contract: m now equals a cold compile of topo, and st accounts exactly
+// for what changed relative to before (a snapshot taken just before the
+// Recompile) — with no rebuilt column, EntriesRewritten is the number of
+// entries that differ and ColsRepaired-DistShared the number of columns
+// whose distance row does.
+func checkMinimalRecompile(t *testing.T, what string, before, m *Minimal, st RecompileStats, topo *topology.Topology) {
+	t.Helper()
+	if !MinimalTablesEqual(m, NewMinimal(topo)) {
+		t.Fatalf("%s: incremental minimal diverged from full compile (stats %+v)", what, st)
+	}
+	n := m.tab.n
+	if st.ColsShared+st.ColsRepaired+st.ColsRebuilt != n {
+		t.Fatalf("%s: column fates %+v do not sum to %d", what, st, n)
+	}
+	if st.Full || before.tab.n != n {
+		return
+	}
+	distCols, entries := 0, int64(0)
+	for dst := 0; dst < n; dst++ {
+		d, e := columnDiff(before.tab, m.tab, dst)
+		if d {
+			distCols++
+		}
+		entries += e
+	}
+	if st.EntriesRewritten < entries {
+		t.Fatalf("%s: %d entries changed but %d charged (stats %+v)", what, entries, st.EntriesRewritten, st)
+	}
+	if st.ColsRebuilt == 0 && (st.EntriesRewritten != entries || st.ColsRepaired-st.DistShared != distCols) {
+		t.Fatalf("%s: %d entries in %d distance rows changed, stats %+v", what, entries, distCols, st)
+	}
+}
+
 // TestIncrementalVsFullProperty drives random fail/recover delta
-// sequences over random irregular topologies and asserts the
-// incremental recompile is bit-identical to a from-scratch compile at
-// every step — for the minimal tables and the up*/down* state tables.
+// sequences over random irregular topologies and asserts the receiver of
+// every in-place recompile is bit-identical to a from-scratch compile
+// after every step — for the minimal tables and the up*/down* state
+// tables.
 func TestIncrementalVsFullProperty(t *testing.T) {
 	cases := 12
 	steps := 10
@@ -72,69 +111,67 @@ func TestIncrementalVsFullProperty(t *testing.T) {
 		ud := NewUpDownRooted(topo, RootLowestID).Compile()
 		for s := 0; s < steps; s++ {
 			op := randomDeltaStep(topo, rng)
-			incMin, mst := min.Recompile(topo)
-			fullMin := NewMinimal(topo)
-			if !MinimalTablesEqual(incMin, fullMin) {
-				t.Fatalf("case %d step %d (%s): incremental minimal diverged from full compile (stats %+v)",
-					c, s, op, mst)
-			}
-			incUD, ust := ud.Recompile(topo)
-			fullUD := NewUpDownRooted(topo, RootLowestID).Compile()
-			if !UpDownTablesEqual(incUD, fullUD) {
+			before := min.snapshot()
+			mst := min.Recompile(topo)
+			checkMinimalRecompile(t, fmt.Sprintf("case %d step %d (%s)", c, s, op), before, min, mst, topo)
+			ust := ud.Recompile(topo)
+			if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
 				t.Fatalf("case %d step %d (%s): incremental updown diverged from full compile (stats %+v)",
 					c, s, op, ust)
 			}
-			min, ud = incMin, incUD
 		}
 	}
 }
 
-// TestIncrementalColumnSharing checks the COW invariant that makes
+// TestIncrementalColumnSharing checks the invariant that makes
 // incremental compiles cheap: columns for destinations in a component
-// the delta cannot reach are shared pointer-identically, and an empty
-// delta shares every column.
+// the delta cannot reach are left byte-for-byte as they were and counted
+// in ColsShared, and an empty delta touches nothing.
 func TestIncrementalColumnSharing(t *testing.T) {
 	// Split an 8x4 mesh into two 4x4 components by cutting the column-3
 	// to column-4 links, then churn a link strictly inside the left
-	// component. Right-component destination columns must be shared.
+	// component. Right-component destination columns must be untouched.
 	topo := topology.NewMesh(8, 4)
 	for y := 0; y < 4; y++ {
 		topo.DisableLink(geom.NodeID(y*8+3), geom.East)
 	}
 	min := NewMinimal(topo)
 	ud := NewUpDownRooted(topo, RootLowestID).Compile()
+	minBefore, udBefore := min.tab.clone(), ud.tab.clone()
 
 	topo.DisableLink(0, geom.East) // node 0 → node 1, deep inside the left half
-	incMin, st := min.Recompile(topo)
-	if st.Full || st.ColsShared == 0 {
-		t.Fatalf("expected a sharing incremental compile, got %+v", st)
+	st := min.Recompile(topo)
+	if st.Full || st.ColsShared < 16 {
+		t.Fatalf("expected the 16 right-component columns kept, got %+v", st)
 	}
-	incUD, ust := ud.Recompile(topo)
-	full := NewMinimal(topo)
-	if !MinimalTablesEqual(incMin, full) {
+	ust := ud.Recompile(topo)
+	if !MinimalTablesEqual(min, NewMinimal(topo)) {
 		t.Fatal("incremental minimal diverged")
+	}
+	if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
+		t.Fatal("incremental updown diverged")
+	}
+	if !ust.Full && ust.ColsShared < 16 {
+		t.Fatalf("expected the 16 right-component updown columns kept, got %+v", ust)
 	}
 	for y := 0; y < 4; y++ {
 		for x := 4; x < 8; x++ {
-			dst := geom.NodeID(y*8 + x)
-			if !incMin.SharesColumn(min, dst) {
-				t.Fatalf("minimal column for right-component dst %d not shared", dst)
+			dst := y*8 + x
+			if d, e := columnDiff(minBefore, min.tab, dst); d || e != 0 {
+				t.Fatalf("minimal column for right-component dst %d changed", dst)
 			}
-			if !ust.Full && !incUD.SharesColumn(ud, dst) {
-				t.Fatalf("updown column for right-component dst %d not shared", dst)
+			if d, e := columnDiff(udBefore, ud.tab, dst); d || e != 0 {
+				t.Fatalf("updown column for right-component dst %d changed", dst)
 			}
 		}
 	}
 
-	// Empty delta: every column shared, no work counted.
-	same, st2 := incMin.Recompile(topo)
-	if st2.ColsShared != topo.NumNodes() || st2.EntriesRewritten != 0 {
-		t.Fatalf("empty delta should share everything: %+v", st2)
+	// Empty delta: every column kept, no work counted.
+	if st2 := min.Recompile(topo); st2.ColsShared != topo.NumNodes() || st2.EntriesRewritten != 0 {
+		t.Fatalf("empty delta should keep everything: %+v", st2)
 	}
-	for dst := 0; dst < topo.NumNodes(); dst++ {
-		if !same.SharesColumn(incMin, geom.NodeID(dst)) {
-			t.Fatalf("empty-delta column %d not shared", dst)
-		}
+	if !MinimalTablesEqual(min, NewMinimal(topo)) {
+		t.Fatal("empty delta changed the table")
 	}
 }
 
@@ -148,8 +185,9 @@ func TestIncrementalRepairIsLocal(t *testing.T) {
 	topo := topology.NewMesh(32, 32)
 	n := int64(topo.NumNodes())
 	min := NewMinimal(topo)
+	before := min.snapshot()
 	topo.DisableLink(geom.NodeID(15*32+15), geom.East)
-	inc, st := min.Recompile(topo)
+	st := min.Recompile(topo)
 	if st.Full {
 		t.Fatalf("single-link delta took the full-compile fallback: %+v", st)
 	}
@@ -161,15 +199,162 @@ func TestIncrementalRepairIsLocal(t *testing.T) {
 	if st.EntriesRewritten*100 > 2*n*n {
 		t.Fatalf("repair rewrote %d of %d entries — not local", st.EntriesRewritten, 2*n*n)
 	}
-	if !MinimalTablesEqual(inc, NewMinimal(topo)) {
-		t.Fatal("local repair diverged from full compile")
-	}
-	// Flap back: the delta inverts and the result must equal the
-	// original table bit-for-bit.
+	checkMinimalRecompile(t, "fail", before, min, st, topo)
+	// Flap back: the delta inverts and the result must equal a cold
+	// compile of the original mesh bit-for-bit.
 	topo.EnableLink(geom.NodeID(15*32+15), geom.East)
-	back, _ := inc.Recompile(topo)
-	if !MinimalTablesEqual(back, min) {
+	min.Recompile(topo)
+	if !MinimalTablesEqual(min, NewMinimal(topology.NewMesh(32, 32))) {
 		t.Fatal("flap-back did not restore the original tables")
+	}
+}
+
+// TestIncrementalFallbacksCompileInPlace drives the paths that recompute
+// whole columns. A ring cut makes the exact-increase set of the columns
+// near the cut exceed n/8, so the repair declines and the column BFS runs
+// into the same storage instead. The same tables then move to a mesh of
+// another size (a full compile into new storage, and a repairer sized
+// anew) and take a mass failure past maxIncrementalDelta (a full compile
+// into the same storage), after which each single-link step must diff
+// against the fallback's snapshot.
+func TestIncrementalFallbacksCompileInPlace(t *testing.T) {
+	// A 16x2 mesh with the inner rungs cut is a 32-node ring (n/8 = 4).
+	topo := topology.NewMesh(16, 2)
+	for x := 1; x < 15; x++ {
+		topo.DisableLink(geom.NodeID(x), geom.North)
+	}
+	min := NewMinimal(topo)
+	ud := NewUpDownRooted(topo, RootLowestID).Compile()
+	before := min.snapshot()
+	topo.DisableLink(7, geom.East)
+	st := min.Recompile(topo)
+	if st.Full || st.ColsRebuilt == 0 {
+		t.Fatalf("ring cut should decline some repairs into column rebuilds: %+v", st)
+	}
+	checkMinimalRecompile(t, "ring cut", before, min, st, topo)
+	ud.Recompile(topo)
+	if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
+		t.Fatal("updown diverged after the ring cut")
+	}
+
+	mesh := topology.NewMesh(6, 6)
+	if st, ust := min.Recompile(mesh), ud.Recompile(mesh); !st.Full || !ust.Full {
+		t.Fatalf("a 16x2 table moved to a 6x6 mesh should compile fully: %+v, %+v", st, ust)
+	}
+	// The last links touch the highest node ids, past the old size.
+	links := mesh.AliveUndirectedLinks()
+	links = links[len(links)-20:]
+	for _, l := range links { // 40 channels > n = 36
+		mesh.DisableLink(l.From, l.Dir)
+	}
+	if st := min.Recompile(mesh); !st.Full {
+		t.Fatalf("a 40-channel delta on 36 nodes should fall back to a full compile: %+v", st)
+	}
+	if st := ud.Recompile(mesh); !st.Full {
+		t.Fatalf("updown: a 40-channel delta on 36 nodes should fall back to a full compile: %+v", st)
+	}
+	for _, l := range links[len(links)-3:] {
+		mesh.EnableLink(l.From, l.Dir)
+		before := min.snapshot()
+		st := min.Recompile(mesh)
+		if st.Full {
+			t.Fatalf("single-link step after the fallback went full: %+v", st)
+		}
+		checkMinimalRecompile(t, "after full fallback", before, min, st, mesh)
+		ud.Recompile(mesh)
+		if !UpDownTablesEqual(ud, NewUpDownRooted(mesh, RootLowestID).Compile()) {
+			t.Fatal("updown diverged after the full fallback")
+		}
+	}
+}
+
+// TestRepairStampWrap: the repairer's stamp persists across Recompiles,
+// so a long churn run eventually wraps it. A stamped set is valid only
+// while every mark is older than the current stamp; after a flap has
+// left marks up to the number of repaired columns, a wrap must restart
+// the stamp with every array cleared, and the flap back across the wrap
+// must still match a cold compile.
+func TestRepairStampWrap(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	min := NewMinimal(topo)
+	topo.DisableLink(27, geom.East)
+	min.Recompile(topo)
+	min.presetRepairStamp(math.MaxInt32)
+	r := min.rep
+	r.nextColumn()
+	for _, a := range [][]int32{r.candS, r.affS, r.setS, r.chgS, r.dirtS, r.oldS} {
+		for x, s := range a {
+			if s >= r.stamp {
+				t.Fatalf("after the wrap node %d holds mark %d, not older than stamp %d", x, s, r.stamp)
+			}
+		}
+	}
+	topo.EnableLink(27, geom.East)
+	before := min.snapshot()
+	checkMinimalRecompile(t, "flap back across the wrap", before, min, min.Recompile(topo), topo)
+}
+
+// TestRecompileRefusesSharedTable: a MinimalFor table is read by every
+// simulation that asked for its fingerprint, so recompiling it in place
+// must panic and point at the owned constructor.
+func TestRecompileRefusesSharedTable(t *testing.T) {
+	topo := topology.RandomIrregular(5, 5, topology.LinkFaults, 3, 77)
+	m := MinimalFor(topo)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NewMinimal") {
+			t.Fatalf("Recompile on a MinimalFor table: recovered %q, want a panic naming NewMinimal", msg)
+		}
+		if !MinimalTablesEqual(m, NewMinimal(topo)) {
+			t.Fatal("the refused Recompile changed the shared table")
+		}
+	}()
+	flapped := topo.Clone()
+	flapped.DisableLink(12, geom.East)
+	m.Recompile(flapped)
+}
+
+// TestRecompileAllocatesNoTable pins the point of in-place repair: after
+// one warm-up flap (which allocates the repairer), a fail+recover of one
+// link on a 32x32 mesh allocates two snapshots and two deltas, not a
+// table (a 32x32 minimal table is ~3 MB).
+func TestRecompileAllocatesNoTable(t *testing.T) {
+	topo := topology.NewMesh(32, 32)
+	at := geom.NodeID(15*32 + 15)
+	min := NewMinimal(topo)
+	flap := func() {
+		topo.DisableLink(at, geom.East)
+		min.Recompile(topo)
+		topo.EnableLink(at, geom.East)
+		min.Recompile(topo)
+	}
+	flap()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	flap()
+	runtime.ReadMemStats(&m1)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	if got > 256<<10 {
+		t.Fatalf("fail+recover allocated %d B, want <= %d", got, 256<<10)
+	}
+	t.Logf("fail+recover allocated %d B", got)
+	if !MinimalTablesEqual(min, NewMinimal(topo)) {
+		t.Fatal("flapped table diverged from a cold compile")
+	}
+}
+
+// BenchmarkRecompileFlap32x32 times one fail+recover of a central link
+// on a 32x32 mesh through the in-place recompiler (run with -benchmem).
+func BenchmarkRecompileFlap32x32(b *testing.B) {
+	topo := topology.NewMesh(32, 32)
+	at := geom.NodeID(15*32 + 15)
+	min := NewMinimal(topo)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topo.DisableLink(at, geom.East)
+		min.Recompile(topo)
+		topo.EnableLink(at, geom.East)
+		min.Recompile(topo)
 	}
 }
 
@@ -178,17 +363,17 @@ func TestIncrementalRepairIsLocal(t *testing.T) {
 func TestParallelCompileDeterminism(t *testing.T) {
 	topo := topology.RandomIrregular(20, 20, topology.LinkFaults, 60, 9)
 	g := topo.Flatten()
-	seq := compileMinimal(g, 1)
+	seq := compileMinimal(nil, g, 1)
 	ud := NewUpDownRooted(topo, RootLowestID)
-	seqUD := compileUpDown(g, ud.level, ud.upMask, 1)
+	seqUD := compileUpDown(nil, g, ud.level, ud.upMask, 1)
 	for _, workers := range []int{2, 3, 8} {
-		par := compileMinimal(g, workers)
+		par := compileMinimal(nil, g, workers)
 		a := &Minimal{g: g, tab: seq}
 		b := &Minimal{g: g, tab: par}
 		if !MinimalTablesEqual(a, b) {
 			t.Fatalf("parallel minimal compile (workers=%d) not byte-identical", workers)
 		}
-		parUD := compileUpDown(g, ud.level, ud.upMask, workers)
+		parUD := compileUpDown(nil, g, ud.level, ud.upMask, workers)
 		ua := &UpDownTable{UpDown: ud, g: g, tab: seqUD}
 		ub := &UpDownTable{UpDown: ud, g: g, tab: parUD}
 		if !UpDownTablesEqual(ua, ub) {
@@ -198,7 +383,8 @@ func TestParallelCompileDeterminism(t *testing.T) {
 }
 
 // FuzzIncrementalCompile decodes a byte string into a topology and a
-// mutation sequence and asserts incremental == full at every step.
+// mutation sequence and asserts that the receiver of every in-place
+// recompile equals a cold compile after every step.
 // Corpus seeds live in testdata/fuzz/FuzzIncrementalCompile.
 func FuzzIncrementalCompile(f *testing.F) {
 	f.Add([]byte{3, 3, 4, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -224,18 +410,13 @@ func FuzzIncrementalCompile(f *testing.F) {
 			// Mix the fuzz byte into the mutation choice so the corpus
 			// steers the walk while staying in-range.
 			rng.Seed(seed ^ int64(b)<<17)
-			randomDeltaStep(topo, rng)
-			incMin, _ := min.Recompile(topo)
-			fullMin := NewMinimal(topo)
-			if !MinimalTablesEqual(incMin, fullMin) {
-				t.Fatal("incremental minimal diverged from full compile")
-			}
-			incUD, _ := ud.Recompile(topo)
-			fullUD := NewUpDownRooted(topo, RootLowestID).Compile()
-			if !UpDownTablesEqual(incUD, fullUD) {
+			op := randomDeltaStep(topo, rng)
+			before := min.snapshot()
+			checkMinimalRecompile(t, op, before, min, min.Recompile(topo), topo)
+			ud.Recompile(topo)
+			if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
 				t.Fatal("incremental updown diverged from full compile")
 			}
-			min, ud = incMin, incUD
 		}
 	})
 }

@@ -15,19 +15,23 @@ import (
 //
 // A Minimal is compiled at construction: all-pairs distances and
 // per-(node,dst) next-hop candidate masks over a flat snapshot of the
-// topology (see table.go). Instances are immutable afterwards and safe
-// for concurrent use from any number of goroutines.
+// topology (see table.go), safe for concurrent reads. A MinimalFor
+// instance is immutable; a NewMinimal one changes only inside Recompile.
 type Minimal struct {
 	g   *topology.FlatGraph
 	tab *tables
+	// shared marks a MinimalFor instance, which Recompile refuses.
+	shared bool
+	// rep is Recompile's repair scratch, allocated at its first use.
+	rep *minRepairer
 }
 
-// NewMinimal compiles a minimal router over t's current state. Later
-// mutations of t are not seen; rebuild (reconfig does) or use MinimalFor
-// to share compiled tables across identical topologies.
+// NewMinimal compiles a minimal router over t's current state, owned by
+// the caller: later mutations of t are seen after Recompile (reconfig
+// calls it per epoch). MinimalFor shares one immutable compile instead.
 func NewMinimal(t *topology.Topology) *Minimal {
 	g := t.Flatten()
-	return &Minimal{g: g, tab: compileMinimal(g, compileWorkers(g.N))}
+	return &Minimal{g: g, tab: compileMinimal(nil, g, compileWorkers(g.N))}
 }
 
 // Name implements Algorithm.

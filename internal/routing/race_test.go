@@ -1,10 +1,13 @@
 package routing
 
-// Minimal, UpDown trees and UpDownTable are immutable after construction,
-// so one instance may serve every sweep worker and the sharded core's
-// parallel injection phase concurrently. These tests drive shared instances from
-// many goroutines; run under -race (CI's race tier does) they prove the
-// lazy-map data race the compilation removed stays gone.
+// Ownership is split. Process-wide values (MinimalFor, UpDownFor) are
+// immutable, so one instance may serve every sweep worker and the sharded
+// core's parallel injection phase concurrently. An owned table (NewMinimal,
+// Compile) changes only inside Recompile, which reconfig calls between
+// cycles on the coordinator, so between epochs it is read-only too. These
+// tests drive instances from many goroutines; run under -race (CI's race
+// tier does) they prove the lazy-map data race the compilation removed
+// stays gone.
 
 import (
 	"math/rand"

@@ -27,20 +27,21 @@ import (
 // the nibbles of the mask byte.
 //
 // Tables are stored as per-destination column pages rather than one
-// n×n slab so an incremental recompile (incremental.go) can share the
-// columns an epoch did not perturb pointer-identically with the
-// previous epoch's table. A cold compile still allocates each array as
-// one contiguous block sliced per column, so the hot path sees one
+// n×n slab so an incremental recompile (incremental.go) can repair or
+// rebuild one destination's column where it stands and leave the
+// columns an epoch did not perturb untouched. Each array is still one
+// contiguous block sliced per column, so the hot path sees one
 // contiguous block per array.
 //
-// Compiled tables are immutable after construction, which is what makes
-// one instance shareable across the sweep engine's workers, the sharded
-// core's parallel injection phase (see race_test.go), and across the
-// epochs of a churn run.
+// Ownership: a process-wide table (cache.go's MinimalFor) is immutable,
+// which is what makes one instance shareable across the sweep engine's
+// workers and the sharded core's parallel injection phase (see
+// race_test.go). A table from NewMinimal or (*UpDown).Compile belongs to
+// its caller and changes only inside Recompile, which reconfig calls
+// between cycles on the coordinator.
 
 // col is one destination's column of a compiled table. Copying the
-// struct aliases the backing arrays: column sharing between epochs is
-// exactly assigning a col value.
+// struct aliases the backing arrays.
 type col struct {
 	// dist holds distPerNode distances per node toward the destination,
 	// -1 unreachable. Minimal: [node], directed hops. Up*/down*:
@@ -59,34 +60,23 @@ type tables struct {
 	cols []col // [dst]
 }
 
-// colArena allocates k columns out of one contiguous block per array and
-// returns the i-th column of it.
-func colArena(k, n, distPerNode int) func(i int) col {
-	w := distPerNode * n
-	dist := make([]int16, k*w)
-	mask := make([]uint8, k*n)
-	return func(i int) col {
-		return col{
-			dist: dist[i*w : (i+1)*w : (i+1)*w],
-			mask: mask[i*n : (i+1)*n : (i+1)*n],
-		}
-	}
-}
-
 // newTables allocates a table with every column backed by one
-// contiguous block (the cold-compile layout).
+// contiguous block per array.
 func newTables(n, distPerNode int) *tables {
 	t := &tables{n: n, cols: make([]col, n)}
-	at := colArena(n, n, distPerNode)
+	w := distPerNode * n
+	dist := make([]int16, n*w)
+	mask := make([]uint8, n*n)
 	for d := range t.cols {
-		t.cols[d] = at(d)
+		t.cols[d] = col{
+			dist: dist[d*w : (d+1)*w : (d+1)*w],
+			mask: mask[d*n : (d+1)*n : (d+1)*n],
+		}
 	}
 	return t
 }
 
-// bytes returns the heap footprint of the table arrays. Shared columns
-// are counted once per table that references them, so this is an upper
-// bound under incremental column sharing.
+// bytes returns the heap footprint of the table arrays.
 func (t *tables) bytes() int64 {
 	var b int64
 	for i := range t.cols {
@@ -113,14 +103,18 @@ func compileWorkers(n int) int {
 	return min(runtime.GOMAXPROCS(0), maxCompileWorkers)
 }
 
-// compileColumns cold-compiles a table: fill computes one destination's
-// column (queue is per-worker BFS scratch, returned so capacity growth
-// is kept). With workers > 1 the destinations fan across a bounded pool;
+// compileColumns cold-compiles an n-destination table into t's storage
+// when t has n columns (a recompile's full fallback), else into a new
+// table: fill computes one destination's column over whatever it held
+// (queue is per-worker BFS scratch, returned so capacity growth is
+// kept). With workers > 1 the destinations fan across a bounded pool;
 // every column is computed independently and workers write disjoint
 // columns, so the output is byte-identical to the sequential compile at
 // any worker count.
-func compileColumns(n, distPerNode, workers int, fill func(dst int, c col, queue []int32) []int32) *tables {
-	t := newTables(n, distPerNode)
+func compileColumns(t *tables, n, distPerNode, workers int, fill func(dst int, c col, queue []int32) []int32) *tables {
+	if t == nil || t.n != n {
+		t = newTables(n, distPerNode)
+	}
 	workers = max(workers, 1)
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -142,10 +136,10 @@ func compileColumns(n, distPerNode, workers int, fill func(dst int, c col, queue
 }
 
 // compileMinimal builds the minimal-routing tables for every destination
-// of g: one reverse BFS per destination (O(N) each over the flat
-// arrays), then a candidate-mask fill.
-func compileMinimal(g *topology.FlatGraph, workers int) *tables {
-	return compileColumns(g.N, 1, workers, func(dst int, c col, queue []int32) []int32 {
+// of g, reusing t's storage as compileColumns does: one reverse BFS per
+// destination (O(N) each), then a candidate-mask fill.
+func compileMinimal(t *tables, g *topology.FlatGraph, workers int) *tables {
+	return compileColumns(t, g.N, 1, workers, func(dst int, c col, queue []int32) []int32 {
 		return compileMinColumn(g, dst, c, queue)
 	})
 }
@@ -203,13 +197,14 @@ const (
 	phaseDown = 1 // committed to down channels only
 )
 
-// compileUpDown builds the up*/down* tables: distances on the (node,
-// phase) state graph and the two phases' candidates packed into one
-// mask byte. level is the BFS-tree level array (-1 dead/unrouted) and
-// upMask[v] has bit d set iff the channel v→d is an "up" channel; both
-// come from the spanning-tree construction in updown.go.
-func compileUpDown(g *topology.FlatGraph, level []int, upMask []uint8, workers int) *tables {
-	return compileColumns(g.N, 2, workers, func(dst int, c col, queue []int32) []int32 {
+// compileUpDown builds the up*/down* tables, reusing t's storage as
+// compileColumns does: distances on the (node, phase) state graph and
+// the two phases' candidates packed into one mask byte. level is the
+// BFS-tree level array (-1 dead/unrouted) and upMask[v] has bit d set
+// iff the channel v→d is an "up" channel; both come from the
+// spanning-tree construction in updown.go.
+func compileUpDown(t *tables, g *topology.FlatGraph, level []int, upMask []uint8, workers int) *tables {
+	return compileColumns(t, g.N, 2, workers, func(dst int, c col, queue []int32) []int32 {
 		return compileUDColumn(g, level, upMask, dst, c, queue)
 	})
 }

@@ -336,7 +336,8 @@ func (t treeAlg) AppendRoute(buf Route, src, dst geom.NodeID, _ *rand.Rand) (Rou
 // uniformly among legal minimal next hops when an rng is supplied. No
 // figure routes with it (the paper's baseline 1 is the tree path); the
 // churn experiment's dbr contender prices its incremental patching with
-// Recompile. Immutable, like Minimal.
+// Recompile. Owned by the Compile caller, like a NewMinimal table: it
+// changes only inside Recompile.
 type UpDownTable struct {
 	*UpDown
 	g   *topology.FlatGraph
@@ -351,10 +352,10 @@ func (u *UpDown) Compile() *UpDownTable {
 	return t
 }
 
-// compile cold-compiles tab from the tree and the snapshot; construction
-// only (Compile, and Recompile's fallback on the snapshot it already took).
+// compile cold-compiles tab from the tree and the snapshot, reusing its
+// storage (Compile, and Recompile's fallback on the snapshot it took).
 func (u *UpDownTable) compile() {
-	u.tab = compileUpDown(u.g, u.level, u.upMask, compileWorkers(u.g.N))
+	u.tab = compileUpDown(u.tab, u.g, u.level, u.upMask, compileWorkers(u.g.N))
 }
 
 // Name implements Algorithm.
