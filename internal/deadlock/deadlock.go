@@ -157,3 +157,30 @@ func (w Watcher) Deadlocked(s *network.Sim) bool {
 	}
 	return s.InFlight() > 0 && s.Now-s.LastProgress >= h
 }
+
+// DrainWedged stops injection and gives the network a bounded chance to
+// make progress. Wedged means a full progress window elapsed with
+// packets in the network, not a single delivery, and not a single
+// completed recovery — the protocol has failed to restore liveness.
+// Saturated-but-live configurations keep delivering and pass; a deadlock
+// mid-recovery completes a round and passes. The adversarial search
+// rewards this outcome maximally (it is the SLO-breaking one): per-hop
+// probe loss makes a full cycle traversal exponentially unlikely in the
+// cycle length, so sufficiently hostile control planes can pin a
+// deadlock in place indefinitely while probes retransmit forever.
+func DrainWedged(s *network.Sim) bool {
+	const window = 2000
+	const windows = 5
+	for w := 0; w < windows; w++ {
+		if s.InFlight() == 0 && s.QueuedPackets() == 0 {
+			return false
+		}
+		delivered, recovered := s.Stats.Delivered, s.Stats.DeadlockRecoveries
+		s.Run(window)
+		if s.Stats.Delivered == delivered && s.Stats.DeadlockRecoveries == recovered {
+			return true
+		}
+	}
+	// Still draining but making progress every window: live.
+	return false
+}

@@ -199,3 +199,27 @@ func TestBlockedPacketOnDeadLink(t *testing.T) {
 		t.Fatalf("unexpected blocked packet: %+v", blocked[0])
 	}
 }
+
+// TestDrainWedged: a ring wedge whose Static Bubble detection is off
+// never delivers or recovers again (wedged), while a healthy 4x4 drains
+// its packets (not wedged).
+func TestDrainWedged(t *testing.T) {
+	s := network.New(topology.NewMesh(2, 2), network.Config{}, rand.New(rand.NewSource(1)))
+	core.Attach(s, core.Options{TDD: 1 << 40}) // detection effectively off
+	primeRing(s, 12)
+	s.Run(1500)
+	if !DrainWedged(s) {
+		t.Fatal("a ring deadlock with detection off must read as wedged")
+	}
+
+	topo := topology.NewMesh(4, 4)
+	s = network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
+	xy := routing.NewXY(topo)
+	for src := geom.NodeID(0); src < 16; src++ {
+		r, _ := xy.Route(src, 15-src, nil)
+		s.Enqueue(s.NewPacket(src, 15-src, 0, 5, r))
+	}
+	if DrainWedged(s) || s.InFlight() != 0 || s.QueuedPackets() != 0 {
+		t.Fatal("a healthy mesh must drain, not wedge")
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/deadlock"
 	"repro/internal/network"
 	"repro/internal/perturb"
 	"repro/internal/routing"
@@ -140,35 +141,8 @@ func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int6
 	}
 	out.RecoveryP50 = sample.Percentile(50)
 	out.RecoveryP99 = sample.Percentile(99)
-	out.Wedged = drainWedged(s)
+	out.Wedged = deadlock.DrainWedged(s)
 	return out
-}
-
-// drainWedged stops injection and gives the network a bounded chance to
-// make progress. Wedged means a full progress window elapsed with
-// packets in the network, not a single delivery, and not a single
-// completed recovery — the protocol has failed to restore liveness.
-// Saturated-but-live configurations keep delivering and pass; a deadlock
-// mid-recovery completes a round and passes. The adversarial search
-// rewards this outcome maximally (it is the SLO-breaking one): per-hop
-// probe loss makes a full cycle traversal exponentially unlikely in the
-// cycle length, so sufficiently hostile control planes can pin a
-// deadlock in place indefinitely while probes retransmit forever.
-func drainWedged(s *network.Sim) bool {
-	const window = 2000
-	const windows = 5
-	for w := 0; w < windows; w++ {
-		if s.InFlight() == 0 && s.QueuedPackets() == 0 {
-			return false
-		}
-		delivered, recovered := s.Stats.Delivered, s.Stats.DeadlockRecoveries
-		s.Run(window)
-		if s.Stats.Delivered == delivered && s.Stats.DeadlockRecoveries == recovered {
-			return true
-		}
-	}
-	// Still draining but making progress every window: live.
-	return false
 }
 
 // adversaryConfig builds the search configuration for a scale preset;

@@ -20,9 +20,11 @@ import (
 // entry's ready channel.
 //
 // Everything here is process-wide and immutable (Recompile panics on a
-// MinimalFor table), so only immutable-topology callers may use it. Code
-// that mutates its topology (reconfig, the failure-timeline experiment)
-// owns NewMinimal/NewUpDownRooted instances, changed only by Recompile.
+// MinimalFor table), so only immutable-topology callers may use it, and a
+// MinimalFor table keeps candidate masks only (table.go). Code that
+// mutates its topology (reconfig, the failure-timeline experiment) owns
+// NewMinimal/NewUpDownRooted instances, which keep the distances
+// Recompile repairs from.
 
 // tableKey identifies one compiled artifact.
 type tableKey struct {
@@ -133,8 +135,7 @@ func cachedCompile(key tableKey, compile func() (val any, bytes int64)) any {
 func MinimalFor(t *topology.Topology) *Minimal {
 	key := tableKey{fp: t.Fingerprint(), alg: "minimal"}
 	return cachedCompile(key, func() (any, int64) {
-		m := NewMinimal(t)
-		m.shared = true
+		m := newMinimal(t, true)
 		return m, m.tableBytes()
 	}).(*Minimal)
 }

@@ -28,6 +28,17 @@ func (t *tables) clone() *tables {
 // tables.
 func MinimalTablesEqual(a, b *Minimal) bool { return a.tab.equal(b.tab) }
 
+// masksEqual reports whether a and b hold bit-identical candidate masks,
+// whatever distances either keeps.
+func (t *tables) masksEqual(o *tables) bool {
+	return t.n == o.n && slices.EqualFunc(t.cols, o.cols, func(a, b col) bool { return bytes.Equal(a.mask, b.mask) })
+}
+
+// keepsDist reports whether any column of t holds a distance row.
+func (t *tables) keepsDist() bool {
+	return slices.ContainsFunc(t.cols, func(c col) bool { return c.dist != nil })
+}
+
 // UpDownTablesEqual reports whether a and b route identically: same
 // levels, channel classification, state-graph distances, and masks.
 func UpDownTablesEqual(a, b *UpDownTable) bool {

@@ -92,7 +92,7 @@ func (m *Minimal) Recompile(t *topology.Topology) RecompileStats {
 	m.g = g1
 	delta, ok := topology.DiffFlat(g0, g1)
 	if !ok || m.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
-		m.tab = compileMinimal(m.tab, g1, compileWorkers(n))
+		m.tab = compileMinimal(m.tab, g1, true, compileWorkers(n))
 		return fullRecompile(n, 1)
 	}
 	if delta.Empty() {

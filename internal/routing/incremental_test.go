@@ -296,7 +296,8 @@ func TestRepairStampWrap(t *testing.T) {
 
 // TestRecompileRefusesSharedTable: a MinimalFor table is read by every
 // simulation that asked for its fingerprint, so recompiling it in place
-// must panic and point at the owned constructor.
+// must panic and point at the owned constructor, leaving its masks as
+// compiled and still without distances.
 func TestRecompileRefusesSharedTable(t *testing.T) {
 	topo := topology.RandomIrregular(5, 5, topology.LinkFaults, 3, 77)
 	m := MinimalFor(topo)
@@ -305,7 +306,7 @@ func TestRecompileRefusesSharedTable(t *testing.T) {
 		if !strings.Contains(msg, "NewMinimal") {
 			t.Fatalf("Recompile on a MinimalFor table: recovered %q, want a panic naming NewMinimal", msg)
 		}
-		if !MinimalTablesEqual(m, NewMinimal(topo)) {
+		if !m.tab.masksEqual(NewMinimal(topo).tab) || m.tab.keepsDist() {
 			t.Fatal("the refused Recompile changed the shared table")
 		}
 	}()
@@ -358,20 +359,25 @@ func BenchmarkRecompileFlap32x32(b *testing.B) {
 	}
 }
 
-// TestParallelCompileDeterminism: the cold compile must be byte-identical
-// at every worker count (the CI seam-sync tier runs this under -race).
+// TestParallelCompileDeterminism: the cold compile, distance-keeping or
+// masks-only, must be byte-identical at every worker count (the CI
+// seam-sync tier runs this under -race).
 func TestParallelCompileDeterminism(t *testing.T) {
 	topo := topology.RandomIrregular(20, 20, topology.LinkFaults, 60, 9)
 	g := topo.Flatten()
-	seq := compileMinimal(nil, g, 1)
+	seq := compileMinimal(nil, g, true, 1)
+	seqMasks := compileMinimal(nil, g, false, 1)
 	ud := NewUpDownRooted(topo, RootLowestID)
 	seqUD := compileUpDown(nil, g, ud.level, ud.upMask, 1)
 	for _, workers := range []int{2, 3, 8} {
-		par := compileMinimal(nil, g, workers)
+		par := compileMinimal(nil, g, true, workers)
 		a := &Minimal{g: g, tab: seq}
 		b := &Minimal{g: g, tab: par}
 		if !MinimalTablesEqual(a, b) {
 			t.Fatalf("parallel minimal compile (workers=%d) not byte-identical", workers)
+		}
+		if !compileMinimal(nil, g, false, workers).equal(seqMasks) {
+			t.Fatalf("parallel masks-only compile (workers=%d) not byte-identical", workers)
 		}
 		parUD := compileUpDown(nil, g, ud.level, ud.upMask, workers)
 		ua := &UpDownTable{UpDown: ud, g: g, tab: seqUD}

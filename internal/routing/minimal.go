@@ -13,14 +13,16 @@ import (
 // routing that Static Bubble and the regular VCs of the escape-VC scheme
 // use (paper Section II-D).
 //
-// A Minimal is compiled at construction: all-pairs distances and
-// per-(node,dst) next-hop candidate masks over a flat snapshot of the
-// topology (see table.go), safe for concurrent reads. A MinimalFor
-// instance is immutable; a NewMinimal one changes only inside Recompile.
+// A Minimal is compiled at construction: per-(node,dst) next-hop
+// candidate masks over a flat snapshot of the topology (see table.go),
+// safe for concurrent reads. A MinimalFor instance is immutable and keeps
+// masks only; a NewMinimal one also keeps the all-pairs distances its
+// Recompile repairs from, and changes only inside Recompile.
 type Minimal struct {
 	g   *topology.FlatGraph
 	tab *tables
-	// shared marks a MinimalFor instance, which Recompile refuses.
+	// shared marks a MinimalFor instance: masks only, and Recompile
+	// refuses it.
 	shared bool
 	// rep is Recompile's repair scratch, allocated at its first use.
 	rep *minRepairer
@@ -29,9 +31,12 @@ type Minimal struct {
 // NewMinimal compiles a minimal router over t's current state, owned by
 // the caller: later mutations of t are seen after Recompile (reconfig
 // calls it per epoch). MinimalFor shares one immutable compile instead.
-func NewMinimal(t *topology.Topology) *Minimal {
+func NewMinimal(t *topology.Topology) *Minimal { return newMinimal(t, false) }
+
+// newMinimal compiles t; a shared table keeps no distances.
+func newMinimal(t *topology.Topology, shared bool) *Minimal {
 	g := t.Flatten()
-	return &Minimal{g: g, tab: compileMinimal(nil, g, compileWorkers(g.N))}
+	return &Minimal{g: g, tab: compileMinimal(nil, g, !shared, compileWorkers(g.N)), shared: shared}
 }
 
 // Name implements Algorithm.
@@ -40,19 +45,33 @@ func (m *Minimal) Name() string { return "minimal" }
 // tableBytes returns the compiled-table footprint for cache accounting.
 func (m *Minimal) tableBytes() int64 { return m.g.Bytes() + m.tab.bytes() }
 
-// Reachable reports whether dst can be reached from src.
+// Reachable reports whether dst can be reached from src: a live src
+// when src == dst, else a nonzero candidate mask (a node at finite
+// positive distance has a minimal next hop; the compile leaves
+// unreachable and dead nodes at 0).
 func (m *Minimal) Reachable(src, dst geom.NodeID) bool {
-	return m.Distance(src, dst) >= 0
+	if src == dst {
+		return src >= 0 && int(src) < m.tab.n && m.g.Alive[src]
+	}
+	return m.NextHopMask(src, dst) != 0
 }
 
 // Distance returns the shortest directed-hop distance from src to dst, or
-// -1 if unreachable.
+// -1 if unreachable. A shared table keeps no distances, so there it walks
+// first-candidate hops: O(hops).
 func (m *Minimal) Distance(src, dst geom.NodeID) int {
-	n := m.tab.n
-	if src < 0 || dst < 0 || int(src) >= n || int(dst) >= n {
+	if !m.Reachable(src, dst) {
 		return -1
 	}
-	return int(m.tab.cols[dst].dist[src])
+	c := m.tab.cols[dst]
+	if c.dist != nil {
+		return int(c.dist[src])
+	}
+	hops := 0
+	for cur := int(src); cur != int(dst); hops++ {
+		cur = int(m.g.Next[geom.NumLinkDirs*cur+int(pickDir(c.mask[cur], nil))])
+	}
+	return hops
 }
 
 // NextHopMask returns the compiled candidate mask for (src, dst): bit i
@@ -82,7 +101,8 @@ func (m *Minimal) Route(src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
 
 // AppendRoute implements RouteAppender: same sampling as Route, hops
 // appended onto buf. The whole walk is table loads: one candidate-mask
-// byte and one next-hop word per hop.
+// byte and one next-hop word per hop; a zero mask at src means dst is
+// unreachable.
 func (m *Minimal) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
 	if src == dst {
 		return buf, int(src) < m.tab.n && src >= 0 && m.g.Alive[src]
@@ -92,7 +112,7 @@ func (m *Minimal) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (
 		return buf, false
 	}
 	col := &m.tab.cols[dst]
-	if !m.g.Alive[src] || col.dist[src] < 0 {
+	if !m.g.Alive[src] || col.mask[src] == 0 {
 		return buf, false
 	}
 	route := buf
@@ -118,8 +138,8 @@ func AppendRouteOneShot(t *topology.Topology, buf Route, src, dst geom.NodeID, r
 	if src == dst {
 		return buf, t.RouterAlive(src)
 	}
-	dist := t.ReverseBFSDistances(dst)
-	if !t.RouterAlive(src) || dist[src] < 0 {
+	hops := t.ReverseBFSDistances(dst)
+	if !t.RouterAlive(src) || hops[src] < 0 {
 		return buf, false
 	}
 	route := buf
@@ -130,7 +150,7 @@ func AppendRouteOneShot(t *topology.Topology, buf Route, src, dst geom.NodeID, r
 			if !t.HasLink(cur, d) {
 				continue
 			}
-			if dist[t.Neighbor(cur, d)] == dist[cur]-1 {
+			if hops[t.Neighbor(cur, d)] == hops[cur]-1 {
 				m |= 1 << uint(i)
 			}
 		}

@@ -12,17 +12,17 @@ import (
 
 // This file is the topology compilation layer: it lowers a (topology,
 // algorithm) pair into flat arrays so the per-packet hot path never
-// walks the graph. For every destination the compiler stores
+// walks the graph. For every destination the compiler computes
 //
-//   - a dense int16 distance row, and
+//   - a dense int16 distance row (the BFS), and
 //   - one packed next-hop candidate byte per (node, dst): bit i set
 //     means geom.LinkDirs[i] is a legal minimal next hop. AppendRoute
-//     is then two array loads plus a popcount-indexed pick per hop,
-//     with one rng draw (Intn(candidates)) iff candidates > 1 — the
-//     draw sequence every seeded trajectory depends on.
+//     is then one mask load plus a popcount-indexed pick per hop, with
+//     one rng draw (Intn(candidates)) iff candidates > 1 — the draw
+//     sequence every seeded trajectory depends on.
 //
-// Both algorithms share one table shape. Minimal routing keeps one
-// distance per node; up*/down* keeps two (one per phase of the
+// Both algorithms share one table shape. Minimal routing has one
+// distance per node; up*/down* has two (one per phase of the
 // (node, phase) state graph) and packs the two phases' candidates into
 // the nibbles of the mask byte.
 //
@@ -33,19 +33,23 @@ import (
 // contiguous block sliced per column, so the hot path sees one
 // contiguous block per array.
 //
-// Ownership: a process-wide table (cache.go's MinimalFor) is immutable,
-// which is what makes one instance shareable across the sweep engine's
-// workers and the sharded core's parallel injection phase (see
-// race_test.go). A table from NewMinimal or (*UpDown).Compile belongs to
-// its caller and changes only inside Recompile, which reconfig calls
-// between cycles on the coordinator.
+// Ownership decides what is kept. A process-wide table (cache.go's
+// MinimalFor) is immutable, which is what makes one instance shareable
+// across the sweep engine's workers and the sharded core's parallel
+// injection phase (see race_test.go); nothing reads its distances once
+// the masks exist, so it keeps masks only and its compile BFSes into a
+// per-worker scratch row. A table from NewMinimal or (*UpDown).Compile
+// belongs to its caller and changes only inside Recompile, which reconfig
+// calls between cycles on the coordinator and which repairs from the
+// kept distance rows.
 
 // col is one destination's column of a compiled table. Copying the
 // struct aliases the backing arrays.
 type col struct {
 	// dist holds distPerNode distances per node toward the destination,
 	// -1 unreachable. Minimal: [node], directed hops. Up*/down*:
-	// [2*node+phase], distance on the state graph.
+	// [2*node+phase], distance on the state graph. Nil in a masks-only
+	// (shared) table.
 	dist []int16
 	// mask[node] is the next-hop candidate byte. Minimal: bit d set iff d
 	// is a minimal next hop. Up*/down*: low nibble = phaseUp candidates,
@@ -61,16 +65,16 @@ type tables struct {
 }
 
 // newTables allocates a table with every column backed by one
-// contiguous block per array.
-func newTables(n, distPerNode int) *tables {
+// contiguous block per array; w is the distance-row width per column, 0
+// for a masks-only table.
+func newTables(n, w int) *tables {
 	t := &tables{n: n, cols: make([]col, n)}
-	w := distPerNode * n
 	dist := make([]int16, n*w)
 	mask := make([]uint8, n*n)
 	for d := range t.cols {
-		t.cols[d] = col{
-			dist: dist[d*w : (d+1)*w : (d+1)*w],
-			mask: mask[d*n : (d+1)*n : (d+1)*n],
+		t.cols[d].mask = mask[d*n : (d+1)*n : (d+1)*n]
+		if w > 0 {
+			t.cols[d].dist = dist[d*w : (d+1)*w : (d+1)*w]
 		}
 	}
 	return t
@@ -105,32 +109,45 @@ func compileWorkers(n int) int {
 
 // compileColumns cold-compiles an n-destination table into t's storage
 // when t has n columns (a recompile's full fallback), else into a new
-// table: fill computes one destination's column over whatever it held
-// (queue is per-worker BFS scratch, returned so capacity growth is
-// kept). With workers > 1 the destinations fan across a bounded pool;
-// every column is computed independently and workers write disjoint
-// columns, so the output is byte-identical to the sequential compile at
-// any worker count.
-func compileColumns(t *tables, n, distPerNode, workers int, fill func(dst int, c col, queue []int32) []int32) *tables {
+// table that keeps its distance rows iff keepDist: fill computes one
+// destination's column over whatever it held (queue is per-worker BFS
+// scratch, returned so capacity growth is kept). A masks-only column is
+// handed to fill with the worker's scratch distance row. With workers > 1
+// the destinations fan across a bounded pool; every column is computed
+// independently and workers write disjoint columns, so the output is
+// byte-identical to the sequential compile at any worker count.
+func compileColumns(t *tables, n, distPerNode int, keepDist bool, workers int, fill func(dst int, c col, queue []int32) []int32) *tables {
 	if t == nil || t.n != n {
-		t = newTables(n, distPerNode)
+		w := 0
+		if keepDist {
+			w = distPerNode * n
+		}
+		t = newTables(n, w)
 	}
 	workers = max(workers, 1)
+	work := func(first int) {
+		queue := make([]int32, 0, distPerNode*n)
+		var row []int16 // a masks-only table's BFS scratch
+		if !keepDist {
+			row = make([]int16, distPerNode*n)
+		}
+		for dst := first; dst < n; dst += workers {
+			c := t.cols[dst]
+			if !keepDist {
+				c.dist = row
+			}
+			queue = fill(dst, c, queue)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			queue := make([]int32, 0, distPerNode*n)
-			for dst := w; dst < n; dst += workers {
-				queue = fill(dst, t.cols[dst], queue)
-			}
+			work(w)
 		}(w)
 	}
-	queue := make([]int32, 0, distPerNode*n)
-	for dst := 0; dst < n; dst += workers {
-		queue = fill(dst, t.cols[dst], queue)
-	}
+	work(0)
 	wg.Wait()
 	return t
 }
@@ -138,8 +155,8 @@ func compileColumns(t *tables, n, distPerNode, workers int, fill func(dst int, c
 // compileMinimal builds the minimal-routing tables for every destination
 // of g, reusing t's storage as compileColumns does: one reverse BFS per
 // destination (O(N) each), then a candidate-mask fill.
-func compileMinimal(t *tables, g *topology.FlatGraph, workers int) *tables {
-	return compileColumns(t, g.N, 1, workers, func(dst int, c col, queue []int32) []int32 {
+func compileMinimal(t *tables, g *topology.FlatGraph, keepDist bool, workers int) *tables {
+	return compileColumns(t, g.N, 1, keepDist, workers, func(dst int, c col, queue []int32) []int32 {
 		return compileMinColumn(g, dst, c, queue)
 	})
 }
@@ -204,7 +221,7 @@ const (
 // iff the channel v→d is an "up" channel; both come from the
 // spanning-tree construction in updown.go.
 func compileUpDown(t *tables, g *topology.FlatGraph, level []int, upMask []uint8, workers int) *tables {
-	return compileColumns(t, g.N, 2, workers, func(dst int, c col, queue []int32) []int32 {
+	return compileColumns(t, g.N, 2, true, workers, func(dst int, c col, queue []int32) []int32 {
 		return compileUDColumn(g, level, upMask, dst, c, queue)
 	})
 }
