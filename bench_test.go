@@ -246,7 +246,7 @@ func BenchmarkBFCRing(b *testing.B) {
 	topo := topology.NewMesh(6, 6)
 	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	ring := bfc.BoundaryRing(topo)
-	if _, err := bfc.Attach(sim, ring); err != nil {
+	if err := bfc.Attach(sim, ring); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))

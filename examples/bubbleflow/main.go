@@ -27,11 +27,8 @@ func main() {
 		topo := topology.NewMesh(6, 6)
 		sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 		ring := bfc.BoundaryRing(topo)
-		var ctrl *bfc.Controller
 		if withBFC {
-			var err error
-			ctrl, err = bfc.Attach(sim, ring)
-			if err != nil {
+			if err := bfc.Attach(sim, ring); err != nil {
 				panic(err)
 			}
 		}
@@ -66,12 +63,8 @@ func main() {
 		if withBFC {
 			label = "ring with BFC:"
 		}
-		fmt.Printf("%s offered %5d, delivered %5d, deadlocked: %v",
+		fmt.Printf("%s offered %5d, delivered %5d, deadlocked: %v\n",
 			label, offered, sim.Stats.Delivered, deadlock.IsDeadlocked(sim))
-		if ctrl != nil {
-			fmt.Printf(", injections gated %d times", ctrl.Denied)
-		}
-		fmt.Println()
 	}
 
 	run(false)

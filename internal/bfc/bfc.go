@@ -2,14 +2,17 @@
 // sub-networks of a mesh — the technique whose theory Static Bubble
 // builds on (paper Section II-C, citing Puente et al.'s adaptive bubble
 // router): a ring can never deadlock as long as at least one packet
-// buffer in it stays free, so injection into the ring is only allowed
-// when it would leave a bubble behind; in-transit ring traffic is never
-// blocked by the rule.
+// buffer in it stays free, so entering the ring is only allowed when it
+// would leave a bubble behind; in-transit ring traffic is never blocked
+// by the rule.
 //
-// The package exists both as a faithful substrate reproduction and as an
+// The rule is an admission condition on one output port of each ring
+// router, so it lives in the simulator's allocator (network.Ring) beside
+// the is_deadlock fence; this package supplies rings and writes them
+// there. It exists both as a faithful substrate reproduction and as an
 // executable statement of the invariant Static Bubble generalizes: BFC
-// maintains a bubble statically by gating injection; Static Bubble
-// creates one dynamically after detection.
+// maintains a bubble statically by gating entry; Static Bubble creates
+// one dynamically after detection.
 package bfc
 
 import (
@@ -88,75 +91,32 @@ func BoundaryRing(t *topology.Topology) Ring {
 	return ring
 }
 
-// Controller enforces bubble flow control on one or more disjoint rings
-// of a simulator by gating injection (local-port) grants.
-type Controller struct {
-	sim *network.Sim
-	// ringDir[node] is the ring output direction at each ring node;
-	// arrival[node] is the input port ring transit arrives on.
-	ringDir map[geom.NodeID]geom.Direction
-	arrival map[geom.NodeID]geom.Direction
-	// Denied counts injection grants vetoed by the bubble condition.
-	Denied int64
-}
-
-// Attach installs BFC for the given rings on s. Rings must be disjoint
-// and valid. It chains with any previously installed GrantFilter.
-func Attach(s *network.Sim, rings ...Ring) (*Controller, error) {
-	c := &Controller{
-		sim:     s,
-		ringDir: make(map[geom.NodeID]geom.Direction),
-		arrival: make(map[geom.NodeID]geom.Direction),
+// Attach installs bubble flow control for the given rings on s: every
+// ring node's Router.Ring names the port ring transit arrives on and the
+// ring output, and the switch allocator then holds a packet entering the
+// ring while the downstream ring port has fewer than 2 free VCs of its
+// vnet (network.Ring). Rings must be valid and must not overlap each
+// other or a ring attached before; on error s is left unchanged.
+func Attach(s *network.Sim, rings ...Ring) error {
+	for k, r := range rings {
+		if err := r.Validate(s.Topo); err != nil {
+			return err
+		}
+		for _, n := range r.Nodes {
+			overlap := s.Routers[n].Ring.Active
+			for _, prev := range rings[:k] {
+				overlap = overlap || prev.Next(n) != geom.Invalid
+			}
+			if overlap {
+				return fmt.Errorf("bfc: rings overlap at node %v", n)
+			}
+		}
 	}
 	for _, r := range rings {
-		if err := r.Validate(s.Topo); err != nil {
-			return nil, err
-		}
 		for i, n := range r.Nodes {
-			if _, dup := c.ringDir[n]; dup {
-				return nil, fmt.Errorf("bfc: rings overlap at node %v", n)
-			}
-			c.ringDir[n] = r.Dirs[i]
-			next := r.Nodes[(i+1)%len(r.Nodes)]
-			c.arrival[next] = r.Dirs[i].Opposite()
+			arrival := r.Dirs[(i+len(r.Nodes)-1)%len(r.Nodes)].Opposite()
+			s.Routers[n].Ring = network.Ring{Active: true, In: arrival, Out: r.Dirs[i]}
 		}
 	}
-	prev := s.GrantFilter
-	s.GrantFilter = func(p *network.Packet, at geom.NodeID, in, out geom.Direction) bool {
-		if prev != nil && !prev(p, at, in, out) {
-			return false
-		}
-		return c.allow(p, at, in, out)
-	}
-	return c, nil
-}
-
-// allow implements the bubble condition: entering the ring (from the
-// local port or a mesh port off the ring path) requires the downstream
-// ring port to keep one free buffer beyond the one this packet will take;
-// in-transit ring traffic is exempt.
-func (c *Controller) allow(p *network.Packet, at geom.NodeID, in, out geom.Direction) bool {
-	ringOut, onRing := c.ringDir[at]
-	if !onRing || out != ringOut {
-		return true // not a ring movement at all
-	}
-	if in == c.arrival[at] {
-		return true // continuing along the ring
-	}
-	// Entering the ring: count free VCs of p's vnet at the downstream
-	// ring input.
-	nb := c.sim.Topo.Neighbor(at, out)
-	inPort := out.Opposite()
-	free := 0
-	base := p.Vnet * c.sim.Cfg.VCsPerVnet
-	for i := 0; i < c.sim.Cfg.VCsPerVnet; i++ {
-		if c.sim.Routers[nb].In[inPort][base+i].Empty(c.sim.Now) {
-			free++
-		}
-	}
-	if free >= 2 {
-		return true
-	}
-	c.Denied++
-	return false
+	return nil
 }

@@ -31,8 +31,9 @@ package network
 // candidates in the same order commitAllocate's rotate-and-scan does, the
 // memoized free-slot answer equals tryGrant's own re-scan (no mutation
 // can intervene: within one router's pass each output port targets a
-// distinct neighbor), and a candidate is skipped exactly when tryGrant
-// would have returned false. The winner moves through the very same
+// distinct neighbor), and a candidate is skipped exactly when the
+// gather's ring pruning or tryGrant would have rejected it — the ring
+// count is per (output, vnet) too. The winner moves through the very same
 // tryGrant the generic commit uses.
 //
 // Staleness rule. The vectors are maintained only while fusedAlloc
@@ -49,10 +50,10 @@ package network
 // (syncVectors; O(resident packets)). Invariant: whenever a fused pass
 // reads want/pend/esc/choose they equal a from-scratch rebuild, pend up
 // to bits whose head has since arrived (validate.Check and
-// TestRequestVectorsMatchRebuild assert it). The fence and
-// Bubble.Present/InPort stay live reads in the pass: core writes those
-// fields directly, every cycle of a recovery, and reading two fields per
-// visit is cheaper than a notice per write.
+// TestRequestVectorsMatchRebuild assert it). The fence, the ring rule and
+// Bubble.Present/InPort stay live reads in the pass: core writes the
+// fence and bubble directly, every cycle of a recovery, and reading a few
+// fields per visit is cheaper than a notice per write.
 //
 // A router's vectors are read and written only by the shard that owns
 // it (plan phase: the pass itself and the band's injections; commit
@@ -60,17 +61,19 @@ package network
 // the coordinator). The pass never reads a neighbor's occBits/want/pend
 // word: another shard's plan-phase injection may be writing it.
 //
-// The fused pass runs when no allocation hook is installed and the slot
-// space fits a word (fusedAlloc) — VCFilter, GrantFilter, OutputOverride
-// and OnGrant may each consult per-packet or mid-phase state the fused
-// pass does not reproduce; with any of them present the sweep calls the
-// generic AllocateNode per active router instead, on the stepping
-// goroutine. That is the one selection the stepper makes, from what the
-// code observes: only a fused cycle may fan out to the shard workers.
-// A class is not a hook: the escape class's two rules and the hop
-// class's mask table are state the pass reads, so an escape-VC run and a
-// per-hop adaptive run stay fused (and an OutputOverride beside a hop
-// class is never consulted, so it does not count).
+// The fused pass runs when neither allocation hook is live and the slot
+// space fits a word (fusedAlloc): VCFilter and OutputOverride answer per
+// packet, which the memoized per-vnet answers cannot reproduce, so with
+// either present the sweep calls the generic AllocateNode per active
+// router instead, on the stepping goroutine. That is the one selection
+// the stepper makes, from what the code observes: only a fused cycle may
+// fan out to the shard workers. A class or a rule is not a hook: the
+// escape class's two rules, the hop class's mask table and the ring rule
+// (Router.Ring: per vnet, a free-VC count at the one downstream pool the
+// availability argument of shard.go covers) are state the pass reads, so
+// escape-VC, per-hop adaptive and bubble-flow-control runs stay fused
+// (and an OutputOverride beside a hop class is never consulted, so it
+// does not count).
 
 import (
 	"math/bits"
@@ -353,12 +356,10 @@ func (r *Router) OccupiedScanWord() (uint64, bool) {
 }
 
 // fusedAlloc reports whether the fused allocation pass may run: no
-// allocation hook that could veto or observe per-candidate decisions is
-// installed (a hop class outranks an OutputOverride, which is then dead),
-// and the candidate space fits the mask.
+// VCFilter and no live OutputOverride (a hop class outranks one, which is
+// then dead), and the candidate space fits the mask.
 func (s *Sim) fusedAlloc() bool {
-	return s.dense.fastOK && s.VCFilter == nil && s.GrantFilter == nil &&
-		(s.OutputOverride == nil || s.hopClass != nil) && s.OnGrant == nil
+	return s.dense.fastOK && s.VCFilter == nil && (s.OutputOverride == nil || s.hopClass != nil)
 }
 
 // denseAllocNode is the fused switch-allocation pass for one router:
@@ -366,9 +367,8 @@ func (s *Sim) fusedAlloc() bool {
 // request vectors, and commitAllocate's round-robin arbitration in a
 // single sweep over bitmasks, with no bucket building, no per-head work
 // and no per-candidate downstream re-scans. Only valid under fusedAlloc
-// (no allocation hooks) with the vectors in sync (syncVectors); produces
-// bit-for-bit the grants, Stats mutations and pool releases of
-// AllocateNode. With a non-nil plan (a shard worker's parallel phase)
+// with the vectors in sync (syncVectors); produces bit-for-bit the
+// grants, Stats mutations and pool releases of AllocateNode. With a non-nil plan (a shard worker's parallel phase)
 // the winners are recorded there for the commit phase instead of being
 // granted.
 func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
@@ -428,12 +428,17 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	}
 
 	// Arbitration: per output, reduce the desire mask to the grantable
-	// candidates (per-vnet downstream availability answered once per
-	// vnet against the static vnetBits masks), then pick the first
-	// grantable candidate in cyclic order from the round-robin pointer —
+	// candidates (per-vnet downstream availability, and at a ring node
+	// the ring rule, answered once per vnet against the static vnetBits
+	// masks), then pick the first grantable candidate in cyclic order
+	// from the round-robin pointer —
 	// exactly the winner commitAllocate's rotate-and-scan converges on,
 	// since the candidates it would skip are those tryGrant rejects.
 	vnetBits := d.vnetBits
+	ringOut := geom.Invalid
+	if r.Ring.Active {
+		ringOut = r.Ring.Out
+	}
 	for _, out := range geom.AllPorts {
 		m := desire[out]
 		if m == 0 || r.OutFreeAt[out] > now {
@@ -466,6 +471,11 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 					continue // every candidate blocked: no grant, pointer holds
 				}
 			}
+			if out == ringOut {
+				if eligible = s.ringEligible(r, nb, in, eligible); eligible == 0 {
+					continue
+				}
+			}
 		}
 		hi := eligible & (^uint64(0) << uint(r.saPtr[out]))
 		var ci int
@@ -485,4 +495,22 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 			r.saPtr[out] = (ci + 1) % (total + 1)
 		}
 	}
+}
+
+// ringEligible removes from eligible (router r's grantable candidates for
+// its ring output, which leads to input port in of router nb) the ring
+// entries — regular buffers off Ring.In — whose vnet has fewer than 2
+// free VCs there (Ring). Out of line: only ring nodes pay for it.
+func (s *Sim) ringEligible(r *Router, nb geom.NodeID, in geom.Direction, eligible uint64) uint64 {
+	d := &s.dense
+	entry := eligible
+	if uint(r.Ring.In) < geom.NumPorts {
+		entry &^= d.slotMask << uint(int(r.Ring.In)*d.slots)
+	}
+	for v, vb := range d.vnetBits {
+		if e := entry & vb; e != 0 && s.ringFree(nb, in, v) < 2 {
+			eligible &^= e
+		}
+	}
+	return eligible
 }

@@ -14,17 +14,17 @@
 // identical movement logic; a differential harness there proves the two
 // cores cycle-exact.
 //
-// The simulator is scheme-agnostic: deadlock-recovery machinery (Static
-// Bubble FSMs in internal/core, escape-VC timeouts in internal/escape)
-// attaches through per-cycle callbacks plus state the allocator reads —
-// injection fences (the is_deadlock mechanism), an optional extra buffer
-// per router (the static bubble), an escape class (a reserved VC index
-// and a tree for promoted packets, escclass.go) and a hop class (per-hop
-// adaptive routing over a mask table, hopclass.go) — or, for policies
-// that are not table-shaped (bubble flow control), through allocation
-// hooks: a VC allocation filter, an output override, a grant filter. A
-// hook costs the fused allocation pass and the parallel sweep (dense.go);
-// state does not.
+// The simulator is scheme-agnostic: deadlock-recovery and flow-control
+// machinery (Static Bubble FSMs in internal/core, escape-VC timeouts in
+// internal/escape, bubble flow control in internal/bfc) attaches through
+// per-cycle callbacks plus state the allocator reads — injection fences
+// (the is_deadlock mechanism), ring-entry rules (Router.Ring), an
+// optional extra buffer per router (the static bubble), an escape class
+// (a reserved VC index and a tree for promoted packets, escclass.go) and
+// a hop class (per-hop adaptive routing over a mask table, hopclass.go).
+// Two allocation hooks remain, a VC filter and an output override, and no
+// scheme installs either; a hook costs the fused allocation pass and the
+// parallel sweep (dense.go), state does not.
 package network
 
 import (
@@ -120,21 +120,10 @@ type Sim struct {
 	// traced pass wraps it beside a hop class, where it is never consulted.
 	// It goes with ROADMAP item 6(c).
 	OutputOverride func(p *Packet, at geom.NodeID) (geom.Direction, bool)
-	// GrantFilter, when non-nil, may veto a switch-allocation candidate:
-	// packet p buffered at router at's input port `in` asking for output
-	// `out`. Flow-control policies (e.g. bubble flow control's injection
-	// restriction) hook in here.
-	GrantFilter func(p *Packet, at geom.NodeID, in, out geom.Direction) bool
 	// OnDeliver, when non-nil, is called once per delivered packet (at
-	// ejection grant time). Latency collectors hook in here.
+	// ejection grant time). Latency collectors hook in here; it observes
+	// only, so it keeps the fused pass.
 	OnDeliver func(p *Packet)
-	// OnGrant, when non-nil, observes every successful switch-allocation
-	// grant immediately before the packet moves: p leaves router at's
-	// input port `in` (vc is the buffer it occupied — compare against
-	// &Routers[at].Bubble.VC to identify bubble departures) through
-	// output `out`. Invariant checkers (the allocation fuzz test) hook in
-	// here.
-	OnGrant func(p *Packet, vc *VC, at geom.NodeID, in, out geom.Direction)
 
 	Stats Stats
 	// LastProgress is the last cycle any packet moved between buffers or

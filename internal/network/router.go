@@ -17,6 +17,19 @@ type Fence struct {
 	SrcID geom.NodeID
 }
 
+// Ring is bubble flow control's admission rule at one node of a ring
+// (paper Section II-C; internal/bfc installs it): while active, a regular
+// packet leaving on output Out from any input port but In — entering the
+// ring rather than travelling along it — is switched only while the
+// downstream input port has at least 2 free VCs of its vnet, so the ring
+// always keeps a buffer free. Transit from In and the bubble occupant are
+// exempt. Like the fence, the allocator reads it live.
+type Ring struct {
+	Active bool
+	In     geom.Direction
+	Out    geom.Direction
+}
+
 // Bubble is the optional extra packet buffer of a static-bubble router.
 // It is off until the recovery FSM activates it, at which point it acts
 // as one additional VC on input port InPort, usable by any vnet.
@@ -46,6 +59,7 @@ type Router struct {
 	In        [geom.NumPorts][]VC
 	OutFreeAt [geom.NumPorts]int64
 	Fence     Fence
+	Ring      Ring
 	Bubble    Bubble
 
 	saPtr [geom.NumPorts]int
@@ -77,16 +91,16 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // AllocateNode performs one cycle of switch allocation at router id —
 // the allocation phase for a single node: for each output port, at most
 // one waiting packet is granted, chosen round-robin among eligible input
-// VCs, subject to the fence, link bandwidth, and downstream buffer
-// availability (virtual cut-through: the downstream VC must be able to
-// hold the whole packet).
+// VCs, subject to the fence, the ring rule, link bandwidth, and
+// downstream buffer availability (virtual cut-through: the downstream VC
+// must be able to hold the whole packet).
 //
-// It runs on the stepping goroutine whenever an allocation hook is
-// installed or the slot space exceeds a word (the sequential sweep), and
-// always under the refmodel full scan; hook-free cycles take the fused
-// pass (dense.go) instead. gatherAllocate buckets and prunes the
-// candidates, commitAllocate arbitrates and moves packets. Under an
-// allocation hook its grants leave the request vectors unrecorded
+// It runs on the stepping goroutine whenever VCFilter or a live
+// OutputOverride is installed or the slot space exceeds a word (the
+// sequential sweep), and always under the refmodel full scan; every other
+// cycle takes the fused pass (dense.go) instead. gatherAllocate buckets
+// and prunes the candidates, commitAllocate arbitrates and moves packets.
+// Off the fused pass its grants leave the request vectors unrecorded
 // (dense.go), so it marks them stale — the refmodel's scan has no sweep
 // prologue to do that for it.
 func (s *Sim) AllocateNode(id geom.NodeID) {
@@ -126,9 +140,10 @@ func (r *Router) candVC(ci int32, slots, total int) (*VC, geom.Direction) {
 // allocation (a VC emptied by a grant stays unusable until FreeAt, so
 // "empty now" can only become false), so pruning on it is conservative:
 // a pruned candidate could never be granted, and a kept candidate is
-// re-validated by tryGrant. The pruning carries the load in a deadlock
-// storm, where most ready heads have no free downstream buffer and the
-// router never reaches the commit.
+// re-validated by tryGrant. The ring rule prunes on the same count, which
+// is constant for the same reason. The pruning carries the load in a
+// deadlock storm, where most ready heads have no free downstream buffer
+// and the router never reaches the commit.
 func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	r := &s.Routers[id]
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
@@ -178,9 +193,13 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			nb := s.Topo.Neighbor(id, out)
 			in := out.Opposite()
 			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
+			ring := r.Ring.Active && out == r.Ring.Out
 			keep := cands[:0]
 			for _, ci := range cands {
-				vc, _ := r.candVC(ci, slots, total)
+				vc, inPort := r.candVC(ci, slots, total)
+				if ring && int(ci) != total && inPort != r.Ring.In && s.ringFree(nb, in, vc.Pkt.Vnet) < 2 {
+					continue // a ring entry that would take the last free VC
+				}
 				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
 					keep = append(keep, ci)
 				}
@@ -194,13 +213,24 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	return work
 }
 
+// ringFree counts the VCs of vnet at router nb's input port in that can
+// accept a packet now; a ring entry needs 2 (Ring).
+func (s *Sim) ringFree(nb geom.NodeID, in geom.Direction, vnet int) int {
+	free := 0
+	base := vnet * s.Cfg.VCsPerVnet
+	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+		if s.Routers[nb].In[in][base+i].Empty(s.Now) {
+			free++
+		}
+	}
+	return free
+}
+
 // commitAllocate arbitrates router id's gathered candidate buckets and
-// moves the winners. Candidates another router's earlier commit has
-// since starved are skipped by tryGrant's re-validation; skipping them
-// cannot change the winner because the round-robin scan accepts the
-// first candidate in cyclic index order from saPtr that passes both the
-// grant filter and the downstream space check — the same packet whether
-// or not doomed candidates before it remain in the bucket.
+// moves the winners: per output, the first candidate in cyclic index
+// order from saPtr that tryGrant, which re-validates downstream space,
+// can move. The ring rule was settled at gather time: its count cannot
+// change before the commit (shard.go, availability constancy).
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
 	slots := s.Cfg.SlotsPerPort()
@@ -223,10 +253,6 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 		for k := 0; k < n; k++ {
 			ci := cands[(start+k)%n]
 			vc, inPort := r.candVC(ci, slots, total)
-			if int(ci) != total && s.GrantFilter != nil &&
-				!s.GrantFilter(vc.Pkt, id, inPort, out) {
-				continue
-			}
 			if s.tryGrant(r, out, vc, vc.Pkt, inPort, int(ci)) {
 				r.saPtr[out] = (int(ci) + 1) % (total + 1)
 				break
@@ -270,9 +296,6 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort geom.Direction, ci int) bool {
 	length := int64(p.Len)
 	if out == geom.Local {
-		if s.OnGrant != nil {
-			s.OnGrant(p, vc, r.ID, inPort, out)
-		}
 		s.grantN[r.ID]++
 		vc.Pkt = nil
 		vc.FreeAt = s.Now + length
@@ -307,9 +330,6 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort 
 		s.Stats.BubbleOccupancies++
 	} else {
 		return false
-	}
-	if s.OnGrant != nil {
-		s.OnGrant(p, vc, r.ID, inPort, out)
 	}
 	s.grantN[r.ID]++
 	vc.Pkt = nil

@@ -232,38 +232,101 @@ func TestCustomConfigDimensions(t *testing.T) {
 	}
 }
 
-func TestGrantFilterVetoesCandidates(t *testing.T) {
-	topo := topology.NewMesh(3, 1)
-	s := mkSim(topo, 1)
-	blockEast := true
-	s.GrantFilter = func(p *Packet, at geom.NodeID, in, out geom.Direction) bool {
-		return !(blockEast && at == 0 && out == geom.East)
-	}
-	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
-	s.Enqueue(p)
-	s.Run(60)
-	if p.DeliveredAt >= 0 {
-		t.Fatal("filtered grant should hold the packet at its source")
-	}
-	blockEast = false
-	s.Run(60)
-	if p.DeliveredAt < 0 {
-		t.Fatal("packet should flow once the filter allows it")
+// bothPaths runs a hand-built allocation case under each allocation
+// path: Step's fused pass and the full scan's generic AllocateNode.
+func bothPaths(t *testing.T, run func(t *testing.T, step func(*Sim))) {
+	t.Run("Step", func(t *testing.T) { run(t, (*Sim).Step) })
+	t.Run("AllocateNode", func(t *testing.T) { run(t, fullScan) })
+}
+
+// stallVCs fills the first n VCs of vnet 0 at router id's input port in
+// with packets that have arrived and can never eject, leaving the
+// remaining VCs of the vnet free.
+func stallVCs(s *Sim, id geom.NodeID, in geom.Direction, n int) {
+	s.Routers[id].OutFreeAt[geom.Local] = 1 << 30
+	for i := 0; i < n; i++ {
+		p := s.NewPacket(id, id, 0, 5, nil)
+		s.PlacePacket(id, in, i, p)
 	}
 }
 
-func TestGrantFilterDoesNotAffectOtherOutputs(t *testing.T) {
-	topo := topology.NewMesh(2, 2)
-	s := mkSim(topo, 1)
-	s.GrantFilter = func(p *Packet, at geom.NodeID, in, out geom.Direction) bool {
-		return out != geom.East
-	}
-	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.North})
-	s.Enqueue(p)
-	s.Run(30)
-	if p.DeliveredAt < 0 {
-		t.Fatal("north-bound traffic must be unaffected")
-	}
+func TestRingEntryWaitsForTwoFreeVCs(t *testing.T) {
+	bothPaths(t, func(t *testing.T, step func(*Sim)) {
+		s := mkSim(topology.NewMesh(3, 1), 1)
+		s.Routers[1].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
+		stallVCs(s, 2, geom.West, 3)
+		p := s.NewPacket(1, 2, 0, 5, routing.Route{geom.East})
+		s.PlacePacket(1, geom.Local, 0, p)
+		for i := 0; i < 10; i++ {
+			step(s)
+		}
+		if p.Hop != 0 {
+			t.Fatal("a ring entry took the last free VC downstream")
+		}
+		s.RemovePacket(&s.Routers[2].In[geom.West][0], 2, geom.West)
+		step(s)
+		if p.Hop != 1 {
+			t.Fatal("a ring entry should move once 2 VCs are free downstream")
+		}
+	})
+}
+
+func TestRingTransitNeverHeld(t *testing.T) {
+	bothPaths(t, func(t *testing.T, step func(*Sim)) {
+		s := mkSim(topology.NewMesh(3, 1), 1)
+		s.Routers[1].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
+		stallVCs(s, 2, geom.West, 3)
+		p := s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East})
+		p.Hop = 1
+		s.PlacePacket(1, geom.West, 0, p)
+		step(s)
+		if p.Hop != 2 {
+			t.Fatal("ring transit from Ring.In must take the last free VC")
+		}
+	})
+}
+
+func TestRingBubbleOccupantExempt(t *testing.T) {
+	bothPaths(t, func(t *testing.T, step func(*Sim)) {
+		// Router 0's ring arrives on North and leaves East. The occupant
+		// of a bubble on its East port and a packet in a regular VC
+		// beside it both turn back East (the allocator does not care
+		// where a route goes) with one VC free at router 1.
+		s := mkSim(topology.NewMesh(2, 2), 1)
+		r := &s.Routers[0]
+		r.Ring = Ring{Active: true, In: geom.North, Out: geom.East}
+		r.Bubble.Present = true
+		stallVCs(s, 1, geom.West, 3)
+		occupant := s.NewPacket(0, 1, 0, 5, routing.Route{geom.East})
+		s.PlaceBubblePacket(0, geom.East, occupant)
+		regular := s.NewPacket(0, 1, 0, 5, routing.Route{geom.East})
+		s.PlacePacket(0, geom.East, 0, regular)
+		step(s)
+		if occupant.Hop != 1 || regular.Hop != 0 {
+			t.Fatalf("after one cycle: occupant hop %d (want 1), regular hop %d (want 0)", occupant.Hop, regular.Hop)
+		}
+	})
+}
+
+func TestRingRuleLeavesOtherOutputs(t *testing.T) {
+	bothPaths(t, func(t *testing.T, step func(*Sim)) {
+		// One VC free behind both of router 0's outputs; only East is the
+		// ring output.
+		s := mkSim(topology.NewMesh(2, 2), 1)
+		s.Routers[0].Ring = Ring{Active: true, In: geom.North, Out: geom.East}
+		stallVCs(s, 1, geom.West, 3)
+		stallVCs(s, 2, geom.South, 3)
+		north := s.NewPacket(0, 2, 0, 5, routing.Route{geom.North})
+		s.PlacePacket(0, geom.Local, 0, north)
+		east := s.NewPacket(0, 1, 0, 5, routing.Route{geom.East})
+		s.PlacePacket(0, geom.Local, 1, east)
+		for i := 0; i < 10; i++ {
+			step(s)
+		}
+		if north.Hop != 1 || east.Hop != 0 {
+			t.Fatalf("north-bound hop %d (want 1), east-bound entry hop %d (want 0)", north.Hop, east.Hop)
+		}
+	})
 }
 
 func TestRemovePacketAccounting(t *testing.T) {

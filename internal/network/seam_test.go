@@ -146,8 +146,8 @@ func TestShardedParity32x32(t *testing.T) {
 // either skipped by a quiet window or swept (QuietCycles + DenseCycles
 // partition the run), the parallel sweep is a subset of the swept
 // cycles that a bursty workload on a sharded Sim does reach, a drained
-// network with no hooks fast-forwards, and an OnGrant observer keeps
-// every cycle on the sequential sweep.
+// network with no hooks fast-forwards, and a VCFilter keeps every cycle
+// on the sequential sweep while ring rules do not.
 func TestStepperPathCounters(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	s := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
@@ -184,12 +184,18 @@ func TestStepperPathCounters(t *testing.T) {
 	if got := ctr.QuietCycles + ctr.DenseCycles; got != 2000 {
 		t.Fatalf("counters don't partition the run: %+v sums to %d, want 2000", ctr, got)
 	}
-	// An OnGrant observer must keep the cycle off the parallel sweep; the
-	// same busy workload without it must reach it.
-	for _, observe := range []bool{false, true} {
+	// A VCFilter must keep the cycle off the parallel sweep; the same busy
+	// workload without it must reach it, and so must one under ring rules,
+	// which are state the fused pass reads.
+	for _, mode := range []string{"bare", "vcfilter", "ring"} {
 		s2 := New(topo, Config{Shards: 4}, rand.New(rand.NewSource(3)))
-		if observe {
-			s2.OnGrant = func(p *Packet, vc *VC, at geom.NodeID, in, out geom.Direction) {}
+		switch mode {
+		case "vcfilter":
+			s2.VCFilter = func(*Packet, geom.NodeID, geom.Direction, int) bool { return true }
+		case "ring":
+			for id := range s2.Routers {
+				s2.Routers[id].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
+			}
 		}
 		for n := 0; n < 64; n++ {
 			r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
@@ -199,8 +205,8 @@ func TestStepperPathCounters(t *testing.T) {
 			s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
 		}
 		s2.Run(50)
-		if c2 := s2.StepperCounters(); (c2.ParallelCycles == 0) != observe {
-			t.Fatalf("OnGrant=%v: parallel sweep engagement wrong, got %+v", observe, c2)
+		if c2 := s2.StepperCounters(); (c2.ParallelCycles == 0) != (mode == "vcfilter") {
+			t.Fatalf("%s: parallel sweep engagement wrong, got %+v", mode, c2)
 		}
 	}
 }

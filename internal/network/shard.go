@@ -46,7 +46,9 @@ package network
 //     slot — it never re-scans a foreign VC array, whose bookkeeping
 //     fields are being rewritten concurrently. A bubble destination is
 //     safe for the same reason: the bubble serves exactly one input
-//     port (EligibleFor checks InPort), so its writer is unique too.
+//     port (EligibleFor checks InPort), so its writer is unique too. The
+//     ring rule (Router.Ring) counts Empty VCs of that same pool, so a
+//     ring entry held at plan time stays held at commit time.
 //   - Writes crossing a seam during the commit are exactly: the
 //     destination VC fill (unique writer, see above — the downstream
 //     router's own commit only touches its *occupied* candidate slots,
