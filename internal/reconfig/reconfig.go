@@ -136,13 +136,25 @@ func (m *Manager) rebuild() {
 // Route returns a minimal route from src to dst that avoids routers
 // pending gating, or ok=false if none exists. Use this instead of a raw
 // routing.Minimal while gating operations are in progress.
+// The result is sized from the table's distance: one allocation per
+// route when no detour is needed.
 func (m *Manager) Route(src, dst geom.NodeID) (routing.Route, bool) {
-	r, ok := m.minimal.Route(src, dst, m.sim.Rng)
+	r, ok := m.appendRoute(make(routing.Route, 0, max(m.minimal.Distance(src, dst), 0)), src, dst)
 	if !ok {
 		return nil, false
 	}
-	if len(m.pendingGate) == 0 || !m.routeTouches(r, src, m.pendingGate) {
-		return r, ok
+	return r, true
+}
+
+// appendRoute is Route with the hops appended onto buf; on ok=false buf
+// is returned unchanged.
+func (m *Manager) appendRoute(buf routing.Route, src, dst geom.NodeID) (routing.Route, bool) {
+	r, ok := m.minimal.AppendRoute(buf, src, dst, m.sim.Rng)
+	if !ok {
+		return buf, false
+	}
+	if len(m.pendingGate) == 0 || !m.routeTouches(r[len(buf):], src, m.pendingGate) {
+		return r, true
 	}
 	// Recompute on a view that excludes pending-gate routers. One-shot:
 	// a single reverse BFS for this dst instead of compiling all-pairs
@@ -151,7 +163,7 @@ func (m *Manager) Route(src, dst geom.NodeID) (routing.Route, bool) {
 	for n := range m.pendingGate {
 		view.DisableRouter(n)
 	}
-	return routing.AppendRouteOneShot(view, nil, src, dst, m.sim.Rng)
+	return routing.AppendRouteOneShot(view, buf, src, dst, m.sim.Rng)
 }
 
 // routeTouches reports whether route r from src visits any node in set
@@ -521,6 +533,13 @@ func (a managerAlg) Name() string { return "managed_minimal" }
 
 func (a managerAlg) Route(src, dst geom.NodeID, _ *rand.Rand) (routing.Route, bool) {
 	return a.m.Route(src, dst)
+}
+
+// AppendRoute implements routing.RouteAppender, so injectors recycle
+// their route buffer instead of taking a fresh slice per packet. Like
+// Route it draws from the simulator's rng, not the caller's.
+func (a managerAlg) AppendRoute(buf routing.Route, src, dst geom.NodeID, _ *rand.Rand) (routing.Route, bool) {
+	return a.m.appendRoute(buf, src, dst)
 }
 
 // routeValidFrom reports whether p's remaining route is walkable from at

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -286,7 +287,9 @@ func TestReconfigUnderLiveTrafficWithRecovery(t *testing.T) {
 
 func TestManagerWorksWithTrafficInjector(t *testing.T) {
 	// The manager coexists with the traffic package when routes come from
-	// the manager-owned tables.
+	// the manager-owned tables. The injector routes through the manager's
+	// AppendRoute; the pinned Stats are those of the Route path it
+	// replaced, so the two draw the same routes.
 	s, m := mkLiveSim(t, 12)
 	alive := s.Topo.AliveRouters()
 	inj := traffic.NewInjector(alive, m.Algorithm(), traffic.NewUniformRandom(alive), 0.05,
@@ -295,7 +298,54 @@ func TestManagerWorksWithTrafficInjector(t *testing.T) {
 		inj.Tick(s)
 		s.Step()
 	}
-	if s.Stats.Delivered == 0 {
-		t.Fatal("no traffic flowed")
+	want := network.Stats{Offered: 573, Injected: 573, Delivered: 561, InjectedFlits: 1713, DeliveredFlits: 1673,
+		SumLatency: 6957, SumNetLatency: 6957, MaxLatency: 28, HopMoves: 2271, LinkCycles: [network.NumLinkClasses]int64{6651}}
+	if s.Stats != want {
+		t.Fatalf("Stats %+v, want %+v", s.Stats, want)
+	}
+}
+
+// TestManagerAppendRouteMatchesRoute: the algorithm adapter's AppendRoute
+// and Manager.Route take the same draws from the simulator's rng and the
+// same pending-gate detours (a same-row pair across the gated routers
+// has only the straight minimal path, so detours occur). With no gate
+// pending, AppendRoute into a large enough buffer allocates nothing and
+// Route allocates its result once.
+func TestManagerAppendRouteMatchesRoute(t *testing.T) {
+	sa, ma := mkLiveSim(t, 21)
+	sb, mb := mkLiveSim(t, 21)
+	for _, m := range []*Manager{ma, mb} {
+		for _, n := range []geom.NodeID{14, 15} {
+			if err := m.RequestGate(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alg := ma.Algorithm()
+	var buf routing.Route
+	n := sa.Topo.NumNodes()
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			src, dst := geom.NodeID(s), geom.NodeID(d)
+			want, okB := mb.Route(src, dst)
+			var okA bool
+			buf, okA = routing.AppendRoute(alg, buf[:0], src, dst, nil)
+			if okA != okB || !slices.Equal(buf, want) {
+				t.Fatalf("%v→%v: AppendRoute %v/%v, Route %v/%v", src, dst, buf, okA, want, okB)
+			}
+		}
+	}
+	if sa.Rng.Int63() != sb.Rng.Int63() {
+		t.Fatal("the two paths drew differently from the simulator's rng")
+	}
+
+	_, m := mkLiveSim(t, 22)
+	alg = m.Algorithm()
+	buf = make(routing.Route, 0, 16)
+	if a := testing.AllocsPerRun(100, func() { buf, _ = routing.AppendRoute(alg, buf[:0], 0, 35, nil) }); a != 0 {
+		t.Fatalf("AppendRoute allocated %v times per route, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { m.Route(0, 35) }); a != 1 {
+		t.Fatalf("Route allocated %v times per route, want 1", a)
 	}
 }

@@ -141,9 +141,9 @@ func MinimalFor(t *topology.Topology) *Minimal {
 }
 
 // UpDownFor returns the up*/down* spanning trees for t's current content
-// under the given root policy, shared like MinimalFor (RootMedian runs a
-// BFS per root candidate, so the tree is worth sharing too). t must not
-// be mutated afterwards.
+// under the given root policy, shared like MinimalFor (RootMedian
+// searches from every root candidate, so the tree is worth sharing too).
+// t must not be mutated afterwards.
 func UpDownFor(t *topology.Topology, policy RootPolicy) *UpDown {
 	key := tableKey{fp: t.Fingerprint(), alg: "updown/" + policy.String()}
 	return cachedCompile(key, func() (any, int64) {

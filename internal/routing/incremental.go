@@ -37,8 +37,10 @@ import (
 // out-neighbor's distance, or an outgoing channel changed. For the
 // dominant churn event — one link flapping on a large mesh — the repair
 // touches a handful of nodes per column while a from-scratch column BFS
-// touches all of them. Column BFSes (a router flipped, a repair declined)
-// and same-size full fallbacks reuse the storage: no table is allocated.
+// touches all of them. Column rebuilds (a router flipped, a repair
+// declined) go through the all-pairs kernel (table.go), 64 columns per
+// pass; they and same-size full fallbacks reuse the storage: no table is
+// allocated.
 
 // RecompileStats describes what one incremental recompile did, for the
 // reconfig manager's counters and the churn experiment's deterministic
@@ -49,7 +51,7 @@ type RecompileStats struct {
 	Full bool
 	// ColsShared counts destination columns the delta provably could not
 	// change, left untouched; ColsRepaired were patched in place;
-	// ColsRebuilt ran a full column BFS.
+	// ColsRebuilt were recomputed from scratch.
 	ColsShared, ColsRepaired, ColsRebuilt int
 	// DistShared counts repaired columns whose distance row turned out
 	// untouched (mask-only repair).
@@ -67,8 +69,8 @@ type RecompileStats struct {
 func maxIncrementalDelta(n int) int { return n }
 
 // affRepairLimit bounds the exact-increase set a column repair may
-// settle before escalating to a full column BFS: past n/8 nodes the
-// bucket Dijkstra stops being cheaper than the plain BFS.
+// settle before escalating to a column rebuild: past n/8 nodes the
+// bucket Dijkstra stops being cheaper than a plain BFS.
 func affRepairLimit(n int) int {
 	if n < 32 {
 		return 4
@@ -111,16 +113,14 @@ func (m *Minimal) Recompile(t *topology.Topology) RecompileStats {
 			return colRepair
 		}
 		return colKeep
-	}, rep.repairColumn, func(dst int, c col) {
-		rep.queue = compileMinColumn(g1, dst, c, rep.queue)
-	})
+	}, rep.repairColumn, func(dsts []int32) { rep.rebuildColumns(m.tab, dsts) })
 }
 
 // Column classes of an incremental recompile.
 const (
 	colKeep    = iota // the delta cannot have changed the column
 	colRepair         // patch the column in place
-	colRebuild        // full column BFS into the same storage
+	colRebuild        // recompute the column into the same storage
 )
 
 // columnEntries is the number of table entries in one destination
@@ -135,12 +135,15 @@ func fullRecompile(n, distPerNode int) RecompileStats {
 // patchTables brings tab to the next epoch column by column under
 // classify: colKeep columns are left alone, colRepair ones are patched in
 // place by repair (a repair that declines falls through to a rebuild),
-// colRebuild ones are recomputed by rebuild. It owns the RecompileStats
-// accounting, so both algorithms charge a rebuilt column at its full
-// size and a repaired one at the entries that changed.
+// and the colRebuild ones are recomputed by one rebuild call at the end
+// (columns are independent, so the minimal kernel can batch them). It
+// owns the RecompileStats accounting, so both algorithms charge a
+// rebuilt column at its full size and a repaired one at the entries that
+// changed.
 func patchTables(tab *tables, distPerNode int, classify func(dst int, c col) int,
 	repair func(c col) (distChanged, maskChanged int, ok bool),
-	rebuild func(dst int, c col)) (st RecompileStats) {
+	rebuild func(dsts []int32)) (st RecompileStats) {
+	var dsts []int32
 	for dst, c := range tab.cols {
 		switch classify(dst, c) {
 		case colKeep:
@@ -156,11 +159,14 @@ func patchTables(tab *tables, distPerNode int, classify func(dst int, c col) int
 				continue
 			}
 			// Exact-increase set blew past the repair limit before any
-			// write: the column BFS is cheaper from here.
+			// write: a rebuild is cheaper from here.
 		}
-		rebuild(dst, c)
+		dsts = append(dsts, int32(dst))
 		st.ColsRebuilt++
 		st.EntriesRewritten += columnEntries(tab.n, distPerNode)
+	}
+	if len(dsts) > 0 {
+		rebuild(dsts)
 	}
 	return st
 }
@@ -193,7 +199,12 @@ type minRepairer struct {
 	aff     []int32
 	changed []int32
 	dirty   []int32
-	queue   []int32 // phase-B cascade + column-BFS scratch
+	queue   []int32 // phase-B cascade
+
+	// bfs and pred are the kernel scratch of column rebuilds, allocated at
+	// the first one.
+	bfs  *bfsScratch
+	pred []int32
 }
 
 func newMinRepairer(n int) *minRepairer {
@@ -226,6 +237,18 @@ func (r *minRepairer) load(g1 *topology.FlatGraph, delta *topology.FlatDelta) {
 	for _, idx := range delta.Added {
 		r.addU = append(r.addU, idx/geom.NumLinkDirs)
 		r.addV = append(r.addV, g1.Adj[idx])
+	}
+}
+
+// rebuildColumns recompiles tab's columns dsts over the loaded snapshot
+// from scratch: one kernel pass per 64 columns, a lone column included.
+func (r *minRepairer) rebuildColumns(tab *tables, dsts []int32) {
+	if r.bfs == nil {
+		r.bfs = newBFSScratch(r.n, true)
+	}
+	r.pred = predecessors(r.g1, r.pred)
+	for lo := 0; lo < len(dsts); lo += batchRoots {
+		r.bfs.minimalColumns(tab, r.g1, r.pred, dsts[lo:min(lo+batchRoots, len(dsts))], true)
 	}
 }
 
@@ -581,9 +604,11 @@ func (u *UpDownTable) Recompile(t *topology.Topology) RecompileStats {
 		}
 		return colKeep
 	}
-	queue := make([]int32, 0, 2*n)
-	return patchTables(u.tab, 2, classify, nil, func(dst int, c col) {
-		queue = compileUDColumn(u.g, u.level, u.upMask, dst, c, queue)
+	return patchTables(u.tab, 2, classify, nil, func(dsts []int32) {
+		queue := make([]int32, 0, 2*n)
+		for _, dst := range dsts {
+			queue = compileUDColumn(u.g, u.level, u.upMask, int(dst), u.tab.cols[dst], queue)
+		}
 	})
 }
 

@@ -211,8 +211,8 @@ func TestIncrementalRepairIsLocal(t *testing.T) {
 
 // TestIncrementalFallbacksCompileInPlace drives the paths that recompute
 // whole columns. A ring cut makes the exact-increase set of the columns
-// near the cut exceed n/8, so the repair declines and the column BFS runs
-// into the same storage instead. The same tables then move to a mesh of
+// near the cut exceed n/8, so the repair declines and the kernel rebuilds
+// them into the same storage instead. The same tables then move to a mesh of
 // another size (a full compile into new storage, and a repairer sized
 // anew) and take a mass failure past maxIncrementalDelta (a full compile
 // into the same storage), after which each single-link step must diff

@@ -1,12 +1,17 @@
 package routing
 
-// Verbatim copies of the pre-compilation lazy-map routing
-// implementations, kept test-local as executable references: the
-// compiled flat tables must agree with them on every distance, every
-// reachability verdict, and — with identical seeded rng streams — every
-// sampled route. The spanning-tree construction itself did not change,
-// so the up*/down* reference borrows the compiled instance's tree
-// (Level/IsUp) and reimplements only the routing that was rewritten.
+// Executable references for the compiled tables. The pre-compilation
+// minimal router was one lazy reverse BFS per destination and a
+// candidate walk over the live topology; both live on as the one-shot
+// path (topology.ReverseBFSDistances, AppendRouteOneShot), so the
+// minimal check routes through that. The lazy-map up*/down* router is
+// kept verbatim: it is the only oracle that UpDownTable's cold compile
+// is shortest-legal. The spanning-tree construction itself did not
+// change, so the up*/down* reference borrows the compiled instance's
+// tree (Level/IsUp) and reimplements only the routing that was
+// rewritten. With identical seeded rng streams both must agree with the
+// compiled tables on every distance, every reachability verdict and
+// every sampled route.
 
 import (
 	"math/rand"
@@ -15,75 +20,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/topology"
 )
-
-// legacyMinimal is the old map-backed lazy-BFS minimal router.
-type legacyMinimal struct {
-	topo   *topology.Topology
-	distTo map[geom.NodeID][]int
-}
-
-func newLegacyMinimal(t *topology.Topology) *legacyMinimal {
-	return &legacyMinimal{topo: t, distTo: make(map[geom.NodeID][]int)}
-}
-
-func (m *legacyMinimal) dist(dst geom.NodeID) []int {
-	if d, ok := m.distTo[dst]; ok {
-		return d
-	}
-	d := m.topo.ReverseBFSDistances(dst)
-	m.distTo[dst] = d
-	return d
-}
-
-func (m *legacyMinimal) Reachable(src, dst geom.NodeID) bool {
-	if !m.topo.RouterAlive(src) || !m.topo.RouterAlive(dst) {
-		return false
-	}
-	return m.dist(dst)[src] >= 0
-}
-
-func (m *legacyMinimal) Distance(src, dst geom.NodeID) int {
-	if !m.topo.RouterAlive(src) {
-		return -1
-	}
-	return m.dist(dst)[src]
-}
-
-func (m *legacyMinimal) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	if src == dst {
-		return buf, m.topo.RouterAlive(src)
-	}
-	dist := m.dist(dst)
-	if !m.topo.RouterAlive(src) || dist[src] < 0 {
-		return buf, false
-	}
-	route := buf
-	cur := src
-	for cur != dst {
-		var choices [geom.NumLinkDirs]geom.Direction
-		n := 0
-		for _, d := range geom.LinkDirs {
-			if !m.topo.HasLink(cur, d) {
-				continue
-			}
-			nb := m.topo.Neighbor(cur, d)
-			if dist[nb] == dist[cur]-1 {
-				choices[n] = d
-				n++
-			}
-		}
-		if n == 0 {
-			return buf, false
-		}
-		pick := choices[0]
-		if rng != nil && n > 1 {
-			pick = choices[rng.Intn(n)]
-		}
-		route = append(route, pick)
-		cur = m.topo.Neighbor(cur, pick)
-	}
-	return route, true
-}
 
 // legacyUpDown is the old lazy state-graph up*/down* router over an
 // UpDown tree.
@@ -219,38 +155,41 @@ func equivalenceTopologies() map[string]*topology.Topology {
 }
 
 // TestMinimalMatchesLegacy checks the compiled minimal router against
-// the lazy-map reference on every (src, dst) pair: distances,
-// reachability, and routes drawn with identical rng streams.
+// the lazy one-shot path on every (src, dst) pair: distances and
+// reachability against ReverseBFSDistances, and routes against
+// AppendRouteOneShot with identical rng streams — the property
+// reconfig's pending-gate detours rely on — and with a nil rng.
 func TestMinimalMatchesLegacy(t *testing.T) {
 	for name, topo := range equivalenceTopologies() {
 		t.Run(name, func(t *testing.T) {
 			compiled := NewMinimal(topo)
-			legacy := newLegacyMinimal(topo)
 			n := topo.NumNodes()
 			rngC := rand.New(rand.NewSource(1234))
 			rngL := rand.New(rand.NewSource(1234))
-			for s := 0; s < n; s++ {
-				for d := 0; d < n; d++ {
-					src, dst := geom.NodeID(s), geom.NodeID(d)
-					if got, want := compiled.Distance(src, dst), legacy.Distance(src, dst); got != want {
-						t.Fatalf("Distance(%v,%v): compiled %d, legacy %d", src, dst, got, want)
+			for d := 0; d < n; d++ {
+				dst := geom.NodeID(d)
+				dist := topo.ReverseBFSDistances(dst)
+				for s := 0; s < n; s++ {
+					src := geom.NodeID(s)
+					want := dist[src]
+					if !topo.RouterAlive(src) {
+						want = -1
 					}
-					if got, want := compiled.Reachable(src, dst), legacy.Reachable(src, dst); got != want {
-						t.Fatalf("Reachable(%v,%v): compiled %v, legacy %v", src, dst, got, want)
+					if got := compiled.Distance(src, dst); got != want {
+						t.Fatalf("Distance(%v,%v): compiled %d, reverse BFS %d", src, dst, got, want)
+					}
+					if got := compiled.Reachable(src, dst); got != (want >= 0) {
+						t.Fatalf("Reachable(%v,%v): compiled %v, reverse BFS distance %d", src, dst, got, want)
 					}
 					rc, okc := compiled.AppendRoute(nil, src, dst, rngC)
-					rl, okl := legacy.AppendRoute(nil, src, dst, rngL)
-					if okc != okl {
-						t.Fatalf("Route(%v,%v): compiled ok=%v, legacy ok=%v", src, dst, okc, okl)
+					rl, okl := AppendRouteOneShot(topo, nil, src, dst, rngL)
+					if okc != okl || !routesEqual(rc, rl) {
+						t.Fatalf("Route(%v,%v): compiled %v/%v, one-shot %v/%v", src, dst, rc, okc, rl, okl)
 					}
-					if !routesEqual(rc, rl) {
-						t.Fatalf("Route(%v,%v): compiled %v, legacy %v", src, dst, rc, rl)
-					}
-					// Nil-rng routes must be deterministic and equal too.
 					rc, _ = compiled.AppendRoute(nil, src, dst, nil)
-					rl, _ = legacy.AppendRoute(nil, src, dst, nil)
+					rl, _ = AppendRouteOneShot(topo, nil, src, dst, nil)
 					if !routesEqual(rc, rl) {
-						t.Fatalf("nil-rng Route(%v,%v): compiled %v, legacy %v", src, dst, rc, rl)
+						t.Fatalf("nil-rng Route(%v,%v): compiled %v, one-shot %v", src, dst, rc, rl)
 					}
 				}
 			}

@@ -96,3 +96,37 @@ func BenchmarkMinimalFor32x32(b *testing.B) {
 	}
 	ResetTableCache()
 }
+
+// irregular8x8 is the branch-heavy compile case: the paper's 8x8 mesh
+// with 25 link faults, on eight seeds.
+func irregular8x8() []*topology.Topology {
+	topos := make([]*topology.Topology, 8)
+	for i := range topos {
+		topos[i] = topology.RandomIrregular(8, 8, topology.LinkFaults, 25, int64(i+1))
+	}
+	return topos
+}
+
+// BenchmarkMinimalForIrregular8x8 times one cold MinimalFor compile of an
+// 8x8 mesh with 25 link faults, cycling over eight topologies.
+func BenchmarkMinimalForIrregular8x8(b *testing.B) {
+	topos := irregular8x8()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ResetTableCache()
+		MinimalFor(topos[i%len(topos)])
+	}
+	ResetTableCache()
+}
+
+// BenchmarkUpDownForMedian8x8 times one cold UpDownFor(RootMedian) tree of
+// the same topologies: the median election is most of it.
+func BenchmarkUpDownForMedian8x8(b *testing.B) {
+	topos := irregular8x8()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ResetTableCache()
+		UpDownFor(topos[i%len(topos)], RootMedian)
+	}
+	ResetTableCache()
+}

@@ -18,7 +18,8 @@ import (
 // An UpDown is the spanning forest and the channel classification only —
 // what both of the paper's baselines need (Section V-B: baseline 1 routes
 // along the tree, baseline 2's escape VCs follow it). Construction is
-// O(V+E) per root candidate; nothing is compiled per (node, dst) pair.
+// O(V+E) per root candidate, 64 candidates per kernel pass; nothing is
+// compiled per (node, dst) pair.
 // The all-links up*/down* Algorithm (shortest legal paths over every
 // surviving link) is a separate value, built on request by Compile.
 // Instances are immutable and safe for concurrent use.
@@ -82,10 +83,14 @@ func NewUpDownRooted(t *topology.Topology, policy RootPolicy) *UpDown {
 		u.parent[i] = geom.InvalidNode
 		u.root[i] = geom.InvalidNode
 	}
+	var med *medianElection
+	if policy == RootMedian {
+		med = newMedianElection(t.Flatten())
+	}
 	for _, comp := range t.ConnectedComponents() {
 		root := comp[0] // components are sorted: lowest id first
-		if policy == RootMedian {
-			root = chooseRoot(t, comp)
+		if med != nil {
+			root = med.chooseRoot(comp)
 		}
 		u.buildTree(root)
 	}
@@ -104,24 +109,54 @@ func (u *UpDown) treeBytes() int64 {
 	return int64(len(u.upMask)) + int64(len(u.level))*8 + int64(len(u.parent))*8 + int64(len(u.root))*8
 }
 
-// chooseRoot picks the 1-median of the component (lowest id on ties).
-func chooseRoot(t *topology.Topology, comp []geom.NodeID) geom.NodeID {
-	best := comp[0]
-	bestSum := -1
-	for _, cand := range comp {
-		dist := t.BFSDistances(cand)
-		sum := 0
-		for _, m := range comp {
-			if dist[m] >= 0 {
-				sum += dist[m]
-			} else {
-				// Unreachable within component (unidirectional faults):
-				// penalize heavily.
-				sum += t.NumNodes() * t.NumNodes()
-			}
+// medianElection runs RootMedian's elections over one snapshot: the
+// all-pairs kernel (table.go) forward, its scratch shared by every
+// component.
+type medianElection struct {
+	g     *topology.FlatGraph
+	pred  []int32
+	s     *bfsScratch
+	roots []int32
+	rows  [][]int16 // one candidate's distances per row
+}
+
+func newMedianElection(g *topology.FlatGraph) *medianElection {
+	e := &medianElection{g: g, pred: predecessors(g, nil), s: newBFSScratch(g.N, false)}
+	n := g.N
+	buf := make([]int16, min(batchRoots, n)*n)
+	for i := 0; i < len(buf); i += n {
+		e.rows = append(e.rows, buf[i:i+n:i+n])
+	}
+	return e
+}
+
+// chooseRoot picks the 1-median of comp: the member whose directed-hop
+// distances to the other members sum least, a member it cannot reach
+// (unidirectional faults) costing n², lowest id on ties. Candidates go
+// through forward kernel passes, 64 at a time.
+func (e *medianElection) chooseRoot(comp []geom.NodeID) geom.NodeID {
+	n := e.g.N
+	best, bestSum := comp[0], -1
+	for lo := 0; lo < len(comp); lo += batchRoots {
+		batch := comp[lo:min(lo+batchRoots, len(comp))]
+		e.roots = e.roots[:0]
+		for _, c := range batch {
+			e.roots = append(e.roots, int32(c))
 		}
-		if bestSum < 0 || sum < bestSum || (sum == bestSum && cand < best) {
-			best, bestSum = cand, sum
+		rows := e.rows[:len(batch)]
+		e.s.pass(e.g.Next, e.pred, e.g.Alive, e.roots, rows)
+		for i, cand := range batch {
+			sum := 0
+			for _, m := range comp {
+				if d := rows[i][m]; d >= 0 {
+					sum += int(d)
+				} else {
+					sum += n * n
+				}
+			}
+			if bestSum < 0 || sum < bestSum || (sum == bestSum && cand < best) {
+				best, bestSum = cand, sum
+			}
 		}
 	}
 	return best

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+
 	"repro/internal/geom"
 )
 
@@ -30,6 +32,7 @@ func (t *Topology) ConnectedComponents() [][]geom.NodeID {
 				}
 			}
 		}
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,11 @@ func TestPropComponentsPartitionAliveRouters(t *testing.T) {
 	f := func(w, h uint8, seed int64, lf, rf uint8) bool {
 		topo := randomTopo(w, h, seed, lf, rf)
 		seen := map[geom.NodeID]int{}
-		for ci, comp := range topo.ConnectedComponents() {
+		comps := topo.ConnectedComponents()
+		for ci, comp := range comps {
+			if !slices.IsSorted(comp) || ci > 0 && comps[ci-1][0] >= comp[0] {
+				return false // members ascending, components by smallest member
+			}
 			for _, n := range comp {
 				if _, dup := seen[n]; dup {
 					return false // node in two components
