@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/deadlock"
 	"repro/internal/energy"
@@ -26,6 +27,21 @@ import (
 	"repro/internal/viz"
 )
 
+// patterns are the traffic names -pattern accepts, as
+// experiments.Instance.Pattern spells them.
+var patterns = []string{"uniform_random", "bit_complement", "transpose"}
+
+// checkPattern rejects a -pattern value Instance.Pattern would not
+// recognise (it falls back to uniform_random rather than failing).
+func checkPattern(name string) error {
+	for _, p := range patterns {
+		if name == p {
+			return nil
+		}
+	}
+	return fmt.Errorf("-pattern must be one of %s", strings.Join(patterns, ", "))
+}
+
 func main() {
 	width := flag.Int("width", 8, "mesh width")
 	height := flag.Int("height", 8, "mesh height")
@@ -33,7 +49,7 @@ func main() {
 	faults := flag.Int("faults", 0, "number of random faults")
 	seed := flag.Int64("seed", 1, "topology and traffic seed")
 	schemeStr := flag.String("scheme", "sb", "scheme: tree, evc, or sb")
-	pattern := flag.String("pattern", "uniform_random", "traffic: uniform_random, bit_complement, transpose")
+	pattern := flag.String("pattern", "uniform_random", "traffic: "+strings.Join(patterns, ", "))
 	rate := flag.Float64("rate", 0.05, "offered load in flits/node/cycle")
 	cycles := flag.Int("cycles", 20000, "simulated cycles")
 	drain := flag.Bool("drain", true, "stop injecting after cycles and drain (up to 10x horizon)")
@@ -66,6 +82,10 @@ func main() {
 		scheme = experiments.StaticBubble
 	default:
 		fmt.Fprintln(os.Stderr, "sbsim: -scheme must be tree, evc, or sb")
+		os.Exit(2)
+	}
+	if err := checkPattern(*pattern); err != nil {
+		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		os.Exit(2)
 	}
 

@@ -1,7 +1,7 @@
 // Command sbsweep regenerates the paper's evaluation tables and figures
 // (Section V) and this repository's extension studies. It is a loop over
 // experiments.Figures: -fig selects one entry by ID (or "all": every
-// entry not marked standalone), -scale quick runs a reduced sweep for a
+// entry), -scale quick runs a reduced sweep for a
 // fast smoke pass, -scale full approaches the paper's sampling, and
 // -format renders whatever the experiment returns as an aligned table or
 // as CSV. Unknown -fig, -format and -scale values exit 2.
@@ -15,11 +15,10 @@
 // Usage (sbsweep -h lists the IDs -fig accepts):
 //
 //	sbsweep -fig <id>                  # one experiment at paper scale
-//	sbsweep -fig all -scale quick      # smoke-run everything but the standalone timing table
+//	sbsweep -fig all -scale quick      # smoke-run everything
 //	sbsweep -fig <id> -format csv      # the same rows, machine-readable
 //	sbsweep -fig <id> -resume -progress   # continue an interrupted sweep
 //	sbsweep -fig <id> -adv-evals 24    # cap the worst-case SLO search's unique evaluations
-//	sbsweep -fig <id> -shards 4        # run each simulation sharded
 //	sbsweep -fig <id> -route-cache-stats  # report compiled routing-table cache efficiency
 //	sbsweep -fig <id> -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -43,37 +42,33 @@ import (
 	"repro/internal/sweep"
 )
 
-// figIDs lists what -fig can name, in the order "all" runs them — or,
-// with standaloneOnly, just the entries "all" leaves out.
-func figIDs(standaloneOnly bool) string {
+// figIDs lists what -fig can name, in the order "all" runs them.
+func figIDs() string {
 	var ids []string
 	for _, f := range experiments.Figures {
-		if f.Standalone || !standaloneOnly {
-			ids = append(ids, f.ID)
-		}
+		ids = append(ids, f.ID)
 	}
 	return strings.Join(ids, ", ")
 }
 
 // selectFigs resolves a -fig value to the experiments to run, in
-// registry order. "all" is every experiment not marked Standalone.
+// registry order. "all" is every experiment.
 func selectFigs(fig string) ([]experiments.Figure, error) {
 	var sel []experiments.Figure
 	for _, f := range experiments.Figures {
-		if fig == f.ID || (fig == "all" && !f.Standalone) {
+		if fig == f.ID || fig == "all" {
 			sel = append(sel, f)
 		}
 	}
 	if len(sel) == 0 {
-		return nil, fmt.Errorf("unknown -fig %q (valid: %s, or all)", fig, figIDs(false))
+		return nil, fmt.Errorf("unknown -fig %q (valid: %s, or all)", fig, figIDs())
 	}
 	return sel, nil
 }
 
 func main() {
-	fig := flag.String("fig", "all", "experiment: "+figIDs(false)+", or all (everything but "+figIDs(true)+", which runs only when named)")
+	fig := flag.String("fig", "all", "experiment: "+figIDs()+", or all")
 	advEvals := flag.Int("adv-evals", 0, "with -fig adversary: cap on unique scenario evaluations (0 = scale default)")
-	shards := flag.Int("shards", 1, "per-simulation shard count (1 = sequential core; results are identical for any value)")
 	scale := flag.String("scale", "full", "quick or full")
 	topos := flag.Int("topos", 0, "override topologies per point")
 	seed := flag.Int64("seed", 0, "base seed for topology sampling")
@@ -144,7 +139,6 @@ func main() {
 	if *topos > 0 {
 		p.Topologies = *topos
 	}
-	p.Shards = *shards
 
 	// Ctrl-C cancels between jobs; completed cells stay on disk, so a
 	// -resume rerun picks up where this one stopped.

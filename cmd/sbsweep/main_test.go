@@ -16,7 +16,7 @@ import (
 func TestSelectFigs(t *testing.T) {
 	// Retired and misspelt values are errors that name every valid ID,
 	// not silent no-ops.
-	for _, fig := range []string{"bench", "scale16", "", "14"} {
+	for _, fig := range []string{"bench", "scale16", "scalegrid", "", "14"} {
 		_, err := selectFigs(fig)
 		if err == nil {
 			t.Errorf("-fig %q accepted", fig)
@@ -32,33 +32,25 @@ func TestSelectFigs(t *testing.T) {
 		}
 	}
 
-	// A named figure selects exactly itself — standalone ones included.
-	standalone := 0
+	// A named figure selects exactly itself.
 	for _, f := range experiments.Figures {
 		sel, err := selectFigs(f.ID)
 		if err != nil || len(sel) != 1 || sel[0].ID != f.ID {
 			t.Errorf("-fig %s selected %v (err %v), want only itself", f.ID, sel, err)
 		}
-		if f.Standalone {
-			standalone++
-		}
-	}
-	if standalone == 0 {
-		t.Error("registry marks nothing standalone; scalegrid must be")
 	}
 
-	// "all" is every non-standalone entry, in registry order.
+	// "all" is every entry, in registry order.
 	all, err := selectFigs("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(experiments.Figures)-standalone {
-		t.Errorf("-fig all selected %d of %d figures, want all but the %d standalone",
-			len(all), len(experiments.Figures), standalone)
+	if len(all) != len(experiments.Figures) {
+		t.Fatalf("-fig all selected %d of %d figures", len(all), len(experiments.Figures))
 	}
-	for _, f := range all {
-		if f.Standalone {
-			t.Errorf("-fig all selected standalone %s", f.ID)
+	for i, f := range all {
+		if f.ID != experiments.Figures[i].ID {
+			t.Errorf("-fig all entry %d is %s, want %s", i, f.ID, experiments.Figures[i].ID)
 		}
 	}
 }
@@ -93,7 +85,7 @@ func sbsweep(t *testing.T, args string) (stdout, stderr string, exit int) {
 }
 
 func TestBadFlagValuesExit2(t *testing.T) {
-	for _, args := range []string{"-fig t1 -format cvs", "-fig nope", "-fig t1 -scale medium"} {
+	for _, args := range []string{"-fig t1 -format cvs", "-fig nope", "-fig scalegrid", "-fig t1 -scale medium"} {
 		stdout, stderr, exit := sbsweep(t, args+" -no-cache")
 		if exit != 2 || stdout != "" || !strings.Contains(stderr, "sbsweep:") {
 			t.Errorf("sbsweep %s: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic only", args, exit, stdout, stderr)

@@ -108,24 +108,3 @@ func TestGoldenTrajectoryRefModel(t *testing.T) {
 		t.Fatalf("refmodel golden occupancy diverged: inflight %d queued %d", s.InFlight(), s.QueuedPackets())
 	}
 }
-
-// TestGoldenTrajectorySharded replays the identical scenario through
-// the sharded parallel stepper at several shard counts: every core —
-// refmodel, event, sharded — is pinned to the same golden counters, so
-// a determinism break in the barrier/commit machinery shows up as a
-// diff against known-good numbers rather than merely as cross-core
-// disagreement.
-func TestGoldenTrajectorySharded(t *testing.T) {
-	for _, shards := range []int{2, 4, 8} {
-		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 18, 42)
-		s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(7)))
-		runGoldenScenario(s, topo, s.Step)
-		if s.Stats != goldenWant {
-			t.Fatalf("sharded(%d) golden trajectory diverged:\n got %+v\nwant %+v", shards, s.Stats, goldenWant)
-		}
-		if s.InFlight() != 2087 || s.QueuedPackets() != 9074 {
-			t.Fatalf("sharded(%d) golden occupancy diverged: inflight %d queued %d",
-				shards, s.InFlight(), s.QueuedPackets())
-		}
-	}
-}

@@ -58,80 +58,75 @@ func TestSBWithBFCBoundaryCoexist(t *testing.T) {
 	// mesh with four interior link faults, a stream along the ring
 	// (vnet 0) and uniform minimal traffic near saturation (vnets 1-2).
 	// The fence and the ring rule meet at the same output ports; the run
-	// must drain with the invariants intact, and its Stats — sequential
-	// and sharded — are pinned to the values captured when the ring rule
-	// was a grant veto on the generic allocation path.
+	// must drain with the invariants intact, and its Stats are pinned to
+	// the values captured when the ring rule was a grant veto on the
+	// generic allocation path.
 	want := network.Stats{Offered: 18489, Injected: 18489, Delivered: 18489,
 		InjectedFlits: 62609, DeliveredFlits: 62609, SumLatency: 16894229,
 		SumNetLatency: 4188991, MaxLatency: 5378, HopMoves: 81064,
 		LinkCycles: [network.NumLinkClasses]int64{282072, 28078, 324, 672, 171},
 		ProbesSent: 1352, DisablesSent: 50, EnablesSent: 52, CheckProbesSent: 34,
 		ProbesReturned: 50, DeadlockRecoveries: 23, BubbleOccupancies: 33, BubbleTransfers: 4}
-	for _, shards := range []int{1, 3} {
-		topo := topology.NewMesh(6, 6)
-		at := func(x, y int) geom.NodeID { return topo.ID(geom.Coord{X: x, Y: y}) }
-		topo.DisableLink(at(1, 2), geom.East)
-		topo.DisableLink(at(2, 3), geom.North)
-		topo.DisableLink(at(3, 1), geom.North)
-		topo.DisableLink(at(3, 3), geom.East)
-		s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(1)))
-		ctrl := core.Attach(s, core.Options{TDD: 24})
-		ring := bfc.BoundaryRing(topo)
-		if err := bfc.Attach(s, ring); err != nil {
-			t.Fatal(err)
-		}
-		min := routing.NewMinimal(topo)
-		alive := topo.AliveRouters()
-		urng, rrng := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(3))
-		held := 0
-		for c := 0; c < 3500; c++ {
-			for _, src := range alive {
-				if urng.Float64() >= 0.122 {
-					continue
-				}
-				dst := alive[urng.Intn(len(alive))]
-				if dst == src {
-					continue
-				}
-				if r, ok := min.Route(src, dst, urng); ok {
-					s.Enqueue(s.NewPacket(src, dst, 1+urng.Intn(2), 1+4*urng.Intn(2), r))
-				}
+	topo := topology.NewMesh(6, 6)
+	at := func(x, y int) geom.NodeID { return topo.ID(geom.Coord{X: x, Y: y}) }
+	topo.DisableLink(at(1, 2), geom.East)
+	topo.DisableLink(at(2, 3), geom.North)
+	topo.DisableLink(at(3, 1), geom.North)
+	topo.DisableLink(at(3, 3), geom.East)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
+	ctrl := core.Attach(s, core.Options{TDD: 24})
+	ring := bfc.BoundaryRing(topo)
+	if err := bfc.Attach(s, ring); err != nil {
+		t.Fatal(err)
+	}
+	min := routing.NewMinimal(topo)
+	alive := topo.AliveRouters()
+	urng, rrng := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(3))
+	held := 0
+	for c := 0; c < 3500; c++ {
+		for _, src := range alive {
+			if urng.Float64() >= 0.122 {
+				continue
 			}
-			for i, src := range ring.Nodes {
-				if rrng.Float64() >= 0.05 {
-					continue
-				}
-				var r routing.Route
-				dst := src
-				for k := 1 + rrng.Intn(ring.Len()/2); k > 0; k-- {
-					d := ring.Dirs[(i+len(r))%ring.Len()]
-					r = append(r, d)
-					dst = topo.Neighbor(dst, d)
-				}
-				s.Enqueue(s.NewPacket(src, dst, 0, 5, r))
+			dst := alive[urng.Intn(len(alive))]
+			if dst == src {
+				continue
 			}
-			held += heldRingEntries(s)
-			s.Step()
+			if r, ok := min.Route(src, dst, urng); ok {
+				s.Enqueue(s.NewPacket(src, dst, 1+urng.Intn(2), 1+4*urng.Intn(2), r))
+			}
 		}
-		for i := 0; i < 100000 && s.InFlight()+s.QueuedPackets() > 0; i += 100 {
-			s.Run(100)
+		for i, src := range ring.Nodes {
+			if rrng.Float64() >= 0.05 {
+				continue
+			}
+			var r routing.Route
+			dst := src
+			for k := 1 + rrng.Intn(ring.Len()/2); k > 0; k-- {
+				d := ring.Dirs[(i+len(r))%ring.Len()]
+				r = append(r, d)
+				dst = topo.Neighbor(dst, d)
+			}
+			s.Enqueue(s.NewPacket(src, dst, 0, 5, r))
 		}
-		if s.InFlight()+s.QueuedPackets() != 0 {
-			t.Fatalf("shards %d: combined schemes failed to drain (inflight %d)", shards, s.InFlight())
-		}
-		if vs := validate.Check(s, ctrl); len(vs) != 0 {
-			t.Fatalf("shards %d: invariants violated: %v", shards, vs)
-		}
-		if held == 0 || s.Stats.DeadlockRecoveries == 0 {
-			t.Fatalf("shards %d: vacuous: the ring rule held %d entries, SB recovered %d times",
-				shards, held, s.Stats.DeadlockRecoveries)
-		}
-		if s.Stats != want {
-			t.Fatalf("shards %d: stats\n got %+v\nwant %+v", shards, s.Stats, want)
-		}
-		if c := s.StepperCounters(); shards > 1 && c.ParallelCycles == 0 {
-			t.Fatalf("shards %d: the SB+BFC run never reached the parallel sweep: %+v", shards, c)
-		}
+		held += heldRingEntries(s)
+		s.Step()
+	}
+	for i := 0; i < 100000 && s.InFlight()+s.QueuedPackets() > 0; i += 100 {
+		s.Run(100)
+	}
+	if s.InFlight()+s.QueuedPackets() != 0 {
+		t.Fatalf("combined schemes failed to drain (inflight %d)", s.InFlight())
+	}
+	if vs := validate.Check(s, ctrl); len(vs) != 0 {
+		t.Fatalf("invariants violated: %v", vs)
+	}
+	if held == 0 || s.Stats.DeadlockRecoveries == 0 {
+		t.Fatalf("vacuous: the ring rule held %d entries, SB recovered %d times",
+			held, s.Stats.DeadlockRecoveries)
+	}
+	if s.Stats != want {
+		t.Fatalf("stats\n got %+v\nwant %+v", s.Stats, want)
 	}
 }
 

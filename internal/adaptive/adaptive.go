@@ -10,7 +10,7 @@
 // Packets under this scheme carry no source route. The scheme is the
 // simulator's hop class (network/hopclass.go) over the compiled minimal
 // mask table: the rule is state the allocator reads, so an adaptive run
-// keeps the fused allocation pass and the parallel sweep.
+// keeps the fused allocation pass.
 package adaptive
 
 import (

@@ -193,10 +193,10 @@ func TestRingWithBFCNeverDeadlocks(t *testing.T) {
 // ringRun drives a size×size mesh under BFC on its boundary ring: a ring
 // stream at rate for the first inject of total cycles, then drain more
 // cycles, failing on a deadlock or an undelivered packet.
-func ringRun(t *testing.T, size, shards int, simSeed, streamSeed int64, rate float64, inject, total, drain int) *network.Sim {
+func ringRun(t *testing.T, size int, simSeed, streamSeed int64, rate float64, inject, total, drain int) *network.Sim {
 	t.Helper()
 	topo := topology.NewMesh(size, size)
-	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(simSeed)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(simSeed)))
 	ring := BoundaryRing(topo)
 	if err := Attach(s, ring); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func ringRun(t *testing.T, size, shards int, simSeed, streamSeed int64, rate flo
 // The two pinned runs below carry the full Stats captured when the ring
 // rule was a grant veto called from the generic allocation path; as a
 // rule the allocator reads, it must reproduce them byte for byte on the
-// fused pass, sequential and sharded.
+// fused pass.
 
 func TestBFCSoakOnLargerRing(t *testing.T) {
 	// Sustained random ring traffic on an 8x8 boundary (28 nodes): BFC
@@ -231,10 +231,8 @@ func TestBFCSoakOnLargerRing(t *testing.T) {
 		InjectedFlits: 33680, DeliveredFlits: 33680, SumLatency: 26718405,
 		SumNetLatency: 2086114, MaxLatency: 8991, HopMoves: 51165,
 		LinkCycles: [network.NumLinkClasses]int64{255825}}
-	for _, shards := range []int{1, 3} {
-		if got := ringRun(t, 8, shards, 2, 3, 0.06, 4000, 6000, 20000).Stats; got != want {
-			t.Fatalf("shards %d: stats\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := ringRun(t, 8, 2, 3, 0.06, 4000, 6000, 20000).Stats; got != want {
+		t.Fatalf("stats\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -245,10 +243,8 @@ func TestBubbleflowExampleStats(t *testing.T) {
 		InjectedFlits: 64200, DeliveredFlits: 64200, SumLatency: 91415511,
 		SumNetLatency: 2896366, MaxLatency: 15240, HopMoves: 70433,
 		LinkCycles: [network.NumLinkClasses]int64{352165}}
-	for _, shards := range []int{1, 3} {
-		if got := ringRun(t, 6, shards, 1, 2, 0.08, 8000, 12000, 20000).Stats; got != want {
-			t.Fatalf("shards %d: stats\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := ringRun(t, 6, 1, 2, 0.08, 8000, 12000, 20000).Stats; got != want {
+		t.Fatalf("stats\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -69,13 +69,12 @@ type Controller struct {
 	// dead at Attach time: if one recovers at runtime, RouterRecovered
 	// arms its bubble and creates its FSM on the spot.
 	placed map[geom.NodeID]bool
-	// The tick set (DESIGN.md §7). act and pos are the stepper's active
-	// summary (Sim.ActiveSummary: router n at bit pos[n], ascending in
-	// n); fsms, sb and busy live in the same positions: fsms[pos[n]] is
-	// n's FSM (nil where there is none), its sb bit says the FSM exists,
-	// its busy bit that its state is not StateOff (setState keeps it).
+	// The tick set (DESIGN.md §7). act is the stepper's active summary
+	// (Sim.ActiveSummary: router n at bit n); fsms, sb and busy are
+	// indexed the same way: fsms[n] is n's FSM (nil where there is none),
+	// its sb bit says the FSM exists, its busy bit that its state is not
+	// StateOff (setState keeps it).
 	act      []uint64
-	pos      []int32
 	fsms     []*fsm
 	sb, busy []uint64
 	msgs     []*Message
@@ -187,8 +186,8 @@ func Attach(s *network.Sim, opt Options) *Controller {
 		placed:     make(map[geom.NodeID]bool, len(placement)),
 		hopLatency: int64(s.Cfg.RouterLatency + s.Cfg.LinkLatency),
 	}
-	c.act, c.pos = s.ActiveSummary()
-	c.fsms = make([]*fsm, 64*len(c.act))
+	c.act = s.ActiveSummary()
+	c.fsms = make([]*fsm, len(s.Routers))
 	c.sb = make([]uint64, len(c.act))
 	c.busy = make([]uint64, len(c.act))
 	for _, n := range placement {
@@ -211,22 +210,21 @@ func Attach(s *network.Sim, opt Options) *Controller {
 // addFSM gives static-bubble router n a fresh FSM, with its deterministic
 // jitter seed (an LCG stream keyed by the node id).
 func (c *Controller) addFSM(n geom.NodeID) {
-	b := uint(c.pos[n])
-	c.fsms[b] = &fsm{node: n, rngState: uint64(n)*2654435761 + 0x9e3779b97f4a7c15}
-	c.sb[b>>6] |= 1 << (b & 63)
+	c.fsms[n] = &fsm{node: n, rngState: uint64(n)*2654435761 + 0x9e3779b97f4a7c15}
+	c.sb[n>>6] |= 1 << (uint(n) & 63)
 }
 
 // fsmAt returns router n's FSM, nil unless n is a static-bubble router.
-func (c *Controller) fsmAt(n geom.NodeID) *fsm { return c.fsms[c.pos[n]] }
+func (c *Controller) fsmAt(n geom.NodeID) *fsm { return c.fsms[n] }
 
 // setState is the one place an FSM's state is written; it keeps the busy
 // mask's invariant (bit set iff state != StateOff).
 func (c *Controller) setState(f *fsm, st State) {
 	f.state = st
-	b := uint(c.pos[f.node])
-	c.busy[b>>6] &^= 1 << (b & 63)
+	w, m := f.node>>6, uint64(1)<<(uint(f.node)&63)
+	c.busy[w] &^= m
 	if st != StateOff {
-		c.busy[b>>6] |= 1 << (b & 63)
+		c.busy[w] |= m
 	}
 }
 
@@ -283,7 +281,7 @@ func (c *Controller) horizon() int64 {
 // FSMState reports the recovery state of the FSM at node n (StateOff for
 // non-SB routers), for tests and instrumentation.
 func (c *Controller) FSMState(n geom.NodeID) State {
-	if uint(n) < uint(len(c.pos)) && c.fsmAt(n) != nil {
+	if uint(n) < uint(len(c.fsms)) && c.fsmAt(n) != nil {
 		return c.fsmAt(n).state
 	}
 	return StateOff
@@ -311,8 +309,8 @@ func (c *Controller) BubbleRouters() []geom.NodeID {
 	return out
 }
 
-// TickMasks returns the controller's tick-set masks, read-only and in
-// the bit positions of Sim.ActiveSummary: sb marks the routers that have
+// TickMasks returns the controller's tick-set masks, read-only, router n
+// at bit n as in Sim.ActiveSummary: sb marks the routers that have
 // an FSM, busy those whose FSM is not in StateOff. For the validate
 // package, which checks both against the FSMs themselves.
 func (c *Controller) TickMasks() (sb, busy []uint64) { return c.sb, c.busy }

@@ -37,10 +37,7 @@ func TestScale16x16RecoveryWorks(t *testing.T) {
 	}
 	topo := topology.RandomIrregular(16, 16, topology.LinkFaults, 30, 5)
 	min := routing.NewMinimal(topo)
-	// Run the soak sharded: the parallel stepper is byte-identical to the
-	// sequential core (see internal/network/shard.go) and cuts the
-	// full-CI wall clock enough to keep this test in the default tier.
-	s := network.New(topo, network.Config{Shards: 4}, rand.New(rand.NewSource(1)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	Attach(s, Options{TDD: 34})
 	rng := rand.New(rand.NewSource(2))
 	offered := int64(0)

@@ -8,7 +8,6 @@ package core
 // every cycle.
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -87,7 +86,7 @@ type tickTwins struct {
 // reconfig manager (whose routing follows the runtime failures) and an
 // identically seeded uniform-random injector. mkOpt builds each side's
 // Options given its Sim, so a Trace hook can reach the right one.
-func newTickTwins(t *testing.T, topo *topology.Topology, shards int, rate float64, mkOpt func(*network.Sim) Options) *tickTwins {
+func newTickTwins(t *testing.T, topo *topology.Topology, rate float64, mkOpt func(*network.Sim) Options) *tickTwins {
 	tw := &tickTwins{t: t}
 	build := func(side *tickTwin, cfg network.Config, attach func(*network.Sim, Options) *Controller) {
 		tp := topo.Clone()
@@ -102,7 +101,7 @@ func newTickTwins(t *testing.T, topo *topology.Topology, shards int, rate float6
 		side.inj = traffic.NewInjector(tp.AliveRouters(), side.mgr.Algorithm(),
 			traffic.NewUniformRandom(tp.AliveRouters()), rate, rand.New(rand.NewSource(12)))
 	}
-	build(&tw.set, network.Config{Shards: shards}, Attach)
+	build(&tw.set, network.Config{}, Attach)
 	build(&tw.scan, network.Config{}, attachFullScan)
 	// Tally the set side's visits just ahead of its tickAll.
 	c := tw.set.c
@@ -172,48 +171,40 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 		return topology.RandomIrregular(8, 8, topology.LinkFaults, 25, seed)
 	}
 
-	// recovery_storm-shaped episodes on two topologies: a 500-cycle burst
-	// at 0.25 flits/node/cycle on a 25-link-fault 8x8, then drain to
-	// quiet, three times over.
-	for _, tc := range []struct {
-		name     string
-		topoSeed int64
-		shards   int
-	}{{"storm/topo4/shards1", 4, 1}, {"storm/topo13/shards4", 13, 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			tw := newTickTwins(t, storm(tc.topoSeed), tc.shards, 0.25, nil)
-			for ep := 0; ep < 3; ep++ {
-				for i := 0; i < 500; i++ {
-					tw.step(true)
-				}
-				tw.drain(40000)
+	// recovery_storm-shaped episodes: a 500-cycle burst at 0.25
+	// flits/node/cycle on a 25-link-fault 8x8, then drain to quiet, three
+	// times over.
+	t.Run("storm/topo4", func(t *testing.T) {
+		tw := newTickTwins(t, storm(4), 0.25, nil)
+		for ep := 0; ep < 3; ep++ {
+			for i := 0; i < 500; i++ {
+				tw.step(true)
 			}
-			if n := len(tw.scan.c.RecoveryRecords()); n == 0 {
-				t.Fatal("vacuous: no recovery completed")
-			}
-			if tw.set.s.StepperCounters().QuietCycles == 0 {
-				t.Fatal("vacuous: the set side never fast-forwarded")
-			}
-		})
-	}
+			tw.drain(40000)
+		}
+		if n := len(tw.scan.c.RecoveryRecords()); n == 0 {
+			t.Fatal("vacuous: no recovery completed")
+		}
+		if tw.set.s.StepperCounters().QuietCycles == 0 {
+			t.Fatal("vacuous: the set side never fast-forwarded")
+		}
+	})
 
 	// Trickle load on a healthy 16x16: almost every FSM idles in S_OFF,
 	// which is where the set must save its visits.
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("trickle/16x16/shards%d", shards), func(t *testing.T) {
-			tw := newTickTwins(t, topology.NewMesh(16, 16), shards, 0.0005, nil)
-			for i := 0; i < 6000; i++ {
-				tw.step(true)
-			}
-			tw.drain(2000)
-			if tw.set.s.Stats.Delivered == 0 {
-				t.Fatal("vacuous: nothing delivered")
-			}
-			if tw.setVisits*10 >= tw.scanVisits {
-				t.Fatalf("set side made %d FSM visits, the full scan %d: want under 10%%", tw.setVisits, tw.scanVisits)
-			}
-		})
-	}
+	t.Run("trickle/16x16", func(t *testing.T) {
+		tw := newTickTwins(t, topology.NewMesh(16, 16), 0.0005, nil)
+		for i := 0; i < 6000; i++ {
+			tw.step(true)
+		}
+		tw.drain(2000)
+		if tw.set.s.Stats.Delivered == 0 {
+			t.Fatal("vacuous: nothing delivered")
+		}
+		if tw.setVisits*10 >= tw.scanVisits {
+			t.Fatalf("set side made %d FSM visits, the full scan %d: want under 10%%", tw.setVisits, tw.scanVisits)
+		}
+	})
 
 	// Churn: one placement router is dead at Attach; the first router
 	// caught mid-recovery fails on the spot; both come back while the
@@ -228,7 +219,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 			}
 		}
 		topo.DisableRouter(late)
-		tw := newTickTwins(t, topo, 4, 0.25, nil)
+		tw := newTickTwins(t, topo, 0.25, nil)
 		if tw.set.c.fsmAt(late) != nil {
 			t.Fatal("router dead at Attach has an FSM")
 		}
@@ -270,7 +261,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 	// hop and every retransmission after it, up to the retry limit.
 	t.Run("countdown-in-empty-network", func(t *testing.T) {
 		const n = geom.NodeID(5)
-		tw := newTickTwins(t, topology.NewMesh(4, 4), 1, 0, func(*network.Sim) Options {
+		tw := newTickTwins(t, topology.NewMesh(4, 4), 0, func(*network.Sim) Options {
 			return Options{TDD: 20, Placement: []geom.NodeID{n}}
 		})
 		for _, side := range []*tickTwin{&tw.set, &tw.scan} {
@@ -301,7 +292,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 		topo := topology.NewMesh(4, 4)
 		a, b := geom.NodeID(5), geom.NodeID(10)
 		raised := 0
-		tw := newTickTwins(t, topo, 1, 0, func(s *network.Sim) Options {
+		tw := newTickTwins(t, topo, 0, func(s *network.Sim) Options {
 			done := false
 			return Options{TDD: 20, Placement: []geom.NodeID{a, b}, Trace: func(_ int64, n geom.NodeID, ev string) {
 				if n == a && !done && strings.HasPrefix(ev, "tDD expired") {

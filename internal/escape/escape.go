@@ -9,7 +9,7 @@
 //
 // The reservation and the tree routing are an escape class the simulator
 // reads as data (network.AttachEscapeClass), so an escape run keeps the
-// fused allocation pass and the sharded sweep; this package owns the
+// fused allocation pass; this package owns the
 // policy, one PostCycle hook that promotes a packet once it has sat in
 // the same buffer for Timeout cycles. The hook is driven by deadlines,
 // not by a scan: the simulator records each buffer's fill cycle, and a

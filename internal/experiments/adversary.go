@@ -91,7 +91,7 @@ func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int6
 	}
 	topo := p.SampleTopology(kind, faults, g.Topo)
 
-	s := network.New(topo, network.Config{Shards: p.Shards}, rand.New(rand.NewSource(sweep.SubSeed(seed, 0))))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(sweep.SubSeed(seed, 0))))
 	knobs := perturb.Knobs{
 		Loss:    sp.Loss[g.Loss],
 		Jitter:  sp.Jitter[g.Jitter],

@@ -284,9 +284,8 @@ type pendingRecover struct {
 }
 
 // churnRun executes one contender over one churn timeline. The run is
-// fully deterministic in (p, cfg, kind, seed) and shard-count
-// independent: all reconfiguration happens between Steps, and the
-// sharded stepper is byte-identical to the event core.
+// fully deterministic in (p, cfg, kind, seed): all reconfiguration
+// happens between Steps.
 func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	p = p.withDefaults()
 	cfg = cfg.withDefaults()
@@ -295,7 +294,7 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	out.Cmp = new(stats.Quantile)
 	topo := topology.NewMesh(p.Width, p.Height)
 	numNodes := topo.NumNodes()
-	s := network.New(topo, network.Config{Shards: p.Shards}, rand.New(rand.NewSource(sweep.SubSeed(seed, 0))))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(sweep.SubSeed(seed, 0))))
 
 	var ctl *core.Controller
 	if kind == churnSB {

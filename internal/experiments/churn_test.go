@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/network"
 )
 
 // churnTestCfg is small enough for the unit-test tier while still
@@ -23,14 +21,6 @@ func churnTestParams() Params {
 	p := Quick()
 	p.Topologies = 1
 	return p
-}
-
-// churnShardStats runs the static_bubble churn workload at the given
-// shard count and returns the final simulator statistics.
-func churnShardStats(p Params, cfg ChurnConfig, shards int, seed int64) network.Stats {
-	p = p.withDefaults()
-	p.Shards = shards
-	return churnRun(p, cfg, churnSB, seed).Stats
 }
 
 // TestChurnShape: all three contenders run the churn workload to
@@ -89,23 +79,6 @@ func TestChurnShape(t *testing.T) {
 	// events finish when damaged traffic lands, far sooner.
 	if sb.RecP99 >= tree.RecP99 {
 		t.Fatalf("static_bubble recP99 %v not below sp_tree %v", sb.RecP99, tree.RecP99)
-	}
-}
-
-// TestChurnShardEquality: the static_bubble churn run — overlapping
-// fail/recover events, in-place repair, controller resets and all — must
-// be byte-identical between the sequential core and the 4-shard stepper.
-// (The CI churn smoke tier runs the same check under -race.)
-func TestChurnShardEquality(t *testing.T) {
-	p := churnTestParams()
-	cfg := churnTestCfg()
-	a := churnShardStats(p, cfg, 1, 12345)
-	b := churnShardStats(p, cfg, 4, 12345)
-	if a != b {
-		t.Fatalf("churn trajectories diverged across shard counts\nshards=1: %+v\nshards=4: %+v", a, b)
-	}
-	if a.Delivered == 0 {
-		t.Fatal("shard-equality run delivered nothing")
 	}
 }
 

@@ -93,11 +93,6 @@ type Params struct {
 	// only — it never affects simulated results and is excluded from
 	// cache keys. Nil selects a default engine (all cores, no cache).
 	Engine *sweep.Engine
-	// Shards is the per-simulation shard count (network.Config.Shards).
-	// Like Engine it is execution configuration only: the sharded
-	// stepper is byte-identical to the sequential core, so it never
-	// affects simulated results and is excluded from cache keys.
-	Shards int
 }
 
 func (p Params) withDefaults() Params {
@@ -149,12 +144,12 @@ type Instance struct {
 
 // Build constructs a scheme instance over topo. The topology must not be
 // mutated afterwards: routing tables come from the process-wide compiled
-// cache (routing.MinimalFor/UpDownFor), so every (seed, rate, shard
-// count) point over one topology content — including Clone()s, which
+// cache (routing.MinimalFor/UpDownFor), so every (seed, rate) point
+// over one topology content — including Clone()s, which
 // fingerprint identically — shares a single compile.
 func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance {
 	p = p.withDefaults()
-	s := network.New(topo, network.Config{Shards: p.Shards}, rand.New(rand.NewSource(seed)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(seed)))
 	inst := &Instance{Scheme: sch, Sim: s}
 	switch sch {
 	case SpanningTree:

@@ -404,35 +404,6 @@ func TestScaleStudyShape(t *testing.T) {
 	}
 }
 
-// TestScaleGridShardsAgree runs the 16×16 recovery storm — the first
-// block of sbsweep -fig scalegrid — cut to 1200 cycles (the shortest
-// trim that reaches several recoveries) at shard counts 1/2/4/8:
-// ScaleGrid itself errors if any count's Stats diverge from Shards=1,
-// and the storm must actually reach deadlock recovery.
-func TestScaleGridShardsAgree(t *testing.T) {
-	pt := scaleGridPoints[0]
-	pt.cycles, pt.injectEnd = 1200, 600
-	rows, err := ScaleGrid([]scaleGridPoint{pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(ScaleGridShardCounts) {
-		t.Fatalf("rows = %d, want one per shard count %v", len(rows), ScaleGridShardCounts)
-	}
-	for _, r := range rows {
-		if r.Delivered != rows[0].Delivered || r.Recoveries != rows[0].Recoveries {
-			t.Errorf("shards=%d: delivered %d recoveries %d, shards=1 had %d / %d",
-				r.Shards, r.Delivered, r.Recoveries, rows[0].Delivered, rows[0].Recoveries)
-		}
-	}
-	if rows[0].Delivered == 0 || rows[0].Recoveries == 0 {
-		t.Fatalf("no recovery storm: %+v", rows[0])
-	}
-	if renderText(t, scaleGridTables(rows)...) == "" {
-		t.Fatal("empty print")
-	}
-}
-
 func TestFailureTimelineShape(t *testing.T) {
 	p := Quick()
 	p.Topologies = 2

@@ -96,7 +96,7 @@ func Fig3(p Params, faultCounts []int, rates []float64) []Fig3Row {
 func deadlocksAt(p Params, topo *topology.Topology, rate float64, seed int64) bool {
 	// The unprotected network: minimal routes, no recovery scheme.
 	p = p.withDefaults()
-	s := network.New(topo, network.Config{Shards: p.Shards}, rand.New(rand.NewSource(seed)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(seed)))
 	alive := topo.AliveRouters()
 	inj := traffic.NewInjector(alive, routing.MinimalFor(topo), traffic.NewUniformRandom(alive), rate,
 		rand.New(rand.NewSource(seed+7777)))

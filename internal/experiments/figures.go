@@ -4,8 +4,6 @@ package experiments
 type Figure struct {
 	// ID is the value -fig selects the experiment by.
 	ID string
-	// Standalone experiments run only when named, never under "all".
-	Standalone bool
 	// Run executes the experiment at paper-default axes and returns what
 	// it renders to. quick is the -scale preset; advEvals caps the
 	// adversary's unique evaluations (0 = preset default).
@@ -44,13 +42,6 @@ var Figures = []Figure{
 		return []Table{churnTable(cfg, Churn(p, cfg))}, nil
 	}},
 	sweepFig("scale", func(p Params) Table { return scaleTable(Scale(p, nil)) }),
-	// Sharded-stepper wall-clock timing up to 64x64. Not a sweep-engine
-	// job: it ignores scale, topology count, seed and worker count, and
-	// its timings must not share the machine with a sweep.
-	{ID: "scalegrid", Standalone: true, Run: func(Params, bool, int) ([]Table, error) {
-		rows, err := ScaleGrid(nil)
-		return scaleGridTables(rows), err
-	}},
 	// Adversarial worst-case SLO search, reproducible for a fixed base
 	// seed and budget; cached cells make a rerun instant.
 	{ID: "adversary", Run: func(p Params, quick bool, advEvals int) ([]Table, error) {

@@ -61,9 +61,6 @@ func TestFiguresGolden(t *testing.T) {
 	var got bytes.Buffer
 	text := map[string]string{}
 	for _, f := range Figures {
-		if f.Standalone {
-			continue
-		}
 		tables, err := f.Run(p, true, 0)
 		if err != nil {
 			t.Fatalf("-fig %s: %v", f.ID, err)

@@ -80,7 +80,7 @@ func BenchmarkDenseAllocNodeSaturated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for id := range s.Routers {
-			s.denseAllocNode(geom.NodeID(id), nil)
+			s.denseAllocNode(geom.NodeID(id))
 		}
 	}
 }
@@ -201,7 +201,7 @@ func BenchmarkDenseAllocBlocked10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.denseAllocNode(mid, nil)
+		s.denseAllocNode(mid)
 	}
 	if s.grantN[mid] != grants {
 		b.Fatal("a blocked head was granted")

@@ -8,9 +8,7 @@ package network_test
 //
 //   - Conservation: Offered == Delivered + InFlight + Queued + Lost
 //     after every cycle (and validate.Check's full invariant set every
-//     64), for abrupt router/link failures overlapping with recoveries,
-//     at every shard count — and the full Stats are byte-identical
-//     across shard counts 1/2/4/8.
+//     64), for abrupt router/link failures overlapping with recoveries.
 //
 //   - No-loss: under *graceful* churn (power-gate drains and
 //     revocations only, no abrupt kills), not a single packet may be
@@ -32,16 +30,16 @@ import (
 
 // churnProp drives one seeded Poisson-churn workload and returns the
 // final stats. Every decision — mesh size, event times, targets,
-// traffic — derives from seed, so the run is reproducible at any shard
-// count. graceful selects gate/revoke churn (no packet may die);
+// traffic — derives from seed, so the run is reproducible. graceful
+// selects gate/revoke churn (no packet may die);
 // otherwise abrupt fails overlap with scheduled recoveries.
-func churnProp(seed int64, shards int, graceful bool) (network.Stats, error) {
+func churnProp(seed int64, graceful bool) (network.Stats, error) {
 	hrng := rand.New(rand.NewSource(seed))
 	w := 4 + hrng.Intn(4)
 	h := 4 + hrng.Intn(4)
 	topo := topology.NewMesh(w, h)
 	num := topo.NumNodes()
-	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(hrng.Int63())))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(hrng.Int63())))
 	ctl := core.Attach(s, core.Options{TDD: int64(24 + hrng.Intn(16))})
 	mgr := reconfig.New(s)
 	mgr.SetScheme(ctl)
@@ -144,7 +142,7 @@ func churnProp(seed int64, shards int, graceful bool) (network.Stats, error) {
 // packet is eventually delivered.
 func TestPropChurnGracefulNoLoss(t *testing.T) {
 	f := func(seed int64) bool {
-		st, err := churnProp(seed, 1, true)
+		st, err := churnProp(seed, true)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -168,31 +166,18 @@ func TestPropChurnGracefulNoLoss(t *testing.T) {
 	}
 }
 
-// TestPropChurnConservationSharded: abrupt churn keeps conservation
-// after every cycle, and the whole trajectory is byte-identical across
-// shard counts 1/2/4/8.
-func TestPropChurnConservationSharded(t *testing.T) {
+// TestPropChurnConservation: abrupt churn keeps conservation after
+// every cycle.
+func TestPropChurnConservation(t *testing.T) {
 	f := func(seed int64) bool {
-		base, err := churnProp(seed, 1, false)
+		st, err := churnProp(seed, false)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		if base.Delivered == 0 {
+		if st.Delivered == 0 {
 			t.Logf("seed %d: nothing delivered", seed)
 			return false
-		}
-		for _, shards := range []int{2, 4, 8} {
-			st, err := churnProp(seed, shards, false)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if st != base {
-				t.Logf("seed %d: stats diverged at shards=%d\nshards=1: %+v\nshards=%d: %+v",
-					seed, shards, base, shards, st)
-				return false
-			}
 		}
 		return true
 	}

@@ -29,9 +29,8 @@ package network
 // candidate set (same fence, liveness, readiness and output filters, in
 // the same ascending candidate order), the cyclic mask walk visits
 // candidates in the same order commitAllocate's rotate-and-scan does, the
-// memoized free-slot answer equals tryGrant's own re-scan (no mutation
-// can intervene: within one router's pass each output port targets a
-// distinct neighbor), and a candidate is skipped exactly when the
+// memoized free-slot answer equals tryGrant's own re-scan (stepper.go,
+// downstream availability), and a candidate is skipped exactly when the
 // gather's ring pruning or tryGrant would have rejected it — the ring
 // count is per (output, vnet) too. The winner moves through the very same
 // tryGrant the generic commit uses.
@@ -41,7 +40,7 @@ package network
 // invocations) and only by the package's own fill/clear sites and by
 // PromoteEscape, which re-registers the one buffer whose packet it moves
 // to the escape class. Anything else that changes what a buffered packet
-// wants raises one flag, dense.stale, on the coordinator: a sweep that
+// wants raises one flag, dense.stale: a sweep that
 // runs non-fused, exported SetRoute (reconfig's reroutes), attaching an
 // escape or hop class or swapping the escape tree (SetEscapeTree), an
 // out-of-cycle placement under a hook, and Wake — the notice a scheme
@@ -55,25 +54,18 @@ package network
 // fence and bubble directly, every cycle of a recovery, and reading a few
 // fields per visit is cheaper than a notice per write.
 //
-// A router's vectors are read and written only by the shard that owns
-// it (plan phase: the pass itself and the band's injections; commit
-// phase: own-band grants; foreign arrivals go through the xfill fold on
-// the coordinator). The pass never reads a neighbor's occBits/want/pend
-// word: another shard's plan-phase injection may be writing it.
-//
 // The fused pass runs when neither allocation hook is live and the slot
 // space fits a word (fusedAlloc): VCFilter and OutputOverride answer per
 // packet, which the memoized per-vnet answers cannot reproduce, so with
 // either present the sweep calls the generic AllocateNode per active
-// router instead, on the stepping goroutine. That is the one selection
-// the stepper makes, from what the code observes: only a fused cycle may
-// fan out to the shard workers. A class or a rule is not a hook: the
-// escape class's two rules, the hop class's mask table and the ring rule
-// (Router.Ring: per vnet, a free-VC count at the one downstream pool the
-// availability argument of shard.go covers) are state the pass reads, so
-// escape-VC, per-hop adaptive and bubble-flow-control runs stay fused
-// (and an OutputOverride beside a hop class is never consulted, so it
-// does not count).
+// router instead. That is the one selection the stepper makes, from what
+// the code observes. A class or a rule is not a hook: the escape class's
+// two rules, the hop class's mask table and the ring rule (Router.Ring:
+// per vnet, a free-VC count at the one downstream pool the availability
+// argument of stepper.go covers) are state the pass reads, so escape-VC,
+// per-hop adaptive and bubble-flow-control runs stay fused (and an
+// OutputOverride beside a hop class is never consulted, so it does not
+// count).
 
 import (
 	"math/bits"
@@ -102,9 +94,9 @@ type denseState struct {
 	// occBits[id] mirrors router id's buffer occupancy at slot
 	// granularity: bit ci (= in*slots+sl, bubble at NumPorts*slots) is
 	// set iff that buffer holds a packet. Maintained by every fill/clear
-	// site in the package (tryGrant, grantPar, injectNode, bubble
-	// transfer, placement and removal helpers); nil when the candidate
-	// space does not fit a word (fastOK false). The fused classification
+	// site in the package (tryGrant, InjectNode, bubble transfer,
+	// placement and removal helpers); nil when the candidate space does
+	// not fit a word (fastOK false). The fused classification
 	// walks only the set bits, so a barely-occupied router costs its
 	// occupancy, not its capacity. SPIN rotations (core) move packets
 	// between slots that stay occupied, so the bitmap survives them; the
@@ -128,7 +120,7 @@ type denseState struct {
 	esc []uint64
 	// stale records that something other than a maintained fill/clear
 	// may have changed what a buffered packet wants; the next fused sweep
-	// rebuilds. Read and written on the coordinator only.
+	// rebuilds.
 	stale bool
 }
 
@@ -253,10 +245,10 @@ func (s *Sim) rebuildVectors(id geom.NodeID) {
 	}
 }
 
-// syncVectors runs on the coordinator at the top of every sweep, before
-// any worker starts: it reports whether this sweep allocates through the
-// fused pass, rebuilding the request vectors first if they are stale,
-// and marks them stale when it does not (its fills go unrecorded).
+// syncVectors runs at the top of every sweep: it reports whether this sweep
+// allocates through the fused pass, rebuilding the request vectors first if
+// they are stale, and marks them stale when it does not (its fills go
+// unrecorded).
 func (s *Sim) syncVectors() bool {
 	d := &s.dense
 	if !s.fusedAlloc() {
@@ -368,10 +360,8 @@ func (s *Sim) fusedAlloc() bool {
 // single sweep over bitmasks, with no bucket building, no per-head work
 // and no per-candidate downstream re-scans. Only valid under fusedAlloc
 // with the vectors in sync (syncVectors); produces bit-for-bit the
-// grants, Stats mutations and pool releases of AllocateNode. With a non-nil plan (a shard worker's parallel phase)
-// the winners are recorded there for the commit phase instead of being
-// granted.
-func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
+// grants, Stats mutations and pool releases of AllocateNode.
+func (s *Sim) denseAllocNode(id geom.NodeID) {
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
 		// A dead router's buffered traffic cannot move; it stays in the
 		// active set until a re-enable.
@@ -431,9 +421,9 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 	// candidates (per-vnet downstream availability, and at a ring node
 	// the ring rule, answered once per vnet against the static vnetBits
 	// masks), then pick the first grantable candidate in cyclic order
-	// from the round-robin pointer —
-	// exactly the winner commitAllocate's rotate-and-scan converges on,
-	// since the candidates it would skip are those tryGrant rejects.
+	// from the round-robin pointer — exactly the winner commitAllocate's
+	// rotate-and-scan converges on, since the candidates it would skip are
+	// those tryGrant rejects.
 	vnetBits := d.vnetBits
 	ringOut := geom.Invalid
 	if r.Ring.Active {
@@ -445,12 +435,11 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 			continue
 		}
 		eligible := m
-		nb, in := geom.InvalidNode, geom.Invalid
 		if out != geom.Local {
 			if !s.Topo.HasLink(id, out) {
 				continue
 			}
-			nb, in = s.Topo.Neighbor(id, out), out.Opposite()
+			nb, in := s.Topo.Neighbor(id, out), out.Opposite()
 			if !s.Routers[nb].Bubble.EligibleFor(in, now) {
 				// No downstream bubble: a candidate is grantable iff its
 				// vnet has a free downstream VC of its class right now.
@@ -485,13 +474,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID, plan *[]planGrant) {
 			ci = bits.TrailingZeros64(eligible)
 		}
 		vc, inPort := r.candVC(int32(ci), slots, total)
-		if plan != nil {
-			dst := -1 // ejection, or the downstream bubble
-			if out != geom.Local {
-				dst = s.findFreeVCNoFilter(nb, in, vc.Pkt.Vnet, vc.Pkt.Escaped)
-			}
-			*plan = append(*plan, planGrant{id: int32(id), out: int8(out), ci: int16(ci), dst: int16(dst)})
-		} else if s.tryGrant(r, out, vc, vc.Pkt, inPort, ci) {
+		if s.tryGrant(r, out, vc, vc.Pkt, inPort, ci) {
 			r.saPtr[out] = (ci + 1) % (total + 1)
 		}
 	}

@@ -9,9 +9,9 @@ package network
 // rules are pure functions of (Escaped, position), so OutputOf and the
 // free-VC search consult the class directly, the registered request
 // vectors (dense.go) carry the tree hop like any other wanted output, and
-// a Sim with a class attached keeps the fused pass and the parallel
-// sweep. The timeout policy — when a packet is promoted — stays with the
-// scheme: the class only records, per buffer, the cycle of its last fill.
+// a Sim with a class attached keeps the fused pass. The timeout policy —
+// when a packet is promoted — stays with the scheme: the class only
+// records, per buffer, the cycle of its last fill.
 
 import (
 	"repro/internal/geom"
@@ -21,9 +21,8 @@ import (
 // toward dst over a deadlock-free tree — Local at the destination,
 // Invalid when the tree does not connect the two. The lookup must be a
 // pure function of its arguments for as long as the value is attached
-// and safe for concurrent calls — shard workers look up the hop of an
-// escaped packet arriving in their band (*routing.UpDown, the immutable
-// spanning tree, is both); a new tree goes through SetEscapeTree.
+// (*routing.UpDown, the immutable spanning tree, is); a new tree goes
+// through SetEscapeTree.
 type TreeRouter interface {
 	TreeNextHop(at, dst geom.NodeID) geom.Direction
 }
@@ -33,10 +32,7 @@ type escapeClass struct {
 	tree TreeRouter
 	// fill[id*stride+ci] is the cycle buffer ci (candidate index
 	// in*slots+sl, the bubble last) of router id was last filled, written
-	// by occBitSet — the one place every fill passes. A router's entries
-	// are written only by the shard that owns it (injection and own-band
-	// grants in the parallel phases, foreign arrivals at the coordinator's
-	// fold), like its occupancy word.
+	// by occBitSet — the one place every fill passes.
 	fill   []int64
 	stride int
 }
@@ -97,8 +93,8 @@ func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 // input port in to the escape class where it stands: from now on it
 // follows the tree and may enter only reserved VCs. The buffer's entries
 // in the request vectors are re-registered, so the next fused pass sees
-// the tree hop. Call it from the stepping goroutine, outside the
-// allocation phase (a PreCycle/PostCycle hook).
+// the tree hop. Call it outside the allocation phase (from a
+// PreCycle/PostCycle hook).
 func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
 	p := s.Routers[id].In[in][slot].Pkt
 	p.Escaped = true

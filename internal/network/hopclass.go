@@ -14,17 +14,10 @@ package network
 // the class's own per-router "choose per visit" word, its mask byte
 // beside it. The fused pass resolves those buffers once their head has
 // arrived, each visit, from a free-buffer count memoised per (direction,
-// vnet) — so an adaptive Sim keeps the fused pass and the parallel sweep.
-//
-// Why the per-visit choice is order-independent (the argument shard.go
-// makes for grants): the buffers counted for direction d are those of
-// input port d.Opposite() at the neighbour, which only this router fills,
-// and which the neighbour's own grants only drain — a drained VC stays
-// non-Empty until FreeAt. Injection fills local ports and bubble
-// transfers run after every allocation. The count is therefore the same
-// when a shard worker plans, when the commit moves the winner and when
-// the sequential sweep reaches the router, and this router reads it
-// before its own first grant of the cycle.
+// vnet) — so an adaptive Sim keeps the fused pass. The memoised count is
+// the refmodel's per-packet count: this router reads it before its own
+// first grant of the cycle, and nothing else fills the buffers it counts
+// (stepper.go, downstream availability).
 
 import (
 	"math/bits"
@@ -36,9 +29,7 @@ import (
 // is set iff geom.LinkDirs[i] is a minimal next hop from at toward dst;
 // zero at the destination and when dst is unreachable. The lookup must be
 // a pure function of its arguments for as long as the value is attached
-// and safe for concurrent calls — shard workers look up the mask of a
-// packet arriving in their band (a MinimalFor *routing.Minimal, an
-// immutable compiled table, is both).
+// (a MinimalFor *routing.Minimal, an immutable compiled table, is).
 type HopMasker interface {
 	NextHopMask(at, dst geom.NodeID) uint8
 }
@@ -48,9 +39,9 @@ type hopClass struct {
 	// choose[id] has bit ci set iff buffer ci of router id holds a packet
 	// with more than one minimal direction, and mask[id*stride+ci] is then
 	// that packet's mask (meaningless under a clear bit). Written where
-	// want is (occBitSet, occBitClear, the stale rebuild), by the shard
-	// that owns the router, and disjoint from every want word: a buffer is
-	// registered in one or the other. nil without the occupancy mirror.
+	// want is (occBitSet, occBitClear, the stale rebuild), and disjoint
+	// from every want word: a buffer is registered in one or the other.
+	// nil without the occupancy mirror.
 	choose []uint64
 	mask   []uint8
 	stride int

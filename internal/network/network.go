@@ -23,14 +23,15 @@
 // (a reserved VC index and a tree for promoted packets, escclass.go) and
 // a hop class (per-hop adaptive routing over a mask table, hopclass.go).
 // Two allocation hooks remain, a VC filter and an output override, and no
-// scheme installs either; a hook costs the fused allocation pass and the
-// parallel sweep (dense.go), state does not.
+// scheme installs either; a hook costs the fused allocation pass
+// (dense.go), state does not. Everything runs on the goroutine that calls
+// Step: independent simulations, not one simulation's routers, are what
+// run in parallel (internal/sweep).
 package network
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/routing"
@@ -55,13 +56,9 @@ type Config struct {
 	// LinkLatency is the per-hop link traversal delay in cycles.
 	// Default 1.
 	LinkLatency int
-	// Shards is the number of spatial shards (contiguous row bands) the
-	// stepper advances on parallel goroutines. 0 or 1 selects the
-	// sequential core; larger values are clamped to the mesh height. The
-	// sharded stepper is byte-identical to the sequential one — same
-	// Stats, same per-packet delivery cycles, same RNG draws — for any
-	// value (see shard.go for the determinism argument), so Shards is
-	// execution configuration, not a simulation parameter.
+	// Shards is ignored: the simulator steps every router on the calling
+	// goroutine. The field stays only because the benchmark's side pass
+	// still sets it (see ROADMAP item 6(b)).
 	Shards int
 }
 
@@ -144,7 +141,7 @@ type Sim struct {
 	grantN []int64
 	// niPend[id] counts packets queued across router id's NI rings —
 	// the stepper's activity predicate reads it instead of touching
-	// every ring. Maintained by Enqueue and injectNode; code that edits
+	// every ring. Maintained by Enqueue and InjectNode; code that edits
 	// NIQueue contents directly must call RecountNIPending.
 	niPend []int32
 	// pool recycles delivered/lost packets and their route spans (see
@@ -154,19 +151,9 @@ type Sim struct {
 	// sequential sweep under a hook, and the refmodel).
 	seqGather allocGather
 
-	// active, actPos and ids are the stepper's active set (stepper.go).
+	// active and ids are the stepper's active set (stepper.go).
 	active []uint64
-	actPos []int32
 	ids    []int32
-
-	// shards holds the per-band state, one entry per effective shard —
-	// an unsharded Sim is the one-band case. shardOf maps a router id to
-	// its owning shard (nil when unsharded). shardWG is the per-cycle
-	// barrier; it lives on the Sim (not on the stepper's stack) so the
-	// parallel phase does not allocate.
-	shardOf []int8
-	shards  []shardState
-	shardWG sync.WaitGroup
 
 	// quietUntil > Now means the simulator proved that no state can
 	// change before cycle quietUntil: Step just advances Now (the
@@ -191,9 +178,6 @@ type Sim struct {
 	escClass *escapeClass
 	// hopClass, when non-nil, is the attached hop class (hopclass.go).
 	hopClass *hopClass
-	// xfillObs, when non-nil, observes cross-shard buffer fills at fold
-	// time (SetXFillObserver) — seam-invariant test instrumentation.
-	xfillObs func(src, dst geom.NodeID)
 }
 
 // New builds a simulator over topo. The topology may be irregular; dead
@@ -227,8 +211,8 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 	}
 	s.seqGather.init(cfg)
 	s.dense.init(n, cfg)
+	s.active = make([]uint64, (n+63)>>6)
 	s.ids = make([]int32, 0, n)
-	s.initShards(effectiveShards(cfg.Shards, topo.Height()))
 	return s
 }
 
@@ -296,7 +280,7 @@ func (s *Sim) NIPending(id geom.NodeID) int { return int(s.niPend[id]) }
 
 // RecountNIPending resynchronizes router id's NI-pending counter from
 // its rings. Code that mutates NIQueue contents without going through
-// Enqueue/injectNode (reconfig's reroute filter) must call it before
+// Enqueue/InjectNode (reconfig's reroute filter) must call it before
 // the simulation steps again.
 func (s *Sim) RecountNIPending(id geom.NodeID) {
 	var n int32
@@ -447,30 +431,6 @@ func (s *Sim) QueuedPackets() int64 {
 // node. Exported as a stepper building block; Step invokes it for
 // active routers, the refmodel for every router.
 func (s *Sim) InjectNode(id geom.NodeID) {
-	var d injectDelta
-	s.injectNode(id, &d)
-	d.apply(s)
-}
-
-// injectDelta accumulates the injection phase's contribution to the
-// shared counters. Injection touches only node-local state (the node's
-// NI queues, its local-port VCs, its occupancy) plus these three
-// counters, so shard workers inject concurrently into private deltas
-// and the coordinator folds the sums in shard order — the totals are
-// identical to the sequential core's, and Stats is only observable at
-// cycle boundaries.
-type injectDelta struct {
-	injected, flits, inFlight int64
-}
-
-func (d *injectDelta) apply(s *Sim) {
-	s.Stats.Injected += d.injected
-	s.Stats.InjectedFlits += d.flits
-	s.inFlight += d.inFlight
-	*d = injectDelta{}
-}
-
-func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 	qs := s.NIQueue[id]
 	if !s.Topo.RouterAlive(id) {
 		// A dead router cannot inject, but its queue survives (the
@@ -495,9 +455,9 @@ func (s *Sim) injectNode(id geom.NodeID, d *injectDelta) {
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
-		d.injected++
-		d.flits += int64(p.Len)
-		d.inFlight++
+		s.Stats.Injected++
+		s.Stats.InjectedFlits += int64(p.Len)
+		s.inFlight++
 		s.occ[id]++
 	}
 }

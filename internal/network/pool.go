@@ -26,16 +26,11 @@ import "repro/internal/routing"
 //   - SetRoute is the only sanctioned way to replace a live packet's
 //     route (reconfig's reroutes); it recycles the old span in place
 //     when the new route fits.
-//   - The sharded stepper is safe because packets are created by
-//     injection tick code and released either by commitAllocate or by
-//     the commit-sink fold, all of which run on the coordinator in the
-//     sequential portion of the cycle (parallel commit workers only
-//     *defer* releases into their sinks).
 //
 // The refmodel differential unit runs with SetPooling(false): it keeps
-// plain new(Packet) allocation, so a pooling bug in the event/sharded
-// cores (premature recycle, route-span aliasing) perturbs their
-// trajectory but not the refmodel's and surfaces as a Stats divergence.
+// plain new(Packet) allocation, so a pooling bug in the stepper
+// (premature recycle, route-span aliasing) perturbs its trajectory but
+// not the refmodel's and surfaces as a Stats divergence.
 
 // PoolStats counts packet-pool and route-arena traffic; exposed for the
 // allocation-observability harness and asserted by lifecycle tests.
@@ -91,8 +86,8 @@ func (s *Sim) PoolStats() PoolStats {
 //   - every NI injection ring is reserved to niDepth entries (first-touch
 //     and high-water ring growth otherwise land in the window).
 //
-// The stepper's own scratch (active set, per-shard plans and sinks) is
-// sized to its bounds at construction and needs no prewarming.
+// The stepper's own scratch (the active set) is sized to its bounds at
+// construction and needs no prewarming.
 //
 // The prewarm allocates deterministically, draws no randomness and moves
 // no packets, so the simulated trajectory is byte-identical with or
@@ -131,8 +126,7 @@ func (s *Sim) releasePacket(p *Packet) {
 // the copy goes to the arena, reusing p's current span when it fits;
 // without pooling it is a fresh heap slice, mirroring what reroute
 // callers allocated historically. p may sit in a buffer, so the request
-// vectors are marked stale (dense.go); call it from the stepping
-// goroutine.
+// vectors are marked stale (dense.go).
 func (s *Sim) SetRoute(p *Packet, r routing.Route) {
 	s.dense.stale = true
 	s.setRoute(p, r)

@@ -2,13 +2,12 @@ package network_test
 
 // The zero-allocation steady-state gate: after warm-up, an
 // inject→deliver→recycle loop at a below-saturation load must not
-// allocate a single heap object under the sequential sweep, the sharded
-// sweep or the refmodel full scan, measured with testing.AllocsPerRun.
+// allocate a single heap object under Step or the refmodel full scan,
+// measured with testing.AllocsPerRun.
 // `go run ./bench` reports the same property per workload as
 // network.allocs_per_kcycle from a MemStats window.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,9 +44,9 @@ type steadyLoad struct {
 // steadyLoop builds the load under the chosen core, runs steadyWarmup
 // cycles so every pool, arena and ring reaches its steady size, and
 // returns a one-cycle advance function.
-func steadyLoop(ld steadyLoad, shards int, useRef bool) func() {
+func steadyLoop(ld steadyLoad, useRef bool) func() {
 	topo := topology.NewMesh(ld.w, ld.h)
-	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(41)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(41)))
 	ctl := core.Attach(s, core.Options{})
 	if ld.msgs > 0 {
 		ctl.PrewarmMessages(ld.msgs)
@@ -77,10 +76,10 @@ func steadyLoop(ld steadyLoad, shards int, useRef bool) func() {
 
 // TestZeroAllocSteadyState drives ≥10k post-warmup cycles of each case
 // and requires exactly zero heap allocations: the 8x8 loop just below
-// saturation under all three cores, a 16x16 trickle whose injection
-// stops half-way through the measured pass (active-set sweep, quiet
-// windows and a fully drained tail), and the 1024-router mesh below its
-// saturation point under the sharded sweep.
+// saturation under both cores, a 16x16 trickle whose injection stops
+// half-way through the measured pass (active-set sweep, quiet windows
+// and a fully drained tail), and the 1024-router mesh below its
+// saturation point.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state run")
@@ -94,20 +93,16 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	cases := []struct {
 		name   string
 		load   steadyLoad
-		shards int
 		useRef bool
 	}{
-		{"event_sequential", steady8, 1, false},
-		{"sharded_2", steady8, 2, false},
-		{"sharded_4", steady8, 4, false},
-		{"refmodel_fullscan", steady8, 1, true},
-		{"idle_16x16_drained", idle16, 1, false},
-		{"idle_16x16_drained_sharded_4", idle16, 4, false},
-		{"steady_32x32_sharded_4", steady32, 4, false},
+		{"event_sequential", steady8, false},
+		{"refmodel_fullscan", steady8, true},
+		{"idle_16x16_drained", idle16, false},
+		{"steady_32x32", steady32, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cycle := steadyLoop(tc.load, tc.shards, tc.useRef)
+			cycle := steadyLoop(tc.load, tc.useRef)
 			// AllocsPerRun runs the body once extra as its own warm-up, so
 			// the measured pass covers cycles well past any growth.
 			allocs := testing.AllocsPerRun(1, func() {
@@ -130,9 +125,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 // reserved NI rings surviving the full-drain/refill oscillation, and on
 // pooled controller messages keeping their Turns capacity as probes
 // consume turns hop by hop — the three regressions this test pins.
-func saturatedLoop(shards int) func() {
+func saturatedLoop() func() {
 	topo := topology.NewMesh(8, 8)
-	s := network.New(topo, network.Config{Shards: shards}, rand.New(rand.NewSource(21)))
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(21)))
 	core.Attach(s, core.Options{}).PrewarmMessages(4096)
 	s.PrewarmPool(32768, 16, 1024)
 	min := routing.NewMinimal(topo)
@@ -149,28 +144,23 @@ func saturatedLoop(shards int) func() {
 	return cycle
 }
 
-// TestZeroAllocSaturation holds the stepper — sequential and sharded
-// — to the zero-allocation contract past the saturation point, where
-// the historical leaks lived (ring release-on-drain churn, controller
-// Turns-capacity erosion, under-sized prewarm). A handful of objects
-// are tolerated per measured pass: the sharded stepper's worker
-// goroutines occasionally make the runtime allocate park/unpark
-// machinery, which is scheduler noise, not simulator state.
+// TestZeroAllocSaturation holds the stepper to the zero-allocation
+// contract past the saturation point, where the historical leaks lived
+// (ring release-on-drain churn, controller Turns-capacity erosion,
+// under-sized prewarm).
 func TestZeroAllocSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long saturation run")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards_%d", shards), func(t *testing.T) {
-			cycle := saturatedLoop(shards)
-			allocs := testing.AllocsPerRun(1, func() {
-				for i := 0; i < 2500; i++ {
-					cycle()
-				}
-			})
-			if allocs > 8 {
-				t.Errorf("saturated run allocated %.0f objects per 2.5k cycles, want ~0", allocs)
+	t.Run("mesh_8x8", func(t *testing.T) {
+		cycle := saturatedLoop()
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 2500; i++ {
+				cycle()
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("saturated run allocated %.0f objects per 2.5k cycles, want 0", allocs)
+		}
+	})
 }

@@ -41,10 +41,9 @@ func fullScan(s *Sim) {
 // kind and count, and offered rates from sparse (a few routers active)
 // to dense (the whole fabric active, past saturation), with and without
 // a VCFilter (which moves Step from the fused allocation pass to the
-// generic one) — the active-set sweep, its sharded form and the full
-// scan must agree on Stats, occupancy and progress after every cycle,
-// and the active summary must cover every router holding or queueing a
-// packet.
+// generic one) — the active-set sweep and the full scan must agree on
+// Stats, occupancy and progress after every cycle, and the active summary
+// must cover every router holding or queueing a packet.
 func TestPropDenseSparseEquivalence(t *testing.T) {
 	f := func(seed int64, rateRaw uint8) bool {
 		hrng := rand.New(rand.NewSource(seed))
@@ -56,12 +55,12 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 		faults := hrng.Intn(1 + w*h/5)
 		topoSeed := hrng.Int63()
 		simSeed := hrng.Int63()
-		mk := func(shards int) *Sim {
+		mk := func() *Sim {
 			return New(topology.RandomIrregular(w, h, kind, faults, topoSeed),
-				Config{Shards: shards}, rand.New(rand.NewSource(simSeed)))
+				Config{}, rand.New(rand.NewSource(simSeed)))
 		}
-		scan, swept, sharded := mk(1), mk(1), mk(3)
-		units := []*Sim{scan, swept, sharded}
+		scan, swept := mk(), mk()
+		units := []*Sim{scan, swept}
 		if seed%2 == 0 {
 			for _, u := range units {
 				u.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
@@ -103,17 +102,14 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 			}
 			fullScan(scan)
 			swept.Step()
-			sharded.Step()
-			for _, u := range units[1:] {
-				if u.Stats != scan.Stats || u.InFlight() != scan.InFlight() ||
-					u.QueuedPackets() != scan.QueuedPackets() || u.LastProgress != scan.LastProgress {
+			if swept.Stats != scan.Stats || swept.InFlight() != scan.InFlight() ||
+				swept.QueuedPackets() != scan.QueuedPackets() || swept.LastProgress != scan.LastProgress {
+				return false
+			}
+			for id := range swept.Routers {
+				if (swept.occ[id] != 0 || swept.niPend[id] != 0) && !swept.ActiveMarked(geom.NodeID(id)) {
+					t.Logf("cycle %d: router %d busy but not in the active summary", c, id)
 					return false
-				}
-				for id := range u.Routers {
-					if (u.occ[id] != 0 || u.niPend[id] != 0) && !u.ActiveMarked(geom.NodeID(id)) {
-						t.Logf("cycle %d: router %d busy but not in the active summary", c, id)
-						return false
-					}
 				}
 			}
 		}

@@ -3,14 +3,13 @@ package refmodel
 // Churn differential scenarios: overlapping reconfiguration events —
 // fails landing mid-drain, revoked power-offs, recoveries of routers
 // hosting recovery state, flapping links, scheduled event queues — must
-// leave every core (event, refmodel, sharded 1/2/4/8) cycle-exact. Each
-// scenario mirrors the same Submit/SubmitAt/Tick calls into every
-// unit's manager and additionally demands the *managers* agree:
-// identical outcomes, identical epochs, identical pending queues, and
-// identical gate completions, every cycle. A divergence here isolates
-// either nondeterminism in the overlap state machine or a
-// reconfiguration path that leaves the stepper's active set or quiet
-// window stale.
+// leave both cores (event and refmodel) cycle-exact. Each scenario
+// mirrors the same Submit/SubmitAt/Tick calls into every unit's manager and
+// additionally demands the *managers* agree: identical outcomes, identical
+// epochs, identical pending queues, and identical gate completions, every
+// cycle. A divergence here isolates either nondeterminism in the overlap
+// state machine or a reconfiguration path that leaves the stepper's active
+// set or quiet window stale.
 
 import (
 	"fmt"
@@ -45,7 +44,7 @@ type churnScenario struct {
 	steps  []churnStep
 }
 
-// runChurnScenario drives one scripted scenario through every core,
+// runChurnScenario drives one scripted scenario through both cores,
 // comparing simulator state cycle-for-cycle and manager state
 // action-for-action.
 func runChurnScenario(sc churnScenario) error {
@@ -54,16 +53,9 @@ func runChurnScenario(sc churnScenario) error {
 	simSeed := hrng.Int63()
 
 	units := []*unit{{name: "event"}, {name: "refmodel"}}
-	for _, n := range diffShardCounts {
-		units = append(units, &unit{name: fmt.Sprintf("shards%d", n)})
-	}
-	for i, u := range units {
-		var cfg network.Config
-		if i >= 2 {
-			cfg.Shards = diffShardCounts[i-2]
-		}
+	for _, u := range units {
 		topo := topology.NewMesh(w, h)
-		u.sim = network.New(topo, cfg, rand.New(rand.NewSource(simSeed)))
+		u.sim = network.New(topo, network.Config{}, rand.New(rand.NewSource(simSeed)))
 		u.step = u.sim.Step
 		if u.name == "refmodel" {
 			u.step = New(u.sim).Step
@@ -246,7 +238,8 @@ func TestDifferentialChurnOverlap(t *testing.T) {
 		},
 		{
 			// The power-off is revoked mid-drain: the router never dies, no
-			// epoch advances for the revocation, and traffic resumes through it.
+			// epoch advances for the revocation, and traffic resumes
+			// through it.
 			name: "revoked_poweroff", seed: 202, cycles: 800,
 			steps: []churnStep{
 				{cyc: 100, ev: ev(reconfig.EvGate, 21)},

@@ -1,19 +1,17 @@
 package refmodel
 
 // Differential coverage at saturation — the regime where nearly every
-// router is active every cycle, the fused bitset allocation pass does
-// all the arbitration, and every busy cycle of a sharded Sim takes the
-// parallel sweep. The randomized harness (diff_test.go) mostly offers
-// loads below that; this test drives a mesh past saturation and
-// asserts cycle-exactness against the refmodel and across shard counts
-// precisely where that code runs, with the counters pinned so the claim
-// is not vacuous. A second fleet runs the same drive over a Config whose
-// slot space exceeds a machine word, where none of that code runs: no
-// occupancy mirror, the generic AllocateNode per active router, and the
-// FSM scan's slot-walk fallback.
+// router is active every cycle and the fused bitset allocation pass does
+// all the arbitration. The randomized harness (diff_test.go) mostly
+// offers loads below that; this test drives a mesh past saturation and
+// asserts cycle-exactness against the refmodel precisely where that code
+// runs, with the counters pinned so the claim is not vacuous. A second
+// fleet runs the same drive over a Config whose slot space exceeds a
+// machine word, where none of that code runs: no occupancy mirror, the
+// generic AllocateNode per active router, and the FSM scan's slot-walk
+// fallback.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,22 +22,15 @@ import (
 	"repro/internal/topology"
 )
 
-// saturatedSBFleet builds a refmodel unit plus one Step unit per entry of
-// shards, all Static Bubble over mkTopo() and cfg, offers every alive
-// node a packet with probability rate per cycle for the first window
-// cycles, and demands equal Stats and occupancy after every cycle.
-func saturatedSBFleet(t *testing.T, mkTopo func() *topology.Topology, cfg network.Config, shards []int, cycles, window int, rate float64) []*unit {
+// saturatedSBFleet builds a refmodel unit and a Step unit, both Static
+// Bubble over mkTopo() and cfg, offers every alive node a packet with
+// probability rate per cycle for the first window cycles, and demands
+// equal Stats and occupancy after every cycle.
+func saturatedSBFleet(t *testing.T, mkTopo func() *topology.Topology, cfg network.Config, cycles, window int, rate float64) []*unit {
 	t.Helper()
-	units := []*unit{{name: "refmodel"}}
-	for _, n := range shards {
-		units = append(units, &unit{name: fmt.Sprintf("step/shards%d", n)})
-	}
-	for i, u := range units {
-		c := cfg
-		if i > 0 {
-			c.Shards = shards[i-1]
-		}
-		u.sim = network.New(mkTopo(), c, rand.New(rand.NewSource(7)))
+	units := []*unit{{name: "refmodel"}, {name: "step"}}
+	for _, u := range units {
+		u.sim = network.New(mkTopo(), cfg, rand.New(rand.NewSource(7)))
 		u.ctl = core.Attach(u.sim, core.Options{})
 		u.step = u.sim.Step
 	}
@@ -100,15 +91,13 @@ func TestDifferentialDenseSaturated(t *testing.T) {
 		window = 1600
 	)
 	mesh := func() *topology.Topology { return topology.NewMesh(8, 8) }
-	units := saturatedSBFleet(t, mesh, network.Config{}, []int{1, 2, 4}, cycles, window, 0.30)
-	for _, u := range units[1:] {
-		c := u.sim.StepperCounters()
-		if c.QuietCycles+c.DenseCycles != cycles {
-			t.Errorf("%s: counters don't partition the run: %+v", u.name, c)
-		}
-		if u.sim.Shards() > 1 && c.ParallelCycles < window/2 {
-			t.Errorf("%s: parallel sweep ran %d cycles of a %d-cycle saturated window", u.name, c.ParallelCycles, window)
-		}
+	units := saturatedSBFleet(t, mesh, network.Config{}, cycles, window, 0.30)
+	step := units[1].sim
+	if c := step.StepperCounters(); c.QuietCycles+c.DenseCycles != cycles {
+		t.Errorf("counters don't partition the run: %+v", c)
+	}
+	if _, _, live := step.RequestVectors(0); !live {
+		t.Error("the Step unit's request vectors are not live: the fused pass never ran")
 	}
 }
 
@@ -120,13 +109,10 @@ func TestDifferentialWideSlotSpace(t *testing.T) {
 		return topology.RandomIrregular(8, 8, topology.LinkFaults, 10, 3)
 	}
 	// 0.1 packets of mean length 3: 0.3 flits/node/cycle.
-	units := saturatedSBFleet(t, irregular, network.Config{VCsPerVnet: 5}, []int{1, 4}, cycles, cycles, 0.10)
+	units := saturatedSBFleet(t, irregular, network.Config{VCsPerVnet: 5}, cycles, cycles, 0.10)
 	for _, u := range units {
 		if _, ok := u.sim.OccupancyMirror(geom.NodeID(0)); ok {
 			t.Errorf("%s: occupancy mirror enabled — the slot space fits a word after all", u.name)
-		}
-		if c := u.sim.StepperCounters(); c.ParallelCycles != 0 {
-			t.Errorf("%s: %d parallel cycles without the fused pass", u.name, c.ParallelCycles)
 		}
 	}
 	if st := units[0].sim.Stats; st.DeadlockRecoveries == 0 || st.Delivered == 0 {

@@ -3,19 +3,16 @@ package refmodel
 // The differential harness: every scenario builds a fleet of
 // identically seeded simulations — topology, fault set, traffic
 // schedule, recovery controller, runtime reconfiguration — and drives
-// one through Sim.Step, one through this package's full-scan Stepper,
-// and one per requested shard count through the sharded stepper,
-// comparing the complete Stats struct, occupancy, and progress marker
-// after EVERY cycle, plus per-packet delivery times at the end, and
-// running validate.Check on every unit every checkEvery cycles. All
-// cores share the per-node movement primitives, so any divergence
-// isolates a visit-set, fused-allocation or quiet-window bug in Step or
-// an ordering/raciness bug in the sharded sweep.
+// one through Sim.Step and one through this package's full-scan
+// Stepper, comparing the complete Stats struct, occupancy, and progress
+// marker after EVERY cycle, plus per-packet delivery times at the end,
+// and running validate.Check on both every checkEvery cycles. Both cores
+// share the per-node movement primitives, so any divergence isolates a
+// visit-set, fused-allocation or quiet-window bug in Step.
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -35,13 +32,6 @@ import (
 // that caused it instead of whenever it finally perturbs Stats.
 const checkEvery = 64
 
-// parallelCycles totals the parallel-sweep cycles the sharded units of
-// every finished scenario ran, so the corpus-level tests can assert the
-// sharded code was reached (the meshes are small and Step only fans out
-// a fused cycle above a fixed active-router count; every unit of this
-// corpus is free of allocation hooks, so every sharded unit is eligible).
-var parallelCycles atomic.Int64
-
 // checkUnit runs the full invariant set over one unit.
 func checkUnit(cyc int, u *unit) error {
 	if vs := validate.Check(u.sim, u.ctl); len(vs) > 0 {
@@ -49,12 +39,6 @@ func checkUnit(cyc int, u *unit) error {
 	}
 	return nil
 }
-
-// diffShardCounts are the sharded-core variants every full scenario
-// runs alongside the reference pair. 1 exercises the knob's sequential
-// fallback; the rest exercise real parallel execution (counts above the
-// mesh height clamp, which is itself part of the contract).
-var diffShardCounts = []int{1, 2, 4, 8}
 
 // unit is one core under differential comparison.
 type unit struct {
@@ -71,10 +55,9 @@ type unit struct {
 // runs it under every core, and returns an error describing the first
 // divergence or conservation violation. checkEqual additionally demands
 // cycle-exact equality between the cores (the conservation invariant is
-// always checked, on all of them); shardCounts selects the sharded
-// variants riding along with the event/refmodel pair.
-func runScenario(seed int64, cycles int, checkEqual bool, shardCounts []int) error {
-	return runScenarioKnobs(seed, cycles, checkEqual, shardCounts, perturb.Knobs{}, false)
+// always checked, on both).
+func runScenario(seed int64, cycles int, checkEqual bool) error {
+	return runScenarioKnobs(seed, cycles, checkEqual, perturb.Knobs{}, false)
 }
 
 // runScenarioKnobs is runScenario with a perturbed control plane: every
@@ -84,7 +67,7 @@ func runScenario(seed int64, cycles int, checkEqual bool, shardCounts []int) err
 // delayed, reordered, and duplicated control messages. forceSpin pins
 // SPIN recovery mode on (instead of the seed-derived draw), for
 // perturbed SPIN-storm scenarios.
-func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int, knobs perturb.Knobs, forceSpin bool) error {
+func runScenarioKnobs(seed int64, cycles int, checkEqual bool, knobs perturb.Knobs, forceSpin bool) error {
 	hrng := rand.New(rand.NewSource(seed))
 	w := 4 + hrng.Intn(5)
 	h := 4 + hrng.Intn(5)
@@ -123,22 +106,15 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 	}
 
 	units := []*unit{{name: "event"}, {name: "refmodel"}}
-	for _, n := range shardCounts {
-		units = append(units, &unit{name: fmt.Sprintf("shards%d", n)})
-	}
-	for i, u := range units {
-		ucfg := cfg
-		if i >= 2 {
-			ucfg.Shards = shardCounts[i-2]
-		}
+	for _, u := range units {
 		topo := topology.RandomIrregular(w, h, kind, faults, topoSeed)
-		u.sim = network.New(topo, ucfg, rand.New(rand.NewSource(simSeed)))
+		u.sim = network.New(topo, cfg, rand.New(rand.NewSource(simSeed)))
 		u.step = u.sim.Step
 		if u.name == "refmodel" {
 			u.step = New(u.sim).Step
 			// The reference unit runs unpooled: a pooling bug in the
-			// event/sharded cores (use-after-release, aliased route span)
-			// then perturbs their trajectory but not the reference's, and
+			// event core (use-after-release, aliased route span) then
+			// perturbs its trajectory but not the reference's, and
 			// the divergence is caught cycle-for-cycle below.
 			u.sim.SetPooling(false)
 		}
@@ -332,9 +308,6 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 		}
 	}
 
-	for _, u := range units {
-		parallelCycles.Add(u.sim.StepperCounters().ParallelCycles)
-	}
 	if checkEqual {
 		for _, u := range units[1:] {
 			if len(u.delivered) != len(ev.delivered) {
@@ -351,33 +324,23 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, shardCounts []int
 	return nil
 }
 
-// TestDifferentialEventVsRefModel proves Sim.Step AND its sharded
-// parallel sweep cycle-exact against the full-scan reference
-// across 60 seeded irregular-topology scenarios (20 under -short):
-// mixed traffic, deadlock storms with SB (and SPIN) recovery,
-// non-default pipeline latencies, mid-run link/router kills with
-// in-place reroutes, and power-gating drains — comparing full Stats,
-// occupancy and progress after every cycle and per-packet delivery
-// times at the end, three-way: refmodel vs. event core vs. the sharded
-// stepper at shard counts 1, 2, 4 and 8.
+// TestDifferentialEventVsRefModel proves Sim.Step cycle-exact against
+// the full-scan reference across 60 seeded irregular-topology scenarios
+// (20 under -short): mixed traffic, deadlock storms with SB (and SPIN)
+// recovery, non-default pipeline latencies, mid-run link/router kills
+// with in-place reroutes, and power-gating drains — comparing full
+// Stats, occupancy and progress after every cycle and per-packet
+// delivery times at the end.
 func TestDifferentialEventVsRefModel(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 20
 	}
-	before := parallelCycles.Load()
-	t.Cleanup(func() { // runs once the parallel subtests have finished
-		n := parallelCycles.Load() - before
-		t.Logf("sharded units ran %d parallel-sweep cycles", n)
-		if n == 0 {
-			t.Error("no sharded unit ever took the parallel sweep — the corpus no longer reaches shard.go")
-		}
-	})
 	for i := 0; i < seeds; i++ {
 		i := i
 		t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {
 			t.Parallel()
-			if err := runScenario(int64(i)+1, 900+100*(i%6), true, diffShardCounts); err != nil {
+			if err := runScenario(int64(i)+1, 900+100*(i%6), true); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -389,10 +352,9 @@ func TestDifferentialEventVsRefModel(t *testing.T) {
 // controller messages are randomly lost, delayed, reordered, and
 // duplicated. The perturber draws from its own seeded stream inside the
 // controller's fixed call order, so the decisions are part of the shared
-// trajectory and all three cores — event, refmodel, sharded (1/2/4/8) —
-// must remain cycle-exact through them. This pins down both the
-// determinism contract of internal/perturb and the pooled-message
-// discipline under duplication in every core.
+// trajectory and both cores must remain cycle-exact through them. This pins
+// down both the determinism contract of internal/perturb and the
+// pooled-message discipline under duplication in every core.
 func TestDifferentialPerturbedControl(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -413,7 +375,7 @@ func TestDifferentialPerturbedControl(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			if err := runScenarioKnobs(tc.seed, tc.cycles, true, diffShardCounts, tc.knobs, tc.spin); err != nil {
+			if err := runScenarioKnobs(tc.seed, tc.cycles, true, tc.knobs, tc.spin); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -429,11 +391,10 @@ func TestDifferentialPerturbedControl(t *testing.T) {
 // holds after every cycle under all cores (packets that never enter the
 // system are counted by DroppedUnreachable separately, per the Stats
 // contract). runScenario checks the invariant each cycle; this test
-// feeds it quick-generated seeds, with one sharded variant riding
-// along.
+// feeds it quick-generated seeds.
 func TestPropPacketConservationBothCores(t *testing.T) {
 	f := func(seed int64) bool {
-		err := runScenario(seed, 600, false, []int{4})
+		err := runScenario(seed, 600, false)
 		if err != nil {
 			t.Log(err)
 		}

@@ -1,6 +1,6 @@
 package refmodel
 
-// Quiet-epoch batching differential: Step (sequential or sharded) may
+// Quiet-epoch batching differential: Step may
 // fast-forward through cycles in which no router state can change, but
 // only when every attached hook has registered a quiescence horizon and
 // that horizon is honored. These scenarios are built so the interesting
@@ -16,7 +16,6 @@ package refmodel
 // actually engaged, so the proof is not vacuous.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,12 +28,12 @@ import (
 )
 
 // runQuietScenario drives a bursty feast-and-famine workload through
-// the refmodel, the event core, and sharded variants, demanding
-// cycle-exact equality throughout, and returns the event core's stepper
+// the refmodel and the event core, demanding cycle-exact equality
+// throughout, and returns the event core's stepper
 // counters for vacuity checks. Traffic comes in short saturating bursts
 // separated by long silences and ends with a drain tail several times
 // longer than the controller's detection timeout.
-func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool, shardCounts []int) (network.StepperCounters, network.Stats) {
+func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool) (network.StepperCounters, network.Stats) {
 	t.Helper()
 	hrng := rand.New(rand.NewSource(seed))
 	w := 5 + hrng.Intn(4)
@@ -45,16 +44,9 @@ func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool, shardCoun
 	opt := core.Options{TDD: int64(16 + hrng.Intn(32)), Spin: spin}
 
 	units := []*unit{{name: "event"}, {name: "refmodel"}}
-	for _, n := range shardCounts {
-		units = append(units, &unit{name: fmt.Sprintf("shards%d", n)})
-	}
-	for i, u := range units {
-		var cfg network.Config
-		if i >= 2 {
-			cfg.Shards = shardCounts[i-2]
-		}
+	for _, u := range units {
 		topo := topology.RandomIrregular(w, h, topology.LinkFaults, faults, topoSeed)
-		u.sim = network.New(topo, cfg, rand.New(rand.NewSource(simSeed)))
+		u.sim = network.New(topo, network.Config{}, rand.New(rand.NewSource(simSeed)))
 		u.step = u.sim.Step
 		if u.name == "refmodel" {
 			u.step = New(u.sim).Step
@@ -141,8 +133,8 @@ func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool, shardCoun
 }
 
 // TestDifferentialQuietBatching: bursty deadlock-prone scenarios with
-// the SB controller attached, compared cycle-exact across refmodel,
-// event and sharded (1/4) cores. Probe and disable timers must fire at
+// the SB controller attached, compared cycle-exact across the refmodel
+// and event cores. Probe and disable timers must fire at
 // their exact cycles even when the core was fast-forwarding, and the
 // run as a whole must actually exercise both quiet batching and the SB
 // timer machinery.
@@ -157,7 +149,7 @@ func TestDifferentialQuietBatching(t *testing.T) {
 	}
 	var quiet, probes, disables int64
 	for _, seed := range seeds {
-		ctr, st := runQuietScenario(t, seed, 1200, false, []int{1, 4})
+		ctr, st := runQuietScenario(t, seed, 1200, false)
 		quiet += ctr.QuietCycles
 		probes += st.ProbesSent
 		disables += st.DisablesSent
@@ -175,7 +167,7 @@ func TestDifferentialQuietBatching(t *testing.T) {
 
 // TestDifferentialQuietSpinStorm is the SPIN variant: storms started by
 // a DD expiry mid-quiet-window must rotate on exactly the cycles the
-// sequential semantics dictate. Sharded variants ride at 1, 4 and 8.
+// sequential semantics dictate.
 func TestDifferentialQuietSpinStorm(t *testing.T) {
 	// 301 contributes long quiet stretches, 323/328 real storms, 329
 	// probe traffic threaded through quiet windows.
@@ -185,7 +177,7 @@ func TestDifferentialQuietSpinStorm(t *testing.T) {
 	}
 	var quiet, spins int64
 	for _, seed := range seeds {
-		ctr, st := runQuietScenario(t, seed, 1200, true, []int{1, 4, 8})
+		ctr, st := runQuietScenario(t, seed, 1200, true)
 		quiet += ctr.QuietCycles
 		spins += st.SpinRotations
 	}

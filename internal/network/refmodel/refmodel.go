@@ -8,7 +8,7 @@
 // (Sim.InjectNode, Sim.AllocateNode, Sim.TransferBubbleNode), so any
 // divergence between a refmodel-driven run and a Sim.Step-driven run
 // isolates a bug in Sim.Step's visit set, its fused allocation pass,
-// its quiet fast-forward or its sharded sweep — the layers that differ.
+// or its quiet fast-forward — the layers that differ.
 //
 // Contract: a Sim handed to New must only be advanced through the
 // returned Stepper (never through Sim.Step). Ordering is hooks, then

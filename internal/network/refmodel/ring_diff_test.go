@@ -3,8 +3,7 @@ package refmodel
 // Bubble-flow-control units of the differential corpus. The ring rule
 // (network.Ring, written by bfc.Attach) is state both allocation paths
 // read: the refmodel's full scan prunes ring entries in the generic
-// gather, Step's fused pass strips them per vnet, and a sharded Sim
-// counts the downstream pool on its shard workers. The run puts Static
+// gather and Step's fused pass strips them per vnet. The run puts Static
 // Bubble recovery beside a boundary ring, so fences, bubbles and ring
 // entries meet at the same output ports.
 
@@ -38,10 +37,10 @@ func TestDifferentialRingEntry(t *testing.T) {
 		return topo
 	}
 	// The bare twin is the same run without the ring rule.
-	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "shards2"}, {name: "shards4"}, {name: "bare"}}
+	units := []*unit{{name: "refmodel"}, {name: "step"}, {name: "bare"}}
 	for i, u := range units {
 		topo := mkTopo()
-		u.sim = network.New(topo, network.Config{Shards: []int{1, 1, 2, 4, 1}[i]}, rand.New(rand.NewSource(1)))
+		u.sim = network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 		u.ctl = core.Attach(u.sim, core.Options{TDD: 24})
 		u.step = u.sim.Step
 		if i == 0 {
@@ -93,13 +92,10 @@ func TestDifferentialRingEntry(t *testing.T) {
 		for _, u := range units {
 			u.step()
 		}
-		for _, u := range units[1:4] {
-			if u.sim.Stats != ref.Stats {
-				t.Fatalf("cycle %d: stats diverged\nrefmodel: %+v\n%s: %+v", cyc, ref.Stats, u.name, u.sim.Stats)
-			}
-			if u.sim.InFlight() != ref.InFlight() || u.sim.QueuedPackets() != ref.QueuedPackets() {
-				t.Fatalf("cycle %d: occupancy diverged (%s)", cyc, u.name)
-			}
+		if step := units[1].sim; step.Stats != ref.Stats {
+			t.Fatalf("cycle %d: stats diverged\nrefmodel: %+v\nstep: %+v", cyc, ref.Stats, step.Stats)
+		} else if step.InFlight() != ref.InFlight() || step.QueuedPackets() != ref.QueuedPackets() {
+			t.Fatalf("cycle %d: occupancy diverged", cyc)
 		}
 		if cyc%checkEvery == checkEvery-1 {
 			for _, u := range units {
@@ -110,15 +106,10 @@ func TestDifferentialRingEntry(t *testing.T) {
 		}
 	}
 
-	if bare := units[4].sim.Stats; bare == ref.Stats {
+	if bare := units[2].sim.Stats; bare == ref.Stats {
 		t.Error("vacuous: the run without the ring rule has the same Stats")
 	}
 	if ref.Stats.DeadlockRecoveries == 0 {
 		t.Error("vacuous: Static Bubble never recovered")
-	}
-	for _, u := range units[2:4] {
-		if c := u.sim.StepperCounters(); c.ParallelCycles == 0 {
-			t.Errorf("%s never ran the parallel sweep: %+v", u.name, c)
-		}
 	}
 }

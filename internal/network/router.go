@@ -95,14 +95,13 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // downstream buffer availability (virtual cut-through: the downstream VC
 // must be able to hold the whole packet).
 //
-// It runs on the stepping goroutine whenever VCFilter or a live
-// OutputOverride is installed or the slot space exceeds a word (the
-// sequential sweep), and always under the refmodel full scan; every other
-// cycle takes the fused pass (dense.go) instead. gatherAllocate buckets
-// and prunes the candidates, commitAllocate arbitrates and moves packets.
-// Off the fused pass its grants leave the request vectors unrecorded
-// (dense.go), so it marks them stale — the refmodel's scan has no sweep
-// prologue to do that for it.
+// Step runs it whenever VCFilter or a live OutputOverride is installed
+// or the slot space exceeds a word, and the refmodel full scan always
+// does; every other cycle takes the fused pass (dense.go) instead.
+// gatherAllocate buckets and prunes the candidates, commitAllocate
+// arbitrates and moves packets. Off the fused pass its grants leave the
+// request vectors unrecorded (dense.go), so it marks them stale — the
+// refmodel's scan has no sweep prologue to do that for it.
 func (s *Sim) AllocateNode(id geom.NodeID) {
 	if !s.fusedAlloc() {
 		s.dense.stale = true
@@ -230,7 +229,7 @@ func (s *Sim) ringFree(nb geom.NodeID, in geom.Direction, vnet int) int {
 // moves the winners: per output, the first candidate in cyclic index
 // order from saPtr that tryGrant, which re-validates downstream space,
 // can move. The ring rule was settled at gather time: its count cannot
-// change before the commit (shard.go, availability constancy).
+// change before the commit (stepper.go, downstream availability).
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
 	slots := s.Cfg.SlotsPerPort()

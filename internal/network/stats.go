@@ -31,9 +31,7 @@ func (c LinkClass) String() string {
 }
 
 // StepperCounters reports how many cycles each execution path of the
-// stepper has taken, plus cross-shard traffic, for tests and the
-// benchmark. Counters are execution observability, not simulation
-// state: they vary with Shards while Stats does not. QuietCycles +
+// stepper has taken, for tests and the benchmark. QuietCycles +
 // DenseCycles equals the number of Step calls.
 type StepperCounters struct {
 	// QuietCycles is the number of cycles skipped by quiet-epoch
@@ -43,17 +41,12 @@ type StepperCounters struct {
 	// the active-set sweep. (The name predates the single stepper; bench/
 	// reads it as network.dense_cycle_share.)
 	DenseCycles int64
-	// ParallelCycles counts the swept cycles a sharded Sim fanned out to
-	// its shard workers; the rest ran the sequential sweep on the
-	// coordinator.
-	ParallelCycles int64
-	// XFills counts grants that filled a VC in a router owned by another
-	// shard — seam crossings. The seam property test asserts these occur
-	// only at band-boundary routers.
-	XFills int64
-	// DenseEnters and DenseExits are always 0: there is no mode to enter
-	// or leave. They stay until a benchmark change retires
-	// network.mode_switches, which bench/ computes from them.
+	// XFills, DenseEnters and DenseExits are always 0: there are no
+	// shards whose seams a fill could cross, and no mode to enter or
+	// leave. They stay until a benchmark change retires
+	// network.xfills_per_kcycle and network.mode_switches, which bench/
+	// computes from them.
+	XFills      int64
 	DenseEnters int64
 	DenseExits  int64
 }
@@ -106,40 +99,6 @@ func (st *Stats) recordDelivery(p *Packet) {
 	if lat > st.MaxLatency {
 		st.MaxLatency = lat
 	}
-}
-
-// merge folds a shard commit sink's delta Stats into st. Every field is
-// a sum except MaxLatency, which folds by max — both commutative and
-// associative, so folding per-shard deltas in shard order reproduces the
-// sequential core's totals exactly (the per-delivery interleaving is
-// unobservable: Stats is only read at cycle boundaries).
-func (st *Stats) merge(d *Stats) {
-	st.Offered += d.Offered
-	st.Injected += d.Injected
-	st.Delivered += d.Delivered
-	st.DroppedUnreachable += d.DroppedUnreachable
-	st.Lost += d.Lost
-	st.InjectedFlits += d.InjectedFlits
-	st.DeliveredFlits += d.DeliveredFlits
-	st.SumLatency += d.SumLatency
-	st.SumNetLatency += d.SumNetLatency
-	if d.MaxLatency > st.MaxLatency {
-		st.MaxLatency = d.MaxLatency
-	}
-	st.HopMoves += d.HopMoves
-	for c := range st.LinkCycles {
-		st.LinkCycles[c] += d.LinkCycles[c]
-	}
-	st.ProbesSent += d.ProbesSent
-	st.DisablesSent += d.DisablesSent
-	st.EnablesSent += d.EnablesSent
-	st.CheckProbesSent += d.CheckProbesSent
-	st.ProbesReturned += d.ProbesReturned
-	st.DeadlockRecoveries += d.DeadlockRecoveries
-	st.BubbleOccupancies += d.BubbleOccupancies
-	st.BubbleTransfers += d.BubbleTransfers
-	st.EscapeTransfers += d.EscapeTransfers
-	st.SpinRotations += d.SpinRotations
 }
 
 // AvgLatency returns mean total latency of delivered packets, or 0 when

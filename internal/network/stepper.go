@@ -18,17 +18,31 @@ package network
 // packet, this cycle's arrivals included, and errs only towards routers
 // that have just drained. core's FSM tick is driven by it.
 //
-// Byte-identity argument (stated once; dense.go and shard.go refer
-// here). The sweep is the refmodel full scan with provably inert visits
-// skipped. The set is collected after the PreCycle hooks; a router
-// outside it has occ == 0 and empty NI rings at that instant, so the
-// full scan's InjectNode there is a no-op, and its AllocateNode and
+// Byte-identity argument (stated once; dense.go refers here). The sweep
+// is the refmodel full scan with provably inert visits skipped. The set
+// is collected after the PreCycle hooks; a router outside it has
+// occ == 0 and empty NI rings at that instant, so the full scan's
+// InjectNode there is a no-op, and its AllocateNode and
 // TransferBubbleNode can only meet a packet that *arrives* later in the
 // same cycle from an earlier-id router — a packet whose ReadyAt lies in
 // the future, for which both primitives do nothing. Phase order (all
 // injects, then all allocations, then all bubble transfers, ascending
 // id within each) is the full scan's. The refmodel differential harness
-// checks the result cycle by cycle at every shard count.
+// checks the result cycle by cycle.
+//
+// Downstream availability. The fused pass (dense.go) asks "is there a
+// free VC of this vnet and class downstream" once per (output, vnet,
+// class), the hop class counts free VCs once per (direction, vnet) per
+// visit and the ring rule once per (output, vnet); the refmodel's gather
+// and tryGrant scan per candidate. They agree because the pool behind
+// output out — input port out.Opposite() of the neighbour — is filled
+// only by this router, its unique upstream on that port (the downstream
+// bubble admits only packets arriving on its InPort, so it has one
+// writer too). Injection fills local ports and bubble transfers run
+// after every allocation. Every other grant only drains the pool, and a
+// drained VC advertises FreeAt = now+len, so it stays non-Empty for the
+// rest of the cycle. A count taken anywhere in this router's visit
+// before its own grant through out is therefore the refmodel's.
 //
 // Quiet epochs: when a cycle ends with an empty active set, every hook
 // is covered by a quiescence registration and every registered horizon
@@ -47,12 +61,6 @@ import (
 
 	"repro/internal/geom"
 )
-
-// parallelMinActive is the active-router count above which a sharded
-// cycle fans out to one goroutine per shard: two barrier crossings cost
-// a few µs, 32 router visits cost well under that, so smaller cycles
-// run the sequential sweep on the coordinator.
-const parallelMinActive = 32
 
 // StepperCounters returns the stepper path counters accumulated so far.
 func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
@@ -88,20 +96,15 @@ func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
 // vc.Pkt, ReadyAt and p.Hop along a chain). It does not make a packet
 // written into an *empty* buffer visible to the stepper: occupancy is
 // tracked by counters, so packets enter buffers only through Enqueue,
-// PlacePacket or PlaceBubblePacket. Call it from the stepping goroutine
-// (every hook runs there).
+// PlacePacket or PlaceBubblePacket.
 func (s *Sim) Wake(n geom.NodeID) {
 	s.quietUntil = 0
 	s.dense.stale = true
 }
 
-// markActive adds router id to the active set. Bits live at actPos[id]:
-// each shard band owns whole words of the bitmap (bands are padded to
-// word boundaries), so marks issued by concurrent shard workers for
-// their own routers never share a word.
+// markActive adds router id to the active set: bit id of the summary.
 func (s *Sim) markActive(id geom.NodeID) {
-	b := uint(s.actPos[id])
-	s.active[b>>6] |= 1 << (b & 63)
+	s.active[id>>6] |= 1 << (uint(id) & 63)
 }
 
 // ActiveMarked reports whether router id's bit is set in the active
@@ -110,41 +113,33 @@ func (s *Sim) markActive(id geom.NodeID) {
 // missed bit is a stranded packet the differential harness would only
 // catch late.
 func (s *Sim) ActiveMarked(id geom.NodeID) bool {
-	b := uint(s.actPos[id])
-	return s.active[b>>6]>>(b&63)&1 != 0
+	return s.active[id>>6]>>(uint(id)&63)&1 != 0
 }
 
-// ActiveSummary returns the active summary itself: the live bitmap words
-// and, per router id, its bit position in them (ascending in id; shard
-// bands pad to word boundaries, so position and id differ on a sharded
-// Sim). Read-only for callers, and stable for the Sim's lifetime. A
-// scheme that keeps per-router masks in the same positions can ask "which
-// of my routers hold or queue a packet" one word per 64 routers instead
-// of polling each; the file header says what the bits promise when.
-func (s *Sim) ActiveSummary() (words []uint64, pos []int32) { return s.active, s.actPos }
+// ActiveSummary returns the active summary itself: the live bitmap words,
+// router id at bit id. Read-only for callers, and stable for the Sim's
+// lifetime. A scheme that keeps per-router masks in the same positions
+// can ask "which of my routers hold or queue a packet" one word per 64
+// routers instead of polling each; the file header says what the bits
+// promise when.
+func (s *Sim) ActiveSummary() []uint64 { return s.active }
 
 // collectActive materializes this cycle's active set in ascending id
-// order into s.ids (each shard's ids is its band's sub-slice), retiring
-// routers whose counters have both returned to zero.
+// order into s.ids, retiring routers whose counters have both returned
+// to zero.
 func (s *Sim) collectActive() {
 	ids := s.ids[:0]
-	for k := range s.shards {
-		sh := &s.shards[k]
-		start := len(ids)
-		for w := sh.wlo; w < sh.whi; w++ {
-			word := s.active[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				id := int32(w<<6+b) - sh.pad
-				if s.occ[id] == 0 && s.niPend[id] == 0 {
-					s.active[w] &^= 1 << uint(b)
-					continue
-				}
-				ids = append(ids, id)
+	for w, word := range s.active {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			id := int32(w<<6 + b)
+			if s.occ[id] == 0 && s.niPend[id] == 0 {
+				s.active[w] &^= 1 << uint(b)
+				continue
 			}
+			ids = append(ids, id)
 		}
-		sh.ids = ids[start:len(ids):len(ids)]
 	}
 	s.ids = ids
 }
@@ -152,10 +147,9 @@ func (s *Sim) collectActive() {
 // Step advances the simulation by one cycle: hooks, then the phases
 // over the active set in ascending id order — the order the naive
 // stepper visits routers, so the two cores are cycle-exact. A swept
-// cycle is either fused (fusedAlloc: no allocation hook, slot space fits
-// a word) — and then a busy cycle on a sharded Sim fans out to the shard
-// workers (shard.go) — or it is the plain sequential sweep. That one
-// predicate is why every hook runs on the stepping goroutine.
+// cycle allocates through the fused pass when fusedAlloc holds (no
+// allocation hook, slot space fits a word) and through the generic
+// AllocateNode otherwise.
 func (s *Sim) Step() {
 	if s.Now < s.quietUntil {
 		s.Now++
@@ -166,11 +160,22 @@ func (s *Sim) Step() {
 		f(s)
 	}
 	s.collectActive()
-	if len(s.shards) > 1 && len(s.ids) > parallelMinActive && s.fusedAlloc() {
-		s.sweepParallel()
-	} else {
-		s.sweep()
+	fused := s.syncVectors()
+	for _, id := range s.ids {
+		if s.niPend[id] != 0 {
+			s.InjectNode(geom.NodeID(id))
+		}
 	}
+	if fused {
+		for _, id := range s.ids {
+			s.denseAllocNode(geom.NodeID(id))
+		}
+	} else {
+		for _, id := range s.ids {
+			s.AllocateNode(geom.NodeID(id))
+		}
+	}
+	s.transferBubbles()
 	for _, f := range s.PostCycle {
 		f(s)
 	}
@@ -179,29 +184,6 @@ func (s *Sim) Step() {
 	if len(s.ids) == 0 {
 		s.maybeQuiet()
 	}
-}
-
-// sweep runs the three phases over the active set on the calling
-// goroutine.
-func (s *Sim) sweep() {
-	fused := s.syncVectors()
-	var inj injectDelta
-	for _, id := range s.ids {
-		if s.niPend[id] != 0 {
-			s.injectNode(geom.NodeID(id), &inj)
-		}
-	}
-	inj.apply(s)
-	if fused {
-		for _, id := range s.ids {
-			s.denseAllocNode(geom.NodeID(id), nil)
-		}
-	} else {
-		for _, id := range s.ids {
-			s.AllocateNode(geom.NodeID(id))
-		}
-	}
-	s.transferBubbles()
 }
 
 // transferBubbles runs the bubble-transfer phase over the active set.

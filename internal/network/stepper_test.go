@@ -1,0 +1,109 @@
+package network
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
+
+// TestStepperPathCounters pins what the counters mean: every cycle is
+// either skipped by a quiet window or swept (QuietCycles + DenseCycles
+// partition the run), a drained network with no hooks fast-forwards, and
+// a VCFilter keeps every cycle off the fused pass while ring rules do not.
+func TestStepperPathCounters(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	s := New(topo, Config{}, rand.New(rand.NewSource(3)))
+	min := routing.NewMinimal(topo)
+	rng := rand.New(rand.NewSource(4))
+	for cyc := 0; cyc < 2000; cyc++ {
+		// Bursts saturate, gaps drain to idle (quiet once the last
+		// packet lands).
+		if cyc%500 < 30 {
+			for n := 0; n < 64; n++ {
+				if rng.Float64() >= 0.4 {
+					continue
+				}
+				dst := geom.NodeID(rng.Intn(64))
+				if dst == geom.NodeID(n) {
+					continue
+				}
+				r, ok := min.Route(geom.NodeID(n), dst, rng)
+				if !ok {
+					continue
+				}
+				s.Enqueue(s.NewPacket(geom.NodeID(n), dst, rng.Intn(3), 1, r))
+			}
+		}
+		s.Step()
+	}
+	ctr := s.StepperCounters()
+	if ctr.DenseCycles == 0 || ctr.QuietCycles == 0 {
+		t.Fatalf("expected swept and quiet cycles, got %+v", ctr)
+	}
+	if got := ctr.QuietCycles + ctr.DenseCycles; got != 2000 {
+		t.Fatalf("counters don't partition the run: %+v sums to %d, want 2000", ctr, got)
+	}
+	// A VCFilter must keep the cycle off the fused pass, whose request
+	// vectors then go unmaintained; the same busy workload without it
+	// keeps them live, and so does one under ring rules, which are state
+	// the fused pass reads.
+	for _, mode := range []string{"bare", "vcfilter", "ring"} {
+		s2 := New(topo, Config{}, rand.New(rand.NewSource(3)))
+		switch mode {
+		case "vcfilter":
+			s2.VCFilter = func(*Packet, geom.NodeID, geom.Direction, int) bool { return true }
+		case "ring":
+			for id := range s2.Routers {
+				s2.Routers[id].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
+			}
+		}
+		for n := 0; n < 64; n++ {
+			r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
+			if !ok {
+				continue
+			}
+			s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
+		}
+		s2.Run(50)
+		if _, _, live := s2.RequestVectors(0); live == (mode == "vcfilter") {
+			t.Fatalf("%s: request vectors live %v after a busy run", mode, live)
+		}
+		if c2 := s2.StepperCounters(); c2.DenseCycles != 50 {
+			t.Fatalf("%s: a busy run must sweep every cycle, got %+v", mode, c2)
+		}
+	}
+}
+
+// TestQuietEpochInvalidation proves the quiet window tears down on
+// every out-of-band mutation channel: an Enqueue landing mid-window
+// must be injected at exactly the cycle the sequential semantics
+// dictate, not after the window.
+func TestQuietEpochInvalidation(t *testing.T) {
+	topo := topology.NewMesh(6, 6)
+	s := New(topo, Config{}, rand.New(rand.NewSource(11)))
+	min := routing.NewMinimal(topo)
+	rng := rand.New(rand.NewSource(12))
+	// Drain fully, then fast-forward far.
+	r0, _ := min.Route(0, 35, rng)
+	s.Enqueue(s.NewPacket(0, 35, 0, 5, r0))
+	s.Run(300)
+	if s.StepperCounters().QuietCycles == 0 {
+		t.Fatal("drained network never went quiet")
+	}
+	// Mid-quiet enqueue: the packet must inject this very cycle.
+	r1, _ := min.Route(7, 28, rng)
+	p := s.NewPacket(7, 28, 0, 1, r1)
+	s.Enqueue(p)
+	at := s.Now
+	s.Step()
+	if p.InjectedAt != at {
+		t.Fatalf("packet enqueued during quiet injected at %d, want %d", p.InjectedAt, at)
+	}
+	s.Run(100)
+	if p.DeliveredAt < 0 {
+		t.Fatal("mid-quiet packet never delivered")
+	}
+}

@@ -10,7 +10,7 @@
 // core.Options.Perturb. All randomness comes from a private splitmix64
 // stream seeded at construction, drawn once per intercepted transmission
 // in the controller's deterministic call order — so two identically
-// seeded simulations (event, refmodel, or sharded core) remain
+// seeded simulations (Step or the refmodel full scan) remain
 // byte-identical under perturbation, and a recorded worst case replays
 // exactly.
 package perturb

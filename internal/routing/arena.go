@@ -9,10 +9,8 @@ import "repro/internal/geom"
 // served from the free list, and every block stays reachable for the
 // arena's whole lifetime (spans handed out never dangle).
 //
-// An Arena is single-owner and not safe for concurrent use. The sharded
-// simulator core satisfies this because packets are created during
-// injection and released during commit, both of which run on the
-// sequential section of the cycle.
+// An Arena is single-owner and not safe for concurrent use: each
+// simulator owns one and steps on one goroutine.
 type Arena struct {
 	// block is the current carving block; spans are cut at block[used:].
 	// Blocks are never reallocated or reused for anything else — a full

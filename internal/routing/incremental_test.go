@@ -360,8 +360,8 @@ func BenchmarkRecompileFlap32x32(b *testing.B) {
 }
 
 // TestParallelCompileDeterminism: the cold compile, distance-keeping or
-// masks-only, must be byte-identical at every worker count (the CI
-// seam-sync tier runs this under -race).
+// masks-only, must be byte-identical at every worker count (CI runs it
+// under -race).
 func TestParallelCompileDeterminism(t *testing.T) {
 	topo := topology.RandomIrregular(20, 20, topology.LinkFaults, 60, 9)
 	g := topo.Flatten()

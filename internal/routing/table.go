@@ -43,12 +43,11 @@ import (
 //
 // Ownership decides what is kept. A process-wide table (cache.go's
 // MinimalFor) is immutable, which is what makes one instance shareable
-// across the sweep engine's workers and the sharded core's parallel
-// injection phase (see race_test.go); nothing reads its distances once
-// the masks exist, so it keeps masks only, which the kernel produces
-// without a distance row. A table from NewMinimal or (*UpDown).Compile
-// belongs to its caller and changes only inside Recompile, which reconfig
-// calls between cycles on the coordinator and which repairs from the
+// across the sweep engine's workers (see race_test.go); nothing reads its
+// distances once the masks exist, so it keeps masks only, which the kernel
+// produces without a distance row. A table from NewMinimal or
+// (*UpDown).Compile belongs to its caller and changes only inside
+// Recompile, which reconfig calls between cycles and which repairs from the
 // kept distance rows.
 
 // col is one destination's column of a compiled table. Copying the

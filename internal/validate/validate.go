@@ -241,14 +241,13 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// exists (a stray one is a nil FSM ticked, a missing one an FSM
 		// never armed), a busy bit exactly where the FSM is not in S_OFF
 		// (a missing one freezes a recovery mid-round).
-		_, pos := s.ActiveSummary()
 		sb, busy := ctrl.TickMasks()
 		stray := 0 // mask bits at positions no router occupies
 		for w := range sb {
 			stray += bits.OnesCount64(sb[w]) + bits.OnesCount64(busy[w])
 		}
 		for id := range s.Routers {
-			n, b := geom.NodeID(id), uint(pos[id])
+			n, b := geom.NodeID(id), uint(id)
 			inSB, inBusy := sb[b>>6]>>(b&63)&1 != 0, busy[b>>6]>>(b&63)&1 != 0
 			if inSB != hasFSM[n] {
 				report("fsm-busy-set", "router %d: sb bit %v but FSM present %v", id, inSB, hasFSM[n])

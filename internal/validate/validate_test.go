@@ -207,11 +207,10 @@ func TestDetectsBusySetDrift(t *testing.T) {
 	if vs := Check(s, ctrl); len(vs) != 0 {
 		t.Fatalf("violations before the corruption: %v", vs)
 	}
-	_, pos := s.ActiveSummary()
 	sb, busy := ctrl.TickMasks()
 	var plain geom.NodeID = geom.InvalidNode // a router without an FSM
 	for id := range s.Routers {
-		if sb[pos[id]>>6]>>(uint(pos[id])&63)&1 == 0 {
+		if sb[id>>6]>>(uint(id)&63)&1 == 0 {
 			plain = geom.NodeID(id)
 		}
 	}
@@ -237,7 +236,7 @@ func TestDetectsBusySetDrift(t *testing.T) {
 		{"sb bit dropped under an FSM", sb, hot},
 		{"sb bit raised at a router with no FSM", sb, plain},
 	} {
-		w, bit := pos[c.at]>>6, uint64(1)<<(uint(pos[c.at])&63)
+		w, bit := c.at>>6, uint64(1)<<(uint(c.at)&63)
 		c.mask[w] ^= bit
 		if !drifted() {
 			t.Errorf("%s: not detected", c.name)
