@@ -42,6 +42,30 @@ func checkPattern(name string) error {
 	return fmt.Errorf("-pattern must be one of %s", strings.Join(patterns, ", "))
 }
 
+// checkRanges rejects numeric flags outside what a run can honour:
+// Params.withDefaults would silently turn a zero -width or -height into
+// 8, more faults than the mesh has components cannot be injected (and
+// traffic needs one router alive), and an empty run has no accepted rate
+// to report.
+func checkRanges(width, height int, kind topology.FaultKind, faults, cycles int, rate float64) error {
+	maxFaults := topology.MaxFaults(width, height, kind)
+	if kind == topology.RouterFaults {
+		maxFaults--
+	}
+	switch {
+	case width < 1 || height < 1:
+		return fmt.Errorf("-width and -height must be at least 1 (got %dx%d)", width, height)
+	case faults < 0 || faults > maxFaults:
+		return fmt.Errorf("-faults must be in [0, %d] for %v on %dx%d (got %d)",
+			maxFaults, kind, width, height, faults)
+	case cycles < 1:
+		return fmt.Errorf("-cycles must be at least 1 (got %d)", cycles)
+	case !(rate >= 0 && rate <= 1):
+		return fmt.Errorf("-rate must be in [0, 1] flits/node/cycle (got %v)", rate)
+	}
+	return nil
+}
+
 func main() {
 	width := flag.Int("width", 8, "mesh width")
 	height := flag.Int("height", 8, "mesh height")
@@ -85,6 +109,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkPattern(*pattern); err != nil {
+		fmt.Fprintln(os.Stderr, "sbsim:", err)
+		os.Exit(2)
+	}
+	if err := checkRanges(*width, *height, kind, *faults, *cycles, *rate); err != nil {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		os.Exit(2)
 	}

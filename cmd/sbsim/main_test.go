@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/experiments"
@@ -23,6 +24,40 @@ func TestCheckPattern(t *testing.T) {
 	for _, name := range []string{"bogus", "", "Transpose", "uniform"} {
 		if err := checkPattern(name); err == nil {
 			t.Errorf("-pattern %q accepted", name)
+		}
+	}
+}
+
+func TestCheckRanges(t *testing.T) {
+	links, routers := topology.LinkFaults, topology.RouterFaults
+	cases := []struct {
+		name          string
+		width, height int
+		kind          topology.FaultKind
+		faults        int
+		cycles        int
+		rate          float64
+		ok            bool
+	}{
+		{"defaults", 8, 8, links, 0, 20000, 0.05, true},
+		{"all links", 8, 8, links, 112, 1, 1, true},
+		{"one router left", 4, 4, routers, 15, 1, 0, true},
+		{"no router left", 4, 4, routers, 16, 1, 0.05, false},
+		{"1x1", 1, 1, links, 0, 1, 0.5, true},
+		{"zero width", 0, 8, links, 0, 20000, 0.05, false},
+		{"negative height", 8, -1, links, 0, 20000, 0.05, false},
+		{"too many links", 8, 8, links, 500, 20000, 0.05, false},
+		{"too many routers", 8, 8, routers, 65, 20000, 0.05, false},
+		{"negative faults", 8, 8, links, -1, 20000, 0.05, false},
+		{"zero cycles", 8, 8, links, 0, 0, 0.05, false},
+		{"negative rate", 8, 8, links, 0, 20000, -0.1, false},
+		{"rate above 1", 8, 8, links, 0, 20000, 1.5, false},
+		{"NaN rate", 8, 8, links, 0, 20000, math.NaN(), false},
+	}
+	for _, c := range cases {
+		err := checkRanges(c.width, c.height, c.kind, c.faults, c.cycles, c.rate)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: checkRanges = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

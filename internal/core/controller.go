@@ -133,10 +133,11 @@ func consumeTurn(m *Message) {
 // per-cycle due/request scratch, and the recovery-record log — to the
 // same bound. Probe storms then draw every fork from the pool instead
 // of growing it (and its backing arrays) toward the storm's high-water
-// inside a measured window. Like Sim.PrewarmPool this draws no
-// randomness and moves no state, so the simulated trajectory is
-// unchanged; benchmark scenarios with a zero-allocation contract call
-// it at build time.
+// inside a measured window. Unlike Sim.PrewarmPool, which only reserves
+// storage, it constructs the messages, because each needs its Turns
+// capacity; like it, it draws no randomness and moves no state, so the
+// simulated trajectory is unchanged. Benchmark scenarios with a
+// zero-allocation contract call it at build time.
 func (c *Controller) PrewarmMessages(n int) {
 	ms := make([]*Message, n)
 	for i := range ms {

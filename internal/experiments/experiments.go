@@ -149,7 +149,7 @@ type Instance struct {
 // fingerprint identically — shares a single compile.
 func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance {
 	p = p.withDefaults()
-	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(seed)))
+	s := network.New(topo, network.Config{}, rand.New(&lazySource{seed: seed}))
 	inst := &Instance{Scheme: sch, Sim: s}
 	switch sch {
 	case SpanningTree:
@@ -168,6 +168,34 @@ func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance
 		inst.SB = core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})
 	}
 	return inst
+}
+
+// lazySource is rand.NewSource(seed), seeded on its first draw. Only
+// reconfig draws a Sim's Rng, so most instances a sweep builds never
+// pay the source's seeding. The stream is the eager source's: rand.New
+// uses the Uint64 below, and Seed before the first draw only moves the
+// seed the source will start from.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+
+func (l *lazySource) Seed(seed int64) {
+	if l.src == nil {
+		l.seed = seed
+		return
+	}
+	l.src.Seed(seed)
 }
 
 // Injector builds a Table II synthetic-traffic injector for this

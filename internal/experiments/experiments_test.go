@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/topology"
@@ -38,6 +39,45 @@ func TestBuildSchemes(t *testing.T) {
 	sb := p.Build(topo.Clone(), StaticBubble, 1)
 	if sb.SB == nil || len(sb.SB.BubbleRouters()) != 21 {
 		t.Fatal("static bubble instance misconfigured")
+	}
+}
+
+// TestBuildRngStream: the lazily seeded simulator rng draws the same
+// streams as an eagerly seeded rand.New(rand.NewSource(seed)), before
+// and after Seed, whether Seed comes before the first draw or after.
+func TestBuildRngStream(t *testing.T) {
+	p := Quick()
+	topo := topology.NewMesh(4, 4)
+	same := func(t *testing.T, got, want *rand.Rand) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("draw %d: Int63 %d, want %d", i, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("draw %d: Uint64 %d, want %d", i, g, w)
+			}
+			if g, w := got.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("draw %d: Intn %d, want %d", i, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("draw %d: Float64 %v, want %v", i, g, w)
+			}
+		}
+	}
+	for _, seed := range []int64{1, -7, 1 << 40} {
+		got := p.Build(topo, StaticBubble, seed).Sim.Rng
+		want := rand.New(rand.NewSource(seed))
+		same(t, got, want)
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		same(t, got, want)
+
+		got = p.Build(topo, SpanningTree, seed).Sim.Rng
+		want = rand.New(rand.NewSource(seed))
+		got.Seed(seed * 3)
+		want.Seed(seed * 3)
+		same(t, got, want)
 	}
 }
 

@@ -252,7 +252,9 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 		// arena span, which setRoute below reuses in place when it fits.
 		*p = Packet{gen: p.gen, Route: p.Route, routeOwned: p.routeOwned}
 	} else {
-		p = new(Packet)
+		if p = s.carvePacket(); p == nil {
+			p = new(Packet)
+		}
 		s.pool.stats.PacketAllocs++
 	}
 	p.ID = s.nextPktID

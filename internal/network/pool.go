@@ -1,6 +1,10 @@
 package network
 
-import "repro/internal/routing"
+import (
+	"slices"
+
+	"repro/internal/routing"
+)
 
 // Packet pooling: in steady state a simulator creates and destroys one
 // packet per delivery, which under plain allocation costs two heap
@@ -8,38 +12,45 @@ import "repro/internal/routing"
 // compute — the bound on long saturation sweeps. Each Sim therefore owns
 // a packet free list and a routing.Arena: delivered and lost packets are
 // recycled, and every route lives in an arena span that returns to a
-// size-class free list with its packet. After warm-up the cycle loop
-// allocates nothing (verified by TestZeroAllocSteadyState and
+// size-class free list with its packet. PrewarmPool reserves the storage
+// a run's peak population needs, and packets are carved from that
+// reservation on first use, so after warm-up the cycle loop allocates
+// nothing (verified by TestZeroAllocSteadyState and
 // TestZeroAllocSaturation, which CI runs).
 //
 // Ownership rules:
 //
-//   - NewPacket COPIES the caller's route into the arena; the caller
-//     keeps ownership of (and may immediately reuse) its buffer. This is
-//     what makes scratch-route injection (traffic.Injector) and
-//     cross-sim route sharing (the differential harness drives several
-//     Sims off one route slice) safe.
+//   - NewPacket serves the free list first, then the reservation's next
+//     unused packet, then the heap. NewPacket COPIES the caller's route
+//     into the arena; the caller keeps ownership of (and may immediately
+//     reuse) its buffer. This is what makes scratch-route injection
+//     (traffic.Injector) and cross-sim route sharing (the differential
+//     harness drives several Sims off one route slice) safe.
 //   - A *Packet obtained from NewPacket is owned by the Sim from
 //     delivery/loss onward: tryGrant's local-ejection branch,
 //     DeliverOutOfBand, RemovePacket and DiscardQueued all return it to
-//     the pool. Holders that outlive delivery must use Packet.Ref.
+//     the pool. Holders that outlive delivery must use Packet.Ref; a
+//     reserved packet is recycled like any other, so the same rule holds.
 //   - SetRoute is the only sanctioned way to replace a live packet's
 //     route (reconfig's reroutes); it recycles the old span in place
 //     when the new route fits.
 //
 // The refmodel differential unit runs with SetPooling(false): it keeps
-// plain new(Packet) allocation, so a pooling bug in the stepper
-// (premature recycle, route-span aliasing) perturbs its trajectory but
-// not the refmodel's and surfaces as a Stats divergence.
+// plain new(Packet) allocation and never touches the reservation, so a
+// pooling bug in the stepper (premature recycle, route-span aliasing)
+// perturbs its trajectory but not the refmodel's and surfaces as a Stats
+// divergence.
 
 // PoolStats counts packet-pool and route-arena traffic; exposed for the
 // allocation-observability harness and asserted by lifecycle tests.
 type PoolStats struct {
-	// PacketAllocs counts packets built fresh on the heap (pool empty).
+	// PacketAllocs counts packets constructed fresh: carved from the
+	// PrewarmPool reservation, or built on the heap once it is used up.
 	PacketAllocs int64
 	// PacketReuses counts packets served from the free list.
 	PacketReuses int64
-	// PacketReleases counts packets returned to the free list.
+	// PacketReleases counts delivered or lost packets returned to the
+	// free list.
 	PacketReleases int64
 	// RouteArena is the route-span allocator's traffic.
 	RouteArena routing.ArenaStats
@@ -49,8 +60,13 @@ type PoolStats struct {
 type poolState struct {
 	disabled bool
 	free     []*Packet
-	routes   routing.Arena
-	stats    PoolStats
+	// slab holds the reserved packets not yet handed out; NewPacket
+	// carves from its front when free is empty, giving each carved packet
+	// a spanLen-class route span.
+	slab    []Packet
+	spanLen int
+	routes  routing.Arena
+	stats   PoolStats
 }
 
 // PoolingEnabled reports whether this Sim recycles packets and routes.
@@ -75,38 +91,55 @@ func (s *Sim) PoolStats() PoolStats {
 	return st
 }
 
-// PrewarmPool pre-sizes every growable structure the steady-state cycle
-// loop touches, so a measurement window opened afterwards sees no heap
-// allocation at all:
+// PrewarmPool reserves the storage a run's peak population needs, so a
+// measurement window opened afterwards sees no heap allocation at all.
+// It constructs nothing; the run carves what it uses on first use:
 //
-//   - `packets` recycled packets enter the free list, each already
-//     holding an arena route span sized for routes up to routeLen hops
-//     (cover the scenario's in-flight population ceiling and its longest
-//     minimal route);
-//   - every NI injection ring is reserved to niDepth entries (first-touch
-//     and high-water ring growth otherwise land in the window).
+//   - one slab of `packets` packets, which NewPacket carves from once
+//     the free list is empty, each carved packet taking an arena span
+//     sized for routes up to routeLen hops (cover the scenario's
+//     in-flight population ceiling and its longest minimal route);
+//   - one arena block for those `packets` spans, and free-list capacity
+//     for `packets` recycled packets;
+//   - one buffer of niDepth slots per NI injection ring, every ring
+//     pointing at its window of it (first-touch and high-water ring
+//     growth otherwise land in the window).
 //
 // The stepper's own scratch (the active set) is sized to its bounds at
-// construction and needs no prewarming.
+// construction and needs no prewarming. A second call replaces the
+// unused part of the packet reservation.
 //
 // The prewarm allocates deterministically, draws no randomness and moves
 // no packets, so the simulated trajectory is byte-identical with or
-// without it. It inflates PoolStats' alloc/release counters by `packets`.
-// No-op when pooling is disabled.
+// without it; PoolStats counts only the packets the run carves. No-op
+// when pooling is disabled.
 func (s *Sim) PrewarmPool(packets, routeLen, niDepth int) {
 	if s.pool.disabled {
 		return
 	}
-	for i := 0; i < packets; i++ {
-		p := &Packet{Route: s.pool.routes.Get(routeLen), routeOwned: true}
-		s.pool.stats.PacketAllocs++
-		s.releasePacket(p)
-	}
+	s.pool.slab = make([]Packet, packets)
+	s.pool.spanLen = routeLen
+	s.pool.routes.Reserve(packets, routeLen)
+	s.pool.free = slices.Grow(s.pool.free, packets)
+	win := make([]*Packet, len(s.NIQueue)*s.Cfg.NumVnets*niDepth)
 	for id := range s.NIQueue {
 		for v := range s.NIQueue[id] {
-			s.NIQueue[id][v].Reserve(niDepth)
+			s.NIQueue[id][v].reserve(win[:niDepth:niDepth])
+			win = win[niDepth:]
 		}
 	}
+}
+
+// carvePacket hands out the next reserved packet, or nil once the
+// reservation is used up.
+func (s *Sim) carvePacket() *Packet {
+	if len(s.pool.slab) == 0 {
+		return nil
+	}
+	p := &s.pool.slab[0]
+	s.pool.slab = s.pool.slab[1:]
+	p.Route, p.routeOwned = s.pool.routes.Get(s.pool.spanLen), true
+	return p
 }
 
 // releasePacket returns p to the free list. The caller must have removed

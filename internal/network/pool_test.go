@@ -2,8 +2,10 @@ package network
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -15,35 +17,43 @@ func newPoolSim(t *testing.T) *Sim {
 
 // TestPacketRefGeneration proves the use-after-release check: a ref taken
 // before the pool recycles a packet goes stale, and stays stale even when
-// the same memory is already hosting a new packet.
+// the same memory is already hosting a new packet — whether the packet
+// came from the heap or was carved from a PrewarmPool reservation.
 func TestPacketRefGeneration(t *testing.T) {
-	s := newPoolSim(t)
-	p := s.NewPacket(0, 3, 0, 1, routing.Route{1, 1, 1})
-	ref := p.Ref()
-	if !ref.Valid() {
-		t.Fatal("fresh ref invalid")
-	}
-	if got, ok := ref.Get(); !ok || got != p {
-		t.Fatal("fresh ref does not resolve to its packet")
-	}
-	s.releasePacket(p)
-	if ref.Valid() {
-		t.Fatal("ref still valid after release")
-	}
-	if _, ok := ref.Get(); ok {
-		t.Fatal("Get returned a released packet")
-	}
-	// The free list serves the same memory back; the stale ref must not
-	// mistake the new tenant for the old packet.
-	p2 := s.NewPacket(1, 2, 0, 1, routing.Route{0, 0})
-	if p2 != p {
-		t.Fatal("expected the pool to recycle the released packet")
-	}
-	if ref.Valid() {
-		t.Fatal("stale ref validated against the recycled packet")
-	}
-	if !p2.Ref().Valid() {
-		t.Fatal("new ref on the recycled packet invalid")
+	for _, reserve := range []int{0, 4} {
+		s := newPoolSim(t)
+		s.PrewarmPool(reserve, 8, 8)
+		slab := s.pool.slab
+		p := s.NewPacket(0, 3, 0, 1, routing.Route{1, 1, 1})
+		if carved := len(slab) > 0 && p == &slab[0]; carved != (reserve > 0) {
+			t.Fatalf("reserve %d: carved = %v", reserve, carved)
+		}
+		ref := p.Ref()
+		if !ref.Valid() {
+			t.Fatal("fresh ref invalid")
+		}
+		if got, ok := ref.Get(); !ok || got != p {
+			t.Fatal("fresh ref does not resolve to its packet")
+		}
+		s.releasePacket(p)
+		if ref.Valid() {
+			t.Fatal("ref still valid after release")
+		}
+		if _, ok := ref.Get(); ok {
+			t.Fatal("Get returned a released packet")
+		}
+		// The free list serves the same memory back; the stale ref must not
+		// mistake the new tenant for the old packet.
+		p2 := s.NewPacket(1, 2, 0, 1, routing.Route{0, 0})
+		if p2 != p {
+			t.Fatal("expected the pool to recycle the released packet")
+		}
+		if ref.Valid() {
+			t.Fatal("stale ref validated against the recycled packet")
+		}
+		if !p2.Ref().Valid() {
+			t.Fatal("new ref on the recycled packet invalid")
+		}
 	}
 	var zero PacketRef
 	if zero.Valid() {
@@ -130,9 +140,13 @@ func TestSetRouteReusesSpan(t *testing.T) {
 }
 
 // TestSetPoolingContract: disabling must happen before the first packet,
-// and a disabled pool really does hand out plain heap objects.
+// and a disabled pool really does hand out plain heap objects — never a
+// packet of a reservation PrewarmPool made before the switch, which the
+// refmodel differential unit relies on.
 func TestSetPoolingContract(t *testing.T) {
 	s := newPoolSim(t)
+	s.PrewarmPool(16, 8, 8)
+	slab := s.pool.slab
 	s.SetPooling(false)
 	if s.PoolingEnabled() {
 		t.Fatal("PoolingEnabled after SetPooling(false)")
@@ -147,8 +161,13 @@ func TestSetPoolingContract(t *testing.T) {
 	if p2 == p {
 		t.Fatal("disabled pool recycled a packet")
 	}
-	if st := s.PoolStats(); st.PacketReleases != 0 {
-		t.Fatalf("disabled pool counted a release: %+v", st)
+	for i := range slab {
+		if &slab[i] == p || &slab[i] == p2 {
+			t.Fatalf("disabled pool handed out reserved packet %d", i)
+		}
+	}
+	if st := s.PoolStats(); st.PacketReleases != 0 || st.PacketAllocs != 0 {
+		t.Fatalf("disabled pool counted pool traffic: %+v", st)
 	}
 
 	s2 := newPoolSim(t)
@@ -205,8 +224,9 @@ func TestGatherScratchStable(t *testing.T) {
 
 // TestPrewarmPoolNeutral: PrewarmPool must not change the simulated
 // trajectory — identical seeds with and without prewarm land on
-// identical Stats — while guaranteeing the free list can serve the
-// requested population.
+// identical Stats — and the reservation must serve the run without
+// allocating: every packet the run constructs is carved from it, and
+// every route span from its one arena block.
 func TestPrewarmPoolNeutral(t *testing.T) {
 	run := func(prewarm bool) *Sim {
 		topo := topology.NewMesh(4, 4)
@@ -240,7 +260,110 @@ func TestPrewarmPoolNeutral(t *testing.T) {
 			plain.Stats, warmed.Stats)
 	}
 	st := warmed.PoolStats()
-	if st.PacketAllocs < 64 || st.PacketReleases < 64 {
-		t.Fatalf("prewarm did not populate the free list: %+v", st)
+	if carved := int64(64 - len(warmed.pool.slab)); st.PacketAllocs != carved {
+		t.Fatalf("%d packets constructed, %d carved from the reservation: %+v",
+			st.PacketAllocs, carved, st)
+	}
+	if st.RouteArena.Blocks != 1 || st.RouteArena.Oversize != 0 {
+		t.Fatalf("route spans outside the reservation: %+v", st.RouteArena)
+	}
+}
+
+// mallocs returns the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestPrewarmPoolReserves: PrewarmPool's cost does not depend on the
+// population it reserves for, the reservation serves that population's
+// first use without a heap allocation, and the packet past it comes
+// from the heap.
+func TestPrewarmPoolReserves(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	rng := rand.New(rand.NewSource(1))
+	// Enough runs that an allocation the collector makes now and then
+	// averages away.
+	setup := func(packets int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			New(topo, Config{}, rng).PrewarmPool(packets, 16, 64)
+		})
+	}
+	if small, large := setup(64), setup(4096); small != large {
+		t.Fatalf("New+PrewarmPool allocates %.0f objects for 64 packets, %.0f for 4096", small, large)
+	}
+
+	const P = 64
+	s := New(topo, Config{}, rand.New(rand.NewSource(1)))
+	s.PrewarmPool(P, 16, 64)
+	slab := s.pool.slab
+	inSlab := func(p *Packet) bool {
+		for i := range slab {
+			if &slab[i] == p {
+				return true
+			}
+		}
+		return false
+	}
+	xy := routing.NewXY(topo)
+	type flow struct {
+		src, dst geom.NodeID
+		vnet     int
+		route    routing.Route
+	}
+	flows := make([]flow, P)
+	for i := range flows {
+		src, dst := geom.NodeID(i%16), geom.NodeID((i*7+3)%16)
+		if src == dst {
+			dst = (dst + 1) % 16
+		}
+		r, _ := xy.Route(src, dst, nil)
+		flows[i] = flow{src, dst, i % s.Cfg.NumVnets, r}
+	}
+	live := make([]*Packet, 0, P+1)
+	n := mallocs(func() {
+		for _, f := range flows {
+			p := s.NewPacket(f.src, f.dst, f.vnet, 1, f.route)
+			live = append(live, p)
+			s.Enqueue(p)
+		}
+		for i := 0; i < 1000 && s.InFlight()+s.QueuedPackets() > 0; i++ {
+			s.Step()
+		}
+	})
+	if n != 0 {
+		t.Errorf("creating, enqueueing and delivering %d reserved packets allocated %d objects", P, n)
+	}
+	if s.Stats.Delivered != P {
+		t.Fatalf("delivered %d of %d packets", s.Stats.Delivered, P)
+	}
+	for _, p := range live {
+		if !inSlab(p) {
+			t.Fatal("a packet within the reservation was not carved from it")
+		}
+	}
+	if st := s.PoolStats(); st.PacketAllocs != P || st.PacketReleases != P {
+		t.Fatalf("after the run: %+v, want %d constructed and %d released", st, P, P)
+	}
+
+	// The free list now holds all P packets; one more live packet than
+	// that is past the reservation.
+	for _, f := range flows {
+		s.NewPacket(f.src, f.dst, f.vnet, 1, f.route)
+	}
+	var extra *Packet
+	if n := mallocs(func() {
+		extra = s.NewPacket(flows[0].src, flows[0].dst, 0, 1, flows[0].route)
+	}); n == 0 {
+		t.Error("packet P+1 did not allocate")
+	}
+	if inSlab(extra) {
+		t.Fatal("packet P+1 was carved from an exhausted reservation")
+	}
+	if st := s.PoolStats(); st.PacketAllocs != P+1 || st.PacketReuses != P {
+		t.Fatalf("after P+1 live packets: %+v", st)
 	}
 }

@@ -10,13 +10,13 @@ type NIRing struct {
 	buf  []*Packet
 	head int
 	n    int
-	// keep is the retain bound raised by Reserve: a drained ring keeps
-	// buffers up to max(ringRetainCap, keep). Prewarmed simulations
-	// (Sim.PrewarmPool) reserve rings to a scenario's high-water depth,
-	// and at saturation rings oscillate between full and empty — without
-	// the raised bound every drain would release the buffer and every
-	// refill would re-run the grow chain, which is exactly the
-	// allocation churn the prewarm exists to eliminate.
+	// keep is the retain bound raised by reserve: a drained ring keeps
+	// buffers up to max(ringRetainCap, keep). Sim.PrewarmPool points each
+	// ring at a window of a scenario's high-water depth, and at
+	// saturation rings oscillate between full and empty — without the
+	// raised bound every drain would release the window and every refill
+	// would re-run the grow chain, which is exactly the allocation churn
+	// the prewarm exists to eliminate.
 	keep int
 }
 
@@ -97,7 +97,7 @@ func (q *NIRing) Filter(keep func(*Packet) bool) {
 const ringRetainCap = 64
 
 // release resets a drained queue, keeping a small backing buffer (or a
-// reserved one up to the Reserve bound).
+// reserved one up to the reserve bound).
 func (q *NIRing) release() {
 	if len(q.buf) > max(ringRetainCap, q.keep) {
 		q.buf = nil
@@ -108,31 +108,25 @@ func (q *NIRing) release() {
 // Cap exposes the backing-buffer capacity (for the memory-release test).
 func (q *NIRing) Cap() int { return len(q.buf) }
 
-// Reserve grows the backing buffer so the ring holds at least n packets
-// without further allocation (Sim.PrewarmPool moves first-touch and
-// high-water ring growth out of measured windows), and raises the
-// drain-time retain bound to n so the reserved buffer survives
-// fill/drain oscillation. Buffers already at or above n are left alone.
-func (q *NIRing) Reserve(n int) {
-	if n > q.keep {
-		q.keep = n
+// reserve makes win, a window of one buffer Sim.PrewarmPool shares
+// among all rings, the backing buffer unless the current one is at least
+// as long, and raises the drain-time retain bound to len(win) so the
+// reserved buffer survives fill/drain oscillation.
+func (q *NIRing) reserve(win []*Packet) {
+	if len(win) > len(q.buf) {
+		q.adopt(win)
 	}
-	if n <= len(q.buf) {
-		return
-	}
-	nb := make([]*Packet, n)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
+	q.keep = max(q.keep, len(win))
 }
 
-func (q *NIRing) grow() {
-	nb := make([]*Packet, max(8, 2*len(q.buf)))
+func (q *NIRing) grow() { q.adopt(make([]*Packet, max(8, 2*len(q.buf)))) }
+
+// adopt moves the queued packets, in order, to the front of buf (longer
+// than the current buffer) and makes it the backing buffer.
+func (q *NIRing) adopt(buf []*Packet) {
 	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
-	q.buf = nb
+	q.buf = buf
 	q.head = 0
 }

@@ -174,7 +174,7 @@ func TestRingDrainRetainsSmallCapacity(t *testing.T) {
 // unreserved ring of the same size still releases.
 func TestRingReserveSurvivesDrain(t *testing.T) {
 	var q NIRing
-	q.Reserve(512)
+	q.reserve(make([]*Packet, 512))
 	for i := 0; i < 400; i++ {
 		q.Push(ringPacket(i))
 	}

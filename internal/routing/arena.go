@@ -105,6 +105,22 @@ func (a *Arena) Get(n int) Route {
 
 const sizeofDirection = 1 // geom.Direction is an int8
 
+// Reserve allocates one carving block that holds n spans of Get(size)'s
+// class, so the next n such Gets that miss the free list are carved
+// without allocating. It replaces the current block, whose unused tail
+// is abandoned; sizes beyond the largest class are not reserved.
+func (a *Arena) Reserve(n, size int) {
+	c := classFor(size)
+	if c < 0 || n <= 0 {
+		return
+	}
+	l := n * classCap(c)
+	a.block = make([]geom.Direction, l)
+	a.used = 0
+	a.stats.Blocks++
+	a.stats.BlockBytes += int64(l) * int64(sizeofDirection)
+}
+
 // Put returns a span obtained from Get to its free list. Passing a slice
 // the arena did not hand out is safe only if its capacity matches a size
 // class; anything smaller than the minimum class is silently dropped.

@@ -125,3 +125,37 @@ func TestArenaSpanIsolation(t *testing.T) {
 		t.Fatalf("Blocks = %d, want 1 (both spans from one block)", a.Stats().Blocks)
 	}
 }
+
+// TestArenaReserve: a reservation of n spans serves n same-class Gets
+// from one block without allocating; the next Get carves a new block.
+func TestArenaReserve(t *testing.T) {
+	var a Arena
+	const n = 64
+	a.Reserve(2*n, 10)
+	if st := a.Stats(); st.Blocks != 1 || st.BlockBytes != 2*n*16 {
+		t.Fatalf("after Reserve: %+v, want one block of %d bytes", st, 2*n*16)
+	}
+	// AllocsPerRun runs the body twice: 2n Gets in all.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			if span := a.Get(9); cap(span) != 16 {
+				t.Fatalf("reserved span cap = %d, want 16", cap(span))
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reserved Gets allocated %.0f objects, want 0", allocs)
+	}
+	if st := a.Stats(); st.Blocks != 1 {
+		t.Fatalf("reserved Gets carved %d blocks, want 1", st.Blocks)
+	}
+	a.Get(9)
+	if st := a.Stats(); st.Blocks != 2 {
+		t.Fatalf("Get past the reservation: Blocks = %d, want 2", st.Blocks)
+	}
+	var b Arena
+	b.Reserve(8, 5000)
+	if st := b.Stats(); st.Blocks != 0 {
+		t.Fatalf("oversize Reserve allocated a block: %+v", st)
+	}
+}
