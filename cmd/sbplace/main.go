@@ -30,6 +30,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sbplace: mesh dimensions must be positive")
 		os.Exit(2)
 	}
+	if *verify < 0 {
+		fmt.Fprintln(os.Stderr, "sbplace: -verify-faults must not be negative (0 skips verification)")
+		os.Exit(2)
+	}
 
 	fmt.Printf("Static bubble placement for a %dx%d mesh\n\n", *width, *height)
 	for y := *height - 1; y >= 0; y-- {

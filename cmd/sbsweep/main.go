@@ -4,7 +4,8 @@
 // entry), -scale quick runs a reduced sweep for a
 // fast smoke pass, -scale full approaches the paper's sampling, and
 // -format renders whatever the experiment returns as an aligned table or
-// as CSV. Unknown -fig, -format and -scale values exit 2.
+// as CSV. Unknown -fig, -format and -scale values, and negative -topos,
+// -jobs and -adv-evals values, exit 2.
 //
 // Sweeps run on the internal/sweep engine: a bounded worker pool
 // (-jobs) with a content-addressed on-disk result cache under
@@ -66,6 +67,21 @@ func selectFigs(fig string) ([]experiments.Figure, error) {
 	return sel, nil
 }
 
+// checkCounts rejects a negative value of a count flag, whose zero
+// selects a default: a negative one would otherwise run that default
+// without a word.
+func checkCounts(topos, jobs, advEvals int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-topos", topos}, {"-jobs", jobs}, {"-adv-evals", advEvals}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative (0 selects the default), got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	fig := flag.String("fig", "all", "experiment: "+figIDs()+", or all")
 	advEvals := flag.Int("adv-evals", 0, "with -fig adversary: cap on unique scenario evaluations (0 = scale default)")
@@ -85,6 +101,9 @@ func main() {
 	figs, err := selectFigs(*fig)
 	if err == nil && *format != "table" && *format != "csv" {
 		err = fmt.Errorf("-format must be table or csv")
+	}
+	if err == nil {
+		err = checkCounts(*topos, *jobs, *advEvals)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sbsweep:", err)

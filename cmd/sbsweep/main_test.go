@@ -55,6 +55,30 @@ func TestSelectFigs(t *testing.T) {
 	}
 }
 
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		topos, jobs, advEvals int
+		bad                   string // the flag the error must name; "" = accepted
+	}{
+		{0, 0, 0, ""},
+		{3, 7, 24, ""},
+		{-3, 0, 0, "-topos"},
+		{-1, 0, 0, "-topos"},
+		{0, -2, 0, "-jobs"},
+		{0, 0, -1, "-adv-evals"},
+	} {
+		err := checkCounts(tc.topos, tc.jobs, tc.advEvals)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%+v rejected: %v", tc, err)
+		case tc.bad != "" && err == nil:
+			t.Errorf("%+v accepted", tc)
+		case tc.bad != "" && !strings.Contains(err.Error(), tc.bad):
+			t.Errorf("%+v: error %q does not name %s", tc, err, tc.bad)
+		}
+	}
+}
+
 // TestMain lets the tests below run the real main(): the test binary
 // re-executes itself with SBSWEEP_ARGS set and becomes sbsweep.
 func TestMain(m *testing.M) {
@@ -85,7 +109,8 @@ func sbsweep(t *testing.T, args string) (stdout, stderr string, exit int) {
 }
 
 func TestBadFlagValuesExit2(t *testing.T) {
-	for _, args := range []string{"-fig t1 -format cvs", "-fig nope", "-fig scalegrid", "-fig t1 -scale medium"} {
+	for _, args := range []string{"-fig t1 -format cvs", "-fig nope", "-fig scalegrid", "-fig t1 -scale medium",
+		"-fig 8 -scale quick -topos -1", "-fig t1 -jobs -2", "-fig adversary -adv-evals -1"} {
 		stdout, stderr, exit := sbsweep(t, args+" -no-cache")
 		if exit != 2 || stdout != "" || !strings.Contains(stderr, "sbsweep:") {
 			t.Errorf("sbsweep %s: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic only", args, exit, stdout, stderr)

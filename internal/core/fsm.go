@@ -175,41 +175,24 @@ func nextOccupiedVC(r *network.Router, cfg network.Config, from vcPtr) (vcPtr, i
 	case from.port.IsLink():
 		start = int(from.port)*slots + from.slot + 1
 	}
-	// Fast path: the network's occupancy mirror hands us every candidate
-	// as one bit word in this scan's exact cyclic order, so the
-	// round-robin winner is the first set bit at or after start
-	// (wrapping) — two TrailingZeros64 instead of walking ~total slots.
-	if w, ok := r.OccupiedScanWord(); ok {
-		if w == 0 {
-			return vcPtr{}, 0, false
-		}
-		idx := bits.TrailingZeros64(w & (^uint64(0) << uint(start%total)))
-		if idx == 64 {
-			idx = bits.TrailingZeros64(w)
-		}
-		if idx == geom.NumLinkDirs*slots {
-			return vcPtr{r.Bubble.InPort, bubbleSlot}, r.Bubble.VC.Pkt.ID, true
-		}
-		port := geom.Direction(idx / slots)
-		slot := idx % slots
-		return vcPtr{port, slot}, r.In[port][slot].Pkt.ID, true
+	// The network's occupancy mirror hands us every candidate as one bit
+	// word in this scan's exact cyclic order, so the round-robin winner is
+	// the first set bit at or after start (wrapping) — two
+	// TrailingZeros64 instead of walking ~total slots.
+	w := r.OccupiedScanWord()
+	if w == 0 {
+		return vcPtr{}, 0, false
 	}
-	for k := 0; k < total; k++ {
-		idx := (start + k) % total
-		if idx == geom.NumLinkDirs*slots {
-			if r.Bubble.Present && r.Bubble.VC.Pkt != nil {
-				return vcPtr{r.Bubble.InPort, bubbleSlot}, r.Bubble.VC.Pkt.ID, true
-			}
-			continue
-		}
-		port := geom.Direction(idx / slots)
-		slot := idx % slots
-		vc := &r.In[port][slot]
-		if vc.Pkt != nil {
-			return vcPtr{port, slot}, vc.Pkt.ID, true
-		}
+	idx := bits.TrailingZeros64(w & (^uint64(0) << uint(start%total)))
+	if idx == 64 {
+		idx = bits.TrailingZeros64(w)
 	}
-	return vcPtr{}, 0, false
+	if idx == geom.NumLinkDirs*slots {
+		return vcPtr{r.Bubble.InPort, bubbleSlot}, r.Bubble.VC.Pkt.ID, true
+	}
+	port := geom.Direction(idx / slots)
+	slot := idx % slots
+	return vcPtr{port, slot}, r.In[port][slot].Pkt.ID, true
 }
 
 // watchedVC returns the VC the pointer refers to.

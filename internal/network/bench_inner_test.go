@@ -72,9 +72,6 @@ func BenchmarkGatherAllocateSaturated(b *testing.B) {
 // direct generic-vs-fused inner-loop comparison.
 func BenchmarkDenseAllocNodeSaturated(b *testing.B) {
 	s := saturatedSim(b)
-	if !s.fusedAlloc() {
-		b.Skip("fused pass unavailable for this configuration")
-	}
 	prime(s)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -172,9 +169,6 @@ func BenchmarkTransferBubbleNodeBlocked(b *testing.B) {
 func BenchmarkDenseAllocBlocked10(b *testing.B) {
 	topo := topology.NewMesh(3, 3)
 	s := New(topo, Config{}, rand.New(rand.NewSource(1)))
-	if !s.fusedAlloc() {
-		b.Skip("fused pass unavailable for this configuration")
-	}
 	mid := topo.ID(geom.Coord{X: 1, Y: 1})
 	east, north := topo.Neighbor(mid, geom.East), topo.Neighbor(mid, geom.North)
 	per := s.Cfg.VCsPerVnet

@@ -1,10 +1,13 @@
 package network_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -42,5 +45,80 @@ func TestShardsConfigIsInert(t *testing.T) {
 	}
 	if c := sharded.StepperCounters(); c.XFills != 0 || c != plain.StepperCounters() {
 		t.Fatalf("stepper counters: Shards 4 %+v, default %+v", c, plain.StepperCounters())
+	}
+}
+
+// TestOutputOverrideIsInert pins the contract of the retired
+// OutputOverride field: the simulator never reads it. A saturated 8x8
+// Static Bubble run without a hop class, carrying an override that would
+// eject every packet where it stands, must make no call to it and match
+// the bare run cycle for cycle. (adaptive's
+// TestOverrideBesideHopClassIsInert pins the benchmark's exact use,
+// beside a hop class.)
+func TestOutputOverrideIsInert(t *testing.T) {
+	build := func() (*network.Sim, *traffic.Injector) {
+		topo := topology.NewMesh(8, 8)
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(21)))
+		core.Attach(s, core.Options{})
+		alive := topo.AliveRouters()
+		inj := traffic.NewInjector(alive, routing.NewMinimal(topo),
+			traffic.NewUniformRandom(alive), 0.35, rand.New(rand.NewSource(22)))
+		return s, inj
+	}
+	plain, plainInj := build()
+	over, overInj := build()
+	calls := 0
+	over.OutputOverride = func(*network.Packet, geom.NodeID) (geom.Direction, bool) {
+		calls++
+		return geom.Local, true
+	}
+	for cyc := 0; cyc < 3000; cyc++ {
+		plainInj.Tick(plain)
+		plain.Step()
+		overInj.Tick(over)
+		over.Step()
+		if over.Stats != plain.Stats {
+			t.Fatalf("cycle %d: the override changed the run\n got %+v\nwant %+v", cyc, over.Stats, plain.Stats)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("the override was called %d times", calls)
+	}
+	if plain.Stats.Delivered == 0 || plain.Stats.DeadlockRecoveries == 0 {
+		t.Fatalf("vacuous: delivered %d, recoveries %d", plain.Stats.Delivered, plain.Stats.DeadlockRecoveries)
+	}
+}
+
+// TestNewRejectsWideSlotSpace: the allocator arbitrates over one 64-bit
+// request word, so New accepts a Config whose 5 ports x vnets x VCs
+// buffers plus the static bubble fit it and panics, naming the bound,
+// on one that does not.
+func TestNewRejectsWideSlotSpace(t *testing.T) {
+	topo := topology.NewMesh(2, 2)
+	for _, tc := range []struct {
+		vnets, vcs int
+		ok         bool
+	}{
+		{3, 4, true},   // the paper's Table II: 61 candidates
+		{2, 6, true},   // 61
+		{12, 1, true},  // 61
+		{3, 5, false},  // 76
+		{4, 4, false},  // 81
+		{13, 1, false}, // 66
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.vnets, tc.vcs), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				switch {
+				case tc.ok && r != nil:
+					t.Fatalf("rejected: %v", r)
+				case !tc.ok && r == nil:
+					t.Fatal("accepted")
+				case !tc.ok && !strings.Contains(fmt.Sprint(r), "64-candidate"):
+					t.Fatalf("panic %q does not name the 64-candidate bound", r)
+				}
+			}()
+			network.New(topo, network.Config{NumVnets: tc.vnets, VCsPerVnet: tc.vcs}, nil)
+		})
 	}
 }

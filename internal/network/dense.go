@@ -35,18 +35,15 @@ package network
 // count is per (output, vnet) too. The winner moves through the very same
 // tryGrant the generic commit uses.
 //
-// Staleness rule. The vectors are maintained only while fusedAlloc
-// holds (deriving a next hop under an OutputOverride would add hook
-// invocations) and only by the package's own fill/clear sites and by
-// PromoteEscape, which re-registers the one buffer whose packet it moves
-// to the escape class. Anything else that changes what a buffered packet
-// wants raises one flag, dense.stale: a sweep that
-// runs non-fused, exported SetRoute (reconfig's reroutes), attaching an
-// escape or hop class or swapping the escape tree (SetEscapeTree), an
-// out-of-cycle placement under a hook, and Wake — the notice a scheme
-// that moves packets by hand (core's SPIN rotation) owes the simulator. A
-// fused sweep rebuilds the vectors from the buffers before it starts
-// (syncVectors; O(resident packets)). Invariant: whenever a fused pass
+// Staleness rule. The vectors are maintained by the package's own
+// fill/clear sites and by PromoteEscape, which re-registers the one
+// buffer whose packet it moves to the escape class. Anything else that
+// changes what a buffered packet wants raises one flag, dense.stale:
+// exported SetRoute (reconfig's reroutes), attaching an escape or hop
+// class, swapping the escape tree (SetEscapeTree), and Wake — the notice
+// a scheme that moves packets by hand (core's SPIN rotation) owes the
+// simulator. A sweep rebuilds the vectors from the buffers before it
+// starts (syncVectors; O(resident packets)). Invariant: whenever the pass
 // reads want/pend/esc/choose they equal a from-scratch rebuild, pend up
 // to bits whose head has since arrived (validate.Check and
 // TestRequestVectorsMatchRebuild assert it). The fence, the ring rule and
@@ -54,18 +51,15 @@ package network
 // fence and bubble directly, every cycle of a recovery, and reading a few
 // fields per visit is cheaper than a notice per write.
 //
-// The fused pass runs when neither allocation hook is live and the slot
-// space fits a word (fusedAlloc): VCFilter and OutputOverride answer per
-// packet, which the memoized per-vnet answers cannot reproduce, so with
-// either present the sweep calls the generic AllocateNode per active
-// router instead. That is the one selection the stepper makes, from what
-// the code observes. A class or a rule is not a hook: the escape class's
-// two rules, the hop class's mask table and the ring rule (Router.Ring:
-// per vnet, a free-VC count at the one downstream pool the availability
-// argument of stepper.go covers) are state the pass reads, so escape-VC,
-// per-hop adaptive and bubble-flow-control runs stay fused (and an
-// OutputOverride beside a hop class is never consulted, so it does not
-// count).
+// This is the one allocation pass Step runs, for every scheme: a class or
+// a rule is state the pass reads, not a hook it must call — the escape
+// class's two rules, the hop class's mask table and the ring rule
+// (Router.Ring: per vnet, a free-VC count at the one downstream pool the
+// availability argument of stepper.go covers). Every candidate fits one
+// word because New rejects a Config whose NumPorts*SlotsPerPort buffers
+// plus the bubble exceed 64. AllocateNode, the gather-then-commit
+// allocator, is the refmodel's reference, and the differential harness
+// holds the two equal.
 
 import (
 	"math/bits"
@@ -76,10 +70,6 @@ import (
 // denseState holds the fused pass's per-Config constants and the
 // slot-occupancy mirror.
 type denseState struct {
-	// fastOK gates the fused allocation pass on the candidate space
-	// fitting one uint64 mask (bubble included); larger configurations
-	// take the generic AllocateNode per active router.
-	fastOK bool
 	// vnetBits[v] masks the candidate indices whose slot belongs to vnet
 	// v (across all input ports; the bubble bit is excluded — its vnet is
 	// the occupant's, resolved at arbitration time). Static for a given
@@ -87,7 +77,7 @@ type denseState struct {
 	// AND instead of touching each candidate's packet.
 	vnetBits []uint64
 	// slots/total/slotMask cache SlotsPerPort-derived constants for the
-	// per-router fused pass (valid only when fastOK).
+	// per-router fused pass.
 	slots    int
 	total    int
 	slotMask uint64
@@ -95,8 +85,7 @@ type denseState struct {
 	// granularity: bit ci (= in*slots+sl, bubble at NumPorts*slots) is
 	// set iff that buffer holds a packet. Maintained by every fill/clear
 	// site in the package (tryGrant, InjectNode, bubble transfer,
-	// placement and removal helpers); nil when the candidate space does
-	// not fit a word (fastOK false). The fused classification
+	// placement and removal helpers). The fused classification
 	// walks only the set bits, so a barely-occupied router costs its
 	// occupancy, not its capacity. SPIN rotations (core) move packets
 	// between slots that stay occupied, so the bitmap survives them; the
@@ -109,7 +98,7 @@ type denseState struct {
 	// is set while buffer ci's ReadyAt may still lie ahead (a superset of
 	// the heads in flight — denseAllocNode retires arrived bits). Both
 	// are subsets of occBits[id] at all times, and equal a rebuild
-	// whenever stale is false and fusedAlloc holds.
+	// whenever stale is false.
 	want [][geom.NumPorts]uint64
 	pend []uint64
 	// esc[id] is the class word beside them: bit ci is set iff buffer ci
@@ -119,17 +108,13 @@ type denseState struct {
 	// as want.
 	esc []uint64
 	// stale records that something other than a maintained fill/clear
-	// may have changed what a buffered packet wants; the next fused sweep
+	// may have changed what a buffered packet wants; the next sweep
 	// rebuilds.
 	stale bool
 }
 
 func (d *denseState) init(numNodes int, cfg Config) {
 	slots := cfg.SlotsPerPort()
-	d.fastOK = geom.NumPorts*slots+1 <= 64
-	if !d.fastOK {
-		return
-	}
 	d.slots = slots
 	d.total = geom.NumPorts * slots
 	d.slotMask = uint64(1)<<uint(slots) - 1
@@ -147,28 +132,19 @@ func (d *denseState) init(numNodes int, cfg Config) {
 }
 
 // occBitSet / occBitClear maintain the slot-occupancy mirror and the
-// request vectors. bit is the candidate index of the buffer being filled
-// or emptied. Without the mirror (candidate space wider than a word)
-// occBitSet only records the fill cycle an attached escape class keeps
-// per buffer, and occBitClear does nothing.
+// request vectors (and the fill cycle an attached escape class keeps per
+// buffer). bit is the candidate index of the buffer being filled or
+// emptied.
 //
 // occBitSet must run after p is in place at its new hop (buffer written,
-// p.Hop advanced): it derives p's next hop at id. Under an allocation
-// hook it leaves the vectors alone — the sweep that runs there, or the
-// out-of-cycle caller, marks them stale.
+// p.Hop advanced): it derives p's next hop at id.
 func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet) {
 	if e := s.escClass; e != nil {
 		e.fill[int(id)*e.stride+bit] = s.Now
 	}
 	d := &s.dense
-	if d.occBits == nil {
-		return
-	}
 	m := uint64(1) << uint(bit)
 	d.occBits[id] |= m
-	if !s.fusedAlloc() {
-		return
-	}
 	if s.hopClass != nil {
 		s.registerHop(id, bit, p)
 	} else if out := s.OutputOf(p, id); out != geom.Invalid {
@@ -206,9 +182,6 @@ func (s *Sim) registerHop(id geom.NodeID, ci int, p *Packet) {
 
 func (s *Sim) occBitClear(id geom.NodeID, bit int) {
 	d := &s.dense
-	if d.occBits == nil {
-		return
-	}
 	m := ^(uint64(1) << uint(bit))
 	d.occBits[id] &= m
 	d.pend[id] &= m
@@ -245,31 +218,24 @@ func (s *Sim) rebuildVectors(id geom.NodeID) {
 	}
 }
 
-// syncVectors runs at the top of every sweep: it reports whether this sweep
-// allocates through the fused pass, rebuilding the request vectors first if
-// they are stale, and marks them stale when it does not (its fills go
-// unrecorded).
-func (s *Sim) syncVectors() bool {
+// syncVectors runs at the top of every sweep: it rebuilds the request
+// vectors from the buffers if they are stale.
+func (s *Sim) syncVectors() {
 	d := &s.dense
-	if !s.fusedAlloc() {
-		d.stale = true
-		return false
-	}
 	if d.stale {
 		for id := range d.occBits {
 			s.rebuildVectors(geom.NodeID(id))
 		}
 		d.stale = false
 	}
-	return true
 }
 
 // RequestVectors returns router id's registered request vectors (want
-// per output, pend) and whether they are live — maintained and not
-// marked stale, i.e. what the next fused pass would read as is. Exposed
-// for the validate package, which recomputes them from buffer contents:
-// a drifted bit moves or strands a packet under Step only, so the
-// refmodel harness would catch it late and far from the cause.
+// per output, pend) and whether they are live — not marked stale, i.e.
+// what the next sweep would read as is. Exposed for the validate
+// package, which recomputes them from buffer contents: a drifted bit
+// moves or strands a packet under Step only, so the refmodel harness
+// would catch it late and far from the cause.
 func (s *Sim) RequestVectors(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64, live bool) {
 	if !s.vectorsLive() {
 		return want, 0, false
@@ -286,17 +252,12 @@ func (s *Sim) EscapedVector(id geom.NodeID) (esc uint64, live bool) {
 	return s.dense.esc[id], true
 }
 
-func (s *Sim) vectorsLive() bool {
-	return s.dense.occBits != nil && !s.dense.stale && s.fusedAlloc()
-}
+func (s *Sim) vectorsLive() bool { return !s.dense.stale }
 
 // occBitClearVC is occBitClear for callers holding only the buffer
 // pointer (the rare out-of-band removal paths): the slot is recovered by
 // scanning the port's VC array, falling back to the bubble bit.
 func (s *Sim) occBitClearVC(id geom.NodeID, port geom.Direction, vc *VC) {
-	if s.dense.occBits == nil {
-		return
-	}
 	r := &s.Routers[id]
 	if vc == &r.Bubble.VC {
 		s.occBitClear(id, geom.NumPorts*s.Cfg.SlotsPerPort())
@@ -312,55 +273,36 @@ func (s *Sim) occBitClearVC(id geom.NodeID, port geom.Direction, vc *VC) {
 }
 
 // OccupancyMirror returns the raw slot-occupancy word for router id
-// (bit in*slots+sl per buffer, bubble at NumPorts*slots), with ok false
-// when the mirror is disabled. Exposed for the validate package, which
-// cross-checks the mirror against actual buffer contents — the mirror
-// feeds the FSM scan fast path under the refmodel and under Step alike,
-// so drift would not show up as a differential mismatch.
-func (s *Sim) OccupancyMirror(id geom.NodeID) (uint64, bool) {
-	if s.dense.occBits == nil {
-		return 0, false
-	}
-	return s.dense.occBits[id], true
-}
+// (bit in*slots+sl per buffer, bubble at NumPorts*slots). Exposed for the
+// validate package, which cross-checks the mirror against actual buffer
+// contents — the mirror feeds the FSM scan under the refmodel and under
+// Step alike, so drift would not show up as a differential mismatch.
+func (s *Sim) OccupancyMirror(id geom.NodeID) uint64 { return s.dense.occBits[id] }
 
 // OccupiedScanWord returns the router's non-local occupancy as a bit
 // word in the deadlock-detection FSM's cyclic scan order — bit
 // in*slots+sl is set iff link-input slot (in, sl) holds a packet, and
-// bit NumLinkDirs*slots iff the static bubble is present and occupied —
-// with ok true when the occupancy mirror is enabled. It lets the FSM's
-// "next occupied VC after X" round-robin resolve with two
-// TrailingZeros64 instead of a slot-by-slot scan; callers must keep the
-// slot-scan fallback for configurations too wide for the mirror.
-func (r *Router) OccupiedScanWord() (uint64, bool) {
-	s := r.sim
-	occBits := s.dense.occBits
-	if occBits == nil {
-		return 0, false
-	}
-	d := &s.dense
+// bit NumLinkDirs*slots iff the static bubble is present and occupied.
+// It lets the FSM's "next occupied VC after X" round-robin resolve with
+// two TrailingZeros64 instead of a slot-by-slot scan.
+func (r *Router) OccupiedScanWord() uint64 {
+	d := &r.sim.dense
+	occ := d.occBits[r.ID]
 	link := uint(geom.NumLinkDirs * d.slots)
-	w := occBits[r.ID] & (uint64(1)<<link - 1)
-	if r.Bubble.Present && occBits[r.ID]>>uint(d.total)&1 != 0 {
+	w := occ & (uint64(1)<<link - 1)
+	if r.Bubble.Present && occ>>uint(d.total)&1 != 0 {
 		w |= 1 << link
 	}
-	return w, true
-}
-
-// fusedAlloc reports whether the fused allocation pass may run: no
-// VCFilter and no live OutputOverride (a hop class outranks one, which is
-// then dead), and the candidate space fits the mask.
-func (s *Sim) fusedAlloc() bool {
-	return s.dense.fastOK && s.VCFilter == nil && (s.OutputOverride == nil || s.hopClass != nil)
+	return w
 }
 
 // denseAllocNode is the fused switch-allocation pass for one router:
 // gatherAllocate's candidate classification, read off the registered
 // request vectors, and commitAllocate's round-robin arbitration in a
 // single sweep over bitmasks, with no bucket building, no per-head work
-// and no per-candidate downstream re-scans. Only valid under fusedAlloc
-// with the vectors in sync (syncVectors); produces bit-for-bit the
-// grants, Stats mutations and pool releases of AllocateNode.
+// and no per-candidate downstream re-scans. Only valid with the vectors
+// in sync (syncVectors); produces bit-for-bit the grants, Stats
+// mutations and pool releases of AllocateNode.
 func (s *Sim) denseAllocNode(id geom.NodeID) {
 	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
 		// A dead router's buffered traffic cannot move; it stays in the

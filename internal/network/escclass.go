@@ -9,9 +9,9 @@ package network
 // rules are pure functions of (Escaped, position), so OutputOf and the
 // free-VC search consult the class directly, the registered request
 // vectors (dense.go) carry the tree hop like any other wanted output, and
-// a Sim with a class attached keeps the fused pass. The timeout policy —
-// when a packet is promoted — stays with the scheme: the class only
-// records, per buffer, the cycle of its last fill.
+// the fused pass reads the class like any other state. The timeout
+// policy — when a packet is promoted — stays with the scheme: the class
+// only records, per buffer, the cycle of its last fill.
 
 import (
 	"repro/internal/geom"
@@ -65,7 +65,7 @@ func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
 // SetEscapeTree swaps the attached class's tree — after a runtime
 // reconfiguration rebuilt it. Escaped packets follow the new tree from
 // their next allocation on: the request vectors are rebuilt before the
-// next fused sweep.
+// next sweep.
 func (s *Sim) SetEscapeTree(tree TreeRouter) {
 	s.escClass.tree = tree
 	s.Wake(0)
@@ -92,17 +92,14 @@ func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 // PromoteEscape moves the packet buffered in slot `slot` of router id's
 // input port in to the escape class where it stands: from now on it
 // follows the tree and may enter only reserved VCs. The buffer's entries
-// in the request vectors are re-registered, so the next fused pass sees
-// the tree hop. Call it outside the allocation phase (from a
+// in the request vectors are re-registered, so the next pass sees the
+// tree hop. Call it outside the allocation phase (from a
 // PreCycle/PostCycle hook).
 func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
 	p := s.Routers[id].In[in][slot].Pkt
 	p.Escaped = true
 	s.Stats.EscapeTransfers++
 	d := &s.dense
-	if d.occBits == nil || !s.fusedAlloc() {
-		return // no vectors, or a non-fused sweep has marked them stale
-	}
 	ci := int(in)*d.slots + slot
 	m := uint64(1) << uint(ci)
 	w := &d.want[id]

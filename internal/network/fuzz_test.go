@@ -61,9 +61,9 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 
 // FuzzAllocateGrantInvariants throws randomized irregular topologies,
 // traffic, fences, bubble states and ring rules at the switch allocator
-// and checks, from buffer state before and after every Step — so it
-// checks the pass Step actually runs, the fused one unless a VCFilter is
-// installed — that every packet that moved was granted legally:
+// and checks, from buffer state before and after every cycle — so it
+// checks the pass that actually ran — that every packet that moved was
+// granted legally:
 //
 //   - it left through its route's next output, onto a live link and into
 //     the neighbor's buffers (or it ejected),
@@ -75,7 +75,8 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 //
 // and that the per-output round-robin pointers stay in bounds after
 // every cycle. modeByte bit 0 selects router faults, bit 1 random ring
-// rules, bit 2 an always-true VCFilter (the generic AllocateNode path).
+// rules, bit 2 the full scan (fullScan: the gather-then-commit
+// AllocateNode at every router) in place of Step's fused pass.
 func FuzzAllocateGrantInvariants(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(0), uint8(0))
 	f.Add(int64(3), int64(4), uint8(5), uint8(1))
@@ -93,8 +94,9 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 		s := New(topo, Config{}, rand.New(rand.NewSource(trafficSeed)))
 		s.SetPooling(false) // delivered packets keep DeliveredAt
 		rings := modeByte&2 != 0
+		step := s.Step
 		if modeByte&4 != 0 {
-			s.VCFilter = func(*Packet, geom.NodeID, geom.Direction, int) bool { return true }
+			step = func() { fullScan(s) }
 		}
 
 		alive := topo.AliveRouters()
@@ -161,7 +163,7 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 			}
 			snap = snapshotBuffers(s, snap)
 			now := s.Now
-			s.Step()
+			step()
 
 			clear(where)
 			for _, b := range snapshotBuffers(s, nil) {

@@ -14,10 +14,10 @@ package network
 // the class's own per-router "choose per visit" word, its mask byte
 // beside it. The fused pass resolves those buffers once their head has
 // arrived, each visit, from a free-buffer count memoised per (direction,
-// vnet) — so an adaptive Sim keeps the fused pass. The memoised count is
-// the refmodel's per-packet count: this router reads it before its own
-// first grant of the cycle, and nothing else fills the buffers it counts
-// (stepper.go, downstream availability).
+// vnet). The memoised count is the refmodel's per-packet count: this
+// router reads it before its own first grant of the cycle, and nothing
+// else fills the buffers it counts (stepper.go, downstream
+// availability).
 
 import (
 	"math/bits"
@@ -41,7 +41,6 @@ type hopClass struct {
 	// that packet's mask (meaningless under a clear bit). Written where
 	// want is (occBitSet, occBitClear, the stale rebuild), and disjoint
 	// from every want word: a buffer is registered in one or the other.
-	// nil without the occupancy mirror.
 	choose []uint64
 	mask   []uint8
 	stride int
@@ -49,8 +48,7 @@ type hopClass struct {
 
 // AttachHopClass routes every packet per hop over masker's minimal
 // directions, ties broken towards the direction with the most free
-// downstream buffers (hopOutput). It outranks source routes and any
-// OutputOverride installed beside it, which is never consulted; an escape
+// downstream buffers (hopOutput). It outranks source routes; an escape
 // class promotes packets onto a tree the hop class would ignore, so the
 // two refuse to share a Sim.
 func (s *Sim) AttachHopClass(masker HopMasker) {
@@ -61,10 +59,8 @@ func (s *Sim) AttachHopClass(masker HopMasker) {
 		panic("network: a hop class cannot share a Sim with an escape class")
 	}
 	h := &hopClass{masker: masker, stride: geom.NumPorts*s.Cfg.SlotsPerPort() + 1}
-	if s.dense.occBits != nil {
-		h.choose = make([]uint64, len(s.Routers))
-		h.mask = make([]uint8, len(s.Routers)*h.stride)
-	}
+	h.choose = make([]uint64, len(s.Routers))
+	h.mask = make([]uint8, len(s.Routers)*h.stride)
 	s.hopClass = h
 	s.Wake(0)
 }

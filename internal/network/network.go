@@ -22,11 +22,10 @@
 // optional extra buffer per router (the static bubble), an escape class
 // (a reserved VC index and a tree for promoted packets, escclass.go) and
 // a hop class (per-hop adaptive routing over a mask table, hopclass.go).
-// Two allocation hooks remain, a VC filter and an output override, and no
-// scheme installs either; a hook costs the fused allocation pass
-// (dense.go), state does not. Everything runs on the goroutine that calls
-// Step: independent simulations, not one simulation's routers, are what
-// run in parallel (internal/sweep).
+// None of it is a hook the allocator calls: Step allocates through one
+// fused bitset pass (dense.go), which every scheme keeps. Everything runs
+// on the goroutine that calls Step: independent simulations, not one
+// simulation's routers, are what run in parallel (internal/sweep).
 package network
 
 import (
@@ -42,10 +41,12 @@ import (
 // value of any field selects the paper's Table II default.
 type Config struct {
 	// NumVnets is the number of virtual networks (message classes).
-	// Default 3.
+	// Default 3. NumPorts*NumVnets*VCsPerVnet buffers plus the static
+	// bubble must fit the allocator's 64-candidate request word (New
+	// panics otherwise): the paper's 3x4 gives 61.
 	NumVnets int
 	// VCsPerVnet is the number of virtual channels per vnet per input
-	// port. Default 4.
+	// port. Default 4. Bounded with NumVnets (above).
 	VCsPerVnet int
 	// VCDepth is the VC depth in flits; packets longer than this are
 	// rejected (virtual cut-through requires packet-sized VCs). Default 5.
@@ -104,22 +105,14 @@ type Sim struct {
 	PreCycle []func(*Sim)
 	// PostCycle hooks run at the end of each Step, after allocation.
 	PostCycle []func(*Sim)
-	// VCFilter, when non-nil, restricts which downstream VC slot a packet
-	// may be allocated: return false to veto slot vcIdx (within the
-	// packet's vnet) at router dst's input port in. No scheme in the
-	// repository installs one (escape channels are reserved by the escape
-	// class); tests use it to push a run off the fused pass.
-	VCFilter func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool
-	// OutputOverride, when non-nil, may supply the desired output port for
-	// a packet at a router, overriding its embedded source route (and an
-	// escaped packet's tree hop). No scheme in the repository installs one
-	// (per-hop adaptive routing is the hop class); tests do, and bench's
-	// traced pass wraps it beside a hop class, where it is never consulted.
-	// It goes with ROADMAP item 6(c).
+	// OutputOverride is inert: the simulator never reads it (per-hop
+	// adaptive routing is the hop class, hopclass.go). The field stays
+	// only because the benchmark's traced pass still wraps it (see
+	// ROADMAP item 6(c)).
 	OutputOverride func(p *Packet, at geom.NodeID) (geom.Direction, bool)
 	// OnDeliver, when non-nil, is called once per delivered packet (at
 	// ejection grant time). Latency collectors hook in here; it observes
-	// only, so it keeps the fused pass.
+	// only.
 	OnDeliver func(p *Packet)
 
 	Stats Stats
@@ -148,8 +141,14 @@ type Sim struct {
 	// pool.go for the ownership rules).
 	pool poolState
 	// seqGather is AllocateNode's switch-allocation scratch (the
-	// sequential sweep under a hook, and the refmodel).
+	// refmodel's full scan).
 	seqGather allocGather
+	// vcFilter and outputOverride are a reference allocator's hooks,
+	// installed only by tests (export_test.go) on a Sim the refmodel
+	// steps: findFreeVC and OutputOf consult them, Step's fused pass
+	// never does.
+	vcFilter       func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool
+	outputOverride func(p *Packet, at geom.NodeID) (geom.Direction, bool)
 
 	// active and ids are the stepper's active set (stepper.go).
 	active []uint64
@@ -181,9 +180,14 @@ type Sim struct {
 }
 
 // New builds a simulator over topo. The topology may be irregular; dead
-// routers carry no state.
+// routers carry no state. It panics when cfg's allocation candidates do
+// not fit one 64-bit request word (Config.NumVnets).
 func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 	cfg = cfg.withDefaults()
+	if c := geom.NumPorts*cfg.SlotsPerPort() + 1; c > 64 {
+		panic(fmt.Sprintf("network: %d vnets x %d VCs gives %d allocation candidates per router, past the 64-candidate bound",
+			cfg.NumVnets, cfg.VCsPerVnet, c))
+	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
@@ -370,9 +374,6 @@ func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
 	p.InjectedAt = s.Now
 	s.markActive(id)
 	s.quietUntil = 0
-	if !s.fusedAlloc() {
-		s.dense.stale = true // occBitSet left the request vectors alone
-	}
 }
 
 // DeliverOutOfBand removes the packet in vc (buffered at router at's
@@ -466,27 +467,27 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 
 // findFreeVC returns a free VC slot index (within the full slot array) at
 // router node's input port `in` for packet p, or -1. Only slots of p's
-// vnet that admit p's class (escclass.go) are considered; VCFilter may
-// veto individual slots.
+// vnet that admit p's class (escclass.go) are considered; a test's
+// reference vcFilter may veto individual slots.
 func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet int) int {
-	if s.VCFilter == nil {
+	if s.vcFilter == nil {
 		return s.findFreeVCNoFilter(node, in, vnet, p.Escaped)
 	}
 	vcs := s.Routers[node].In[in]
 	base := vnet * s.Cfg.VCsPerVnet
 	lo, hi, skip := s.classVCs(p.Escaped)
 	for i := lo; i < hi; i++ {
-		if i != skip && vcs[base+i].Empty(s.Now) && s.VCFilter(p, node, in, i) {
+		if i != skip && vcs[base+i].Empty(s.Now) && s.vcFilter(p, node, in, i) {
 			return base + i
 		}
 	}
 	return -1
 }
 
-// findFreeVCNoFilter is findFreeVC with VCFilter known to be nil (the
-// fused allocation pass, which memoizes the answer per (output, vnet,
-// class)): the result then depends only on (node, in, vnet, escaped),
-// not on the packet.
+// findFreeVCNoFilter is findFreeVC without a vcFilter (the fused
+// allocation pass, which memoizes the answer per (output, vnet, class)):
+// the result depends only on (node, in, vnet, escaped), not on the
+// packet.
 func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, escaped bool) int {
 	vcs := s.Routers[node].In[in]
 	base := vnet * s.Cfg.VCsPerVnet
@@ -501,7 +502,8 @@ func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, 
 
 // OutputOf returns the output port packet p wants at router `at`: the
 // hop class's choice when one is attached (it answers for every packet,
-// hopclass.go), else the override if installed, else the escape class's
+// hopclass.go), else a test's reference outputOverride if installed and
+// answering, else the escape class's
 // tree hop for an escaped packet (a destination the tree cannot reach
 // falls back to the source route), else the next hop of its source route,
 // else Local (ejection) once the route is exhausted. The route-derived
@@ -514,8 +516,8 @@ func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 	if s.hopClass != nil {
 		return s.hopOutput(p, at)
 	}
-	if s.OutputOverride != nil {
-		if d, ok := s.OutputOverride(p, at); ok {
+	if s.outputOverride != nil {
+		if d, ok := s.outputOverride(p, at); ok {
 			return d
 		}
 	}

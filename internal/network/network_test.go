@@ -299,53 +299,6 @@ func TestBubbleInactiveRejects(t *testing.T) {
 	}
 }
 
-func TestVCFilterReservesChannels(t *testing.T) {
-	// Veto VC index 0 of every vnet everywhere: injection and transit
-	// still work using the remaining 3 VCs.
-	topo := topology.NewMesh(3, 1)
-	s := mkSim(topo, 1)
-	s.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
-		return vcIdx != 0
-	}
-	for i := 0; i < 10; i++ {
-		s.Enqueue(s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East}))
-	}
-	s.Run(200)
-	if s.Stats.Delivered != 10 {
-		t.Fatalf("delivered %d of 10", s.Stats.Delivered)
-	}
-	// VC slot 0 of vnet 0 must never have been used.
-	for id := range s.Routers {
-		for _, port := range geom.AllPorts {
-			vc := &s.Routers[id].In[port][0]
-			if vc.FreeAt != 0 || vc.Pkt != nil {
-				t.Fatalf("router %d port %v slot 0 was used despite filter", id, port)
-			}
-		}
-	}
-}
-
-func TestOutputOverrideRedirects(t *testing.T) {
-	// A packet with an eastbound route is overridden to eject at node 1.
-	topo := topology.NewMesh(3, 1)
-	s := mkSim(topo, 1)
-	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
-	s.OutputOverride = func(q *Packet, at geom.NodeID) (geom.Direction, bool) {
-		if q == p && at == 1 {
-			return geom.Local, true
-		}
-		return geom.Invalid, false
-	}
-	s.Enqueue(p)
-	s.Run(40)
-	if p.DeliveredAt < 0 {
-		t.Fatal("packet should have been delivered (at the override node)")
-	}
-	if p.Hop != 1 {
-		t.Fatalf("packet took %d hops, want 1", p.Hop)
-	}
-}
-
 func TestUseLinkBlocksFlitAndCounts(t *testing.T) {
 	topo := topology.NewMesh(2, 1)
 	s := mkSim(topo, 1)

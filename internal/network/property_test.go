@@ -39,11 +39,11 @@ func fullScan(s *Sim) {
 // byte-identity contract (the refmodel differential harness is the
 // other): for arbitrary seeds — random irregular topology shape, fault
 // kind and count, and offered rates from sparse (a few routers active)
-// to dense (the whole fabric active, past saturation), with and without
-// a VCFilter (which moves Step from the fused allocation pass to the
-// generic one) — the active-set sweep and the full scan must agree on
-// Stats, occupancy and progress after every cycle, and the active summary
-// must cover every router holding or queueing a packet.
+// to dense (the whole fabric active, past saturation) — the active-set
+// sweep with its fused allocation pass and the full scan with the
+// gather-then-commit allocator must agree on Stats, occupancy and
+// progress after every cycle, and the active summary must cover every
+// router holding or queueing a packet.
 func TestPropDenseSparseEquivalence(t *testing.T) {
 	f := func(seed int64, rateRaw uint8) bool {
 		hrng := rand.New(rand.NewSource(seed))
@@ -61,13 +61,6 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 		}
 		scan, swept := mk(), mk()
 		units := []*Sim{scan, swept}
-		if seed%2 == 0 {
-			for _, u := range units {
-				u.VCFilter = func(p *Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
-					return vcIdx != 0 || int(dst)%2 == 0
-				}
-			}
-		}
 		min := routing.NewMinimal(scan.Topo)
 		alive := scan.Topo.AliveRouters()
 		if len(alive) < 2 {

@@ -5,18 +5,13 @@ package refmodel
 // all the arbitration. The randomized harness (diff_test.go) mostly
 // offers loads below that; this test drives a mesh past saturation and
 // asserts cycle-exactness against the refmodel precisely where that code
-// runs, with the counters pinned so the claim is not vacuous. A second
-// fleet runs the same drive over a Config whose slot space exceeds a
-// machine word, where none of that code runs: no occupancy mirror, the
-// generic AllocateNode per active router, and the FSM scan's slot-walk
-// fallback.
+// runs, with the counters pinned so the claim is not vacuous.
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -98,24 +93,5 @@ func TestDifferentialDenseSaturated(t *testing.T) {
 	}
 	if _, _, live := step.RequestVectors(0); !live {
 		t.Error("the Step unit's request vectors are not live: the fused pass never ran")
-	}
-}
-
-// TestDifferentialWideSlotSpace: 3 vnets x 5 VCs x 5 ports + the bubble
-// is 76 allocation candidates, past the 64 a request word holds.
-func TestDifferentialWideSlotSpace(t *testing.T) {
-	const cycles = 5000
-	irregular := func() *topology.Topology {
-		return topology.RandomIrregular(8, 8, topology.LinkFaults, 10, 3)
-	}
-	// 0.1 packets of mean length 3: 0.3 flits/node/cycle.
-	units := saturatedSBFleet(t, irregular, network.Config{VCsPerVnet: 5}, cycles, cycles, 0.10)
-	for _, u := range units {
-		if _, ok := u.sim.OccupancyMirror(geom.NodeID(0)); ok {
-			t.Errorf("%s: occupancy mirror enabled — the slot space fits a word after all", u.name)
-		}
-	}
-	if st := units[0].sim.Stats; st.DeadlockRecoveries == 0 || st.Delivered == 0 {
-		t.Errorf("vacuous: %d recoveries, %d delivered", st.DeadlockRecoveries, st.Delivered)
 	}
 }

@@ -4,11 +4,14 @@
 // happen there.
 //
 // The stepper exists as the reference half of a differential harness
-// (see diff_test.go): both cores share the per-node movement primitives
-// (Sim.InjectNode, Sim.AllocateNode, Sim.TransferBubbleNode), so any
-// divergence between a refmodel-driven run and a Sim.Step-driven run
-// isolates a bug in Sim.Step's visit set, its fused allocation pass,
-// or its quiet fast-forward — the layers that differ.
+// (see diff_test.go). Both cores inject through Sim.InjectNode, move
+// packets through the same grant and Sim.TransferBubbleNode, and differ
+// where Sim.Step is fast: the refmodel visits every router every cycle
+// and allocates through Sim.AllocateNode (gather the candidates, then
+// commit), Step visits its active set, allocates through the fused
+// bitset pass and fast-forwards quiet cycles. Any divergence between a
+// refmodel-driven run and a Sim.Step-driven run isolates a bug in one of
+// those three layers.
 //
 // Contract: a Sim handed to New must only be advanced through the
 // returned Stepper (never through Sim.Step). Ordering is hooks, then

@@ -6,19 +6,17 @@ package refmodel
 // or mark them stale. This test drives all of those ways in one run —
 // grants and injections (maintained at the fill), SPIN rotations (core
 // announces them with Wake), a reconfig link failure (SetRoute on
-// buffered packets), a VCFilter installed and removed (fused → generic →
-// fused), PlacePacket / RemovePacket / DeliverOutOfBand between cycles
-// (one placement bracketed by a hook that no sweep ever sees), and, in
-// the escape variant, promotions (PromoteEscape re-registers the buffer)
-// and a tree swap after the link failure (SetEscapeTree marks stale);
-// the adaptive variant runs the same schedule under a hop class, whose
-// choose-per-visit word and mask bytes follow the same rules —
-// and asserts, in a PreCycle hook that runs after every other
-// hook and therefore immediately before the sweep, that vectors claiming
-// to be live equal a recomputation from the buffers, while Stats stay
-// equal to the refmodel after every cycle. Reverting any one of the
-// invalidation sources (tryGrant writing the vectors before the packet
-// has moved, SetRoute, SPIN's Wake, the non-fused sweep, the promotion's
+// buffered packets), PlacePacket / RemovePacket / DeliverOutOfBand
+// between cycles, and, in the escape variant, promotions (PromoteEscape
+// re-registers the buffer) and a tree swap after the link failure
+// (SetEscapeTree marks stale); the adaptive variant runs the same
+// schedule under a hop class, whose choose-per-visit word and mask bytes
+// follow the same rules — and asserts, in a PreCycle hook that runs after
+// every other hook and therefore immediately before the sweep, that
+// vectors claiming to be live equal a recomputation from the buffers,
+// while Stats stay equal to the refmodel after every cycle. Reverting any
+// one of the invalidation sources (tryGrant writing the vectors before
+// the packet has moved, SetRoute, SPIN's Wake, the promotion's
 // re-registration, the tree swap's Wake) fails it.
 
 import (
@@ -57,11 +55,8 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 		window     = 1400
 		rate       = 0.30 // past saturation on a faulty 8x8
 		failAt     = 300
-		filterOn   = 500
-		filterOff  = 700
-		swapAt     = 900 // escape variant: a tree swap with nothing else going on
+		swapAt     = 900 // escape variant: a tree swap
 		pokeEvery  = 97
-		hookedPoke = 9*pokeEvery - 1 // this poke runs under a hook no sweep sees
 		linkFaults = 12
 	)
 	// The adaptive variant recovers by SPIN: rotations rewrite buffers in
@@ -103,13 +98,6 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 	ref := units[0].sim
 	hrng := rand.New(rand.NewSource(topoSeed + 1))
 
-	// A slot-vetoing filter: pure in its arguments, so every core sees
-	// the same decisions; its only role is to push the sweep off the
-	// fused pass for a while.
-	filter := func(p *network.Packet, _ geom.NodeID, _ geom.Direction, vcIdx int) bool {
-		return vcIdx != 3 || p.Len == 5
-	}
-
 	findVC := func(from int, pred func(vc *network.VC, port geom.Direction, slot int) bool) (geom.NodeID, geom.Direction, int, bool) {
 		return findBuffer(ref, from, pred)
 	}
@@ -132,23 +120,9 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 				escs[i].SetTree(routing.NewUpDownRooted(u.sim.Topo, routing.RootLowestID))
 			}
 		}
-		if cyc == filterOn || cyc == filterOff {
-			for _, u := range units {
-				u.sim.VCFilter = nil
-				if cyc == filterOn {
-					u.sim.VCFilter = filter
-				}
-			}
-		}
-		// Out-of-cycle pokes, kept out of the filter window so that there
-		// the non-fused sweep is the only thing marking the vectors stale.
-		if cyc%pokeEvery == pokeEvery-1 && (cyc < filterOn || cyc >= filterOff) {
+		// Out-of-cycle pokes.
+		if cyc%pokeEvery == pokeEvery-1 {
 			start := hrng.Intn(len(ref.Routers))
-			if cyc == hookedPoke {
-				for _, u := range units {
-					u.sim.VCFilter = filter
-				}
-			}
 			// Place a fresh packet into a free local-port buffer (one a
 			// regular packet may occupy).
 			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction, slot int) bool {
@@ -176,11 +150,6 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 					u.sim.DeliverOutOfBand(&u.sim.Routers[id].In[port][slot], id, port, u.sim.Now)
 				}
 				sideDelivered++
-			}
-			if cyc == hookedPoke {
-				for _, u := range units {
-					u.sim.VCFilter = nil
-				}
 			}
 		}
 		if cyc < window {

@@ -95,17 +95,12 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // downstream buffer availability (virtual cut-through: the downstream VC
 // must be able to hold the whole packet).
 //
-// Step runs it whenever VCFilter or a live OutputOverride is installed
-// or the slot space exceeds a word, and the refmodel full scan always
-// does; every other cycle takes the fused pass (dense.go) instead.
-// gatherAllocate buckets and prunes the candidates, commitAllocate
-// arbitrates and moves packets. Off the fused pass its grants leave the
-// request vectors unrecorded (dense.go), so it marks them stale — the
-// refmodel's scan has no sweep prologue to do that for it.
+// It is the refmodel full scan's allocator, the reference Step's fused
+// pass (dense.go) must equal: gatherAllocate buckets and prunes the
+// candidates, commitAllocate arbitrates and moves packets. Its grants
+// fill and clear buffers through the same sites, so the request vectors
+// stay maintained.
 func (s *Sim) AllocateNode(id geom.NodeID) {
-	if !s.fusedAlloc() {
-		s.dense.stale = true
-	}
 	if s.gatherAllocate(id, &s.seqGather) {
 		s.commitAllocate(id, &s.seqGather)
 	}

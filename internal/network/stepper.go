@@ -82,9 +82,9 @@ func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
 
 // Wake tells the stepper that state it derives its work from changed
 // behind its back: it voids any open quiet window and marks the
-// registered request vectors stale, so the next fused sweep rebuilds
-// them from the buffers (dense.go). The effect is global — n names where
-// the change happened for the reader of the call site and is otherwise
+// registered request vectors stale, so the next sweep rebuilds them from
+// the buffers (dense.go). The effect is global — n names where the
+// change happened for the reader of the call site and is otherwise
 // unused. The simulator's own entry points that add, move, remove,
 // reroute or reclassify a packet (Enqueue, PlacePacket,
 // PlaceBubblePacket, RemovePacket, DeliverOutOfBand, SetRoute,
@@ -147,9 +147,8 @@ func (s *Sim) collectActive() {
 // Step advances the simulation by one cycle: hooks, then the phases
 // over the active set in ascending id order — the order the naive
 // stepper visits routers, so the two cores are cycle-exact. A swept
-// cycle allocates through the fused pass when fusedAlloc holds (no
-// allocation hook, slot space fits a word) and through the generic
-// AllocateNode otherwise.
+// cycle allocates through the fused pass (dense.go); the refmodel's
+// AllocateNode is its reference.
 func (s *Sim) Step() {
 	if s.Now < s.quietUntil {
 		s.Now++
@@ -160,20 +159,14 @@ func (s *Sim) Step() {
 		f(s)
 	}
 	s.collectActive()
-	fused := s.syncVectors()
+	s.syncVectors()
 	for _, id := range s.ids {
 		if s.niPend[id] != 0 {
 			s.InjectNode(geom.NodeID(id))
 		}
 	}
-	if fused {
-		for _, id := range s.ids {
-			s.denseAllocNode(geom.NodeID(id))
-		}
-	} else {
-		for _, id := range s.ids {
-			s.AllocateNode(geom.NodeID(id))
-		}
+	for _, id := range s.ids {
+		s.denseAllocNode(geom.NodeID(id))
 	}
 	s.transferBubbles()
 	for _, f := range s.PostCycle {
@@ -193,7 +186,7 @@ func (s *Sim) Step() {
 func (s *Sim) transferBubbles() {
 	ob, bb := s.dense.occBits, uint64(1)<<uint(s.dense.total)
 	for _, id := range s.ids {
-		if ob == nil || ob[id]&bb != 0 {
+		if ob[id]&bb != 0 {
 			s.TransferBubbleNode(geom.NodeID(id))
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // TestStepperPathCounters pins what the counters mean: every cycle is
 // either skipped by a quiet window or swept (QuietCycles + DenseCycles
 // partition the run), a drained network with no hooks fast-forwards, and
-// a VCFilter keeps every cycle off the fused pass while ring rules do not.
+// a busy run sweeps every cycle with its request vectors live, ring rules
+// or not.
 func TestStepperPathCounters(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	s := New(topo, Config{}, rand.New(rand.NewSource(3)))
@@ -46,16 +47,11 @@ func TestStepperPathCounters(t *testing.T) {
 	if got := ctr.QuietCycles + ctr.DenseCycles; got != 2000 {
 		t.Fatalf("counters don't partition the run: %+v sums to %d, want 2000", ctr, got)
 	}
-	// A VCFilter must keep the cycle off the fused pass, whose request
-	// vectors then go unmaintained; the same busy workload without it
-	// keeps them live, and so does one under ring rules, which are state
-	// the fused pass reads.
-	for _, mode := range []string{"bare", "vcfilter", "ring"} {
+	// A busy workload keeps the request vectors live, and so does one
+	// under ring rules, which are state the fused pass reads.
+	for _, mode := range []string{"bare", "ring"} {
 		s2 := New(topo, Config{}, rand.New(rand.NewSource(3)))
-		switch mode {
-		case "vcfilter":
-			s2.VCFilter = func(*Packet, geom.NodeID, geom.Direction, int) bool { return true }
-		case "ring":
+		if mode == "ring" {
 			for id := range s2.Routers {
 				s2.Routers[id].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
 			}
@@ -68,7 +64,7 @@ func TestStepperPathCounters(t *testing.T) {
 			s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
 		}
 		s2.Run(50)
-		if _, _, live := s2.RequestVectors(0); live == (mode == "vcfilter") {
+		if _, _, live := s2.RequestVectors(0); !live {
 			t.Fatalf("%s: request vectors live %v after a busy run", mode, live)
 		}
 		if c2 := s2.StepperCounters(); c2.DenseCycles != 50 {

@@ -42,14 +42,17 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	escVC, hasClass := s.EscapeClass()
 	masker, hasHops := s.HopClass()
 	choose, hopMasks, _ := s.HopVectors()
+	slots := s.Cfg.SlotsPerPort()
 	var globalOcc int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		occ, nonLocal := 0, 0
+		var occWord uint64 // what the slot-occupancy mirror must hold
 		for _, port := range geom.AllPorts {
 			for slot := range r.In[port] {
 				if r.In[port][slot].Pkt != nil {
 					occ++
+					occWord |= 1 << uint(int(port)*slots+slot)
 					if port != geom.Local {
 						nonLocal++
 					}
@@ -59,6 +62,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if r.Bubble.VC.Pkt != nil {
 			occ++
 			nonLocal++
+			occWord |= 1 << uint(geom.NumPorts*slots)
 			if !r.Bubble.Present {
 				report("bubble", "router %d holds a packet in a non-present bubble", id)
 			}
@@ -91,22 +95,8 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// the recovery FSM's round-robin scan under every stepper, so
 		// drift would alter results without tripping the differential
 		// harness.
-		if mirror, ok := s.OccupancyMirror(geom.NodeID(id)); ok {
-			slots := s.Cfg.SlotsPerPort()
-			var want uint64
-			for _, port := range geom.AllPorts {
-				for slot := range r.In[port] {
-					if r.In[port][slot].Pkt != nil {
-						want |= 1 << uint(int(port)*slots+slot)
-					}
-				}
-			}
-			if r.Bubble.VC.Pkt != nil {
-				want |= 1 << uint(geom.NumPorts*slots)
-			}
-			if mirror != want {
-				report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, want)
-			}
+		if mirror := s.OccupancyMirror(geom.NodeID(id)); mirror != occWord {
+			report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, occWord)
 		}
 		// The registered request vectors, while live, must equal what the
 		// buffers say: the fused allocator reads them in place of the
@@ -114,7 +104,6 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// and nowhere else. pend may lag behind arrivals (the allocator
 		// retires it lazily) but must cover every head still in flight.
 		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
-			slots := s.Cfg.SlotsPerPort()
 			var expWant [geom.NumPorts]uint64
 			var occupied, inFlight, expEsc, expChoose uint64
 			stride := geom.NumPorts*slots + 1
@@ -197,9 +186,8 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// Buffered packets must be at a position consistent with their
 		// route (the remaining route starts here and is walkable) — except
 		// those that no longer follow it: an escaped packet is on the tree,
-		// and under a hop class (or an output override) the route may be
-		// unused altogether.
-		if !hasHops && s.OutputOverride == nil {
+		// and under a hop class the route may be unused altogether.
+		if !hasHops {
 			for _, port := range geom.AllPorts {
 				for slot := range r.In[port] {
 					p := r.In[port][slot].Pkt
