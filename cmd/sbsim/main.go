@@ -66,6 +66,20 @@ func checkRanges(width, height int, kind topology.FaultKind, faults, cycles int,
 	return nil
 }
 
+// checkRecovery rejects recovery flags a run would not honour:
+// Params.withDefaults silently turns a zero -tdd into 34, a negative one
+// lets every FSM time out on its first tick, and only the static-bubble
+// scheme has the recovery FSM that -spin switches to rotation.
+func checkRecovery(scheme experiments.Scheme, tdd int64, spin bool) error {
+	switch {
+	case tdd < 1:
+		return fmt.Errorf("-tdd must be at least 1 cycle (got %d)", tdd)
+	case spin && scheme != experiments.StaticBubble:
+		return fmt.Errorf("-spin needs -scheme sb: only the static-bubble FSM rotates")
+	}
+	return nil
+}
+
 func main() {
 	width := flag.Int("width", 8, "mesh width")
 	height := flag.Int("height", 8, "mesh height")
@@ -113,6 +127,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkRanges(*width, *height, kind, *faults, *cycles, *rate); err != nil {
+		fmt.Fprintln(os.Stderr, "sbsim:", err)
+		os.Exit(2)
+	}
+	if err := checkRecovery(scheme, *tdd, *spin); err != nil {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		os.Exit(2)
 	}

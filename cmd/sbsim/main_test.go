@@ -61,3 +61,30 @@ func TestCheckRanges(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckRecovery(t *testing.T) {
+	sb, tree, evc := experiments.StaticBubble, experiments.SpanningTree, experiments.EscapeVC
+	cases := []struct {
+		name   string
+		scheme experiments.Scheme
+		tdd    int64
+		spin   bool
+		ok     bool
+	}{
+		{"defaults", sb, 34, false, true},
+		{"tdd 1", sb, 1, false, true},
+		{"spin under sb", sb, 34, true, true},
+		{"tdd ignored by tree", tree, 34, false, true},
+		{"zero tdd", sb, 0, false, false},
+		{"negative tdd", sb, -5, false, false},
+		{"negative tdd under evc", evc, -1, false, false},
+		{"spin under tree", tree, 34, true, false},
+		{"spin under evc", evc, 34, true, false},
+	}
+	for _, c := range cases {
+		err := checkRecovery(c.scheme, c.tdd, c.spin)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: checkRecovery = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

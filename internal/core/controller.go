@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -200,11 +199,6 @@ func Attach(s *network.Sim, opt Options) *Controller {
 	}
 	s.PreCycle = append(s.PreCycle, func(sim *network.Sim) { c.transport() })
 	s.PostCycle = append(s.PostCycle, func(sim *network.Sim) { c.tickAll() })
-	// Both hooks are quiescent between the horizons computed below, so
-	// the simulator may fast-forward through cycles in which neither the
-	// transport nor any FSM can act (quiet-epoch batching; see
-	// Sim.RegisterQuiescence and the horizon method).
-	s.RegisterQuiescence(2, func(sim *network.Sim) int64 { return c.horizon() })
 	return c
 }
 
@@ -236,48 +230,6 @@ func (c *Controller) setState(f *fsm, st State) {
 // the router empty retires it, so an FSM outside the set is in StateOff
 // with OccupiedNonLocal() == 0: its tick would return without effect.
 func (c *Controller) tickSet(w int) uint64 { return c.act[w]&c.sb[w] | c.busy[w] }
-
-// horizon returns the earliest future cycle at which the controller may
-// act or observe cycle-varying state, assuming no packet moves before
-// it (the simulator guarantees that assumption: it only asks while no
-// packet is buffered or queued anywhere). Returning the current cycle vetoes fast-forward.
-//
-// Per source of activity:
-//   - an in-flight control message is delivered exactly at its NextAt;
-//   - an FSM in StateOff has nothing to watch in an empty network (parked
-//     behind a foreign fence it waits for an enable, a message covered
-//     above), and with no router in the active summary the tick set is
-//     the busy mask: only those FSMs are consulted;
-//   - StateSBActive re-evaluates progress predicates (grant counters,
-//     bubble occupancy, dependence existence) that can fire on any
-//     tick, so it vetoes — a recovery in progress never fast-forwards;
-//   - the remaining states (DD, Disable, CheckProbe, Enable) are pure
-//     countdowns: between now and the deadline the tick either does
-//     nothing or only re-checks packet state that cannot change while
-//     the network is frozen. (The simulator consults the horizon only
-//     while no buffer holds a packet, so a watched packet cannot leave
-//     mid-window.)
-func (c *Controller) horizon() int64 {
-	now := c.sim.Now
-	h := int64(math.MaxInt64)
-	for _, m := range c.msgs {
-		if m.NextAt < h {
-			h = m.NextAt
-		}
-	}
-	for w, m := range c.busy {
-		for ; m != 0; m &= m - 1 {
-			f := c.fsms[w<<6+bits.TrailingZeros64(m)]
-			if f.state == StateSBActive || f.deadline <= now {
-				return now
-			}
-			if f.deadline < h {
-				h = f.deadline
-			}
-		}
-	}
-	return h
-}
 
 // FSMState reports the recovery state of the FSM at node n (StateOff for
 // non-SB routers), for tests and instrumentation.
@@ -323,15 +275,15 @@ func (c *Controller) TickMasks() (sb, busy []uint64) { return c.sb, c.busy }
 // reconfig.Manager can keep the protocol state consistent under runtime
 // failures and recoveries. Without these hooks a router dying
 // mid-recovery leaves permanent residue: its FSM wedges in S_SB_ACTIVE
-// (vetoing quiet-epoch fast-forward forever), and the fences its
+// (ticked every cycle forever), and the fences its
 // disable installed elsewhere have no enable left to clear them, so the
 // fenced in→out turns block traffic until the end of the run.
 
 // RouterFailed records that router n was powered off or died abruptly:
 // its FSM resets to S_OFF, its local fence and bubble activation are
 // cleared, and every fence its in-progress recovery round installed
-// elsewhere is swept (the matching enable can never arrive). Swept
-// routers are woken so previously fenced traffic re-arbitrates.
+// elsewhere is swept (the matching enable can never arrive), so
+// previously fenced traffic re-arbitrates at the next allocation.
 func (c *Controller) RouterFailed(n geom.NodeID) {
 	s := c.sim
 	r := &s.Routers[n]
@@ -372,23 +324,24 @@ func (c *Controller) RouterRecovered(n geom.NodeID) {
 // simply used by the next transmission.
 func (c *Controller) LinkChanged(n geom.NodeID, d geom.Direction, alive bool) {}
 
-// sweepFences clears every fence installed by src's recovery rounds and
-// wakes the affected routers. Used when src dies (RouterFailed) and
-// when src abandons an enable whose latched path broke mid-round — in
-// both cases no enable will ever traverse the path again, and a fence
-// that nothing clears is a permanent partial deadlock.
+// sweepFences clears every fence installed by src's recovery rounds.
+// Used when src dies (RouterFailed) and when src abandons an enable
+// whose latched path broke mid-round — in both cases no enable will ever
+// traverse the path again, and a fence that nothing clears is a
+// permanent partial deadlock.
 func (c *Controller) sweepFences(src geom.NodeID) {
 	s := c.sim
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		if r.Fence.Active && r.Fence.SrcID == src {
 			// A parked FSM at id resumes detection on its next tick
-			// (StateOff re-scans occupancy once the fence is gone).
+			// (StateOff re-scans occupancy once the fence is gone), and
+			// the fused pass reads the fence live, so fenced traffic
+			// re-arbitrates at the next allocation.
 			r.Fence = network.Fence{}
 			if c.opt.Trace != nil {
 				c.trace(geom.NodeID(id), "fence swept (src=%v gone)", src)
 			}
-			s.Wake(geom.NodeID(id))
 		}
 	}
 }

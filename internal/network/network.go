@@ -5,11 +5,11 @@
 // credit-accurate buffer reuse, 1-cycle routers and 1-cycle links,
 // multiple virtual networks, and per-class link utilization accounting.
 //
-// Step sweeps an active set: a router is visited in a cycle only if it
-// holds a buffered packet or has traffic queued at its NI, and cycles in
-// which nothing can happen are fast-forwarded (see stepper.go for the
-// byte-identity argument). The per-node phase primitives InjectNode,
-// AllocateNode and TransferBubbleNode are exported so the deliberately
+// Step sweeps an active set every cycle: a router is visited only if it
+// holds a buffered packet or has traffic queued at its NI (see
+// stepper.go for the byte-identity argument). The per-node phase
+// primitives InjectNode, AllocateNode and TransferBubbleNode are
+// exported so the deliberately
 // naive full-scan stepper in internal/network/refmodel can drive the
 // identical movement logic; a differential harness there proves the two
 // cores cycle-exact.
@@ -154,21 +154,7 @@ type Sim struct {
 	active []uint64
 	ids    []int32
 
-	// quietUntil > Now means the simulator proved that no state can
-	// change before cycle quietUntil: Step just advances Now (the
-	// quiet-epoch fast-forward). Established by maybeQuiet at the end of
-	// a cycle with an empty active set, torn down by any mutation from
-	// outside the cycle loop that adds a packet (Enqueue, PlacePacket,
-	// PlaceBubblePacket, RecountNIPending) and by Wake. No buffer holds
-	// a packet while a window is open, so removals cannot land in one.
-	quietUntil int64
-	// quiesced counts the attached PreCycle+PostCycle hooks covered by a
-	// RegisterQuiescence call; quiet epochs engage only when every hook
-	// is covered (an unregistered hook may act on any cycle, so skipping
-	// cycles would change behavior).
-	quiesced   int
-	horizonFns []func(*Sim) int64
-	ctr        StepperCounters
+	ctr StepperCounters
 	// dense holds the slot-occupancy mirror, the registered request
 	// vectors and the constants of the fused bitset allocation pass (see
 	// dense.go).
@@ -277,7 +263,6 @@ func (s *Sim) Enqueue(p *Packet) {
 	s.niPend[p.Src]++
 	s.Stats.Offered++
 	s.markActive(p.Src)
-	s.quietUntil = 0
 }
 
 // NIPending returns the number of packets queued across router id's NI
@@ -295,7 +280,6 @@ func (s *Sim) RecountNIPending(id geom.NodeID) {
 	}
 	s.niPend[id] = n
 	s.markActive(id)
-	s.quietUntil = 0
 }
 
 // Drop records a packet that could not be routed (destination
@@ -373,7 +357,6 @@ func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
 	s.Stats.InjectedFlits += int64(p.Len)
 	p.InjectedAt = s.Now
 	s.markActive(id)
-	s.quietUntil = 0
 }
 
 // DeliverOutOfBand removes the packet in vc (buffered at router at's

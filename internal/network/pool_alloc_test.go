@@ -77,8 +77,8 @@ func steadyLoop(ld steadyLoad, useRef bool) func() {
 // TestZeroAllocSteadyState drives ≥10k post-warmup cycles of each case
 // and requires exactly zero heap allocations: the 8x8 loop just below
 // saturation under both cores, a 16x16 trickle whose injection stops
-// half-way through the measured pass (active-set sweep, quiet windows
-// and a fully drained tail), and the 1024-router mesh below its
+// half-way through the measured pass (active-set sweep and a fully
+// drained tail), and the 1024-router mesh below its
 // saturation point.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {

@@ -9,7 +9,7 @@ package refmodel
 // epochs, identical pending queues, and identical gate completions, every
 // cycle. A divergence here isolates either nondeterminism in the overlap
 // state machine or a reconfiguration path that leaves the stepper's active
-// set or quiet window stale.
+// set or request vectors stale.
 
 import (
 	"fmt"

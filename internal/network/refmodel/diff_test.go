@@ -8,7 +8,7 @@ package refmodel
 // marker after EVERY cycle, plus per-packet delivery times at the end,
 // and running validate.Check on both every checkEvery cycles. Both cores
 // share the per-node movement primitives, so any divergence isolates a
-// visit-set, fused-allocation or quiet-window bug in Step.
+// visit-set or fused-allocation bug in Step.
 
 import (
 	"fmt"
@@ -88,7 +88,7 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, knobs perturb.Kno
 	simSeed := hrng.Int63()
 
 	// SB recovery on most scenarios (deadlock storms are the hard case
-	// for the visit set and the quiet horizon); occasionally SPIN mode or
+	// for the visit set); occasionally SPIN mode or
 	// no recovery at all (wedged deadlocks must wedge identically).
 	attachSB := hrng.Intn(5) != 0
 	opt := core.Options{TDD: int64(16 + hrng.Intn(32))}

@@ -1,19 +1,17 @@
 package refmodel
 
-// Quiet-epoch batching differential: Step may
-// fast-forward through cycles in which no router state can change, but
-// only when every attached hook has registered a quiescence horizon and
-// that horizon is honored. These scenarios are built so the interesting
-// transitions — SB probe returns, DD deadlines, disable/enable timers,
-// SPIN storm rotations — land *inside* would-be quiet windows: traffic
-// arrives in dense bursts that wedge the network into deadlock, then
-// stops entirely while the controller's timer-driven recovery plays out
-// over an otherwise idle fabric. The full-scan refmodel never skips a
-// cycle, so cycle-exact Stats equality (which includes every controller
-// counter: probes, disables, recoveries, spin rotations) proves the
-// batched cores wake for exactly the cycles the timers demand. Each
-// test additionally asserts via StepperCounters that quiet batching
-// actually engaged, so the proof is not vacuous.
+// Drain differentials: scenarios in which the network goes idle while
+// the SB controller still has work to do. Traffic arrives in dense
+// bursts that wedge the network into deadlock, then stops entirely
+// while the controller's timer-driven recovery — SB probe returns, DD
+// deadlines, disable/enable timers, SPIN storm rotations — plays out
+// over an otherwise idle fabric; and an idle SB mesh under trickle
+// traffic takes out-of-band events (an enqueue after a long gap, a
+// placed and removed packet, a link failure and recovery, a dead router
+// with queued traffic). Cycle-exact Stats equality with the full-scan
+// refmodel (which includes every controller counter: probes, disables,
+// recoveries, spin rotations) proves Step acts on exactly the cycles
+// the sequential semantics demand.
 
 import (
 	"math/rand"
@@ -27,13 +25,13 @@ import (
 	"repro/internal/topology"
 )
 
-// runQuietScenario drives a bursty feast-and-famine workload through
+// runBurstyScenario drives a bursty feast-and-famine workload through
 // the refmodel and the event core, demanding cycle-exact equality
-// throughout, and returns the event core's stepper
-// counters for vacuity checks. Traffic comes in short saturating bursts
-// separated by long silences and ends with a drain tail several times
-// longer than the controller's detection timeout.
-func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool) (network.StepperCounters, network.Stats) {
+// throughout, and returns the event core's Stats for vacuity checks.
+// Traffic comes in short saturating bursts separated by long silences
+// and ends with a drain tail several times longer than the controller's
+// detection timeout.
+func runBurstyScenario(t *testing.T, seed int64, cycles int, spin bool) network.Stats {
 	t.Helper()
 	hrng := rand.New(rand.NewSource(seed))
 	w := 5 + hrng.Intn(4)
@@ -129,33 +127,29 @@ func runQuietScenario(t *testing.T, seed int64, cycles int, spin bool) (network.
 			}
 		}
 	}
-	return ev.sim.StepperCounters(), ev.sim.Stats
+	return ev.sim.Stats
 }
 
 // TestDifferentialQuietBatching: bursty deadlock-prone scenarios with
 // the SB controller attached, compared cycle-exact across the refmodel
-// and event cores. Probe and disable timers must fire at
-// their exact cycles even when the core was fast-forwarding, and the
-// run as a whole must actually exercise both quiet batching and the SB
-// timer machinery.
+// and event cores. The bursts are separated by quiet stretches in which
+// no traffic arrives; probe and disable timers must fire at their exact
+// cycles inside those stretches and in the idle drain tail, and the run
+// as a whole must actually exercise the SB timer machinery.
 func TestDifferentialQuietBatching(t *testing.T) {
-	// Seed 214 pairs a deadlock disable with quiet windows in a single
-	// run; the others contribute heavy quiet, heavy probing, or extra
-	// disables so the corpus-level machinery checks below can't go
-	// vacuous if one scenario's trajectory shifts.
+	// Seed 214 pairs a deadlock disable with long quiet stretches in a
+	// single run; the others contribute heavy probing or extra disables
+	// so the corpus-level machinery checks below can't go vacuous if one
+	// scenario's trajectory shifts.
 	seeds := []int64{200, 204, 206, 214, 215}
 	if testing.Short() {
 		seeds = []int64{200, 214}
 	}
-	var quiet, probes, disables int64
+	var probes, disables int64
 	for _, seed := range seeds {
-		ctr, st := runQuietScenario(t, seed, 1200, false)
-		quiet += ctr.QuietCycles
+		st := runBurstyScenario(t, seed, 1200, false)
 		probes += st.ProbesSent
 		disables += st.DisablesSent
-	}
-	if quiet == 0 {
-		t.Fatal("no quiet cycles across the corpus — batching never engaged")
 	}
 	if probes == 0 {
 		t.Fatal("no SB probes across the corpus — the timer machinery never ran")
@@ -166,38 +160,33 @@ func TestDifferentialQuietBatching(t *testing.T) {
 }
 
 // TestDifferentialQuietSpinStorm is the SPIN variant: storms started by
-// a DD expiry mid-quiet-window must rotate on exactly the cycles the
+// a DD expiry in a quiet stretch must rotate on exactly the cycles the
 // sequential semantics dictate.
 func TestDifferentialQuietSpinStorm(t *testing.T) {
 	// 301 contributes long quiet stretches, 323/328 real storms, 329
-	// probe traffic threaded through quiet windows.
+	// probe traffic threaded through quiet stretches.
 	seeds := []int64{301, 323, 328, 329}
 	if testing.Short() {
 		seeds = []int64{301, 323}
 	}
-	var quiet, spins int64
+	var spins int64
 	for _, seed := range seeds {
-		ctr, st := runQuietScenario(t, seed, 1200, true)
-		quiet += ctr.QuietCycles
+		st := runBurstyScenario(t, seed, 1200, true)
 		spins += st.SpinRotations
-	}
-	if quiet == 0 {
-		t.Fatal("no quiet cycles across the SPIN corpus — batching never engaged")
 	}
 	if spins == 0 {
 		t.Fatal("no SPIN rotations across the corpus — no storm ever fired")
 	}
 }
 
-// TestQuietParityIdleSB pins the quiet-epoch contract of Sim.Step
-// against the refmodel on the regime fast-forward exists for: an idle
-// SB-attached 16×16 with on/off trickle traffic. Stats must be
-// identical after every cycle, windows must actually open, every
-// out-of-band event landing inside a window (Enqueue, a placed and
-// removed packet, a reconfiguration recover) must void it, and a dead
-// router with a non-empty NI queue must hold the window closed — it
-// stays in the active set until it is re-enabled.
-func TestQuietParityIdleSB(t *testing.T) {
+// TestDifferentialIdleSB compares Sim.Step with the refmodel on an idle
+// SB-attached 16×16 with on/off trickle traffic, Stats equal after
+// every cycle. Out-of-band events land while the network is empty: an
+// Enqueue (injected the same cycle), a placed and removed packet, a
+// reconfiguration link failure and recovery, and a router disabled with
+// traffic queued at its NI, which must not inject until it is
+// re-enabled and must inject the cycle it is.
+func TestDifferentialIdleSB(t *testing.T) {
 	type side struct {
 		sim  *network.Sim
 		mgr  *reconfig.Manager
@@ -218,7 +207,6 @@ func TestQuietParityIdleSB(t *testing.T) {
 	}
 	ev, ref := mk(false), mk(true)
 	both := []*side{ev, ref}
-	quiet := func() int64 { return ev.sim.StepperCounters().QuietCycles }
 	step := func(tag string) {
 		t.Helper()
 		for _, sd := range both {
@@ -245,25 +233,17 @@ func TestQuietParityIdleSB(t *testing.T) {
 		}
 		return p
 	}
-	// intoWindow steps until Step skips a cycle, i.e. a window is open.
-	intoWindow := func(tag string) {
+	// idle steps until the network is empty, then 50 cycles more.
+	idle := func(tag string) {
 		t.Helper()
-		for i := 0; i < 2000; i++ {
-			q := quiet()
-			step(tag)
-			if quiet() > q {
-				return
+		for i := 0; ev.sim.InFlight()+ev.sim.QueuedPackets() > 0; i++ {
+			if i == 2000 {
+				t.Fatalf("%s: network never drained", tag)
 			}
+			step(tag)
 		}
-		t.Fatalf("%s: network never went quiet", tag)
-	}
-	// voided asserts the next cycle is swept, not skipped.
-	voided := func(tag string) {
-		t.Helper()
-		q := quiet()
-		step(tag)
-		if quiet() != q {
-			t.Fatalf("%s inside a quiet window did not void it", tag)
+		for i := 0; i < 50; i++ {
+			step(tag)
 		}
 	}
 
@@ -281,58 +261,52 @@ func TestQuietParityIdleSB(t *testing.T) {
 		}
 		step("trickle")
 	}
-	if quiet() == 0 {
-		t.Fatal("idle SB mesh never fast-forwarded")
-	}
 	if ev.sim.Stats.Delivered == 0 {
 		t.Fatal("trickle delivered nothing")
 	}
 
-	intoWindow("enqueue")
+	idle("enqueue")
 	p := enqueue(17, 200)
 	at := ev.sim.Now
-	voided("Enqueue")
+	step("Enqueue")
 	if p.InjectedAt != at {
-		t.Fatalf("packet enqueued inside a window injected at %d, want %d", p.InjectedAt, at)
+		t.Fatalf("packet enqueued into an idle network injected at %d, want %d", p.InjectedAt, at)
 	}
 
-	intoWindow("remove")
+	idle("remove")
 	for _, sd := range both {
 		sd.sim.PlacePacket(40, geom.West, 0, sd.sim.NewPacket(39, 41, 0, 1, routing.Route{geom.East, geom.East}))
 		sd.sim.RemovePacket(&sd.sim.Routers[40].In[geom.West][0], 40, geom.West)
 	}
-	voided("PlacePacket+RemovePacket")
+	step("PlacePacket+RemovePacket")
 
-	intoWindow("reconfig")
+	idle("reconfig")
 	for _, sd := range both {
 		sd.mgr.FailLink(100, geom.East)
 	}
 	step("fail link")
-	intoWindow("reconfig recover")
+	idle("reconfig recover")
 	for _, sd := range both {
 		sd.mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverLink, Node: 100, Dir: geom.East})
 	}
-	voided("link recovery")
+	step("link recovery")
 
-	// A dead router with queued traffic polls: no window while it waits.
-	intoWindow("dead router")
+	// A dead router with queued traffic polls until it is re-enabled;
+	// the stepper reads router liveness every cycle, so re-enabling it
+	// needs no notice.
+	idle("dead router")
 	for _, sd := range both {
 		sd.sim.Topo.DisableRouter(77)
 	}
 	p = enqueue(77, 80)
-	q := quiet()
 	for i := 0; i < 200; i++ {
 		step("dead router queued")
-	}
-	if quiet() != q {
-		t.Fatalf("%d cycles fast-forwarded past a dead router's non-empty NI queue", quiet()-q)
 	}
 	if p.InjectedAt >= 0 {
 		t.Fatal("dead router injected")
 	}
 	for _, sd := range both {
 		sd.sim.Topo.EnableRouter(77)
-		sd.sim.Wake(77)
 	}
 	at = ev.sim.Now
 	step("re-enable")

@@ -8,10 +8,9 @@
 // packets through the same grant and Sim.TransferBubbleNode, and differ
 // where Sim.Step is fast: the refmodel visits every router every cycle
 // and allocates through Sim.AllocateNode (gather the candidates, then
-// commit), Step visits its active set, allocates through the fused
-// bitset pass and fast-forwards quiet cycles. Any divergence between a
-// refmodel-driven run and a Sim.Step-driven run isolates a bug in one of
-// those three layers.
+// commit), Step visits its active set and allocates through the fused
+// bitset pass. Any divergence between a refmodel-driven run and a
+// Sim.Step-driven run isolates a bug in one of those two layers.
 //
 // Contract: a Sim handed to New must only be advanced through the
 // returned Stepper (never through Sim.Step). Ordering is hooks, then

@@ -30,22 +30,19 @@ func (c LinkClass) String() string {
 	return "unknown"
 }
 
-// StepperCounters reports how many cycles each execution path of the
-// stepper has taken, for tests and the benchmark. QuietCycles +
-// DenseCycles equals the number of Step calls.
+// StepperCounters reports how many cycles the stepper has run, for
+// tests and the benchmark. DenseCycles equals the number of Step calls.
 type StepperCounters struct {
-	// QuietCycles is the number of cycles skipped by quiet-epoch
-	// fast-forward (Step returned without running any phase).
-	QuietCycles int64
-	// DenseCycles counts swept cycles: every Step that ran the hooks and
-	// the active-set sweep. (The name predates the single stepper; bench/
+	// DenseCycles counts swept cycles: every Step runs the hooks and the
+	// active-set sweep. (The name predates the single stepper; bench/
 	// reads it as network.dense_cycle_share.)
 	DenseCycles int64
-	// XFills, DenseEnters and DenseExits are always 0: there are no
-	// shards whose seams a fill could cross, and no mode to enter or
-	// leave. They stay until a benchmark change retires
-	// network.xfills_per_kcycle and network.mode_switches, which bench/
-	// computes from them.
+	// QuietCycles, XFills, DenseEnters and DenseExits are always 0: no
+	// cycle is skipped, there are no shards whose seams a fill could
+	// cross, and no mode to enter or leave. They stay until a benchmark
+	// change retires network.quiet_cycle_share, network.xfills_per_kcycle
+	// and network.mode_switches, which bench/ computes from them.
+	QuietCycles int64
 	XFills      int64
 	DenseEnters int64
 	DenseExits  int64

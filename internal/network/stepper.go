@@ -1,7 +1,6 @@
 package network
 
-// The stepper: one active-set sweep per cycle, and a fast-forward over
-// cycles in which nothing can happen.
+// The stepper: one active-set sweep per cycle.
 //
 // A router is active while it holds a buffered packet (occ[id] != 0,
 // regular VCs and the bubble) or has traffic queued at its NI
@@ -9,8 +8,8 @@ package network
 // The set is kept as a summary bitmap: every site that raises occ or
 // niPend marks the router's bit (Enqueue, a grant's arrival at the
 // downstream router, the placement helpers, RecountNIPending), and the
-// sweep clears a bit when it finds both counters zero. Each non-quiet
-// cycle runs the PreCycle hooks, walks the set bits in ascending router
+// sweep clears a bit when it finds both counters zero. Every cycle
+// runs the PreCycle hooks, walks the set bits in ascending router
 // id, and runs inject / allocate / bubble-transfer over exactly those
 // routers before the PostCycle hooks. The summary is also what a scheme
 // may read in place of polling its routers (ActiveSummary): by the time
@@ -43,20 +42,8 @@ package network
 // drained VC advertises FreeAt = now+len, so it stays non-Empty for the
 // rest of the cycle. A count taken anywhere in this router's visit
 // before its own grant through out is therefore the refmodel's.
-//
-// Quiet epochs: when a cycle ends with an empty active set, every hook
-// is covered by a quiescence registration and every registered horizon
-// lies strictly in the future, Step fast-forwards — subsequent calls
-// only advance Now until the proven horizon, or until a mutation from
-// outside the cycle loop voids the proof. With no packet buffered or
-// queued anywhere no router phase can change state, and each registered
-// scheme promised (via its horizon) that with no packet movement it
-// neither acts nor observes cycle-varying state before the horizon, so
-// the skipped cycles are exactly those in which the full scan would
-// have changed nothing.
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/geom"
@@ -65,40 +52,23 @@ import (
 // StepperCounters returns the stepper path counters accumulated so far.
 func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
 
-// RegisterQuiescence declares that nHooks of the attached
-// PreCycle/PostCycle hooks belong to a scheme that is quiescent between
-// its announced horizons: horizon (if non-nil) returns the earliest
-// future cycle at which the scheme may act or observe state, given that
-// no packet moves before it (return the current cycle to veto
-// fast-forward). Quiet-epoch batching engages only when every attached
-// hook is covered by a registration; schemes that cannot bound their
-// next action simply do not register and cost nothing.
-func (s *Sim) RegisterQuiescence(nHooks int, horizon func(*Sim) int64) {
-	s.quiesced += nHooks
-	if horizon != nil {
-		s.horizonFns = append(s.horizonFns, horizon)
-	}
-}
-
-// Wake tells the stepper that state it derives its work from changed
-// behind its back: it voids any open quiet window and marks the
-// registered request vectors stale, so the next sweep rebuilds them from
-// the buffers (dense.go). The effect is global — n names where the
-// change happened for the reader of the call site and is otherwise
-// unused. The simulator's own entry points that add, move, remove,
-// reroute or reclassify a packet (Enqueue, PlacePacket,
-// PlaceBubblePacket, RemovePacket, DeliverOutOfBand, SetRoute,
-// RecountNIPending, PromoteEscape, SetEscapeTree) look after
-// themselves; call Wake after changing state a registered horizon or a
-// router phase depends on through any other channel — re-enabling a
-// router or link in the topology, clearing a fence, or moving buffered
-// packets between occupied slots by hand (core's SPIN rotation rewrites
-// vc.Pkt, ReadyAt and p.Hop along a chain). It does not make a packet
-// written into an *empty* buffer visible to the stepper: occupancy is
-// tracked by counters, so packets enter buffers only through Enqueue,
-// PlacePacket or PlaceBubblePacket.
+// Wake tells the stepper that what a buffered packet wants changed
+// behind its back: it marks the registered request vectors stale, so the
+// next sweep rebuilds them from the buffers (dense.go). The effect is
+// global — n names where the change happened for the reader of the call
+// site and is otherwise unused. The simulator's own entry points that
+// add, move, remove, reroute or reclassify a packet (Enqueue,
+// PlacePacket, PlaceBubblePacket, RemovePacket, DeliverOutOfBand,
+// SetRoute, RecountNIPending, PromoteEscape, SetEscapeTree) look after
+// themselves, and the fence, the ring rule, the bubble flags,
+// Topo.HasLink and Topo.RouterAlive are live reads in the fused pass, so
+// re-enabling a router or link or clearing a fence needs no call. Call
+// Wake after moving buffered packets between occupied slots by hand
+// (core's SPIN rotation rewrites vc.Pkt, ReadyAt and p.Hop along a
+// chain). It does not make a packet written into an *empty* buffer
+// visible to the stepper: occupancy is tracked by counters, so packets
+// enter buffers only through Enqueue, PlacePacket or PlaceBubblePacket.
 func (s *Sim) Wake(n geom.NodeID) {
-	s.quietUntil = 0
 	s.dense.stale = true
 }
 
@@ -150,11 +120,6 @@ func (s *Sim) collectActive() {
 // cycle allocates through the fused pass (dense.go); the refmodel's
 // AllocateNode is its reference.
 func (s *Sim) Step() {
-	if s.Now < s.quietUntil {
-		s.Now++
-		s.ctr.QuietCycles++
-		return
-	}
 	for _, f := range s.PreCycle {
 		f(s)
 	}
@@ -174,9 +139,6 @@ func (s *Sim) Step() {
 	}
 	s.Now++
 	s.ctr.DenseCycles++
-	if len(s.ids) == 0 {
-		s.maybeQuiet()
-	}
 }
 
 // transferBubbles runs the bubble-transfer phase over the active set.
@@ -190,29 +152,4 @@ func (s *Sim) transferBubbles() {
 			s.TransferBubbleNode(geom.NodeID(id))
 		}
 	}
-}
-
-// maybeQuiet attempts to open a quiet epoch after a cycle that swept
-// nothing: if no hook marked a router since, every hook is registered
-// and the minimum H over the registered horizons is still in the
-// future, mark [Now, H) quiet.
-func (s *Sim) maybeQuiet() {
-	if s.quiesced != len(s.PreCycle)+len(s.PostCycle) {
-		return
-	}
-	for _, w := range s.active {
-		if w != 0 {
-			return
-		}
-	}
-	h := int64(math.MaxInt64)
-	for _, f := range s.horizonFns {
-		if v := f(s); v < h {
-			h = v
-		}
-		if h <= s.Now {
-			return
-		}
-	}
-	s.quietUntil = h
 }

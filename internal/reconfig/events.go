@@ -102,8 +102,8 @@ func (o Outcome) String() string {
 // fences installed by in-flight recovery rounds, bubble flags. The
 // manager notifies it after each applied topology event so the scheme
 // can reset residue that would otherwise outlive the router (a dead
-// FSM wedged mid-recovery vetoes quiet-epoch fast-forward forever, and
-// its fences block traffic with no enable left to clear them).
+// FSM wedged mid-recovery stays in S_SB_ACTIVE forever, and its fences
+// block traffic with no enable left to clear them).
 //
 // The interface lives here, implemented by core, so core never imports
 // reconfig (reconfig's tests import core).

@@ -313,9 +313,9 @@ func (m *Manager) failLink(n geom.NodeID, d geom.Direction) Outcome {
 }
 
 // recoverLink restores the bidirectional link n→d. No traffic repair is
-// needed — added capacity breaks no committed route — but both
-// endpoints are woken so blocked heads re-arbitrate and queued
-// injections resume.
+// needed — added capacity breaks no committed route — and the stepper
+// reads link liveness every cycle, so blocked heads re-arbitrate on the
+// next one.
 func (m *Manager) recoverLink(n geom.NodeID, d geom.Direction) Outcome {
 	nb := m.topo.Neighbor(n, d)
 	if nb == geom.InvalidNode {
@@ -330,8 +330,6 @@ func (m *Manager) recoverLink(n geom.NodeID, d geom.Direction) Outcome {
 	if m.scheme != nil {
 		m.scheme.LinkChanged(n, d, true)
 	}
-	m.sim.Wake(n)
-	m.sim.Wake(nb)
 	return OutApplied
 }
 
@@ -370,9 +368,10 @@ func (m *Manager) failRouter(n geom.NodeID) Outcome {
 // that is still draining toward power-off revokes the drain — it never
 // went down, so the topology, tables, and epoch are untouched and
 // routes simply stop avoiding it. Recovering an alive router is a
-// no-op; recovering a dead one re-enables it, refreshes routing, and
-// wakes it and its neighbors (queued injections at the revived router
-// resume, and blocked heads pointing at it re-arbitrate).
+// no-op; recovering a dead one re-enables it and refreshes routing. The
+// stepper reads router liveness every cycle, so queued injections at the
+// revived router resume and blocked heads pointing at it re-arbitrate
+// on the next one.
 func (m *Manager) recoverRouter(n geom.NodeID) Outcome {
 	if m.pendingGate[n] {
 		delete(m.pendingGate, n)
@@ -386,12 +385,6 @@ func (m *Manager) recoverRouter(n geom.NodeID) Outcome {
 	m.rebuild()
 	if m.scheme != nil {
 		m.scheme.RouterRecovered(n)
-	}
-	m.sim.Wake(n)
-	for _, d := range geom.LinkDirs {
-		if nb := m.topo.Neighbor(n, d); nb != geom.InvalidNode && m.topo.RouterAlive(nb) {
-			m.sim.Wake(nb)
-		}
 	}
 	return OutApplied
 }
