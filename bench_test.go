@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bfc"
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/experiments"
@@ -238,33 +237,6 @@ func BenchmarkAblation(b *testing.B) {
 		if len(experiments.Ablation(p)) == 0 {
 			b.Fatal("no rows")
 		}
-	}
-}
-
-// BenchmarkBFCRing measures ring traffic under bubble flow control.
-func BenchmarkBFCRing(b *testing.B) {
-	topo := topology.NewMesh(6, 6)
-	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	ring := bfc.BoundaryRing(topo)
-	if err := bfc.Attach(sim, ring); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	n := ring.Len()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := rng.Intn(n)
-		src := ring.Nodes[idx]
-		hops := 1 + rng.Intn(n/2)
-		var route routing.Route
-		cur := src
-		for k := 0; k < hops; k++ {
-			d := ring.Dirs[(idx+k)%n]
-			route = append(route, d)
-			cur = sim.Topo.Neighbor(cur, d)
-		}
-		sim.Enqueue(sim.NewPacket(src, cur, 0, 5, route))
-		sim.Step()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bfc"
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/escape"
@@ -16,57 +15,22 @@ import (
 	"repro/internal/validate"
 )
 
-// Cross-subsystem integration tests: the scheme plugins, flow control,
-// reconfiguration, and validation must compose on one simulator.
+// Cross-subsystem integration tests: the scheme plugins, reconfiguration
+// and validation must compose on one simulator.
 
-// heldRingEntries counts the buffered packets the ring rule alone holds
-// this cycle: head-ready ring entries bound for a ring output whose
-// downstream port has exactly one free VC of their vnet.
-func heldRingEntries(s *network.Sim) int {
-	held := 0
-	for id := range s.Routers {
-		r := &s.Routers[id]
-		if !r.Ring.Active {
-			continue
-		}
-		at := geom.NodeID(id)
-		nb := &s.Routers[s.Topo.Neighbor(at, r.Ring.Out)]
-		for _, port := range geom.AllPorts {
-			for sl := range r.In[port] {
-				vc := &r.In[port][sl]
-				if port == r.Ring.In || !vc.HeadReady(s.Now) || s.OutputOf(vc.Pkt, at) != r.Ring.Out {
-					continue
-				}
-				free := 0
-				for v := 0; v < s.Cfg.VCsPerVnet; v++ {
-					if nb.VCAt(s.Cfg, r.Ring.Out.Opposite(), vc.Pkt.Vnet, v).Empty(s.Now) {
-						free++
-					}
-				}
-				if free == 1 {
-					held++
-				}
-			}
-		}
-	}
-	return held
-}
-
-func TestSBWithBFCBoundaryCoexist(t *testing.T) {
-	// Bubble flow control guards the boundary ring while Static Bubble
-	// recovery guards everything else, at a load where both act: a 6x6
-	// mesh with four interior link faults, a stream along the ring
-	// (vnet 0) and uniform minimal traffic near saturation (vnets 1-2).
-	// The fence and the ring rule meet at the same output ports; the run
-	// must drain with the invariants intact, and its Stats are pinned to
-	// the values captured when the ring rule was a grant veto on the
-	// generic allocation path.
+func TestSBBoundaryStreamDrains(t *testing.T) {
+	// Static Bubble recovery under a stream along the boundary ring
+	// (vnet 0) plus uniform minimal traffic near saturation (vnets 1-2) on
+	// a 6x6 mesh with four interior link faults: the ring stream closes
+	// dependency cycles around the boundary again and again, so SB
+	// recovers many times on a hand-built topology. The run must drain
+	// with the invariants intact, and its Stats are pinned.
 	want := network.Stats{Offered: 18489, Injected: 18489, Delivered: 18489,
-		InjectedFlits: 62609, DeliveredFlits: 62609, SumLatency: 16894229,
-		SumNetLatency: 4188991, MaxLatency: 5378, HopMoves: 81064,
-		LinkCycles: [network.NumLinkClasses]int64{282072, 28078, 324, 672, 171},
-		ProbesSent: 1352, DisablesSent: 50, EnablesSent: 52, CheckProbesSent: 34,
-		ProbesReturned: 50, DeadlockRecoveries: 23, BubbleOccupancies: 33, BubbleTransfers: 4}
+		InjectedFlits: 62609, DeliveredFlits: 62609, SumLatency: 407034979,
+		SumNetLatency: 38814515, MaxLatency: 43739, HopMoves: 81064,
+		LinkCycles: [network.NumLinkClasses]int64{282072, 329357, 6753, 20123, 1838},
+		ProbesSent: 7753, DisablesSent: 1214, EnablesSent: 1250, CheckProbesSent: 234,
+		ProbesReturned: 1214, DeadlockRecoveries: 183, BubbleOccupancies: 232, BubbleTransfers: 49}
 	topo := topology.NewMesh(6, 6)
 	at := func(x, y int) geom.NodeID { return topo.ID(geom.Coord{X: x, Y: y}) }
 	topo.DisableLink(at(1, 2), geom.East)
@@ -75,14 +39,21 @@ func TestSBWithBFCBoundaryCoexist(t *testing.T) {
 	topo.DisableLink(at(3, 3), geom.East)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	ctrl := core.Attach(s, core.Options{TDD: 24})
-	ring := bfc.BoundaryRing(topo)
-	if err := bfc.Attach(s, ring); err != nil {
-		t.Fatal(err)
+	// The clockwise boundary walk: ringDirs[i] leads from ringNodes[i] to
+	// the next node, east along the bottom row, north up the right
+	// column, west along the top and south down the left.
+	var ringNodes []geom.NodeID
+	var ringDirs []geom.Direction
+	n := at(0, 0)
+	for _, d := range []geom.Direction{geom.East, geom.North, geom.West, geom.South} {
+		for k := 0; k < 5; k++ {
+			ringNodes, ringDirs = append(ringNodes, n), append(ringDirs, d)
+			n = topo.Neighbor(n, d)
+		}
 	}
 	min := routing.NewMinimal(topo)
 	alive := topo.AliveRouters()
 	urng, rrng := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(3))
-	held := 0
 	for c := 0; c < 3500; c++ {
 		for _, src := range alive {
 			if urng.Float64() >= 0.122 {
@@ -96,34 +67,32 @@ func TestSBWithBFCBoundaryCoexist(t *testing.T) {
 				s.Enqueue(s.NewPacket(src, dst, 1+urng.Intn(2), 1+4*urng.Intn(2), r))
 			}
 		}
-		for i, src := range ring.Nodes {
+		for i, src := range ringNodes {
 			if rrng.Float64() >= 0.05 {
 				continue
 			}
 			var r routing.Route
 			dst := src
-			for k := 1 + rrng.Intn(ring.Len()/2); k > 0; k-- {
-				d := ring.Dirs[(i+len(r))%ring.Len()]
+			for k := 1 + rrng.Intn(len(ringNodes)/2); k > 0; k-- {
+				d := ringDirs[(i+len(r))%len(ringDirs)]
 				r = append(r, d)
 				dst = topo.Neighbor(dst, d)
 			}
 			s.Enqueue(s.NewPacket(src, dst, 0, 5, r))
 		}
-		held += heldRingEntries(s)
 		s.Step()
 	}
 	for i := 0; i < 100000 && s.InFlight()+s.QueuedPackets() > 0; i += 100 {
 		s.Run(100)
 	}
 	if s.InFlight()+s.QueuedPackets() != 0 {
-		t.Fatalf("combined schemes failed to drain (inflight %d)", s.InFlight())
+		t.Fatalf("SB failed to drain (inflight %d)", s.InFlight())
 	}
 	if vs := validate.Check(s, ctrl); len(vs) != 0 {
 		t.Fatalf("invariants violated: %v", vs)
 	}
-	if held == 0 || s.Stats.DeadlockRecoveries == 0 {
-		t.Fatalf("vacuous: the ring rule held %d entries, SB recovered %d times",
-			held, s.Stats.DeadlockRecoveries)
+	if s.Stats.DeadlockRecoveries == 0 {
+		t.Fatal("vacuous: SB never recovered")
 	}
 	if s.Stats != want {
 		t.Fatalf("stats\n got %+v\nwant %+v", s.Stats, want)

@@ -30,9 +30,8 @@ package network
 // the same ascending candidate order), the cyclic mask walk visits
 // candidates in the same order commitAllocate's rotate-and-scan does, the
 // memoized free-slot answer equals tryGrant's own re-scan (stepper.go,
-// downstream availability), and a candidate is skipped exactly when the
-// gather's ring pruning or tryGrant would have rejected it — the ring
-// count is per (output, vnet) too. The winner moves through the very same
+// downstream availability), and a candidate is skipped exactly when
+// tryGrant would have rejected it. The winner moves through the very same
 // tryGrant the generic commit uses.
 //
 // Staleness rule. The vectors are maintained by the package's own
@@ -46,18 +45,16 @@ package network
 // starts (syncVectors; O(resident packets)). Invariant: whenever the pass
 // reads want/pend/esc/choose they equal a from-scratch rebuild, pend up
 // to bits whose head has since arrived (validate.Check and
-// TestRequestVectorsMatchRebuild assert it). The fence, the ring rule and
+// TestRequestVectorsMatchRebuild assert it). The fence and
 // Bubble.Present/InPort stay live reads in the pass: core writes the
 // fence and bubble directly, every cycle of a recovery, and reading a few
 // fields per visit is cheaper than a notice per write.
 //
 // This is the one allocation pass Step runs, for every scheme: a class or
 // a rule is state the pass reads, not a hook it must call — the escape
-// class's two rules, the hop class's mask table and the ring rule
-// (Router.Ring: per vnet, a free-VC count at the one downstream pool the
-// availability argument of stepper.go covers). Every candidate fits one
-// word because New rejects a Config whose NumPorts*SlotsPerPort buffers
-// plus the bubble exceed 64. AllocateNode, the gather-then-commit
+// class's two rules and the hop class's mask table. Every candidate fits
+// one word because New rejects a Config whose NumPorts*SlotsPerPort
+// buffers plus the bubble exceed 64. AllocateNode, the gather-then-commit
 // allocator, is the refmodel's reference, and the differential harness
 // holds the two equal.
 
@@ -360,17 +357,12 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 	}
 
 	// Arbitration: per output, reduce the desire mask to the grantable
-	// candidates (per-vnet downstream availability, and at a ring node
-	// the ring rule, answered once per vnet against the static vnetBits
-	// masks), then pick the first grantable candidate in cyclic order
-	// from the round-robin pointer — exactly the winner commitAllocate's
-	// rotate-and-scan converges on, since the candidates it would skip are
-	// those tryGrant rejects.
+	// candidates (per-vnet downstream availability, answered once per
+	// vnet against the static vnetBits masks), then pick the first
+	// grantable candidate in cyclic order from the round-robin pointer —
+	// exactly the winner commitAllocate's rotate-and-scan converges on,
+	// since the candidates it would skip are those tryGrant rejects.
 	vnetBits := d.vnetBits
-	ringOut := geom.Invalid
-	if r.Ring.Active {
-		ringOut = r.Ring.Out
-	}
 	for _, out := range geom.AllPorts {
 		m := desire[out]
 		if m == 0 || r.OutFreeAt[out] > now {
@@ -402,11 +394,6 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 					continue // every candidate blocked: no grant, pointer holds
 				}
 			}
-			if out == ringOut {
-				if eligible = s.ringEligible(r, nb, in, eligible); eligible == 0 {
-					continue
-				}
-			}
 		}
 		hi := eligible & (^uint64(0) << uint(r.saPtr[out]))
 		var ci int
@@ -420,22 +407,4 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 			r.saPtr[out] = (ci + 1) % (total + 1)
 		}
 	}
-}
-
-// ringEligible removes from eligible (router r's grantable candidates for
-// its ring output, which leads to input port in of router nb) the ring
-// entries — regular buffers off Ring.In — whose vnet has fewer than 2
-// free VCs there (Ring). Out of line: only ring nodes pay for it.
-func (s *Sim) ringEligible(r *Router, nb geom.NodeID, in geom.Direction, eligible uint64) uint64 {
-	d := &s.dense
-	entry := eligible
-	if uint(r.Ring.In) < geom.NumPorts {
-		entry &^= d.slotMask << uint(int(r.Ring.In)*d.slots)
-	}
-	for v, vb := range d.vnetBits {
-		if e := entry & vb; e != 0 && s.ringFree(nb, in, v) < 2 {
-			eligible &^= e
-		}
-	}
-	return eligible
 }

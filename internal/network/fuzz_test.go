@@ -15,14 +15,9 @@ type buffered struct {
 	p       *Packet
 	at      geom.NodeID
 	in      geom.Direction // the bubble's InPort for its occupant
-	bubble  bool
 	readyAt int64
 	hop     int
 	fence   Fence
-	// ringFree is the downstream free-VC count of the packet's vnet when
-	// it is a ring entry at a ring node (Router.Ring) wanting the ring
-	// output, else -1.
-	ringFree int
 }
 
 // snapshotBuffers records every buffered packet of s before a Step.
@@ -30,37 +25,25 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 	snap = snap[:0]
 	for id := range s.Routers {
 		r := &s.Routers[id]
-		add := func(vc *VC, in geom.Direction, bubble bool) {
-			p := vc.Pkt
-			b := buffered{p: p, at: r.ID, in: in, bubble: bubble, readyAt: vc.ReadyAt, hop: p.Hop, fence: r.Fence, ringFree: -1}
-			if g := r.Ring; g.Active && !bubble && in != g.In && p.Hop < len(p.Route) &&
-				p.Route[p.Hop] == g.Out && s.Topo.HasLink(r.ID, g.Out) {
-				nb := &s.Routers[s.Topo.Neighbor(r.ID, g.Out)]
-				b.ringFree = 0
-				for v := 0; v < s.Cfg.VCsPerVnet; v++ {
-					if nb.VCAt(s.Cfg, g.Out.Opposite(), p.Vnet, v).Empty(s.Now) {
-						b.ringFree++
-					}
-				}
-			}
-			snap = append(snap, b)
+		add := func(vc *VC, in geom.Direction) {
+			snap = append(snap, buffered{p: vc.Pkt, at: r.ID, in: in, readyAt: vc.ReadyAt, hop: vc.Pkt.Hop, fence: r.Fence})
 		}
 		for _, in := range geom.AllPorts {
 			for sl := range r.In[in] {
 				if r.In[in][sl].Pkt != nil {
-					add(&r.In[in][sl], in, false)
+					add(&r.In[in][sl], in)
 				}
 			}
 		}
 		if r.Bubble.VC.Pkt != nil {
-			add(&r.Bubble.VC, r.Bubble.InPort, true)
+			add(&r.Bubble.VC, r.Bubble.InPort)
 		}
 	}
 	return snap
 }
 
 // FuzzAllocateGrantInvariants throws randomized irregular topologies,
-// traffic, fences, bubble states and ring rules at the switch allocator
+// traffic, fences and bubble states at the switch allocator
 // and checks, from buffer state before and after every cycle — so it
 // checks the pass that actually ran — that every packet that moved was
 // granted legally:
@@ -69,14 +52,11 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 //     the neighbor's buffers (or it ejected),
 //   - never through an active fence except from the fenced-in port,
 //   - only with its head ready (ReadyAt passed),
-//   - under a ring rule, never into the ring from an input other than
-//     Ring.In while fewer than 2 VCs of its vnet were free downstream
-//     (the bubble occupant is exempt),
 //
 // and that the per-output round-robin pointers stay in bounds after
-// every cycle. modeByte bit 0 selects router faults, bit 1 random ring
-// rules, bit 2 the full scan (fullScan: the gather-then-commit
-// AllocateNode at every router) in place of Step's fused pass.
+// every cycle. modeByte bit 0 selects router faults, bit 2 the full scan
+// (fullScan: the gather-then-commit AllocateNode at every router) in
+// place of Step's fused pass; bit 1 is unused.
 func FuzzAllocateGrantInvariants(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(0), uint8(0))
 	f.Add(int64(3), int64(4), uint8(5), uint8(1))
@@ -93,7 +73,6 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 		topo := topology.RandomIrregular(w, h, kind, int(faultByte%10), topoSeed)
 		s := New(topo, Config{}, rand.New(rand.NewSource(trafficSeed)))
 		s.SetPooling(false) // delivered packets keep DeliveredAt
-		rings := modeByte&2 != 0
 		step := s.Step
 		if modeByte&4 != 0 {
 			step = func() { fullScan(s) }
@@ -105,8 +84,7 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 		}
 		min := routing.NewMinimal(topo)
 
-		// Random fences, bubble activations and ring rules, reshuffled
-		// mid-run.
+		// Random fences and bubble activations, reshuffled mid-run.
 		mutate := func() {
 			for i := 0; i < 3; i++ {
 				n := alive[hrng.Intn(len(alive))]
@@ -125,15 +103,6 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 					b.Present = true
 					b.Active = hrng.Intn(2) == 0
 					b.InPort = geom.LinkDirs[hrng.Intn(len(geom.LinkDirs))]
-				}
-			}
-			if rings {
-				for _, n := range alive {
-					s.Routers[n].Ring = Ring{
-						Active: hrng.Intn(4) != 0,
-						In:     geom.AllPorts[hrng.Intn(geom.NumPorts)],
-						Out:    geom.LinkDirs[hrng.Intn(len(geom.LinkDirs))],
-					}
 				}
 			}
 		}
@@ -193,10 +162,6 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 				}
 				if b.readyAt > now {
 					t.Fatalf("cycle %d: grant at %v for a packet ready at %d", now, b.at, b.readyAt)
-				}
-				if b.ringFree >= 0 && b.ringFree < 2 {
-					t.Fatalf("cycle %d: ring entry at %v from %v through %v with %d VC(s) free downstream",
-						now, b.at, b.in, out, b.ringFree)
 				}
 			}
 			for id := range s.Routers {

@@ -14,18 +14,17 @@
 // identical movement logic; a differential harness there proves the two
 // cores cycle-exact.
 //
-// The simulator is scheme-agnostic: deadlock-recovery and flow-control
-// machinery (Static Bubble FSMs in internal/core, escape-VC timeouts in
-// internal/escape, bubble flow control in internal/bfc) attaches through
-// per-cycle callbacks plus state the allocator reads — injection fences
-// (the is_deadlock mechanism), ring-entry rules (Router.Ring), an
-// optional extra buffer per router (the static bubble), an escape class
-// (a reserved VC index and a tree for promoted packets, escclass.go) and
-// a hop class (per-hop adaptive routing over a mask table, hopclass.go).
-// None of it is a hook the allocator calls: Step allocates through one
-// fused bitset pass (dense.go), which every scheme keeps. Everything runs
-// on the goroutine that calls Step: independent simulations, not one
-// simulation's routers, are what run in parallel (internal/sweep).
+// The simulator is scheme-agnostic: deadlock-recovery machinery (Static
+// Bubble FSMs in internal/core, escape-VC timeouts in internal/escape)
+// attaches through per-cycle callbacks plus state the allocator reads —
+// injection fences (the is_deadlock mechanism), an optional extra buffer
+// per router (the static bubble), an escape class (a reserved VC index
+// and a tree for promoted packets, escclass.go) and a hop class (per-hop
+// adaptive routing over a mask table, hopclass.go). None of it is a hook
+// the allocator calls: Step allocates through one fused bitset pass
+// (dense.go), which every scheme keeps. Everything runs on the goroutine
+// that calls Step: independent simulations, not one simulation's
+// routers, are what run in parallel (internal/sweep).
 package network
 
 import (

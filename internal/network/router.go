@@ -17,19 +17,6 @@ type Fence struct {
 	SrcID geom.NodeID
 }
 
-// Ring is bubble flow control's admission rule at one node of a ring
-// (paper Section II-C; internal/bfc installs it): while active, a regular
-// packet leaving on output Out from any input port but In — entering the
-// ring rather than travelling along it — is switched only while the
-// downstream input port has at least 2 free VCs of its vnet, so the ring
-// always keeps a buffer free. Transit from In and the bubble occupant are
-// exempt. Like the fence, the allocator reads it live.
-type Ring struct {
-	Active bool
-	In     geom.Direction
-	Out    geom.Direction
-}
-
 // Bubble is the optional extra packet buffer of a static-bubble router.
 // It is off until the recovery FSM activates it, at which point it acts
 // as one additional VC on input port InPort, usable by any vnet.
@@ -59,7 +46,6 @@ type Router struct {
 	In        [geom.NumPorts][]VC
 	OutFreeAt [geom.NumPorts]int64
 	Fence     Fence
-	Ring      Ring
 	Bubble    Bubble
 
 	saPtr [geom.NumPorts]int
@@ -91,9 +77,9 @@ func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
 // AllocateNode performs one cycle of switch allocation at router id —
 // the allocation phase for a single node: for each output port, at most
 // one waiting packet is granted, chosen round-robin among eligible input
-// VCs, subject to the fence, the ring rule, link bandwidth, and
-// downstream buffer availability (virtual cut-through: the downstream VC
-// must be able to hold the whole packet).
+// VCs, subject to the fence, link bandwidth, and downstream buffer
+// availability (virtual cut-through: the downstream VC must be able to
+// hold the whole packet).
 //
 // It is the refmodel full scan's allocator, the reference Step's fused
 // pass (dense.go) must equal: gatherAllocate buckets and prunes the
@@ -134,8 +120,7 @@ func (r *Router) candVC(ci int32, slots, total int) (*VC, geom.Direction) {
 // allocation (a VC emptied by a grant stays unusable until FreeAt, so
 // "empty now" can only become false), so pruning on it is conservative:
 // a pruned candidate could never be granted, and a kept candidate is
-// re-validated by tryGrant. The ring rule prunes on the same count, which
-// is constant for the same reason. The pruning carries the load in a
+// re-validated by tryGrant. The pruning carries the load in a
 // deadlock storm, where most ready heads have no free downstream buffer
 // and the router never reaches the commit.
 func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
@@ -187,13 +172,9 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			nb := s.Topo.Neighbor(id, out)
 			in := out.Opposite()
 			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
-			ring := r.Ring.Active && out == r.Ring.Out
 			keep := cands[:0]
 			for _, ci := range cands {
-				vc, inPort := r.candVC(ci, slots, total)
-				if ring && int(ci) != total && inPort != r.Ring.In && s.ringFree(nb, in, vc.Pkt.Vnet) < 2 {
-					continue // a ring entry that would take the last free VC
-				}
+				vc, _ := r.candVC(ci, slots, total)
 				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
 					keep = append(keep, ci)
 				}
@@ -207,24 +188,10 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	return work
 }
 
-// ringFree counts the VCs of vnet at router nb's input port in that can
-// accept a packet now; a ring entry needs 2 (Ring).
-func (s *Sim) ringFree(nb geom.NodeID, in geom.Direction, vnet int) int {
-	free := 0
-	base := vnet * s.Cfg.VCsPerVnet
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
-		if s.Routers[nb].In[in][base+i].Empty(s.Now) {
-			free++
-		}
-	}
-	return free
-}
-
 // commitAllocate arbitrates router id's gathered candidate buckets and
 // moves the winners: per output, the first candidate in cyclic index
 // order from saPtr that tryGrant, which re-validates downstream space,
-// can move. The ring rule was settled at gather time: its count cannot
-// change before the commit (stepper.go, downstream availability).
+// can move.
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
 	slots := s.Cfg.SlotsPerPort()

@@ -31,13 +31,12 @@ package network
 //
 // Downstream availability. The fused pass (dense.go) asks "is there a
 // free VC of this vnet and class downstream" once per (output, vnet,
-// class), the hop class counts free VCs once per (direction, vnet) per
-// visit and the ring rule once per (output, vnet); the refmodel's gather
-// and tryGrant scan per candidate. They agree because the pool behind
-// output out — input port out.Opposite() of the neighbour — is filled
-// only by this router, its unique upstream on that port (the downstream
-// bubble admits only packets arriving on its InPort, so it has one
-// writer too). Injection fills local ports and bubble transfers run
+// class) and the hop class counts free VCs once per (direction, vnet)
+// per visit; the refmodel's gather and tryGrant scan per candidate. They
+// agree because the pool behind output out — input port out.Opposite()
+// of the neighbour — is filled only by this router, its unique upstream
+// on that port (the downstream bubble admits only packets arriving on
+// its InPort, so it has one writer too). Injection fills local ports and bubble transfers run
 // after every allocation. Every other grant only drains the pool, and a
 // drained VC advertises FreeAt = now+len, so it stays non-Empty for the
 // rest of the cycle. A count taken anywhere in this router's visit
@@ -60,8 +59,8 @@ func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
 // add, move, remove, reroute or reclassify a packet (Enqueue,
 // PlacePacket, PlaceBubblePacket, RemovePacket, DeliverOutOfBand,
 // SetRoute, RecountNIPending, PromoteEscape, SetEscapeTree) look after
-// themselves, and the fence, the ring rule, the bubble flags,
-// Topo.HasLink and Topo.RouterAlive are live reads in the fused pass, so
+// themselves, and the fence, the bubble flags, Topo.HasLink and
+// Topo.RouterAlive are live reads in the fused pass, so
 // re-enabling a router or link or clearing a fence needs no call. Call
 // Wake after moving buffered packets between occupied slots by hand
 // (core's SPIN rotation rewrites vc.Pkt, ReadyAt and p.Hop along a

@@ -11,8 +11,7 @@ import (
 
 // TestStepperPathCounters pins what the counters mean: every Step is a
 // swept cycle (DenseCycles counts the run, QuietCycles stays 0), drained
-// stretches included, and a busy run keeps its request vectors live,
-// ring rules or not.
+// stretches included, and a busy run keeps its request vectors live.
 func TestStepperPathCounters(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	s := New(topo, Config{}, rand.New(rand.NewSource(3)))
@@ -42,29 +41,21 @@ func TestStepperPathCounters(t *testing.T) {
 	if ctr.DenseCycles != 2000 || ctr.QuietCycles != 0 {
 		t.Fatalf("want 2000 swept cycles and none skipped, got %+v", ctr)
 	}
-	// A busy workload keeps the request vectors live, and so does one
-	// under ring rules, which are state the fused pass reads.
-	for _, mode := range []string{"bare", "ring"} {
-		s2 := New(topo, Config{}, rand.New(rand.NewSource(3)))
-		if mode == "ring" {
-			for id := range s2.Routers {
-				s2.Routers[id].Ring = Ring{Active: true, In: geom.West, Out: geom.East}
-			}
+	// A busy workload keeps the request vectors live.
+	s2 := New(topo, Config{}, rand.New(rand.NewSource(3)))
+	for n := 0; n < 64; n++ {
+		r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
+		if !ok {
+			continue
 		}
-		for n := 0; n < 64; n++ {
-			r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
-			if !ok {
-				continue
-			}
-			s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
-		}
-		s2.Run(50)
-		if _, _, live := s2.RequestVectors(0); !live {
-			t.Fatalf("%s: request vectors live %v after a busy run", mode, live)
-		}
-		if c2 := s2.StepperCounters(); c2.DenseCycles != 50 {
-			t.Fatalf("%s: a busy run must sweep every cycle, got %+v", mode, c2)
-		}
+		s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
+	}
+	s2.Run(50)
+	if _, _, live := s2.RequestVectors(0); !live {
+		t.Fatalf("request vectors live %v after a busy run", live)
+	}
+	if c2 := s2.StepperCounters(); c2.DenseCycles != 50 {
+		t.Fatalf("a busy run must sweep every cycle, got %+v", c2)
 	}
 }
 
