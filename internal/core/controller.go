@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -32,10 +31,6 @@ type Options struct {
 	// capacity can never be exhausted by stranded occupants. Detection,
 	// probes, disables, and enables are identical to Static Bubble.
 	Spin bool
-	// Trace, when non-nil, receives protocol events (probe/disable/enable
-	// sends, returns and drops, fence changes, FSM transitions) for
-	// debugging and instrumentation.
-	Trace func(now int64, node geom.NodeID, event string)
 	// Perturb, when non-nil, intercepts every control-message
 	// transmission (see Perturber): internal/perturb implements per-link
 	// loss, delay jitter, reordering, and duplication knobs over it. Nil
@@ -290,9 +285,6 @@ func (c *Controller) RouterFailed(n geom.NodeID) {
 	r.Fence = network.Fence{}
 	r.Bubble.Active = false
 	if f := c.fsmAt(n); f != nil {
-		if c.opt.Trace != nil {
-			c.trace(n, "router failed in %v: FSM reset", f.state)
-		}
 		c.reset(f)
 	}
 	c.sweepFences(n)
@@ -339,9 +331,6 @@ func (c *Controller) sweepFences(src geom.NodeID) {
 			// the fused pass reads the fence live, so fenced traffic
 			// re-arbitrates at the next allocation.
 			r.Fence = network.Fence{}
-			if c.opt.Trace != nil {
-				c.trace(geom.NodeID(id), "fence swept (src=%v gone)", src)
-			}
 		}
 	}
 }
@@ -380,9 +369,6 @@ func (c *Controller) send(src geom.NodeID, typ MsgType, vnet int, out geom.Direc
 		return // link died; the FSM timeout will clean up
 	}
 	s.UseLink(src, out, typ.linkClass())
-	if c.opt.Trace != nil {
-		c.trace(src, "send %v out=%v vnet=%d turns=%d seq=%d", typ, out, vnet, len(turns), seq)
-	}
 	m := c.newMsg()
 	m.Type = typ
 	m.Src = src
@@ -410,13 +396,6 @@ func (c *Controller) forward(m *Message, at geom.NodeID, out geom.Direction) boo
 	m.NextAt = s.Now + c.hopLatency
 	c.transmit(m, at, out)
 	return true
-}
-
-// trace emits a protocol event to the Options.Trace hook, if installed.
-func (c *Controller) trace(node geom.NodeID, format string, args ...any) {
-	if c.opt.Trace != nil {
-		c.opt.Trace(c.sim.Now, node, fmt.Sprintf(format, args...))
-	}
 }
 
 // transport processes every control message due this cycle, router by
@@ -498,14 +477,6 @@ func (c *Controller) processAt(id geom.NodeID, msgs []*Message) {
 			winners[rq.out] = rq.m
 		}
 	}
-	if c.opt.Trace != nil {
-		for _, rq := range reqs {
-			if winners[rq.out] != rq.m {
-				c.trace(id, "%v(src=%v turns=%d) lost arbitration at out=%v to %v(src=%v)",
-					rq.m.Type, rq.m.Src, len(rq.m.Turns), rq.out, winners[rq.out].Type, winners[rq.out].Src)
-			}
-		}
-	}
 	for _, out := range geom.LinkDirs {
 		if m := winners[out]; m != nil {
 			if !c.forward(m, id, out) {
@@ -553,9 +524,7 @@ func (c *Controller) beats(a, b *Message, r *network.Router) bool {
 // processOne applies the per-type receive rules, appending any forwarding
 // request for m (or probe forks) to reqs and returning it. A message
 // absent from the returned reqs was consumed or dropped; processAt
-// recycles it. Trace calls with arguments are gated on the hook being
-// installed: the variadic boxing otherwise heap-allocates per event even
-// when tracing is off, which would show up in the zero-alloc gates.
+// recycles it.
 func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Message, reqs []outReq) []outReq {
 	s := c.sim
 	switch m.Type {
@@ -566,8 +535,6 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 			// copy is dropped (Section IV-B).
 			if f != nil && f.state == StateDD {
 				c.probeReturned(f, m)
-			} else if c.opt.Trace != nil {
-				c.trace(id, "probe copy dropped at originator (state %v)", c.FSMState(id))
 			}
 			return reqs
 		}
@@ -578,9 +545,6 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 			// still holding a stale occupant, or committed to another
 			// chain); otherwise a few wedged high-id routers would starve
 			// every cycle they sit on.
-			if c.opt.Trace != nil {
-				c.trace(id, "probe(src=%v) dropped: lower-id SB", m.Src)
-			}
 			return reqs
 		}
 		return c.forkProbe(id, r, m, reqs)
@@ -589,35 +553,21 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		if len(m.Turns) == 0 {
 			if f != nil && id == m.Src && f.state == StateDisable && m.Seq == f.seq {
 				c.disableReturned(f, m)
-			} else if c.opt.Trace != nil {
-				c.trace(id, "disable(src=%v) dropped at end (state %v)", m.Src, c.FSMState(id))
 			}
 			return reqs
 		}
 		if f != nil && f.state.inRecovery() {
-			if c.opt.Trace != nil {
-				c.trace(id, "foreign disable(src=%v) dropped: in recovery", m.Src)
-			}
 			return reqs // SB router committed to its own recovery
 		}
 		turn := m.Turns[0]
 		out := turn.Apply(m.Heading)
 		if !out.IsLink() || !c.dependenceExists(id, m.inPort(), m.Vnet, out) {
-			if c.opt.Trace != nil {
-				c.trace(id, "disable(src=%v) dropped: dependence gone (in=%v out=%v)", m.Src, m.inPort(), out)
-			}
 			return reqs // dependence vanished: drop; sender times out
 		}
 		if r.Fence.Active {
-			if c.opt.Trace != nil {
-				c.trace(id, "disable(src=%v) dropped: fence already active (src=%v)", m.Src, r.Fence.SrcID)
-			}
 			return reqs // already part of another fenced chain
 		}
 		r.Fence = network.Fence{Active: true, In: m.inPort(), Out: out, SrcID: m.Src}
-		if c.opt.Trace != nil {
-			c.trace(id, "fence set in=%v out=%v src=%v", m.inPort(), out, m.Src)
-		}
 		if f != nil {
 			// An SB router accepting a foreign (higher-id) disable parks
 			// its own detection until the enable arrives (Section IV-B).
@@ -630,8 +580,6 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		if len(m.Turns) == 0 {
 			if f != nil && id == m.Src && f.state == StateEnable && m.Seq == f.seq {
 				c.enableReturned(f)
-			} else if c.opt.Trace != nil {
-				c.trace(id, "enable(src=%v) consumed at end (state %v)", m.Src, c.FSMState(id))
 			}
 			return reqs
 		}
@@ -648,9 +596,6 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		}
 		if r.Fence.Active && r.Fence.SrcID == m.Src {
 			r.Fence = network.Fence{}
-			if c.opt.Trace != nil {
-				c.trace(id, "fence cleared by enable(src=%v)", m.Src)
-			}
 			if f != nil && f.state == StateOff {
 				// Resume detection now that the foreign chain cleared.
 				if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
@@ -703,9 +648,6 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m *Message, re
 	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
 		vc := &r.In[in][base+i]
 		if vc.Pkt == nil {
-			if c.opt.Trace != nil {
-				c.trace(id, "probe(src=%v in=%v vnet=%d turns=%d) dropped: free VC", m.Src, in, m.Vnet, len(m.Turns))
-			}
 			return reqs // a free VC means no deadlock through this port
 		}
 		out := s.OutputOf(vc.Pkt, id)
@@ -748,9 +690,6 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m *Message, re
 func (c *Controller) probeReturned(f *fsm, m *Message) {
 	s := c.sim
 	s.Stats.ProbesReturned++
-	if c.opt.Trace != nil {
-		c.trace(f.node, "probe returned: path len %d, sending disable", len(m.Turns)+1)
-	}
 	f.seq++ // new recovery round
 	f.turnBuf = append(f.turnBuf[:0], m.Turns...)
 	f.tDR = c.hopLatency * f.pathLen()
@@ -805,9 +744,6 @@ func (c *Controller) disableReturned(f *fsm, m *Message) {
 	f.lastGrants = r.Grants()
 	f.deadline = s.Now + c.sbActiveGuard(f)
 	s.Stats.DeadlockRecoveries++
-	if c.opt.Trace != nil {
-		c.trace(f.node, "recovery started: bubble on, fence in=%v out=%v occupant=%v upstream=%v", f.probeIn, f.probeOut, r.Bubble.VC.Pkt, s.Topo.Neighbor(f.node, f.probeIn))
-	}
 }
 
 // sbActiveGuard is the liveness bound on S_SB_ACTIVE: the paper's FSM
@@ -845,7 +781,6 @@ func (c *Controller) checkProbeReturned(f *fsm) {
 
 func (c *Controller) enableReturned(f *fsm) {
 	s := c.sim
-	c.trace(f.node, "enable returned: recovery complete")
 	if f.recoveryStart > 0 {
 		c.recoveryDurations = append(c.recoveryDurations, RecoveryRecord{
 			Node: f.node, PathLen: f.pathLen(), Duration: s.Now - f.recoveryStart,
@@ -977,16 +912,16 @@ func (c *Controller) sendEnable(f *fsm) {
 
 // --- FSM counter ticks ------------------------------------------------------
 
-// tickAll ticks the FSMs of the tick set in ascending router id. The
-// word is re-read after every tick, so an FSM that a tick (or a Trace
-// hook under it) brings into the set at a higher id is still ticked
-// this cycle, as a scan over every FSM would.
+// tickAll ticks the FSMs of the tick set in ascending router id, reading
+// each word of the set once. That equals a scan over every FSM only
+// while no tick can bring another FSM into the set: a tick sets the
+// state of its own FSM alone and moves no packet, and the messages it
+// sends reach nothing but Perturber.PerturbMsg, which is not given the
+// simulator, so no tick raises another router's busy or active bit.
 func (c *Controller) tickAll() {
 	for w := range c.busy {
-		for m := c.tickSet(w); m != 0; {
-			b := uint(bits.TrailingZeros64(m))
-			c.tickFSM(c.fsms[w<<6+int(b)])
-			m = c.tickSet(w) &^ (2<<b - 1)
+		for m := c.tickSet(w); m != 0; m &= m - 1 {
+			c.tickFSM(c.fsms[w<<6+bits.TrailingZeros64(m)])
 		}
 	}
 }
@@ -1036,9 +971,6 @@ func (c *Controller) tickFSM(f *fsm) {
 			f.deadline = now + c.opt.TDD
 			return
 		}
-		if c.opt.Trace != nil {
-			c.trace(f.node, "tDD expired: probing out=%v for pkt %d", out, vc.Pkt.ID)
-		}
 		c.send(f.node, MsgProbe, vc.Pkt.Vnet, out, nil, f.seq)
 		s.Stats.ProbesSent++
 		f.probeOut = out
@@ -1055,7 +987,6 @@ func (c *Controller) tickFSM(f *fsm) {
 	case StateDisable:
 		if now >= f.deadline {
 			// The disable was dropped somewhere; clear the partial fences.
-			c.trace(f.node, "S_DISABLE timeout")
 			c.sendEnable(f)
 		}
 
@@ -1081,7 +1012,6 @@ func (c *Controller) tickFSM(f *fsm) {
 				// chain; holding our fences any longer starves the rest of
 				// the network. Release them and resume detection — the
 				// resident packet drains whenever its own chain resolves.
-				c.trace(f.node, "S_SB_ACTIVE guard expired with occupied bubble; tearing down")
 				b.Active = false
 				c.sendEnable(f)
 			}
@@ -1099,7 +1029,6 @@ func (c *Controller) tickFSM(f *fsm) {
 		if !reclaimed && now >= f.deadline {
 			// Guard expiry: a crossing chain's fence is starving this one.
 			// Tear down and retry detection later.
-			c.trace(f.node, "S_SB_ACTIVE guard expired; tearing down")
 			reclaimed = true
 		}
 		if !reclaimed {
@@ -1119,7 +1048,6 @@ func (c *Controller) tickFSM(f *fsm) {
 	case StateCheckProbe:
 		if now >= f.deadline {
 			// No return: the chain is gone; clean up.
-			c.trace(f.node, "S_CHECK_PROBE timeout")
 			c.sendEnable(f)
 		}
 
@@ -1133,8 +1061,10 @@ func (c *Controller) tickFSM(f *fsm) {
 				// earlier transmissions; sweep the ones beyond it (no
 				// enable will ever reach them), then release our own
 				// state and resume detection.
-				c.trace(f.node, "enable retry limit: abandoning round")
+				// No enable returned, so this is no completed recovery:
+				// clear the start so enableReturned records nothing.
 				c.sweepFences(f.node)
+				f.recoveryStart = 0
 				c.enableReturned(f)
 				return
 			}

@@ -329,18 +329,6 @@ func TestProbeSeqPreservedThroughForks(t *testing.T) {
 	}
 }
 
-func TestTraceHookReceivesEvents(t *testing.T) {
-	topo := topology.NewMesh(2, 2)
-	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	events := 0
-	Attach(s, Options{TDD: 10, Trace: func(now int64, node geom.NodeID, ev string) { events++ }})
-	enqueueClockwiseRing(s, 12)
-	s.Run(4000)
-	if events == 0 {
-		t.Fatal("trace hook never fired during a recovery")
-	}
-}
-
 func TestMessageString(t *testing.T) {
 	m := &Message{Type: MsgProbe, Src: 3, At: 7, Heading: geom.North,
 		Turns: []geom.Turn{geom.LeftTurn}}

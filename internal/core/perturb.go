@@ -60,21 +60,12 @@ func (c *Controller) transmit(m *Message, from geom.NodeID, out geom.Direction) 
 		d.Seq = m.Seq
 		d.OutPort = m.OutPort
 		c.msgs = append(c.msgs, d)
-		if c.opt.Trace != nil {
-			c.trace(from, "perturb: duplicated %v(src=%v) out=%v (+%d cycles)", m.Type, m.Src, out, v.DupDelay)
-		}
 	}
 	if v.Drop {
-		if c.opt.Trace != nil {
-			c.trace(from, "perturb: dropped %v(src=%v) out=%v", m.Type, m.Src, out)
-		}
 		c.freeMsg(m)
 		return
 	}
 	m.NextAt += v.Delay
-	if c.opt.Trace != nil && v.Delay > 0 {
-		c.trace(from, "perturb: delayed %v(src=%v) out=%v by %d cycles", m.Type, m.Src, out, v.Delay)
-	}
 	c.msgs = append(c.msgs, m)
 }
 

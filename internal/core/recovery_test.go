@@ -680,6 +680,11 @@ func TestEnableRetryLimitReleasesAfterPathDeath(t *testing.T) {
 	if s.Routers[3].Fence.Active {
 		t.Fatal("originator's fence must be released after abandoning the round")
 	}
+	// The abandoned round's enable never returned: it is no completed
+	// recovery, so it leaves no record.
+	if recs := c.RecoveryRecords(); len(recs) != 0 {
+		t.Fatalf("abandoned round recorded as a completed recovery: %+v", recs)
+	}
 }
 
 // firstWedgedStormEpisode runs bench's recovery-storm recipe (bench/

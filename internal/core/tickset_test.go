@@ -9,7 +9,6 @@ package core
 import (
 	"math/bits"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -80,17 +79,12 @@ type tickTwins struct {
 
 // newTickTwins builds both sides over clones of topo, each with its own
 // reconfig manager (whose routing follows the runtime failures) and an
-// identically seeded uniform-random injector. mkOpt builds each side's
-// Options given its Sim, so a Trace hook can reach the right one.
-func newTickTwins(t *testing.T, topo *topology.Topology, rate float64, mkOpt func(*network.Sim) Options) *tickTwins {
+// identically seeded uniform-random injector. Both sides attach with opt.
+func newTickTwins(t *testing.T, topo *topology.Topology, rate float64, opt Options) *tickTwins {
 	tw := &tickTwins{t: t}
 	build := func(side *tickTwin, cfg network.Config, attach func(*network.Sim, Options) *Controller) {
 		tp := topo.Clone()
 		side.s = network.New(tp, cfg, rand.New(rand.NewSource(11)))
-		opt := Options{}
-		if mkOpt != nil {
-			opt = mkOpt(side.s)
-		}
 		side.c = attach(side.s, opt)
 		side.mgr = reconfig.New(side.s)
 		side.mgr.SetScheme(side.c)
@@ -170,7 +164,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 	// flits/node/cycle on a 25-link-fault 8x8, then drain to quiet, three
 	// times over.
 	t.Run("storm/topo4", func(t *testing.T) {
-		tw := newTickTwins(t, storm(4), 0.25, nil)
+		tw := newTickTwins(t, storm(4), 0.25, Options{})
 		for ep := 0; ep < 3; ep++ {
 			for i := 0; i < 500; i++ {
 				tw.step(true)
@@ -185,7 +179,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 	// Trickle load on a healthy 16x16: almost every FSM idles in S_OFF,
 	// which is where the set must save its visits.
 	t.Run("trickle/16x16", func(t *testing.T) {
-		tw := newTickTwins(t, topology.NewMesh(16, 16), 0.0005, nil)
+		tw := newTickTwins(t, topology.NewMesh(16, 16), 0.0005, Options{})
 		for i := 0; i < 6000; i++ {
 			tw.step(true)
 		}
@@ -211,7 +205,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 			}
 		}
 		topo.DisableRouter(late)
-		tw := newTickTwins(t, topo, 0.25, nil)
+		tw := newTickTwins(t, topo, 0.25, Options{})
 		if tw.set.c.fsmAt(late) != nil {
 			t.Fatal("router dead at Attach has an FSM")
 		}
@@ -253,9 +247,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 	// hop and every retransmission after it, up to the retry limit.
 	t.Run("countdown-in-empty-network", func(t *testing.T) {
 		const n = geom.NodeID(5)
-		tw := newTickTwins(t, topology.NewMesh(4, 4), 0, func(*network.Sim) Options {
-			return Options{TDD: 20, Placement: []geom.NodeID{n}}
-		})
+		tw := newTickTwins(t, topology.NewMesh(4, 4), 0, Options{TDD: 20, Placement: []geom.NodeID{n}})
 		for _, side := range []*tickTwin{&tw.set, &tw.scan} {
 			c, f := side.c, side.c.fsmAt(n)
 			f.seq++
@@ -273,37 +265,6 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 		}
 	})
 
-	// A state raised mid-pass at a higher id. Nothing in the controller
-	// does this (a tick writes its own FSM only), but a Trace hook may:
-	// here router a's probe event drops a packet into router b > a, whose
-	// FSM the full scan reaches later in the same pass.
-	t.Run("raised-mid-pass", func(t *testing.T) {
-		topo := topology.NewMesh(4, 4)
-		a, b := geom.NodeID(5), geom.NodeID(10)
-		raised := 0
-		tw := newTickTwins(t, topo, 0, func(s *network.Sim) Options {
-			done := false
-			return Options{TDD: 20, Placement: []geom.NodeID{a, b}, Trace: func(_ int64, n geom.NodeID, ev string) {
-				if n == a && !done && strings.HasPrefix(ev, "tDD expired") {
-					s.PlacePacket(b, geom.East, 0, s.NewPacket(b, b+1, 0, 1, routing.Route{geom.East}))
-					done = true
-					raised++
-				}
-			}}
-		})
-		// A packet at a whose output link is dead never moves, so a's FSM
-		// times out and probes.
-		for _, side := range []*tickTwin{&tw.set, &tw.scan} {
-			side.s.Topo.DisableLink(a, geom.East)
-			side.s.PlacePacket(a, geom.West, 0, side.s.NewPacket(a, a+1, 0, 1, routing.Route{geom.East}))
-		}
-		for i := 0; i < 60; i++ {
-			tw.step(false)
-		}
-		if raised != 2 {
-			t.Fatalf("vacuous: hook raised state %d times, want once per side", raised)
-		}
-	})
 }
 
 // BenchmarkTickAllIdle32x32 is idle_mesh_32x32's controller side: a

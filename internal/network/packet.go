@@ -55,8 +55,8 @@ func (p *Packet) Gen() uint32 { return p.gen }
 // it remembers the generation at capture time, and Get refuses to return
 // the pointer once the pool has recycled the packet — even if the same
 // memory is already hosting a new one. Holders that outlive a packet's
-// delivery (timers, watchdogs, trace hooks) should hold a PacketRef, not
-// a bare *Packet.
+// delivery (timers, watchdogs) should hold a PacketRef, not a bare
+// *Packet.
 type PacketRef struct {
 	p   *Packet
 	gen uint32
