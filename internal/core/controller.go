@@ -15,7 +15,7 @@ type Options struct {
 	TDD int64
 	// MaxTurns is the probe turn capacity; a probe that would exceed it
 	// is dropped (Section IV-B computes 59 for 128-bit links on a 64-core
-	// mesh). Default 59.
+	// mesh). Default 59; at most PathCap.
 	MaxTurns int
 	// Placement overrides the set of static-bubble routers; nil selects
 	// the Section III placement algorithm for the attached mesh.
@@ -71,90 +71,34 @@ type Controller struct {
 	act      []uint64
 	fsms     []*fsm
 	sb, busy []uint64
-	msgs     []*Message
+	msgs     []Message
 	// recoveryDurations records, per completed recovery round, the cycles
 	// from the disable's return (bubble on) to the enable's return
 	// (fences cleared) and the latched path length in hops.
 	recoveryDurations []RecoveryRecord
 
-	// Control messages are pooled like packets (pool.go in network):
-	// probe storms during a recovery burst otherwise allocate a Message
-	// plus a Turns slice per fork per hop. msgPool holds recycled
-	// messages (Turns capacity retained); dueBuf/reqBuf/spinChain/
-	// spinPkts are per-cycle scratch reused across Steps.
-	msgPool   []*Message
-	dueBuf    []*Message
+	// dueBuf/reqBuf/spinChain/spinPkts are per-cycle scratch reused
+	// across Steps.
+	dueBuf    []Message
 	reqBuf    []outReq
 	spinChain []spinLink
 	spinPkts  []*network.Packet
 }
 
-// newMsg returns a message from the pool (or a fresh one), with all
-// fields zero and Turns empty but its capacity retained.
-func (c *Controller) newMsg() *Message {
-	n := len(c.msgPool)
-	if n == 0 {
-		return &Message{}
-	}
-	m := c.msgPool[n-1]
-	c.msgPool[n-1] = nil
-	c.msgPool = c.msgPool[:n-1]
-	return m
-}
-
-// freeMsg recycles a message that is no longer referenced: consumed at
-// its destination, dropped (arbitration loss, dead link/router, receive
-// rules), never forwarded. The caller must not retain m or m.Turns.
-func (c *Controller) freeMsg(m *Message) {
-	*m = Message{Turns: m.Turns[:0]}
-	c.msgPool = append(c.msgPool, m)
-}
-
-// consumeTurn removes m's head turn in place. The obvious
-// `m.Turns = m.Turns[1:]` advances the slice base past the backing
-// array's start, so when freeMsg later recycles the message with
-// `m.Turns[:0]` the pooled capacity has shrunk by every turn ever
-// consumed — recycled messages erode until probe forks reallocate.
-// Copying down keeps the base pointer (and the full pooled capacity)
-// intact; the copy is at most MaxTurns tiny elements per consumed hop.
-func consumeTurn(m *Message) {
-	m.Turns = m.Turns[:copy(m.Turns, m.Turns[1:])]
-}
-
-// PrewarmMessages pre-populates the message pool with n messages whose
-// Turns slices already hold MaxTurns capacity (the per-message maximum)
-// and reserves every controller-side growable — the in-flight list, the
-// per-cycle due/request scratch, and the recovery-record log — to the
-// same bound. Probe storms then draw every fork from the pool instead
-// of growing it (and its backing arrays) toward the storm's high-water
-// inside a measured window. Unlike Sim.PrewarmPool, which only reserves
-// storage, it constructs the messages, because each needs its Turns
-// capacity; like it, it draws no randomness and moves no state, so the
-// simulated trajectory is unchanged. Benchmark scenarios with a
-// zero-allocation contract call it at build time.
+// PrewarmMessages reserves every controller-side growable — the
+// in-flight list, the per-cycle due/request and SPIN scratch, and the
+// recovery-record log — to n entries, so a probe storm grows none of
+// them toward its high-water inside a measured window. Like
+// Sim.PrewarmPool it only reserves storage: it draws no randomness and
+// moves no state, so the simulated trajectory is unchanged. Benchmark
+// scenarios with a zero-allocation contract call it at build time.
 func (c *Controller) PrewarmMessages(n int) {
-	ms := make([]*Message, n)
-	for i := range ms {
-		ms[i] = c.newMsg()
-		ms[i].Turns = slices.Grow(ms[i].Turns, c.opt.MaxTurns)
-	}
-	for _, m := range ms {
-		c.freeMsg(m)
-	}
 	c.msgs = slices.Grow(c.msgs, n)
 	c.dueBuf = slices.Grow(c.dueBuf, n)
 	c.reqBuf = slices.Grow(c.reqBuf, n)
 	c.recoveryDurations = slices.Grow(c.recoveryDurations, n)
 	c.spinChain = slices.Grow(c.spinChain, n)
 	c.spinPkts = slices.Grow(c.spinPkts, n)
-	// Each FSM's Turn Buffer is filled by copying a returned probe's
-	// turns (probeReturned); give it MaxTurns capacity up front so that
-	// copy never grows it mid-run.
-	for _, f := range c.fsms {
-		if f != nil {
-			f.turnBuf = slices.Grow(f.turnBuf, c.opt.MaxTurns)
-		}
-	}
 }
 
 // RecoveryRecord describes one completed recovery round.
@@ -171,6 +115,9 @@ type RecoveryRecord struct {
 // through it).
 func Attach(s *network.Sim, opt Options) *Controller {
 	opt = opt.withDefaults()
+	if opt.MaxTurns > PathCap {
+		panic("core: Options.MaxTurns exceeds PathCap")
+	}
 	placement := opt.Placement
 	if placement == nil {
 		placement = Placement(s.Topo.Width(), s.Topo.Height())
@@ -359,43 +306,26 @@ func (c *Controller) dependenceExists(node geom.NodeID, in geom.Direction, vnet 
 }
 
 // send originates a control message from a static-bubble router out of
-// port `out` with the given remaining turns (copied — the caller keeps
-// its buffer). Control messages occupy the link for one cycle with
-// priority over flits and arrive at the neighbor after router + link
-// latency.
-func (c *Controller) send(src geom.NodeID, typ MsgType, vnet int, out geom.Direction, turns []geom.Turn, seq int64) {
-	s := c.sim
-	if !s.Topo.HasLink(src, out) {
-		return // link died; the FSM timeout will clean up
-	}
-	s.UseLink(src, out, typ.linkClass())
-	m := c.newMsg()
-	m.Type = typ
-	m.Src = src
-	m.Vnet = vnet
-	m.At = s.Topo.Neighbor(src, out)
-	m.Heading = out
-	m.Turns = append(m.Turns[:0], turns...)
-	m.NextAt = s.Now + c.hopLatency
-	m.Seq = seq
-	m.OutPort = out
-	c.transmit(m, src, out)
+// port `out` with the given remaining turns. Control messages occupy the
+// link for one cycle with priority over flits and arrive at the neighbor
+// after router + link latency.
+func (c *Controller) send(src geom.NodeID, typ MsgType, vnet int, out geom.Direction, turns Path, seq int64) {
+	c.forward(Message{Type: typ, Src: src, Vnet: vnet, Turns: turns, Seq: seq, OutPort: out}, src, out)
 }
 
 // forward relays m (already updated with its remaining turns) out of
-// router `at` through port `out`, reporting whether the message is still
-// in flight (false means the link is dead and the caller must recycle m).
-func (c *Controller) forward(m *Message, at geom.NodeID, out geom.Direction) bool {
+// router `at` through port `out`. On a dead link the message is lost and
+// the originating FSM's timeout cleans up.
+func (c *Controller) forward(m Message, at geom.NodeID, out geom.Direction) {
 	s := c.sim
 	if !s.Topo.HasLink(at, out) {
-		return false
+		return
 	}
 	s.UseLink(at, out, m.Type.linkClass())
 	m.At = s.Topo.Neighbor(at, out)
 	m.Heading = out
 	m.NextAt = s.Now + c.hopLatency
 	c.transmit(m, at, out)
-	return true
 }
 
 // transport processes every control message due this cycle, router by
@@ -445,23 +375,17 @@ func (c *Controller) transport() {
 // outReq is a forwarding request competing for an output port.
 type outReq struct {
 	out geom.Direction
-	m   *Message
+	m   Message
 }
 
 // processAt handles all messages arriving at router id this cycle.
-//
-// Pool accounting: every message in msgs plus every fork created by
-// processOne is recycled exactly once here — forwarded winners go back
-// on c.msgs and stay live; arbitration losers, dead-link winners, and
-// messages consumed by the receive rules (absent from reqs) are freed.
-func (c *Controller) processAt(id geom.NodeID, msgs []*Message) {
+// Forwarded winners go back on c.msgs; every other message — on a dead
+// router, losing arbitration, or consumed by the receive rules — is
+// simply not carried on.
+func (c *Controller) processAt(id geom.NodeID, msgs []Message) {
 	s := c.sim
 	if !s.Topo.RouterAlive(id) {
-		// Router died with messages in flight: they are lost.
-		for _, m := range msgs {
-			c.freeMsg(m)
-		}
-		return
+		return // router died with messages in flight: they are lost
 	}
 	r := &s.Routers[id]
 	f := c.fsmAt(id) // nil unless id is a static-bubble router
@@ -471,34 +395,16 @@ func (c *Controller) processAt(id geom.NodeID, msgs []*Message) {
 	}
 	// Output arbitration: one winner per port, losers dropped.
 	var winners [geom.NumPorts]*Message
-	for _, rq := range reqs {
-		cur := winners[rq.out]
-		if cur == nil || c.beats(rq.m, cur, r) {
-			winners[rq.out] = rq.m
+	for i := range reqs {
+		rq := &reqs[i]
+		if cur := winners[rq.out]; cur == nil || c.beats(&rq.m, cur, r) {
+			winners[rq.out] = &rq.m
 		}
 	}
 	for _, out := range geom.LinkDirs {
 		if m := winners[out]; m != nil {
-			if !c.forward(m, id, out) {
-				c.freeMsg(m) // link died under the winner
-			}
+			c.forward(*m, id, out)
 		}
-	}
-	for _, rq := range reqs {
-		if winners[rq.out] != rq.m {
-			c.freeMsg(rq.m) // arbitration loser
-		}
-	}
-	// Messages consumed by the receive rules never made it into reqs;
-	// recycle them (pointer scan — both slices are a handful of entries).
-msgLoop:
-	for _, m := range msgs {
-		for _, rq := range reqs {
-			if rq.m == m {
-				continue msgLoop
-			}
-		}
-		c.freeMsg(m)
 	}
 	c.reqBuf = reqs[:0]
 }
@@ -523,9 +429,8 @@ func (c *Controller) beats(a, b *Message, r *network.Router) bool {
 
 // processOne applies the per-type receive rules, appending any forwarding
 // request for m (or probe forks) to reqs and returning it. A message
-// absent from the returned reqs was consumed or dropped; processAt
-// recycles it.
-func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Message, reqs []outReq) []outReq {
+// absent from the returned reqs was consumed or dropped.
+func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Message, reqs []outReq) []outReq {
 	s := c.sim
 	switch m.Type {
 	case MsgProbe:
@@ -550,16 +455,16 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		return c.forkProbe(id, r, m, reqs)
 
 	case MsgDisable:
-		if len(m.Turns) == 0 {
+		if m.Turns.Len() == 0 {
 			if f != nil && id == m.Src && f.state == StateDisable && m.Seq == f.seq {
-				c.disableReturned(f, m)
+				c.disableReturned(f)
 			}
 			return reqs
 		}
 		if f != nil && f.state.inRecovery() {
 			return reqs // SB router committed to its own recovery
 		}
-		turn := m.Turns[0]
+		turn := m.Turns.At(0)
 		out := turn.Apply(m.Heading)
 		if !out.IsLink() || !c.dependenceExists(id, m.inPort(), m.Vnet, out) {
 			return reqs // dependence vanished: drop; sender times out
@@ -573,11 +478,11 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 			// its own detection until the enable arrives (Section IV-B).
 			c.setState(f, StateOff)
 		}
-		consumeTurn(m)
+		m.Turns = m.Turns.Pop()
 		return append(reqs, outReq{out, m})
 
 	case MsgEnable:
-		if len(m.Turns) == 0 {
+		if m.Turns.Len() == 0 {
 			if f != nil && id == m.Src && f.state == StateEnable && m.Seq == f.seq {
 				c.enableReturned(f)
 			}
@@ -589,7 +494,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		// fences can block the very recovery the dropping router is
 		// waiting on. Forwarding is safe: an enable only clears fences
 		// whose source-id matches.)
-		turn := m.Turns[0]
+		turn := m.Turns.At(0)
 		out := turn.Apply(m.Heading)
 		if !out.IsLink() {
 			return reqs
@@ -607,11 +512,11 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		}
 		// A mismatched enable is forwarded untouched, not dropped
 		// (Section IV-B).
-		consumeTurn(m)
+		m.Turns = m.Turns.Pop()
 		return append(reqs, outReq{out, m})
 
 	case MsgCheckProbe:
-		if len(m.Turns) == 0 {
+		if m.Turns.Len() == 0 {
 			if f != nil && id == m.Src && f.state == StateCheckProbe && m.Seq == f.seq {
 				c.checkProbeReturned(f)
 			}
@@ -625,11 +530,11 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 		if !c.dependenceExists(id, r.Fence.In, m.Vnet, r.Fence.Out) {
 			return reqs
 		}
-		out := m.Turns[0].Apply(m.Heading)
+		out := m.Turns.At(0).Apply(m.Heading)
 		if out != r.Fence.Out {
 			return reqs
 		}
-		consumeTurn(m)
+		m.Turns = m.Turns.Pop()
 		return append(reqs, outReq{out, m})
 	}
 	return reqs
@@ -640,7 +545,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m *Me
 // (non-ejection) output port those packets are waiting on, appending the
 // corresponding turn; otherwise the chain is broken here and the probe is
 // dropped.
-func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m *Message, reqs []outReq) []outReq {
+func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m Message, reqs []outReq) []outReq {
 	s := c.sim
 	in := m.inPort()
 	base := m.Vnet * s.Cfg.VCsPerVnet
@@ -669,17 +574,11 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m *Message, re
 		if !ok {
 			continue // U-turns cannot occur in a dependence chain
 		}
-		if len(m.Turns) >= c.opt.MaxTurns {
+		if m.Turns.Len() >= c.opt.MaxTurns {
 			continue // turn capacity exhausted: drop (Section IV-B)
 		}
-		fork := c.newMsg()
-		fork.Type = MsgProbe
-		fork.Src = m.Src
-		fork.Vnet = m.Vnet
-		fork.Turns = append(append(fork.Turns[:0], m.Turns...), turn)
-		fork.Heading = m.Heading
-		fork.Seq = m.Seq
-		fork.OutPort = m.OutPort
+		fork := m
+		fork.Turns = m.Turns.Push(turn)
 		reqs = append(reqs, outReq{out, fork})
 	}
 	return reqs
@@ -687,11 +586,11 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m *Message, re
 
 // --- FSM events -----------------------------------------------------------
 
-func (c *Controller) probeReturned(f *fsm, m *Message) {
+func (c *Controller) probeReturned(f *fsm, m Message) {
 	s := c.sim
 	s.Stats.ProbesReturned++
 	f.seq++ // new recovery round
-	f.turnBuf = append(f.turnBuf[:0], m.Turns...)
+	f.turnBuf = m.Turns
 	f.tDR = c.hopLatency * f.pathLen()
 	f.probeIn = m.inPort()
 	f.probeOut = m.OutPort
@@ -702,7 +601,7 @@ func (c *Controller) probeReturned(f *fsm, m *Message) {
 	f.deadline = s.Now + f.tDR
 }
 
-func (c *Controller) disableReturned(f *fsm, m *Message) {
+func (c *Controller) disableReturned(f *fsm) {
 	s := c.sim
 	r := &s.Routers[f.node]
 	// The sender validates its own dependence too; if the chain moved on,
@@ -791,7 +690,7 @@ func (c *Controller) enableReturned(f *fsm) {
 	if r.Fence.Active && r.Fence.SrcID == f.node {
 		r.Fence = network.Fence{}
 	}
-	f.turnBuf = f.turnBuf[:0] // keep the capacity for the next round
+	f.turnBuf = Path{}
 	if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
 		c.setState(f, StateDD)
 		f.ptr, f.ptrPkt = ptr, pid
@@ -838,7 +737,8 @@ func (c *Controller) buildSpinChain(f *fsm) (chain []spinLink, ok bool) {
 		return chain, false
 	}
 	chain = append(chain, spinLink{vc, f.node, f.probeIn})
-	for _, turn := range f.turnBuf {
+	for i := 0; i < f.turnBuf.Len(); i++ {
+		turn := f.turnBuf.At(i)
 		next := s.Topo.Neighbor(node, heading)
 		if next == geom.InvalidNode {
 			return chain, false
@@ -971,7 +871,7 @@ func (c *Controller) tickFSM(f *fsm) {
 			f.deadline = now + c.opt.TDD
 			return
 		}
-		c.send(f.node, MsgProbe, vc.Pkt.Vnet, out, nil, f.seq)
+		c.send(f.node, MsgProbe, vc.Pkt.Vnet, out, Path{}, f.seq)
 		s.Stats.ProbesSent++
 		f.probeOut = out
 		f.vnet = vc.Pkt.Vnet

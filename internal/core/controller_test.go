@@ -53,7 +53,7 @@ func TestForkProbeRequiresAllVCsOccupied(t *testing.T) {
 	s, c := mk(t, 3, 1, 20)
 	r := &s.Routers[1]
 	// Probe heading East into node 1 (input port West), vnet 0.
-	m := &Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East}
+	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East}
 	// Empty port: dropped.
 	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
 		t.Fatalf("probe at empty port should drop, got %d reqs", len(reqs))
@@ -75,7 +75,7 @@ func TestForkProbeRequiresAllVCsOccupied(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].out != geom.East {
 		t.Fatalf("fork = %+v, want one East fork", reqs)
 	}
-	if len(reqs[0].m.Turns) != 1 || reqs[0].m.Turns[0] != geom.Straight {
+	if reqs[0].m.Turns != pathOf(geom.Straight) {
 		t.Fatalf("turns = %v, want [S]", reqs[0].m.Turns)
 	}
 }
@@ -90,7 +90,7 @@ func TestForkProbeEjectionOnlyDrops(t *testing.T) {
 		p.Hop = 1 // at destination, wants Local
 		r.In[geom.West][i].Pkt = p
 	}
-	m := &Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East}
+	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East}
 	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
 		t.Fatal("ejection-bound packets must not propagate probes")
 	}
@@ -105,8 +105,8 @@ func TestForkProbeTurnCapacity(t *testing.T) {
 		p.Hop = 1
 		r.In[geom.West][i].Pkt = p
 	}
-	m := &Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight, geom.Straight}}
+	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
+		Turns: pathOf(geom.Straight, geom.Straight)}
 	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
 		t.Fatal("probe at turn capacity must drop")
 	}
@@ -123,7 +123,7 @@ func TestForkProbeForksToMultipleOutputs(t *testing.T) {
 		p.Hop = 1
 		r.In[geom.West][i].Pkt = p
 	}
-	m := &Message{Type: MsgProbe, Src: 8, Vnet: 0, At: center, Heading: geom.East}
+	m := Message{Type: MsgProbe, Src: 8, Vnet: 0, At: center, Heading: geom.East}
 	reqs := c.forkProbe(center, r, m, nil)
 	if len(reqs) != 2 {
 		t.Fatalf("forks = %d, want 2", len(reqs))
@@ -132,7 +132,7 @@ func TestForkProbeForksToMultipleOutputs(t *testing.T) {
 	for _, rq := range reqs {
 		outs[rq.out] = true
 		// Each fork is an independent copy.
-		if len(rq.m.Turns) != 1 {
+		if rq.m.Turns.Len() != 1 {
 			t.Fatalf("fork turns = %v", rq.m.Turns)
 		}
 	}
@@ -179,8 +179,8 @@ func TestDisableInstallsAndEnableClearsFence(t *testing.T) {
 	p.Hop = 1
 	r.In[geom.West][0].Pkt = p
 
-	dis := &Message{Type: MsgDisable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	dis := Message{Type: MsgDisable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	reqs := c.processOne(node, r, nil, dis, nil)
 	if len(reqs) != 1 || reqs[0].out != geom.East {
 		t.Fatalf("disable should forward East, got %+v", reqs)
@@ -190,15 +190,15 @@ func TestDisableInstallsAndEnableClearsFence(t *testing.T) {
 	}
 
 	// A second disable from a different chain is dropped.
-	dis2 := &Message{Type: MsgDisable, Src: 9, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	dis2 := Message{Type: MsgDisable, Src: 9, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	if reqs := c.processOne(node, r, nil, dis2, nil); reqs != nil {
 		t.Fatal("second disable must be dropped while fenced")
 	}
 
 	// A mismatched enable forwards but does not clear.
-	enWrong := &Message{Type: MsgEnable, Src: 9, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	enWrong := Message{Type: MsgEnable, Src: 9, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	if reqs := c.processOne(node, r, nil, enWrong, nil); len(reqs) != 1 {
 		t.Fatal("mismatched enable must still be forwarded")
 	}
@@ -207,8 +207,8 @@ func TestDisableInstallsAndEnableClearsFence(t *testing.T) {
 	}
 
 	// The matching enable clears and forwards.
-	en := &Message{Type: MsgEnable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	en := Message{Type: MsgEnable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	if reqs := c.processOne(node, r, nil, en, nil); len(reqs) != 1 {
 		t.Fatal("matching enable must forward")
 	}
@@ -221,8 +221,8 @@ func TestDisableDroppedWhenDependenceGone(t *testing.T) {
 	s, c := mk(t, 3, 1, 20)
 	node := geom.NodeID(1)
 	r := &s.Routers[node]
-	dis := &Message{Type: MsgDisable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	dis := Message{Type: MsgDisable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	if reqs := c.processOne(node, r, nil, dis, nil); reqs != nil {
 		t.Fatal("disable with no matching dependence must drop")
 	}
@@ -239,23 +239,23 @@ func TestCheckProbeRequiresMatchingFence(t *testing.T) {
 	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
 	r.In[geom.West][0].Pkt = p
-	cp := &Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	cp := Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	// No fence: dropped.
 	if reqs := c.processOne(node, r, nil, cp, nil); reqs != nil {
 		t.Fatal("check_probe without fence must drop")
 	}
 	// Fence from another source: dropped.
 	r.Fence = network.Fence{Active: true, In: geom.West, Out: geom.East, SrcID: 9}
-	cp2 := &Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	cp2 := Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	if reqs := c.processOne(node, r, nil, cp2, nil); reqs != nil {
 		t.Fatal("check_probe with foreign fence must drop")
 	}
 	// Matching fence and live dependence: forwarded along the fence out.
 	r.Fence.SrcID = 7
-	cp3 := &Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
-		Turns: []geom.Turn{geom.Straight}, Seq: 1}
+	cp3 := Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
+		Turns: pathOf(geom.Straight), Seq: 1}
 	reqs := c.processOne(node, r, nil, cp3, nil)
 	if len(reqs) != 1 || reqs[0].out != geom.East {
 		t.Fatalf("check_probe should forward East, got %+v", reqs)
@@ -307,7 +307,7 @@ func TestNextOccupiedVCIncludesBubble(t *testing.T) {
 }
 
 func TestFSMPathLen(t *testing.T) {
-	f := &fsm{turnBuf: []geom.Turn{geom.LeftTurn, geom.LeftTurn, geom.Straight}}
+	f := &fsm{turnBuf: pathOf(geom.LeftTurn, geom.LeftTurn, geom.Straight)}
 	if f.pathLen() != 4 {
 		t.Fatalf("pathLen = %d, want turns+1", f.pathLen())
 	}
@@ -321,7 +321,7 @@ func TestProbeSeqPreservedThroughForks(t *testing.T) {
 		p.Hop = 1
 		r.In[geom.West][i].Pkt = p
 	}
-	m := &Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
+	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
 		Seq: 42, OutPort: geom.North}
 	reqs := c.forkProbe(1, r, m, nil)
 	if len(reqs) != 1 || reqs[0].m.Seq != 42 || reqs[0].m.OutPort != geom.North {
@@ -330,8 +330,8 @@ func TestProbeSeqPreservedThroughForks(t *testing.T) {
 }
 
 func TestMessageString(t *testing.T) {
-	m := &Message{Type: MsgProbe, Src: 3, At: 7, Heading: geom.North,
-		Turns: []geom.Turn{geom.LeftTurn}}
+	m := Message{Type: MsgProbe, Src: 3, At: 7, Heading: geom.North,
+		Turns: pathOf(geom.LeftTurn)}
 	if m.String() != "probe(src=3 at=7 heading=N turns=1)" {
 		t.Fatalf("String = %q", m.String())
 	}

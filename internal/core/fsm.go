@@ -88,7 +88,7 @@ type fsm struct {
 	ptrPkt int64
 
 	// Recovery context, latched when the probe returns.
-	turnBuf  []geom.Turn    // the Turn Buffer
+	turnBuf  Path           // the Turn Buffer
 	probeOut geom.Direction // output port the probe was sent from
 	probeIn  geom.Direction // input port the probe returned on
 	vnet     int            // vnet of the chain under recovery
@@ -133,14 +133,14 @@ type fsm struct {
 // deterministic jitter stream must not rewind — replaying it would
 // re-phase-lock retransmissions the stream already decorrelated), and
 // seq (stale in-flight messages from pre-death rounds must never match
-// a post-recovery round's sequence number). turnBuf keeps its capacity.
+// a post-recovery round's sequence number).
 func (c *Controller) reset(f *fsm) {
 	c.setState(f, StateOff)
 	f.deadline = 0
 	f.tDR = 0
 	f.ptr = vcPtr{}
 	f.ptrPkt = 0
-	f.turnBuf = f.turnBuf[:0]
+	f.turnBuf = Path{}
 	f.probeOut = 0
 	f.probeIn = 0
 	f.vnet = 0
@@ -160,7 +160,7 @@ func (f *fsm) jitter() int64 {
 
 // pathLen returns the hop length of the latched dependency cycle: one hop
 // per recorded turn plus the closing hop back into the originator.
-func (f *fsm) pathLen() int64 { return int64(len(f.turnBuf)) + 1 }
+func (f *fsm) pathLen() int64 { return int64(f.turnBuf.Len()) + 1 }
 
 // nextOccupiedVC scans non-local input VCs (plus the static bubble, as
 // the final pseudo-slot) round-robin starting after `from` and returns the

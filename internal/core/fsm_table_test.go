@@ -55,7 +55,7 @@ func (h *fsmHarness) tick() { h.c.tickFSM(h.f) }
 
 // deliver pushes one control message through the real receive path at
 // the FSM's router.
-func (h *fsmHarness) deliver(m *Message) { h.c.processOne(h.node, h.r, h.f, m, nil) }
+func (h *fsmHarness) deliver(m Message) { h.c.processOne(h.node, h.r, h.f, m, nil) }
 
 // stuck places a head-ready single-flit packet into slot `slot` of input
 // port `in` at router id, wanting output `out`.
@@ -74,7 +74,7 @@ func (h *fsmHarness) latch(withDependence bool) *network.Packet {
 	h.t.Helper()
 	f := h.f
 	f.seq++
-	f.turnBuf = []geom.Turn{geom.Straight, geom.Straight, geom.Straight}
+	f.turnBuf = pathOf(geom.Straight, geom.Straight, geom.Straight)
 	f.probeOut = geom.East
 	f.probeIn = geom.North
 	f.vnet = 0
@@ -89,12 +89,12 @@ func (h *fsmHarness) latch(withDependence bool) *network.Packet {
 
 // disableReturn is the originator's own disable completing its loop.
 func (h *fsmHarness) disableReturn() {
-	h.deliver(&Message{Type: MsgDisable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
+	h.deliver(Message{Type: MsgDisable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
 }
 
 // checkProbeReturn is the originator's check_probe completing its loop.
 func (h *fsmHarness) checkProbeReturn() {
-	h.deliver(&Message{Type: MsgCheckProbe, Src: h.node, Heading: geom.East, Seq: h.f.seq})
+	h.deliver(Message{Type: MsgCheckProbe, Src: h.node, Heading: geom.East, Seq: h.f.seq})
 }
 
 // activate drives latch + disable return: the FSM lands in S_SB_ACTIVE
@@ -146,13 +146,13 @@ func (h *fsmHarness) latchRing() []geom.NodeID {
 	}
 	f := h.f
 	f.seq++
-	f.turnBuf = nil
+	f.turnBuf = Path{}
 	for i := 1; i < n; i++ {
 		turn, ok := geom.TurnBetween(headings[i-1], headings[i])
 		if !ok {
 			h.t.Fatalf("ring step %d is a U-turn", i)
 		}
-		f.turnBuf = append(f.turnBuf, turn)
+		f.turnBuf = f.turnBuf.Push(turn)
 	}
 	f.probeOut = headings[0]
 	f.probeIn = headings[n-1].Opposite()
@@ -298,9 +298,9 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.stuck(h.node, geom.North, 0, geom.East)
 				h.tick()
 				seq := h.f.seq
-				h.deliver(&Message{
+				h.deliver(Message{
 					Type: MsgProbe, Src: h.node, Heading: geom.South,
-					Turns: []geom.Turn{geom.Straight, geom.LeftTurn, geom.Straight},
+					Turns: pathOf(geom.Straight, geom.LeftTurn, geom.Straight),
 					Seq:   seq, OutPort: geom.East,
 				})
 				if h.s.Stats.DisablesSent != 1 {
@@ -327,9 +327,9 @@ func TestFSMTransitionTable(t *testing.T) {
 				// East (entered on West), straight turn -> out East; the
 				// dependence West->East must exist for acceptance.
 				h.stuck(h.node, geom.West, 1, geom.East)
-				h.deliver(&Message{
+				h.deliver(Message{
 					Type: MsgDisable, Src: h.node + 1, Heading: geom.East,
-					Turns: []geom.Turn{geom.Straight, geom.Straight}, Seq: 1,
+					Turns: pathOf(geom.Straight, geom.Straight), Seq: 1,
 				})
 				if !h.r.Fence.Active || h.r.Fence.SrcID != h.node+1 {
 					h.t.Fatalf("foreign fence not installed: %+v", h.r.Fence)
@@ -343,9 +343,9 @@ func TestFSMTransitionTable(t *testing.T) {
 				src := h.node + 1
 				h.stuck(h.node, geom.West, 0, geom.East)
 				h.r.Fence = network.Fence{Active: true, In: geom.West, Out: geom.East, SrcID: src}
-				h.deliver(&Message{
+				h.deliver(Message{
 					Type: MsgEnable, Src: src, Heading: geom.East,
-					Turns: []geom.Turn{geom.Straight, geom.Straight}, Seq: 1,
+					Turns: pathOf(geom.Straight, geom.Straight), Seq: 1,
 				})
 				if h.r.Fence.Active {
 					h.t.Fatal("matching enable must clear the fence")
@@ -399,7 +399,7 @@ func TestFSMTransitionTable(t *testing.T) {
 			name: "disable/stale-seq-return-dropped",
 			run: func(h *fsmHarness) {
 				h.latch(true)
-				h.deliver(&Message{Type: MsgDisable, Src: h.node, Heading: geom.East, Seq: h.f.seq - 1})
+				h.deliver(Message{Type: MsgDisable, Src: h.node, Heading: geom.East, Seq: h.f.seq - 1})
 			},
 			want: StateDisable,
 		},
@@ -551,7 +551,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.tick()
 				h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
 				h.tick()
-				h.deliver(&Message{Type: MsgCheckProbe, Src: h.node, Heading: geom.East, Seq: h.f.seq - 1})
+				h.deliver(Message{Type: MsgCheckProbe, Src: h.node, Heading: geom.East, Seq: h.f.seq - 1})
 			},
 			want: StateCheckProbe,
 		},
@@ -589,7 +589,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.tick()
 				h.at(h.f.deadline)
 				h.tick() // guard expiry with occupied bubble -> S_ENABLE
-				h.deliver(&Message{Type: MsgEnable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
+				h.deliver(Message{Type: MsgEnable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
 				if h.r.Fence.Active {
 					h.t.Fatal("own fence not cleared on enable return")
 				}
@@ -614,7 +614,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.tick() // vanished dependence -> S_CHECK_PROBE
 				h.at(h.f.deadline)
 				h.tick() // timeout -> S_ENABLE
-				h.deliver(&Message{Type: MsgEnable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
+				h.deliver(Message{Type: MsgEnable, Src: h.node, Heading: geom.East, Seq: h.f.seq})
 			},
 			want: StateOff,
 		},

@@ -80,7 +80,7 @@ type Message struct {
 	Heading geom.Direction
 	// Turns is the 2-bit-per-hop L/R/S path: accumulated by probes,
 	// consumed front-first by disable/enable/check_probe.
-	Turns []geom.Turn
+	Turns Path
 	// NextAt is the cycle the message is processed at At.
 	NextAt int64
 	// Seq is the originator's recovery-round number. Stale messages from
@@ -94,9 +94,46 @@ type Message struct {
 	OutPort geom.Direction
 }
 
-func (m *Message) String() string {
-	return fmt.Sprintf("%v(src=%v at=%v heading=%v turns=%d)", m.Type, m.Src, m.At, m.Heading, len(m.Turns))
+func (m Message) String() string {
+	return fmt.Sprintf("%v(src=%v at=%v heading=%v turns=%d)", m.Type, m.Src, m.At, m.Heading, m.Turns.Len())
 }
 
 // inPort returns the input port the message arrived on.
-func (m *Message) inPort() geom.Direction { return m.Heading.Opposite() }
+func (m Message) inPort() geom.Direction { return m.Heading.Opposite() }
+
+// PathCap is the most turns a Path holds: two 64-bit words at 2 bits a
+// turn. Section IV-B fits 59 turns beside the header of a 128-bit link
+// message, the default Options.MaxTurns.
+const PathCap = 64
+
+// Path is a control message's L/R/S turn path, packed 2 bits a turn with
+// the head turn in the low bits of w[0]. It is a value: copying a message
+// copies its path, so a fork or a duplicate never shares turn storage.
+// Bits at and beyond n are zero.
+type Path struct {
+	w [2]uint64
+	n uint8
+}
+
+// Len returns the number of turns on the path.
+func (p Path) Len() int { return int(p.n) }
+
+// At returns turn i, counted from the head.
+func (p Path) At(i int) geom.Turn { return geom.Turn(p.w[i>>5] >> (2 * uint(i&31)) & 3) }
+
+// Push returns p with t appended at the tail; p must hold fewer than
+// PathCap turns.
+func (p Path) Push(t geom.Turn) Path {
+	i := int(p.n)
+	p.w[i>>5] |= uint64(t) << (2 * uint(i&31))
+	p.n++
+	return p
+}
+
+// Pop returns p without its head turn; p must not be empty.
+func (p Path) Pop() Path {
+	p.w[0] = p.w[0]>>2 | p.w[1]<<62
+	p.w[1] >>= 2
+	p.n--
+	return p
+}

@@ -12,8 +12,7 @@ type Verdict struct {
 	// be non-negative. A held-back message can be overtaken by later
 	// messages on the same link, which is how reordering is modeled.
 	Delay int64
-	// Dup delivers an additional deep copy of the message (its own Turns
-	// buffer — duplicates must never alias pooled message state).
+	// Dup delivers an additional copy of the message.
 	Dup bool
 	// DupDelay is the extra delay of the duplicate relative to the
 	// nominal arrival; it must be non-negative.
@@ -35,78 +34,23 @@ type Perturber interface {
 }
 
 // transmit places m in flight after applying any configured
-// perturbation. It owns m: the message is either appended to the
-// in-flight set (possibly delayed) or recycled (dropped). from/out name
-// the link the message is crossing.
-func (c *Controller) transmit(m *Message, from geom.NodeID, out geom.Direction) {
+// perturbation: the message is appended to the in-flight set (possibly
+// delayed, possibly with a duplicate) or dropped. from/out name the link
+// the message is crossing.
+func (c *Controller) transmit(m Message, from geom.NodeID, out geom.Direction) {
 	if c.opt.Perturb == nil {
 		c.msgs = append(c.msgs, m)
 		return
 	}
 	v := c.opt.Perturb.PerturbMsg(c.sim.Now, from, out, m.Type)
 	if v.Dup {
-		// Deep copy: the duplicate gets its own Turns buffer. Sharing the
-		// original's backing array would corrupt both copies as each hop
-		// consumes turns, and recycling one would poison the other
-		// (freeMsg resets Turns in place).
-		d := c.newMsg()
-		d.Type = m.Type
-		d.Src = m.Src
-		d.Vnet = m.Vnet
-		d.At = m.At
-		d.Heading = m.Heading
-		d.Turns = append(d.Turns[:0], m.Turns...)
-		d.NextAt = m.NextAt + v.DupDelay
-		d.Seq = m.Seq
-		d.OutPort = m.OutPort
+		d := m
+		d.NextAt += v.DupDelay
 		c.msgs = append(c.msgs, d)
 	}
 	if v.Drop {
-		c.freeMsg(m)
 		return
 	}
 	m.NextAt += v.Delay
 	c.msgs = append(c.msgs, m)
 }
-
-// CheckMessagePool verifies the control-message pool invariants: no
-// message is pooled twice (a double free), no in-flight message is
-// simultaneously pooled (a use-after-free), and no two distinct pooled
-// or in-flight messages alias one Turns backing array. Used by the
-// perturbation fuzz target — duplication and drop paths each recycle
-// exactly once, and this check is how a violation surfaces.
-func (c *Controller) CheckMessagePool() error {
-	seen := make(map[*Message]string, len(c.msgPool)+len(c.msgs))
-	for _, m := range c.msgPool {
-		if m == nil {
-			return errMsgPool("nil entry in pool")
-		}
-		if where, dup := seen[m]; dup {
-			return errMsgPool("message pooled twice (" + where + ")")
-		}
-		seen[m] = "pool"
-	}
-	for _, m := range c.msgs {
-		if where, dup := seen[m]; dup {
-			return errMsgPool("in-flight message also " + where)
-		}
-		seen[m] = "in-flight"
-	}
-	turns := make(map[*geom.Turn]string, len(seen))
-	for m, where := range seen {
-		if cap(m.Turns) == 0 {
-			continue
-		}
-		head := &m.Turns[:cap(m.Turns)][0]
-		if prev, dup := turns[head]; dup {
-			return errMsgPool("turn buffer aliased between " + prev + " and " + where + " messages")
-		}
-		turns[head] = where
-	}
-	return nil
-}
-
-// errMsgPool is the error type of CheckMessagePool violations.
-type errMsgPool string
-
-func (e errMsgPool) Error() string { return "core: message pool corrupted: " + string(e) }

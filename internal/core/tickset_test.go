@@ -251,7 +251,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 		for _, side := range []*tickTwin{&tw.set, &tw.scan} {
 			c, f := side.c, side.c.fsmAt(n)
 			f.seq++
-			f.turnBuf = []geom.Turn{geom.Straight, geom.Straight, geom.Straight}
+			f.turnBuf = pathOf(geom.Straight, geom.Straight, geom.Straight)
 			f.probeOut, f.probeIn = geom.East, geom.North
 			f.tDR = c.hopLatency * f.pathLen()
 			f.deadline = 40

@@ -123,8 +123,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 // Zero-allocation here depends on prewarming for the run's *peak* live
 // population and ring high-water (not just a steady-state size), on
 // reserved NI rings surviving the full-drain/refill oscillation, and on
-// pooled controller messages keeping their Turns capacity as probes
-// consume turns hop by hop — the three regressions this test pins.
+// the controller's reserved in-flight list and recovery-record log
+// covering a probe storm's high-water — the three regressions this test
+// pins.
 func saturatedLoop() func() {
 	topo := topology.NewMesh(8, 8)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(21)))
@@ -146,8 +147,8 @@ func saturatedLoop() func() {
 
 // TestZeroAllocSaturation holds the stepper to the zero-allocation
 // contract past the saturation point, where the historical leaks lived
-// (ring release-on-drain churn, controller Turns-capacity erosion,
-// under-sized prewarm).
+// (ring release-on-drain churn, under-sized prewarm of the packet pool
+// and of the controller's growables).
 func TestZeroAllocSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long saturation run")

@@ -40,7 +40,7 @@ type Knobs struct {
 	// transport. ReorderDelay <= 0 defaults to 6 (three nominal hops).
 	Reorder      float64
 	ReorderDelay int64
-	// Dup is the probability an extra deep copy of the message is
+	// Dup is the probability an extra copy of the message is
 	// delivered DupDelay cycles after the original (<= 0 defaults to 2).
 	Dup      float64
 	DupDelay int64
