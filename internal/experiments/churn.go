@@ -31,9 +31,9 @@ import (
 //     triggers a global re-election that stalls injection network-wide
 //     for churnTreeStall cycles ("1000s of cycles", paper Section I).
 //   - dbr: a DBR-style dynamic reconfiguration baseline (ValadBeigi et
-//     al., PAPERS.md): the up*/down* structure is patched incrementally,
-//     so only routers within churnDBRRadius hops of the event stall, for
-//     the much shorter churnDBRStall window.
+//     al., PAPERS.md): reconfiguration is local, so only routers within
+//     churnDBRRadius hops of the event stall, for the much shorter
+//     churnDBRStall window.
 //
 // Recovery latency of an event is the span from the event to the later
 // of (a) its stall window closing and (b) the last packet the event
@@ -305,33 +305,21 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		mgr.SetScheme(ctl)
 	}
 
-	// Routing: SB routes through the manager's live tables; the
-	// baselines rebuild their spanning tree after every event and route
-	// along it. rebuildAlg returns the modeled table-install work
-	// (entries rewritten) and the measured rebuild wall time. sp_tree
-	// re-elects globally and reinstalls its whole table; dbr's defining
-	// trait is incremental patching, so it is charged only the entries
-	// its patch of the all-links table actually rewrote (the incremental
-	// recompiler is property-tested bit-identical to a full rebuild).
+	// Routing: SB routes through the manager's live tables; both
+	// baselines rebuild their spanning tree after every event, route
+	// along it and are charged a whole-table install (tree.TableEntries).
+	// They differ in their stall: sp_tree's global, dbr's regional.
+	// rebuildAlg returns the modeled install work (entries) and the
+	// measured rebuild wall time.
 	var alg routing.Algorithm
-	var dbrTab *routing.UpDownTable
 	rebuildAlg := func() (entries, wallNs int64) {
 		if kind == churnSB {
 			return 0, 0
 		}
 		t0 := time.Now()
-		if kind == churnDBR && dbrTab != nil {
-			entries = dbrTab.Recompile(topo).EntriesRewritten
-			alg = dbrTab.TreeAlgorithm()
-		} else {
-			tree := routing.NewUpDownRooted(topo, routing.RootLowestID)
-			entries = tree.TableEntries()
-			if kind == churnDBR {
-				dbrTab = tree.Compile()
-			}
-			alg = tree.TreeAlgorithm()
-		}
-		return entries, time.Since(t0).Nanoseconds()
+		tree := routing.NewUpDownRooted(topo, routing.RootLowestID)
+		alg = tree.TreeAlgorithm()
+		return tree.TableEntries(), time.Since(t0).Nanoseconds()
 	}
 	if kind == churnSB {
 		alg = mgr.Algorithm()

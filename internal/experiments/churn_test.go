@@ -126,3 +126,25 @@ func TestChurnCSV(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnDBRInstallChargeBinds: on a 10x10 mesh the tree baselines'
+// whole-table install, ⌈3·100²/64⌉ = 469 cycles, outlasts dbr's
+// 250-cycle regional stall, so no dbr event can recover sooner.
+func TestChurnDBRInstallChargeBinds(t *testing.T) {
+	p := churnTestParams()
+	p.Width, p.Height = 10, 10
+	cfg := churnTestCfg()
+	cfg.Cycles = 20_000
+	const install = (3*100*100 + churnTableUpdateRate - 1) / churnTableUpdateRate
+	if install <= churnDBRStall {
+		t.Fatalf("install charge %d does not exceed the %d-cycle stall", install, churnDBRStall)
+	}
+	out := churnRun(p, cfg, churnDBR, 1)
+	if !out.OK || out.Events == 0 || out.Rec.N() != out.Events {
+		t.Fatalf("run: ok=%v, %d events, %d recoveries recorded", out.OK, out.Events, out.Rec.N())
+	}
+	if got := out.Rec.Min(); got < install {
+		t.Fatalf("a dbr event recovered in %v cycles, below the %d-cycle install charge", got, install)
+	}
+	t.Logf("%d dbr events, recovery min %v p50 %v", out.Events, out.Rec.Min(), out.Rec.Percentile(50))
+}

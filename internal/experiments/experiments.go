@@ -23,7 +23,7 @@ import (
 // the recovery protocol, seed derivation, ...) so stale cache entries are
 // never wrongly reused; clearing results/cache/ afterwards merely
 // reclaims the disk.
-const CodeVersion = "sb-sim-2"
+const CodeVersion = "sb-sim-3"
 
 // Scheme identifies a deadlock-freedom design under comparison.
 type Scheme int

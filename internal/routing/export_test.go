@@ -39,12 +39,6 @@ func (t *tables) keepsDist() bool {
 	return slices.ContainsFunc(t.cols, func(c col) bool { return c.dist != nil })
 }
 
-// UpDownTablesEqual reports whether a and b route identically: same
-// levels, channel classification, state-graph distances, and masks.
-func UpDownTablesEqual(a, b *UpDownTable) bool {
-	return slices.Equal(a.level, b.level) && bytes.Equal(a.upMask, b.upMask) && a.tab.equal(b.tab)
-}
-
 // snapshot returns a deep copy of m that later in-place Recompiles of m
 // leave alone.
 func (m *Minimal) snapshot() *Minimal { return &Minimal{g: m.g, tab: m.tab.clone()} }

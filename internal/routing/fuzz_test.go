@@ -36,9 +36,8 @@ func FuzzMinimalRouteValidity(f *testing.F) {
 	})
 }
 
-// FuzzUpDownLegality: up/down routes must be walkable and never take an
-// up channel after a down channel; the tree variant must reach the
-// destination over tree edges.
+// FuzzUpDownLegality: tree routes must be walkable and never take an up
+// channel after a down channel.
 func FuzzUpDownLegality(f *testing.F) {
 	f.Add(int64(7), uint8(20), uint8(5), uint8(60))
 	f.Add(int64(13), uint8(0), uint8(33), uint8(2))
@@ -46,28 +45,14 @@ func FuzzUpDownLegality(f *testing.F) {
 		topo := topology.NewMesh(8, 8)
 		rng := rand.New(rand.NewSource(seed))
 		topology.RandomLinkFaults(topo, rng, int(lf)%113)
-		u := NewUpDown(topo).Compile()
+		u := NewUpDown(topo)
 		s, d := geom.NodeID(src%64), geom.NodeID(dst%64)
-		if r, ok := u.Route(s, d, rng); ok {
+		if r, ok := u.TreeRoute(s, d); ok {
 			if err := r.Validate(topo, s, d); err != nil {
 				t.Fatal(err)
 			}
-			down := false
-			cur := s
-			for _, dir := range r {
-				up := u.IsUp(cur, dir)
-				if up && down {
-					t.Fatalf("illegal down→up turn in %v from %v", r, s)
-				}
-				if !up {
-					down = true
-				}
-				cur = topo.Neighbor(cur, dir)
-			}
-		}
-		if tr, ok := u.TreeRoute(s, d); ok {
-			if err := tr.Validate(topo, s, d); err != nil {
-				t.Fatal(err)
+			if err := checkUpDownLegal(u, topo, s, r); err != nil {
+				t.Fatalf("%v in %v from %v", err, r, s)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/topology"
@@ -95,7 +94,7 @@ func (m *Minimal) Recompile(t *topology.Topology) RecompileStats {
 	delta, ok := topology.DiffFlat(g0, g1)
 	if !ok || m.tab.n != n || delta.Size() > maxIncrementalDelta(n) {
 		m.tab = compileMinimal(m.tab, g1, true, compileWorkers(n))
-		return fullRecompile(n, 1)
+		return fullRecompile(n)
 	}
 	if delta.Empty() {
 		return RecompileStats{ColsShared: n}
@@ -105,52 +104,20 @@ func (m *Minimal) Recompile(t *topology.Topology) RecompileStats {
 	}
 	rep := m.rep
 	rep.load(g1, &delta)
-	return patchTables(m.tab, 1, func(dst int, c col) int {
-		switch {
-		case g0.Alive[dst] != g1.Alive[dst]:
-			return colRebuild
-		case rep.columnPerturbed(c.dist):
-			return colRepair
-		}
-		return colKeep
-	}, rep.repairColumn, func(dsts []int32) { rep.rebuildColumns(m.tab, dsts) })
-}
-
-// Column classes of an incremental recompile.
-const (
-	colKeep    = iota // the delta cannot have changed the column
-	colRepair         // patch the column in place
-	colRebuild        // recompute the column into the same storage
-)
-
-// columnEntries is the number of table entries in one destination
-// column: distPerNode distances plus one mask byte per node.
-func columnEntries(n, distPerNode int) int64 { return int64(distPerNode+1) * int64(n) }
-
-// fullRecompile is the RecompileStats of a from-scratch fallback.
-func fullRecompile(n, distPerNode int) RecompileStats {
-	return RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: int64(n) * columnEntries(n, distPerNode)}
-}
-
-// patchTables brings tab to the next epoch column by column under
-// classify: colKeep columns are left alone, colRepair ones are patched in
-// place by repair (a repair that declines falls through to a rebuild),
-// and the colRebuild ones are recomputed by one rebuild call at the end
-// (columns are independent, so the minimal kernel can batch them). It
-// owns the RecompileStats accounting, so both algorithms charge a
-// rebuilt column at its full size and a repaired one at the entries that
-// changed.
-func patchTables(tab *tables, distPerNode int, classify func(dst int, c col) int,
-	repair func(c col) (distChanged, maskChanged int, ok bool),
-	rebuild func(dsts []int32)) (st RecompileStats) {
+	// Column by column: keep what the delta cannot have changed, repair
+	// the perturbed columns in place, and rebuild the rest (a router
+	// flipped, or a repair declined) in one batched kernel call at the
+	// end. A rebuilt column is charged at full size, a repaired one at
+	// the entries that changed.
+	var st RecompileStats
 	var dsts []int32
-	for dst, c := range tab.cols {
-		switch classify(dst, c) {
-		case colKeep:
-			st.ColsShared++
-			continue
-		case colRepair:
-			if dc, mc, ok := repair(c); ok {
+	for dst, c := range m.tab.cols {
+		if g0.Alive[dst] == g1.Alive[dst] {
+			if !rep.columnPerturbed(c.dist) {
+				st.ColsShared++
+				continue
+			}
+			if dc, mc, ok := rep.repairColumn(c); ok {
 				if dc == 0 {
 					st.DistShared++
 				}
@@ -163,12 +130,21 @@ func patchTables(tab *tables, distPerNode int, classify func(dst int, c col) int
 		}
 		dsts = append(dsts, int32(dst))
 		st.ColsRebuilt++
-		st.EntriesRewritten += columnEntries(tab.n, distPerNode)
+		st.EntriesRewritten += columnEntries(n)
 	}
 	if len(dsts) > 0 {
-		rebuild(dsts)
+		rep.rebuildColumns(m.tab, dsts)
 	}
 	return st
+}
+
+// columnEntries is the number of table entries in one destination
+// column: a distance and a mask byte per node.
+func columnEntries(n int) int64 { return 2 * int64(n) }
+
+// fullRecompile is the RecompileStats of a from-scratch fallback.
+func fullRecompile(n int) RecompileStats {
+	return RecompileStats{Full: true, ColsRebuilt: n, EntriesRewritten: int64(n) * columnEntries(n)}
 }
 
 // minRepairer is a Minimal's column-repair scratch, allocated at its
@@ -525,100 +501,7 @@ func (r *minRepairer) repairColumn(c col) (distChanged, maskChanged int, ok bool
 	return distChanged, maskChanged, true
 }
 
-// Recompile brings u to t's current state in place: a new spanning tree
-// and snapshot, and a table bit-identical to NewUpDownRooted(t,
-// policy).Compile() with u's policy. Tree construction is always rerun
-// (it is O(V+E) and its output feeds the comparison); when the levels and
-// the up/down classification of every channel usable in both snapshots
-// are unchanged, only columns whose state-graph tight edges the delta
-// touched are recompiled — the rest are left untouched. Otherwise the
-// whole table recompiles into the same storage. The previous tree is not
-// mutated, so an UpDownFor tree's Compile() may be recompiled freely.
-func (u *UpDownTable) Recompile(t *topology.Topology) RecompileStats {
-	old, g0 := u.UpDown, u.g
-	u.UpDown, u.g = NewUpDownRooted(t, old.policy), t.Flatten()
-	n := u.g.N
-	delta, ok := topology.DiffFlat(g0, u.g)
-	full := !ok || u.tab.n != n || delta.Size() > maxIncrementalDelta(n) || !slices.Equal(u.level, old.level)
-	// The up/down classification must agree on every channel usable in
-	// both snapshots; channels usable in only one are exactly the delta
-	// and are checked per column below.
-	for v := 0; !full && v < n; v++ {
-		full = (old.upMask[v]^u.upMask[v])&g0.LinkMask[v]&u.g.LinkMask[v] != 0
-	}
-	if full {
-		u.compile()
-		return fullRecompile(n, 2)
-	}
-	if delta.Empty() {
-		return RecompileStats{ColsShared: n}
-	}
-	type stateEdge struct {
-		u, v   int32
-		chanUp bool
-	}
-	edges := func(idxs []int32, upMask []uint8) []stateEdge {
-		var out []stateEdge
-		for _, idx := range idxs {
-			eu, ev := idx/geom.NumLinkDirs, u.g.Adj[idx]
-			if u.level[eu] < 0 || u.level[ev] < 0 {
-				continue // dead/unrouted endpoints never enter the state graph
-			}
-			out = append(out, stateEdge{eu, ev, upMask[eu]&(1<<uint(idx%geom.NumLinkDirs)) != 0})
-		}
-		return out
-	}
-	removed := edges(delta.Removed, old.upMask) // classified as of the old snapshot
-	added := edges(delta.Added, u.upMask)       // classified as of the new snapshot
-	// Per-column perturbation check on the (node, phase) state graph.
-	// An up channel u→v carries state edge (u,up)→(v,up); a down channel
-	// carries (u,up)→(v,down) and (u,down)→(v,down). Keep or rebuild: a
-	// perturbed state-graph column is recompiled whole, never repaired.
-	classify := func(_ int, c col) int {
-		row := c.dist
-		tightRemoved := func(su, sv int) bool {
-			return row[sv] >= 0 && row[su] == row[sv]+1
-		}
-		improves := func(su, sv int) bool {
-			return row[sv] >= 0 && (row[su] < 0 || row[su] >= row[sv]+1)
-		}
-		for _, e := range removed {
-			if e.chanUp {
-				if tightRemoved(2*int(e.u)+phaseUp, 2*int(e.v)+phaseUp) {
-					return colRebuild
-				}
-			} else if tightRemoved(2*int(e.u)+phaseUp, 2*int(e.v)+phaseDown) ||
-				tightRemoved(2*int(e.u)+phaseDown, 2*int(e.v)+phaseDown) {
-				return colRebuild
-			}
-		}
-		for _, e := range added {
-			if e.chanUp {
-				if improves(2*int(e.u)+phaseUp, 2*int(e.v)+phaseUp) {
-					return colRebuild
-				}
-			} else if improves(2*int(e.u)+phaseUp, 2*int(e.v)+phaseDown) ||
-				improves(2*int(e.u)+phaseDown, 2*int(e.v)+phaseDown) {
-				return colRebuild
-			}
-		}
-		return colKeep
-	}
-	return patchTables(u.tab, 2, classify, nil, func(dsts []int32) {
-		queue := make([]int32, 0, 2*n)
-		for _, dst := range dsts {
-			queue = compileUDColumn(u.g, u.level, u.upMask, int(dst), u.tab.cols[dst], queue)
-		}
-	})
-}
-
 // TableEntries returns the number of table entries a full compile of
 // this router writes (the churn experiment's unit of table-install
 // cost).
-func (m *Minimal) TableEntries() int64 { return fullRecompile(m.tab.n, 1).EntriesRewritten }
-
-// TableEntries is the up*/down* analog — per destination column, 2n state
-// distances plus n mask bytes — as arithmetic on the tree's node count:
-// the churn experiment charges sp_tree a whole-table reinstall per event
-// without building the table.
-func (u *UpDown) TableEntries() int64 { return fullRecompile(len(u.level), 2).EntriesRewritten }
+func (m *Minimal) TableEntries() int64 { return fullRecompile(m.tab.n).EntriesRewritten }

@@ -90,8 +90,7 @@ func checkMinimalRecompile(t *testing.T, what string, before, m *Minimal, st Rec
 // TestIncrementalVsFullProperty drives random fail/recover delta
 // sequences over random irregular topologies and asserts the receiver of
 // every in-place recompile is bit-identical to a from-scratch compile
-// after every step — for the minimal tables and the up*/down* state
-// tables.
+// after every step.
 func TestIncrementalVsFullProperty(t *testing.T) {
 	cases := 12
 	steps := 10
@@ -108,17 +107,11 @@ func TestIncrementalVsFullProperty(t *testing.T) {
 		}
 		topo := topology.RandomIrregular(w, h, kind, rng.Intn(w*h/2), seed)
 		min := NewMinimal(topo)
-		ud := NewUpDownRooted(topo, RootLowestID).Compile()
 		for s := 0; s < steps; s++ {
 			op := randomDeltaStep(topo, rng)
 			before := min.snapshot()
 			mst := min.Recompile(topo)
 			checkMinimalRecompile(t, fmt.Sprintf("case %d step %d (%s)", c, s, op), before, min, mst, topo)
-			ust := ud.Recompile(topo)
-			if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
-				t.Fatalf("case %d step %d (%s): incremental updown diverged from full compile (stats %+v)",
-					c, s, op, ust)
-			}
 		}
 	}
 }
@@ -136,32 +129,21 @@ func TestIncrementalColumnSharing(t *testing.T) {
 		topo.DisableLink(geom.NodeID(y*8+3), geom.East)
 	}
 	min := NewMinimal(topo)
-	ud := NewUpDownRooted(topo, RootLowestID).Compile()
-	minBefore, udBefore := min.tab.clone(), ud.tab.clone()
+	minBefore := min.tab.clone()
 
 	topo.DisableLink(0, geom.East) // node 0 → node 1, deep inside the left half
 	st := min.Recompile(topo)
 	if st.Full || st.ColsShared < 16 {
 		t.Fatalf("expected the 16 right-component columns kept, got %+v", st)
 	}
-	ust := ud.Recompile(topo)
 	if !MinimalTablesEqual(min, NewMinimal(topo)) {
 		t.Fatal("incremental minimal diverged")
-	}
-	if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
-		t.Fatal("incremental updown diverged")
-	}
-	if !ust.Full && ust.ColsShared < 16 {
-		t.Fatalf("expected the 16 right-component updown columns kept, got %+v", ust)
 	}
 	for y := 0; y < 4; y++ {
 		for x := 4; x < 8; x++ {
 			dst := y*8 + x
 			if d, e := columnDiff(minBefore, min.tab, dst); d || e != 0 {
 				t.Fatalf("minimal column for right-component dst %d changed", dst)
-			}
-			if d, e := columnDiff(udBefore, ud.tab, dst); d || e != 0 {
-				t.Fatalf("updown column for right-component dst %d changed", dst)
 			}
 		}
 	}
@@ -224,7 +206,6 @@ func TestIncrementalFallbacksCompileInPlace(t *testing.T) {
 		topo.DisableLink(geom.NodeID(x), geom.North)
 	}
 	min := NewMinimal(topo)
-	ud := NewUpDownRooted(topo, RootLowestID).Compile()
 	before := min.snapshot()
 	topo.DisableLink(7, geom.East)
 	st := min.Recompile(topo)
@@ -232,14 +213,10 @@ func TestIncrementalFallbacksCompileInPlace(t *testing.T) {
 		t.Fatalf("ring cut should decline some repairs into column rebuilds: %+v", st)
 	}
 	checkMinimalRecompile(t, "ring cut", before, min, st, topo)
-	ud.Recompile(topo)
-	if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
-		t.Fatal("updown diverged after the ring cut")
-	}
 
 	mesh := topology.NewMesh(6, 6)
-	if st, ust := min.Recompile(mesh), ud.Recompile(mesh); !st.Full || !ust.Full {
-		t.Fatalf("a 16x2 table moved to a 6x6 mesh should compile fully: %+v, %+v", st, ust)
+	if st := min.Recompile(mesh); !st.Full {
+		t.Fatalf("a 16x2 table moved to a 6x6 mesh should compile fully: %+v", st)
 	}
 	// The last links touch the highest node ids, past the old size.
 	links := mesh.AliveUndirectedLinks()
@@ -250,9 +227,6 @@ func TestIncrementalFallbacksCompileInPlace(t *testing.T) {
 	if st := min.Recompile(mesh); !st.Full {
 		t.Fatalf("a 40-channel delta on 36 nodes should fall back to a full compile: %+v", st)
 	}
-	if st := ud.Recompile(mesh); !st.Full {
-		t.Fatalf("updown: a 40-channel delta on 36 nodes should fall back to a full compile: %+v", st)
-	}
 	for _, l := range links[len(links)-3:] {
 		mesh.EnableLink(l.From, l.Dir)
 		before := min.snapshot()
@@ -261,10 +235,6 @@ func TestIncrementalFallbacksCompileInPlace(t *testing.T) {
 			t.Fatalf("single-link step after the fallback went full: %+v", st)
 		}
 		checkMinimalRecompile(t, "after full fallback", before, min, st, mesh)
-		ud.Recompile(mesh)
-		if !UpDownTablesEqual(ud, NewUpDownRooted(mesh, RootLowestID).Compile()) {
-			t.Fatal("updown diverged after the full fallback")
-		}
 	}
 }
 
@@ -367,8 +337,6 @@ func TestParallelCompileDeterminism(t *testing.T) {
 	g := topo.Flatten()
 	seq := compileMinimal(nil, g, true, 1)
 	seqMasks := compileMinimal(nil, g, false, 1)
-	ud := NewUpDownRooted(topo, RootLowestID)
-	seqUD := compileUpDown(nil, g, ud.level, ud.upMask, 1)
 	for _, workers := range []int{2, 3, 8} {
 		par := compileMinimal(nil, g, true, workers)
 		a := &Minimal{g: g, tab: seq}
@@ -378,12 +346,6 @@ func TestParallelCompileDeterminism(t *testing.T) {
 		}
 		if !compileMinimal(nil, g, false, workers).equal(seqMasks) {
 			t.Fatalf("parallel masks-only compile (workers=%d) not byte-identical", workers)
-		}
-		parUD := compileUpDown(nil, g, ud.level, ud.upMask, workers)
-		ua := &UpDownTable{UpDown: ud, g: g, tab: seqUD}
-		ub := &UpDownTable{UpDown: ud, g: g, tab: parUD}
-		if !UpDownTablesEqual(ua, ub) {
-			t.Fatalf("parallel updown compile (workers=%d) not byte-identical", workers)
 		}
 	}
 }
@@ -406,7 +368,6 @@ func FuzzIncrementalCompile(f *testing.F) {
 		seed := int64(len(data))*1315423911 + int64(data[0])<<8 + int64(data[1])
 		topo := topology.RandomIrregular(w, h, topology.LinkFaults, faults, seed)
 		min := NewMinimal(topo)
-		ud := NewUpDownRooted(topo, RootLowestID).Compile()
 		ops := data[3:]
 		if len(ops) > 12 {
 			ops = ops[:12]
@@ -419,10 +380,6 @@ func FuzzIncrementalCompile(f *testing.F) {
 			op := randomDeltaStep(topo, rng)
 			before := min.snapshot()
 			checkMinimalRecompile(t, op, before, min, min.Recompile(topo), topo)
-			ud.Recompile(topo)
-			if !UpDownTablesEqual(ud, NewUpDownRooted(topo, RootLowestID).Compile()) {
-				t.Fatal("incremental updown diverged from full compile")
-			}
 		}
 	})
 }

@@ -1,17 +1,14 @@
 package routing
 
-// Executable references for the compiled tables. The pre-compilation
-// minimal router was one lazy reverse BFS per destination and a
-// candidate walk over the live topology; both live on as the one-shot
-// path (topology.ReverseBFSDistances, AppendRouteOneShot), so the
-// minimal check routes through that. The lazy-map up*/down* router is
-// kept verbatim: it is the only oracle that UpDownTable's cold compile
-// is shortest-legal. The spanning-tree construction itself did not
-// change, so the up*/down* reference borrows the compiled instance's
-// tree (Level/IsUp) and reimplements only the routing that was
-// rewritten. With identical seeded rng streams both must agree with the
-// compiled tables on every distance, every reachability verdict and
-// every sampled route.
+// Executable references for the routers. The pre-compilation minimal
+// router was one lazy reverse BFS per destination and a candidate walk
+// over the live topology; both live on as the one-shot path
+// (topology.ReverseBFSDistances, AppendRouteOneShot), so the minimal
+// check routes through that, with identical seeded rng streams, on every
+// distance, every reachability verdict and every sampled route. The
+// tree reference reads the path straight off the parent pointers: climb
+// from both ends to the lowest common ancestor, up the source's chain,
+// down the destination's.
 
 import (
 	"math/rand"
@@ -20,126 +17,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/topology"
 )
-
-// legacyUpDown is the old lazy state-graph up*/down* router over an
-// UpDown tree.
-type legacyUpDown struct {
-	topo   *topology.Topology
-	u      *UpDown
-	distTo map[geom.NodeID][]int
-}
-
-func newLegacyUpDown(t *topology.Topology, u *UpDown) *legacyUpDown {
-	return &legacyUpDown{topo: t, u: u, distTo: make(map[geom.NodeID][]int)}
-}
-
-func (l *legacyUpDown) dist(dst geom.NodeID) []int {
-	if d, ok := l.distTo[dst]; ok {
-		return d
-	}
-	n := l.topo.NumNodes()
-	dist := make([]int, 2*n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if l.u.Level(dst) >= 0 {
-		type state struct {
-			node  geom.NodeID
-			phase int
-		}
-		dist[2*int(dst)+phaseUp] = 0
-		dist[2*int(dst)+phaseDown] = 0
-		queue := []state{{dst, phaseUp}, {dst, phaseDown}}
-		for len(queue) > 0 {
-			s := queue[0]
-			queue = queue[1:]
-			sd := dist[2*int(s.node)+s.phase]
-			for _, d := range geom.LinkDirs {
-				v := l.topo.Neighbor(s.node, d)
-				if v == geom.InvalidNode || !l.topo.HasLink(v, d.Opposite()) {
-					continue
-				}
-				if l.u.Level(v) < 0 {
-					continue
-				}
-				chanUp := l.u.IsUp(v, d.Opposite())
-				var preds []int
-				if chanUp {
-					if s.phase == phaseUp {
-						preds = []int{phaseUp}
-					}
-				} else {
-					if s.phase == phaseDown {
-						preds = []int{phaseUp, phaseDown}
-					}
-				}
-				for _, pv := range preds {
-					idx := 2*int(v) + pv
-					if dist[idx] < 0 {
-						dist[idx] = sd + 1
-						queue = append(queue, state{v, pv})
-					}
-				}
-			}
-		}
-	}
-	l.distTo[dst] = dist
-	return dist
-}
-
-func (l *legacyUpDown) Distance(src, dst geom.NodeID) int {
-	if l.u.Level(src) < 0 || l.u.Level(dst) < 0 {
-		return -1
-	}
-	return l.dist(dst)[2*int(src)+phaseUp]
-}
-
-func (l *legacyUpDown) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	if src == dst {
-		return buf, l.u.Level(src) >= 0
-	}
-	dist := l.dist(dst)
-	if l.u.Level(src) < 0 || dist[2*int(src)+phaseUp] < 0 {
-		return buf, false
-	}
-	route := buf
-	cur, phase := src, phaseUp
-	for cur != dst {
-		curD := dist[2*int(cur)+phase]
-		var dirs [geom.NumLinkDirs]geom.Direction
-		var phases [geom.NumLinkDirs]int
-		n := 0
-		for _, d := range geom.LinkDirs {
-			if !l.topo.HasLink(cur, d) {
-				continue
-			}
-			nb := l.topo.Neighbor(cur, d)
-			chanUp := l.u.IsUp(cur, d)
-			if chanUp && phase != phaseUp {
-				continue
-			}
-			nextPhase := phaseDown
-			if chanUp {
-				nextPhase = phaseUp
-			}
-			if dist[2*int(nb)+nextPhase] == curD-1 {
-				dirs[n], phases[n] = d, nextPhase
-				n++
-			}
-		}
-		if n == 0 {
-			return buf, false
-		}
-		pick := 0
-		if rng != nil && n > 1 {
-			pick = rng.Intn(n)
-		}
-		route = append(route, dirs[pick])
-		cur = l.topo.Neighbor(cur, dirs[pick])
-		phase = phases[pick]
-	}
-	return route, true
-}
 
 // equivalenceTopologies samples the topology shapes the equivalence
 // tests sweep: a healthy mesh, link-faulted and router-faulted
@@ -197,62 +74,65 @@ func TestMinimalMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestUpDownMatchesLegacy is the up*/down* counterpart, for both root
-// policies; it additionally checks every compiled route is legal (never
-// an up channel after a down channel) and exactly Distance hops long.
+// refTreeRoute is the tree path from src to dst read off the parent
+// pointers, or ok=false when the two are not in one routed component.
+func refTreeRoute(topo *topology.Topology, u *UpDown, src, dst geom.NodeID) (Route, bool) {
+	if u.Level(src) < 0 || u.Level(dst) < 0 || u.Root(src) != u.Root(dst) {
+		return nil, false
+	}
+	// The chains climbed from each end; both end at the LCA.
+	up, down := []geom.NodeID{src}, []geom.NodeID{dst}
+	for a, b := src, dst; a != b; {
+		if u.Level(a) >= u.Level(b) {
+			a = u.Parent(a)
+			up = append(up, a)
+		} else {
+			b = u.Parent(b)
+			down = append(down, b)
+		}
+	}
+	var r Route
+	hop := func(x, y geom.NodeID) { r = append(r, geom.DirectionBetween(topo.Coord(x), topo.Coord(y))) }
+	for i := 1; i < len(up); i++ {
+		hop(up[i-1], up[i])
+	}
+	for i := len(down) - 1; i > 0; i-- {
+		hop(down[i], down[i-1])
+	}
+	return r, true
+}
+
+// TestUpDownMatchesLegacy checks the tree router against refTreeRoute on
+// every (src, dst) pair, for both root policies: the same verdict and the
+// same hops, and every route legal (never an up channel after a down
+// channel).
 func TestUpDownMatchesLegacy(t *testing.T) {
 	for name, topo := range equivalenceTopologies() {
 		for _, policy := range []RootPolicy{RootMedian, RootLowestID} {
 			t.Run(name+"/"+policy.String(), func(t *testing.T) {
-				compiled := NewUpDownRooted(topo, policy).Compile()
-				legacy := newLegacyUpDown(topo, compiled.UpDown)
+				u := NewUpDownRooted(topo, policy)
 				n := topo.NumNodes()
-				rngC := rand.New(rand.NewSource(99))
-				rngL := rand.New(rand.NewSource(99))
 				for s := 0; s < n; s++ {
 					for d := 0; d < n; d++ {
 						src, dst := geom.NodeID(s), geom.NodeID(d)
-						if got, want := compiled.Distance(src, dst), legacy.Distance(src, dst); got != want {
-							t.Fatalf("Distance(%v,%v): compiled %d, legacy %d", src, dst, got, want)
+						got, ok := u.TreeRoute(src, dst)
+						want, wantOK := refTreeRoute(topo, u, src, dst)
+						if ok != wantOK || !routesEqual(got, want) {
+							t.Fatalf("TreeRoute(%v,%v): %v/%v, reference %v/%v", src, dst, got, ok, want, wantOK)
 						}
-						rc, okc := compiled.AppendRoute(nil, src, dst, rngC)
-						rl, okl := legacy.AppendRoute(nil, src, dst, rngL)
-						if okc != okl {
-							t.Fatalf("Route(%v,%v): compiled ok=%v, legacy ok=%v", src, dst, okc, okl)
+						if !ok {
+							continue
 						}
-						if !routesEqual(rc, rl) {
-							t.Fatalf("Route(%v,%v): compiled %v, legacy %v", src, dst, rc, rl)
+						if err := got.Validate(topo, src, dst); err != nil {
+							t.Fatal(err)
 						}
-						if okc && src != dst {
-							if got, want := len(rc), compiled.Distance(src, dst); got != want {
-								t.Fatalf("Route(%v,%v): %d hops, Distance %d", src, dst, got, want)
-							}
-							checkUpDownLegalRef(t, topo, compiled.UpDown, src, rc)
+						if err := checkUpDownLegal(u, topo, src, got); err != nil {
+							t.Fatalf("TreeRoute(%v,%v) = %v: %v", src, dst, got, err)
 						}
 					}
 				}
 			})
 		}
-	}
-}
-
-// checkUpDownLegal walks route r from src verifying every hop uses a
-// usable channel and no up channel follows a down channel.
-func checkUpDownLegalRef(t *testing.T, topo *topology.Topology, u *UpDown, src geom.NodeID, r Route) {
-	t.Helper()
-	cur, wentDown := src, false
-	for i, d := range r {
-		if !topo.HasLink(cur, d) {
-			t.Fatalf("route hop %d from %v: dead channel %v at %v", i, src, d, cur)
-		}
-		up := u.IsUp(cur, d)
-		if wentDown && up {
-			t.Fatalf("route hop %d from %v: up channel %v at %v after a down hop", i, src, d, cur)
-		}
-		if !up {
-			wentDown = true
-		}
-		cur = topo.Neighbor(cur, d)
 	}
 }
 

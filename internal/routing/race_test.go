@@ -2,12 +2,11 @@ package routing
 
 // Ownership is split. Process-wide values (MinimalFor, UpDownFor) are
 // immutable, so one instance may serve every sweep worker concurrently.
-// An owned table (NewMinimal, Compile) changes only inside Recompile,
-// which reconfig calls between cycles, so between epochs it is read-only
-// too. These
-// tests drive instances from many goroutines; run under -race (CI's race
-// tier does) they prove the lazy-map data race the compilation removed
-// stays gone.
+// An owned table (NewMinimal) changes only inside Recompile, which
+// reconfig calls between cycles, so between epochs it is read-only too.
+// These tests drive instances from many goroutines; run under -race (CI's
+// race tier does) they prove the lazy-map data race the compilation
+// removed stays gone.
 
 import (
 	"math/rand"
@@ -48,7 +47,8 @@ func TestMinimalConcurrentUse(t *testing.T) {
 
 func TestUpDownConcurrentUse(t *testing.T) {
 	topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 15, 11)
-	u := NewUpDown(topo).Compile()
+	u := NewUpDown(topo)
+	alg := u.TreeAlgorithm()
 	n := topo.NumNodes()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -60,9 +60,8 @@ func TestUpDownConcurrentUse(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				src := geom.NodeID(rng.Intn(n))
 				dst := geom.NodeID(rng.Intn(n))
-				u.Distance(src, dst)
 				u.TreeNextHop(src, dst)
-				buf, _ = u.AppendRoute(buf[:0], src, dst, rng)
+				buf, _ = AppendRoute(alg, buf[:0], src, dst, rng)
 				buf, _ = u.AppendTreeRoute(buf[:0], src, dst)
 			}
 		}(int64(w + 1))

@@ -153,31 +153,10 @@ func TestXYNameAndMinimalName(t *testing.T) {
 	if NewXY(topo).Name() != "xy" || NewMinimal(topo).Name() != "minimal" {
 		t.Fatal("unexpected algorithm names")
 	}
-	if NewUpDown(topo).Compile().Name() != "updown" {
-		t.Fatal("unexpected updown name")
-	}
 }
 
-func TestUpDownHealthyMeshRoutesAllPairs(t *testing.T) {
-	topo := topology.NewMesh(6, 6)
-	u := NewUpDown(topo).Compile()
-	rng := rand.New(rand.NewSource(3))
-	for src := geom.NodeID(0); src < 36; src += 3 {
-		for dst := geom.NodeID(0); dst < 36; dst += 4 {
-			r, ok := u.Route(src, dst, rng)
-			if !ok {
-				t.Fatalf("up/down route %v→%v missing on healthy mesh", src, dst)
-			}
-			if err := r.Validate(topo, src, dst); err != nil {
-				t.Fatal(err)
-			}
-			if err := checkUpDownLegal(u.UpDown, topo, src, r); err != nil {
-				t.Fatalf("%v→%v: %v", src, dst, err)
-			}
-		}
-	}
-}
-
+// checkUpDownLegal reports an up channel taken after a down channel on
+// route r from src.
 func checkUpDownLegal(u *UpDown, topo *topology.Topology, src geom.NodeID, r Route) error {
 	cur := src
 	down := false
@@ -198,11 +177,14 @@ type errUpAfterDown int
 
 func (e errUpAfterDown) Error() string { return "up channel after down channel" }
 
+// TestUpDownIrregularConnectivityAndLegality: on faulted irregular
+// topologies the tree routes exactly the reachable pairs, over usable
+// channels, never up after down, and never shorter than a shortest path.
 func TestUpDownIrregularConnectivityAndLegality(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 25, int64(100+trial))
-		u := NewUpDown(topo).Compile()
+		u := NewUpDown(topo)
 		m := NewMinimal(topo)
 		for n := 0; n < 30; n++ {
 			src := geom.NodeID(rng.Intn(64))
@@ -211,9 +193,9 @@ func TestUpDownIrregularConnectivityAndLegality(t *testing.T) {
 				continue
 			}
 			reach := m.Reachable(src, dst)
-			r, ok := u.Route(src, dst, rng)
+			r, ok := u.TreeRoute(src, dst)
 			if ok != reach {
-				t.Fatalf("trial %d: up/down routable(%v→%v)=%v but reachable=%v",
+				t.Fatalf("trial %d: tree routable(%v→%v)=%v but reachable=%v",
 					trial, src, dst, ok, reach)
 			}
 			if !ok {
@@ -222,11 +204,11 @@ func TestUpDownIrregularConnectivityAndLegality(t *testing.T) {
 			if err := r.Validate(topo, src, dst); err != nil {
 				t.Fatal(err)
 			}
-			if err := checkUpDownLegal(u.UpDown, topo, src, r); err != nil {
+			if err := checkUpDownLegal(u, topo, src, r); err != nil {
 				t.Fatalf("trial %d %v→%v: %v (route %v)", trial, src, dst, err, r)
 			}
 			if r.Len() < m.Distance(src, dst) {
-				t.Fatalf("up/down route shorter than shortest path?!")
+				t.Fatalf("tree route shorter than shortest path?!")
 			}
 		}
 	}
@@ -245,34 +227,6 @@ func TestUpDownDependencyAcyclicProperty(t *testing.T) {
 		if !u.DependencyAcyclic() {
 			t.Fatalf("trial %d (%v=%d): up/down dependency graph has a cycle", trial, kind, k)
 		}
-	}
-}
-
-func TestUpDownNonMinimalExists(t *testing.T) {
-	// The hallmark cost of the spanning-tree baseline: some pair must be
-	// routed non-minimally on a topology with enough faults. Sweep a few
-	// seeds and require at least one stretched pair.
-	found := false
-	for seed := int64(0); seed < 10 && !found; seed++ {
-		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 30, seed)
-		u := NewUpDown(topo).Compile()
-		m := NewMinimal(topo)
-		for src := geom.NodeID(0); src < 64 && !found; src++ {
-			for dst := geom.NodeID(0); dst < 64; dst++ {
-				if src == dst || !topo.RouterAlive(src) || !topo.RouterAlive(dst) {
-					continue
-				}
-				md := m.Distance(src, dst)
-				ud := u.Distance(src, dst)
-				if md >= 0 && ud > md {
-					found = true
-					break
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("expected at least one non-minimal up/down route across seeds")
 	}
 }
 
@@ -386,18 +340,18 @@ func TestRouteDestAndString(t *testing.T) {
 func TestUpDownSelfAndDeadRoutes(t *testing.T) {
 	topo := topology.NewMesh(3, 3)
 	topo.DisableRouter(8)
-	u := NewUpDown(topo).Compile()
-	if r, ok := u.Route(2, 2, nil); !ok || r.Len() != 0 {
+	u := NewUpDown(topo)
+	if r, ok := u.TreeRoute(2, 2); !ok || r.Len() != 0 {
 		t.Fatal("self route should be empty and ok")
 	}
-	if _, ok := u.Route(8, 0, nil); ok {
+	if _, ok := u.TreeRoute(8, 0); ok {
 		t.Fatal("route from dead router should fail")
 	}
-	if _, ok := u.Route(0, 8, nil); ok {
+	if _, ok := u.TreeRoute(0, 8); ok {
 		t.Fatal("route to dead router should fail")
 	}
-	if u.Distance(0, 8) != -1 || u.Distance(8, 0) != -1 {
-		t.Fatal("distances involving dead routers must be -1")
+	if _, ok := u.TreeRoute(8, 8); ok {
+		t.Fatal("self route at dead router should fail")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/topology"
 )
 
-// This file is the topology compilation layer: it lowers a (topology,
-// algorithm) pair into flat arrays so the per-packet hot path never
+// This file is the topology compilation layer: it lowers a topology's
+// minimal routing into flat arrays so the per-packet hot path never
 // walks the graph. For every destination the compiler produces
 //
 //   - a dense int16 distance row, and
@@ -23,16 +23,10 @@ import (
 //     one rng draw (Intn(candidates)) iff candidates > 1 — the draw
 //     sequence every seeded trajectory depends on.
 //
-// Both algorithms share one table shape. Minimal routing has one
-// distance per node; up*/down* has two (one per phase of the
-// (node, phase) state graph) and packs the two phases' candidates into
-// the nibbles of the mask byte.
-//
-// Minimal columns come out of the all-pairs kernel below, which runs the
+// Columns come out of the all-pairs kernel below, which runs the
 // reverse BFSes of 64 destinations as one bit-sliced pass: cold
 // compiles, a recompile's full fallback and its column rebuilds alike.
 // The median-root election in updown.go runs the same kernel forward.
-// Up*/down* columns BFS the state graph one destination at a time.
 //
 // Tables are stored as per-destination column pages rather than one
 // n×n slab so an incremental recompile (incremental.go) can repair or
@@ -45,43 +39,41 @@ import (
 // MinimalFor) is immutable, which is what makes one instance shareable
 // across the sweep engine's workers (see race_test.go); nothing reads its
 // distances once the masks exist, so it keeps masks only, which the kernel
-// produces without a distance row. A table from NewMinimal or
-// (*UpDown).Compile belongs to its caller and changes only inside
-// Recompile, which reconfig calls between cycles and which repairs from the
-// kept distance rows.
+// produces without a distance row. A table from NewMinimal belongs to
+// its caller and changes only inside Recompile, which reconfig calls
+// between cycles and which repairs from the kept distance rows.
 
 // col is one destination's column of a compiled table. Copying the
 // struct aliases the backing arrays.
 type col struct {
-	// dist holds distPerNode distances per node toward the destination,
-	// -1 unreachable. Minimal: [node], directed hops. Up*/down*:
-	// [2*node+phase], distance on the state graph. Nil in a masks-only
-	// (shared) table.
+	// dist[node] is the directed-hop distance toward the destination, -1
+	// unreachable. Nil in a masks-only (shared) table.
 	dist []int16
-	// mask[node] is the next-hop candidate byte. Minimal: bit d set iff d
-	// is a minimal next hop. Up*/down*: low nibble = phaseUp candidates,
-	// high nibble = phaseDown candidates.
+	// mask[node] is the next-hop candidate byte: bit d set iff d is a
+	// minimal next hop.
 	mask []uint8
 }
 
-// tables is the compiled form of a routing algorithm over a FlatGraph,
-// one column page per destination.
+// tables is the compiled form of minimal routing over a FlatGraph, one
+// column page per destination.
 type tables struct {
 	n    int
 	cols []col // [dst]
 }
 
 // newTables allocates a table with every column backed by one
-// contiguous block per array; w is the distance-row width per column, 0
-// for a masks-only table.
-func newTables(n, w int) *tables {
+// contiguous block per array, distance rows iff keepDist.
+func newTables(n int, keepDist bool) *tables {
 	t := &tables{n: n, cols: make([]col, n)}
-	dist := make([]int16, n*w)
+	var dist []int16
+	if keepDist {
+		dist = make([]int16, n*n)
+	}
 	mask := make([]uint8, n*n)
 	for d := range t.cols {
 		t.cols[d].mask = mask[d*n : (d+1)*n : (d+1)*n]
-		if w > 0 {
-			t.cols[d].dist = dist[d*w : (d+1)*w : (d+1)*w]
+		if keepDist {
+			t.cols[d].dist = dist[d*n : (d+1)*n : (d+1)*n]
 		}
 	}
 	return t
@@ -417,11 +409,7 @@ func (s *bfsScratch) minimalColumns(t *tables, g *topology.FlatGraph, pred, root
 func compileMinimal(t *tables, g *topology.FlatGraph, keepDist bool, workers int) *tables {
 	n := g.N
 	if t == nil || t.n != n {
-		w := 0
-		if keepDist {
-			w = n
-		}
-		t = newTables(n, w)
+		t = newTables(n, keepDist)
 	}
 	pred := predecessors(g, nil)
 	roots := tileOrder(g.W, g.H)
@@ -433,117 +421,6 @@ func compileMinimal(t *tables, g *topology.FlatGraph, keepDist bool, workers int
 		}
 	})
 	return t
-}
-
-const (
-	phaseUp   = 0 // may still take up channels
-	phaseDown = 1 // committed to down channels only
-)
-
-// compileUpDown builds the up*/down* tables into t's storage when t has
-// g.N columns (a recompile's full fallback), else into a new table:
-// distances on the (node, phase) state graph and the two phases'
-// candidates packed into one mask byte, one column BFS per destination
-// (compileUDColumn) strided across workers. Workers write disjoint
-// columns, so the output is byte-identical at any worker count. level is
-// the BFS-tree level array (-1 dead/unrouted) and upMask[v] has bit d set
-// iff the channel v→d is an "up" channel; both come from the
-// spanning-tree construction in updown.go.
-func compileUpDown(t *tables, g *topology.FlatGraph, level []int, upMask []uint8, workers int) *tables {
-	n := g.N
-	if t == nil || t.n != n {
-		t = newTables(n, 2*n)
-	}
-	fanOut(workers, func(first, stride int) {
-		queue := make([]int32, 0, 2*n)
-		for dst := first; dst < n; dst += stride {
-			queue = compileUDColumn(g, level, upMask, dst, t.cols[dst], queue)
-		}
-	})
-	return t
-}
-
-// compileUDColumn fills one destination's up*/down* column: BFS over
-// (node, phase) states walking legal transitions backward, then the
-// per-phase candidate-mask fill. queue is caller-provided scratch.
-func compileUDColumn(g *topology.FlatGraph, level []int, upMask []uint8, dst int, c col, queue []int32) []int32 {
-	row := c.dist
-	for i := range row {
-		row[i] = -1
-	}
-	for i := range c.mask {
-		c.mask[i] = 0
-	}
-	if level[dst] < 0 {
-		return queue
-	}
-	// BFS over (node, phase) states, walking legal transitions
-	// backward: an up channel keeps phaseUp and requires phaseUp
-	// before it; a down channel lands in phaseDown from either phase.
-	row[2*dst+phaseUp] = 0
-	row[2*dst+phaseDown] = 0
-	queue = append(queue[:0], int32(2*dst+phaseUp), int32(2*dst+phaseDown))
-	for head := 0; head < len(queue); head++ {
-		st := int(queue[head])
-		node, phase := st>>1, st&1
-		sd := row[st]
-		for d := 0; d < geom.NumLinkDirs; d++ {
-			v := g.Adj[geom.NumLinkDirs*node+d]
-			if v < 0 || g.Next[geom.NumLinkDirs*int(v)+int(geom.Direction(d).Opposite())] != int32(node) {
-				continue
-			}
-			if level[v] < 0 {
-				continue
-			}
-			chanUp := upMask[v]&(1<<uint(geom.Direction(d).Opposite())) != 0 // channel v→node
-			var lo, hi int
-			switch {
-			case chanUp && phase == phaseUp:
-				lo, hi = phaseUp, phaseUp
-			case !chanUp && phase == phaseDown:
-				lo, hi = phaseUp, phaseDown
-			default:
-				continue
-			}
-			for pv := lo; pv <= hi; pv++ {
-				idx := 2*int(v) + pv
-				if row[idx] < 0 {
-					row[idx] = sd + 1
-					queue = append(queue, int32(idx))
-				}
-			}
-		}
-	}
-	// Candidate masks per phase.
-	n := len(c.mask)
-	for v := 0; v < n; v++ {
-		if level[v] < 0 {
-			continue
-		}
-		var m uint8
-		curUp, curDown := row[2*v+phaseUp], row[2*v+phaseDown]
-		for d := 0; d < geom.NumLinkDirs; d++ {
-			nb := g.Next[geom.NumLinkDirs*v+d]
-			if nb < 0 {
-				continue
-			}
-			chanUp := upMask[v]&(1<<uint(d)) != 0
-			next := phaseDown
-			if chanUp {
-				next = phaseUp
-			}
-			nd := row[2*int(nb)+next]
-			if curUp > 0 && nd == curUp-1 {
-				m |= 1 << uint(d)
-			}
-			// phaseDown may only continue on down channels.
-			if !chanUp && curDown > 0 && nd == curDown-1 {
-				m |= 1 << (4 + uint(d))
-			}
-		}
-		c.mask[v] = m
-	}
-	return queue
 }
 
 // pickDir returns the k-th set direction of candidate mask m (bit i is

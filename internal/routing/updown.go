@@ -19,10 +19,8 @@ import (
 // what both of the paper's baselines need (Section V-B: baseline 1 routes
 // along the tree, baseline 2's escape VCs follow it). Construction is
 // O(V+E) per root candidate, 64 candidates per kernel pass; nothing is
-// compiled per (node, dst) pair.
-// The all-links up*/down* Algorithm (shortest legal paths over every
-// surviving link) is a separate value, built on request by Compile.
-// Instances are immutable and safe for concurrent use.
+// compiled per (node, dst) pair. Instances are immutable and safe for
+// concurrent use.
 type UpDown struct {
 	topo   *topology.Topology
 	level  []int         // BFS level within the component; -1 if dead
@@ -31,9 +29,6 @@ type UpDown struct {
 	// upMask[n] has bit d set iff the channel n→d is an "up" channel
 	// (usable, both levels known, toward the root ordering).
 	upMask []uint8
-	// policy is retained so UpDownTable.Recompile (incremental.go)
-	// rebuilds the spanning trees under the same root-selection rule.
-	policy RootPolicy
 }
 
 // RootPolicy selects how the spanning-tree root of each component is
@@ -76,7 +71,6 @@ func NewUpDownRooted(t *topology.Topology, policy RootPolicy) *UpDown {
 		parent: make([]geom.NodeID, n),
 		root:   make([]geom.NodeID, n),
 		upMask: make([]uint8, n),
-		policy: policy,
 	}
 	for i := range u.level {
 		u.level[i] = -1
@@ -348,8 +342,7 @@ func (u *UpDown) AppendTreeRoute(buf Route, src, dst geom.NodeID) (Route, bool) 
 // TreeAlgorithm adapts the spanning tree to the Algorithm interface:
 // every packet follows the tree path through the lowest common ancestor.
 // This is the conservative tree-routing baseline the paper's introduction
-// describes ("messages are routed via the root"); UpDownTable is the
-// stronger all-links up*/down* variant.
+// describes ("messages are routed via the root").
 func (u *UpDown) TreeAlgorithm() Algorithm { return treeAlg{u} }
 
 type treeAlg struct{ u *UpDown }
@@ -364,85 +357,11 @@ func (t treeAlg) AppendRoute(buf Route, src, dst geom.NodeID, _ *rand.Rand) (Rou
 	return t.u.AppendTreeRoute(buf, src, dst)
 }
 
-// UpDownTable is the all-links up*/down* Algorithm over a tree: the
-// (node, phase) state-graph distances and per-(node, dst) candidate masks
-// of table.go, compiled from the tree's levels and channel
-// classification. Routes are the shortest *legal* paths, sampled
-// uniformly among legal minimal next hops when an rng is supplied. No
-// figure routes with it (the paper's baseline 1 is the tree path); the
-// churn experiment's dbr contender prices its incremental patching with
-// Recompile. Owned by the Compile caller, like a NewMinimal table: it
-// changes only inside Recompile.
-type UpDownTable struct {
-	*UpDown
-	g   *topology.FlatGraph
-	tab *tables
-}
-
-// Compile builds the all-links up*/down* tables for the tree. The
-// topology must still be in the state the tree was built from.
-func (u *UpDown) Compile() *UpDownTable {
-	t := &UpDownTable{UpDown: u, g: u.topo.Flatten()}
-	t.compile()
-	return t
-}
-
-// compile cold-compiles tab from the tree and the snapshot, reusing its
-// storage (Compile, and Recompile's fallback on the snapshot it took).
-func (u *UpDownTable) compile() {
-	u.tab = compileUpDown(u.tab, u.g, u.level, u.upMask, compileWorkers(u.g.N))
-}
-
-// Name implements Algorithm.
-func (u *UpDownTable) Name() string { return "updown" }
-
-// Distance returns the shortest legal up*/down* hop count from src to dst,
-// or -1 if unreachable under this scheme.
-func (u *UpDownTable) Distance(src, dst geom.NodeID) int {
-	if u.level[src] < 0 || u.level[dst] < 0 {
-		return -1
-	}
-	return int(u.tab.cols[dst].dist[2*int(src)+phaseUp])
-}
-
-// Route implements Algorithm: the shortest legal up*/down* route, sampled
-// uniformly among legal minimal next hops when rng is non-nil.
-func (u *UpDownTable) Route(src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	return u.AppendRoute(nil, src, dst, rng)
-}
-
-// AppendRoute implements RouteAppender: same sampling as Route, hops
-// appended onto buf. Per hop: one candidate-mask byte (nibble-selected
-// by the current phase), one next-hop word, one up-mask bit for the
-// phase transition.
-func (u *UpDownTable) AppendRoute(buf Route, src, dst geom.NodeID, rng *rand.Rand) (Route, bool) {
-	if src == dst {
-		return buf, u.level[src] >= 0
-	}
-	col := &u.tab.cols[dst]
-	if u.level[src] < 0 || col.dist[2*int(src)+phaseUp] < 0 {
-		return buf, false
-	}
-	route := buf
-	cur, phase := int(src), phaseUp
-	for cur != int(dst) {
-		m := col.mask[cur]
-		if phase == phaseUp {
-			m &= 0x0f
-		} else {
-			m >>= 4
-		}
-		d := pickDir(m, rng)
-		if d == geom.Invalid {
-			return buf, false
-		}
-		route = append(route, d)
-		if u.upMask[cur]&(1<<uint(d)) != 0 {
-			phase = phaseUp
-		} else {
-			phase = phaseDown
-		}
-		cur = int(u.g.Next[geom.NumLinkDirs*cur+int(d)])
-	}
-	return route, true
+// TableEntries is the size of an up*/down* routing table over the tree's
+// nodes — per destination column, two state distances (one per phase)
+// and a candidate byte per node, 3n² in all: the churn experiment's
+// whole-table install charge for the tree baselines, as arithmetic.
+func (u *UpDown) TableEntries() int64 {
+	n := int64(len(u.level))
+	return 3 * n * n
 }
