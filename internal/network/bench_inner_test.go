@@ -95,7 +95,7 @@ func BenchmarkTryGrantRejected(b *testing.B) {
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		for ci := 0; ci < total; ci++ {
-			vc, inPort := r.candVC(int32(ci), slots, total)
+			vc := r.candVC(ci)
 			p := vc.Pkt
 			if p == nil || vc.ReadyAt > s.Now {
 				continue
@@ -107,13 +107,13 @@ func BenchmarkTryGrantRejected(b *testing.B) {
 			nb := s.Topo.Neighbor(geom.NodeID(id), out)
 			in := out.Opposite()
 			if s.Routers[nb].Bubble.EligibleFor(in, s.Now) ||
-				s.findFreeVCNoFilter(nb, in, p.Vnet, p.Escaped) >= 0 {
+				s.findFreeVC(nb, in, p, p.Vnet) >= 0 {
 				continue
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if s.tryGrant(r, out, vc, p, inPort, ci) {
+				if s.tryGrant(r, out, ci) {
 					b.Fatal("blocked grant unexpectedly succeeded")
 				}
 			}

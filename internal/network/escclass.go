@@ -59,6 +59,7 @@ func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
 		}
 	}
 	s.escClass = e
+	s.setLanes()
 	s.Wake(0)
 }
 

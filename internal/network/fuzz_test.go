@@ -16,6 +16,7 @@ type buffered struct {
 	at      geom.NodeID
 	in      geom.Direction // the bubble's InPort for its occupant
 	readyAt int64
+	freeAt  int64 // the buffer's, left by its previous occupant
 	hop     int
 	fence   Fence
 }
@@ -26,7 +27,7 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		add := func(vc *VC, in geom.Direction) {
-			snap = append(snap, buffered{p: vc.Pkt, at: r.ID, in: in, readyAt: vc.ReadyAt, hop: vc.Pkt.Hop, fence: r.Fence})
+			snap = append(snap, buffered{p: vc.Pkt, at: r.ID, in: in, readyAt: vc.ReadyAt, freeAt: vc.FreeAt, hop: vc.Pkt.Hop, fence: r.Fence})
 		}
 		for _, in := range geom.AllPorts {
 			for sl := range r.In[in] {
@@ -49,7 +50,9 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 // granted legally:
 //
 //   - it left through its route's next output, onto a live link and into
-//     the neighbor's buffers (or it ejected),
+//     a buffer of the neighbor's that was free (its previous occupant's
+//     tail gone), or it ejected,
+//   - no packet vanished (was overwritten),
 //   - never through an active fence except from the fenced-in port,
 //   - only with its head ready (ReadyAt passed),
 //
@@ -111,8 +114,8 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 		slots := s.Cfg.SlotsPerPort()
 		total := geom.NumPorts * slots
 		cycles := 200 + int(modeByte)
-		var snap []buffered
-		where := make(map[*Packet]geom.NodeID)
+		var snap, after []buffered
+		where := make(map[*Packet]buffered)
 		for cyc := 0; cyc < cycles; cyc++ {
 			if cyc%50 == 25 {
 				mutate()
@@ -135,15 +138,19 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 			step()
 
 			clear(where)
-			for _, b := range snapshotBuffers(s, nil) {
-				where[b.p] = b.at
+			after = snapshotBuffers(s, after)
+			for _, b := range after {
+				where[b.p] = b
 			}
 			for _, b := range snap {
 				p := b.p
 				var out geom.Direction
+				got, buffered := where[p]
 				switch {
 				case p.DeliveredAt >= 0:
 					out = geom.Local
+				case !buffered:
+					t.Fatalf("cycle %d: %v vanished from %v", now, p, b.at)
 				case p.Hop == b.hop:
 					continue // did not move (or slid from the bubble into a VC)
 				case p.Hop == b.hop+1:
@@ -151,8 +158,11 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 					if !s.Topo.HasLink(b.at, out) {
 						t.Fatalf("cycle %d: grant at %v onto dead link %v", now, b.at, out)
 					}
-					if got := where[p]; got != s.Topo.Neighbor(b.at, out) {
-						t.Fatalf("cycle %d: %v left %v through %v but sits at %v", now, p, b.at, out, got)
+					if got.at != s.Topo.Neighbor(b.at, out) {
+						t.Fatalf("cycle %d: %v left %v through %v but sits at %v", now, p, b.at, out, got.at)
+					}
+					if got.freeAt > now {
+						t.Fatalf("cycle %d: %v entered a buffer at %v free only from %d", now, p, got.at, got.freeAt)
 					}
 				default:
 					t.Fatalf("cycle %d: %v advanced from hop %d to %d in one cycle", now, p, b.hop, p.Hop)

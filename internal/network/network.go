@@ -155,8 +155,8 @@ type Sim struct {
 
 	ctr StepperCounters
 	// dense holds the slot-occupancy mirror, the registered request
-	// vectors and the constants of the fused bitset allocation pass (see
-	// dense.go).
+	// vectors, the buffer timer words with their wheel and the constants
+	// of the fused bitset allocation pass (see dense.go).
 	dense denseState
 	// escClass, when non-nil, is the attached escape class (escclass.go).
 	escClass *escapeClass
@@ -193,13 +193,15 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 		r := &s.Routers[id]
 		r.ID = geom.NodeID(id)
 		r.sim = s
+		r.bufs = make([]VC, geom.NumPorts*slots)
 		for p := 0; p < geom.NumPorts; p++ {
-			r.In[p] = make([]VC, slots)
+			r.In[p] = r.bufs[p*slots : (p+1)*slots : (p+1)*slots]
 		}
 		s.NIQueue[id] = make([]NIRing, cfg.NumVnets)
 	}
 	s.seqGather.init(cfg)
 	s.dense.init(n, cfg)
+	s.setLanes()
 	s.active = make([]uint64, (n+63)>>6)
 	s.ids = make([]int32, 0, n)
 	return s
@@ -295,9 +297,11 @@ func (s *Sim) RemovePacket(vc *VC, at geom.NodeID, port geom.Direction) {
 	if p == nil {
 		return
 	}
-	s.occBitClearVC(at, port, vc)
+	ci := s.candIndex(at, port, vc)
+	s.cancelTimer(at, ci) // the head may still be in flight
 	vc.Pkt = nil
 	vc.FreeAt = s.Now
+	s.occBitClear(at, ci, vc.FreeAt)
 	s.occ[at]--
 	if port != geom.Local {
 		s.occNL[at]--
@@ -325,9 +329,11 @@ func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet
 	if vc.Pkt != nil {
 		panic("network: PlacePacket into an occupied VC")
 	}
+	ci := int(in)*s.dense.slots + slot
+	s.cancelTimer(id, ci) // the buffer may still be draining
 	vc.Pkt = p
 	vc.ReadyAt = s.Now
-	s.occBitSet(id, int(in)*s.Cfg.SlotsPerPort()+slot, p)
+	s.occBitSet(id, ci, p, vc.ReadyAt)
 	s.placeAccount(id, in, p)
 }
 
@@ -338,10 +344,11 @@ func (s *Sim) PlaceBubblePacket(id geom.NodeID, in geom.Direction, p *Packet) {
 	if b.VC.Pkt != nil {
 		panic("network: PlaceBubblePacket into an occupied bubble")
 	}
+	s.cancelTimer(id, s.dense.total)
 	b.InPort = in
 	b.VC.Pkt = p
 	b.VC.ReadyAt = s.Now
-	s.occBitSet(id, geom.NumPorts*s.Cfg.SlotsPerPort(), p)
+	s.occBitSet(id, s.dense.total, p, b.VC.ReadyAt)
 	s.placeAccount(id, in, p)
 }
 
@@ -371,9 +378,11 @@ func (s *Sim) DeliverOutOfBand(vc *VC, at geom.NodeID, port geom.Direction, deli
 	if deliverAt < s.Now {
 		deliverAt = s.Now
 	}
-	s.occBitClearVC(at, port, vc)
+	ci := s.candIndex(at, port, vc)
+	s.cancelTimer(at, ci)
 	vc.Pkt = nil
 	vc.FreeAt = s.Now + int64(p.Len)
+	s.occBitClear(at, ci, vc.FreeAt)
 	s.occ[at]--
 	if port != geom.Local {
 		s.occNL[at]--
@@ -436,7 +445,7 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 		vc := &r.In[geom.Local][slot]
 		vc.Pkt = p
 		vc.ReadyAt = s.Now + int64(s.Cfg.RouterLatency)
-		s.occBitSet(id, int(geom.Local)*s.Cfg.SlotsPerPort()+slot, p)
+		s.occBitSet(id, int(geom.Local)*s.dense.slots+slot, p, vc.ReadyAt)
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
@@ -452,30 +461,11 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 // vnet that admit p's class (escclass.go) are considered; a test's
 // reference vcFilter may veto individual slots.
 func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet int) int {
-	if s.vcFilter == nil {
-		return s.findFreeVCNoFilter(node, in, vnet, p.Escaped)
-	}
 	vcs := s.Routers[node].In[in]
 	base := vnet * s.Cfg.VCsPerVnet
 	lo, hi, skip := s.classVCs(p.Escaped)
 	for i := lo; i < hi; i++ {
-		if i != skip && vcs[base+i].Empty(s.Now) && s.vcFilter(p, node, in, i) {
-			return base + i
-		}
-	}
-	return -1
-}
-
-// findFreeVCNoFilter is findFreeVC without a vcFilter (the fused
-// allocation pass, which memoizes the answer per (output, vnet, class)):
-// the result depends only on (node, in, vnet, escaped), not on the
-// packet.
-func (s *Sim) findFreeVCNoFilter(node geom.NodeID, in geom.Direction, vnet int, escaped bool) int {
-	vcs := s.Routers[node].In[in]
-	base := vnet * s.Cfg.VCsPerVnet
-	lo, hi, skip := s.classVCs(escaped)
-	for i := lo; i < hi; i++ {
-		if i != skip && vcs[base+i].Empty(s.Now) {
+		if i != skip && vcs[base+i].Empty(s.Now) && (s.vcFilter == nil || s.vcFilter(p, node, in, i)) {
 			return base + i
 		}
 	}

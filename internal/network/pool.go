@@ -27,7 +27,7 @@ import (
 //     (traffic.Injector) and cross-sim route sharing (the differential
 //     harness drives several Sims off one route slice) safe.
 //   - A *Packet obtained from NewPacket is owned by the Sim from
-//     delivery/loss onward: tryGrant's local-ejection branch,
+//     delivery/loss onward: grant's local-ejection branch,
 //     DeliverOutOfBand, RemovePacket and DiscardQueued all return it to
 //     the pool. Holders that outlive delivery must use Packet.Ref; a
 //     reserved packet is recycled like any other, so the same rule holds.

@@ -33,6 +33,7 @@ func fullScan(s *Sim) {
 		f(s)
 	}
 	s.Now++
+	s.ExpireTimers()
 }
 
 // TestPropDenseSparseEquivalence is the in-package half of the

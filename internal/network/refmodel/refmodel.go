@@ -54,6 +54,7 @@ func (st *Stepper) Step() {
 		f(s)
 	}
 	s.Now++
+	s.ExpireTimers()
 }
 
 // Run advances the simulation by n cycles.

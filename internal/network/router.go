@@ -49,6 +49,10 @@ type Router struct {
 	Bubble    Bubble
 
 	saPtr [geom.NumPorts]int
+	// bufs holds the router's input VCs in candidate-index order
+	// (in*slots+sl); In[port] are its sub-slices, so a candidate index
+	// addresses its buffer directly.
+	bufs []VC
 	// sim points back to the owning Sim: the hot per-router counters
 	// (occupancy, grants) live there in struct-of-arrays layout and are
 	// reached through it by the accessors below.
@@ -105,13 +109,12 @@ func (g *allocGather) init(cfg Config) {
 	}
 }
 
-// candVC resolves a candidate index to its buffer and input port.
-func (r *Router) candVC(ci int32, slots, total int) (*VC, geom.Direction) {
-	if int(ci) == total {
-		return &r.Bubble.VC, r.Bubble.InPort
+// candVC resolves a candidate index to its buffer.
+func (r *Router) candVC(ci int) *VC {
+	if ci < len(r.bufs) {
+		return &r.bufs[ci]
 	}
-	inPort := geom.Direction(ci / int32(slots))
-	return &r.In[inPort][ci%int32(slots)], inPort
+	return &r.Bubble.VC
 }
 
 // gatherAllocate buckets router id's ready heads by desired output and
@@ -174,7 +177,7 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
 			keep := cands[:0]
 			for _, ci := range cands {
-				vc, _ := r.candVC(ci, slots, total)
+				vc := r.candVC(int(ci))
 				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
 					keep = append(keep, ci)
 				}
@@ -194,8 +197,7 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 // can move.
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
-	slots := s.Cfg.SlotsPerPort()
-	total := geom.NumPorts * slots
+	total := len(r.bufs)
 	for _, out := range geom.AllPorts {
 		cands := g.cand[out]
 		n := len(cands)
@@ -213,8 +215,7 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 		}
 		for k := 0; k < n; k++ {
 			ci := cands[(start+k)%n]
-			vc, inPort := r.candVC(ci, slots, total)
-			if s.tryGrant(r, out, vc, vc.Pkt, inPort, int(ci)) {
+			if s.tryGrant(r, out, int(ci)) {
 				r.saPtr[out] = (int(ci) + 1) % (total + 1)
 				break
 			}
@@ -241,26 +242,55 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 	vc := &s.Routers[id].In[b.InPort][slot]
 	vc.Pkt = p
 	vc.ReadyAt = s.Now + 1
-	s.occBitSet(id, int(b.InPort)*s.Cfg.SlotsPerPort()+slot, p)
+	s.occBitSet(id, int(b.InPort)*s.dense.slots+slot, p, vc.ReadyAt)
 	b.VC.Pkt = nil
 	b.VC.FreeAt = s.Now + 1
-	s.occBitClear(id, geom.NumPorts*s.Cfg.SlotsPerPort())
+	s.occBitClear(id, s.dense.total, b.VC.FreeAt)
 	s.Stats.BubbleTransfers++
 	s.LastProgress = s.Now
 }
 
-// tryGrant moves p out of vc through output port out: ejection when out is
-// Local, else into a free downstream VC (or an eligible static bubble).
-// inPort is the port vc lives on (for occupancy bookkeeping) and ci the
-// candidate index of vc (for the slot-occupancy mirror). Returns false
-// if no downstream buffer is available.
-func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort geom.Direction, ci int) bool {
+// tryGrant moves the packet in router r's buffer ci (a candidate index)
+// out through output port out: ejection when out is Local, else into the
+// first free downstream VC of its vnet and class, or failing that an
+// eligible static bubble. Returns false, changing nothing, if no
+// downstream buffer is available. It scans the downstream buffers
+// themselves — the reference answer the fused pass reads off words —
+// and ends in the one grant body.
+func (s *Sim) tryGrant(r *Router, out geom.Direction, ci int) bool {
+	dst := 0
+	if out != geom.Local {
+		p := r.candVC(ci).Pkt
+		nb, in := s.Topo.Neighbor(r.ID, out), out.Opposite()
+		if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
+			dst = int(in)*s.dense.slots + slot
+		} else if s.Routers[nb].Bubble.EligibleFor(in, s.Now) {
+			dst = s.dense.total
+		} else {
+			return false
+		}
+	}
+	s.grant(r, out, ci, dst)
+	return true
+}
+
+// grant moves the packet in router r's buffer ci out through output port
+// out: ejection when out is Local, else into the neighbour's buffer dst
+// (a candidate index there; the bubble's for a bubble occupancy), which
+// the caller has found free.
+func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
+	vc := r.candVC(ci)
+	p := vc.Pkt
 	length := int64(p.Len)
+	// A regular buffer's input port is Local iff its index is past the
+	// link ports'; the bubble's is its InPort.
+	nonLocal := ci < int(geom.Local)*s.dense.slots ||
+		(ci == s.dense.total && r.Bubble.InPort != geom.Local)
+	s.grantN[r.ID]++
+	vc.Pkt = nil
+	vc.FreeAt = s.Now + length
+	s.occBitClear(r.ID, ci, vc.FreeAt)
 	if out == geom.Local {
-		s.grantN[r.ID]++
-		vc.Pkt = nil
-		vc.FreeAt = s.Now + length
-		s.occBitClear(r.ID, ci)
 		r.OutFreeAt[geom.Local] = s.Now + length
 		p.DeliveredAt = s.Now + int64(s.Cfg.RouterLatency) + length - 1
 		s.Stats.DeliveredFlits += length
@@ -270,46 +300,31 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, vc *VC, p *Packet, inPort 
 		}
 		s.inFlight--
 		s.occ[r.ID]--
-		if inPort != geom.Local {
+		if nonLocal {
 			s.occNL[r.ID]--
 		}
 		s.LastProgress = s.Now
 		s.releasePacket(p)
-		return true
+		return
 	}
 	nb := s.Topo.Neighbor(r.ID, out)
-	nbr := &s.Routers[nb]
-	in := out.Opposite()
-	var dst *VC
-	var dstBit int
-	if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
-		dst = &nbr.In[in][slot]
-		dstBit = int(in)*s.Cfg.SlotsPerPort() + slot
-	} else if nbr.Bubble.EligibleFor(in, s.Now) {
-		dst = &nbr.Bubble.VC
-		dstBit = geom.NumPorts * s.Cfg.SlotsPerPort()
+	to := s.Routers[nb].candVC(dst)
+	if dst == s.dense.total {
 		s.Stats.BubbleOccupancies++
-	} else {
-		return false
 	}
-	s.grantN[r.ID]++
-	vc.Pkt = nil
-	vc.FreeAt = s.Now + length
-	s.occBitClear(r.ID, ci)
-	dst.Pkt = p
-	dst.ReadyAt = s.Now + int64(s.Cfg.RouterLatency+s.Cfg.LinkLatency)
+	to.Pkt = p
+	to.ReadyAt = s.Now + int64(s.Cfg.RouterLatency+s.Cfg.LinkLatency)
 	p.Hop++
-	s.occBitSet(nb, dstBit, p) // after the move: it derives p's next hop at nb
+	s.occBitSet(nb, dst, p, to.ReadyAt) // after the move: it derives p's next hop at nb
 	r.OutFreeAt[out] = s.Now + length
 	s.Stats.LinkCycles[ClassFlit] += length
 	s.Stats.HopMoves++
 	s.occ[r.ID]--
-	if inPort != geom.Local {
+	if nonLocal {
 		s.occNL[r.ID]--
 	}
 	s.occ[nb]++
 	s.occNL[nb]++ // arrivals always land on a link-side port
 	s.markActive(nb)
 	s.LastProgress = s.Now
-	return true
 }

@@ -29,18 +29,26 @@ package network
 // id within each) is the full scan's. The refmodel differential harness
 // checks the result cycle by cycle.
 //
-// Downstream availability. The fused pass (dense.go) asks "is there a
-// free VC of this vnet and class downstream" once per (output, vnet,
-// class) and the hop class counts free VCs once per (direction, vnet)
-// per visit; the refmodel's gather and tryGrant scan per candidate. They
-// agree because the pool behind output out — input port out.Opposite()
-// of the neighbour — is filled only by this router, its unique upstream
-// on that port (the downstream bubble admits only packets arriving on
-// its InPort, so it has one writer too). Injection fills local ports and bubble transfers run
-// after every allocation. Every other grant only drains the pool, and a
-// drained VC advertises FreeAt = now+len, so it stays non-Empty for the
-// rest of the cycle. A count taken anywhere in this router's visit
-// before its own grant through out is therefore the refmodel's.
+// Downstream availability. The fused pass (dense.go) reads it off the
+// neighbour's occupancy and drain words at the moment it arbitrates each
+// output — the same instant the refmodel's tryGrant scans the buffers,
+// and the words equal Empty(now) for every buffer at every instant, so
+// the two agree without further argument. The hop class counts free VCs
+// once per (direction, vnet) per visit, before any of the router's
+// grants; the refmodel counts per packet. They agree because the pool
+// behind output out — input port out.Opposite() of the neighbour — is
+// filled only by this router, its unique upstream on that port (the
+// downstream bubble admits only packets arriving on its InPort, so it
+// has one writer too). Injection fills local ports and bubble transfers
+// run after every allocation. Every other grant only drains the pool,
+// and a drained VC advertises FreeAt = now+len, so it stays non-Empty
+// for the rest of the cycle. A count taken anywhere in this router's
+// visit before its own grant through out is therefore the refmodel's.
+//
+// Timers. Step expires the buffer timers (ExpireTimers, dense.go) right
+// after it advances the clock, so between cycles and throughout the next
+// one the pend and drain words equal the VC timers; the refmodel's full
+// scan does the same.
 
 import (
 	"math/bits"
@@ -64,9 +72,12 @@ func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
 // re-enabling a router or link or clearing a fence needs no call. Call
 // Wake after moving buffered packets between occupied slots by hand
 // (core's SPIN rotation rewrites vc.Pkt, ReadyAt and p.Hop along a
-// chain). It does not make a packet written into an *empty* buffer
-// visible to the stepper: occupancy is tracked by counters, so packets
-// enter buffers only through Enqueue, PlacePacket or PlaceBubblePacket.
+// chain): the rebuild re-derives pend from ReadyAt and re-files its
+// timers. It does not make a packet written into an *empty* buffer
+// visible to the stepper: occupancy is tracked by counters and the
+// occupancy mirror — the fused pass may grant another packet into that
+// buffer — so packets enter buffers only through Enqueue, PlacePacket or
+// PlaceBubblePacket.
 func (s *Sim) Wake(n geom.NodeID) {
 	s.dense.stale = true
 }
@@ -137,6 +148,7 @@ func (s *Sim) Step() {
 		f(s)
 	}
 	s.Now++
+	s.ExpireTimers()
 	s.ctr.DenseCycles++
 }
 

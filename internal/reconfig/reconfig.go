@@ -77,9 +77,10 @@ type Manager struct {
 	Dropped int64
 	// Rerouted counts packets whose route was recomputed in place.
 	Rerouted int64
-	// routeBuf is the reroute scratch: repairTraffic builds replacement
+	// routeBuf is the route scratch: repairTraffic builds replacement
 	// routes here and Sim.SetRoute copies them into the packet's arena
-	// span, so repairs don't allocate per packet.
+	// span, so repairs don't allocate per packet; Route builds here and
+	// returns a copy.
 	routeBuf routing.Route
 }
 
@@ -136,14 +137,17 @@ func (m *Manager) rebuild() {
 // Route returns a minimal route from src to dst that avoids routers
 // pending gating, or ok=false if none exists. Use this instead of a raw
 // routing.Minimal while gating operations are in progress.
-// The result is sized from the table's distance: one allocation per
-// route when no detour is needed.
+// The route is built in the manager's scratch and returned as one
+// exact-size copy: the table is walked once.
 func (m *Manager) Route(src, dst geom.NodeID) (routing.Route, bool) {
-	r, ok := m.appendRoute(make(routing.Route, 0, max(m.minimal.Distance(src, dst), 0)), src, dst)
+	r, ok := m.appendRoute(m.routeBuf[:0], src, dst)
 	if !ok {
 		return nil, false
 	}
-	return r, true
+	m.routeBuf = r[:0]
+	out := make(routing.Route, len(r))
+	copy(out, r)
+	return out, true
 }
 
 // appendRoute is Route with the hops appended onto buf; on ok=false buf

@@ -349,3 +349,33 @@ func TestManagerAppendRouteMatchesRoute(t *testing.T) {
 		t.Fatalf("Route allocated %v times per route, want 1", a)
 	}
 }
+
+// TestRouteMatchesAppendRoute pins Route to the table's own sampling:
+// with no gate pending, the route it returns for every pair is the one
+// Minimal.AppendRoute samples from the same rng state, in a slice of
+// exactly its length, and it consumes exactly the draws AppendRoute
+// does — the next draw of Sim.Rng matches a twin stream's.
+func TestRouteMatchesAppendRoute(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.RandomIrregular(8, 8, topology.LinkFaults, 12, 7),
+		topology.NewMesh(32, 32),
+	} {
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(3)))
+		m := New(s)
+		tab, twin := routing.NewMinimal(topo), rand.New(rand.NewSource(3))
+		n := geom.NodeID(topo.NumNodes())
+		for src := geom.NodeID(0); src < n; src++ {
+			for dst := geom.NodeID(0); dst < n; dst++ {
+				got, ok := m.Route(src, dst)
+				want, wantOK := tab.AppendRoute(nil, src, dst, twin)
+				if ok != wantOK || !slices.Equal(got, want) || (ok && cap(got) != len(got)) {
+					t.Fatalf("%dx%d %v->%v: Route %v (ok %v, cap %d), AppendRoute %v (ok %v)",
+						topo.Width(), topo.Height(), src, dst, got, ok, cap(got), want, wantOK)
+				}
+				if a, b := s.Rng.Int63(), twin.Int63(); a != b {
+					t.Fatalf("%v->%v: next draw %d, twin's %d", src, dst, a, b)
+				}
+			}
+		}
+	}
+}

@@ -98,20 +98,23 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if mirror := s.OccupancyMirror(geom.NodeID(id)); mirror != occWord {
 			report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, occWord)
 		}
-		// The registered request vectors, while live, must equal what the
-		// buffers say: the fused allocator reads them in place of the
-		// packets, so a drifted bit misroutes or strands a head under Step
-		// and nowhere else. pend may lag behind arrivals (the allocator
-		// retires it lazily) but must cover every head still in flight.
+		// The registered request vectors and timer words, while live, must
+		// equal what the buffers say: the fused allocator reads them in
+		// place of the packets and the downstream buffers, so a drifted bit
+		// misroutes, strands or overwrites a packet under Step and nowhere
+		// else. pend is exactly the heads still in flight, drain exactly
+		// the empty buffers whose tail is still streaming out.
 		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
 			var expWant [geom.NumPorts]uint64
-			var occupied, inFlight, expEsc, expChoose uint64
+			var inFlight, draining, expEsc, expChoose uint64
 			stride := geom.NumPorts*slots + 1
 			note := func(vc *network.VC, bit int) {
 				if vc.Pkt == nil {
+					if vc.FreeAt > s.Now {
+						draining |= 1 << uint(bit)
+					}
 					return
 				}
-				occupied |= 1 << uint(bit)
 				// Under a hop class only the fixed hops are want bits: a
 				// packet with several minimal directions is registered in
 				// the class's word, its mask byte beside it.
@@ -143,8 +146,11 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			if want != expWant {
 				report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
 			}
-			if pend&^occupied != 0 || inFlight&^pend != 0 {
-				report("request-vectors", "router %d: pend %#x outside [in-flight %#x, occupied %#x]", id, pend, inFlight, occupied)
+			if pend != inFlight {
+				report("request-vectors", "router %d: pend %#x != heads in flight %#x", id, pend, inFlight)
+			}
+			if drain, _ := s.DrainVector(geom.NodeID(id)); drain != draining {
+				report("request-vectors", "router %d: drain %#x != draining buffers %#x", id, drain, draining)
 			}
 			if esc, _ := s.EscapedVector(geom.NodeID(id)); hasClass && esc != expEsc {
 				report("escape-class", "router %d: class word %#x != actual %#x", id, esc, expEsc)
