@@ -74,12 +74,9 @@ func Ablation(p Params) []AblationRow {
 				})
 				var r res
 				r.Buffers = len(c.BubbleRouters())
-				total := primeSquareLoop(s, pos[0], pos[1], 10)
-				start := s.Now
-				for s.Stats.Delivered < int64(total) && s.Now-start < 200000 {
-					s.Step()
-				}
-				r.RecoveryCycles = float64(s.Now - start)
+				primeSquareLoop(s, pos[0], pos[1], 10)
+				m := Run(s, nil, Phases{Drain: 200000})
+				r.RecoveryCycles = float64(m.DrainCycles)
 				r.Recov = float64(s.Stats.DeadlockRecoveries)
 				r.CheckProbes = float64(s.Stats.CheckProbesSent)
 				return r, nil
@@ -106,8 +103,8 @@ func Ablation(p Params) []AblationRow {
 }
 
 // primeSquareLoop wedges the unit square at (x, y) with clockwise 2-hop
-// streams, perNode packets per corner, and returns the total offered.
-func primeSquareLoop(s *network.Sim, x, y, perNode int) int {
+// streams, perNode packets per corner.
+func primeSquareLoop(s *network.Sim, x, y, perNode int) {
 	topo := s.Topo
 	loop := []geom.NodeID{
 		topo.ID(geom.Coord{X: x, Y: y}),
@@ -115,17 +112,14 @@ func primeSquareLoop(s *network.Sim, x, y, perNode int) int {
 		topo.ID(geom.Coord{X: x + 1, Y: y + 1}),
 		topo.ID(geom.Coord{X: x + 1, Y: y}),
 	}
-	total := 0
 	for i, n := range loop {
 		next, next2 := loop[(i+1)%4], loop[(i+2)%4]
 		d1 := geom.DirectionBetween(topo.Coord(n), topo.Coord(next))
 		d2 := geom.DirectionBetween(topo.Coord(next), topo.Coord(next2))
 		for k := 0; k < perNode; k++ {
 			s.Enqueue(s.NewPacket(n, next2, 0, 5, routing.Route{d1, d2}))
-			total++
 		}
 	}
-	return total
 }
 
 func ablationTable(rows []AblationRow) Table {

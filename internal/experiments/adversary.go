@@ -81,6 +81,7 @@ func adversaryCellKey(p Params, sp adversary.Space, g adversary.Gene) *sweep.Key
 // configured traffic process for warmup+measure, then attempt a bounded
 // drain to detect a wedged network. Deterministic per (gene, seed).
 func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int64) adversary.Outcome {
+	p = p.withDefaults()
 	kind := topology.LinkFaults
 	if sp.FaultKinds[g.Kind] == "router" {
 		kind = topology.RouterFaults
@@ -110,7 +111,7 @@ func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int6
 	alive := topo.AliveRouters()
 	pattern := inst.Pattern(sp.Patterns[g.Pattern])
 	rate := sp.Rates[g.Rate]
-	var inj interface{ Tick(*network.Sim) }
+	var inj Source
 	switch sp.Traffics[g.Traffic] {
 	case "pareto":
 		inj = traffic.NewParetoOnOff(alive, inst.Alg, pattern, rate,
@@ -128,7 +129,7 @@ func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int6
 		inj = inst.Injector(pattern, rate, sweep.SubSeed(seed, 2))
 	}
 
-	m := measure(p, inst, inj)
+	m := Run(s, inj, Phases{Warmup: p.WarmupCycles, Measure: p.MeasureCycles})
 
 	var out adversary.Outcome
 	out.Recoveries = m.Stats.DeadlockRecoveries

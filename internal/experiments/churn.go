@@ -438,13 +438,19 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	nextFail := int64(1 + erng.ExpFloat64()*cfg.MeanFail)
 
 	horizon := int64(cfg.Cycles)
-	for cyc := int64(0); cyc < horizon; cyc++ {
+	drainCap := 40 * p.Width * p.Height * 10
+	Run(s, SourceFunc(func(s *network.Sim) {
 		now := s.Now
 		// Due recoveries first (they were scheduled before this fail).
+		// They keep firing on time after the horizon, while the network
+		// drains; nothing else does.
 		for len(recovers) > 0 && recovers[0].at <= now {
 			ev := recovers[0].ev
 			recovers = recovers[:copy(recovers, recovers[1:])]
 			submitEvent(ev, now)
+		}
+		if now >= horizon {
+			return
 		}
 		if now >= nextFail {
 			nextFail = now + 1 + int64(erng.ExpFloat64()*cfg.MeanFail)
@@ -524,22 +530,9 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 				}
 			}
 		}
-		s.Step()
-	}
-	// Drain: stop injecting and failing, apply the remaining scheduled
-	// recoveries on time, and let in-flight traffic land.
-	for i := int64(0); i < 40*int64(p.Width*p.Height)*10; i++ {
-		now := s.Now
-		for len(recovers) > 0 && recovers[0].at <= now {
-			ev := recovers[0].ev
-			recovers = recovers[:copy(recovers, recovers[1:])]
-			submitEvent(ev, now)
-		}
-		if len(recovers) == 0 && s.InFlight()+s.QueuedPackets() == 0 {
-			break
-		}
-		s.Step()
-	}
+	}), Phases{Measure: cfg.Cycles + drainCap, Stop: func(s *network.Sim) bool {
+		return s.Now >= horizon && len(recovers) == 0 && s.InFlight()+s.QueuedPackets() == 0
+	}})
 	// Close the books: events still open are censored at the final cycle.
 	endNow := s.Now
 	for _, e := range open {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -500,7 +501,7 @@ func TestMeasureWindowing(t *testing.T) {
 	p.MeasureCycles = 1500
 	inst := p.Build(topology.NewMesh(4, 4), StaticBubble, 1)
 	inj := inst.Injector(inst.Pattern("uniform_random"), 0.05, 2)
-	m := measure(p, inst, inj)
+	m := Run(inst.Sim, inj, Phases{Warmup: p.WarmupCycles, Measure: p.MeasureCycles})
 	if m.Delivered <= 0 {
 		t.Fatal("no deliveries in the window")
 	}
@@ -514,5 +515,30 @@ func TestMeasureWindowing(t *testing.T) {
 	// traffic existed).
 	if m.Delivered >= m.Stats.Delivered {
 		t.Fatal("window should exclude warmup deliveries")
+	}
+}
+
+// TestRunDrainAndStop: the drain phase ticks no source and ends once the
+// network is empty, and Stop ends the run wherever it fires, drain
+// included.
+func TestRunDrainAndStop(t *testing.T) {
+	run := func(stopAt int64) RunMetrics {
+		inst := Quick().Build(topology.NewMesh(4, 4), StaticBubble, 1)
+		inj := inst.Injector(inst.Pattern("uniform_random"), 0.1, 2)
+		return Run(inst.Sim, inj, Phases{Warmup: 100, Measure: 200, Drain: 5000,
+			Stop: func(s *network.Sim) bool { return s.Now == stopAt }})
+	}
+	m := run(-1)
+	if m.Left != 0 || m.DrainCycles == 0 || m.DrainCycles >= 5000 || m.Cycles != 300+m.DrainCycles {
+		t.Fatalf("drain: %d left after %d drain cycles, clock %d", m.Left, m.DrainCycles, m.Cycles)
+	}
+	if m.Stats.Offered != m.Stats.Delivered {
+		t.Fatalf("the drain offered traffic or lost it: %+v", m.Stats)
+	}
+	if m := run(150); m.Cycles != 150 || m.DrainCycles != 0 {
+		t.Fatalf("stopped in the measure phase: clock %d, %d drain cycles", m.Cycles, m.DrainCycles)
+	}
+	if half := run(300 + m.DrainCycles/2); half.DrainCycles != m.DrainCycles/2 || half.Left == 0 {
+		t.Fatalf("stopped in the drain: %d drain cycles, %d left", half.DrainCycles, half.Left)
 	}
 }

@@ -170,7 +170,8 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	// reconfiguration downtime, not congestion (tree saturates near
 	// 0.06 flits/node/cycle; this offers ~0.024).
 	offer := traffic.NewBernoulli(0.008)
-	for cyc := 0; cyc < horizon; cyc++ {
+	Run(s, SourceFunc(func(s *network.Sim) {
+		cyc := int(s.Now)
 		if failures > 0 && cyc > 0 && cyc%failEvery == 0 && cyc/failEvery <= failures {
 			// Fail a random alive link; the manager repairs or drops
 			// affected traffic, then the scheme rebuilds its structures.
@@ -184,33 +185,29 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 			}
 			stallUntil = cyc + stall
 		}
-		if cyc >= stallUntil {
-			for n := 0; n < topo.NumNodes(); n++ {
-				src := geom.NodeID(n)
-				if !topo.RouterAlive(src) || !offer.Draw(rng) {
-					continue
+		if cyc < stallUntil {
+			return
+		}
+		for n := 0; n < topo.NumNodes(); n++ {
+			src := geom.NodeID(n)
+			if !topo.RouterAlive(src) || !offer.Draw(rng) {
+				continue
+			}
+			dst := geom.NodeID(rng.Intn(topo.NumNodes()))
+			if dst == src || !topo.RouterAlive(dst) {
+				continue
+			}
+			if r, ok := alg.Route(src, dst, rng); ok {
+				ln := 1
+				if rng.Intn(2) == 0 {
+					ln = 5
 				}
-				dst := geom.NodeID(rng.Intn(topo.NumNodes()))
-				if dst == src || !topo.RouterAlive(dst) {
-					continue
-				}
-				if r, ok := alg.Route(src, dst, rng); ok {
-					ln := 1
-					if rng.Intn(2) == 0 {
-						ln = 5
-					}
-					s.Enqueue(s.NewPacket(src, dst, rng.Intn(3), ln, r))
-				} else {
-					s.Drop()
-				}
+				s.Enqueue(s.NewPacket(src, dst, rng.Intn(3), ln, r))
+			} else {
+				s.Drop()
 			}
 		}
-		s.Step()
-	}
-	// Drain.
-	for i := 0; i < 20*horizon && s.InFlight()+s.QueuedPackets() > 0; i += 100 {
-		s.Run(100)
-	}
+	}), Phases{Warmup: p.WarmupCycles, Measure: p.MeasureCycles, Drain: 20 * horizon})
 	out.Delivered = s.Stats.Delivered
 	out.Lost = s.Stats.Lost
 	out.Avg = lat.Mean()

@@ -100,18 +100,12 @@ func deadlocksAt(p Params, topo *topology.Topology, rate float64, seed int64) bo
 	alive := topo.AliveRouters()
 	inj := traffic.NewInjector(alive, routing.MinimalFor(topo), traffic.NewUniformRandom(alive), rate,
 		rand.New(rand.NewSource(seed+7777)))
-	horizon := p.WarmupCycles + p.MeasureCycles
-	for c := 0; c < horizon; c++ {
-		inj.Tick(s)
-		s.Step()
-		// The exact drainability analyzer catches localized deadlocks that
-		// a global-progress watcher would miss while unrelated traffic
-		// still flows.
-		if c%500 == 499 && deadlock.IsDeadlocked(s) {
-			return true
-		}
-	}
-	return deadlock.IsDeadlocked(s)
+	// The exact drainability analyzer catches localized deadlocks that a
+	// global-progress watcher would miss while unrelated traffic still
+	// flows. A run that ends before its horizon was stopped by it.
+	m := Run(s, inj, Phases{Warmup: p.WarmupCycles, Measure: p.MeasureCycles,
+		Stop: func(s *network.Sim) bool { return s.Now%500 == 0 && s.Now > 0 && deadlock.IsDeadlocked(s) }})
+	return m.Cycles < int64(p.WarmupCycles+p.MeasureCycles) || deadlock.IsDeadlocked(s)
 }
 
 // fig3Tables renders the heat map twice: a rate × fault-count grid of

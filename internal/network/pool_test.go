@@ -3,6 +3,7 @@ package network
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -269,13 +270,41 @@ func TestPrewarmPoolNeutral(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap allocations f makes.
-func mallocs(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// mallocs returns the heap objects the simulator's own code allocates
+// while f runs. It samples every allocation with its stack and counts
+// those made under a non-test frame of this package, so what the runtime
+// allocates for itself meanwhile (a new M, a goroutine stack) does not
+// count. Two collections publish the profile up to the read.
+func mallocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	count := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		n, ok := runtime.MemProfile(nil, true)
+		var recs []runtime.MemProfileRecord
+		for !ok {
+			recs = make([]runtime.MemProfileRecord, n+50)
+			n, ok = runtime.MemProfile(recs, true)
+		}
+		var objs int64
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for fr, more := frames.Next(); ; fr, more = frames.Next() {
+				if strings.HasPrefix(fr.Function, "repro/internal/network.") && !strings.HasSuffix(fr.File, "_test.go") {
+					objs += r.AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return objs
+	}
+	before := count()
 	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return count() - before
 }
 
 // TestPrewarmPoolReserves: PrewarmPool's cost does not depend on the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -300,11 +299,7 @@ func TestRecompileAllocatesNoTable(t *testing.T) {
 		min.Recompile(topo)
 	}
 	flap()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	flap()
-	runtime.ReadMemStats(&m1)
-	got := m1.TotalAlloc - m0.TotalAlloc
+	got := allocBytes(flap)
 	if got > 256<<10 {
 		t.Fatalf("fail+recover allocated %d B, want <= %d", got, 256<<10)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -64,6 +65,43 @@ func checkSharedMatchesOwned(t *testing.T, topo *topology.Topology) {
 	}
 }
 
+// allocBytes returns the heap bytes this package's own code allocates
+// while f runs. It samples every allocation with its stack and counts
+// those made under a non-test frame of this package, so what the runtime
+// and other tests allocate meanwhile does not count. Two collections
+// publish the profile up to the read.
+func allocBytes(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	count := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		n, ok := runtime.MemProfile(nil, true)
+		var recs []runtime.MemProfileRecord
+		for !ok {
+			recs = make([]runtime.MemProfileRecord, n+50)
+			n, ok = runtime.MemProfile(recs, true)
+		}
+		var bytes int64
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for fr, more := frames.Next(); ; fr, more = frames.Next() {
+				if strings.HasPrefix(fr.Function, "repro/internal/routing.") && !strings.HasSuffix(fr.File, "_test.go") {
+					bytes += r.AllocBytes
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return bytes
+	}
+	before := count()
+	f()
+	return count() - before
+}
+
 // TestMinimalForHoldsNoDistances pins the shared table's footprint: a
 // cold 32x32 MinimalFor keeps masks only (the distance-keeping compile
 // allocates ~3.2 MB, two thirds of it distances).
@@ -71,11 +109,8 @@ func TestMinimalForHoldsNoDistances(t *testing.T) {
 	ResetTableCache()
 	defer ResetTableCache()
 	topo := topology.NewMesh(32, 32)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	m := MinimalFor(topo)
-	runtime.ReadMemStats(&m1)
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1_400_000 {
+	var m *Minimal
+	if got := allocBytes(func() { m = MinimalFor(topo) }); got > 1_400_000 {
 		t.Fatalf("cold MinimalFor allocated %d B, want <= 1400000", got)
 	} else {
 		t.Logf("cold MinimalFor allocated %d B", got)

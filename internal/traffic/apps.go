@@ -75,12 +75,16 @@ func Parsec() []AppProfile {
 	}
 }
 
-// AppRun drives one application profile over a simulator until the work
-// completes or maxCycles elapse.
+// AppRun is the source of one application profile: Tick offers its
+// traffic, Done reports its work delivered, and Result sums up the run
+// since NewAppRun.
 type AppRun struct {
 	Profile AppProfile
 	inj     *Injector
 	phase   int // cycle counter within the burst/idle period
+	// start is the simulator clock, and delivered and offered its
+	// packet counters, when the run began.
+	start, delivered, offered int64
 	// outstanding tracks each node's in-flight requests in closed-loop
 	// mode by packet id (packets are pool-recycled at delivery, so
 	// holding *Packet across cycles is forbidden); doneAt latches each
@@ -112,6 +116,9 @@ func NewAppRun(s *network.Sim, alg routing.Algorithm, p AppProfile, rng *rand.Ra
 	return &AppRun{
 		Profile:     p,
 		inj:         inj,
+		start:       s.Now,
+		delivered:   s.Stats.Delivered,
+		offered:     s.Stats.Offered,
 		outstanding: make(map[geom.NodeID][]int64),
 		doneAt:      make(map[int64]int64),
 		nextIssueAt: make(map[geom.NodeID]int64),
@@ -214,52 +221,46 @@ type Result struct {
 	Delivered  int64
 	Completed  bool
 	Throughput float64 // delivered packets per cycle
-	AvgLatency float64
 }
 
-// Run executes the application until its work completes or maxCycles
-// elapse, and reports the outcome.
-func (a *AppRun) Run(s *network.Sim, maxCycles int) Result {
+// work returns the packets offered and delivered since the run began.
+func (a *AppRun) work(s *network.Sim) (offered, delivered int64) {
+	return s.Stats.Offered - a.offered, s.Stats.Delivered - a.delivered
+}
+
+// Done reports whether the work has been generated and delivered.
+// Packets dropped as unroutable never count as work.
+func (a *AppRun) Done(s *network.Sim) bool {
+	offered, delivered := a.work(s)
+	return offered >= int64(a.Profile.WorkPackets) && delivered >= offered
+}
+
+// Tick offers one cycle of traffic while work remains to be generated
+// and the profile is in a burst phase.
+func (a *AppRun) Tick(s *network.Sim) {
 	p := a.Profile
-	period := p.BurstLen + p.IdleLen
-	start := s.Now
-	startDelivered := s.Stats.Delivered
-	startOffered := s.Stats.Offered
-	startDropped := s.Stats.DroppedUnreachable
-	for int(s.Now-start) < maxCycles {
-		offered := s.Stats.Offered - startOffered
-		dropped := s.Stats.DroppedUnreachable - startDropped
-		delivered := s.Stats.Delivered - startDelivered
-		// The run completes when the generated (routable) work has
-		// drained. Dropped packets never count as work.
-		if offered >= int64(p.WorkPackets) && delivered >= offered {
-			break
+	offered, _ := a.work(s)
+	inBurst := p.IdleLen == 0 || a.phase%(p.BurstLen+p.IdleLen) < p.BurstLen
+	if inBurst && offered < int64(p.WorkPackets) {
+		if p.OutstandingWindow > 0 {
+			a.tickClosedLoop(s, int64(p.WorkPackets)-offered)
+		} else {
+			a.inj.Tick(s)
 		}
-		_ = dropped
-		// Offer traffic only while work remains to be generated and we
-		// are in a burst phase.
-		inBurst := p.IdleLen == 0 || a.phase%period < p.BurstLen
-		if inBurst && offered < int64(p.WorkPackets) {
-			if p.OutstandingWindow > 0 {
-				a.tickClosedLoop(s, int64(p.WorkPackets)-offered)
-			} else {
-				a.inj.Tick(s)
-			}
-		}
-		s.Step()
-		a.phase++
 	}
-	offered := s.Stats.Offered - startOffered
-	delivered := s.Stats.Delivered - startDelivered
-	runtime := s.Now - start
+	a.phase++
+}
+
+// Result reports the run so far.
+func (a *AppRun) Result(s *network.Sim) Result {
+	_, delivered := a.work(s)
 	res := Result{
-		Runtime:    runtime,
-		Delivered:  delivered,
-		Completed:  offered >= int64(p.WorkPackets) && delivered >= offered,
-		AvgLatency: s.Stats.AvgLatency(),
+		Runtime:   s.Now - a.start,
+		Delivered: delivered,
+		Completed: a.Done(s),
 	}
-	if runtime > 0 {
-		res.Throughput = float64(delivered) / float64(runtime)
+	if res.Runtime > 0 {
+		res.Throughput = float64(delivered) / float64(res.Runtime)
 	}
 	return res
 }

@@ -143,11 +143,3 @@ func (po *ParetoOnOff) Tick(s *network.Sim) {
 		}
 	}
 }
-
-// Run drives the simulator for the given number of cycles.
-func (po *ParetoOnOff) Run(s *network.Sim, cycles int) {
-	for i := 0; i < cycles; i++ {
-		po.Tick(s)
-		s.Step()
-	}
-}

@@ -235,12 +235,3 @@ func (in *Injector) emit(s *network.Sim, src geom.NodeID) {
 		in.routeBuf = nil
 	}
 }
-
-// Run drives the simulator for the given number of cycles, offering
-// traffic each cycle.
-func (in *Injector) Run(s *network.Sim, cycles int) {
-	for i := 0; i < cycles; i++ {
-		in.Tick(s)
-		s.Step()
-	}
-}
