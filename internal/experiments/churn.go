@@ -423,7 +423,8 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 	}
 
 	erng := rand.New(rand.NewSource(sweep.SubSeed(seed, 1)))
-	rng := rand.New(rand.NewSource(sweep.SubSeed(seed, 2)))
+	st := traffic.NewStream(rand.New(rand.NewSource(sweep.SubSeed(seed, 2))))
+	rng := st.Rand()
 	offer := traffic.NewBernoulli(churnRate)
 	var recovers []pendingRecover
 	scheduleRecover := func(now int64, ev reconfig.Event) {
@@ -501,11 +502,8 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		out.AvailUp += int64(usable)
 		out.AvailTot += int64(numNodes)
 		if usable > 0 {
-			for n := 0; n < numNodes; n++ {
+			for n := st.Next(offer, 0, numNodes); n < numNodes; n = st.Next(offer, n+1, numNodes) {
 				src := geom.NodeID(n)
-				if !offer.Draw(rng) {
-					continue
-				}
 				if !topo.RouterAlive(src) {
 					continue
 				}

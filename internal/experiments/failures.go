@@ -162,7 +162,8 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	var lat stats.Sample
 	s.OnDeliver = func(pk *network.Packet) { lat.Add(float64(pk.Latency())) }
 
-	rng := rand.New(rand.NewSource(sweep.SubSeed(seed, 1)))
+	st := traffic.NewStream(rand.New(rand.NewSource(sweep.SubSeed(seed, 1))))
+	rng := st.Rand()
 	horizon := p.WarmupCycles + p.MeasureCycles
 	failEvery := horizon / (failures + 1)
 	stallUntil := 0
@@ -170,6 +171,8 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	// reconfiguration downtime, not congestion (tree saturates near
 	// 0.06 flits/node/cycle; this offers ~0.024).
 	offer := traffic.NewBernoulli(0.008)
+	// Only links fail here, so the routers that draw are fixed.
+	alive := topo.AliveRouters()
 	Run(s, SourceFunc(func(s *network.Sim) {
 		cyc := int(s.Now)
 		if failures > 0 && cyc > 0 && cyc%failEvery == 0 && cyc/failEvery <= failures {
@@ -188,11 +191,8 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 		if cyc < stallUntil {
 			return
 		}
-		for n := 0; n < topo.NumNodes(); n++ {
-			src := geom.NodeID(n)
-			if !topo.RouterAlive(src) || !offer.Draw(rng) {
-				continue
-			}
+		for i := st.Next(offer, 0, len(alive)); i < len(alive); i = st.Next(offer, i+1, len(alive)) {
+			src := alive[i]
 			dst := geom.NodeID(rng.Intn(topo.NumNodes()))
 			if dst == src || !topo.RouterAlive(dst) {
 				continue

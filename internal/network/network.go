@@ -95,8 +95,9 @@ type Sim struct {
 	NIQueue [][]NIRing
 	// Now is the current cycle (events of cycle Now happen during Step).
 	Now int64
-	// Rng drives all stochastic choices (traffic should share it for
-	// reproducibility). The core itself never draws from it.
+	// Rng is the simulation's own randomness: reconfiguration draws its
+	// reroutes from it. The core itself never does, and a traffic
+	// Injector takes its own rng over instead of sharing this one.
 	Rng *rand.Rand
 
 	// PreCycle hooks run at the start of each Step, before injection and
@@ -133,9 +134,11 @@ type Sim struct {
 	grantN []int64
 	// niPend[id] counts packets queued across router id's NI rings —
 	// the stepper's activity predicate reads it instead of touching
-	// every ring. Maintained by Enqueue and InjectNode; code that edits
-	// NIQueue contents directly must call RecountNIPending.
+	// every ring — and queued is their sum (QueuedPackets). Maintained
+	// by Enqueue and InjectNode; code that edits NIQueue contents
+	// directly must call RecountNIPending.
 	niPend []int32
+	queued int64
 	// pool recycles delivered/lost packets and their route spans (see
 	// pool.go for the ownership rules).
 	pool poolState
@@ -262,6 +265,7 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 func (s *Sim) Enqueue(p *Packet) {
 	s.NIQueue[p.Src][p.Vnet].Push(p)
 	s.niPend[p.Src]++
+	s.queued++
 	s.Stats.Offered++
 	s.markActive(p.Src)
 }
@@ -279,6 +283,7 @@ func (s *Sim) RecountNIPending(id geom.NodeID) {
 	for v := range s.NIQueue[id] {
 		n += int32(s.NIQueue[id][v].Len())
 	}
+	s.queued += int64(n - s.niPend[id])
 	s.niPend[id] = n
 	s.markActive(id)
 }
@@ -410,15 +415,7 @@ func (s *Sim) Run(n int) {
 func (s *Sim) InFlight() int64 { return s.inFlight }
 
 // QueuedPackets returns the number of packets waiting in NI queues.
-func (s *Sim) QueuedPackets() int64 {
-	var n int64
-	for id := range s.NIQueue {
-		for vnet := range s.NIQueue[id] {
-			n += int64(s.NIQueue[id][vnet].Len())
-		}
-	}
-	return n
-}
+func (s *Sim) QueuedPackets() int64 { return s.queued }
 
 // InjectNode moves node id's NI-queue heads into free local-port VCs,
 // one packet per vnet per cycle — the injection phase for a single
@@ -449,6 +446,7 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
+		s.queued--
 		s.Stats.Injected++
 		s.Stats.InjectedFlits += int64(p.Len)
 		s.inFlight++

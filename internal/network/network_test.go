@@ -351,6 +351,34 @@ func TestDeadRouterDoesNotInject(t *testing.T) {
 	}
 }
 
+// QueuedPackets is a running count: Enqueue and InjectNode move it, and a
+// ring edited by hand moves it by RecountNIPending's delta.
+func TestQueuedPacketsFollowsRecount(t *testing.T) {
+	topo := topology.NewMesh(2, 1)
+	topo.DisableRouter(0) // router 0's queue stays put
+	s := mkSim(topo, 1)
+	for _, vnet := range []int{0, 2, 2} {
+		s.Enqueue(s.NewPacket(0, 1, vnet, 1, routing.Route{geom.East}))
+	}
+	s.Enqueue(s.NewPacket(1, 0, 0, 1, routing.Route{geom.West}))
+	if s.QueuedPackets() != 4 {
+		t.Fatalf("queued %d after four enqueues, want 4", s.QueuedPackets())
+	}
+	s.NIQueue[0][2].PopFront()
+	if s.QueuedPackets() != 4 {
+		t.Fatalf("queued %d before the recount, want the stale 4", s.QueuedPackets())
+	}
+	s.RecountNIPending(0)
+	if s.QueuedPackets() != 3 || s.NIPending(0) != 2 {
+		t.Fatalf("after popping one and recounting: queued %d, router 0 pending %d; want 3 and 2",
+			s.QueuedPackets(), s.NIPending(0))
+	}
+	s.Run(5) // router 1 injects its packet, dead router 0 keeps its two
+	if s.Stats.Injected != 1 || s.QueuedPackets() != 2 {
+		t.Fatalf("injected %d, queued %d; want 1 and 2", s.Stats.Injected, s.QueuedPackets())
+	}
+}
+
 func TestLinkUtilizationAccounting(t *testing.T) {
 	topo := topology.NewMesh(2, 1)
 	s := mkSim(topo, 1)

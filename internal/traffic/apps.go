@@ -103,7 +103,9 @@ type AppRun struct {
 
 // NewAppRun prepares a run of profile p on the alive nodes of s's
 // topology, using alg for routes. The hotspot is the alive router closest
-// to the mesh center (a memory-controller stand-in).
+// to the mesh center (a memory-controller stand-in). The run's injector
+// takes rng over (see NewInjector), and the closed-loop issue draws from
+// the injector's continuation of it, so rng is never drawn from again.
 func NewAppRun(s *network.Sim, alg routing.Algorithm, p AppProfile, rng *rand.Rand) *AppRun {
 	alive := s.Topo.AliveRouters()
 	uniform := NewUniformRandom(alive)
@@ -122,7 +124,7 @@ func NewAppRun(s *network.Sim, alg routing.Algorithm, p AppProfile, rng *rand.Ra
 		outstanding: make(map[geom.NodeID][]int64),
 		doneAt:      make(map[int64]int64),
 		nextIssueAt: make(map[geom.NodeID]int64),
-		rng:         rng,
+		rng:         inj.rng,
 		pattern:     pattern,
 		alg:         alg,
 	}

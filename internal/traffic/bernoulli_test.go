@@ -1,9 +1,9 @@
 package traffic
 
-// Bernoulli replaces `rng.Float64() < p` everywhere an injection
-// decision is made. These tests hold it to that expression: the same
-// verdict for every drawn integer, the same number of draws consumed,
-// and — end to end — the same packets out of an Injector and a
+// Bernoulli, run by Stream.Next, replaces `rng.Float64() < p` everywhere
+// an injection decision is made. These tests hold it to that expression:
+// the same verdict for every drawn integer, the same number of draws
+// consumed, and — end to end — the same packets out of an Injector and a
 // ParetoOnOff as the Float64 form they had before, which survives here
 // as the oracle.
 
@@ -92,6 +92,16 @@ type script struct {
 func (s *script) Int63() int64 { v := s.vals[s.n%len(s.vals)]; s.n++; return v }
 func (s *script) Seed(int64)   {}
 
+// scripted returns a Stream whose buffer repeats vals, to be read before
+// its first refill.
+func scripted(vals []int64) *Stream {
+	st := &Stream{}
+	for i := range st.h {
+		st.h[i] = uint64(vals[i%len(vals)])
+	}
+	return st
+}
+
 func TestBernoulliResamplesLikeFloat64(t *testing.T) {
 	vals := []int64{
 		math.MaxInt64, resampleFrom, resampleFrom - 1, // two discarded, one kept
@@ -100,18 +110,36 @@ func TestBernoulliResamplesLikeFloat64(t *testing.T) {
 		0,
 		resampleFrom, resampleFrom, resampleFrom, 1 << 61,
 	}
+	// Eleven values make five trials; 250 trials stay inside the buffer.
+	const trials = 250
 	for _, p := range []float64{0, 0.0005 / 3, 0.25, 0.5, 1, 1.5} {
-		fs, is := &script{vals: vals}, &script{vals: vals}
-		frng, irng := rand.New(fs), rand.New(is)
 		b := NewBernoulli(p)
-		for i := 0; i < 12; i++ {
-			want, got := frng.Float64() < p, b.Draw(irng)
-			if got != want || is.n != fs.n {
-				t.Fatalf("p=%g trial %d: Draw %v after %d draws, Float64 form %v after %d", p, i, got, is.n, want, fs.n)
+		// One trial per Next call, then the same trials as one scan.
+		fs, one, scan := &script{vals: vals}, scripted(vals), scripted(vals)
+		frng := rand.New(fs)
+		next := scan.Next(b, 0, trials)
+		for i := 0; i < trials; i++ {
+			want, got := frng.Float64() < p, one.Next(b, i, i+1) == i
+			if got != want || one.pos != fs.n {
+				t.Fatalf("p=%g trial %d: Next %v after %d draws, Float64 form %v after %d", p, i, got, one.pos, want, fs.n)
+			}
+			if i == next {
+				if !want {
+					t.Fatalf("p=%g: the scan stopped at trial %d, which misses", p, i)
+				}
+				if scan.pos != fs.n {
+					t.Fatalf("p=%g: the scan hit trial %d after %d draws, Float64 form after %d", p, i, scan.pos, fs.n)
+				}
+				next = scan.Next(b, i+1, trials)
+			} else if want {
+				t.Fatalf("p=%g: the scan skipped trial %d, which hits", p, i)
 			}
 		}
-		if fs.n <= 12 {
-			t.Fatal("vacuous: the script never hit the resample range")
+		if next != trials || scan.pos != fs.n {
+			t.Fatalf("p=%g: the scan ended at %d after %d draws, Float64 form %d trials after %d", p, next, scan.pos, trials, fs.n)
+		}
+		if fs.n <= trials || fs.n > streamLen {
+			t.Fatalf("%d draws: the script must resample and stay inside one buffer", fs.n)
 		}
 	}
 }
@@ -183,9 +211,10 @@ func TestInjectorMatchesFloat64Form(t *testing.T) {
 	patterns := []Pattern{NewUniformRandom(topo.AliveRouters()), BitComplement{Width: 8, Height: 8}}
 	for _, p := range patterns {
 		t.Run(p.Name(), func(t *testing.T) {
-			ra, rb := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-			a := NewInjector(topo.AliveRouters(), alg, p, 0.09, ra)
-			b := NewInjector(topo.AliveRouters(), alg, p, 0.09, rb)
+			a := NewInjector(topo.AliveRouters(), alg, p, 0.09, rand.New(rand.NewSource(5)))
+			// The oracle draws from math/rand itself, not from a Stream.
+			b := NewInjector(topo.AliveRouters(), alg, p, 0.09, rand.New(rand.NewSource(5)))
+			b.rng = rand.New(rand.NewSource(5))
 			// The rate drops to the idle workload's half way, and the mix
 			// moves with it: both change the per-node probability.
 			retune := func(cyc int, in *Injector) {
@@ -203,8 +232,8 @@ func TestInjectorMatchesFloat64Form(t *testing.T) {
 			if n < 10000 {
 				t.Fatalf("vacuous: %d packets", n)
 			}
-			if x, y := ra.Uint64(), rb.Uint64(); x != y {
-				t.Fatalf("rng positions differ after the run: next draw %d, oracle %d", x, y)
+			if x, y := a.rng.Uint64(), b.rng.Uint64(); x != y {
+				t.Fatalf("stream positions differ after the run: next draw %d, oracle %d", x, y)
 			}
 		})
 	}
@@ -213,17 +242,17 @@ func TestInjectorMatchesFloat64Form(t *testing.T) {
 func TestParetoOnOffMatchesFloat64Form(t *testing.T) {
 	topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 12, 3)
 	alg := routing.NewMinimal(topo)
-	ra, rb := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
-	a := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, ra)
-	b := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, rb)
+	a := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, rand.New(rand.NewSource(6)))
+	b := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, rand.New(rand.NewSource(6)))
+	b.inj.rng = rand.New(rand.NewSource(6))
 	n := twinTicks(t, topo, 50000,
 		func(_ int, s *network.Sim) { a.Tick(s) },
 		func(_ int, s *network.Sim) { b.tickFloat64(s) })
 	if n < 10000 {
 		t.Fatalf("vacuous: %d packets", n)
 	}
-	if x, y := ra.Uint64(), rb.Uint64(); x != y {
-		t.Fatalf("rng positions differ after the run: next draw %d, oracle %d", x, y)
+	if x, y := a.inj.rng.Uint64(), b.inj.rng.Uint64(); x != y {
+		t.Fatalf("stream positions differ after the run: next draw %d, oracle %d", x, y)
 	}
 }
 

@@ -39,9 +39,9 @@ func ParetoMean(alpha, xm float64) float64 {
 // same mean rate: deep multi-thousand-cycle bursts pile whole windows of
 // packets onto whatever dependency cycles exist.
 //
-// All stochastic choices draw from the single rng passed at
-// construction, in deterministic per-node order, so identically seeded
-// runs are byte-identical.
+// All stochastic choices draw from the stream taken over from the rng
+// passed at construction (see NewInjector), in deterministic per-node
+// order, so identically seeded runs are byte-identical.
 type ParetoOnOff struct {
 	inj *Injector
 	// PeakRate is the offered load in flits/node/cycle during ON periods.

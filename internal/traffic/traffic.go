@@ -92,12 +92,12 @@ func (h Hotspot) Dest(src geom.NodeID, rng *rand.Rand) geom.NodeID {
 }
 
 // Bernoulli is a success probability p compiled for math/rand's value
-// stream: Draw reports exactly what `rng.Float64() < p` would and leaves
-// rng at the same position, without the float. Float64 is
-// float64(Int63())/(1<<63), resampled when that rounds up to 1 (the top
-// 512 integers); the quotient is monotone in the drawn integer, so the
-// comparison is `Int63() < t` for one threshold t. The zero value is
-// p = 0 (never hits).
+// stream: a trial reports exactly what `rng.Float64() < p` would and
+// consumes the same values, without the float (Stream.Next runs it).
+// Float64 is float64(Int63())/(1<<63), resampled when that rounds up to
+// 1 (the top 512 integers); the quotient is monotone in the drawn
+// integer, so the comparison is `Int63() < t` for one threshold t. The
+// zero value is p = 0 (never hits).
 type Bernoulli struct{ t uint64 }
 
 // resampleFrom is the least k for which float64(k)/(1<<63) == 1, the
@@ -120,15 +120,6 @@ func NewBernoulli(p float64) Bernoulli {
 	return Bernoulli{lo}
 }
 
-// Draw makes one trial from rng.
-func (b Bernoulli) Draw(rng *rand.Rand) bool {
-	for {
-		if k := rng.Int63(); k < resampleFrom {
-			return uint64(k) < b.t
-		}
-	}
-}
-
 // Injector drives Bernoulli open-loop traffic into a simulator: each
 // alive node offers packets at the configured flit rate, with the
 // control/data mix of Table II.
@@ -137,7 +128,10 @@ type Injector struct {
 	sources []geom.NodeID
 	router  routing.Algorithm
 	pattern Pattern
-	rng     *rand.Rand
+	// st is the stream taken over from the constructor's rng; rng draws
+	// from it, and Tick scans it for injection hits.
+	st  *Stream
+	rng *rand.Rand
 	// routeBuf is the scratch the per-packet route is appended into
 	// (recycled when the target sim copies routes into its arena).
 	routeBuf routing.Route
@@ -160,13 +154,19 @@ type Injector struct {
 }
 
 // NewInjector builds an injector. sources are the nodes that inject
-// (normally the alive routers); alg computes a route per packet.
+// (normally the alive routers); alg computes a route per packet. The
+// injector takes rng over (NewStream): rng must come from rand.NewSource,
+// and the injector's draws continue its stream, but rng itself is never
+// drawn from again, so nothing else should hold it expecting to share
+// that stream.
 func NewInjector(sources []geom.NodeID, alg routing.Algorithm, p Pattern, rateFlits float64, rng *rand.Rand) *Injector {
+	st := NewStream(rng)
 	return &Injector{
 		sources:      sources,
 		router:       alg,
 		pattern:      p,
-		rng:          rng,
+		st:           st,
+		rng:          st.Rand(),
 		RateFlits:    rateFlits,
 		CtrlFraction: 0.5,
 		DataLen:      5,
@@ -184,10 +184,9 @@ func (in *Injector) meanLen() float64 {
 // are dropped at the source, per the paper's methodology.
 func (in *Injector) Tick(s *network.Sim) {
 	hit := in.bernoulli(in.RateFlits / in.meanLen())
-	for _, src := range in.sources {
-		if hit.Draw(in.rng) {
-			in.emit(s, src)
-		}
+	n := len(in.sources)
+	for i := in.st.Next(hit, 0, n); i < n; i = in.st.Next(hit, i+1, n) {
+		in.emit(s, in.sources[i])
 	}
 }
 
@@ -203,7 +202,7 @@ func (in *Injector) bernoulli(p float64) Bernoulli {
 // probability pPkt it emits a packet. The bursty arrival processes
 // (ParetoOnOff) use this with per-node gating.
 func (in *Injector) offer(s *network.Sim, src geom.NodeID, pPkt float64) {
-	if in.bernoulli(pPkt).Draw(in.rng) {
+	if in.st.Next(in.bernoulli(pPkt), 0, 1) == 0 {
 		in.emit(s, src)
 	}
 }

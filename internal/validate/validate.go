@@ -43,7 +43,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	masker, hasHops := s.HopClass()
 	choose, hopMasks, _ := s.HopVectors()
 	slots := s.Cfg.SlotsPerPort()
-	var globalOcc int64
+	var globalOcc, globalQueued int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		occ, nonLocal := 0, 0
@@ -84,6 +84,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			report("occupancy", "router %d: NI-pending counter %d != actual %d",
 				id, s.NIPending(geom.NodeID(id)), queued)
 		}
+		globalQueued += int64(queued)
 		// The active summary must cover every router holding or queueing
 		// a packet: a missed bit is a packet Step never visits again.
 		if (occ != 0 || queued != 0) && !s.ActiveMarked(geom.NodeID(id)) {
@@ -209,6 +210,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	}
 	if globalOcc != s.InFlight() {
 		report("occupancy", "global buffered %d != in-flight counter %d", globalOcc, s.InFlight())
+	}
+	if globalQueued != s.QueuedPackets() {
+		report("occupancy", "global queued %d != queued counter %d", globalQueued, s.QueuedPackets())
 	}
 
 	// Fence ownership: every active fence's source must be an SB router

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -94,6 +95,32 @@ func TestDetectsCounterCorruption(t *testing.T) {
 	}
 	if !seen["occupancy"] || !seen["active-set"] {
 		t.Fatalf("planted packet should trip occupancy and active-set, got %v", seen)
+	}
+}
+
+func TestDetectsQueuedCounterDrift(t *testing.T) {
+	topo := topology.NewMesh(2, 2)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(7)))
+	s.Enqueue(s.NewPacket(0, 1, 0, 1, routing.Route{geom.East}))
+	s.Enqueue(s.NewPacket(0, 1, 0, 1, routing.Route{geom.East}))
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Fatalf("violations with two packets queued: %v", vs)
+	}
+	// A ring edited without RecountNIPending leaves both counters stale.
+	s.NIQueue[0][0].PopFront()
+	var got []string
+	for _, v := range Check(s, nil) {
+		got = append(got, v.Detail)
+	}
+	want := []string{"router 0: NI-pending counter 2 != actual 1", "global queued 1 != queued counter 2"}
+	for _, w := range want {
+		if !slices.Contains(got, w) {
+			t.Fatalf("missing %q in %q", w, got)
+		}
+	}
+	s.RecountNIPending(0)
+	if vs := Check(s, nil); len(vs) != 1 || vs[0].Invariant != "conservation" {
+		t.Fatalf("after the recount only the popped packet's conservation gap should remain, got %v", vs)
 	}
 }
 
