@@ -257,12 +257,6 @@ func (c *Controller) RouterRecovered(n geom.NodeID) {
 	c.addFSM(n)
 }
 
-// LinkChanged records a link failure or recovery. Static Bubble needs
-// no link-level action: sends and forwards already drop on a dead link
-// and the FSM timeouts clean up the round, while a recovered link is
-// simply used by the next transmission.
-func (c *Controller) LinkChanged(n geom.NodeID, d geom.Direction, alive bool) {}
-
 // sweepFences clears every fence installed by src's recovery rounds.
 // Used when src dies (RouterFailed) and when src abandons an enable
 // whose latched path broke mid-round — in both cases no enable will ever

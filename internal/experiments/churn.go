@@ -64,8 +64,8 @@ const (
 	// churnTableUpdateRate is how many routing-table entries a router can
 	// install per cycle. Each applied event's recovery window is extended
 	// to cover installing the entries its recompile rewrote (full rebuild
-	// charges the whole table; an incremental repair or a cache hit
-	// charges only what changed). Deterministic by construction — the
+	// charges the whole table; an incremental repair charges only what
+	// changed). Deterministic by construction — the
 	// model consumes rewritten-entry counts, never wall time.
 	churnTableUpdateRate = 64
 )
@@ -157,7 +157,7 @@ type ChurnRow struct {
 	// entries-rewritten model (churnTableUpdateRate), never wall
 	// time, so every other field stays byte-reproducible.
 	CmpP50Ns, CmpP99Ns float64
-	// Compiled-table cache and compiler work counters summed over seeds.
+	// Table-repair counters summed over seeds (reconfig.TableStats).
 	// Populated for static_bubble, whose live tables the reconfig.Manager
 	// owns; the baselines model their own rebuild cost instead.
 	TabHits, TabMisses, TabIncremental, TabFull             int64
@@ -402,12 +402,9 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 		e.stallEnd = chargeStall(ev.Node, now)
 		e.lastExit = now
 		aliveCount = topo.AliveRouterCount()
-		// Table-install cost: SB charges the manager's compile delta (an
-		// LRU hit charges zero entries, modeling a retained table swapped
-		// in, though the manager still repairs its one table and that wall
-		// time reaches Cmp); the baselines charge their structure rebuild.
-		// Entry counts are deterministic; wall time feeds only the Cmp
-		// sketch.
+		// Table-install cost: SB charges the entries the manager's repair
+		// rewrote; the baselines charge their structure rebuild. Entry
+		// counts are deterministic; wall time feeds only the Cmp sketch.
 		var entries, wallNs int64
 		if kind == churnSB {
 			tb := mgr.TableStats()

@@ -114,10 +114,13 @@ func TestChannelCycles3x3(t *testing.T) {
 
 // TestFigureEightWedgesWithOneFencePerRouter pins the smallest cycle
 // that revisits a router: 8 channels on a 3x3 mesh, passing the centre
-// router twice. A router holds one fence, so a recovery chain's second
-// visit there passes unfenced and local injection refills the cycle:
-// disables go round and enables follow, and nothing is delivered. It
-// asserts today's wedge; a fence per input port flips it to a drain.
+// router twice. A router holds one fence, so when a recovery chain's
+// disable reaches the centre the second time, the centre already holds
+// this chain's fence and drops it: every round times out in S_DISABLE
+// and tears its fences down with an enable. Probes return and disables
+// and enables are sent, but no disable ever returns — no recovery, no
+// check probe, no bubble use — and nothing is delivered. It asserts
+// today's wedge; a fence per input port flips it to a drain.
 func TestFigureEightWedgesWithOneFencePerRouter(t *testing.T) {
 	var eight []channel
 	for _, cyc := range channelCycles(topology.NewMesh(3, 3)) {
@@ -128,12 +131,17 @@ func TestFigureEightWedgesWithOneFencePerRouter(t *testing.T) {
 	}
 	m := drainCycle(3, 3, eight)
 	st := m.Stats
-	t.Logf("figure-eight %v: %d of %d delivered, %d disables and %d enables in %d cycles",
-		eight, st.Delivered, st.Offered, st.DisablesSent, st.EnablesSent, m.DrainCycles)
+	t.Logf("figure-eight %v: %d of %d delivered; %d probes sent, %d returned; %d disables and %d enables sent; %d recoveries in %d cycles",
+		eight, st.Delivered, st.Offered, st.ProbesSent, st.ProbesReturned,
+		st.DisablesSent, st.EnablesSent, st.DeadlockRecoveries, m.DrainCycles)
 	if m.Left == 0 {
 		t.Fatal("the figure-eight drained: rewrite this test to assert the drain")
 	}
 	if st.DisablesSent == 0 {
 		t.Fatal("vacuous: no recovery round ran")
+	}
+	if st.DeadlockRecoveries != 0 || st.CheckProbesSent != 0 {
+		t.Fatalf("a disable returned (%d recoveries, %d check probes) yet the cycle stayed wedged",
+			st.DeadlockRecoveries, st.CheckProbesSent)
 	}
 }

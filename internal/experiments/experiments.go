@@ -23,7 +23,7 @@ import (
 // the recovery protocol, seed derivation, ...) so stale cache entries are
 // never wrongly reused; clearing results/cache/ afterwards merely
 // reclaims the disk.
-const CodeVersion = "sb-sim-3"
+const CodeVersion = "sb-sim-4"
 
 // Scheme identifies a deadlock-freedom design under comparison.
 type Scheme int
@@ -81,8 +81,6 @@ type Params struct {
 	WarmupCycles, MeasureCycles int
 	// TDD is the SB detection threshold (Table II: 34).
 	TDD int64
-	// EscapeTimeout is the escape-VC stuck threshold. Default 34.
-	EscapeTimeout int64
 	// BaseSeed decorrelates independent sweeps.
 	BaseSeed int64
 	// SpinMode switches Static Bubble recovery to the follow-up work's
@@ -113,9 +111,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.TDD == 0 {
 		p.TDD = 34
-	}
-	if p.EscapeTimeout == 0 {
-		p.EscapeTimeout = 34
 	}
 	return p
 }
@@ -162,7 +157,7 @@ func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance
 	case EscapeVC:
 		inst.UpDown = routing.UpDownFor(topo, routing.RootMedian)
 		inst.Alg = routing.MinimalFor(topo)
-		escape.Attach(s, inst.UpDown, escape.Options{Timeout: p.EscapeTimeout})
+		escape.Attach(s, inst.UpDown, escape.Options{})
 	case StaticBubble:
 		inst.Alg = routing.MinimalFor(topo)
 		inst.SB = core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})
@@ -240,15 +235,15 @@ func (p Params) engine() *sweep.Engine {
 // append the cell coordinates (pattern, fault kind/count, topology
 // index, ...). Topologies is deliberately absent — it is the sweep's
 // extent, not cell content, so growing the sample reuses every cell
-// already computed. tree_all_links is the key of a removed Params field,
-// written at the only value any cached cell ever had so derived seeds
-// and cache entries keep their identity.
+// already computed. escape_timeout and tree_all_links are the keys of
+// removed Params fields, written at the only values any cached cell ever
+// had so derived seeds and cache entries keep their identity.
 func (p Params) cellKey(experiment string) *sweep.Key {
 	p = p.withDefaults()
 	return sweep.NewKey(experiment).
 		Int("w", p.Width).Int("h", p.Height).
 		Int("warmup", p.WarmupCycles).Int("measure", p.MeasureCycles).
-		Int64("tdd", p.TDD).Int64("escape_timeout", p.EscapeTimeout).
+		Int64("tdd", p.TDD).Int64("escape_timeout", 34).
 		Int64("base_seed", p.BaseSeed).
 		Bool("spin", p.SpinMode).Bool("tree_all_links", false)
 }

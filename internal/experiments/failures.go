@@ -144,7 +144,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	var esc *escape.Controller
 	switch kind {
 	case int(EscapeVC):
-		esc = escape.Attach(s, ud, escape.Options{Timeout: p.EscapeTimeout})
+		esc = escape.Attach(s, ud, escape.Options{})
 	case int(StaticBubble):
 		core.Attach(s, core.Options{TDD: p.TDD})
 	}

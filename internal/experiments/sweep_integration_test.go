@@ -128,7 +128,6 @@ func TestCacheKeyCoversSimulationParams(t *testing.T) {
 		"WarmupCycles":  func() Params { p := Quick(); p.WarmupCycles = 301; return p }(),
 		"MeasureCycles": func() Params { p := Quick(); p.MeasureCycles = 2001; return p }(),
 		"TDD":           func() Params { p := Quick(); p.TDD = 64; return p }(),
-		"EscapeTimeout": func() Params { p := Quick(); p.EscapeTimeout = 50; return p }(),
 		"BaseSeed":      func() Params { p := Quick(); p.BaseSeed = 1; return p }(),
 		"SpinMode":      func() Params { p := Quick(); p.SpinMode = true; return p }(),
 	}

@@ -211,10 +211,9 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 }
 
 // NewPacket allocates a packet with a fresh id. length is in flits and
-// must fit the VC depth. Under pooling (the default) the packet may be a
-// recycled one and route is COPIED into the Sim's arena — the caller
-// keeps its buffer; with SetPooling(false) the route slice is stored
-// as-is and ownership transfers to the packet.
+// must fit the VC depth. route is COPIED — into the Sim's arena under
+// pooling (the default), where the packet may be a recycled one, or to
+// the heap with SetPooling(false) — so the caller keeps its buffer.
 func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Route) *Packet {
 	if length < 1 || length > s.Cfg.VCDepth {
 		panic(fmt.Sprintf("network: packet length %d outside [1,%d]", length, s.Cfg.VCDepth))
@@ -223,21 +222,10 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 		panic(fmt.Sprintf("network: vnet %d outside [0,%d)", vnet, s.Cfg.NumVnets))
 	}
 	s.nextPktID++
-	if s.pool.disabled {
-		return &Packet{
-			ID:          s.nextPktID,
-			Src:         src,
-			Dst:         dst,
-			Vnet:        vnet,
-			Len:         length,
-			Route:       route,
-			CreatedAt:   s.Now,
-			InjectedAt:  -1,
-			DeliveredAt: -1,
-		}
-	}
 	var p *Packet
-	if n := len(s.pool.free); n > 0 {
+	if s.pool.disabled {
+		p = new(Packet)
+	} else if n := len(s.pool.free); n > 0 {
 		p = s.pool.free[n-1]
 		s.pool.free[n-1] = nil
 		s.pool.free = s.pool.free[:n-1]

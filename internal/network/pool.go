@@ -22,10 +22,11 @@ import (
 //
 //   - NewPacket serves the free list first, then the reservation's next
 //     unused packet, then the heap. NewPacket COPIES the caller's route
-//     into the arena; the caller keeps ownership of (and may immediately
-//     reuse) its buffer. This is what makes scratch-route injection
-//     (traffic.Injector) and cross-sim route sharing (the differential
-//     harness drives several Sims off one route slice) safe.
+//     into the arena (to the heap with pooling off); the caller keeps
+//     ownership of (and may immediately reuse) its buffer. This is what
+//     makes scratch-route injection (traffic.Injector) and cross-sim
+//     route sharing (the differential harness drives several Sims off
+//     one route slice) safe.
 //   - A *Packet obtained from NewPacket is owned by the Sim from
 //     delivery/loss onward: grant's local-ejection branch,
 //     DeliverOutOfBand, RemovePacket and DiscardQueued all return it to
@@ -68,9 +69,6 @@ type poolState struct {
 	routes  routing.Arena
 	stats   PoolStats
 }
-
-// PoolingEnabled reports whether this Sim recycles packets and routes.
-func (s *Sim) PoolingEnabled() bool { return !s.pool.disabled }
 
 // SetPooling enables or disables packet/route recycling. Pooling is on
 // by default; the refmodel differential unit turns it off so that the

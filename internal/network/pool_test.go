@@ -3,6 +3,7 @@ package network
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,21 +142,21 @@ func TestSetRouteReusesSpan(t *testing.T) {
 }
 
 // TestSetPoolingContract: disabling must happen before the first packet,
-// and a disabled pool really does hand out plain heap objects — never a
-// packet of a reservation PrewarmPool made before the switch, which the
-// refmodel differential unit relies on.
+// and a disabled pool really does hand out plain heap objects holding a
+// heap copy of the route — never a packet of a reservation PrewarmPool
+// made before the switch, which the refmodel differential unit relies on.
 func TestSetPoolingContract(t *testing.T) {
 	s := newPoolSim(t)
 	s.PrewarmPool(16, 8, 8)
 	slab := s.pool.slab
 	s.SetPooling(false)
-	if s.PoolingEnabled() {
-		t.Fatal("PoolingEnabled after SetPooling(false)")
+	if !s.pool.disabled {
+		t.Fatal("pool still enabled after SetPooling(false)")
 	}
 	r := routing.Route{1, 1}
 	p := s.NewPacket(0, 3, 0, 1, r)
-	if &p.Route[0] != &r[0] {
-		t.Fatal("unpooled NewPacket copied the route (must store as-is)")
+	if &p.Route[0] == &r[0] || !slices.Equal(p.Route, r) || p.routeOwned {
+		t.Fatal("unpooled NewPacket must store a heap copy of the route")
 	}
 	s.releasePacket(p)
 	p2 := s.NewPacket(0, 3, 0, 1, r)

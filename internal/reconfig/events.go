@@ -100,10 +100,13 @@ func (o Outcome) String() string {
 // SchemeHandler is implemented by recovery schemes (core.Controller)
 // that hold per-router protocol state the manager cannot see: FSMs,
 // fences installed by in-flight recovery rounds, bubble flags. The
-// manager notifies it after each applied topology event so the scheme
+// manager notifies it after each applied router event so the scheme
 // can reset residue that would otherwise outlive the router (a dead
 // FSM wedged mid-recovery stays in S_SB_ACTIVE forever, and its fences
-// block traffic with no enable left to clear them).
+// block traffic with no enable left to clear them). Link events need no
+// notice: sends and forwards already drop on a dead link and the FSM
+// timeouts clean up the round, while a recovered link is simply used by
+// the next transmission.
 //
 // The interface lives here, implemented by core, so core never imports
 // reconfig (reconfig's tests import core).
@@ -113,9 +116,6 @@ type SchemeHandler interface {
 	RouterFailed(n geom.NodeID)
 	// RouterRecovered runs after router n was re-enabled.
 	RouterRecovered(n geom.NodeID)
-	// LinkChanged runs after the link n→d changed state (alive=false
-	// for a failure, true for a recovery).
-	LinkChanged(n geom.NodeID, d geom.Direction, alive bool)
 }
 
 // scheduledEvent is one queue entry; seq breaks ties among events
@@ -127,8 +127,9 @@ type scheduledEvent struct {
 }
 
 // SetScheme registers a recovery-scheme handler notified after each
-// applied event. Pass core.Controller (it implements SchemeHandler) so
-// Static Bubble protocol state tracks runtime failures and recoveries.
+// applied router event. Pass core.Controller (it implements
+// SchemeHandler) so Static Bubble protocol state tracks runtime failures
+// and recoveries.
 func (m *Manager) SetScheme(h SchemeHandler) { m.scheme = h }
 
 // Epoch returns the reconfiguration epoch: the number of applied

@@ -207,26 +207,36 @@ func TestScheduledGateOnDeadRouterDegrades(t *testing.T) {
 	}
 }
 
-// TestTableCacheReusesFingerprints: flapping one link back and forth
-// revisits two topology fingerprints; the per-manager LRU must score the
-// revisits as hits, and the repaired table must equal a cold compile of
-// every state it visits.
-func TestTableCacheReusesFingerprints(t *testing.T) {
+// TestLinkFlapChargesEveryEpoch: failing, recovering and failing one
+// link again revisits a topology the manager has seen. Every step is
+// still an epoch charged the entries its repair rewrote — counted by a
+// shadow table repaired alongside — and the manager's one table must
+// equal a cold compile of every state it visits.
+func TestLinkFlapChargesEveryEpoch(t *testing.T) {
 	s, m := mkLiveSim(t, 7)
 	n := s.Topo.NumNodes()
-	step := func(ev Event, hits int64) {
+	shadow := routing.NewMinimal(s.Topo)
+	table := m.minimal
+	step := func(ev Event, misses int64) {
 		t.Helper()
+		before := m.TableStats()
 		m.Submit(ev)
-		if st := m.TableStats(); st.Hits != hits || st.Misses != 2 {
-			t.Fatalf("after %v: want %d hits over 2 misses, got %+v", ev, hits, st)
+		st := m.TableStats()
+		want := shadow.Recompile(s.Topo).EntriesRewritten
+		if want <= 0 || st.EntriesRewritten-before.EntriesRewritten != want {
+			t.Fatalf("after %v: charged %d entries, the repair rewrote %d",
+				ev, st.EntriesRewritten-before.EntriesRewritten, want)
 		}
-		if !sameTables(m.minimal, routing.NewMinimal(s.Topo), n) {
-			t.Fatalf("after %v: table differs from a cold compile", ev)
+		if st.Hits != 0 || st.Misses != misses {
+			t.Fatalf("after %v: want %d misses and no hit, got %+v", ev, misses, st)
+		}
+		if m.minimal != table || !sameTables(m.minimal, routing.NewMinimal(s.Topo), n) {
+			t.Fatalf("after %v: the manager's one table differs from a cold compile", ev)
 		}
 	}
-	step(Event{Kind: EvFailLink, Node: 14, Dir: geom.East}, 0)
-	step(Event{Kind: EvRecoverLink, Node: 14, Dir: geom.East}, 1)
 	step(Event{Kind: EvFailLink, Node: 14, Dir: geom.East}, 2)
+	step(Event{Kind: EvRecoverLink, Node: 14, Dir: geom.East}, 3)
+	step(Event{Kind: EvFailLink, Node: 14, Dir: geom.East}, 4)
 }
 
 // TestRepairAvoidsPendingGates: in-flight traffic rerouted after a link

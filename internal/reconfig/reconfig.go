@@ -24,9 +24,7 @@
 // tables and one-shot detour routes.
 //
 // After every change the manager repairs its one minimal-routing table in
-// place, so newly injected packets always use the current topology; a
-// bounded fingerprint LRU decides which epochs count as table-cache
-// hits.
+// place, so newly injected packets always use the current topology.
 package reconfig
 
 import (
@@ -50,15 +48,14 @@ type Manager struct {
 	// minimal is the manager's own table, recompiled in place whenever
 	// the topology changes.
 	minimal *routing.Minimal
-	// tables is the fingerprint LRU that scores epochs as hits or misses.
-	tables *tableCache
-	// tabStats counts cache and compiler activity; see TableStats.
+	// tabStats counts the table repairs; see TableStats.
 	tabStats TableStats
 	// pendingGate marks routers that must not receive new routes but are
 	// still draining.
 	pendingGate map[geom.NodeID]bool
-	// scheme, when set, is notified after each applied event so recovery
-	// protocol state (FSMs, fences) tracks the topology. See SetScheme.
+	// scheme, when set, is notified after each applied router event so
+	// recovery protocol state (FSMs, fences) tracks the topology. See
+	// SetScheme.
 	scheme SchemeHandler
 	// epoch counts applied topology mutations. See Epoch.
 	epoch int64
@@ -89,7 +86,6 @@ func New(s *network.Sim) *Manager {
 	m := &Manager{
 		sim:         s,
 		topo:        s.Topo,
-		tables:      newTableCache(),
 		pendingGate: make(map[geom.NodeID]bool),
 	}
 	m.rebuild()
@@ -98,13 +94,9 @@ func New(s *network.Sim) *Manager {
 
 // rebuild brings m.minimal to the topology's current state in place:
 // the incremental recompiler repairs exactly the columns the epoch's
-// delta perturbed (the first build and oversized deltas compile cold).
-// A fingerprint-LRU hit — the connectivity was current within the last
-// tableCacheCap distinct states — models swapping a retained table in:
-// the repair still runs, but only its wall time is counted.
+// delta perturbed (the first build and oversized deltas compile cold),
+// and the epoch is charged the entries the repair rewrote.
 func (m *Manager) rebuild() {
-	fp := m.topo.Fingerprint()
-	hit := m.tables.get(fp)
 	t0 := time.Now()
 	var st routing.RecompileStats
 	if m.minimal != nil {
@@ -113,13 +105,12 @@ func (m *Manager) rebuild() {
 		m.minimal = routing.NewMinimal(m.topo)
 		st = routing.RecompileStats{Full: true, EntriesRewritten: m.minimal.TableEntries()}
 	}
-	m.tabStats.LastCompileNs = time.Since(t0).Nanoseconds()
-	m.tabStats.CompileNs += m.tabStats.LastCompileNs
-	if hit {
+	m.tabStats.CompileNs += time.Since(t0).Nanoseconds()
+	if st.EntriesRewritten == 0 {
 		m.tabStats.Hits++
-		return
+	} else {
+		m.tabStats.Misses++
 	}
-	m.tabStats.Misses++
 	if st.Full {
 		m.tabStats.Full++
 	} else {
@@ -129,9 +120,6 @@ func (m *Manager) rebuild() {
 	m.tabStats.ColsRepaired += int64(st.ColsRepaired)
 	m.tabStats.ColsRebuilt += int64(st.ColsRebuilt)
 	m.tabStats.EntriesRewritten += st.EntriesRewritten
-	if m.tables.put(fp) {
-		m.tabStats.Evictions++
-	}
 }
 
 // Route returns a minimal route from src to dst that avoids routers
@@ -309,9 +297,6 @@ func (m *Manager) failLink(n geom.NodeID, d geom.Direction) Outcome {
 	m.topo.DisableLink(n, d)
 	m.epoch++
 	m.rebuild()
-	if m.scheme != nil {
-		m.scheme.LinkChanged(n, d, false)
-	}
 	m.repairTraffic()
 	return OutApplied
 }
@@ -331,9 +316,6 @@ func (m *Manager) recoverLink(n geom.NodeID, d geom.Direction) Outcome {
 	m.topo.EnableLink(n, d)
 	m.epoch++
 	m.rebuild()
-	if m.scheme != nil {
-		m.scheme.LinkChanged(n, d, true)
-	}
 	return OutApplied
 }
 

@@ -95,17 +95,13 @@ type AppRun struct {
 	doneAt      map[int64]int64
 	hooked      bool
 	nextIssueAt map[geom.NodeID]int64
-	rng         *rand.Rand
-	pattern     Pattern
-	alg         routing.Algorithm
-	routeBuf    routing.Route
 }
 
 // NewAppRun prepares a run of profile p on the alive nodes of s's
 // topology, using alg for routes. The hotspot is the alive router closest
 // to the mesh center (a memory-controller stand-in). The run's injector
-// takes rng over (see NewInjector), and the closed-loop issue draws from
-// the injector's continuation of it, so rng is never drawn from again.
+// takes rng over (see NewInjector), and the closed loop issues through
+// the same injector, so rng is never drawn from again.
 func NewAppRun(s *network.Sim, alg routing.Algorithm, p AppProfile, rng *rand.Rand) *AppRun {
 	alive := s.Topo.AliveRouters()
 	uniform := NewUniformRandom(alive)
@@ -124,9 +120,6 @@ func NewAppRun(s *network.Sim, alg routing.Algorithm, p AppProfile, rng *rand.Ra
 		outstanding: make(map[geom.NodeID][]int64),
 		doneAt:      make(map[int64]int64),
 		nextIssueAt: make(map[geom.NodeID]int64),
-		rng:         inj.rng,
-		pattern:     pattern,
-		alg:         alg,
 	}
 }
 
@@ -176,26 +169,10 @@ func (a *AppRun) tickClosedLoop(s *network.Sim, budget int64) int64 {
 		if s.Now < a.nextIssueAt[src] {
 			continue
 		}
-		dst := a.pattern.Dest(src, a.rng)
-		if dst == src {
+		pkt := a.inj.emit(s, src)
+		if pkt == nil {
 			continue
 		}
-		route, ok := routing.AppendRoute(a.alg, a.routeBuf[:0], src, dst, a.rng)
-		if !ok {
-			s.Drop()
-			continue
-		}
-		vnet, ln := a.inj.CtrlVnet, 1
-		if a.rng.Float64() >= p.CtrlFraction {
-			vnet, ln = a.inj.DataVnet, a.inj.DataLen
-		}
-		pkt := s.NewPacket(src, dst, vnet, ln, route)
-		if s.PoolingEnabled() {
-			a.routeBuf = route[:0]
-		} else {
-			a.routeBuf = nil
-		}
-		s.Enqueue(pkt)
 		a.doneAt[pkt.ID] = -1
 		a.outstanding[src] = append(a.outstanding[src], pkt.ID)
 		issued++

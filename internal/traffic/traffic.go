@@ -208,29 +208,28 @@ func (in *Injector) offer(s *network.Sim, src geom.NodeID, pPkt float64) {
 }
 
 // emit picks a destination for src from the pattern, routes, and
-// enqueues a packet of the configured control/data mix.
-func (in *Injector) emit(s *network.Sim, src geom.NodeID) {
+// enqueues a packet of the configured control/data mix. It returns the
+// packet, or nil when src drew itself or the destination is unreachable
+// (dropped at the source).
+func (in *Injector) emit(s *network.Sim, src geom.NodeID) *network.Packet {
 	dst := in.pattern.Dest(src, in.rng)
 	if dst == src {
-		return
+		return nil
 	}
 	// Routes are built in a reusable scratch buffer: NewPacket copies
-	// them into the sim's arena under pooling, so injection allocates
-	// nothing in steady state. Without pooling NewPacket keeps the
-	// slice, so ownership transfers and the scratch must be dropped.
+	// them (into the sim's arena under pooling), so injection allocates
+	// nothing in steady state.
 	route, ok := routing.AppendRoute(in.router, in.routeBuf[:0], src, dst, in.rng)
 	if !ok {
 		s.Drop()
-		return
+		return nil
 	}
+	in.routeBuf = route[:0]
 	vnet, ln := in.CtrlVnet, 1
 	if in.rng.Float64() >= in.CtrlFraction {
 		vnet, ln = in.DataVnet, in.DataLen
 	}
-	s.Enqueue(s.NewPacket(src, dst, vnet, ln, route))
-	if s.PoolingEnabled() {
-		in.routeBuf = route[:0]
-	} else {
-		in.routeBuf = nil
-	}
+	p := s.NewPacket(src, dst, vnet, ln, route)
+	s.Enqueue(p)
+	return p
 }
