@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -21,9 +22,10 @@ type channel struct {
 func (c channel) index() int { return int(c.from)*geom.NumLinkDirs + int(c.dir) }
 
 // channelCycles enumerates every simple cycle of directed links in topo
-// that makes no U-turn, each once, rooted at its least channel. A cycle
-// may pass a router more than once.
-func channelCycles(topo *topology.Topology) [][]channel {
+// that makes no U-turn and has at most maxLen channels (0: no cap), each
+// once, rooted at its least channel. A cycle may pass a router more than
+// once.
+func channelCycles(topo *topology.Topology, maxLen int) [][]channel {
 	var cycles [][]channel
 	var path []channel
 	on := make([]bool, topo.NumNodes()*geom.NumLinkDirs)
@@ -36,7 +38,7 @@ func channelCycles(topo *topology.Topology) [][]channel {
 			case d == c.dir.Opposite() || !topo.HasLink(at, d):
 			case n == root:
 				cycles = append(cycles, slices.Clone(path))
-			case n.index() > root.index() && !on[n.index()]:
+			case n.index() > root.index() && !on[n.index()] && len(path) != maxLen:
 				on[n.index()] = true
 				path = append(path, n)
 				extend(root, n)
@@ -67,14 +69,15 @@ func maxVisits(cyc []channel) int {
 	return most
 }
 
-// drainCycle wedges cyc on a fresh mesh under Static Bubble (TDD 34) and
-// drains it for at most 20 k cycles: every channel's source router
-// enqueues 12 five-flit packets whose routes follow the cycle for
-// max(2, ⌊L/2⌋) hops, so the cycle is the only deadlock they can form.
-func drainCycle(w, h int, cyc []channel) RunMetrics {
+// drainCycle wedges cyc on a fresh mesh under Static Bubble (TDD 34;
+// SPIN's recovery when spin is set) and drains it for at most 20 k
+// cycles: every channel's source router enqueues 12 five-flit packets
+// whose routes follow the cycle for max(2, ⌊L/2⌋) hops, so the cycle is
+// the only deadlock they can form.
+func drainCycle(w, h int, cyc []channel, spin bool) RunMetrics {
 	topo := topology.NewMesh(w, h)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	core.Attach(s, core.Options{TDD: 34})
+	core.Attach(s, core.Options{TDD: 34, Spin: spin})
 	hops := max(2, len(cyc)/2)
 	for i, c := range cyc {
 		route := make(routing.Route, hops)
@@ -94,14 +97,14 @@ func drainCycle(w, h int, cyc []channel) RunMetrics {
 // of them passing each router at most once, and every simple one drains
 // under Static Bubble after at least one recovery.
 func TestChannelCycles3x3(t *testing.T) {
-	cycles := channelCycles(topology.NewMesh(3, 3))
+	cycles := channelCycles(topology.NewMesh(3, 3), 0)
 	simple := 0
 	for _, cyc := range cycles {
 		if maxVisits(cyc) > 1 {
 			continue
 		}
 		simple++
-		m := drainCycle(3, 3, cyc)
+		m := drainCycle(3, 3, cyc, false)
 		if m.Left != 0 || m.Stats.DeadlockRecoveries == 0 {
 			t.Errorf("cycle %v: %d packets left after %d drain cycles, %d recoveries",
 				cyc, m.Left, m.DrainCycles, m.Stats.DeadlockRecoveries)
@@ -123,13 +126,13 @@ func TestChannelCycles3x3(t *testing.T) {
 // today's wedge; a fence per input port flips it to a drain.
 func TestFigureEightWedgesWithOneFencePerRouter(t *testing.T) {
 	var eight []channel
-	for _, cyc := range channelCycles(topology.NewMesh(3, 3)) {
+	for _, cyc := range channelCycles(topology.NewMesh(3, 3), 0) {
 		if len(cyc) == 8 && maxVisits(cyc) == 2 {
 			eight = cyc
 			break
 		}
 	}
-	m := drainCycle(3, 3, eight)
+	m := drainCycle(3, 3, eight, false)
 	st := m.Stats
 	t.Logf("figure-eight %v: %d of %d delivered; %d probes sent, %d returned; %d disables and %d enables sent; %d recoveries in %d cycles",
 		eight, st.Delivered, st.Offered, st.ProbesSent, st.ProbesReturned,
@@ -143,5 +146,72 @@ func TestFigureEightWedgesWithOneFencePerRouter(t *testing.T) {
 	if st.DeadlockRecoveries != 0 || st.CheckProbesSent != 0 {
 		t.Fatalf("a disable returned (%d recoveries, %d check probes) yet the cycle stayed wedged",
 			st.DeadlockRecoveries, st.CheckProbesSent)
+	}
+}
+
+// TestChannelCycleCounts pins the enumeration, capped where the whole set
+// would not fit in memory (an uncapped 4x4 ran out after 194 s).
+func TestChannelCycleCounts(t *testing.T) {
+	for _, c := range []struct{ w, h, maxLen, cycles, simple int }{
+		{3, 3, 0, 292, 26},
+		{4, 3, 16, 1122, 80},
+		{4, 4, 8, 126, 94},
+		{4, 4, 12, 1086, 350},
+		{4, 4, 16, 7330, 426},
+	} {
+		cycles := channelCycles(topology.NewMesh(c.w, c.h), c.maxLen)
+		simple := 0
+		for _, cyc := range cycles {
+			if len(cyc) > c.maxLen && c.maxLen != 0 {
+				t.Fatalf("%dx%d: a %d-channel cycle past the cap %d", c.w, c.h, len(cyc), c.maxLen)
+			}
+			if maxVisits(cyc) == 1 {
+				simple++
+			}
+		}
+		if len(cycles) != c.cycles || simple != c.simple {
+			t.Errorf("%dx%d, at most %d channels: %d cycles, %d simple; want %d and %d",
+				c.w, c.h, c.maxLen, len(cycles), simple, c.cycles, c.simple)
+		}
+	}
+}
+
+// recoveryCycles is how many cycles an isolated simple cycle of L
+// channels takes to drain (drainCycle's recipe), by recovery scheme. It
+// depends on L alone.
+var recoveryCycles = map[bool]map[int]int64{
+	false: {4: 272, 6: 530, 8: 1160, 10: 2045, 12: 3223}, // Static Bubble
+	true:  {4: 219, 6: 338, 8: 465, 10: 621, 12: 799},    // SPIN
+}
+
+// TestRecoveryTimeByCycleLength asserts the law: every simple cycle of
+// 3x3, and of 4x4 up to 12 channels, drains in exactly recoveryCycles[L]
+// cycles with exactly three recoveries, under Static Bubble and under
+// SPIN. A count that rises is a regression in recovery time, which a
+// test that only asks "drained?" lets through.
+func TestRecoveryTimeByCycleLength(t *testing.T) {
+	meshes := []struct{ w, h, maxLen int }{{3, 3, 0}, {4, 4, 12}}
+	if testing.Short() {
+		meshes = meshes[:1]
+	}
+	for _, spin := range []bool{false, true} {
+		for _, m := range meshes {
+			byLen := map[int]int{}
+			for _, cyc := range channelCycles(topology.NewMesh(m.w, m.h), m.maxLen) {
+				if maxVisits(cyc) > 1 {
+					continue
+				}
+				byLen[len(cyc)]++
+				r := drainCycle(m.w, m.h, cyc, spin)
+				want, ok := recoveryCycles[spin][len(cyc)]
+				if !ok || r.Left != 0 || r.DrainCycles != want || r.Stats.DeadlockRecoveries != 3 {
+					t.Errorf("spin %v, %dx%d cycle %v: %d left after %d drain cycles (want 0 after %d), %d recoveries (want 3)",
+						spin, m.w, m.h, cyc, r.Left, r.DrainCycles, want, r.Stats.DeadlockRecoveries)
+				}
+			}
+			if m.w == 4 && !maps.Equal(byLen, map[int]int{4: 18, 6: 24, 8: 52, 10: 104, 12: 152}) {
+				t.Errorf("4x4 simple cycles by length: %v", byLen)
+			}
+		}
 	}
 }

@@ -48,13 +48,17 @@ func NewStream(rng *rand.Rand) *Stream {
 // would on the generator st took over.
 func (st *Stream) Rand() *rand.Rand { return rand.New(st) }
 
-// refill computes the next streamLen outputs in place.
+// refill computes the next streamLen outputs in place: addVec does
+// whole blocks of each half and a scalar loop the tail. The second half
+// reads words streamTap behind the ones it writes.
 func (st *Stream) refill() {
 	h := &st.h
-	for i := 0; i < streamTap; i++ {
+	i := addVec(&h[0], &h[streamLen-streamTap], streamTap)
+	for ; i < streamTap; i++ {
 		h[i] += h[i+streamLen-streamTap]
 	}
-	for i := streamTap; i < streamLen; i++ {
+	i = streamTap + addVec(&h[streamTap], &h[0], streamLen-streamTap)
+	for ; i < streamLen; i++ {
 		h[i] += h[i-streamTap]
 	}
 	st.pos = 0
@@ -85,16 +89,25 @@ func (st *Stream) Next(b Bernoulli, i, n int) int {
 	// A value k misses when t <= k < resampleFrom. t is capped at
 	// resampleFrom (k at or above it is redrawn, never a hit), so the
 	// miss test is one unsigned compare: k−t wraps past span when k < t.
+	// missRun skips the leading blocks of misses; the scalar loop runs
+	// the rest and decides the hit or redraw. The kernel costs a call and
+	// pays only when the expected run of misses, about 2⁶³/t trials,
+	// spans a block pair (16 words); below that the scalar loop is faster.
 	t := min(b.t, resampleFrom)
 	span := resampleFrom - t
+	kernel := t <= 1<<59
 scan:
 	for i < n {
 		if st.pos == streamLen {
 			st.refill()
 		}
 		run := st.h[st.pos:min(streamLen, st.pos+n-i)]
-		for j, x := range run {
-			if k := x & mask63; k-t >= span {
+		j := 0
+		if kernel {
+			j = missRun(&run[0], len(run), t)
+		}
+		for ; j < len(run); j++ {
+			if k := run[j] & mask63; k-t >= span {
 				st.pos += j + 1
 				if k < t {
 					return i + j

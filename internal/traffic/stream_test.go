@@ -8,6 +8,8 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -108,4 +110,112 @@ func TestNewStreamRejectsOtherSources(t *testing.T) {
 		}
 	}()
 	NewStream(rand.New(&script{vals: []int64{1, 2, 3, 5, 8, 13}}))
+}
+
+// misses is the scalar miss test missRun's blocks must agree with.
+func misses(x, t uint64) bool {
+	k := x & mask63
+	return t <= k && k < resampleFrom
+}
+
+// checkMissRun asserts that missRun over h[:n] returns the start of the
+// first 8-word block that holds a non-miss, or n rounded down to the
+// block when all of h[:n] misses (0 without the amd64 kernel).
+func checkMissRun(t *testing.T, h []uint64, n int, thr uint64) {
+	t.Helper()
+	j := 0
+	for j < n && misses(h[j], thr) {
+		j++
+	}
+	want := j &^ 7
+	if runtime.GOARCH != "amd64" {
+		want = 0
+	}
+	if got := missRun(&h[0], n, thr); got != want {
+		t.Fatalf("missRun(n=%d, t=%#x) = %d, want %d; words %#x", n, thr, got, want, h[:n])
+	}
+}
+
+// checkAddVec asserts that addVec, finished by the scalar tail, adds
+// a[j] into a[gap+j] for j < n as the scalar loop does, reading words
+// earlier steps wrote when n > gap.
+func checkAddVec(t *testing.T, a []uint64, gap, n int) {
+	t.Helper()
+	want, got := slices.Clone(a), slices.Clone(a)
+	for j := 0; j < n; j++ {
+		want[gap+j] += want[j]
+	}
+	done := addVec(&got[gap], &got[0], n)
+	if runtime.GOARCH == "amd64" && done != n&^1 {
+		t.Fatalf("addVec(n=%d) did %d words, want %d", n, done, n&^1)
+	}
+	for j := done; j < n; j++ {
+		got[gap+j] += got[j]
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("addVec(gap=%d, n=%d) differs from the scalar loop", gap, n)
+	}
+}
+
+func TestStreamKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const size = 40
+	for _, thr := range []uint64{0, 1, 1 << 40, 1 << 62, resampleFrom - 1, resampleFrom} {
+		// A random miss with a random top bit, which the test ignores
+		// (any value when t = resampleFrom: nothing misses).
+		miss := func() uint64 {
+			if thr == resampleFrom {
+				return rng.Uint64()
+			}
+			return thr + rng.Uint64()%(resampleFrom-thr) | rng.Uint64()&^mask63
+		}
+		plants := []uint64{
+			rng.Uint64() % max(thr, 1),      // a hit (a miss when t = 0)
+			resampleFrom + rng.Uint64()%512, // a redraw
+			thr | 1<<63,                     // k = t
+			resampleFrom - 1,                // the largest miss
+		}
+		h := make([]uint64, size)
+		for n := 0; n <= size; n++ {
+			for i := range h {
+				h[i] = miss()
+			}
+			checkMissRun(t, h, n, thr)
+			for pos := range h {
+				for _, p := range plants {
+					old := h[pos]
+					h[pos] = p
+					checkMissRun(t, h, n, thr)
+					h[pos] = old
+				}
+			}
+		}
+	}
+	a := make([]uint64, streamLen)
+	for i := range a {
+		a[i] = rng.Uint64()
+	}
+	for n := 0; n <= size; n++ {
+		checkAddVec(t, a, streamTap, n)
+	}
+	checkAddVec(t, a, streamTap, streamLen-streamTap)
+}
+
+func FuzzStreamKernels(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint64(1)<<62, uint16(1))
+	f.Add(make([]byte, 8*24), uint64(0), uint16(20))
+	f.Add(make([]byte, 8*17), uint64(1), uint16(16))
+	f.Fuzz(func(t *testing.T, buf []byte, thr uint64, n uint16) {
+		words := make([]uint64, 1+len(buf)/8)
+		for i := range buf {
+			words[i/8] |= uint64(buf[i]) << (8 * (i % 8))
+		}
+		checkMissRun(t, words, int(n)%(len(words)+1), min(thr, resampleFrom))
+		a := make([]uint64, streamTap+len(words))
+		copy(a, words)
+		for j := range words {
+			a[streamTap+j] = words[j] * 0x9e3779b97f4a7c15
+		}
+		checkAddVec(t, a, streamTap, len(words))
+	})
 }
