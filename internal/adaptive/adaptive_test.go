@@ -39,7 +39,7 @@ func TestAdaptiveAvoidsCongestion(t *testing.T) {
 	c := Attach(s)
 	// Fill all vnet-0 VCs at (1,0)'s West port so East-first looks full.
 	mid := topo.ID(geom.Coord{X: 1, Y: 0})
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+	for i := 0; i < network.VCsPerVnet; i++ {
 		blocker := c.NewPacket(0, mid, 0, 5)
 		blocker.Hop = 1
 		s.Routers[mid].In[geom.West][i].Pkt = blocker

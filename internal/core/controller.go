@@ -55,10 +55,6 @@ func (o Options) withDefaults() Options {
 type Controller struct {
 	sim *network.Sim
 	opt Options
-	// hopLatency is the per-hop cost of a bufferless control message:
-	// router processing plus link traversal (2 cycles in the paper's
-	// 1+1 configuration). t_DR = hopLatency × path length.
-	hopLatency int64
 	// placed is the full intended placement, including routers that were
 	// dead at Attach time: if one recovers at runtime, RouterRecovered
 	// arms its bubble and creates its FSM on the spot.
@@ -123,10 +119,9 @@ func Attach(s *network.Sim, opt Options) *Controller {
 		placement = Placement(s.Topo.Width(), s.Topo.Height())
 	}
 	c := &Controller{
-		sim:        s,
-		opt:        opt,
-		placed:     make(map[geom.NodeID]bool, len(placement)),
-		hopLatency: int64(s.Cfg.RouterLatency + s.Cfg.LinkLatency),
+		sim:    s,
+		opt:    opt,
+		placed: make(map[geom.NodeID]bool, len(placement)),
 	}
 	c.act = s.ActiveSummary()
 	c.fsms = make([]*fsm, len(s.Routers))
@@ -284,8 +279,8 @@ func (c *Controller) dependenceExists(node geom.NodeID, in geom.Direction, vnet 
 		return false
 	}
 	r := &c.sim.Routers[node]
-	base := vnet * c.sim.Cfg.VCsPerVnet
-	for i := 0; i < c.sim.Cfg.VCsPerVnet; i++ {
+	base := vnet * network.VCsPerVnet
+	for i := 0; i < network.VCsPerVnet; i++ {
 		vc := &r.In[in][base+i]
 		if vc.Pkt != nil && c.sim.OutputOf(vc.Pkt, node) == out {
 			return true
@@ -318,7 +313,7 @@ func (c *Controller) forward(m Message, at geom.NodeID, out geom.Direction) {
 	s.UseLink(at, out, m.Type.linkClass())
 	m.At = s.Topo.Neighbor(at, out)
 	m.Heading = out
-	m.NextAt = s.Now + c.hopLatency
+	m.NextAt = s.Now + network.HopLatency
 	c.transmit(m, at, out)
 }
 
@@ -497,7 +492,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Mes
 			r.Fence = network.Fence{}
 			if f != nil && f.state == StateOff {
 				// Resume detection now that the foreign chain cleared.
-				if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
+				if ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
 					c.setState(f, StateDD)
 					f.ptr, f.ptrPkt = ptr, pid
 					f.deadline = s.Now + c.opt.TDD
@@ -542,9 +537,9 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Mes
 func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m Message, reqs []outReq) []outReq {
 	s := c.sim
 	in := m.inPort()
-	base := m.Vnet * s.Cfg.VCsPerVnet
+	base := m.Vnet * network.VCsPerVnet
 	var wanted [geom.NumPorts]bool
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+	for i := 0; i < network.VCsPerVnet; i++ {
 		vc := &r.In[in][base+i]
 		if vc.Pkt == nil {
 			return reqs // a free VC means no deadlock through this port
@@ -585,7 +580,7 @@ func (c *Controller) probeReturned(f *fsm, m Message) {
 	s.Stats.ProbesReturned++
 	f.seq++ // new recovery round
 	f.turnBuf = m.Turns
-	f.tDR = c.hopLatency * f.pathLen()
+	f.tDR = network.HopLatency * f.pathLen()
 	f.probeIn = m.inPort()
 	f.probeOut = m.OutPort
 	f.vnet = m.Vnet
@@ -685,7 +680,7 @@ func (c *Controller) enableReturned(f *fsm) {
 		r.Fence = network.Fence{}
 	}
 	f.turnBuf = Path{}
-	if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
+	if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
 		c.setState(f, StateDD)
 		f.ptr, f.ptrPkt = ptr, pid
 		f.deadline = s.Now + c.opt.TDD
@@ -716,8 +711,8 @@ func (c *Controller) buildSpinChain(f *fsm) (chain []spinLink, ok bool) {
 	heading := f.probeOut
 	pick := func(n geom.NodeID, in, out geom.Direction) *network.VC {
 		r := &s.Routers[n]
-		base := f.vnet * s.Cfg.VCsPerVnet
-		for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+		base := f.vnet * network.VCsPerVnet
+		for i := 0; i < network.VCsPerVnet; i++ {
 			vc := &r.In[in][base+i]
 			if vc.Pkt != nil && vc.HeadReady(s.Now) && s.OutputOf(vc.Pkt, n) == out {
 				return vc
@@ -778,7 +773,7 @@ func (c *Controller) spinCycle(f *fsm) bool {
 		dst := chain[(i+1)%n]
 		p := pkts[i]
 		dst.vc.Pkt = p
-		dst.vc.ReadyAt = s.Now + c.hopLatency
+		dst.vc.ReadyAt = s.Now + network.HopLatency
 		p.Hop++
 		s.Stats.HopMoves++
 		s.Stats.LinkCycles[network.ClassFlit] += int64(p.Len)
@@ -833,7 +828,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		if r.OccupiedNonLocal() == 0 {
 			return // nothing to watch; skip the VC scan (hot path)
 		}
-		if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
+		if ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
 			c.setState(f, StateDD)
 			f.ptr, f.ptrPkt = ptr, pid
 			f.deadline = now + c.opt.TDD
@@ -844,7 +839,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		if vc.Pkt == nil || vc.Pkt.ID != f.ptrPkt {
 			// The watched flit left: advance round-robin, restart counter;
 			// S_OFF if the router drained.
-			if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
+			if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
 				f.ptr, f.ptrPkt = ptr, pid
 				f.deadline = now + c.opt.TDD
 			} else {
@@ -859,7 +854,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		if !out.IsLink() {
 			// Waiting on ejection: never part of a dependence cycle. Move
 			// the pointer along.
-			if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
+			if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
 				f.ptr, f.ptrPkt = ptr, pid
 			}
 			f.deadline = now + c.opt.TDD
@@ -874,7 +869,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		// directions probes each of them across successive rounds (the
 		// paper's FSM keeps watching the same VC, which starves cycles
 		// exiting other ports when the watched chain is a dead end).
-		if ptr, pid, ok := nextOccupiedVC(r, s.Cfg, f.ptr); ok {
+		if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
 			f.ptr, f.ptrPkt = ptr, pid
 		}
 

@@ -147,7 +147,7 @@ func TestDependenceExistsChecksVnetAndBubble(t *testing.T) {
 	r := &s.Routers[node]
 	p := s.NewPacket(0, 2, 1, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
-	r.In[geom.West][1*s.Cfg.VCsPerVnet].Pkt = p // vnet 1 slot
+	r.In[geom.West][1*network.VCsPerVnet].Pkt = p // vnet 1 slot
 	if !c.dependenceExists(node, geom.West, 1, geom.East) {
 		t.Fatal("vnet-1 dependence should be visible")
 	}
@@ -161,7 +161,7 @@ func TestDependenceExistsChecksVnetAndBubble(t *testing.T) {
 		t.Fatal("local port never carries chain dependence")
 	}
 	// Bubble occupant counts.
-	r.In[geom.West][1*s.Cfg.VCsPerVnet].Pkt = nil
+	r.In[geom.West][1*network.VCsPerVnet].Pkt = nil
 	r.Bubble.Present = true
 	r.Bubble.InPort = geom.West
 	r.Bubble.VC.Pkt = p
@@ -282,7 +282,7 @@ func TestNextOccupiedVCIncludesBubble(t *testing.T) {
 	r.Bubble.Present = true
 	r.Bubble.InPort = geom.West
 	// Empty router: nothing to watch.
-	if _, _, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local}); ok {
+	if _, _, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
 		t.Fatal("empty router should yield no pointer")
 	}
 	// Only the bubble occupied: the pointer must find it. Placement goes
@@ -290,7 +290,7 @@ func TestNextOccupiedVCIncludesBubble(t *testing.T) {
 	// scan fast path) stays consistent with buffer contents.
 	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	s.PlaceBubblePacket(1, geom.West, p)
-	ptr, pid, ok := nextOccupiedVC(r, s.Cfg, vcPtr{port: geom.Local})
+	ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local})
 	if !ok || ptr.slot != bubbleSlot || pid != p.ID {
 		t.Fatalf("pointer = %+v pid=%d ok=%v", ptr, pid, ok)
 	}
@@ -300,7 +300,7 @@ func TestNextOccupiedVCIncludesBubble(t *testing.T) {
 	// Round robin continues past the bubble back to regular VCs.
 	q := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	s.PlacePacket(1, geom.North, 3, q)
-	ptr2, pid2, ok := nextOccupiedVC(r, s.Cfg, ptr)
+	ptr2, pid2, ok := nextOccupiedVC(r, ptr)
 	if !ok || ptr2.port != geom.North || pid2 != q.ID {
 		t.Fatalf("rotation after bubble = %+v pid=%d", ptr2, pid2)
 	}

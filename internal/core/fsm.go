@@ -165,9 +165,9 @@ func (f *fsm) pathLen() int64 { return int64(f.turnBuf.Len()) + 1 }
 // nextOccupiedVC scans non-local input VCs (plus the static bubble, as
 // the final pseudo-slot) round-robin starting after `from` and returns the
 // first occupied one. ok is false if every candidate is empty.
-func nextOccupiedVC(r *network.Router, cfg network.Config, from vcPtr) (vcPtr, int64, bool) {
-	slots := cfg.SlotsPerPort()
-	total := geom.NumLinkDirs*slots + 1 // +1: the bubble pseudo-slot
+func nextOccupiedVC(r *network.Router, from vcPtr) (vcPtr, int64, bool) {
+	const slots = network.SlotsPerPort
+	const total = geom.NumLinkDirs*slots + 1 // +1: the bubble pseudo-slot
 	start := 0
 	switch {
 	case from.slot == bubbleSlot:

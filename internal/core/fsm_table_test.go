@@ -78,7 +78,7 @@ func (h *fsmHarness) latch(withDependence bool) *network.Packet {
 	f.probeOut = geom.East
 	f.probeIn = geom.North
 	f.vnet = 0
-	f.tDR = h.c.hopLatency * f.pathLen()
+	f.tDR = network.HopLatency * f.pathLen()
 	h.c.setState(f, StateDisable)
 	f.deadline = h.s.Now + f.tDR
 	if withDependence {
@@ -157,7 +157,7 @@ func (h *fsmHarness) latchRing() []geom.NodeID {
 	f.probeOut = headings[0]
 	f.probeIn = headings[n-1].Opposite()
 	f.vnet = 0
-	f.tDR = h.c.hopLatency * f.pathLen()
+	f.tDR = network.HopLatency * f.pathLen()
 	h.c.setState(f, StateDisable)
 	f.deadline = h.s.Now + f.tDR
 	return nodes
@@ -309,8 +309,8 @@ func TestFSMTransitionTable(t *testing.T) {
 				if h.f.seq != seq+1 {
 					h.t.Fatal("probe return must open a new recovery round")
 				}
-				if want := h.c.hopLatency * 4; h.f.tDR != want {
-					h.t.Fatalf("tDR = %d, want hopLatency*pathLen = %d", h.f.tDR, want)
+				if want := int64(network.HopLatency * 4); h.f.tDR != want {
+					h.t.Fatalf("tDR = %d, want HopLatency*pathLen = %d", h.f.tDR, want)
 				}
 				if h.f.probeOut != geom.East || h.f.probeIn != geom.North {
 					h.t.Fatalf("latched ports %v/%v, want East/North", h.f.probeOut, h.f.probeIn)
@@ -462,7 +462,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				dep := h.activate()
 				// The congested-not-deadlocked chain drains through regular
 				// VCs without ever touching the bubble.
-				vc := h.r.VCAt(h.s.Cfg, h.f.probeIn, 0, 0)
+				vc := h.r.VCAt(h.f.probeIn, 0, 0)
 				if vc.Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
@@ -606,7 +606,7 @@ func TestFSMTransitionTable(t *testing.T) {
 			run: func(h *fsmHarness) {
 				dep := h.latch(true)
 				h.disableReturn()
-				vc := h.r.VCAt(h.s.Cfg, h.f.probeIn, 0, 0)
+				vc := h.r.VCAt(h.f.probeIn, 0, 0)
 				if vc.Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
@@ -684,9 +684,9 @@ func TestFSMTransitionTable(t *testing.T) {
 			run: func(h *fsmHarness) {
 				h.latchRing()
 				h.disableReturn()
-				// The rotation stamps ReadyAt = now + hopLatency; the next
+				// The rotation stamps ReadyAt = now + HopLatency; the next
 				// rotation needs the heads ready again.
-				h.at(h.s.Now + h.c.hopLatency)
+				h.at(h.s.Now + network.HopLatency)
 				h.checkProbeReturn()
 				if h.s.Stats.SpinRotations != 2 {
 					h.t.Fatalf("SpinRotations = %d, want 2", h.s.Stats.SpinRotations)
@@ -703,7 +703,7 @@ func TestFSMTransitionTable(t *testing.T) {
 			run: func(h *fsmHarness) {
 				nodes := h.latchRing()
 				h.disableReturn()
-				h.at(h.s.Now + h.c.hopLatency)
+				h.at(h.s.Now + network.HopLatency)
 				// Break the ring at its second router.
 				r2 := &h.s.Routers[nodes[1]]
 				for _, in := range geom.LinkDirs {
@@ -749,12 +749,12 @@ func TestFSMSpinRotationMovesEveryPacket(t *testing.T) {
 	}
 	for i, nd := range nodes {
 		in := headings[(i+n-1)%n].Opposite()
-		before[i] = h.s.Routers[nd].VCAt(h.s.Cfg, in, 0, 0).Pkt
+		before[i] = h.s.Routers[nd].VCAt(in, 0, 0).Pkt
 	}
 	h.disableReturn()
 	for i, nd := range nodes {
 		in := headings[(i+n-1)%n].Opposite()
-		got := h.s.Routers[nd].VCAt(h.s.Cfg, in, 0, 0).Pkt
+		got := h.s.Routers[nd].VCAt(in, 0, 0).Pkt
 		want := before[(i+n-1)%n]
 		if got != want {
 			t.Fatalf("slot %d holds packet %v, want predecessor's %v", i, got, want)

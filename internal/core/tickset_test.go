@@ -253,7 +253,7 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 			f.seq++
 			f.turnBuf = pathOf(geom.Straight, geom.Straight, geom.Straight)
 			f.probeOut, f.probeIn = geom.East, geom.North
-			f.tDR = c.hopLatency * f.pathLen()
+			f.tDR = network.HopLatency * f.pathLen()
 			f.deadline = 40
 			c.setState(f, StateDisable)
 		}

@@ -76,9 +76,9 @@ func Analyze(s *network.Sim) []BlockedPacket {
 			nb := s.Topo.Neighbor(rf.router, out)
 			in := out.Opposite()
 			nbr := &s.Routers[nb]
-			base := p.Vnet * s.Cfg.VCsPerVnet
+			base := p.Vnet * network.VCsPerVnet
 			ok := false
-			for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+			for i := 0; i < network.VCsPerVnet; i++ {
 				slot := base + i
 				target := ref{nb, in, slot}
 				if nbr.In[in][slot].Pkt == nil || drainable[target] {
@@ -138,25 +138,6 @@ func Analyze(s *network.Sim) []BlockedPacket {
 
 // IsDeadlocked reports whether any buffered packet can never drain.
 func IsDeadlocked(s *network.Sim) bool { return len(Analyze(s)) > 0 }
-
-// Watcher is the operational deadlock detector used by the topology-space
-// sweeps: the network is declared deadlocked when no packet has moved for
-// Horizon cycles while packets remain in flight. This matches the paper's
-// Fig. 2/3 methodology (observe whether the network deadlocks).
-type Watcher struct {
-	// Horizon is the no-progress window in cycles; the default used by
-	// the experiments is 1000.
-	Horizon int64
-}
-
-// Deadlocked reports the operational verdict for the current state of s.
-func (w Watcher) Deadlocked(s *network.Sim) bool {
-	h := w.Horizon
-	if h == 0 {
-		h = 1000
-	}
-	return s.InFlight() > 0 && s.Now-s.LastProgress >= h
-}
 
 // DrainWedged stops injection and gives the network a bounded chance to
 // make progress. Wedged means a full progress window elapsed with

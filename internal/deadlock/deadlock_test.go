@@ -87,8 +87,9 @@ func TestAnalyzeAgreesWithOperationalWatcher(t *testing.T) {
 			}
 			s.Step()
 		}
-		w := Watcher{Horizon: 1000}
-		if w.Deadlocked(s) && !IsDeadlocked(s) {
+		// The operational verdict: packets in flight, none moved for
+		// 1000 cycles.
+		if s.InFlight() > 0 && s.Now-s.LastProgress >= 1000 && !IsDeadlocked(s) {
 			t.Fatalf("seed %d: watcher says deadlocked but analyzer disagrees", seed)
 		}
 		if !IsDeadlocked(s) && s.InFlight() > 0 {
@@ -99,20 +100,6 @@ func TestAnalyzeAgreesWithOperationalWatcher(t *testing.T) {
 				t.Fatalf("seed %d: drainable verdict was wrong", seed)
 			}
 		}
-	}
-}
-
-func TestWatcherDefaults(t *testing.T) {
-	topo := topology.NewMesh(2, 2)
-	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	w := Watcher{}
-	if w.Deadlocked(s) {
-		t.Fatal("empty network cannot be operationally deadlocked")
-	}
-	primeRing(s, 12)
-	s.Run(1500)
-	if !w.Deadlocked(s) {
-		t.Fatal("watcher should flag the wedged ring with default horizon")
 	}
 }
 

@@ -48,7 +48,6 @@ type Controller struct {
 	tokenReleaseAt int64
 	// timers per VC, as in the escape scheme.
 	timers []vcTimer
-	slots  int
 
 	// Recoveries counts packets drained through the deadlock-buffer
 	// network; TokenStalls counts cycles the token could not advance
@@ -93,6 +92,9 @@ func HamiltonianCycle(width, height int) ([]geom.NodeID, error) {
 	return path, nil
 }
 
+// slots is the number of VCs at each input port.
+const slots = network.SlotsPerPort
+
 // Attach installs DISHA on s. The token path is the standard Hamiltonian
 // cycle over the full mesh; it is fixed at attach time, exactly as in the
 // original design — runtime topology changes are NOT accommodated (that
@@ -108,7 +110,6 @@ func Attach(s *network.Sim, opt Options) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots := s.Cfg.SlotsPerPort()
 	c := &Controller{
 		sim:         s,
 		opt:         opt,
@@ -116,7 +117,6 @@ func Attach(s *network.Sim, opt Options) (*Controller, error) {
 		pathIdx:     make([]int, s.Topo.NumNodes()),
 		tokenHeldBy: geom.InvalidNode,
 		timers:      make([]vcTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
-		slots:       slots,
 	}
 	for i := range c.pathIdx {
 		c.pathIdx[i] = -1
@@ -175,10 +175,10 @@ func (c *Controller) tick() {
 		if r.Occupied() == 0 {
 			continue
 		}
-		base := id * geom.NumPorts * c.slots
+		base := id * geom.NumPorts * slots
 		for _, port := range geom.AllPorts {
-			pbase := base + int(port)*c.slots
-			for slot := 0; slot < c.slots; slot++ {
+			pbase := base + int(port)*slots
+			for slot := 0; slot < slots; slot++ {
 				vc := &r.In[port][slot]
 				p := vc.Pkt
 				tm := &c.timers[pbase+slot]

@@ -105,7 +105,7 @@ func (m Model) Compute(s *network.Sim, extraBuffers int, cycles int64) Breakdown
 	linkDyn := flitHops*m.ELink + ctrlHops*m.ECtrlLink
 
 	aliveRouters := float64(s.Topo.AliveRouterCount())
-	buffers := aliveRouters*float64(s.Cfg.SlotsPerPort()*geom.NumPorts) + float64(extraBuffers)
+	buffers := aliveRouters*(network.SlotsPerPort*geom.NumPorts) + float64(extraBuffers)
 	routerLeak := float64(cycles) * (aliveRouters*m.PRouterBase + buffers*m.PBuffer)
 	linkLeak := float64(cycles) * float64(s.AliveDirectedLinkCount()) * m.PLink
 

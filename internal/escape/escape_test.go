@@ -66,8 +66,8 @@ func TestEscapeVCsStayReserved(t *testing.T) {
 		for id := range s.Routers {
 			r := &s.Routers[id]
 			for _, port := range geom.AllPorts {
-				for vnet := 0; vnet < s.Cfg.NumVnets; vnet++ {
-					if r.In[port][vnet*s.Cfg.VCsPerVnet+EscapeVCIndex].Pkt != nil {
+				for vnet := 0; vnet < network.NumVnets; vnet++ {
+					if r.In[port][vnet*network.VCsPerVnet+EscapeVCIndex].Pkt != nil {
 						t.Fatalf("cycle %d: escape VC occupied by regular traffic", cyc)
 					}
 				}

@@ -123,7 +123,7 @@ func adversaryEvaluate(p Params, sp adversary.Space, g adversary.Gene, seed int6
 			{Name: "latency", Pattern: traffic.NewUniformRandom(alive), RateFlits: rate * 0.3,
 				CtrlFraction: 0.9, CtrlVnet: 0, DataVnet: 1},
 			{Name: "bulk", Pattern: pattern, RateFlits: rate * 0.7,
-				CtrlFraction: 0.1, DataLen: 5, CtrlVnet: 2, DataVnet: 2},
+				CtrlFraction: 0.1, CtrlVnet: 2, DataVnet: 2},
 		}, sweep.SubSeed(seed, 2))
 	default: // "bernoulli"
 		inj = inst.Injector(pattern, rate, sweep.SubSeed(seed, 2))

@@ -517,9 +517,9 @@ func churnRun(p Params, cfg ChurnConfig, kind int, seed int64) (out churnCell) {
 				if r, ok := alg.Route(src, dst, rng); ok {
 					ln := 1
 					if rng.Intn(2) == 0 {
-						ln = 5
+						ln = network.VCDepth
 					}
-					s.Enqueue(s.NewPacket(src, dst, rng.Intn(3), ln, r))
+					s.Enqueue(s.NewPacket(src, dst, rng.Intn(network.NumVnets), ln, r))
 				} else {
 					s.Drop()
 				}

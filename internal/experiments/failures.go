@@ -146,7 +146,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	case int(EscapeVC):
 		esc = escape.Attach(s, ud, escape.Options{})
 	case int(StaticBubble):
-		core.Attach(s, core.Options{TDD: p.TDD})
+		core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})
 	}
 	var dishaCtl *disha.Controller
 	if kind == dishaKind {
@@ -200,9 +200,9 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 			if r, ok := alg.Route(src, dst, rng); ok {
 				ln := 1
 				if rng.Intn(2) == 0 {
-					ln = 5
+					ln = network.VCDepth
 				}
-				s.Enqueue(s.NewPacket(src, dst, rng.Intn(3), ln, r))
+				s.Enqueue(s.NewPacket(src, dst, rng.Intn(network.NumVnets), ln, r))
 			} else {
 				s.Drop()
 			}

@@ -36,7 +36,7 @@ func saturatedSim(tb testing.TB) *Sim {
 				continue
 			}
 			if r, ok := xy.Route(geom.NodeID(i), dst, nil); ok {
-				s.Enqueue(s.NewPacket(geom.NodeID(i), dst, rng.Intn(s.Cfg.NumVnets), 5, r))
+				s.Enqueue(s.NewPacket(geom.NodeID(i), dst, rng.Intn(NumVnets), 5, r))
 			}
 		}
 		s.Step()
@@ -87,7 +87,7 @@ func BenchmarkDenseAllocNodeSaturated(b *testing.B) {
 func BenchmarkTryGrantRejected(b *testing.B) {
 	s := saturatedSim(b)
 	prime(s)
-	slots := s.Cfg.SlotsPerPort()
+	slots := SlotsPerPort
 	total := geom.NumPorts * slots
 	// Find a ready candidate whose desired link output is up but whose
 	// downstream vnet has no free buffer: tryGrant must reject it, and
@@ -171,9 +171,9 @@ func BenchmarkDenseAllocBlocked10(b *testing.B) {
 	s := New(topo, Config{}, rand.New(rand.NewSource(1)))
 	mid := topo.ID(geom.Coord{X: 1, Y: 1})
 	east, north := topo.Neighbor(mid, geom.East), topo.Neighbor(mid, geom.North)
-	per := s.Cfg.VCsPerVnet
+	per := VCsPerVnet
 	// Fill the two downstream input ports completely.
-	for slot := 0; slot < s.Cfg.SlotsPerPort(); slot++ {
+	for slot := 0; slot < SlotsPerPort; slot++ {
 		p := s.NewPacket(mid, east, slot/per, 5, routing.Route{geom.East})
 		p.Hop = 1
 		s.PlacePacket(east, geom.West, slot, p)

@@ -1,9 +1,7 @@
 package network_test
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -136,39 +134,5 @@ func TestOutputOverrideIsInert(t *testing.T) {
 	}
 	if plain.Stats.Delivered == 0 || plain.Stats.DeadlockRecoveries == 0 {
 		t.Fatalf("vacuous: delivered %d, recoveries %d", plain.Stats.Delivered, plain.Stats.DeadlockRecoveries)
-	}
-}
-
-// TestNewRejectsWideSlotSpace: the allocator arbitrates over one 64-bit
-// request word, so New accepts a Config whose 5 ports x vnets x VCs
-// buffers plus the static bubble fit it and panics, naming the bound,
-// on one that does not.
-func TestNewRejectsWideSlotSpace(t *testing.T) {
-	topo := topology.NewMesh(2, 2)
-	for _, tc := range []struct {
-		vnets, vcs int
-		ok         bool
-	}{
-		{3, 4, true},   // the paper's Table II: 61 candidates
-		{2, 6, true},   // 61
-		{12, 1, true},  // 61
-		{3, 5, false},  // 76
-		{4, 4, false},  // 81
-		{13, 1, false}, // 66
-	} {
-		t.Run(fmt.Sprintf("%dx%d", tc.vnets, tc.vcs), func(t *testing.T) {
-			defer func() {
-				r := recover()
-				switch {
-				case tc.ok && r != nil:
-					t.Fatalf("rejected: %v", r)
-				case !tc.ok && r == nil:
-					t.Fatal("accepted")
-				case !tc.ok && !strings.Contains(fmt.Sprint(r), "64-candidate"):
-					t.Fatalf("panic %q does not name the 64-candidate bound", r)
-				}
-			}()
-			network.New(topo, network.Config{NumVnets: tc.vnets, VCsPerVnet: tc.vcs}, nil)
-		})
 	}
 }

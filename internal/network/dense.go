@@ -9,7 +9,7 @@ package network
 // reads its request registers and its per-port credit state, and touches
 // a buffer only to move the winner. Each router's per-output request
 // vectors are state: want[id][out] has bit ci set (candidate index
-// in*slots+sl, the bubble at bit `total`) iff that buffer holds a packet
+// in*slots+sl, the bubble at bit bubbleCI) iff that buffer holds a packet
 // whose next hop at id is out — the source route's, or the escape tree's
 // for an escaped packet (escclass.go), or under a hop class the single
 // minimal direction (hopclass.go) — and esc[id] marks the buffers whose
@@ -71,10 +71,10 @@ package network
 // This is the one allocation pass Step runs, for every scheme: a class or
 // a rule is state the pass reads, not a hook it must call — the escape
 // class's two rules and the hop class's mask table. Every candidate fits
-// one word because New rejects a Config whose NumPorts*SlotsPerPort
-// buffers plus the bubble exceed 64. AllocateNode, the gather-then-commit
-// allocator, is the refmodel's reference: it reads the buffers
-// themselves, and the differential harness holds the two equal.
+// one word: the NumPorts*SlotsPerPort buffers plus the bubble are at most
+// 64, which network.go asserts at compile time. AllocateNode, the
+// gather-then-commit allocator, is the refmodel's reference: it reads the
+// buffers themselves, and the differential harness holds the two equal.
 
 import (
 	"math/bits"
@@ -82,24 +82,13 @@ import (
 	"repro/internal/geom"
 )
 
-// denseState holds the fused pass's per-Config constants, the
-// slot-occupancy mirror, the request vectors and the timer words.
+// denseState holds the fused pass's slot-occupancy mirror, request
+// vectors and timer words.
 type denseState struct {
-	// vnetBits[v] masks the candidate indices whose slot belongs to vnet
-	// v (across all input ports; the bubble bit is excluded — its vnet is
-	// the occupant's, resolved at arbitration time). Static for a given
-	// Config, so the fused pass classifies grantability per vnet with one
-	// AND instead of touching each candidate's packet.
-	vnetBits []uint64
 	// lane[v<<1|c] masks, within one input port's slots, the VC indices
 	// of vnet v a packet of class c (1 = escaped) may enter: classVCs as
 	// a word. Rewritten when an escape class attaches (setLanes).
-	lane []uint64
-	// slots/total/slotMask cache SlotsPerPort-derived constants for the
-	// per-router fused pass.
-	slots    int
-	total    int
-	slotMask uint64
+	lane [2 * NumVnets]uint64
 	// occBits[id] mirrors router id's buffer occupancy at slot
 	// granularity: bit ci (= in*slots+sl, bubble at NumPorts*slots) is
 	// set iff that buffer holds a packet. Maintained by every fill/clear
@@ -137,37 +126,35 @@ type denseState struct {
 	stale bool
 }
 
-func (d *denseState) init(numNodes int, cfg Config) {
-	slots := cfg.SlotsPerPort()
-	d.slots = slots
-	d.total = geom.NumPorts * slots
-	d.slotMask = uint64(1)<<uint(slots) - 1
-	d.vnetBits = make([]uint64, cfg.NumVnets)
-	for v := 0; v < cfg.NumVnets; v++ {
-		lane := (uint64(1)<<uint(cfg.VCsPerVnet) - 1) << uint(v*cfg.VCsPerVnet)
-		for in := 0; in < geom.NumPorts; in++ {
-			d.vnetBits[v] |= lane << uint(in*slots)
-		}
-	}
-	d.lane = make([]uint64, 2*cfg.NumVnets)
+func (d *denseState) init(numNodes int) {
 	d.occBits = make([]uint64, numNodes)
 	d.want = make([][geom.NumPorts]uint64, numNodes)
 	d.pend = make([]uint64, numNodes)
 	d.drain = make([]uint64, numNodes)
 	d.esc = make([]uint64, numNodes)
-	d.wheel.init(numNodes, max(cfg.VCDepth, cfg.RouterLatency+cfg.LinkLatency))
+	d.wheel.init(numNodes, max(VCDepth, HopLatency))
 }
+
+// vnetBits returns the mask of the candidate indices whose slot belongs
+// to vnet v, across all input ports (the bubble bit is excluded — its
+// vnet is the occupant's, resolved at arbitration time), so the fused
+// pass classifies grantability per vnet with one AND instead of touching
+// each candidate's packet. vnet0Bits is vnet 0's: its lane at every
+// port's slot offset.
+func vnetBits(v int) uint64 { return vnet0Bits << uint(v*VCsPerVnet) }
+
+const vnet0Bits uint64 = (1<<VCsPerVnet - 1) * ((1<<bubbleCI - 1) / slotMask)
 
 // setLanes derives lane from the class rules (classVCs): at New, and
 // again when an escape class reserves its VC index.
 func (s *Sim) setLanes() {
-	for v := 0; v < s.Cfg.NumVnets; v++ {
+	for v := 0; v < NumVnets; v++ {
 		for c := 0; c < 2; c++ {
 			lo, hi, skip := s.classVCs(c == 1)
 			var w uint64
 			for i := lo; i < hi; i++ {
 				if i != skip {
-					w |= 1 << uint(v*s.Cfg.VCsPerVnet+i)
+					w |= 1 << uint(v*VCsPerVnet+i)
 				}
 			}
 			s.dense.lane[v<<1|c] = w
@@ -176,9 +163,9 @@ func (s *Sim) setLanes() {
 }
 
 // timerWheel files buffers under the cycle their timer runs out. Every
-// timer runs out at most maxAhead cycles after it is set (RouterLatency+
-// LinkLatency for a head, VCDepth for a tail), so with W, the number of
-// slots, a power of two above that, slot t&(W-1) holds exactly the
+// timer runs out at most maxAhead cycles after it is set (HopLatency for
+// a head, VCDepth for a tail), so with W, the number of slots, a power
+// of two above that, slot t&(W-1) holds exactly the
 // timers due at cycle t: due[slot*n+id] the buffers of router id, and
 // sum[slot*words+id>>6] bit id&63 a summary of the routers with any,
 // laid out like the active set. All of it is allocated by init.
@@ -257,7 +244,7 @@ func (s *Sim) ExpireTimers() {
 // p.Hop advanced): it derives p's next hop at id.
 func (s *Sim) occBitSet(id geom.NodeID, bit int, p *Packet, readyAt int64) {
 	if e := s.escClass; e != nil {
-		e.fill[int(id)*e.stride+bit] = s.Now
+		e.fill[int(id)*numCand+bit] = s.Now
 	}
 	d := &s.dense
 	m := uint64(1) << uint(bit)
@@ -289,7 +276,7 @@ func (s *Sim) registerHop(id geom.NodeID, ci int, p *Packet) {
 		var mask uint8
 		if out, mask = h.hopOf(p, id); mask != 0 {
 			h.choose[id] |= m
-			h.mask[int(id)*h.stride+ci] = mask
+			h.mask[int(id)*numCand+ci] = mask
 			return
 		}
 	} else {
@@ -418,12 +405,12 @@ func (s *Sim) vectorsLive() bool { return !s.dense.stale }
 func (s *Sim) candIndex(id geom.NodeID, port geom.Direction, vc *VC) int {
 	r := &s.Routers[id]
 	if vc == &r.Bubble.VC {
-		return s.dense.total
+		return bubbleCI
 	}
 	vcs := r.In[port]
 	for sl := range vcs {
 		if &vcs[sl] == vc {
-			return int(port)*s.dense.slots + sl
+			return int(port)*SlotsPerPort + sl
 		}
 	}
 	panic("network: buffer not at the given router and port")
@@ -445,9 +432,9 @@ func (s *Sim) OccupancyMirror(id geom.NodeID) uint64 { return s.dense.occBits[id
 func (r *Router) OccupiedScanWord() uint64 {
 	d := &r.sim.dense
 	occ := d.occBits[r.ID]
-	link := uint(geom.NumLinkDirs * d.slots)
-	w := occ & (uint64(1)<<link - 1)
-	if r.Bubble.Present && occ>>uint(d.total)&1 != 0 {
+	const link = geom.NumLinkDirs * SlotsPerPort
+	w := occ & (1<<link - 1)
+	if r.Bubble.Present && occ>>bubbleCI&1 != 0 {
 		w |= 1 << link
 	}
 	return w
@@ -469,9 +456,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 	r := &s.Routers[id]
 	now := s.Now
 	d := &s.dense
-	slots := d.slots
-	total := d.total // bubble uses candidate index `total`
-	bubbleBit := uint64(1) << uint(total)
+	const bubbleBit = uint64(1) << bubbleCI
 
 	// Classification (file comment): the desire masks are the want words
 	// restricted to the buffers whose head has arrived.
@@ -492,7 +477,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 		// Only traffic from the fence's input port may take its output.
 		var from uint64
 		if uint(f.In) < geom.NumPorts {
-			from = d.slotMask << uint(int(f.In)*slots)
+			from = slotMask << uint(int(f.In)*SlotsPerPort)
 		}
 		if r.Bubble.InPort == f.In {
 			from |= bubbleBit
@@ -507,7 +492,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 	// from the round-robin pointer: exactly the winner commitAllocate's
 	// rotate-and-scan converges on, since the candidates it would skip are
 	// those tryGrant rejects.
-	vnetBits, lane := d.vnetBits, d.lane
+	lane := &d.lane
 	for _, out := range geom.AllPorts {
 		m := desire[out]
 		if m == 0 || r.OutFreeAt[out] > now {
@@ -521,11 +506,12 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 				continue
 			}
 			nb, in := s.Topo.Neighbor(id, out), out.Opposite()
-			busy, sh = d.occBits[nb]|d.drain[nb], uint(int(in)*slots)
+			busy, sh = d.occBits[nb]|d.drain[nb], uint(int(in)*SlotsPerPort)
 			if b := &s.Routers[nb].Bubble; !(b.Present && b.Active && b.InPort == in && busy&bubbleBit == 0) {
 				eligible = 0
 				ew := d.esc[id]
-				for v, vb := range vnetBits {
+				for v := 0; v < NumVnets; v++ {
+					vb := vnetBits(v)
 					if reg := m & vb &^ ew; reg != 0 && lane[v<<1]<<sh&^busy != 0 {
 						eligible |= reg
 					}
@@ -533,7 +519,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 						eligible |= esc
 					}
 				}
-				if m&bubbleBit != 0 && lane[r.Bubble.VC.Pkt.Vnet<<1|int(ew>>uint(total)&1)]<<sh&^busy != 0 {
+				if m&bubbleBit != 0 && lane[r.Bubble.VC.Pkt.Vnet<<1|int(ew>>bubbleCI&1)]<<sh&^busy != 0 {
 					eligible |= bubbleBit
 				}
 				if eligible == 0 {
@@ -548,7 +534,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 		} else {
 			ci = bits.TrailingZeros64(eligible)
 		}
-		dst := total // the downstream bubble, unless a buffer is free
+		dst := bubbleCI // the downstream bubble, unless a buffer is free
 		if out != geom.Local {
 			c := int(d.esc[id] >> uint(ci) & 1)
 			if free := lane[r.candVC(ci).Pkt.Vnet<<1|c] << sh &^ busy; free != 0 {
@@ -556,6 +542,6 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 			}
 		}
 		s.grant(r, out, ci, dst)
-		r.saPtr[out] = (ci + 1) % (total + 1)
+		r.saPtr[out] = (ci + 1) % numCand
 	}
 }

@@ -35,7 +35,7 @@ func attachOracle(s *network.Sim, ud *routing.UpDown, opt escape.Options) *oracl
 	if opt.Timeout == 0 {
 		opt.Timeout = 34
 	}
-	slots := s.Cfg.SlotsPerPort()
+	slots := network.SlotsPerPort
 	c := &oracle{
 		sim:     s,
 		updown:  ud,

@@ -30,11 +30,10 @@ type TreeRouter interface {
 type escapeClass struct {
 	vc   int // reserved VC index within every vnet
 	tree TreeRouter
-	// fill[id*stride+ci] is the cycle buffer ci (candidate index
-	// in*slots+sl, the bubble last) of router id was last filled, written
-	// by occBitSet — the one place every fill passes.
-	fill   []int64
-	stride int
+	// fill[id*numCand+ci] is the cycle buffer ci (candidate index
+	// in*SlotsPerPort+sl, the bubble last) of router id was last filled,
+	// written by occBitSet — the one place every fill passes.
+	fill []int64
 }
 
 // AttachEscapeClass reserves VC index vcIndex of every vnet for escaped
@@ -48,11 +47,11 @@ func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
 	if s.hopClass != nil {
 		panic("network: an escape class cannot share a Sim with a hop class")
 	}
-	if vcIndex < 0 || vcIndex >= s.Cfg.VCsPerVnet {
+	if vcIndex < 0 || vcIndex >= VCsPerVnet {
 		panic("network: escape VC index outside the vnet")
 	}
-	e := &escapeClass{vc: vcIndex, tree: tree, stride: geom.NumPorts*s.Cfg.SlotsPerPort() + 1}
-	e.fill = make([]int64, len(s.Routers)*e.stride)
+	e := &escapeClass{vc: vcIndex, tree: tree}
+	e.fill = make([]int64, len(s.Routers)*numCand)
 	if s.Now != 0 {
 		for i := range e.fill {
 			e.fill[i] = s.Now
@@ -87,7 +86,7 @@ func (s *Sim) EscapeClass() (vcIndex int, ok bool) {
 // the slice aliases simulator state and must not be written.
 func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 	e := s.escClass
-	return e.fill[int(id)*e.stride : int(id+1)*e.stride-1]
+	return e.fill[int(id)*numCand : int(id)*numCand+bubbleCI]
 }
 
 // PromoteEscape moves the packet buffered in slot `slot` of router id's
@@ -101,7 +100,7 @@ func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
 	p.Escaped = true
 	s.Stats.EscapeTransfers++
 	d := &s.dense
-	ci := int(in)*d.slots + slot
+	ci := int(in)*SlotsPerPort + slot
 	m := uint64(1) << uint(ci)
 	w := &d.want[id]
 	for out := range w {
@@ -119,9 +118,9 @@ func (s *Sim) classVCs(escaped bool) (lo, hi, skip int) {
 	e := s.escClass
 	switch {
 	case e == nil:
-		return 0, s.Cfg.VCsPerVnet, -1
+		return 0, VCsPerVnet, -1
 	case escaped:
 		return e.vc, e.vc + 1, -1
 	}
-	return 0, s.Cfg.VCsPerVnet, e.vc
+	return 0, VCsPerVnet, e.vc
 }

@@ -111,7 +111,7 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 		}
 		mutate()
 
-		slots := s.Cfg.SlotsPerPort()
+		slots := SlotsPerPort
 		total := geom.NumPorts * slots
 		cycles := 200 + int(modeByte)
 		var snap, after []buffered
@@ -129,7 +129,7 @@ func FuzzAllocateGrantInvariants(f *testing.F) {
 					}
 					if r, ok := min.Route(src, dst, hrng); ok {
 						ln := 1 + 4*hrng.Intn(2)
-						s.Enqueue(s.NewPacket(src, dst, hrng.Intn(s.Cfg.NumVnets), ln, r))
+						s.Enqueue(s.NewPacket(src, dst, hrng.Intn(NumVnets), ln, r))
 					}
 				}
 			}

@@ -37,13 +37,12 @@ type HopMasker interface {
 type hopClass struct {
 	masker HopMasker
 	// choose[id] has bit ci set iff buffer ci of router id holds a packet
-	// with more than one minimal direction, and mask[id*stride+ci] is then
+	// with more than one minimal direction, and mask[id*numCand+ci] is then
 	// that packet's mask (meaningless under a clear bit). Written where
 	// want is (occBitSet, occBitClear, the stale rebuild), and disjoint
 	// from every want word: a buffer is registered in one or the other.
 	choose []uint64
 	mask   []uint8
-	stride int
 }
 
 // AttachHopClass routes every packet per hop over masker's minimal
@@ -58,9 +57,9 @@ func (s *Sim) AttachHopClass(masker HopMasker) {
 	if s.escClass != nil {
 		panic("network: a hop class cannot share a Sim with an escape class")
 	}
-	h := &hopClass{masker: masker, stride: geom.NumPorts*s.Cfg.SlotsPerPort() + 1}
+	h := &hopClass{masker: masker}
 	h.choose = make([]uint64, len(s.Routers))
-	h.mask = make([]uint8, len(s.Routers)*h.stride)
+	h.mask = make([]uint8, len(s.Routers)*numCand)
 	s.hopClass = h
 	s.Wake(0)
 }
@@ -76,10 +75,10 @@ func (s *Sim) HopClass() (masker HopMasker, ok bool) {
 
 // HopVectors returns the hop class's registered state beside the request
 // vectors: choose[id] is router id's "choose per visit" word and
-// masks[id*stride+ci], stride NumPorts*SlotsPerPort()+1, the mask byte of
-// a buffer whose bit is set there. Live exactly when RequestVectors is,
-// with a class attached. Exposed for the validate package; the slices
-// alias simulator state and must not be written.
+// masks[id*(NumPorts*SlotsPerPort+1)+ci] the mask byte of a buffer whose
+// bit is set there. Live exactly when RequestVectors is, with a class
+// attached. Exposed for the validate package; the slices alias simulator
+// state and must not be written.
 func (s *Sim) HopVectors() (choose []uint64, masks []uint8, live bool) {
 	if s.hopClass == nil || !s.vectorsLive() {
 		return nil, nil, false
@@ -125,7 +124,7 @@ func (s *Sim) hopOutput(p *Packet, at geom.NodeID) geom.Direction {
 // bit onto a link disabled since the table was compiled still names the
 // mesh neighbour; the allocator prunes the candidate on HasLink.
 func (s *Sim) hopFree(at geom.NodeID, vnet int, mask uint8, free *[geom.NumLinkDirs]int8) {
-	per := s.Cfg.VCsPerVnet
+	per := VCsPerVnet
 	for m := mask; m != 0; m &= m - 1 {
 		d := geom.Direction(bits.TrailingZeros8(m))
 		vcs := s.Routers[s.Topo.Neighbor(at, d)].In[d.Opposite()][vnet*per : (vnet+1)*per]
@@ -160,11 +159,11 @@ func hopBest(mask uint8, free *[geom.NumLinkDirs]int8) geom.Direction {
 // taken a vnet at a time and each (direction, vnet) is counted at most
 // once per visit; the bubble's vnet is its occupant's.
 func (s *Sim) hopResolve(id geom.NodeID, cw uint64, desire *[geom.NumPorts]uint64) {
-	h, d := s.hopClass, &s.dense
-	masks := h.mask[int(id)*h.stride : int(id+1)*h.stride]
+	h := s.hopClass
+	masks := h.mask[int(id)*numCand : int(id+1)*numCand]
 	var free [geom.NumLinkDirs]int8
-	for v, vb := range d.vnetBits {
-		g := cw & vb
+	for v := 0; v < NumVnets; v++ {
+		g := cw & vnetBits(v)
 		if g == 0 {
 			continue
 		}
@@ -179,9 +178,9 @@ func (s *Sim) hopResolve(id geom.NodeID, cw uint64, desire *[geom.NumPorts]uint6
 			desire[hopBest(m, &free)] |= 1 << uint(ci)
 		}
 	}
-	if cw>>uint(d.total)&1 != 0 {
-		m := masks[d.total]
+	if cw>>bubbleCI&1 != 0 {
+		m := masks[bubbleCI]
 		s.hopFree(id, s.Routers[id].Bubble.VC.Pkt.Vnet, m, &free)
-		desire[hopBest(m, &free)] |= 1 << uint(d.total)
+		desire[hopBest(m, &free)] |= 1 << bubbleCI
 	}
 }

@@ -36,59 +36,49 @@ import (
 	"repro/internal/topology"
 )
 
-// Config sets the structural parameters of the simulated NoC. The zero
-// value of any field selects the paper's Table II default.
+// The router is the paper's Table II router, sized at design time like
+// the hardware it models: NumVnets virtual networks (message classes) of
+// VCsPerVnet virtual channels at each input port, VCDepth-flit VCs
+// (virtual cut-through: a packet fills exactly one VC, so no packet is
+// longer), and a RouterLatency-cycle router and a LinkLatency-cycle link
+// per hop.
+const (
+	NumVnets      = 3
+	VCsPerVnet    = 4
+	VCDepth       = 5
+	RouterLatency = 1
+	LinkLatency   = 1
+	// SlotsPerPort is the number of VCs at each input port.
+	SlotsPerPort = NumVnets * VCsPerVnet
+	// HopLatency is the per-hop cost of a head: router plus link.
+	HopLatency = RouterLatency + LinkLatency
+)
+
+// A router's allocation candidates are its NumPorts*SlotsPerPort input
+// VCs (candidate index in*SlotsPerPort+sl) and then the static bubble,
+// bubbleCI; numCand counts them. slotMask masks one input port's slots.
+const (
+	bubbleCI        = geom.NumPorts * SlotsPerPort
+	numCand         = bubbleCI + 1
+	slotMask uint64 = 1<<SlotsPerPort - 1
+)
+
+// Every candidate must fit the allocator's one 64-bit request word: the
+// paper's 3x4 gives 61. A wider router fails to compile.
+const _ = uint(64 - numCand)
+
+// Config holds no structural parameter: the router is fixed above.
 type Config struct {
-	// NumVnets is the number of virtual networks (message classes).
-	// Default 3. NumPorts*NumVnets*VCsPerVnet buffers plus the static
-	// bubble must fit the allocator's 64-candidate request word (New
-	// panics otherwise): the paper's 3x4 gives 61.
-	NumVnets int
-	// VCsPerVnet is the number of virtual channels per vnet per input
-	// port. Default 4. Bounded with NumVnets (above).
-	VCsPerVnet int
-	// VCDepth is the VC depth in flits; packets longer than this are
-	// rejected (virtual cut-through requires packet-sized VCs). Default 5.
-	VCDepth int
-	// RouterLatency is the per-hop router pipeline delay in cycles.
-	// Default 1.
-	RouterLatency int
-	// LinkLatency is the per-hop link traversal delay in cycles.
-	// Default 1.
-	LinkLatency int
 	// Shards is ignored: the simulator steps every router on the calling
 	// goroutine. The field stays only because the benchmark's side pass
 	// still sets it (see ROADMAP item 6(b)).
 	Shards int
 }
 
-func (c Config) withDefaults() Config {
-	if c.NumVnets == 0 {
-		c.NumVnets = 3
-	}
-	if c.VCsPerVnet == 0 {
-		c.VCsPerVnet = 4
-	}
-	if c.VCDepth == 0 {
-		c.VCDepth = 5
-	}
-	if c.RouterLatency == 0 {
-		c.RouterLatency = 1
-	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 1
-	}
-	return c
-}
-
-// SlotsPerPort returns the number of VCs at each input port.
-func (c Config) SlotsPerPort() int { return c.NumVnets * c.VCsPerVnet }
-
 // Sim is one simulated network instance. Construct with New; advance with
 // Step. All exported state may be read by scheme plugins; mutation outside
 // the documented hooks voids determinism guarantees.
 type Sim struct {
-	Cfg     Config
 	Topo    *topology.Topology
 	Routers []Router
 	// NIQueue[node][vnet] is the source-side injection FIFO.
@@ -117,7 +107,7 @@ type Sim struct {
 
 	Stats Stats
 	// LastProgress is the last cycle any packet moved between buffers or
-	// was delivered; the operational deadlock detector watches it.
+	// was delivered; the benchmark's wedge watchdog reads it.
 	LastProgress int64
 
 	nextPktID int64
@@ -168,20 +158,13 @@ type Sim struct {
 }
 
 // New builds a simulator over topo. The topology may be irregular; dead
-// routers carry no state. It panics when cfg's allocation candidates do
-// not fit one 64-bit request word (Config.NumVnets).
+// routers carry no state. cfg is ignored (Config).
 func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
-	cfg = cfg.withDefaults()
-	if c := geom.NumPorts*cfg.SlotsPerPort() + 1; c > 64 {
-		panic(fmt.Sprintf("network: %d vnets x %d VCs gives %d allocation candidates per router, past the 64-candidate bound",
-			cfg.NumVnets, cfg.VCsPerVnet, c))
-	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
 	n := topo.NumNodes()
 	s := &Sim{
-		Cfg:     cfg,
 		Topo:    topo,
 		Routers: make([]Router, n),
 		NIQueue: make([][]NIRing, n),
@@ -191,19 +174,18 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 	s.occNL = make([]int32, n)
 	s.grantN = make([]int64, n)
 	s.niPend = make([]int32, n)
-	slots := cfg.SlotsPerPort()
 	for id := 0; id < n; id++ {
 		r := &s.Routers[id]
 		r.ID = geom.NodeID(id)
 		r.sim = s
-		r.bufs = make([]VC, geom.NumPorts*slots)
+		r.bufs = make([]VC, bubbleCI)
 		for p := 0; p < geom.NumPorts; p++ {
-			r.In[p] = r.bufs[p*slots : (p+1)*slots : (p+1)*slots]
+			r.In[p] = r.bufs[p*SlotsPerPort : (p+1)*SlotsPerPort : (p+1)*SlotsPerPort]
 		}
-		s.NIQueue[id] = make([]NIRing, cfg.NumVnets)
+		s.NIQueue[id] = make([]NIRing, NumVnets)
 	}
-	s.seqGather.init(cfg)
-	s.dense.init(n, cfg)
+	s.seqGather.init()
+	s.dense.init(n)
 	s.setLanes()
 	s.active = make([]uint64, (n+63)>>6)
 	s.ids = make([]int32, 0, n)
@@ -215,11 +197,11 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 // pooling (the default), where the packet may be a recycled one, or to
 // the heap with SetPooling(false) — so the caller keeps its buffer.
 func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Route) *Packet {
-	if length < 1 || length > s.Cfg.VCDepth {
-		panic(fmt.Sprintf("network: packet length %d outside [1,%d]", length, s.Cfg.VCDepth))
+	if length < 1 || length > VCDepth {
+		panic(fmt.Sprintf("network: packet length %d outside [1,%d]", length, VCDepth))
 	}
-	if vnet < 0 || vnet >= s.Cfg.NumVnets {
-		panic(fmt.Sprintf("network: vnet %d outside [0,%d)", vnet, s.Cfg.NumVnets))
+	if vnet < 0 || vnet >= NumVnets {
+		panic(fmt.Sprintf("network: vnet %d outside [0,%d)", vnet, NumVnets))
 	}
 	s.nextPktID++
 	var p *Packet
@@ -322,7 +304,7 @@ func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet
 	if vc.Pkt != nil {
 		panic("network: PlacePacket into an occupied VC")
 	}
-	ci := int(in)*s.dense.slots + slot
+	ci := int(in)*SlotsPerPort + slot
 	s.cancelTimer(id, ci) // the buffer may still be draining
 	vc.Pkt = p
 	vc.ReadyAt = s.Now
@@ -337,11 +319,11 @@ func (s *Sim) PlaceBubblePacket(id geom.NodeID, in geom.Direction, p *Packet) {
 	if b.VC.Pkt != nil {
 		panic("network: PlaceBubblePacket into an occupied bubble")
 	}
-	s.cancelTimer(id, s.dense.total)
+	s.cancelTimer(id, bubbleCI)
 	b.InPort = in
 	b.VC.Pkt = p
 	b.VC.ReadyAt = s.Now
-	s.occBitSet(id, s.dense.total, p, b.VC.ReadyAt)
+	s.occBitSet(id, bubbleCI, p, b.VC.ReadyAt)
 	s.placeAccount(id, in, p)
 }
 
@@ -429,8 +411,8 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 		}
 		vc := &r.In[geom.Local][slot]
 		vc.Pkt = p
-		vc.ReadyAt = s.Now + int64(s.Cfg.RouterLatency)
-		s.occBitSet(id, int(geom.Local)*s.dense.slots+slot, p, vc.ReadyAt)
+		vc.ReadyAt = s.Now + RouterLatency
+		s.occBitSet(id, int(geom.Local)*SlotsPerPort+slot, p, vc.ReadyAt)
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
@@ -448,7 +430,7 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 // reference vcFilter may veto individual slots.
 func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet int) int {
 	vcs := s.Routers[node].In[in]
-	base := vnet * s.Cfg.VCsPerVnet
+	base := vnet * VCsPerVnet
 	lo, hi, skip := s.classVCs(p.Escaped)
 	for i := lo; i < hi; i++ {
 		if i != skip && vcs[base+i].Empty(s.Now) && (s.vcFilter == nil || s.vcFilter(p, node, in, i)) {

@@ -13,16 +13,6 @@ func mkSim(t *topology.Topology, seed int64) *Sim {
 	return New(t, Config{}, rand.New(rand.NewSource(seed)))
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.NumVnets != 3 || c.VCsPerVnet != 4 || c.VCDepth != 5 || c.RouterLatency != 1 || c.LinkLatency != 1 {
-		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	if c.SlotsPerPort() != 12 {
-		t.Fatalf("SlotsPerPort = %d, want 12", c.SlotsPerPort())
-	}
-}
-
 func TestSinglePacketLatency(t *testing.T) {
 	// Latency of an uncontended packet over H hops with L flits is
 	// 2H + L + 1 cycles (1-cycle injection, 1-cycle router + 1-cycle link
@@ -429,11 +419,11 @@ func TestVnetIsolation(t *testing.T) {
 	}
 	s.Run(100)
 	r := &s.Routers[1]
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+	for i := 0; i < VCsPerVnet; i++ {
 		if r.In[geom.West][i].Pkt != nil { // vnet 0 slots
 			t.Fatal("vnet 1 packet in vnet 0 VC")
 		}
-		if r.In[geom.West][s.Cfg.VCsPerVnet+i].Pkt == nil { // vnet 1 slots
+		if r.In[geom.West][VCsPerVnet+i].Pkt == nil { // vnet 1 slots
 			t.Fatal("vnet 1 VCs should be full")
 		}
 	}

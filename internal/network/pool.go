@@ -119,7 +119,7 @@ func (s *Sim) PrewarmPool(packets, routeLen, niDepth int) {
 	s.pool.spanLen = routeLen
 	s.pool.routes.Reserve(packets, routeLen)
 	s.pool.free = slices.Grow(s.pool.free, packets)
-	win := make([]*Packet, len(s.NIQueue)*s.Cfg.NumVnets*niDepth)
+	win := make([]*Packet, len(s.NIQueue)*NumVnets*niDepth)
 	for id := range s.NIQueue {
 		for v := range s.NIQueue[id] {
 			s.NIQueue[id][v].reserve(win[:niDepth:niDepth])

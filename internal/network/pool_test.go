@@ -211,7 +211,7 @@ func TestGatherScratchStable(t *testing.T) {
 				continue
 			}
 			if r, ok := min.Route(src, dst, rng); ok {
-				s.Enqueue(s.NewPacket(src, dst, rng.Intn(s.Cfg.NumVnets), 1, r))
+				s.Enqueue(s.NewPacket(src, dst, rng.Intn(NumVnets), 1, r))
 			}
 		}
 		s.Step()
@@ -249,7 +249,7 @@ func TestPrewarmPoolNeutral(t *testing.T) {
 					continue
 				}
 				if r, ok := min.Route(src, dst, rng); ok {
-					s.Enqueue(s.NewPacket(src, dst, rng.Intn(s.Cfg.NumVnets), 1, r))
+					s.Enqueue(s.NewPacket(src, dst, rng.Intn(NumVnets), 1, r))
 				}
 			}
 			s.Step()
@@ -351,7 +351,7 @@ func TestPrewarmPoolReserves(t *testing.T) {
 			dst = (dst + 1) % 16
 		}
 		r, _ := xy.Route(src, dst, nil)
-		flows[i] = flow{src, dst, i % s.Cfg.NumVnets, r}
+		flows[i] = flow{src, dst, i % NumVnets, r}
 	}
 	live := make([]*Packet, 0, P+1)
 	n := mallocs(func() {

@@ -88,7 +88,7 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 						continue
 					}
 					ln := 1 + 4*rng.Intn(2)
-					vnet := rng.Intn(scan.Cfg.NumVnets)
+					vnet := rng.Intn(NumVnets)
 					for _, u := range units {
 						u.Enqueue(u.NewPacket(src, dst, vnet, ln, r))
 					}
@@ -160,14 +160,12 @@ func TestPropConservationUnderArbitraryWorkloads(t *testing.T) {
 
 func TestPropLatencyFormulaHolds(t *testing.T) {
 	// For a lone packet: latency = (router+link)×hops + len + router.
-	f := func(hopsRaw, lenRaw, rl, ll uint8) bool {
+	f := func(hopsRaw, lenRaw uint8) bool {
 		hops := int(hopsRaw%7) + 1
-		ln := int(lenRaw%5) + 1
-		rLat := int(rl%3) + 1
-		lLat := int(ll%3) + 1
+		ln := int(lenRaw%VCDepth) + 1
+		const rLat, lLat = RouterLatency, LinkLatency
 		topo := topology.NewMesh(8, 1)
-		s := New(topo, Config{RouterLatency: rLat, LinkLatency: lLat, VCDepth: 5},
-			rand.New(rand.NewSource(1)))
+		s := New(topo, Config{}, rand.New(rand.NewSource(1)))
 		route := make(routing.Route, hops)
 		for i := range route {
 			route[i] = geom.East

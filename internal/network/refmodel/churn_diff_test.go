@@ -163,7 +163,7 @@ func runChurnScenario(sc churnScenario) error {
 				if hrng.Intn(2) == 0 {
 					ln = 5
 				}
-				vnet := hrng.Intn(ev.sim.Cfg.NumVnets)
+				vnet := hrng.Intn(network.NumVnets)
 				for i, u := range units {
 					u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, rts[i]))
 				}

@@ -50,7 +50,7 @@ func saturatedSBFleet(t *testing.T, mkTopo func() *topology.Topology, cfg networ
 				if !ok {
 					continue
 				}
-				vnet := hrng.Intn(ref.Cfg.NumVnets)
+				vnet := hrng.Intn(network.NumVnets)
 				var ln = 1 + 4*hrng.Intn(2)
 				for _, u := range units {
 					u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, r))

@@ -87,7 +87,7 @@ func runBurstyScenario(t *testing.T, seed int64, cycles int, spin bool) network.
 				if hrng.Intn(3) == 0 {
 					ln = 1
 				}
-				vnet := hrng.Intn(ev.sim.Cfg.NumVnets)
+				vnet := hrng.Intn(network.NumVnets)
 				for _, u := range units {
 					u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, r))
 				}

@@ -65,12 +65,12 @@ func TestDifferentialEscapeSaturated(t *testing.T) {
 				removed++
 			}
 			if id, port, slot, ok := findBuffer(ref, from, func(vc *network.VC, port geom.Direction, slot int) bool {
-				return port != geom.Local && slot%ref.Cfg.VCsPerVnet == escape.EscapeVCIndex && vc.Empty(ref.Now)
+				return port != geom.Local && slot%network.VCsPerVnet == escape.EscapeVCIndex && vc.Empty(ref.Now)
 			}); ok {
 				dst := alive[hrng.Intn(len(alive))]
 				if rt, ok := min.Route(id, dst, hrng); ok && dst != id {
 					for _, u := range units {
-						p := u.sim.NewPacket(id, dst, slot/u.sim.Cfg.VCsPerVnet, 5, rt)
+						p := u.sim.NewPacket(id, dst, slot/network.VCsPerVnet, 5, rt)
 						p.Escaped = true
 						u.sim.PlacePacket(id, port, slot, p)
 					}
@@ -88,7 +88,7 @@ func TestDifferentialEscapeSaturated(t *testing.T) {
 				if dst == src || !ok {
 					continue
 				}
-				vnet, ln := hrng.Intn(ref.Cfg.NumVnets), 1+4*hrng.Intn(2)
+				vnet, ln := hrng.Intn(network.NumVnets), 1+4*hrng.Intn(2)
 				for _, u := range units {
 					u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, rt))
 				}

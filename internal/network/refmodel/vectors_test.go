@@ -126,13 +126,13 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			// Place a fresh packet into a free local-port buffer (one a
 			// regular packet may occupy).
 			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction, slot int) bool {
-				return port == geom.Local && vc.Empty(ref.Now) && !(esc && slot%ref.Cfg.VCsPerVnet == escape.EscapeVCIndex)
+				return port == geom.Local && vc.Empty(ref.Now) && !(esc && slot%network.VCsPerVnet == escape.EscapeVCIndex)
 			}); ok {
 				alive := ref.Topo.AliveRouters()
 				dst := alive[hrng.Intn(len(alive))]
 				for _, u := range units {
 					if rt, ok := u.mgr.Route(id, dst); ok && dst != id {
-						u.sim.PlacePacket(id, port, slot, u.sim.NewPacket(id, dst, slot/u.sim.Cfg.VCsPerVnet, 5, rt))
+						u.sim.PlacePacket(id, port, slot, u.sim.NewPacket(id, dst, slot/network.VCsPerVnet, 5, rt))
 						placed++
 					}
 				}
@@ -162,7 +162,7 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 				if dst == src {
 					continue
 				}
-				vnet, ln := hrng.Intn(ref.Cfg.NumVnets), 1+4*hrng.Intn(2)
+				vnet, ln := hrng.Intn(network.NumVnets), 1+4*hrng.Intn(2)
 				for _, u := range units {
 					if rt, ok := u.mgr.Route(src, dst); ok {
 						u.sim.Enqueue(u.sim.NewPacket(src, dst, vnet, ln, rt))

@@ -74,8 +74,8 @@ func (r *Router) OccupiedNonLocal() int { return int(r.sim.occNL[r.ID]) }
 func (r *Router) Grants() int64 { return r.sim.grantN[r.ID] }
 
 // VCAt returns the VC at input port in, vnet, index vc.
-func (r *Router) VCAt(cfg Config, in geom.Direction, vnet, vc int) *VC {
-	return &r.In[in][vnet*cfg.VCsPerVnet+vc]
+func (r *Router) VCAt(in geom.Direction, vnet, vc int) *VC {
+	return &r.In[in][vnet*VCsPerVnet+vc]
 }
 
 // AllocateNode performs one cycle of switch allocation at router id —
@@ -103,9 +103,9 @@ type allocGather struct {
 	cand [geom.NumPorts][]int32
 }
 
-func (g *allocGather) init(cfg Config) {
+func (g *allocGather) init() {
 	for i := range g.cand {
-		g.cand[i] = make([]int32, 0, geom.NumPorts*cfg.SlotsPerPort()+1)
+		g.cand[i] = make([]int32, 0, numCand)
 	}
 }
 
@@ -132,8 +132,6 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 		// Buffered traffic at a dead router cannot move.
 		return false
 	}
-	slots := s.Cfg.SlotsPerPort()
-	total := geom.NumPorts * slots // bubble uses index `total`
 	for i := range g.cand {
 		g.cand[i] = g.cand[i][:0]
 	}
@@ -149,14 +147,14 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 				(r.Fence.Active && out == r.Fence.Out && geom.Direction(in) != r.Fence.In) {
 				continue
 			}
-			g.cand[out] = append(g.cand[out], int32(in*slots+sl))
+			g.cand[out] = append(g.cand[out], int32(in*SlotsPerPort+sl))
 		}
 	}
 	if b := &r.Bubble; b.Present && b.VC.Pkt != nil && b.VC.ReadyAt <= s.Now {
 		out := s.OutputOf(b.VC.Pkt, id)
 		if out != geom.Invalid &&
 			!(r.Fence.Active && out == r.Fence.Out && b.InPort != r.Fence.In) {
-			g.cand[out] = append(g.cand[out], int32(total))
+			g.cand[out] = append(g.cand[out], bubbleCI)
 		}
 	}
 	work := false
@@ -197,7 +195,6 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 // can move.
 func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 	r := &s.Routers[id]
-	total := len(r.bufs)
 	for _, out := range geom.AllPorts {
 		cands := g.cand[out]
 		n := len(cands)
@@ -216,7 +213,7 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 		for k := 0; k < n; k++ {
 			ci := cands[(start+k)%n]
 			if s.tryGrant(r, out, int(ci)) {
-				r.saPtr[out] = (int(ci) + 1) % (total + 1)
+				r.saPtr[out] = (int(ci) + 1) % numCand
 				break
 			}
 		}
@@ -242,10 +239,10 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 	vc := &s.Routers[id].In[b.InPort][slot]
 	vc.Pkt = p
 	vc.ReadyAt = s.Now + 1
-	s.occBitSet(id, int(b.InPort)*s.dense.slots+slot, p, vc.ReadyAt)
+	s.occBitSet(id, int(b.InPort)*SlotsPerPort+slot, p, vc.ReadyAt)
 	b.VC.Pkt = nil
 	b.VC.FreeAt = s.Now + 1
-	s.occBitClear(id, s.dense.total, b.VC.FreeAt)
+	s.occBitClear(id, bubbleCI, b.VC.FreeAt)
 	s.Stats.BubbleTransfers++
 	s.LastProgress = s.Now
 }
@@ -263,9 +260,9 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, ci int) bool {
 		p := r.candVC(ci).Pkt
 		nb, in := s.Topo.Neighbor(r.ID, out), out.Opposite()
 		if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
-			dst = int(in)*s.dense.slots + slot
+			dst = int(in)*SlotsPerPort + slot
 		} else if s.Routers[nb].Bubble.EligibleFor(in, s.Now) {
-			dst = s.dense.total
+			dst = bubbleCI
 		} else {
 			return false
 		}
@@ -284,15 +281,15 @@ func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
 	length := int64(p.Len)
 	// A regular buffer's input port is Local iff its index is past the
 	// link ports'; the bubble's is its InPort.
-	nonLocal := ci < int(geom.Local)*s.dense.slots ||
-		(ci == s.dense.total && r.Bubble.InPort != geom.Local)
+	nonLocal := ci < int(geom.Local)*SlotsPerPort ||
+		(ci == bubbleCI && r.Bubble.InPort != geom.Local)
 	s.grantN[r.ID]++
 	vc.Pkt = nil
 	vc.FreeAt = s.Now + length
 	s.occBitClear(r.ID, ci, vc.FreeAt)
 	if out == geom.Local {
 		r.OutFreeAt[geom.Local] = s.Now + length
-		p.DeliveredAt = s.Now + int64(s.Cfg.RouterLatency) + length - 1
+		p.DeliveredAt = s.Now + RouterLatency + length - 1
 		s.Stats.DeliveredFlits += length
 		s.Stats.recordDelivery(p)
 		if s.OnDeliver != nil {
@@ -309,11 +306,11 @@ func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
 	}
 	nb := s.Topo.Neighbor(r.ID, out)
 	to := s.Routers[nb].candVC(dst)
-	if dst == s.dense.total {
+	if dst == bubbleCI {
 		s.Stats.BubbleOccupancies++
 	}
 	to.Pkt = p
-	to.ReadyAt = s.Now + int64(s.Cfg.RouterLatency+s.Cfg.LinkLatency)
+	to.ReadyAt = s.Now + HopLatency
 	p.Hop++
 	s.occBitSet(nb, dst, p, to.ReadyAt) // after the move: it derives p's next hop at nb
 	r.OutFreeAt[out] = s.Now + length

@@ -59,8 +59,8 @@ func TestBubbleTransferRespectsVnet(t *testing.T) {
 	occupant := s.NewPacket(0, 1, 1, 5, routing.Route{geom.East})
 	occupant.Hop = 1
 	s.PlaceBubblePacket(1, geom.West, occupant)
-	base := 1 * s.Cfg.VCsPerVnet
-	for i := 0; i < s.Cfg.VCsPerVnet; i++ {
+	base := 1 * VCsPerVnet
+	for i := 0; i < VCsPerVnet; i++ {
 		p := s.NewPacket(0, 1, 1, 5, routing.Route{geom.East})
 		p.Hop = 1
 		s.PlacePacket(1, geom.West, base+i, p)
@@ -208,27 +208,9 @@ func TestVCAtHelper(t *testing.T) {
 	topo := topology.NewMesh(2, 1)
 	s := mkSim(topo, 1)
 	r := &s.Routers[0]
-	vc := r.VCAt(s.Cfg, geom.West, 2, 3)
-	if vc != &r.In[geom.West][2*s.Cfg.VCsPerVnet+3] {
+	vc := r.VCAt(geom.West, 2, 3)
+	if vc != &r.In[geom.West][2*VCsPerVnet+3] {
 		t.Fatal("VCAt indexes wrong slot")
-	}
-}
-
-func TestCustomConfigDimensions(t *testing.T) {
-	topo := topology.NewMesh(2, 2)
-	s := New(topo, Config{NumVnets: 2, VCsPerVnet: 2, VCDepth: 8}, rand.New(rand.NewSource(1)))
-	if s.Cfg.SlotsPerPort() != 4 {
-		t.Fatalf("slots = %d", s.Cfg.SlotsPerPort())
-	}
-	// An 8-flit packet is legal under VCDepth 8.
-	p := s.NewPacket(0, 1, 1, 8, routing.Route{geom.East})
-	s.Enqueue(p)
-	s.Run(30)
-	if p.DeliveredAt < 0 {
-		t.Fatal("packet not delivered under custom config")
-	}
-	if got := p.Latency(); got != int64(2*1+8+1) {
-		t.Fatalf("latency = %d, want %d", got, 2*1+8+1)
 	}
 }
 

@@ -157,7 +157,7 @@ func (s *Sim) Step() {
 // consult it from the flat word array instead of striding through each
 // Router struct.
 func (s *Sim) transferBubbles() {
-	ob, bb := s.dense.occBits, uint64(1)<<uint(s.dense.total)
+	ob, bb := s.dense.occBits, uint64(1)<<bubbleCI
 	for _, id := range s.ids {
 		if ob[id]&bb != 0 {
 			s.TransferBubbleNode(geom.NodeID(id))

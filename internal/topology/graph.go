@@ -148,88 +148,7 @@ type channelState struct {
 // placement is correct iff no such cycle survives when the SB routers are
 // excluded.
 func (t *Topology) HasNoUTurnCycleExcluding(exclude func(geom.NodeID) bool) bool {
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on DFS stack
-		black = 2 // done
-	)
-	color := make(map[channelState]int8)
-
-	allowed := func(n geom.NodeID) bool {
-		return t.RouterAlive(n) && (exclude == nil || !exclude(n))
-	}
-
-	// Iterative DFS over (node, heading) states. A gray-state revisit is a
-	// directed cycle; since transitions forbid heading reversal, the cycle
-	// is a no-U-turn closed walk in the topology.
-	type frame struct {
-		st      channelState
-		nextDir int
-	}
-	var stack []frame
-
-	visit := func(start channelState) bool {
-		if color[start] != white {
-			return false
-		}
-		stack = stack[:0]
-		color[start] = gray
-		stack = append(stack, frame{start, 0})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			for f.nextDir < geom.NumLinkDirs {
-				d := geom.LinkDirs[f.nextDir]
-				f.nextDir++
-				if d == f.st.heading.Opposite() {
-					continue // no U-turns
-				}
-				if !t.HasLink(f.st.node, d) {
-					continue
-				}
-				nb := t.Neighbor(f.st.node, d)
-				if !allowed(nb) {
-					continue
-				}
-				next := channelState{nb, d}
-				switch color[next] {
-				case gray:
-					return true
-				case white:
-					color[next] = gray
-					stack = append(stack, frame{next, 0})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
-				color[f.st] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-		return false
-	}
-
-	for id := 0; id < t.NumNodes(); id++ {
-		n := geom.NodeID(id)
-		if !allowed(n) {
-			continue
-		}
-		for _, d := range geom.LinkDirs {
-			// A state (n, d) is enterable if some allowed predecessor has a
-			// channel into n with heading d.
-			pred := t.Neighbor(n, d.Opposite())
-			if pred == geom.InvalidNode || !allowed(pred) || !t.HasLink(pred, d) {
-				continue
-			}
-			if visit(channelState{n, d}) {
-				return true
-			}
-		}
-	}
-	return false
+	return t.FindNoUTurnCycle(exclude) != nil
 }
 
 // HasNoUTurnCycle reports whether any no-U-turn directed cycle exists in
@@ -240,7 +159,9 @@ func (t *Topology) HasNoUTurnCycle() bool {
 
 // FindNoUTurnCycle returns one no-U-turn directed cycle avoiding excluded
 // nodes, as the sequence of nodes visited (first node repeated at the
-// end), or nil if none exists. Used by tests to produce counterexamples.
+// end), or nil if none exists. It is a DFS over (node, heading) states: a
+// revisit of a state on the DFS path is a directed cycle, and since
+// transitions forbid heading reversal, a no-U-turn closed walk.
 func (t *Topology) FindNoUTurnCycle(exclude func(geom.NodeID) bool) []geom.NodeID {
 	allowed := func(n geom.NodeID) bool {
 		return t.RouterAlive(n) && (exclude == nil || !exclude(n))

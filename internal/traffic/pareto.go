@@ -79,7 +79,7 @@ func NewParetoOnOff(sources []geom.NodeID, alg routing.Algorithm, p Pattern, pea
 }
 
 // Injector exposes the underlying injector for packet-mix configuration
-// (CtrlFraction, DataLen, vnets).
+// (CtrlFraction, vnets).
 func (po *ParetoOnOff) Injector() *Injector { return po.inj }
 
 // MeanRate returns the long-run offered load in flits/node/cycle:

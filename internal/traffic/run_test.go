@@ -74,7 +74,7 @@ func TestInjectorOfferedRate(t *testing.T) {
 	experiments.Run(s, inj, experiments.Phases{Measure: cycles})
 	// Offered flits per node per cycle should approximate the target
 	// (self-traffic skips depress it slightly: 1/64 of draws).
-	var flits float64 = float64(s.Stats.Offered) * (inj.CtrlFraction + (1-inj.CtrlFraction)*float64(inj.DataLen))
+	var flits float64 = float64(s.Stats.Offered) * (inj.CtrlFraction + (1-inj.CtrlFraction)*network.VCDepth)
 	rate := flits / float64(cycles) / 64
 	if math.Abs(rate-0.09*63/64) > 0.01 {
 		t.Fatalf("offered rate %.4f, want ~%.4f", rate, 0.09*63.0/64)

@@ -93,6 +93,7 @@ func (st *Stream) Next(b Bernoulli, i, n int) int {
 	// the rest and decides the hit or redraw. The kernel costs a call and
 	// pays only when the expected run of misses, about 2⁶³/t trials,
 	// spans a block pair (16 words); below that the scalar loop is faster.
+	// A run shorter than one 8-word block it cannot skip at all.
 	t := min(b.t, resampleFrom)
 	span := resampleFrom - t
 	kernel := t <= 1<<59
@@ -103,7 +104,7 @@ scan:
 		}
 		run := st.h[st.pos:min(streamLen, st.pos+n-i)]
 		j := 0
-		if kernel {
+		if kernel && len(run) >= 8 {
 			j = missRun(&run[0], len(run), t)
 		}
 		for ; j < len(run); j++ {

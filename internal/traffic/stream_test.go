@@ -103,6 +103,28 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// TestStreamNextShortRuns holds Next to its oracle on runs shorter than
+// one 8-word kernel block, ParetoOnOff's one trial per call (n = 1)
+// among them, at rates low enough (p <= 1/16) for Next to use the miss
+// kernel on longer runs.
+func TestStreamNextShortRuns(t *testing.T) {
+	for _, p := range []float64{0.0005 / 3, 0.01, 1.0 / 16} {
+		b := NewBernoulli(p)
+		for n := 1; n <= 9; n++ {
+			st := NewStream(rand.New(rand.NewSource(int64(n))))
+			want := rand.New(rand.NewSource(int64(n)))
+			for call := 0; call < 3*streamLen; call++ {
+				if g, w := st.Next(b, 0, n), nextFloat64(want, p, 0, n); g != w {
+					t.Fatalf("p %g, n %d, call %d: Stream %d, math/rand %d", p, n, call, g, w)
+				}
+			}
+			if g, w := st.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("p %g, n %d: next value: Stream %d, math/rand %d", p, n, g, w)
+			}
+		}
+	}
+}
+
 func TestNewStreamRejectsOtherSources(t *testing.T) {
 	defer func() {
 		if recover() == nil {

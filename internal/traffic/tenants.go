@@ -16,7 +16,6 @@ type TenantClass struct {
 	Pattern      Pattern
 	RateFlits    float64
 	CtrlFraction float64 // default 0.5
-	DataLen      int     // default 5
 	CtrlVnet     int
 	DataVnet     int
 }
@@ -39,9 +38,6 @@ func NewTenantMix(sources []geom.NodeID, alg routing.Algorithm, classes []Tenant
 		inj := NewInjector(sources, alg, tc.Pattern, tc.RateFlits, rand.New(rand.NewSource(sub)))
 		if tc.CtrlFraction > 0 {
 			inj.CtrlFraction = tc.CtrlFraction
-		}
-		if tc.DataLen > 0 {
-			inj.DataLen = tc.DataLen
 		}
 		inj.CtrlVnet = tc.CtrlVnet
 		if tc.DataVnet > 0 {

@@ -19,7 +19,7 @@ func TestTenantMixDeterminismAndIsolation(t *testing.T) {
 	min := routing.NewMinimal(topo)
 	classes := []TenantClass{
 		{Name: "latency", Pattern: NewUniformRandom(alive), RateFlits: 0.05, CtrlFraction: 0.9, CtrlVnet: 0, DataVnet: 1},
-		{Name: "bulk", Pattern: BitComplement{Width: 6, Height: 6}, RateFlits: 0.2, CtrlFraction: 0.1, DataLen: 5, CtrlVnet: 2, DataVnet: 2},
+		{Name: "bulk", Pattern: BitComplement{Width: 6, Height: 6}, RateFlits: 0.2, CtrlFraction: 0.1, CtrlVnet: 2, DataVnet: 2},
 	}
 
 	run := func(cs []TenantClass) network.Stats {

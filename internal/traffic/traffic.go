@@ -144,10 +144,9 @@ type Injector struct {
 	// RateFlits is the offered load in flits/node/cycle.
 	RateFlits float64
 	// CtrlFraction is the fraction of packets that are 1-flit control
-	// packets (the rest are DataLen-flit data packets). Default 0.5.
+	// packets; the rest are data packets of network.VCDepth flits, a
+	// cut-through packet that fills one VC. Default 0.5.
 	CtrlFraction float64
-	// DataLen is the data packet length in flits. Default 5.
-	DataLen int
 	// CtrlVnet and DataVnet are the vnets used by each class
 	// (defaults 0 and 2, modeling request and response classes).
 	CtrlVnet, DataVnet int
@@ -169,7 +168,6 @@ func NewInjector(sources []geom.NodeID, alg routing.Algorithm, p Pattern, rateFl
 		rng:          st.Rand(),
 		RateFlits:    rateFlits,
 		CtrlFraction: 0.5,
-		DataLen:      5,
 		CtrlVnet:     0,
 		DataVnet:     2,
 	}
@@ -177,7 +175,7 @@ func NewInjector(sources []geom.NodeID, alg routing.Algorithm, p Pattern, rateFl
 
 // meanLen returns the expected packet length under the current mix.
 func (in *Injector) meanLen() float64 {
-	return in.CtrlFraction*1 + (1-in.CtrlFraction)*float64(in.DataLen)
+	return in.CtrlFraction*1 + (1-in.CtrlFraction)*network.VCDepth
 }
 
 // Tick offers one cycle's worth of traffic to s. Unreachable destinations
@@ -227,7 +225,7 @@ func (in *Injector) emit(s *network.Sim, src geom.NodeID) *network.Packet {
 	in.routeBuf = route[:0]
 	vnet, ln := in.CtrlVnet, 1
 	if in.rng.Float64() >= in.CtrlFraction {
-		vnet, ln = in.DataVnet, in.DataLen
+		vnet, ln = in.DataVnet, network.VCDepth
 	}
 	p := s.NewPacket(src, dst, vnet, ln, route)
 	s.Enqueue(p)

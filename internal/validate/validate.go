@@ -42,7 +42,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	escVC, hasClass := s.EscapeClass()
 	masker, hasHops := s.HopClass()
 	choose, hopMasks, _ := s.HopVectors()
-	slots := s.Cfg.SlotsPerPort()
+	const slots = network.SlotsPerPort
 	var globalOcc, globalQueued int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
@@ -165,8 +165,8 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// never fills it.
 		if hasClass {
 			for _, port := range geom.AllPorts {
-				for vnet := 0; vnet < s.Cfg.NumVnets; vnet++ {
-					p := r.VCAt(s.Cfg, port, vnet, escVC).Pkt
+				for vnet := 0; vnet < network.NumVnets; vnet++ {
+					p := r.VCAt(port, vnet, escVC).Pkt
 					if p == nil {
 						continue
 					}

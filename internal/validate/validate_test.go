@@ -359,7 +359,7 @@ func TestDetectsHopClassDrift(t *testing.T) {
 	if !live {
 		t.Fatal("hop vectors should be live on a hook-free sim with a hop class")
 	}
-	slots := s.Cfg.SlotsPerPort()
+	slots := network.SlotsPerPort
 	ci := int(geom.Local) * slots // slot 0: the only choose-per-visit buffer
 	want, _, _ := s.RequestVectors(0)
 	exp := [geom.NumPorts]uint64{geom.East: 1 << uint(ci+1), geom.Local: 1 << uint(ci+3)}
