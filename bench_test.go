@@ -247,13 +247,13 @@ func BenchmarkReconfigGate(b *testing.B) {
 	mgr := reconfig.New(sim)
 	victim := topo.ID(geom.Coord{X: 3, Y: 3})
 	for i := 0; i < b.N; i++ {
-		if err := mgr.RequestGate(victim); err != nil {
+		if _, err := mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: victim}); err != nil {
 			b.Fatal(err)
 		}
-		if gated := mgr.TryCompleteGates(); len(gated) != 1 {
+		if gated := mgr.Tick(); len(gated) != 1 {
 			b.Fatal("gate did not complete on idle network")
 		}
-		mgr.Ungate(victim)
+		mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverRouter, Node: victim})
 	}
 }
 
@@ -321,7 +321,7 @@ func BenchmarkFailureTimeline(b *testing.B) {
 	p := benchParams()
 	p.MeasureCycles = 2500
 	for i := 0; i < b.N; i++ {
-		if len(experiments.FailureTimeline(p, 500, 2)) == 0 {
+		if len(experiments.FailureTimeline(p)) == 0 {
 			b.Fatal("no rows")
 		}
 	}

@@ -201,8 +201,7 @@ func main() {
 		fmt.Printf("%-12s %.4f%%\n", c, 100*util[c])
 	}
 
-	model := energy.Default32nm()
-	b := model.Compute(s, energy.SchemeOverheadBuffers(s, scheme.EnergyKey()), s.Now)
+	b := energy.Compute(s, energy.SchemeOverheadBuffers(s, scheme.EnergyKey()), s.Now)
 	fmt.Printf("\n--- energy (pJ) ---\n")
 	fmt.Printf("router dynamic: %.0f\nlink dynamic:   %.0f\nrouter leakage: %.0f\nlink leakage:   %.0f\ntotal:          %.0f\n",
 		b.RouterDynamic, b.LinkDynamic, b.RouterLeakage, b.LinkLeakage, b.Total())

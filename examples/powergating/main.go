@@ -37,10 +37,9 @@ func main() {
 	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	core.Attach(sim, core.Options{})
 	mgr := reconfig.New(sim)
-	model := energy.Default32nm()
 	rng := rand.New(rand.NewSource(7))
 
-	fullLeak := leakPerCycle(model, sim)
+	fullLeak := leakPerCycle(sim)
 
 	fmt.Println("live router power-gating with Static Bubble recovery (8x8 mesh)")
 	fmt.Printf("%-7s %-9s %-9s %-10s %-12s %-12s %-7s\n",
@@ -49,7 +48,7 @@ func main() {
 	totalGated := 0
 	for phase, vs := range victims {
 		for _, v := range vs {
-			if err := mgr.RequestGate(topo.ID(v)); err != nil {
+			if _, err := mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: topo.ID(v)}); err != nil {
 				panic(err)
 			}
 		}
@@ -70,12 +69,12 @@ func main() {
 				}
 			}
 			sim.Step()
-			mgr.TryCompleteGates()
+			mgr.Tick()
 		}
 		totalGated += len(vs)
 		delivered := sim.Stats.Delivered - startDelivered
 		avgLat := float64(sim.Stats.SumLatency-startLat) / float64(max(delivered, 1))
-		leak := leakPerCycle(model, sim)
+		leak := leakPerCycle(sim)
 		fmt.Printf("%-7d %-9d %-9d %-10.1f %-12d %-12.0f %.1f%%\n",
 			phase, totalGated, topo.AliveRouterCount(), avgLat, delivered,
 			leak, 100*(1-leak/fullLeak))
@@ -87,7 +86,7 @@ func main() {
 	// Drain and verify nothing was lost.
 	for i := 0; i < 40000 && sim.InFlight()+sim.QueuedPackets() > 0; i += 100 {
 		sim.Run(100)
-		mgr.TryCompleteGates()
+		mgr.Tick()
 	}
 	fmt.Printf("\nall phases done: %d/%d packets delivered, %d lost, recoveries %d\n",
 		sim.Stats.Delivered, sim.Stats.Offered, sim.Stats.Lost, sim.Stats.DeadlockRecoveries)
@@ -96,9 +95,9 @@ func main() {
 
 // leakPerCycle evaluates static power of the surviving network, including
 // the static-bubble buffers at alive SB routers.
-func leakPerCycle(m energy.Model, sim *network.Sim) float64 {
+func leakPerCycle(sim *network.Sim) float64 {
 	extra := energy.SchemeOverheadBuffers(sim, "sb")
-	b := m.Compute(sim, extra, 1)
+	b := energy.Compute(sim, extra, 1)
 	return b.RouterLeakage + b.LinkLeakage
 }
 

@@ -106,7 +106,7 @@ func TestEscapeSchemeWithReconfig(t *testing.T) {
 	topo := topology.NewMesh(6, 6)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(3)))
 	ud := routing.NewUpDown(topo)
-	escape.Attach(s, ud, escape.Options{Timeout: 30})
+	escape.Attach(s, ud)
 	mgr := reconfig.New(s)
 	rng := rand.New(rand.NewSource(4))
 	alive := topo.AliveRouters()
@@ -121,7 +121,7 @@ func TestEscapeSchemeWithReconfig(t *testing.T) {
 			for _, d := range geom.LinkDirs {
 				nb := topo.Neighbor(target, d)
 				if nb != geom.InvalidNode && ud.Parent(target) != nb && ud.Parent(nb) != target {
-					mgr.FailLink(target, d)
+					mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: target, Dir: d})
 					break
 				}
 			}
@@ -180,7 +180,7 @@ func TestSBWithReconfigAndValidationSoak(t *testing.T) {
 				}
 			}
 			s.Step()
-			mgr.TryCompleteGates()
+			mgr.Tick()
 		}
 		if vs := validate.Check(s, ctrl); len(vs) != 0 {
 			t.Fatalf("invariants violated mid-soak: %v", vs)
@@ -188,18 +188,18 @@ func TestSBWithReconfigAndValidationSoak(t *testing.T) {
 	}
 
 	phase(1500, 0.06)
-	mgr.FailLink(topo.ID(geom.Coord{X: 3, Y: 3}), geom.East)
+	mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: topo.ID(geom.Coord{X: 3, Y: 3}), Dir: geom.East})
 	phase(1500, 0.06)
-	if err := mgr.RequestGate(topo.ID(geom.Coord{X: 6, Y: 2})); err != nil {
+	if _, err := mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: topo.ID(geom.Coord{X: 6, Y: 2})}); err != nil {
 		t.Fatal(err)
 	}
 	phase(1500, 0.06)
-	mgr.FailRouter(topo.ID(geom.Coord{X: 2, Y: 5}))
+	mgr.Submit(reconfig.Event{Kind: reconfig.EvFailRouter, Node: topo.ID(geom.Coord{X: 2, Y: 5})})
 	phase(1500, 0.06)
 
 	for i := 0; i < 150000 && s.InFlight()+s.QueuedPackets() > 0; i += 100 {
 		s.Run(100)
-		mgr.TryCompleteGates()
+		mgr.Tick()
 	}
 	if s.InFlight()+s.QueuedPackets() != 0 {
 		t.Fatalf("soak failed to drain: %d in flight, %d queued (blocked %d)",
@@ -225,7 +225,7 @@ func TestThreeSchemesSameWorkloadAgreeOnDelivery(t *testing.T) {
 		case 0:
 			core.Attach(s, core.Options{TDD: 24})
 		case 1:
-			escape.Attach(s, routing.NewUpDown(topo), escape.Options{Timeout: 24})
+			escape.Attach(s, routing.NewUpDown(topo))
 		}
 		return s
 	}

@@ -227,7 +227,7 @@ func TestAdaptiveRefusesEscapeClass(t *testing.T) {
 		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(8)))
 		attach := []func(){
 			func() { Attach(s) },
-			func() { escape.Attach(s, routing.NewUpDown(topo), escape.Options{}) },
+			func() { escape.Attach(s, routing.NewUpDown(topo)) },
 		}
 		if escapeFirst {
 			attach[0], attach[1] = attach[1], attach[0]

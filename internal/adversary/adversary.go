@@ -192,6 +192,10 @@ type Entry struct {
 	Outcome Outcome
 }
 
+// stagnation is the number of generations a lineage may go without
+// improvement before it restarts from a fresh random gene.
+const stagnation = 3
+
 // Config bounds the search.
 type Config struct {
 	Space Space
@@ -201,9 +205,6 @@ type Config struct {
 	Restarts, Generations, Neighbors int
 	// MaxEvals caps total unique gene evaluations (0 = unlimited).
 	MaxEvals int
-	// Stagnation is the number of generations a lineage may go without
-	// improvement before it restarts from a fresh random gene.
-	Stagnation int
 	// TopK is the SLO table size.
 	TopK int
 	// Seed drives every stochastic choice of the search.
@@ -219,9 +220,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Neighbors == 0 {
 		c.Neighbors = 3
-	}
-	if c.Stagnation == 0 {
-		c.Stagnation = 3
 	}
 	if c.TopK == 0 {
 		c.TopK = 10
@@ -330,7 +328,7 @@ func Search(cfg Config, eval func(genes []Gene) []Outcome) (Result, error) {
 				continue
 			}
 			stag[li]++
-			if stag[li] >= cfg.Stagnation {
+			if stag[li] >= stagnation {
 				// Local optimum: restart this lineage somewhere fresh.
 				cur[li], stag[li] = sp.random(r), 0
 				if budgetLeft() {

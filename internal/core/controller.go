@@ -13,10 +13,6 @@ type Options struct {
 	// TDD is the deadlock-detection threshold in cycles (the only
 	// configurable parameter of the design; Table II uses 34). Default 34.
 	TDD int64
-	// MaxTurns is the probe turn capacity; a probe that would exceed it
-	// is dropped (Section IV-B computes 59 for 128-bit links on a 64-core
-	// mesh). Default 59; at most PathCap.
-	MaxTurns int
 	// Placement overrides the set of static-bubble routers; nil selects
 	// the Section III placement algorithm for the attached mesh.
 	Placement []geom.NodeID
@@ -32,18 +28,15 @@ type Options struct {
 	// probes, disables, and enables are identical to Static Bubble.
 	Spin bool
 	// Perturb, when non-nil, intercepts every control-message
-	// transmission (see Perturber): internal/perturb implements per-link
-	// loss, delay jitter, reordering, and duplication knobs over it. Nil
-	// keeps the transport exact, with zero overhead beyond one nil check.
+	// transmission (see Perturber): internal/perturb implements loss,
+	// delay jitter, reordering, and duplication knobs over it. Nil keeps
+	// the transport exact, with zero overhead beyond one nil check.
 	Perturb Perturber
 }
 
 func (o Options) withDefaults() Options {
 	if o.TDD == 0 {
 		o.TDD = 34
-	}
-	if o.MaxTurns == 0 {
-		o.MaxTurns = 59
 	}
 	return o
 }
@@ -111,9 +104,6 @@ type RecoveryRecord struct {
 // through it).
 func Attach(s *network.Sim, opt Options) *Controller {
 	opt = opt.withDefaults()
-	if opt.MaxTurns > PathCap {
-		panic("core: Options.MaxTurns exceeds PathCap")
-	}
 	placement := opt.Placement
 	if placement == nil {
 		placement = Placement(s.Topo.Width(), s.Topo.Height())
@@ -563,7 +553,7 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m Message, req
 		if !ok {
 			continue // U-turns cannot occur in a dependence chain
 		}
-		if m.Turns.Len() >= c.opt.MaxTurns {
+		if m.Turns.Len() >= MaxTurns {
 			continue // turn capacity exhausted: drop (Section IV-B)
 		}
 		fork := m

@@ -98,17 +98,25 @@ func TestForkProbeEjectionOnlyDrops(t *testing.T) {
 
 func TestForkProbeTurnCapacity(t *testing.T) {
 	s, c := mk(t, 3, 1, 20)
-	c.opt.MaxTurns = 2
 	r := &s.Routers[1]
 	for i := 0; i < 4; i++ {
 		p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 		p.Hop = 1
 		r.In[geom.West][i].Pkt = p
 	}
-	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
-		Turns: pathOf(geom.Straight, geom.Straight)}
-	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
-		t.Fatal("probe at turn capacity must drop")
+	probe := func(turns int) Message {
+		var p Path
+		for i := 0; i < turns; i++ {
+			p = p.Push(geom.Straight)
+		}
+		return Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East, Turns: p}
+	}
+	if reqs := c.forkProbe(1, r, probe(MaxTurns), nil); reqs != nil {
+		t.Fatalf("probe holding MaxTurns=%d turns must drop", MaxTurns)
+	}
+	reqs := c.forkProbe(1, r, probe(MaxTurns-1), nil)
+	if len(reqs) != 1 || reqs[0].m.Turns.Len() != MaxTurns {
+		t.Fatalf("probe holding MaxTurns-1 turns: forks %+v, want one fork holding %d turns", reqs, MaxTurns)
 	}
 }
 

@@ -102,9 +102,17 @@ func (m Message) String() string {
 func (m Message) inPort() geom.Direction { return m.Heading.Opposite() }
 
 // PathCap is the most turns a Path holds: two 64-bit words at 2 bits a
-// turn. Section IV-B fits 59 turns beside the header of a 128-bit link
-// message, the default Options.MaxTurns.
+// turn.
 const PathCap = 64
+
+// MaxTurns is the probe turn capacity: a probe that would exceed it is
+// dropped. Section IV-B fits 59 turns beside the header of a 128-bit link
+// message on a 64-core mesh.
+const MaxTurns = 59
+
+// A Path must hold every turn a probe may carry: this fails to compile
+// if MaxTurns exceeds PathCap.
+const _ = uint(PathCap - MaxTurns)
 
 // Path is a control message's L/R/S turn path, packed 2 bits a turn with
 // the head turn in the low bits of w[0]. It is a value: copying a message

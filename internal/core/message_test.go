@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/network"
-	"repro/internal/topology"
 )
 
 // pathOf packs turns into a Path, head first.
@@ -47,14 +45,4 @@ func TestPathMatchesSlice(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAttachRejectsMaxTurnsAbovePathCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Attach accepted MaxTurns > PathCap")
-		}
-	}()
-	s := network.New(topology.NewMesh(2, 2), network.Config{}, nil)
-	Attach(s, Options{MaxTurns: PathCap + 1})
 }

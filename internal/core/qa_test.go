@@ -60,22 +60,30 @@ func TestQATwoCyclesSharingOneSBResolveSerially(t *testing.T) {
 }
 
 // "Can a probe loop around infinitely due to buffer dependency?" — no:
-// the turn capacity bounds it.
+// the turn capacity bounds it. A probe records one turn at every router
+// it passes after its origin, so it cannot close a cycle of more than
+// MaxTurns+1 hops.
 func TestQAProbeTurnCapacityBoundsTraversal(t *testing.T) {
-	topo := topology.NewMesh(8, 8)
-	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(3)))
-	// Tiny turn capacity: probes die before completing the 12-hop loop.
-	c := Attach(s, Options{TDD: 20, MaxTurns: 4})
-	total := primeRectLoop(s, 1, 1, 4, 4, 8) // 12-hop perimeter
-	s.Run(8000)
-	if s.Stats.ProbesReturned != 0 {
-		t.Fatalf("probe returned despite turn capacity 4 on a 12-hop cycle (returns=%d)",
-			s.Stats.ProbesReturned)
+	wedge := func(w, h int) (returned, delivered, total int64) {
+		topo := topology.NewMesh(17, 17)
+		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(3)))
+		Attach(s, Options{TDD: 20})
+		total = int64(primeRectLoop(s, 0, 0, w, h, 8))
+		s.Run(8000)
+		return s.Stats.ProbesReturned, s.Stats.Delivered, total
 	}
-	if s.Stats.Delivered >= int64(total) {
+	// 62 hops: every probe runs out of turns before it returns.
+	returned, delivered, total := wedge(16, 17)
+	if returned != 0 {
+		t.Fatalf("%d probes returned around a 62-hop cycle with turn capacity %d", returned, MaxTurns)
+	}
+	if delivered >= total {
 		t.Fatal("without completed probes the wedge must persist")
 	}
-	_ = c
+	// The control: a 60-hop cycle fits the turn capacity.
+	if returned, _, _ := wedge(16, 16); returned == 0 {
+		t.Fatalf("no probe returned around a 60-hop cycle with turn capacity %d", MaxTurns)
+	}
 }
 
 // "Can false positives lead to enabling of the static bubble?" — yes,

@@ -581,7 +581,6 @@ func TestLivenessMatrixAcrossConfigurations(t *testing.T) {
 		{"hair_trigger", Options{TDD: 5}, true},
 		{"no_check_probe", Options{TDD: 24, DisableCheckProbe: true}, false},
 		{"slow_detect", Options{TDD: 100}, false},
-		{"tight_turn_capacity", Options{TDD: 24, MaxTurns: 16}, false},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

@@ -217,14 +217,17 @@ func TestTickSetMatchesFullScan(t *testing.T) {
 			now := tw.scan.s.Now
 			if n, ok := tw.recovering(); ok && victim == geom.InvalidNode {
 				victim, failedAt = n, now
-				both(func(side *tickTwin) { side.mgr.FailRouter(n) })
+				both(func(side *tickTwin) { side.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailRouter, Node: n}) })
 				if st := tw.set.c.FSMState(n); st != StateOff {
 					t.Fatalf("failed router's FSM is %v", st)
 				}
 				checkTickMasks(t, tw.set.c)
 			}
 			if failedAt >= 0 && now == failedAt+300 {
-				both(func(side *tickTwin) { side.mgr.Ungate(victim); side.mgr.Ungate(late) })
+				both(func(side *tickTwin) {
+					side.mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverRouter, Node: victim})
+					side.mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverRouter, Node: late})
+				})
 				checkTickMasks(t, tw.set.c)
 			}
 		}

@@ -26,9 +26,6 @@ type Options struct {
 	// Timeout is the per-buffer deadlock-detection threshold in cycles.
 	// Default 34.
 	Timeout int64
-	// TokenHopCycles is the token's per-hop circulation delay. Default 2
-	// (router + link, like any message).
-	TokenHopCycles int64
 }
 
 // Controller runs DISHA over a simulator.
@@ -103,9 +100,6 @@ func Attach(s *network.Sim, opt Options) (*Controller, error) {
 	if opt.Timeout == 0 {
 		opt.Timeout = 34
 	}
-	if opt.TokenHopCycles == 0 {
-		opt.TokenHopCycles = 2
-	}
 	path, err := HamiltonianCycle(s.Topo.Width(), s.Topo.Height())
 	if err != nil {
 		return nil, err
@@ -161,10 +155,10 @@ func (c *Controller) tick() {
 			// The fixed circulation path is broken: the token is stuck.
 			// (DISHA has no mechanism to recompute it at runtime.)
 			c.TokenStalls++
-			c.tokenNextMove = now + c.opt.TokenHopCycles
+			c.tokenNextMove = now + network.HopLatency
 		} else {
 			c.tokenPos = (c.tokenPos + 1) % len(c.path)
-			c.tokenNextMove = now + c.opt.TokenHopCycles
+			c.tokenNextMove = now + network.HopLatency
 		}
 	}
 
@@ -209,7 +203,7 @@ func (c *Controller) tick() {
 }
 
 // drain moves the packet through the dedicated deadlock-buffer network:
-// XY routing, exclusive access (token-held), one hop per TokenHopCycles.
+// XY routing, exclusive access (token-held), one hop per network.HopLatency.
 // It fails — and DISHA provides no recourse — if the XY path to the
 // destination crosses a dead link.
 func (c *Controller) drain(vc *network.VC, at geom.NodeID, port geom.Direction) bool {
@@ -219,7 +213,7 @@ func (c *Controller) drain(vc *network.VC, at geom.NodeID, port geom.Direction) 
 	if !ok {
 		return false // XY path broken: the paper's second failure mode
 	}
-	delay := int64(hops)*c.opt.TokenHopCycles + int64(p.Len)
+	delay := int64(hops)*network.HopLatency + int64(p.Len)
 	deliverAt := s.Now + delay
 	s.DeliverOutOfBand(vc, at, port, deliverAt)
 	c.Recoveries++

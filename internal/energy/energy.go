@@ -13,36 +13,22 @@ import (
 	"repro/internal/network"
 )
 
-// Model holds per-event energies (picojoules) and per-cycle leakage
-// (picojoules per cycle).
-type Model struct {
+// The reference 32 nm model: per-event energies in picojoules and
+// per-cycle leakage in picojoules per cycle.
+const (
 	// Dynamic energy per flit event.
-	EBufWrite float64 // downstream buffer write per flit
-	EBufRead  float64 // upstream buffer read per flit
-	EXbar     float64 // crossbar traversal per flit
-	ELink     float64 // link traversal per flit
-	// ECtrlLink is the link energy per control-message hop (probes,
+	eBufWrite = 1.0 // downstream buffer write per flit
+	eBufRead  = 0.8 // upstream buffer read per flit
+	eXbar     = 1.2 // crossbar traversal per flit
+	eLink     = 1.8 // link traversal per flit
+	// eCtrlLink is the link energy per control-message hop (probes,
 	// disables, enables, check_probes are 1-flit messages).
-	ECtrlLink float64
+	eCtrlLink = 1.8
 	// Leakage per cycle.
-	PRouterBase float64 // per alive router (control, allocators)
-	PBuffer     float64 // per VC buffer
-	PLink       float64 // per alive directed link driver
-}
-
-// Default32nm returns the reference model.
-func Default32nm() Model {
-	return Model{
-		EBufWrite:   1.0,
-		EBufRead:    0.8,
-		EXbar:       1.2,
-		ELink:       1.8,
-		ECtrlLink:   1.8,
-		PRouterBase: 2.0,
-		PBuffer:     0.12,
-		PLink:       0.8,
-	}
-}
+	pRouterBase = 2.0  // per alive router (control, allocators)
+	pBuffer     = 0.12 // per VC buffer
+	pLink       = 0.8  // per alive directed link driver
+)
 
 // Breakdown is the four-way energy split of the paper's Fig. 10, in
 // picojoules.
@@ -69,7 +55,7 @@ func (b Breakdown) EDP(delay float64) float64 { return b.Total() * delay }
 // spanning-tree avoidance adds none.
 func SchemeOverheadBuffers(s *network.Sim, scheme string) int {
 	switch scheme {
-	case "sb", "static_bubble":
+	case "sb":
 		n := 0
 		for id := range s.Routers {
 			if s.Routers[id].Bubble.Present && s.Topo.RouterAlive(geom.NodeID(id)) {
@@ -77,7 +63,7 @@ func SchemeOverheadBuffers(s *network.Sim, scheme string) int {
 			}
 		}
 		return n
-	case "evc", "escape":
+	case "evc":
 		return s.Topo.AliveRouterCount() * geom.NumPorts
 	default:
 		return 0
@@ -88,7 +74,7 @@ func SchemeOverheadBuffers(s *network.Sim, scheme string) int {
 // the given horizon. extraBuffers is the scheme's buffer overhead (see
 // SchemeOverheadBuffers); dead routers and links contribute no leakage
 // (power gating).
-func (m Model) Compute(s *network.Sim, extraBuffers int, cycles int64) Breakdown {
+func Compute(s *network.Sim, extraBuffers int, cycles int64) Breakdown {
 	st := &s.Stats
 	flitHops := float64(st.LinkCycles[network.ClassFlit])
 	ctrlHops := float64(st.LinkCycles[network.ClassProbe] +
@@ -99,15 +85,15 @@ func (m Model) Compute(s *network.Sim, extraBuffers int, cycles int64) Breakdown
 	// Each flit link-hop implies one upstream buffer read, one crossbar
 	// traversal, and one downstream buffer write. Injection adds a write,
 	// ejection a read plus a crossbar pass.
-	routerDyn := flitHops*(m.EBufRead+m.EXbar+m.EBufWrite) +
-		float64(st.InjectedFlits)*m.EBufWrite +
-		float64(st.DeliveredFlits)*(m.EBufRead+m.EXbar)
-	linkDyn := flitHops*m.ELink + ctrlHops*m.ECtrlLink
+	routerDyn := flitHops*(eBufRead+eXbar+eBufWrite) +
+		float64(st.InjectedFlits)*eBufWrite +
+		float64(st.DeliveredFlits)*(eBufRead+eXbar)
+	linkDyn := flitHops*eLink + ctrlHops*eCtrlLink
 
 	aliveRouters := float64(s.Topo.AliveRouterCount())
 	buffers := aliveRouters*(network.SlotsPerPort*geom.NumPorts) + float64(extraBuffers)
-	routerLeak := float64(cycles) * (aliveRouters*m.PRouterBase + buffers*m.PBuffer)
-	linkLeak := float64(cycles) * float64(s.AliveDirectedLinkCount()) * m.PLink
+	routerLeak := float64(cycles) * (aliveRouters*pRouterBase + buffers*pBuffer)
+	linkLeak := float64(cycles) * float64(s.AliveDirectedLinkCount()) * pLink
 
 	return Breakdown{
 		RouterDynamic: routerDyn,

@@ -28,35 +28,33 @@ func TestComputeSinglePacket(t *testing.T) {
 	s.Enqueue(s.NewPacket(0, 1, 0, 5, routing.Route{geom.East}))
 	const cycles = 20
 	s.Run(cycles)
-	m := Default32nm()
-	b := m.Compute(s, 0, cycles)
+	b := Compute(s, 0, cycles)
 	// 5 flit link-hops; 5 injected flits; 5 delivered flits.
-	wantRouterDyn := 5*(m.EBufRead+m.EXbar+m.EBufWrite) + 5*m.EBufWrite + 5*(m.EBufRead+m.EXbar)
+	wantRouterDyn := 5*(eBufRead+eXbar+eBufWrite) + 5*eBufWrite + 5*(eBufRead+eXbar)
 	if diff := b.RouterDynamic - wantRouterDyn; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("router dynamic = %v, want %v", b.RouterDynamic, wantRouterDyn)
 	}
-	if b.LinkDynamic != 5*m.ELink {
-		t.Fatalf("link dynamic = %v, want %v", b.LinkDynamic, 5*m.ELink)
+	if b.LinkDynamic != 5*eLink {
+		t.Fatalf("link dynamic = %v, want %v", b.LinkDynamic, 5*eLink)
 	}
 	// Leakage: 2 routers × (base + 60 buffers×PBuffer) + 2 links.
-	wantRouterLeak := float64(cycles) * (2*m.PRouterBase + 120*m.PBuffer)
+	wantRouterLeak := float64(cycles) * (2*pRouterBase + 120*pBuffer)
 	if b.RouterLeakage != wantRouterLeak {
 		t.Fatalf("router leakage = %v, want %v", b.RouterLeakage, wantRouterLeak)
 	}
-	if b.LinkLeakage != float64(cycles)*2*m.PLink {
+	if b.LinkLeakage != float64(cycles)*2*pLink {
 		t.Fatalf("link leakage = %v", b.LinkLeakage)
 	}
 }
 
 func TestLeakageDropsWithGatedRouters(t *testing.T) {
-	m := Default32nm()
 	full := topology.NewMesh(8, 8)
 	sFull := network.New(full, network.Config{}, rand.New(rand.NewSource(1)))
 	gated := topology.NewMesh(8, 8)
 	topology.RandomRouterFaults(gated, rand.New(rand.NewSource(2)), 15)
 	sGated := network.New(gated, network.Config{}, rand.New(rand.NewSource(1)))
-	bFull := m.Compute(sFull, 0, 1000)
-	bGated := m.Compute(sGated, 0, 1000)
+	bFull := Compute(sFull, 0, 1000)
+	bGated := Compute(sGated, 0, 1000)
 	if bGated.RouterLeakage >= bFull.RouterLeakage {
 		t.Fatal("gating routers must reduce router leakage")
 	}
@@ -90,10 +88,9 @@ func TestEscapeLeakageExceedsSB(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	core.Attach(s, core.Options{})
-	m := Default32nm()
-	tree := m.Compute(s, SchemeOverheadBuffers(s, "tree"), 10000)
-	sb := m.Compute(s, SchemeOverheadBuffers(s, "sb"), 10000)
-	evc := m.Compute(s, SchemeOverheadBuffers(s, "evc"), 10000)
+	tree := Compute(s, SchemeOverheadBuffers(s, "tree"), 10000)
+	sb := Compute(s, SchemeOverheadBuffers(s, "sb"), 10000)
+	evc := Compute(s, SchemeOverheadBuffers(s, "evc"), 10000)
 	if !(tree.RouterLeakage < sb.RouterLeakage && sb.RouterLeakage < evc.RouterLeakage) {
 		t.Fatalf("leakage ordering wrong: tree %.0f sb %.0f evc %.0f",
 			tree.RouterLeakage, sb.RouterLeakage, evc.RouterLeakage)
@@ -106,10 +103,9 @@ func TestControlMessagesCostLinkEnergy(t *testing.T) {
 	s.UseLink(0, geom.East, network.ClassProbe)
 	s.UseLink(0, geom.East, network.ClassEnable)
 	s.Run(1)
-	m := Default32nm()
-	b := m.Compute(s, 0, 1)
-	if b.LinkDynamic != 2*m.ECtrlLink {
-		t.Fatalf("control link dynamic = %v, want %v", b.LinkDynamic, 2*m.ECtrlLink)
+	b := Compute(s, 0, 1)
+	if b.LinkDynamic != 2*eCtrlLink {
+		t.Fatalf("control link dynamic = %v, want %v", b.LinkDynamic, 2*eCtrlLink)
 	}
 }
 
@@ -121,7 +117,7 @@ func TestDynamicScalesWithLoad(t *testing.T) {
 			s.Enqueue(s.NewPacket(0, 3, 0, 5, routing.Route{geom.East, geom.East, geom.East}))
 		}
 		s.Run(40 + 5*n)
-		return Default32nm().Compute(s, 0, int64(40+5*n))
+		return Compute(s, 0, int64(40+5*n))
 	}
 	light, heavy := run(2), run(10)
 	if heavy.RouterDynamic <= light.RouterDynamic || heavy.LinkDynamic <= light.LinkDynamic {

@@ -28,7 +28,7 @@ func BenchmarkEscapeSaturated8x8(b *testing.B) {
 	)
 	topo := topology.RandomIrregular(8, 8, topology.LinkFaults, 17, 5)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	Attach(s, routing.NewUpDown(topo), Options{})
+	Attach(s, routing.NewUpDown(topo))
 	min := routing.NewMinimal(topo)
 	alive := topo.AliveRouters()
 	rng := rand.New(rand.NewSource(2))

@@ -29,22 +29,18 @@ import (
 // traffic.
 const EscapeVCIndex = 0
 
-// Options configures the escape-VC controller.
-type Options struct {
-	// Timeout is the stuck-packet threshold in cycles before a packet
-	// moves to escape routing; the paper uses a timer comparable to the
-	// SB detection threshold. Default 34.
-	Timeout int64
-}
+// Timeout is the stuck-packet threshold in cycles before a packet moves
+// to escape routing: the paper uses a timer comparable to the SB
+// detection threshold, t_DD = 34.
+const Timeout = 34
 
 // Controller wires escape-VC recovery into a simulator.
 type Controller struct {
-	sim     *network.Sim
-	timeout int64
+	sim *network.Sim
 	// due[id] is a lower bound on the cycle at which a packet buffered at
-	// router id can time out: the earliest deadline (fill cycle + timeout)
+	// router id can time out: the earliest deadline (fill cycle + Timeout)
 	// among the regular packets found there by the last walk, capped by
-	// that walk's cycle + timeout + 1 — a packet that arrived later cannot
+	// that walk's cycle + Timeout + 1 — a packet that arrived later cannot
 	// time out sooner. soonest is the minimum over due.
 	due     []int64
 	soonest int64
@@ -54,14 +50,10 @@ type Controller struct {
 // for the escape paths: the escape class (escape VCs reserved, escaped
 // packets follow the tree) and the timeout hook. The tree is all it
 // needs — a routing.UpDown holds no per-destination table.
-func Attach(s *network.Sim, ud *routing.UpDown, opt Options) *Controller {
-	if opt.Timeout == 0 {
-		opt.Timeout = 34
-	}
+func Attach(s *network.Sim, ud *routing.UpDown) *Controller {
 	c := &Controller{
-		sim:     s,
-		timeout: opt.Timeout,
-		due:     make([]int64, s.Topo.NumNodes()),
+		sim: s,
+		due: make([]int64, s.Topo.NumNodes()),
 	}
 	s.AttachEscapeClass(EscapeVCIndex, ud)
 	s.PostCycle = append(s.PostCycle, c.promoteDue)
@@ -98,7 +90,7 @@ func (c *Controller) promoteDue(s *network.Sim) {
 // Escaped packets and the static bubble's occupant carry no timer.
 func (c *Controller) walk(id geom.NodeID, now int64) int64 {
 	s := c.sim
-	next := now + c.timeout + 1
+	next := now + Timeout + 1
 	r := &s.Routers[id]
 	if r.Occupied() == 0 {
 		return next
@@ -111,7 +103,7 @@ func (c *Controller) walk(id geom.NodeID, now int64) int64 {
 			if p == nil || p.Escaped {
 				continue
 			}
-			at := fill[int(port)*len(vcs)+slot] + c.timeout
+			at := fill[int(port)*len(vcs)+slot] + Timeout
 			if at <= now {
 				s.PromoteEscape(id, port, slot)
 			} else if at < next {

@@ -32,7 +32,7 @@ func TestEscapeRecoversRingDeadlock(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	ud := routing.NewUpDown(topo)
-	Attach(s, ud, Options{Timeout: 20})
+	Attach(s, ud)
 	total := enqueueClockwiseRing(s, 12)
 	s.Run(20000)
 	if s.Stats.Delivered != int64(total) {
@@ -45,12 +45,12 @@ func TestEscapeRecoversRingDeadlock(t *testing.T) {
 }
 
 func TestEscapeVCsStayReserved(t *testing.T) {
-	// Under normal (non-deadlocked) traffic, the escape VC slot of each
-	// vnet must never hold a packet.
+	// The escape VC slot of each vnet holds escaped packets only: no
+	// regular packet may ever sit in it.
 	topo := topology.NewMesh(4, 4)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(2)))
 	ud := routing.NewUpDown(topo)
-	Attach(s, ud, Options{Timeout: 1 << 40}) // effectively never escape
+	Attach(s, ud)
 	min := routing.NewMinimal(topo)
 	rng := rand.New(rand.NewSource(3))
 	for cyc := 0; cyc < 500; cyc++ {
@@ -67,8 +67,8 @@ func TestEscapeVCsStayReserved(t *testing.T) {
 			r := &s.Routers[id]
 			for _, port := range geom.AllPorts {
 				for vnet := 0; vnet < network.NumVnets; vnet++ {
-					if r.In[port][vnet*network.VCsPerVnet+EscapeVCIndex].Pkt != nil {
-						t.Fatalf("cycle %d: escape VC occupied by regular traffic", cyc)
+					if p := r.In[port][vnet*network.VCsPerVnet+EscapeVCIndex].Pkt; p != nil && !p.Escaped {
+						t.Fatalf("cycle %d: escape VC occupied by regular packet %d", cyc, p.ID)
 					}
 				}
 			}
@@ -85,7 +85,7 @@ func TestEscapedPacketsFollowTree(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(4)))
 	ud := routing.NewUpDown(topo)
-	Attach(s, ud, Options{Timeout: 5})
+	Attach(s, ud)
 	// A bogus route pointing the wrong way: the packet will stall at its
 	// first router (no, it will follow the route; block it instead).
 	// Simpler: occupy the packet's desired next hop VCs forever by
@@ -121,7 +121,7 @@ func TestEscapeHighLoadDrains(t *testing.T) {
 		min := routing.NewMinimal(topo)
 		ud := routing.NewUpDown(topo)
 		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(seed)))
-		Attach(s, ud, Options{Timeout: 24})
+		Attach(s, ud)
 		rng := rand.New(rand.NewSource(seed + 100))
 		offered := int64(0)
 		for cyc := 0; cyc < 4000; cyc++ {
@@ -164,7 +164,7 @@ func TestTimerResetsOnMovement(t *testing.T) {
 	topo := topology.NewMesh(8, 1)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(5)))
 	ud := routing.NewUpDown(topo)
-	Attach(s, ud, Options{Timeout: 30})
+	Attach(s, ud)
 	// Send a long stream: head-of-line packets wait a little at each hop
 	// but keep moving.
 	for i := 0; i < 20; i++ {

@@ -17,7 +17,7 @@ func ExampleAttach() {
 	topo := topology.NewMesh(2, 2)
 	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	ud := routing.NewUpDown(topo)
-	escape.Attach(sim, ud, escape.Options{Timeout: 20})
+	escape.Attach(sim, ud)
 
 	// A guaranteed deadlock: every node streams two hops clockwise.
 	hops := map[geom.NodeID]geom.Direction{0: geom.North, 2: geom.East, 3: geom.South, 1: geom.West}

@@ -54,8 +54,9 @@ const (
 	// churnRouterFrac is the fraction of failure events that hit a router
 	// (the rest hit links).
 	churnRouterFrac = 0.25
-	// churnTreeStall is sp_tree's global injection stall per event (the
-	// failures experiment's "1000s of cycles").
+	// churnTreeStall is sp_tree's global injection stall per event, and
+	// the tree schemes' stall per failure in FailureTimeline ("1000s of
+	// cycles").
 	churnTreeStall = 2000
 	// Routers within churnDBRRadius Manhattan hops of an event stall
 	// churnDBRStall cycles under dbr.

@@ -157,7 +157,7 @@ func (p Params) Build(topo *topology.Topology, sch Scheme, seed int64) *Instance
 	case EscapeVC:
 		inst.UpDown = routing.UpDownFor(topo, routing.RootMedian)
 		inst.Alg = routing.MinimalFor(topo)
-		escape.Attach(s, inst.UpDown, escape.Options{})
+		escape.Attach(s, inst.UpDown)
 	case StaticBubble:
 		inst.Alg = routing.MinimalFor(topo)
 		inst.SB = core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})

@@ -449,7 +449,7 @@ func TestFailureTimelineShape(t *testing.T) {
 	p := Quick()
 	p.Topologies = 2
 	p.MeasureCycles = 3000
-	rows := FailureTimeline(p, 800, 3)
+	rows := FailureTimeline(p)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -463,7 +463,7 @@ func TestFailureTimelineShape(t *testing.T) {
 	if byLabel["static_bubble"].ReconfigStall != 0 {
 		t.Fatal("SB must pay no reconfiguration stall")
 	}
-	if byLabel["sp_tree"].ReconfigStall != 800 {
+	if byLabel["sp_tree"].ReconfigStall != churnTreeStall {
 		t.Fatal("tree must pay the stall")
 	}
 	// With stalls, the tree schemes inject (and so deliver) less.

@@ -43,25 +43,23 @@ type FailureTimelineRow struct {
 	Sampled        int
 }
 
+// failureEvents is the number of link failures in one timeline, spread
+// evenly over the warmup and measurement windows.
+const failureEvents = 6
+
 // FailureTimeline is an extension experiment quantifying the paper's
-// reconfiguration argument: inject link failures every failurePeriod
-// cycles during live traffic and charge tree-based schemes (baseline 1's
-// up/down tree and baseline 2's escape tree) a reconfiguration stall per
-// failure. Static Bubble only pays the universal NI-table refresh
-// (modeled as free for all schemes, per the paper's own zero-cost
-// assumption for that part).
-func FailureTimeline(p Params, reconfigStall int, failures int) []FailureTimelineRow {
+// reconfiguration argument: inject failureEvents link failures during
+// live traffic and charge tree-based schemes (baseline 1's up/down tree
+// and baseline 2's escape tree) churn's churnTreeStall cycles of
+// reconfiguration per failure ("1000s of cycles", Section I). Static
+// Bubble only pays the universal NI-table refresh (modeled as free for
+// all schemes, per the paper's own zero-cost assumption for that part).
+func FailureTimeline(p Params) []FailureTimelineRow {
 	p = p.withDefaults()
-	if reconfigStall == 0 {
-		reconfigStall = 2000 // "1000s of cycles" (Section I)
-	}
-	if failures == 0 {
-		failures = 6
-	}
 	var rows []FailureTimelineRow
 	kinds := []int{int(SpanningTree), int(EscapeVC), int(StaticBubble), dishaKind}
 	for _, k := range kinds {
-		stall := reconfigStall
+		stall := churnTreeStall
 		label := ""
 		switch k {
 		case dishaKind:
@@ -76,11 +74,11 @@ func FailureTimeline(p Params, reconfigStall int, failures int) []FailureTimelin
 		row := FailureTimelineRow{Label: label, ReconfigStall: stall}
 		key := func(i int) *sweep.Key {
 			return p.cellKey("failures").Str("scheme", label).
-				Int("stall", stall).Int("events", failures).Int("topo", i)
+				Int("stall", stall).Int("events", failureEvents).Int("topo", i)
 		}
 		results := sweep.Run(p.engine(), p.Topologies, key,
 			func(i int, seed int64) (failureRes, error) {
-				return failureRun(p, k, stall, failures, seed), nil
+				return failureRun(p, k, stall, seed), nil
 			})
 		var avg, p99 []float64
 		intact := 0
@@ -121,7 +119,7 @@ type failureRes struct {
 }
 
 // failureRun executes one scheme over one failure timeline.
-func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes) {
+func failureRun(p Params, kind, stall int, seed int64) (out failureRes) {
 	topo := topology.NewMesh(p.Width, p.Height)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(sweep.SubSeed(seed, 0))))
 
@@ -144,7 +142,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	var esc *escape.Controller
 	switch kind {
 	case int(EscapeVC):
-		esc = escape.Attach(s, ud, escape.Options{})
+		esc = escape.Attach(s, ud)
 	case int(StaticBubble):
 		core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})
 	}
@@ -165,7 +163,7 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	st := traffic.NewStream(rand.New(rand.NewSource(sweep.SubSeed(seed, 1))))
 	rng := st.Rand()
 	horizon := p.WarmupCycles + p.MeasureCycles
-	failEvery := horizon / (failures + 1)
+	failEvery := horizon / (failureEvents + 1)
 	stallUntil := 0
 	// Below every scheme's saturation so the comparison isolates
 	// reconfiguration downtime, not congestion (tree saturates near
@@ -175,12 +173,12 @@ func failureRun(p Params, kind, stall, failures int, seed int64) (out failureRes
 	alive := topo.AliveRouters()
 	Run(s, SourceFunc(func(s *network.Sim) {
 		cyc := int(s.Now)
-		if failures > 0 && cyc > 0 && cyc%failEvery == 0 && cyc/failEvery <= failures {
+		if cyc > 0 && cyc%failEvery == 0 && cyc/failEvery <= failureEvents {
 			// Fail a random alive link; the manager repairs or drops
 			// affected traffic, then the scheme rebuilds its structures.
 			links := topo.AliveUndirectedLinks()
 			l := links[rng.Intn(len(links))]
-			mgr.FailLink(l.From, l.Dir)
+			mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: l.From, Dir: l.Dir})
 			rebuild()
 			if esc != nil {
 				// Escaped packets must follow the new tree.

@@ -27,7 +27,7 @@ var Figures = []Figure{
 	sweepFig("11", func(p Params) Table { return fig11Table(Fig11(p, nil)) }),
 	sweepFig("12", func(p Params) Table { return fig12Table(Fig12(p, nil, nil)) }),
 	sweepFig("13", func(p Params) Table { return fig13Table(Fig13(p, nil)) }),
-	sweepFig("failures", func(p Params) Table { return failuresTable(FailureTimeline(p, 0, 0)) }),
+	sweepFig("failures", func(p Params) Table { return failuresTable(FailureTimeline(p)) }),
 	// Continuous-churn availability/recovery-SLO comparison: Static Bubble
 	// vs spanning-tree re-election vs a DBR-style regional stall. Full
 	// scale runs the 256-router mesh so a router loss is a 1/256 event,

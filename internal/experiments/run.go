@@ -131,5 +131,5 @@ func appHorizon(app traffic.AppProfile) int {
 // its scheme's extra buffers included.
 func (inst *Instance) energyOver(cycles int64) energy.Breakdown {
 	extra := energy.SchemeOverheadBuffers(inst.Sim, inst.Scheme.EnergyKey())
-	return energy.Default32nm().Compute(inst.Sim, extra, cycles)
+	return energy.Compute(inst.Sim, extra, cycles)
 }

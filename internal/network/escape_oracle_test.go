@@ -19,11 +19,10 @@ import (
 // PostCycle scan over every buffer of every occupied router with a
 // (packet id, first seen) timer per buffer.
 type oracle struct {
-	sim     *network.Sim
-	updown  *routing.UpDown
-	timeout int64
-	timers  []oracleTimer
-	slots   int
+	sim    *network.Sim
+	updown *routing.UpDown
+	timers []oracleTimer
+	slots  int
 }
 
 type oracleTimer struct {
@@ -31,17 +30,13 @@ type oracleTimer struct {
 	since int64
 }
 
-func attachOracle(s *network.Sim, ud *routing.UpDown, opt escape.Options) *oracle {
-	if opt.Timeout == 0 {
-		opt.Timeout = 34
-	}
+func attachOracle(s *network.Sim, ud *routing.UpDown) *oracle {
 	slots := network.SlotsPerPort
 	c := &oracle{
-		sim:     s,
-		updown:  ud,
-		timeout: opt.Timeout,
-		timers:  make([]oracleTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
-		slots:   slots,
+		sim:    s,
+		updown: ud,
+		timers: make([]oracleTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
+		slots:  slots,
 	}
 	network.SetReferenceHooks(s,
 		func(p *network.Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
@@ -87,7 +82,7 @@ func (c *oracle) scan() {
 					tm.since = now
 					continue
 				}
-				if now-tm.since >= c.timeout {
+				if now-tm.since >= escape.Timeout {
 					p.Escaped = true
 					s.Stats.EscapeTransfers++
 					tm.pktID = 0
@@ -114,16 +109,14 @@ func TestClassMatchesHookOracle(t *testing.T) {
 		name     string
 		faults   int
 		rate     float64
-		timeout  int64
 		attachAt int // the scheme is attached before this cycle's traffic
 	}{
-		{"12faults_saturated", 12, 0.30, 0, 0},
-		{"12faults_light_timeout5", 12, 0.02, 5, 0},
-		{"25faults_saturated_timeout5", 25, 0.30, 5, 0},
-		{"25faults_knee", 25, 0.04, 0, 0},
+		{"12faults_saturated", 12, 0.30, 0},
+		{"25faults_saturated", 25, 0.30, 0},
+		{"25faults_knee", 25, 0.04, 0},
 		// Attached to a network already full of packets: every resident's
 		// timer starts at the attach.
-		{"12faults_saturated_late_attach", 12, 0.30, 0, 60},
+		{"12faults_saturated_late_attach", 12, 0.30, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const (
@@ -148,8 +141,8 @@ func TestClassMatchesHookOracle(t *testing.T) {
 			step[0], step[1] = sims[0].Step, refmodel.New(sims[1]).Step
 			attach := func() {
 				ud := routing.NewUpDown(sims[0].Topo)
-				setTree[0] = escape.Attach(sims[0], ud, escape.Options{Timeout: tc.timeout}).SetTree
-				o := attachOracle(sims[1], ud, escape.Options{Timeout: tc.timeout})
+				setTree[0] = escape.Attach(sims[0], ud).SetTree
+				o := attachOracle(sims[1], ud)
 				setTree[1] = func(ud *routing.UpDown) { o.updown = ud }
 			}
 			topo := sims[0].Topo

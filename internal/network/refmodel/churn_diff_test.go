@@ -245,7 +245,7 @@ func TestDifferentialChurnOverlap(t *testing.T) {
 				{cyc: 100, ev: ev(reconfig.EvGate, 21)},
 				{cyc: 104, ev: ev(reconfig.EvRecoverRouter, 21)},
 				{cyc: 300, ev: ev(reconfig.EvGate, 21)},
-				{cyc: 320, ev: ev(reconfig.EvUngate, 21)},
+				{cyc: 320, ev: ev(reconfig.EvRecoverRouter, 21)},
 			},
 		},
 		{

@@ -203,7 +203,7 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, knobs perturb.Kno
 				}
 				n := alive[hrng.Intn(len(alive))]
 				for _, u := range units {
-					u.mgr.FailRouter(n)
+					u.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailRouter, Node: n})
 				}
 			} else {
 				links := ev.sim.Topo.AliveUndirectedLinks()
@@ -212,25 +212,25 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, knobs perturb.Kno
 				}
 				l := links[hrng.Intn(len(links))]
 				for _, u := range units {
-					u.mgr.FailLink(l.From, l.Dir)
+					u.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: l.From, Dir: l.Dir})
 				}
 			}
 		}
 		if cyc == gateAt {
 			alive := ev.sim.Topo.AliveRouters()
 			gateTarget = alive[hrng.Intn(len(alive))]
-			e0 := ev.mgr.RequestGate(gateTarget)
+			_, e0 := ev.mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: gateTarget})
 			for _, u := range units[1:] {
-				if eu := u.mgr.RequestGate(gateTarget); (eu == nil) != (e0 == nil) {
-					return fmt.Errorf("cycle %d: RequestGate(%v) mismatch: %s %v vs %s %v",
+				if _, eu := u.mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: gateTarget}); (eu == nil) != (e0 == nil) {
+					return fmt.Errorf("cycle %d: gate(%v) mismatch: %s %v vs %s %v",
 						cyc, gateTarget, ev.name, e0, u.name, eu)
 				}
 			}
 		}
 		if gating && cyc > gateAt && cyc < ungateAt {
-			g0 := ev.mgr.TryCompleteGates()
+			g0 := ev.mgr.Tick()
 			for _, u := range units[1:] {
-				if gu := u.mgr.TryCompleteGates(); len(gu) != len(g0) {
+				if gu := u.mgr.Tick(); len(gu) != len(g0) {
 					return fmt.Errorf("cycle %d: gate completion mismatch: %s %v vs %s %v",
 						cyc, ev.name, g0, u.name, gu)
 				}
@@ -238,7 +238,7 @@ func runScenarioKnobs(seed int64, cycles int, checkEqual bool, knobs perturb.Kno
 		}
 		if cyc == ungateAt {
 			for _, u := range units {
-				u.mgr.Ungate(gateTarget)
+				u.mgr.Submit(reconfig.Event{Kind: reconfig.EvRecoverRouter, Node: gateTarget})
 			}
 		}
 

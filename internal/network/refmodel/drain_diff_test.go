@@ -282,7 +282,7 @@ func TestDifferentialIdleSB(t *testing.T) {
 
 	idle("reconfig")
 	for _, sd := range both {
-		sd.mgr.FailLink(100, geom.East)
+		sd.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: 100, Dir: geom.East})
 	}
 	step("fail link")
 	idle("reconfig recover")

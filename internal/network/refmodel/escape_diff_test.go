@@ -37,7 +37,7 @@ func TestDifferentialEscapeSaturated(t *testing.T) {
 			u.step = New(u.sim).Step
 			u.sim.SetPooling(false)
 		}
-		escape.Attach(u.sim, routing.NewUpDown(topo), escape.Options{})
+		escape.Attach(u.sim, routing.NewUpDown(topo))
 		u.delivered = make(map[int64]int64)
 		d := u.delivered
 		u.sim.OnDeliver = func(p *network.Packet) { d[p.ID] = p.DeliveredAt }

@@ -76,7 +76,7 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			u.sim.SetPooling(false)
 		}
 		if esc {
-			escs[i] = escape.Attach(u.sim, routing.NewUpDown(topo), escape.Options{Timeout: 24})
+			escs[i] = escape.Attach(u.sim, routing.NewUpDown(topo))
 		} else {
 			u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
 		}
@@ -108,7 +108,7 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			links := ref.Topo.AliveUndirectedLinks()
 			l := links[hrng.Intn(len(links))]
 			for i, u := range units {
-				u.mgr.FailLink(l.From, l.Dir)
+				u.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: l.From, Dir: l.Dir})
 				if esc {
 					// The old tree may cross the dead link.
 					escs[i].SetTree(routing.NewUpDown(u.sim.Topo))

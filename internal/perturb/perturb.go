@@ -12,7 +12,9 @@
 // in the controller's deterministic call order — so two identically
 // seeded simulations (Step or the refmodel full scan) remain
 // byte-identical under perturbation, and a recorded worst case replays
-// exactly.
+// exactly. Faults aimed at one message type or one link need no setting
+// here: a core.Perturber that consults a Perturber only for the
+// transmissions it targets does that (see the package tests).
 package perturb
 
 import (
@@ -22,29 +24,32 @@ import (
 	"repro/internal/geom"
 )
 
-// Knobs is one link's (or the default) perturbation intensity. The zero
-// value is a no-op. Probabilities are in [0, 1] and evaluated
+// Knobs is the perturbation intensity of every control-message hop. The
+// zero value is a no-op. Probabilities are in [0, 1] and evaluated
 // independently per transmission, in a fixed order (duplicate, loss,
 // reorder, jitter) so knob combinations draw identically everywhere.
 type Knobs struct {
 	// Loss is the probability a message is dropped in flight.
 	Loss float64
 	// Jitter is the probability a message is delayed by a uniform draw
-	// in [1, JitterMax] extra cycles. JitterMax <= 0 defaults to 4.
-	Jitter    float64
-	JitterMax int64
-	// Reorder is the probability a message is held back ReorderDelay
+	// in [1, jitterMax] extra cycles.
+	Jitter float64
+	// Reorder is the probability a message is held back reorderDelay
 	// extra cycles. Because later messages on the link keep their nominal
 	// latency, they overtake the held one — an arrival-order inversion,
 	// which is what "reordering" means for a bufferless hop-by-hop
-	// transport. ReorderDelay <= 0 defaults to 6 (three nominal hops).
-	Reorder      float64
-	ReorderDelay int64
-	// Dup is the probability an extra copy of the message is
-	// delivered DupDelay cycles after the original (<= 0 defaults to 2).
-	Dup      float64
-	DupDelay int64
+	// transport.
+	Reorder float64
+	// Dup is the probability an extra copy of the message is delivered
+	// dupDelay cycles after the original.
+	Dup float64
 }
+
+const (
+	jitterMax    = 4
+	reorderDelay = 6 // three nominal hops
+	dupDelay     = 2
+)
 
 // IsZero reports whether the knobs perturb nothing.
 func (k Knobs) IsZero() bool {
@@ -55,23 +60,10 @@ func (k Knobs) String() string {
 	return fmt.Sprintf("loss=%.3g jitter=%.3g reorder=%.3g dup=%.3g", k.Loss, k.Jitter, k.Reorder, k.Dup)
 }
 
-// Link identifies one directed link: the transmitting router and its
-// output direction.
-type Link struct {
-	From geom.NodeID
-	Dir  geom.Direction
-}
-
 // Config assembles a Perturber.
 type Config struct {
-	// Default applies to every link without a PerLink override.
+	// Default applies to every control-message transmission.
 	Default Knobs
-	// PerLink overrides the default on specific directed links (e.g.
-	// only the links of a victim region are lossy).
-	PerLink map[Link]Knobs
-	// Only, when non-empty, restricts perturbation to the listed message
-	// types; empty perturbs all four control messages.
-	Only []core.MsgType
 	// Seed seeds the private randomness stream.
 	Seed int64
 }
@@ -79,10 +71,8 @@ type Config struct {
 // Perturber implements core.Perturber over a Config. Construct with New;
 // the zero value is not usable.
 type Perturber struct {
-	def     Knobs
-	perLink map[Link]Knobs
-	typeOK  [4]bool
-	rng     uint64
+	def Knobs
+	rng uint64
 
 	// Counters report what the layer actually did, for tests and the
 	// adversary's SLO table.
@@ -94,40 +84,15 @@ type Perturber struct {
 
 // New builds a deterministic Perturber from cfg.
 func New(cfg Config) *Perturber {
-	p := &Perturber{
-		def:     cfg.Default,
-		perLink: cfg.PerLink,
-		rng:     splitmix64(uint64(cfg.Seed) ^ 0xda3e39cb94b95bdb),
+	return &Perturber{
+		def: cfg.Default,
+		rng: splitmix64(uint64(cfg.Seed) ^ 0xda3e39cb94b95bdb),
 	}
-	if len(cfg.Only) == 0 {
-		for i := range p.typeOK {
-			p.typeOK[i] = true
-		}
-	} else {
-		for _, t := range cfg.Only {
-			if t >= 0 && int(t) < len(p.typeOK) {
-				p.typeOK[int(t)] = true
-			}
-		}
-	}
-	return p
 }
 
-// SetDefault replaces the default knobs mid-run (the fuzz target drives
-// knob sequences this way). Per-link overrides are unaffected.
+// SetDefault replaces the knobs mid-run (the fuzz target drives knob
+// sequences this way).
 func (p *Perturber) SetDefault(k Knobs) { p.def = k }
-
-// SetLink installs (or, with zero knobs, removes) a per-link override.
-func (p *Perturber) SetLink(l Link, k Knobs) {
-	if p.perLink == nil {
-		p.perLink = make(map[Link]Knobs)
-	}
-	if k.IsZero() {
-		delete(p.perLink, l)
-		return
-	}
-	p.perLink[l] = k
-}
 
 // next advances the private splitmix64 stream.
 func (p *Perturber) next() uint64 {
@@ -150,41 +115,22 @@ func (p *Perturber) uintn(n int64) int64 { return int64(p.next() % uint64(n)) }
 // stream position never depends on another knob's outcome. A dropped
 // message still burns the reorder/jitter draws; only the drop wins.
 func (p *Perturber) PerturbMsg(now int64, from geom.NodeID, out geom.Direction, typ core.MsgType) core.Verdict {
-	if !p.typeOK[int(typ)&3] {
-		return core.Verdict{}
-	}
 	k := p.def
-	if len(p.perLink) > 0 {
-		if o, ok := p.perLink[Link{from, out}]; ok {
-			k = o
-		}
-	}
 	var v core.Verdict
 	if k.Dup > 0 && p.unit() < k.Dup {
 		v.Dup = true
-		v.DupDelay = k.DupDelay
-		if v.DupDelay <= 0 {
-			v.DupDelay = 2
-		}
+		v.DupDelay = dupDelay
 		p.Duplicated++
 	}
 	drop := k.Loss > 0 && p.unit() < k.Loss
 	if k.Reorder > 0 && p.unit() < k.Reorder {
-		d := k.ReorderDelay
-		if d <= 0 {
-			d = 6
-		}
-		v.Delay += d
+		v.Delay += reorderDelay
 		if !drop {
 			p.Reordered++
 		}
 	}
 	if k.Jitter > 0 && p.unit() < k.Jitter {
-		max := k.JitterMax
-		if max <= 0 {
-			max = 4
-		}
-		v.Delay += 1 + p.uintn(max)
+		v.Delay += 1 + p.uintn(jitterMax)
 		if !drop {
 			p.Delayed++
 		}

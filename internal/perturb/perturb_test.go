@@ -30,6 +30,26 @@ func enqueueRing(s *network.Sim, perNode int) int {
 	return total
 }
 
+// targeted passes on p's verdict only for the transmissions hit selects;
+// every other message goes through exactly and draws nothing. Tests aim
+// faults at one message type or one directed link this way.
+type targeted struct {
+	p   *Perturber
+	hit func(from geom.NodeID, out geom.Direction, typ core.MsgType) bool
+}
+
+func (t targeted) PerturbMsg(now int64, from geom.NodeID, out geom.Direction, typ core.MsgType) core.Verdict {
+	if !t.hit(from, out, typ) {
+		return core.Verdict{}
+	}
+	return t.p.PerturbMsg(now, from, out, typ)
+}
+
+// onlyType aims p at messages of type want.
+func onlyType(p *Perturber, want core.MsgType) targeted {
+	return targeted{p, func(_ geom.NodeID, _ geom.Direction, typ core.MsgType) bool { return typ == want }}
+}
+
 // runStorm drives a seeded mixed-traffic storm on the golden scenario's
 // irregular 8x8 topology (known to trigger thousands of probes) with SB
 // recovery attached and returns the final Stats.
@@ -135,8 +155,8 @@ func TestRecoveryUnderLossyControlPlane(t *testing.T) {
 func TestControlPlaneOutageThenRecovery(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	p := New(Config{Default: Knobs{Loss: 1}, Only: []core.MsgType{core.MsgProbe}, Seed: 4})
-	c := core.Attach(s, core.Options{TDD: 20, Perturb: p})
+	p := New(Config{Default: Knobs{Loss: 1}, Seed: 4})
+	c := core.Attach(s, core.Options{TDD: 20, Perturb: onlyType(p, core.MsgProbe)})
 	total := enqueueRing(s, 12)
 	s.Run(5000)
 	if s.Stats.DeadlockRecoveries != 0 {
@@ -158,17 +178,20 @@ func TestControlPlaneOutageThenRecovery(t *testing.T) {
 	}
 }
 
-// TestPerLinkOverride: a per-link override must shadow the default on
-// that link only. With the default lossless and one link fully lossy,
-// drops happen and are confined to the configured link.
+// TestPerLinkOverride: faults aimed at one directed link stay on that
+// link. With every other link lossless and one fully lossy, drops happen
+// and are confined to that link.
 func TestPerLinkOverride(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	// The 2x2 SB router is node 3; its probe for the clockwise ring exits
 	// South toward node 1. Losing that directed link's control messages
 	// stalls detection exactly like a total outage.
-	p := New(Config{PerLink: map[Link]Knobs{{From: 3, Dir: geom.South}: {Loss: 1}}, Seed: 4})
-	core.Attach(s, core.Options{TDD: 20, Perturb: p})
+	p := New(Config{Default: Knobs{Loss: 1}, Seed: 4})
+	link := targeted{p, func(from geom.NodeID, out geom.Direction, _ core.MsgType) bool {
+		return from == 3 && out == geom.South
+	}}
+	core.Attach(s, core.Options{TDD: 20, Perturb: link})
 	enqueueRing(s, 12)
 	s.Run(5000)
 	if p.Dropped == 0 {
@@ -177,22 +200,22 @@ func TestPerLinkOverride(t *testing.T) {
 	if s.Stats.DeadlockRecoveries != 0 {
 		t.Fatalf("recovery started despite the probe link being dead (%d recoveries)", s.Stats.DeadlockRecoveries)
 	}
-	// Clearing the override restores the default (lossless) path.
-	p.SetLink(Link{From: 3, Dir: geom.South}, Knobs{})
+	// Clearing the knobs restores the lossless path.
+	p.SetDefault(Knobs{})
 	s.Run(40000)
 	if s.Stats.DeadlockRecoveries == 0 {
 		t.Fatal("expected recovery after the override was removed")
 	}
 }
 
-// TestOnlyFiltersClasses: a perturber restricted to probes must never
-// touch disables/enables (the perturber's counters confirm via a dup-only
-// config: duplicates appear only for the probe class).
+// TestOnlyFiltersClasses: faults aimed at disables must never touch the
+// other classes (the perturber's counters confirm via a dup-only config:
+// duplicates appear only for disables).
 func TestOnlyFiltersClasses(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
-	p := New(Config{Default: Knobs{Dup: 1}, Only: []core.MsgType{core.MsgDisable}, Seed: 8})
-	core.Attach(s, core.Options{TDD: 20, Perturb: p})
+	p := New(Config{Default: Knobs{Dup: 1}, Seed: 8})
+	core.Attach(s, core.Options{TDD: 20, Perturb: onlyType(p, core.MsgDisable)})
 	total := enqueueRing(s, 12)
 	s.Run(40000)
 	if s.Stats.Delivered != int64(total) {
@@ -203,9 +226,9 @@ func TestOnlyFiltersClasses(t *testing.T) {
 	}
 	if p.Duplicated > s.Stats.DisablesSent*6 {
 		// Disables are sent once per round and forwarded once per hop on a
-		// ≤4-hop ring: duplicates far beyond that bound mean the Only
+		// ≤4-hop ring: duplicates far beyond that bound mean the
 		// filter leaked onto probes (sent by the thousands in a storm).
-		t.Fatalf("implausibly many duplicates (%d) for %d disables sent — Only filter leaking?",
+		t.Fatalf("implausibly many duplicates (%d) for %d disables sent — type filter leaking?",
 			p.Duplicated, s.Stats.DisablesSent)
 	}
 }

@@ -11,21 +11,21 @@ type EventKind uint8
 
 const (
 	// EvGate requests graceful power-off of a router: routes avoid it,
-	// traffic drains, and a later Tick/TryCompleteGates powers it off.
+	// traffic drains, and the first Tick that finds it drained powers it
+	// off.
 	EvGate EventKind = iota
-	// EvUngate revokes a pending gate or powers a gated router back on.
-	// It is an alias for EvRecoverRouter; both spellings exist because
-	// planned power management and failure recovery arrive from
-	// different callers with different intent.
-	EvUngate
-	// EvFailLink abruptly severs the bidirectional link Node→Dir.
+	// EvFailLink abruptly severs the bidirectional link Node→Dir. Queued
+	// and in-flight packets whose remaining route crossed it are rerouted
+	// from where they are, or dropped if their destination became
+	// unreachable.
 	EvFailLink
 	// EvRecoverLink restores the bidirectional link Node→Dir.
 	EvRecoverLink
-	// EvFailRouter abruptly kills router Node (resident packets lost).
+	// EvFailRouter abruptly kills router Node: packets buffered at it are
+	// lost, and other affected traffic is rerouted as for EvFailLink.
 	EvFailRouter
-	// EvRecoverRouter revives router Node, or revokes its in-progress
-	// gate drain if it never actually powered off.
+	// EvRecoverRouter revives router Node (a failed or a gated one), or
+	// revokes its in-progress gate drain if it never actually powered off.
 	EvRecoverRouter
 )
 
@@ -33,8 +33,6 @@ func (k EventKind) String() string {
 	switch k {
 	case EvGate:
 		return "gate"
-	case EvUngate:
-		return "ungate"
 	case EvFailLink:
 		return "fail_link"
 	case EvRecoverLink:
@@ -167,10 +165,9 @@ func (m *Manager) SubmitAt(at int64, ev Event) {
 func (m *Manager) PendingEvents() int { return len(m.queue) }
 
 // Tick is the per-cycle pump: it applies every scheduled event due at
-// or before the simulator's current cycle, then attempts gate
-// completion, returning the routers powered off this call. Call it
-// once per cycle (after Step) when using SubmitAt; with Submit only,
-// Tick degenerates to TryCompleteGates.
+// or before the simulator's current cycle, then powers off every gating
+// router that has drained, returning the routers powered off this call.
+// Call it once per cycle (after Step) when using SubmitAt or EvGate.
 func (m *Manager) Tick() []geom.NodeID {
 	now := m.sim.Now
 	n := 0
@@ -183,21 +180,21 @@ func (m *Manager) Tick() []geom.NodeID {
 		}
 		m.queue = m.queue[:copy(m.queue, m.queue[n:])]
 	}
-	return m.TryCompleteGates()
+	return m.completeGates()
 }
 
 // apply dispatches one event through the overlap rules.
 func (m *Manager) apply(ev Event) (Outcome, error) {
 	switch ev.Kind {
 	case EvGate:
-		if m.pendingGate[ev.Node] {
-			return OutPending, nil
+		// Routes avoid a pending router at once (Route); completeGates
+		// powers it off once drained.
+		if !m.pendingGate[ev.Node] && !m.topo.RouterAlive(ev.Node) {
+			return OutNoop, fmt.Errorf("reconfig: router %v is not alive", ev.Node)
 		}
-		if err := m.RequestGate(ev.Node); err != nil {
-			return OutNoop, err
-		}
+		m.pendingGate[ev.Node] = true
 		return OutPending, nil
-	case EvUngate, EvRecoverRouter:
+	case EvRecoverRouter:
 		return m.recoverRouter(ev.Node), nil
 	case EvFailRouter:
 		return m.failRouter(ev.Node), nil

@@ -82,7 +82,7 @@ func TestRecoverRevokesPendingGate(t *testing.T) {
 		t.Fatal("revoked router must still be alive")
 	}
 	// Nothing left to complete.
-	if gated := m.TryCompleteGates(); len(gated) != 0 {
+	if gated := m.Tick(); len(gated) != 0 {
 		t.Fatalf("revoked gate completed anyway: %v", gated)
 	}
 }
@@ -106,7 +106,7 @@ func TestFailOverridesGateDrain(t *testing.T) {
 	if m.Epoch() != e0+1 {
 		t.Fatalf("abrupt fail must advance the epoch once: %d -> %d", e0, m.Epoch())
 	}
-	if gated := m.TryCompleteGates(); len(gated) != 0 {
+	if gated := m.Tick(); len(gated) != 0 {
 		t.Fatalf("dead router gated again: %v", gated)
 	}
 	if s.Topo.RouterAlive(n) {
@@ -134,7 +134,7 @@ func TestEpochAdvancesOnlyOnTopologyChange(t *testing.T) {
 		t.Fatalf("pending gates advanced the epoch before powering off")
 	}
 	// Idle mesh: both gates complete in one batch.
-	if gated := m.TryCompleteGates(); len(gated) != 2 {
+	if gated := m.Tick(); len(gated) != 2 {
 		t.Fatalf("expected both gates to complete, got %v", gated)
 	}
 	if m.Epoch() != e+1 {

@@ -12,19 +12,20 @@ import (
 )
 
 // Gracefully power-gating a router on a live network: routes avoid it
-// immediately, it powers off once drained, and no packet is ever lost.
-func ExampleManager_RequestGate() {
+// immediately, Tick powers it off once drained, and no packet is ever
+// lost.
+func ExampleManager_Tick() {
 	topo := topology.NewMesh(6, 6)
 	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	core.Attach(sim, core.Options{})
 	mgr := reconfig.New(sim)
 
 	victim := topo.ID(geom.Coord{X: 3, Y: 3})
-	if err := mgr.RequestGate(victim); err != nil {
+	if _, err := mgr.Submit(reconfig.Event{Kind: reconfig.EvGate, Node: victim}); err != nil {
 		panic(err)
 	}
-	// Idle network: the gate completes on the first attempt.
-	gated := mgr.TryCompleteGates()
+	// Idle network: the gate completes on the first Tick.
+	gated := mgr.Tick()
 	fmt.Println("gated:", gated)
 	fmt.Println("alive:", topo.RouterAlive(victim))
 	fmt.Println("lost:", sim.Stats.Lost)
@@ -36,7 +37,7 @@ func ExampleManager_RequestGate() {
 
 // An abrupt link failure mid-flight: affected traffic is rerouted in
 // place.
-func ExampleManager_FailLink() {
+func ExampleManager_Submit() {
 	topo := topology.NewMesh(4, 2)
 	sim := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	mgr := reconfig.New(sim)
@@ -44,7 +45,7 @@ func ExampleManager_FailLink() {
 	p := sim.NewPacket(0, 3, 0, 5, r)
 	sim.Enqueue(p)
 	sim.Run(4) // in flight
-	mgr.FailLink(2, geom.East)
+	mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: 2, Dir: geom.East})
 	sim.Run(80)
 	fmt.Println("delivered:", p.DeliveredAt >= 0)
 	fmt.Println("rerouted:", mgr.Rerouted >= 1)

@@ -76,7 +76,7 @@ func FuzzReconfigOverlap(f *testing.F) {
 			case 0:
 				m.Submit(Event{Kind: EvGate, Node: node}) // errors on dead routers: allowed
 			case 1:
-				m.Submit(Event{Kind: EvUngate, Node: node})
+				m.Submit(Event{Kind: EvRecoverRouter, Node: node})
 			case 2:
 				// Abrupt kill, but keep at least half the mesh up so the
 				// program cannot grind the network away entirely.

@@ -28,7 +28,6 @@
 package reconfig
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -177,21 +176,10 @@ func (m *Manager) routeTouches(r routing.Route, src geom.NodeID, set map[geom.No
 	return false
 }
 
-// RequestGate marks router n for power-gating: new routes from Route
-// avoid it immediately. Call TryCompleteGates each cycle (or after Run
-// batches) to power it off once drained.
-func (m *Manager) RequestGate(n geom.NodeID) error {
-	if !m.topo.RouterAlive(n) {
-		return fmt.Errorf("reconfig: router %v is not alive", n)
-	}
-	m.pendingGate[n] = true
-	return nil
-}
-
-// TryCompleteGates powers off every pending router that has fully
-// drained: no packets buffered at it and no in-flight packet's remaining
-// route crossing it. It returns the routers gated this call.
-func (m *Manager) TryCompleteGates() []geom.NodeID {
+// completeGates powers off every pending router that has fully drained:
+// no packets buffered at it and no in-flight packet's remaining route
+// crossing it. It returns the routers gated this call.
+func (m *Manager) completeGates() []geom.NodeID {
 	if len(m.pendingGate) == 0 {
 		return nil
 	}
@@ -267,22 +255,6 @@ func (m *Manager) TryCompleteGates() []geom.NodeID {
 
 // PendingGates returns the routers still draining toward power-off.
 func (m *Manager) PendingGates() int { return len(m.pendingGate) }
-
-// Ungate revokes a pending gate or powers a gated router back on and
-// refreshes routing. Equivalent to Submit(Event{Kind: EvUngate, Node: n}).
-func (m *Manager) Ungate(n geom.NodeID) { m.recoverRouter(n) }
-
-// FailLink kills the bidirectional link between n and its neighbor in
-// direction d, then repairs all affected traffic: queued and in-flight
-// packets whose remaining route crossed the link are rerouted from their
-// current position, or dropped if their destination is now unreachable.
-// Equivalent to Submit(Event{Kind: EvFailLink, Node: n, Dir: d}).
-func (m *Manager) FailLink(n geom.NodeID, d geom.Direction) { m.failLink(n, d) }
-
-// FailRouter kills router n abruptly; packets buffered at n are lost
-// (counted as dropped), and other affected traffic is rerouted.
-// Equivalent to Submit(Event{Kind: EvFailRouter, Node: n}).
-func (m *Manager) FailRouter(n geom.NodeID) { m.failRouter(n) }
 
 // failLink applies a link failure with idempotence: severing an
 // already-severed wire is a no-op (no rebuild, no epoch bump).

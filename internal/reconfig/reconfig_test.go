@@ -41,7 +41,7 @@ func drive(s *network.Sim, m *Manager, rng *rand.Rand, cycles int, rate float64)
 			}
 		}
 		s.Step()
-		m.TryCompleteGates()
+		m.Tick()
 	}
 }
 
@@ -59,7 +59,7 @@ func TestGracefulGateDrainsFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	drive(s, m, rng, 500, 0.05)
 	victim := s.Topo.ID(geom.Coord{X: 3, Y: 3})
-	if err := m.RequestGate(victim); err != nil {
+	if _, err := m.Submit(Event{Kind: EvGate, Node: victim}); err != nil {
 		t.Fatal(err)
 	}
 	// Keep traffic flowing; the gate must complete without killing any
@@ -92,7 +92,7 @@ func TestGateRejectsDeadRouter(t *testing.T) {
 	s, m := mkLiveSim(t, 3)
 	victim := geom.NodeID(7)
 	s.Topo.DisableRouter(victim)
-	if err := m.RequestGate(victim); err == nil {
+	if _, err := m.Submit(Event{Kind: EvGate, Node: victim}); err == nil {
 		t.Fatal("gating a dead router should error")
 	}
 }
@@ -100,14 +100,14 @@ func TestGateRejectsDeadRouter(t *testing.T) {
 func TestUngateRestores(t *testing.T) {
 	s, m := mkLiveSim(t, 4)
 	victim := s.Topo.ID(geom.Coord{X: 2, Y: 2})
-	if err := m.RequestGate(victim); err != nil {
+	if _, err := m.Submit(Event{Kind: EvGate, Node: victim}); err != nil {
 		t.Fatal(err)
 	}
-	m.TryCompleteGates() // idle network: gates immediately
+	m.Tick() // idle network: gates immediately
 	if s.Topo.RouterAlive(victim) {
 		t.Fatal("gate should complete on an idle network")
 	}
-	m.Ungate(victim)
+	m.Submit(Event{Kind: EvRecoverRouter, Node: victim})
 	if !s.Topo.RouterAlive(victim) {
 		t.Fatal("ungate failed")
 	}
@@ -123,7 +123,7 @@ func TestRouteAvoidsPendingGates(t *testing.T) {
 	var gated []geom.NodeID
 	for y := 0; y < 5; y++ {
 		n := s.Topo.ID(geom.Coord{X: 3, Y: y})
-		if err := m.RequestGate(n); err != nil {
+		if _, err := m.Submit(Event{Kind: EvGate, Node: n}); err != nil {
 			t.Fatal(err)
 		}
 		gated = append(gated, n)
@@ -159,7 +159,7 @@ func TestFailLinkReroutesInFlight(t *testing.T) {
 	p := s2.NewPacket(0, 3, 0, 5, r)
 	s2.Enqueue(p)
 	s2.Run(4) // in flight now
-	m2.FailLink(2, geom.East)
+	m2.Submit(Event{Kind: EvFailLink, Node: 2, Dir: geom.East})
 	s2.Run(60)
 	if p.DeliveredAt < 0 {
 		t.Fatalf("packet should be rerouted around the dead link (rerouted=%d)", m2.Rerouted)
@@ -181,7 +181,7 @@ func TestFailLinkRepairsEscapedPacketPastItsRoute(t *testing.T) {
 	p.Escaped = true
 	p.Hop = 2 // two tree hops beyond a one-hop route
 	s.PlacePacket(1, geom.West, 1, p)
-	m.FailLink(2, geom.East)
+	m.Submit(Event{Kind: EvFailLink, Node: 2, Dir: geom.East})
 	if m.Rerouted != 1 || p.Hop != 0 {
 		t.Fatalf("rerouted %d packets, hop %d; want the packet re-homed at hop 0", m.Rerouted, p.Hop)
 	}
@@ -200,7 +200,7 @@ func TestFailLinkDropsWhenDisconnected(t *testing.T) {
 	p := s.NewPacket(0, 3, 0, 5, r)
 	s.Enqueue(p)
 	s.Run(4)
-	m.FailLink(2, geom.East) // no detour on a line
+	m.Submit(Event{Kind: EvFailLink, Node: 2, Dir: geom.East}) // no detour on a line
 	if m.Dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", m.Dropped)
 	}
@@ -221,7 +221,7 @@ func TestFailRouterLosesResidentTraffic(t *testing.T) {
 	if s.Routers[1].Occupied() == 0 {
 		t.Fatal("test setup: packet should be at router 1")
 	}
-	m.FailRouter(1)
+	m.Submit(Event{Kind: EvFailRouter, Node: 1})
 	if m.Dropped == 0 {
 		t.Fatal("resident packet must be lost with the router")
 	}
@@ -243,7 +243,7 @@ func TestFailLinkReroutesQueuedPackets(t *testing.T) {
 		s.Enqueue(p)
 		pkts = append(pkts, p)
 	}
-	m.FailLink(1, geom.East) // many queued routes crossed it
+	m.Submit(Event{Kind: EvFailLink, Node: 1, Dir: geom.East}) // many queued routes crossed it
 	if m.Rerouted == 0 {
 		t.Fatal("queued packets should have been rerouted")
 	}
@@ -262,19 +262,19 @@ func TestReconfigUnderLiveTrafficWithRecovery(t *testing.T) {
 	s, m := mkLiveSim(t, 10)
 	rng := rand.New(rand.NewSource(11))
 	drive(s, m, rng, 400, 0.08)
-	m.FailLink(s.Topo.ID(geom.Coord{X: 2, Y: 2}), geom.East)
+	m.Submit(Event{Kind: EvFailLink, Node: s.Topo.ID(geom.Coord{X: 2, Y: 2}), Dir: geom.East})
 	drive(s, m, rng, 400, 0.08)
-	if err := m.RequestGate(s.Topo.ID(geom.Coord{X: 4, Y: 4})); err != nil {
+	if _, err := m.Submit(Event{Kind: EvGate, Node: s.Topo.ID(geom.Coord{X: 4, Y: 4})}); err != nil {
 		t.Fatal(err)
 	}
 	drive(s, m, rng, 800, 0.08)
-	m.FailRouter(s.Topo.ID(geom.Coord{X: 1, Y: 4}))
+	m.Submit(Event{Kind: EvFailRouter, Node: s.Topo.ID(geom.Coord{X: 1, Y: 4})})
 	drive(s, m, rng, 400, 0.08)
 	conserve(t, s)
 	// Drain.
 	for i := 0; i < 60000 && s.InFlight()+s.QueuedPackets() > 0; i += 50 {
 		s.Run(50)
-		m.TryCompleteGates()
+		m.Tick()
 	}
 	if s.InFlight()+s.QueuedPackets() != 0 {
 		t.Fatalf("drain incomplete: %d in flight, %d queued", s.InFlight(), s.QueuedPackets())
@@ -316,7 +316,7 @@ func TestManagerAppendRouteMatchesRoute(t *testing.T) {
 	sb, mb := mkLiveSim(t, 21)
 	for _, m := range []*Manager{ma, mb} {
 		for _, n := range []geom.NodeID{14, 15} {
-			if err := m.RequestGate(n); err != nil {
+			if _, err := m.Submit(Event{Kind: EvGate, Node: n}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,7 +36,7 @@ func TestManagerTableStats(t *testing.T) {
 		t.Fatalf("construction should cost exactly one full-compile miss: %+v", st)
 	}
 	table := m.minimal
-	m.FailLink(0, geom.East)
+	m.Submit(Event{Kind: EvFailLink, Node: 0, Dir: geom.East})
 	st = m.TableStats()
 	if st.Misses != 2 || st.Incremental != 1 {
 		t.Fatalf("fail-link should be one incremental miss: %+v", st)

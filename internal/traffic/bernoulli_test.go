@@ -36,19 +36,12 @@ func (in *Injector) tickFloat64(s *network.Sim) {
 
 // tickFloat64 is ParetoOnOff.Tick as it was before Bernoulli.
 func (po *ParetoOnOff) tickFloat64(s *network.Sim) {
-	if !po.started {
-		po.start()
-	}
 	in := po.inj
-	pPkt := po.PeakRate / in.meanLen()
+	pPkt := in.RateFlits / in.meanLen()
 	for i, src := range in.sources {
 		if po.remaining[i] <= 0 {
 			po.on[i] = !po.on[i]
-			alpha, xm := po.AlphaOff, po.MinOff
-			if po.on[i] {
-				alpha, xm = po.AlphaOn, po.MinOn
-			}
-			po.remaining[i] = int64(math.Ceil(ParetoSample(in.rng, alpha, xm)))
+			po.remaining[i] = paretoPeriod(in.rng, po.on[i])
 		}
 		po.remaining[i]--
 		if po.on[i] {
@@ -244,7 +237,9 @@ func TestParetoOnOffMatchesFloat64Form(t *testing.T) {
 	alg := routing.NewMinimal(topo)
 	a := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, rand.New(rand.NewSource(6)))
 	b := NewParetoOnOff(topo.AliveRouters(), alg, NewUniformRandom(topo.AliveRouters()), 0.3, rand.New(rand.NewSource(6)))
+	// The oracle draws from math/rand itself, its initial phases too.
 	b.inj.rng = rand.New(rand.NewSource(6))
+	b.drawPhases()
 	n := twinTicks(t, topo, 50000,
 		func(_ int, s *network.Sim) { a.Tick(s) },
 		func(_ int, s *network.Sim) { b.tickFloat64(s) })

@@ -29,9 +29,17 @@ func ParetoMean(alpha, xm float64) float64 {
 	return alpha * xm / (alpha - 1)
 }
 
+// The on/off period model: the classic self-similar setting
+// alphaOn = 1.4, alphaOff = 1.2 (Hurst ≈ 0.8), with 20-cycle minimum
+// bursts separated by 40-cycle minimum gaps.
+const (
+	paretoAlphaOn, paretoMinOn   = 1.4, 20
+	paretoAlphaOff, paretoMinOff = 1.2, 40
+)
+
 // ParetoOnOff drives bursty open-loop traffic: each source node
 // alternates ON and OFF periods with Pareto-distributed lengths,
-// injecting at PeakRate (flits/node/cycle) only while ON. With shape
+// injecting at the peak rate (flits/node/cycle) only while ON. With shape
 // parameters in (1, 2) the period lengths are heavy-tailed and the
 // aggregate process is self-similar — the canonical model for measured
 // LAN/datacenter burstiness (Willinger et al.), and a much harsher
@@ -44,98 +52,75 @@ func ParetoMean(alpha, xm float64) float64 {
 // order, so identically seeded runs are byte-identical.
 type ParetoOnOff struct {
 	inj *Injector
-	// PeakRate is the offered load in flits/node/cycle during ON periods.
-	PeakRate float64
-	// AlphaOn/AlphaOff are the Pareto shapes of the ON and OFF period
-	// lengths; MinOn/MinOff the minimum period lengths in cycles.
-	AlphaOn, AlphaOff float64
-	MinOn, MinOff     float64
-
 	// Per-node burst state: whether the node is in an ON period and how
-	// many whole cycles of it remain. Initialized lazily on the first
-	// Tick (after the caller has finished adjusting the shape fields).
+	// many whole cycles of it remain.
 	on        []bool
 	remaining []int64
-	started   bool
 }
 
 // NewParetoOnOff builds the process over the given source nodes. alg
 // routes packets, p picks destinations, peakRate is the ON-period
-// offered load. Shapes default to the classic self-similar setting
-// alphaOn=1.4, alphaOff=1.2 (Hurst ≈ 0.8); minimum periods default to
-// 20-cycle bursts separated by 40-cycle gaps.
+// offered load.
 func NewParetoOnOff(sources []geom.NodeID, alg routing.Algorithm, p Pattern, peakRate float64, rng *rand.Rand) *ParetoOnOff {
 	po := &ParetoOnOff{
 		inj:       NewInjector(sources, alg, p, peakRate, rng),
-		PeakRate:  peakRate,
-		AlphaOn:   1.4,
-		AlphaOff:  1.2,
-		MinOn:     20,
-		MinOff:    40,
 		on:        make([]bool, len(sources)),
 		remaining: make([]int64, len(sources)),
 	}
+	po.drawPhases()
 	return po
 }
 
-// Injector exposes the underlying injector for packet-mix configuration
-// (CtrlFraction, vnets).
-func (po *ParetoOnOff) Injector() *Injector { return po.inj }
-
-// MeanRate returns the long-run offered load in flits/node/cycle:
-// PeakRate × E[on] / (E[on] + E[off]).
+// MeanRate returns the long-run offered load in flits/node/cycle: the
+// peak rate × E[on] / (E[on] + E[off]).
 func (po *ParetoOnOff) MeanRate() float64 {
-	eon := ParetoMean(po.AlphaOn, po.MinOn)
-	eoff := ParetoMean(po.AlphaOff, po.MinOff)
-	if math.IsInf(eon, 1) || math.IsInf(eoff, 1) {
-		return 0
-	}
-	return po.PeakRate * eon / (eon + eoff)
+	eon, eoff := periodMeans()
+	return po.inj.RateFlits * eon / (eon + eoff)
 }
 
 // DutyCycle returns E[on] / (E[on] + E[off]).
 func (po *ParetoOnOff) DutyCycle() float64 {
-	eon := ParetoMean(po.AlphaOn, po.MinOn)
-	eoff := ParetoMean(po.AlphaOff, po.MinOff)
+	eon, eoff := periodMeans()
 	return eon / (eon + eoff)
 }
 
-// start decorrelates the nodes' initial phases: each node begins ON with
-// probability DutyCycle and part-way through its first period, so the
-// fleet does not open with one synchronized burst (which would both skew
-// the measured mean rate and phase-lock every node's bursts).
-func (po *ParetoOnOff) start() {
-	po.started = true
+// periodMeans returns the mean ON and OFF period lengths.
+func periodMeans() (eon, eoff float64) {
+	return ParetoMean(paretoAlphaOn, paretoMinOn), ParetoMean(paretoAlphaOff, paretoMinOff)
+}
+
+// paretoPeriod draws the length of a node's next ON or OFF period.
+func paretoPeriod(rng *rand.Rand, on bool) int64 {
+	if on {
+		return int64(math.Ceil(ParetoSample(rng, paretoAlphaOn, paretoMinOn)))
+	}
+	return int64(math.Ceil(ParetoSample(rng, paretoAlphaOff, paretoMinOff)))
+}
+
+// drawPhases decorrelates the nodes' initial phases: each node begins ON
+// with probability DutyCycle and part-way through its first period, so
+// the fleet does not open with one synchronized burst (which would both
+// skew the measured mean rate and phase-lock every node's bursts).
+func (po *ParetoOnOff) drawPhases() {
 	in := po.inj
 	duty := po.DutyCycle()
 	for i := range in.sources {
 		po.on[i] = in.rng.Float64() < duty
-		alpha, xm := po.AlphaOff, po.MinOff
-		if po.on[i] {
-			alpha, xm = po.AlphaOn, po.MinOn
-		}
-		period := int64(math.Ceil(ParetoSample(in.rng, alpha, xm)))
-		po.remaining[i] = 1 + int64(in.rng.Float64()*float64(period))
+		n := paretoPeriod(in.rng, po.on[i]) // the period draw precedes the phase draw
+		po.remaining[i] = 1 + int64(in.rng.Float64()*float64(n))
 	}
 }
 
 // Tick advances every node's on/off process by one cycle and offers
 // traffic from the nodes currently in an ON period.
 func (po *ParetoOnOff) Tick(s *network.Sim) {
-	if !po.started {
-		po.start()
-	}
 	in := po.inj
-	pPkt := po.PeakRate / in.meanLen()
+	pPkt := in.RateFlits / in.meanLen()
 	for i, src := range in.sources {
 		if po.remaining[i] <= 0 {
 			// Period expired: toggle state and draw the next length.
 			po.on[i] = !po.on[i]
-			alpha, xm := po.AlphaOff, po.MinOff
-			if po.on[i] {
-				alpha, xm = po.AlphaOn, po.MinOn
-			}
-			po.remaining[i] = int64(math.Ceil(ParetoSample(in.rng, alpha, xm)))
+			po.remaining[i] = paretoPeriod(in.rng, po.on[i])
 		}
 		po.remaining[i]--
 		if po.on[i] {

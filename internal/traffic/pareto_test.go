@@ -117,7 +117,7 @@ func TestParetoOnOffBurstiness(t *testing.T) {
 	}
 }
 
-// TestParetoOnOffPhasesDecorrelated: the lazy start must not open with
+// TestParetoOnOffPhasesDecorrelated: the initial phases must not open with
 // one synchronized fleet-wide burst — in the first few cycles only a
 // duty-cycle-sized fraction of nodes should be ON.
 func TestParetoOnOffPhasesDecorrelated(t *testing.T) {

@@ -279,7 +279,7 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 	build := func() (*network.Sim, *network.Packet) {
 		topo := topology.NewMesh(3, 1)
 		s := network.New(topo, network.Config{}, rand.New(rand.NewSource(11)))
-		escape.Attach(s, routing.NewUpDown(topo), escape.Options{})
+		escape.Attach(s, routing.NewUpDown(topo))
 		p := s.NewPacket(0, 2, 0, 5, routing.Route{geom.East, geom.East})
 		s.Enqueue(p)
 		s.Run(3) // p sits in a regular VC of router 1's West port
