@@ -482,7 +482,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Mes
 			r.Fence = network.Fence{}
 			if f != nil && f.state == StateOff {
 				// Resume detection now that the foreign chain cleared.
-				if ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
+				if ptr, pid, ok := nextOccupiedVC(s, r, -1); ok {
 					c.setState(f, StateDD)
 					f.ptr, f.ptrPkt = ptr, pid
 					f.deadline = s.Now + c.opt.TDD
@@ -670,7 +670,7 @@ func (c *Controller) enableReturned(f *fsm) {
 		r.Fence = network.Fence{}
 	}
 	f.turnBuf = Path{}
-	if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
+	if ptr, pid, ok := nextOccupiedVC(s, r, f.ptr); ok {
 		c.setState(f, StateDD)
 		f.ptr, f.ptrPkt = ptr, pid
 		f.deadline = s.Now + c.opt.TDD
@@ -818,18 +818,18 @@ func (c *Controller) tickFSM(f *fsm) {
 		if r.OccupiedNonLocal() == 0 {
 			return // nothing to watch; skip the VC scan (hot path)
 		}
-		if ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
+		if ptr, pid, ok := nextOccupiedVC(s, r, -1); ok {
 			c.setState(f, StateDD)
 			f.ptr, f.ptrPkt = ptr, pid
 			f.deadline = now + c.opt.TDD
 		}
 
 	case StateDD:
-		vc := watchedVC(r, f.ptr)
+		vc := r.Buf(f.ptr)
 		if vc.Pkt == nil || vc.Pkt.ID != f.ptrPkt {
 			// The watched flit left: advance round-robin, restart counter;
 			// S_OFF if the router drained.
-			if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
+			if ptr, pid, ok := nextOccupiedVC(s, r, f.ptr); ok {
 				f.ptr, f.ptrPkt = ptr, pid
 				f.deadline = now + c.opt.TDD
 			} else {
@@ -844,7 +844,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		if !out.IsLink() {
 			// Waiting on ejection: never part of a dependence cycle. Move
 			// the pointer along.
-			if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
+			if ptr, pid, ok := nextOccupiedVC(s, r, f.ptr); ok {
 				f.ptr, f.ptrPkt = ptr, pid
 			}
 			f.deadline = now + c.opt.TDD
@@ -859,7 +859,7 @@ func (c *Controller) tickFSM(f *fsm) {
 		// directions probes each of them across successive rounds (the
 		// paper's FSM keeps watching the same VC, which starves cycles
 		// exiting other ports when the watched chain is a dead end).
-		if ptr, pid, ok := nextOccupiedVC(r, f.ptr); ok {
+		if ptr, pid, ok := nextOccupiedVC(s, r, f.ptr); ok {
 			f.ptr, f.ptrPkt = ptr, pid
 		}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -284,33 +285,73 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestNextOccupiedVCIncludesBubble(t *testing.T) {
-	s, _ := mk(t, 3, 1, 20)
-	r := &s.Routers[1]
-	r.Bubble.Present = true
-	r.Bubble.InPort = geom.West
-	// Empty router: nothing to watch.
-	if _, _, ok := nextOccupiedVC(r, vcPtr{port: geom.Local}); ok {
-		t.Fatal("empty router should yield no pointer")
+// TestNextOccupiedVCScanOrder pins the detection FSM's round-robin over
+// candidate indices: link-input slots ascending, the local port skipped,
+// the bubble (when present) last, wrapping after the last occupant.
+func TestNextOccupiedVCScanOrder(t *testing.T) {
+	const (
+		slots  = network.SlotsPerPort
+		bubble = network.BubbleIndex
+		local  = int(geom.Local) * slots
+		none   = -2 // no occupied candidate
+	)
+	type tc struct {
+		name    string
+		occ     []int // occupied candidate indices
+		present bool  // router has a static bubble
+		from    int
+		want    int
 	}
-	// Only the bubble occupied: the pointer must find it. Placement goes
-	// through the Sim helper so the occupancy mirror (which feeds the
-	// scan fast path) stays consistent with buffer contents.
-	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
-	s.PlaceBubblePacket(1, geom.West, p)
-	ptr, pid, ok := nextOccupiedVC(r, vcPtr{port: geom.Local})
-	if !ok || ptr.slot != bubbleSlot || pid != p.ID {
-		t.Fatalf("pointer = %+v pid=%d ok=%v", ptr, pid, ok)
+	cases := []tc{
+		{"empty", nil, true, -1, none},
+		{"local-slot-skipped", []int{local}, true, -1, none},
+		{"last-local-slot-skipped", []int{local + slots - 1}, true, -1, none},
+		{"local-between-link-slots", []int{10, local + 3, 20}, true, 10, 20},
+		{"bubble-alone", []int{bubble}, true, -1, bubble},
+		{"bubble-absent-router", []int{bubble}, false, -1, none},
+		{"bubble-after-last-link-slot", []int{slots*geom.NumLinkDirs - 1, bubble}, true, slots*geom.NumLinkDirs - 1, bubble},
+		{"wrap-from-bubble", []int{3, bubble}, true, bubble, 3},
+		{"wrap-from-bubble-to-itself", []int{local, bubble}, true, bubble, bubble},
+		{"wrap-from-slot-47", []int{0, slots*geom.NumLinkDirs - 1}, true, slots*geom.NumLinkDirs - 1, 0},
+		{"wrap-from-slot-47-past-absent-bubble", []int{5, slots*geom.NumLinkDirs - 1, bubble}, false, slots*geom.NumLinkDirs - 1, 5},
+		{"bubble-before-wrap", []int{3, bubble}, true, 3, bubble},
+		{"two-ports-ascending", []int{35, 12}, true, -1, 12},
+		{"two-ports-next", []int{12, 35}, true, 12, 35},
+		{"two-ports-wrap", []int{12, 35}, true, 35, 12},
+		{"local-before-bubble-skipped", []int{local + 7, bubble}, true, 47, bubble},
 	}
-	if watchedVC(r, ptr) != &r.Bubble.VC {
-		t.Fatal("watchedVC must resolve the bubble slot")
+	for _, d := range geom.LinkDirs {
+		for _, sl := range []int{0, slots - 1} {
+			ci := int(d)*slots + sl
+			cases = append(cases,
+				tc{fmt.Sprintf("%v-slot-%d", d, sl), []int{ci}, true, -1, ci},
+				tc{fmt.Sprintf("%v-slot-%d-wraps-to-itself", d, sl), []int{ci}, true, ci, ci})
+		}
 	}
-	// Round robin continues past the bubble back to regular VCs.
-	q := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
-	s.PlacePacket(1, geom.North, 3, q)
-	ptr2, pid2, ok := nextOccupiedVC(r, ptr)
-	if !ok || ptr2.port != geom.North || pid2 != q.ID {
-		t.Fatalf("rotation after bubble = %+v pid=%d", ptr2, pid2)
+	for _, c := range cases {
+		s, _ := mk(t, 3, 1, 20)
+		r := &s.Routers[1]
+		r.Bubble.Present = c.present
+		ids := map[int]int64{}
+		for _, ci := range c.occ {
+			p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
+			if ci == bubble {
+				s.PlaceBubblePacket(1, geom.West, p)
+			} else {
+				s.PlacePacket(1, geom.Direction(ci/slots), ci%slots, p)
+			}
+			ids[ci] = p.ID
+		}
+		got, pid, ok := nextOccupiedVC(s, r, c.from)
+		if !ok {
+			got = none
+		}
+		if got != c.want || (ok && pid != ids[got]) {
+			t.Errorf("%s: from %d got %d (pkt %d, ok %v), want %d", c.name, c.from, got, pid, ok, c.want)
+		}
+		if ok && r.Buf(got).Pkt.ID != pid {
+			t.Errorf("%s: Buf(%d) does not hold the reported packet", c.name, got)
+		}
 	}
 }
 

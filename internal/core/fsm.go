@@ -58,18 +58,6 @@ func (s State) inRecovery() bool {
 	return s == StateDisable || s == StateSBActive || s == StateCheckProbe || s == StateEnable
 }
 
-// vcPtr identifies the VC the detection counter currently watches.
-// slot == bubbleSlot refers to the router's static bubble (a stale
-// occupant left by a torn-down recovery must be watched like any other
-// stuck packet, or its chain becomes undetectable at this router).
-type vcPtr struct {
-	port geom.Direction
-	slot int // index into Router.In[port], or bubbleSlot
-}
-
-// bubbleSlot is the sentinel slot index for the static bubble.
-const bubbleSlot = -1
-
 // fsm is the per-static-bubble-router counter FSM.
 type fsm struct {
 	node  geom.NodeID
@@ -82,9 +70,10 @@ type fsm struct {
 	// tDR is 2× the latched path length, set when the probe returns.
 	tDR int64
 
-	// ptr and ptrPkt track the watched VC and its resident packet in
-	// StateDD ("flit leaves" is detected as a packet change).
-	ptr    vcPtr
+	// ptr and ptrPkt track the watched buffer (a candidate index,
+	// Router.Buf) and its resident packet in StateDD ("flit leaves" is
+	// detected as a packet change).
+	ptr    int
 	ptrPkt int64
 
 	// Recovery context, latched when the probe returns.
@@ -138,7 +127,7 @@ func (c *Controller) reset(f *fsm) {
 	c.setState(f, StateOff)
 	f.deadline = 0
 	f.tDR = 0
-	f.ptr = vcPtr{}
+	f.ptr = 0
 	f.ptrPkt = 0
 	f.turnBuf = Path{}
 	f.probeOut = 0
@@ -162,43 +151,29 @@ func (f *fsm) jitter() int64 {
 // per recorded turn plus the closing hop back into the originator.
 func (f *fsm) pathLen() int64 { return int64(f.turnBuf.Len()) + 1 }
 
-// nextOccupiedVC scans non-local input VCs (plus the static bubble, as
-// the final pseudo-slot) round-robin starting after `from` and returns the
-// first occupied one. ok is false if every candidate is empty.
-func nextOccupiedVC(r *network.Router, from vcPtr) (vcPtr, int64, bool) {
-	const slots = network.SlotsPerPort
-	const total = geom.NumLinkDirs*slots + 1 // +1: the bubble pseudo-slot
-	start := 0
-	switch {
-	case from.slot == bubbleSlot:
-		start = geom.NumLinkDirs*slots + 1
-	case from.port.IsLink():
-		start = int(from.port)*slots + from.slot + 1
-	}
-	// The network's occupancy mirror hands us every candidate as one bit
-	// word in this scan's exact cyclic order, so the round-robin winner is
-	// the first set bit at or after start (wrapping) — two
-	// TrailingZeros64 instead of walking ~total slots.
-	w := r.OccupiedScanWord()
-	if w == 0 {
-		return vcPtr{}, 0, false
-	}
-	idx := bits.TrailingZeros64(w & (^uint64(0) << uint(start%total)))
-	if idx == 64 {
-		idx = bits.TrailingZeros64(w)
-	}
-	if idx == geom.NumLinkDirs*slots {
-		return vcPtr{r.Bubble.InPort, bubbleSlot}, r.Bubble.VC.Pkt.ID, true
-	}
-	port := geom.Direction(idx / slots)
-	slot := idx % slots
-	return vcPtr{port, slot}, r.In[port][slot].Pkt.ID, true
-}
+// linkSlots masks the candidate indices of the link input ports' VCs.
+const linkSlots = 1<<(geom.NumLinkDirs*network.SlotsPerPort) - 1
 
-// watchedVC returns the VC the pointer refers to.
-func watchedVC(r *network.Router, p vcPtr) *network.VC {
-	if p.slot == bubbleSlot {
-		return &r.Bubble.VC
+// nextOccupiedVC scans router r's link-input VCs, then its static bubble
+// when present, round-robin starting after candidate index from (-1 starts
+// at the first) and returns the first occupied one with its packet's id;
+// ok is false if every candidate is empty. A stale bubble occupant left by
+// a torn-down recovery must be watched like any other stuck packet, or its
+// chain becomes undetectable at this router. The candidates are the
+// router's occupancy word less the local port, so the winner is its first
+// set bit after from, wrapping.
+func nextOccupiedVC(s *network.Sim, r *network.Router, from int) (int, int64, bool) {
+	scan := uint64(linkSlots)
+	if r.Bubble.Present {
+		scan |= 1 << network.BubbleIndex
 	}
-	return &r.In[p.port][p.slot]
+	w := s.OccupancyMirror(r.ID) & scan
+	if w == 0 {
+		return 0, 0, false
+	}
+	ci := bits.TrailingZeros64(w & (^uint64(0) << uint(from+1)))
+	if ci == 64 {
+		ci = bits.TrailingZeros64(w)
+	}
+	return ci, r.Buf(ci).Pkt.ID, true
 }

@@ -196,11 +196,11 @@ func TestFSMTransitionTable(t *testing.T) {
 			name: "off/occupied-bubble-arms-detection",
 			run: func(h *fsmHarness) {
 				// A stale occupant left by a torn-down recovery must be
-				// watched like any stuck packet (bubbleSlot pseudo-VC).
+				// watched like any stuck packet.
 				h.occupyBubble()
 				h.tick()
-				if h.f.ptr.slot != bubbleSlot {
-					h.t.Fatalf("watch pointer slot %d, want bubbleSlot", h.f.ptr.slot)
+				if h.f.ptr != network.BubbleIndex {
+					h.t.Fatalf("watch pointer %d, want the bubble's %d", h.f.ptr, network.BubbleIndex)
 				}
 			},
 			want: StateDD,
@@ -226,7 +226,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				if h.f.ptrPkt == p2.ID {
 					watched, other = p2, p1
 				}
-				h.s.RemovePacket(watchedVC(h.r, h.f.ptr), h.node, h.f.ptr.port)
+				h.s.RemovePacket(h.node, h.f.ptr)
 				h.at(5)
 				h.tick()
 				if h.f.ptrPkt != other.ID {
@@ -243,7 +243,7 @@ func TestFSMTransitionTable(t *testing.T) {
 			run: func(h *fsmHarness) {
 				h.stuck(h.node, geom.East, 0, geom.West)
 				h.tick()
-				h.s.RemovePacket(watchedVC(h.r, h.f.ptr), h.node, h.f.ptr.port)
+				h.s.RemovePacket(h.node, h.f.ptr)
 				h.tick()
 			},
 			want: StateOff,
@@ -444,7 +444,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.activate()
 				p := h.occupyBubble()
 				h.tick() // latch the occupant
-				h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, network.BubbleIndex)
 				_ = p
 				h.tick()
 				if h.r.Bubble.Active {
@@ -466,7 +466,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				if vc.Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
-				h.s.RemovePacket(vc, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, int(h.f.probeIn)*network.SlotsPerPort)
 				h.tick()
 			},
 			want: StateCheckProbe,
@@ -507,7 +507,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.activate()
 				h.occupyBubble()
 				h.tick()
-				h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, network.BubbleIndex)
 				h.tick()
 				if h.s.Stats.CheckProbesSent != 0 {
 					h.t.Fatal("check_probe sent despite the ablation")
@@ -524,7 +524,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				for round := 1; round <= 2; round++ {
 					h.occupyBubble()
 					h.tick() // latch
-					h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
+					h.s.RemovePacket(h.node, network.BubbleIndex)
 					h.tick() // reclaim -> S_CHECK_PROBE
 					if h.f.state != StateCheckProbe {
 						h.t.Fatalf("round %d: state %v after reclaim", round, h.f.state)
@@ -549,7 +549,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.activate()
 				h.occupyBubble()
 				h.tick()
-				h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, network.BubbleIndex)
 				h.tick()
 				h.deliver(Message{Type: MsgCheckProbe, Src: h.node, Heading: geom.East, Seq: h.f.seq - 1})
 			},
@@ -561,7 +561,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.activate()
 				h.occupyBubble()
 				h.tick()
-				h.s.RemovePacket(&h.r.Bubble.VC, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, network.BubbleIndex)
 				h.tick() // -> S_CHECK_PROBE, deadline = now + tDR
 				h.at(h.f.deadline - 1)
 				h.tick()
@@ -610,7 +610,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				if vc.Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
-				h.s.RemovePacket(vc, h.node, h.f.probeIn)
+				h.s.RemovePacket(h.node, int(h.f.probeIn)*network.SlotsPerPort)
 				h.tick() // vanished dependence -> S_CHECK_PROBE
 				h.at(h.f.deadline)
 				h.tick() // timeout -> S_ENABLE
@@ -708,7 +708,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				r2 := &h.s.Routers[nodes[1]]
 				for _, in := range geom.LinkDirs {
 					for i := range r2.In[in] {
-						h.s.RemovePacket(&r2.In[in][i], nodes[1], in)
+						h.s.RemovePacket(nodes[1], int(in)*network.SlotsPerPort+i)
 					}
 				}
 				h.checkProbeReturn()

@@ -192,7 +192,7 @@ func (c *Controller) tick() {
 				if c.tokenHeldBy != geom.InvalidNode || tokenRouter != geom.NodeID(id) {
 					continue
 				}
-				if !c.drain(vc, geom.NodeID(id), port) {
+				if !c.drain(geom.NodeID(id), int(port)*slots+slot) {
 					continue
 				}
 				tm.pktID = 0
@@ -206,16 +206,16 @@ func (c *Controller) tick() {
 // XY routing, exclusive access (token-held), one hop per network.HopLatency.
 // It fails — and DISHA provides no recourse — if the XY path to the
 // destination crosses a dead link.
-func (c *Controller) drain(vc *network.VC, at geom.NodeID, port geom.Direction) bool {
+func (c *Controller) drain(at geom.NodeID, ci int) bool {
 	s := c.sim
-	p := vc.Pkt
+	p := s.Routers[at].Buf(ci).Pkt
 	hops, ok := xyDistance(s.Topo, at, p.Dst)
 	if !ok {
 		return false // XY path broken: the paper's second failure mode
 	}
 	delay := int64(hops)*network.HopLatency + int64(p.Len)
 	deliverAt := s.Now + delay
-	s.DeliverOutOfBand(vc, at, port, deliverAt)
+	s.DeliverOutOfBand(at, ci, deliverAt)
 	c.Recoveries++
 	// The token is held until the drain completes, then released in
 	// place.

@@ -139,9 +139,8 @@ func TestDishaXYDrainBreaksAroundFaults(t *testing.T) {
 	}
 	// A packet wedged at src for dst cannot be drained by DISHA.
 	p := s.NewPacket(src, dst, 0, 5, routing.Route{geom.North, geom.North, geom.East, geom.East})
-	vc := &s.Routers[src].In[geom.Local][0]
-	vc.Pkt = p
-	if ok := c.drain(vc, src, geom.Local); ok {
+	s.Routers[src].In[geom.Local][0].Pkt = p
+	if ok := c.drain(src, int(geom.Local)*network.SlotsPerPort); ok {
 		t.Fatal("drain must refuse a broken XY path")
 	}
 }

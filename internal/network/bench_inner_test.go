@@ -95,7 +95,7 @@ func BenchmarkTryGrantRejected(b *testing.B) {
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		for ci := 0; ci < total; ci++ {
-			vc := r.candVC(ci)
+			vc := r.Buf(ci)
 			p := vc.Pkt
 			if p == nil || vc.ReadyAt > s.Now {
 				continue

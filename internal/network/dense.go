@@ -9,7 +9,7 @@ package network
 // reads its request registers and its per-port credit state, and touches
 // a buffer only to move the winner. Each router's per-output request
 // vectors are state: want[id][out] has bit ci set (candidate index
-// in*slots+sl, the bubble at bit bubbleCI) iff that buffer holds a packet
+// in*slots+sl, the bubble at BubbleIndex) iff that buffer holds a packet
 // whose next hop at id is out — the source route's, or the escape tree's
 // for an escaped packet (escclass.go), or under a hop class the single
 // minimal direction (hopclass.go) — and esc[id] marks the buffers whose
@@ -89,12 +89,13 @@ type denseState struct {
 	// of vnet v a packet of class c (1 = escaped) may enter: classVCs as
 	// a word. Rewritten when an escape class attaches (setLanes).
 	lane [2 * NumVnets]uint64
-	// occBits[id] mirrors router id's buffer occupancy at slot
-	// granularity: bit ci (= in*slots+sl, bubble at NumPorts*slots) is
-	// set iff that buffer holds a packet. Maintained by every fill/clear
-	// site in the package (grant, InjectNode, bubble transfer,
-	// placement and removal helpers). The fused classification
-	// walks only the set bits, so a barely-occupied router costs its
+	// occBits[id] is router id's one occupancy record: bit ci (=
+	// in*slots+sl, bubble at BubbleIndex) is set iff that buffer holds a
+	// packet. Maintained by every fill/clear site in the package (grant,
+	// InjectNode, bubble transfer, placement and removal helpers); the
+	// occupancy counts, the stepper's and allocator's early-outs and the
+	// recovery FSM's scan all read it. The fused classification walks
+	// only the set bits, so a barely-occupied router costs its
 	// occupancy, not its capacity. SPIN rotations (core) move packets
 	// between slots that stay occupied, so the bitmap survives them; the
 	// request vectors and pend do not, which is why core announces a
@@ -143,7 +144,7 @@ func (d *denseState) init(numNodes int) {
 // port's slot offset.
 func vnetBits(v int) uint64 { return vnet0Bits << uint(v*VCsPerVnet) }
 
-const vnet0Bits uint64 = (1<<VCsPerVnet - 1) * ((1<<bubbleCI - 1) / slotMask)
+const vnet0Bits uint64 = (1<<VCsPerVnet - 1) * ((1<<BubbleIndex - 1) / slotMask)
 
 // setLanes derives lane from the class rules (classVCs): at New, and
 // again when an escape class reserves its VC index.
@@ -334,7 +335,7 @@ func (s *Sim) rebuildVectors(id geom.NodeID) {
 	for w := d.occBits[id]; w != 0; w &= w - 1 {
 		ci := bits.TrailingZeros64(w)
 		m := uint64(1) << uint(ci)
-		vc := r.candVC(ci)
+		vc := r.Buf(ci)
 		s.registerHop(id, ci, vc.Pkt)
 		if vc.ReadyAt > s.Now {
 			d.pend[id] |= m
@@ -399,46 +400,12 @@ func (s *Sim) EscapedVector(id geom.NodeID) (esc uint64, live bool) {
 
 func (s *Sim) vectorsLive() bool { return !s.dense.stale }
 
-// candIndex returns the candidate index of vc, a buffer of router id's
-// input port (the bubble's when vc is the bubble), for callers holding
-// only the buffer pointer (the rare out-of-band paths).
-func (s *Sim) candIndex(id geom.NodeID, port geom.Direction, vc *VC) int {
-	r := &s.Routers[id]
-	if vc == &r.Bubble.VC {
-		return bubbleCI
-	}
-	vcs := r.In[port]
-	for sl := range vcs {
-		if &vcs[sl] == vc {
-			return int(port)*SlotsPerPort + sl
-		}
-	}
-	panic("network: buffer not at the given router and port")
-}
-
-// OccupancyMirror returns the raw slot-occupancy word for router id
-// (bit in*slots+sl per buffer, bubble at NumPorts*slots). Exposed for the
-// validate package, which cross-checks the mirror against actual buffer
-// contents — the mirror feeds the FSM scan under the refmodel and under
-// Step alike, so drift would not show up as a differential mismatch.
+// OccupancyMirror returns router id's occupancy word: bit ci is set iff
+// buffer ci (Router.Buf) holds a packet. Schemes walk it to visit the
+// buffered packets, and the validate package cross-checks it against
+// the buffers — it feeds the FSM scan under the refmodel and under Step
+// alike, so drift would not show up as a differential mismatch.
 func (s *Sim) OccupancyMirror(id geom.NodeID) uint64 { return s.dense.occBits[id] }
-
-// OccupiedScanWord returns the router's non-local occupancy as a bit
-// word in the deadlock-detection FSM's cyclic scan order — bit
-// in*slots+sl is set iff link-input slot (in, sl) holds a packet, and
-// bit NumLinkDirs*slots iff the static bubble is present and occupied.
-// It lets the FSM's "next occupied VC after X" round-robin resolve with
-// two TrailingZeros64 instead of a slot-by-slot scan.
-func (r *Router) OccupiedScanWord() uint64 {
-	d := &r.sim.dense
-	occ := d.occBits[r.ID]
-	const link = geom.NumLinkDirs * SlotsPerPort
-	w := occ & (1<<link - 1)
-	if r.Bubble.Present && occ>>bubbleCI&1 != 0 {
-		w |= 1 << link
-	}
-	return w
-}
 
 // denseAllocNode is the fused switch-allocation pass for one router:
 // gatherAllocate's candidate classification, read off the registered
@@ -448,7 +415,7 @@ func (r *Router) OccupiedScanWord() uint64 {
 // (syncVectors); produces bit-for-bit the grants, Stats mutations and
 // pool releases of AllocateNode.
 func (s *Sim) denseAllocNode(id geom.NodeID) {
-	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
+	if s.dense.occBits[id] == 0 || !s.Topo.RouterAlive(id) {
 		// A dead router's buffered traffic cannot move; it stays in the
 		// active set until a re-enable.
 		return
@@ -456,7 +423,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 	r := &s.Routers[id]
 	now := s.Now
 	d := &s.dense
-	const bubbleBit = uint64(1) << bubbleCI
+	const bubbleBit = uint64(1) << BubbleIndex
 
 	// Classification (file comment): the desire masks are the want words
 	// restricted to the buffers whose head has arrived.
@@ -519,7 +486,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 						eligible |= esc
 					}
 				}
-				if m&bubbleBit != 0 && lane[r.Bubble.VC.Pkt.Vnet<<1|int(ew>>bubbleCI&1)]<<sh&^busy != 0 {
+				if m&bubbleBit != 0 && lane[r.Bubble.VC.Pkt.Vnet<<1|int(ew>>BubbleIndex&1)]<<sh&^busy != 0 {
 					eligible |= bubbleBit
 				}
 				if eligible == 0 {
@@ -534,10 +501,10 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 		} else {
 			ci = bits.TrailingZeros64(eligible)
 		}
-		dst := bubbleCI // the downstream bubble, unless a buffer is free
+		dst := BubbleIndex // the downstream bubble, unless a buffer is free
 		if out != geom.Local {
 			c := int(d.esc[id] >> uint(ci) & 1)
-			if free := lane[r.candVC(ci).Pkt.Vnet<<1|c] << sh &^ busy; free != 0 {
+			if free := lane[r.Buf(ci).Pkt.Vnet<<1|c] << sh &^ busy; free != 0 {
 				dst = bits.TrailingZeros64(free)
 			}
 		}

@@ -86,7 +86,7 @@ func (s *Sim) EscapeClass() (vcIndex int, ok bool) {
 // the slice aliases simulator state and must not be written.
 func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 	e := s.escClass
-	return e.fill[int(id)*numCand : int(id)*numCand+bubbleCI]
+	return e.fill[int(id)*numCand : int(id)*numCand+BubbleIndex]
 }
 
 // PromoteEscape moves the packet buffered in slot `slot` of router id's

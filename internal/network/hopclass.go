@@ -120,21 +120,19 @@ func (s *Sim) hopOutput(p *Packet, at geom.NodeID) geom.Direction {
 }
 
 // hopFree counts, for each direction of mask, the free buffers of vnet at
-// the input port a packet leaving router at that way would enter. A mask
-// bit onto a link disabled since the table was compiled still names the
-// mesh neighbour; the allocator prunes the candidate on HasLink.
+// the input port a packet leaving router at that way would enter: the
+// vnet's slots there less the neighbour's occupied and draining ones,
+// which is Empty(Now) for every buffer at once (dense.go). A mask bit
+// onto a link disabled since the table was compiled still names the mesh
+// neighbour; the allocator prunes the candidate on HasLink.
 func (s *Sim) hopFree(at geom.NodeID, vnet int, mask uint8, free *[geom.NumLinkDirs]int8) {
-	per := VCsPerVnet
+	const lane = 1<<VCsPerVnet - 1
+	d := &s.dense
 	for m := mask; m != 0; m &= m - 1 {
-		d := geom.Direction(bits.TrailingZeros8(m))
-		vcs := s.Routers[s.Topo.Neighbor(at, d)].In[d.Opposite()][vnet*per : (vnet+1)*per]
-		n := int8(0)
-		for i := range vcs {
-			if vcs[i].Empty(s.Now) {
-				n++
-			}
-		}
-		free[d] = n
+		dir := geom.Direction(bits.TrailingZeros8(m))
+		nb := s.Topo.Neighbor(at, dir)
+		sh := uint(int(dir.Opposite())*SlotsPerPort + vnet*VCsPerVnet)
+		free[dir] = int8(bits.OnesCount64(lane << sh &^ (d.occBits[nb] | d.drain[nb])))
 	}
 }
 
@@ -178,9 +176,9 @@ func (s *Sim) hopResolve(id geom.NodeID, cw uint64, desire *[geom.NumPorts]uint6
 			desire[hopBest(m, &free)] |= 1 << uint(ci)
 		}
 	}
-	if cw>>bubbleCI&1 != 0 {
-		m := masks[bubbleCI]
+	if cw>>BubbleIndex&1 != 0 {
+		m := masks[BubbleIndex]
 		s.hopFree(id, s.Routers[id].Bubble.VC.Pkt.Vnet, m, &free)
-		desire[hopBest(m, &free)] |= 1 << bubbleCI
+		desire[hopBest(m, &free)] |= 1 << BubbleIndex
 	}
 }

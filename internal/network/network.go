@@ -54,13 +54,16 @@ const (
 	HopLatency = RouterLatency + LinkLatency
 )
 
-// A router's allocation candidates are its NumPorts*SlotsPerPort input
-// VCs (candidate index in*SlotsPerPort+sl) and then the static bubble,
-// bubbleCI; numCand counts them. slotMask masks one input port's slots.
+// A router's buffers are addressed by candidate index: its
+// NumPorts*SlotsPerPort input VCs at in*SlotsPerPort+sl, then the static
+// bubble at BubbleIndex (Router.Buf resolves one). numCand counts them;
+// slotMask masks one input port's slots, and nonLocalBits the link ports'
+// slots plus the bubble.
 const (
-	bubbleCI        = geom.NumPorts * SlotsPerPort
-	numCand         = bubbleCI + 1
-	slotMask uint64 = 1<<SlotsPerPort - 1
+	BubbleIndex         = geom.NumPorts * SlotsPerPort
+	numCand             = BubbleIndex + 1
+	slotMask     uint64 = 1<<SlotsPerPort - 1
+	nonLocalBits uint64 = 1<<(geom.NumLinkDirs*SlotsPerPort) - 1 | 1<<BubbleIndex
 )
 
 // Every candidate must fit the allocator's one 64-bit request word: the
@@ -112,15 +115,8 @@ type Sim struct {
 
 	nextPktID int64
 	inFlight  int64
-	// occ/occNL/grantN hold each router's buffer-occupancy counters and
-	// grant count in struct-of-arrays layout, indexed by router id: the
-	// allocator's early-out (occ), the SB controller's detection predicate
-	// (occNL) and its progress witness (grantN) scan these every cycle, and
-	// a contiguous int32/int64 array is far denser than striding through
-	// ~1KB Router structs. Routers expose them via Occupied /
-	// OccupiedNonLocal / Grants.
-	occ    []int32
-	occNL  []int32
+	// grantN[id] counts router id's grants (Router.Grants), the SB
+	// controller's progress witness.
 	grantN []int64
 	// niPend[id] counts packets queued across router id's NI rings —
 	// the stepper's activity predicate reads it instead of touching
@@ -170,15 +166,13 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 		NIQueue: make([][]NIRing, n),
 		Rng:     rng,
 	}
-	s.occ = make([]int32, n)
-	s.occNL = make([]int32, n)
 	s.grantN = make([]int64, n)
 	s.niPend = make([]int32, n)
 	for id := 0; id < n; id++ {
 		r := &s.Routers[id]
 		r.ID = geom.NodeID(id)
 		r.sim = s
-		r.bufs = make([]VC, bubbleCI)
+		r.bufs = make([]VC, BubbleIndex)
 		for p := 0; p < geom.NumPorts; p++ {
 			r.In[p] = r.bufs[p*SlotsPerPort : (p+1)*SlotsPerPort : (p+1)*SlotsPerPort]
 		}
@@ -263,24 +257,20 @@ func (s *Sim) RecountNIPending(id geom.NodeID) {
 // synthetic traffic.
 func (s *Sim) Drop() { s.Stats.DroppedUnreachable++ }
 
-// RemovePacket destroys the packet buffered in vc at router at's input
-// port — runtime failure handling (e.g. a router dying with traffic
-// inside). Occupancy and conservation counters are adjusted; the VC is
-// immediately reusable.
-func (s *Sim) RemovePacket(vc *VC, at geom.NodeID, port geom.Direction) {
+// RemovePacket destroys the packet in buffer ci (a candidate index) of
+// router at — runtime failure handling (e.g. a router dying with traffic
+// inside). Conservation counters are adjusted; the buffer is immediately
+// reusable.
+func (s *Sim) RemovePacket(at geom.NodeID, ci int) {
+	vc := s.Routers[at].Buf(ci)
 	p := vc.Pkt
 	if p == nil {
 		return
 	}
-	ci := s.candIndex(at, port, vc)
 	s.cancelTimer(at, ci) // the head may still be in flight
 	vc.Pkt = nil
 	vc.FreeAt = s.Now
 	s.occBitClear(at, ci, vc.FreeAt)
-	s.occ[at]--
-	if port != geom.Local {
-		s.occNL[at]--
-	}
 	s.inFlight--
 	s.Stats.Lost++
 	s.releasePacket(p)
@@ -297,8 +287,8 @@ func (s *Sim) DiscardQueued(p *Packet) {
 // router id with its head immediately ready — a hook for tests that need
 // a precise hand-built buffer state (e.g. the recovery-FSM transition
 // table's dependence chains) without arranging traffic to produce it.
-// Occupancy and conservation counters are adjusted as if the packet had
-// been offered and injected, and the router joins the active set.
+// Conservation counters are adjusted as if the packet had been offered
+// and injected, and the router joins the active set.
 func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet) {
 	vc := &s.Routers[id].In[in][slot]
 	if vc.Pkt != nil {
@@ -309,7 +299,7 @@ func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet
 	vc.Pkt = p
 	vc.ReadyAt = s.Now
 	s.occBitSet(id, ci, p, vc.ReadyAt)
-	s.placeAccount(id, in, p)
+	s.placeAccount(id, p)
 }
 
 // PlaceBubblePacket installs p as the static-bubble occupant of router
@@ -319,19 +309,15 @@ func (s *Sim) PlaceBubblePacket(id geom.NodeID, in geom.Direction, p *Packet) {
 	if b.VC.Pkt != nil {
 		panic("network: PlaceBubblePacket into an occupied bubble")
 	}
-	s.cancelTimer(id, bubbleCI)
+	s.cancelTimer(id, BubbleIndex)
 	b.InPort = in
 	b.VC.Pkt = p
 	b.VC.ReadyAt = s.Now
-	s.occBitSet(id, bubbleCI, p, b.VC.ReadyAt)
-	s.placeAccount(id, in, p)
+	s.occBitSet(id, BubbleIndex, p, b.VC.ReadyAt)
+	s.placeAccount(id, p)
 }
 
-func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
-	s.occ[id]++
-	if in != geom.Local {
-		s.occNL[id]++
-	}
+func (s *Sim) placeAccount(id geom.NodeID, p *Packet) {
 	s.inFlight++
 	s.Stats.Offered++
 	s.Stats.Injected++
@@ -340,12 +326,13 @@ func (s *Sim) placeAccount(id geom.NodeID, in geom.Direction, p *Packet) {
 	s.markActive(id)
 }
 
-// DeliverOutOfBand removes the packet in vc (buffered at router at's
-// input port) and counts it as delivered at the given cycle — modeling a
+// DeliverOutOfBand removes the packet in buffer ci (a candidate index)
+// of router at and counts it as delivered at the given cycle — modeling a
 // dedicated side network that bypasses the regular datapath, such as
 // DISHA's deadlock-buffer lane. deliverAt must not precede the current
 // cycle.
-func (s *Sim) DeliverOutOfBand(vc *VC, at geom.NodeID, port geom.Direction, deliverAt int64) {
+func (s *Sim) DeliverOutOfBand(at geom.NodeID, ci int, deliverAt int64) {
+	vc := s.Routers[at].Buf(ci)
 	p := vc.Pkt
 	if p == nil {
 		return
@@ -353,15 +340,10 @@ func (s *Sim) DeliverOutOfBand(vc *VC, at geom.NodeID, port geom.Direction, deli
 	if deliverAt < s.Now {
 		deliverAt = s.Now
 	}
-	ci := s.candIndex(at, port, vc)
 	s.cancelTimer(at, ci)
 	vc.Pkt = nil
 	vc.FreeAt = s.Now + int64(p.Len)
 	s.occBitClear(at, ci, vc.FreeAt)
-	s.occ[at]--
-	if port != geom.Local {
-		s.occNL[at]--
-	}
 	s.inFlight--
 	p.DeliveredAt = deliverAt
 	s.Stats.DeliveredFlits += int64(p.Len)
@@ -420,7 +402,6 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 		s.Stats.Injected++
 		s.Stats.InjectedFlits += int64(p.Len)
 		s.inFlight++
-		s.occ[id]++
 	}
 }
 

@@ -101,7 +101,7 @@ func TestPropDenseSparseEquivalence(t *testing.T) {
 				return false
 			}
 			for id := range swept.Routers {
-				if (swept.occ[id] != 0 || swept.niPend[id] != 0) && !swept.ActiveMarked(geom.NodeID(id)) {
+				if (swept.dense.occBits[id] != 0 || swept.niPend[id] != 0) && !swept.ActiveMarked(geom.NodeID(id)) {
 					t.Logf("cycle %d: router %d busy but not in the active summary", c, id)
 					return false
 				}

@@ -276,7 +276,7 @@ func TestDifferentialIdleSB(t *testing.T) {
 	idle("remove")
 	for _, sd := range both {
 		sd.sim.PlacePacket(40, geom.West, 0, sd.sim.NewPacket(39, 41, 0, 1, routing.Route{geom.East, geom.East}))
-		sd.sim.RemovePacket(&sd.sim.Routers[40].In[geom.West][0], 40, geom.West)
+		sd.sim.RemovePacket(40, int(geom.West)*network.SlotsPerPort)
 	}
 	step("PlacePacket+RemovePacket")
 

@@ -60,7 +60,7 @@ func TestDifferentialEscapeSaturated(t *testing.T) {
 				return port != geom.Local && vc.Pkt != nil && vc.Pkt.Escaped
 			}); ok {
 				for _, u := range units {
-					u.sim.RemovePacket(&u.sim.Routers[id].In[port][slot], id, port)
+					u.sim.RemovePacket(id, int(port)*network.SlotsPerPort+slot)
 				}
 				removed++
 			}

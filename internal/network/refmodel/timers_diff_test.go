@@ -87,7 +87,7 @@ func TestTimerRemoveInFlightThenRefill(t *testing.T) {
 			if vc.Pkt == nil || vc.ReadyAt != 2 {
 				t.Fatalf("%s: setup: router 1 West slot 0 holds %v ready at %d, want P1 ready at 2", u.name, vc.Pkt, vc.ReadyAt)
 			}
-			s.RemovePacket(vc, 1, geom.West)
+			s.RemovePacket(1, int(geom.West)*network.SlotsPerPort)
 		}
 	})
 	for i, u := range units {

@@ -141,13 +141,13 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			occupied := func(vc *network.VC, _ geom.Direction, _ int) bool { return vc.Pkt != nil }
 			if id, port, slot, ok := findVC(start, occupied); ok {
 				for _, u := range units {
-					u.sim.RemovePacket(&u.sim.Routers[id].In[port][slot], id, port)
+					u.sim.RemovePacket(id, int(port)*network.SlotsPerPort+slot)
 				}
 				removed++
 			}
 			if id, port, slot, ok := findVC(start, occupied); ok {
 				for _, u := range units {
-					u.sim.DeliverOutOfBand(&u.sim.Routers[id].In[port][slot], id, port, u.sim.Now)
+					u.sim.DeliverOutOfBand(id, int(port)*network.SlotsPerPort+slot, u.sim.Now)
 				}
 				sideDelivered++
 			}

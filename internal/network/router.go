@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"repro/internal/geom"
 )
 
@@ -53,20 +55,21 @@ type Router struct {
 	// (in*slots+sl); In[port] are its sub-slices, so a candidate index
 	// addresses its buffer directly.
 	bufs []VC
-	// sim points back to the owning Sim: the hot per-router counters
-	// (occupancy, grants) live there in struct-of-arrays layout and are
-	// reached through it by the accessors below.
+	// sim points back to the owning Sim: the router's occupancy word and
+	// grant count live there in struct-of-arrays layout and are reached
+	// through it by the accessors below.
 	sim *Sim
 }
 
 // Occupied returns the number of packets buffered at this router
 // (including the bubble).
-func (r *Router) Occupied() int { return int(r.sim.occ[r.ID]) }
+func (r *Router) Occupied() int { return bits.OnesCount64(r.sim.dense.occBits[r.ID]) }
 
-// OccupiedNonLocal returns the number of packets buffered at non-local
-// input ports (including the bubble) — the candidates a detection FSM
-// watches.
-func (r *Router) OccupiedNonLocal() int { return int(r.sim.occNL[r.ID]) }
+// OccupiedNonLocal returns the number of packets buffered at the link
+// input ports and in the bubble — the candidates a detection FSM watches.
+func (r *Router) OccupiedNonLocal() int {
+	return bits.OnesCount64(r.sim.dense.occBits[r.ID] & nonLocalBits)
+}
 
 // Grants counts switch-allocation grants issued by this router over its
 // lifetime (including ejections) — a local progress signal used by the
@@ -98,7 +101,7 @@ func (s *Sim) AllocateNode(id geom.NodeID) {
 
 // allocGather is one router's switch-allocation scratch: per-output
 // candidate buckets (ascending candidate index: in*slots+sl, or
-// NumPorts*slots for the bubble).
+// BubbleIndex for the bubble).
 type allocGather struct {
 	cand [geom.NumPorts][]int32
 }
@@ -109,8 +112,9 @@ func (g *allocGather) init() {
 	}
 }
 
-// candVC resolves a candidate index to its buffer.
-func (r *Router) candVC(ci int) *VC {
+// Buf resolves a candidate index (in*SlotsPerPort+sl, or BubbleIndex)
+// to its buffer.
+func (r *Router) Buf(ci int) *VC {
 	if ci < len(r.bufs) {
 		return &r.bufs[ci]
 	}
@@ -128,7 +132,7 @@ func (r *Router) candVC(ci int) *VC {
 // and the router never reaches the commit.
 func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	r := &s.Routers[id]
-	if s.occ[id] == 0 || !s.Topo.RouterAlive(id) {
+	if s.dense.occBits[id] == 0 || !s.Topo.RouterAlive(id) {
 		// Buffered traffic at a dead router cannot move.
 		return false
 	}
@@ -154,7 +158,7 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 		out := s.OutputOf(b.VC.Pkt, id)
 		if out != geom.Invalid &&
 			!(r.Fence.Active && out == r.Fence.Out && b.InPort != r.Fence.In) {
-			g.cand[out] = append(g.cand[out], bubbleCI)
+			g.cand[out] = append(g.cand[out], BubbleIndex)
 		}
 	}
 	work := false
@@ -175,7 +179,7 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
 			keep := cands[:0]
 			for _, ci := range cands {
-				vc := r.candVC(int(ci))
+				vc := r.Buf(int(ci))
 				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
 					keep = append(keep, ci)
 				}
@@ -242,7 +246,7 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 	s.occBitSet(id, int(b.InPort)*SlotsPerPort+slot, p, vc.ReadyAt)
 	b.VC.Pkt = nil
 	b.VC.FreeAt = s.Now + 1
-	s.occBitClear(id, bubbleCI, b.VC.FreeAt)
+	s.occBitClear(id, BubbleIndex, b.VC.FreeAt)
 	s.Stats.BubbleTransfers++
 	s.LastProgress = s.Now
 }
@@ -257,12 +261,12 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 func (s *Sim) tryGrant(r *Router, out geom.Direction, ci int) bool {
 	dst := 0
 	if out != geom.Local {
-		p := r.candVC(ci).Pkt
+		p := r.Buf(ci).Pkt
 		nb, in := s.Topo.Neighbor(r.ID, out), out.Opposite()
 		if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
 			dst = int(in)*SlotsPerPort + slot
 		} else if s.Routers[nb].Bubble.EligibleFor(in, s.Now) {
-			dst = bubbleCI
+			dst = BubbleIndex
 		} else {
 			return false
 		}
@@ -276,13 +280,9 @@ func (s *Sim) tryGrant(r *Router, out geom.Direction, ci int) bool {
 // (a candidate index there; the bubble's for a bubble occupancy), which
 // the caller has found free.
 func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
-	vc := r.candVC(ci)
+	vc := r.Buf(ci)
 	p := vc.Pkt
 	length := int64(p.Len)
-	// A regular buffer's input port is Local iff its index is past the
-	// link ports'; the bubble's is its InPort.
-	nonLocal := ci < int(geom.Local)*SlotsPerPort ||
-		(ci == bubbleCI && r.Bubble.InPort != geom.Local)
 	s.grantN[r.ID]++
 	vc.Pkt = nil
 	vc.FreeAt = s.Now + length
@@ -296,17 +296,13 @@ func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
 			s.OnDeliver(p)
 		}
 		s.inFlight--
-		s.occ[r.ID]--
-		if nonLocal {
-			s.occNL[r.ID]--
-		}
 		s.LastProgress = s.Now
 		s.releasePacket(p)
 		return
 	}
 	nb := s.Topo.Neighbor(r.ID, out)
-	to := s.Routers[nb].candVC(dst)
-	if dst == bubbleCI {
+	to := s.Routers[nb].Buf(dst)
+	if dst == BubbleIndex {
 		s.Stats.BubbleOccupancies++
 	}
 	to.Pkt = p
@@ -316,12 +312,6 @@ func (s *Sim) grant(r *Router, out geom.Direction, ci, dst int) {
 	r.OutFreeAt[out] = s.Now + length
 	s.Stats.LinkCycles[ClassFlit] += length
 	s.Stats.HopMoves++
-	s.occ[r.ID]--
-	if nonLocal {
-		s.occNL[r.ID]--
-	}
-	s.occ[nb]++
-	s.occNL[nb]++ // arrivals always land on a link-side port
 	s.markActive(nb)
 	s.LastProgress = s.Now
 }

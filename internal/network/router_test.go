@@ -36,7 +36,7 @@ func TestBubbleTransferToFreedVC(t *testing.T) {
 		t.Fatal("no VC free yet: occupant must stay put")
 	}
 	// Free one VC.
-	s.RemovePacket(&r.In[geom.West][2], 1, geom.West)
+	s.RemovePacket(1, int(geom.West)*SlotsPerPort+2)
 	s.Run(3)
 	if r.Bubble.VC.Pkt != nil {
 		t.Fatal("occupant should have transferred into the freed VC")
@@ -230,7 +230,7 @@ func TestRemovePacketAccounting(t *testing.T) {
 		for _, port := range geom.AllPorts {
 			for slot := range r.In[port] {
 				if r.In[port][slot].Pkt == p {
-					s.RemovePacket(&r.In[port][slot], geom.NodeID(id), port)
+					s.RemovePacket(geom.NodeID(id), int(port)*SlotsPerPort+slot)
 					removed = true
 				}
 			}
@@ -248,7 +248,7 @@ func TestRemovePacketAccounting(t *testing.T) {
 		}
 	}
 	// Removing an empty VC is a no-op.
-	s.RemovePacket(&s.Routers[0].In[geom.Local][0], 0, geom.Local)
+	s.RemovePacket(0, int(geom.Local)*SlotsPerPort)
 	if s.Stats.Lost != 1 {
 		t.Fatal("no-op removal changed Lost")
 	}

@@ -2,13 +2,13 @@ package network
 
 // The stepper: one active-set sweep per cycle.
 //
-// A router is active while it holds a buffered packet (occ[id] != 0,
+// A router is active while it holds a buffered packet (occBits[id] != 0,
 // regular VCs and the bubble) or has traffic queued at its NI
 // (niPend[id] != 0 — a dead router polling for a re-enable included).
-// The set is kept as a summary bitmap: every site that raises occ or
-// niPend marks the router's bit (Enqueue, a grant's arrival at the
+// The set is kept as a summary bitmap: every site that fills a buffer or
+// raises niPend marks the router's bit (Enqueue, a grant's arrival at the
 // downstream router, the placement helpers, RecountNIPending), and the
-// sweep clears a bit when it finds both counters zero. Every cycle
+// sweep clears a bit when it finds both zero. Every cycle
 // runs the PreCycle hooks, walks the set bits in ascending router
 // id, and runs inject / allocate / bubble-transfer over exactly those
 // routers before the PostCycle hooks. The summary is also what a scheme
@@ -20,7 +20,7 @@ package network
 // Byte-identity argument (stated once; dense.go refers here). The sweep
 // is the refmodel full scan with provably inert visits skipped. The set
 // is collected after the PreCycle hooks; a router outside it has
-// occ == 0 and empty NI rings at that instant, so the full scan's
+// occBits[id] == 0 and empty NI rings at that instant, so the full scan's
 // InjectNode there is a no-op, and its AllocateNode and
 // TransferBubbleNode can only meet a packet that *arrives* later in the
 // same cycle from an earlier-id router — a packet whose ReadyAt lies in
@@ -74,10 +74,9 @@ func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
 // (core's SPIN rotation rewrites vc.Pkt, ReadyAt and p.Hop along a
 // chain): the rebuild re-derives pend from ReadyAt and re-files its
 // timers. It does not make a packet written into an *empty* buffer
-// visible to the stepper: occupancy is tracked by counters and the
-// occupancy mirror — the fused pass may grant another packet into that
-// buffer — so packets enter buffers only through Enqueue, PlacePacket or
-// PlaceBubblePacket.
+// visible to the stepper: occupancy is the occBits word — the fused pass
+// may grant another packet into that buffer — so packets enter buffers
+// only through Enqueue, PlacePacket or PlaceBubblePacket.
 func (s *Sim) Wake(n geom.NodeID) {
 	s.dense.stale = true
 }
@@ -100,13 +99,13 @@ func (s *Sim) ActiveMarked(id geom.NodeID) bool {
 // router id at bit id. Read-only for callers, and stable for the Sim's
 // lifetime. A scheme that keeps per-router masks in the same positions
 // can ask "which of my routers hold or queue a packet" one word per 64
-// routers instead of polling each; the file header says what the bits
-// promise when.
+// routers instead of polling each. A clear bit promises occBits[id] == 0
+// and empty NI rings; the file header says when.
 func (s *Sim) ActiveSummary() []uint64 { return s.active }
 
 // collectActive materializes this cycle's active set in ascending id
-// order into s.ids, retiring routers whose counters have both returned
-// to zero.
+// order into s.ids, retiring routers with no buffered and no queued
+// packet.
 func (s *Sim) collectActive() {
 	ids := s.ids[:0]
 	for w, word := range s.active {
@@ -114,7 +113,7 @@ func (s *Sim) collectActive() {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
 			id := int32(w<<6 + b)
-			if s.occ[id] == 0 && s.niPend[id] == 0 {
+			if s.dense.occBits[id] == 0 && s.niPend[id] == 0 {
 				s.active[w] &^= 1 << uint(b)
 				continue
 			}
@@ -157,7 +156,7 @@ func (s *Sim) Step() {
 // consult it from the flat word array instead of striding through each
 // Router struct.
 func (s *Sim) transferBubbles() {
-	ob, bb := s.dense.occBits, uint64(1)<<bubbleCI
+	ob, bb := s.dense.occBits, uint64(1)<<BubbleIndex
 	for _, id := range s.ids {
 		if ob[id]&bb != 0 {
 			s.TransferBubbleNode(geom.NodeID(id))

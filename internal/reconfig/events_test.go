@@ -268,7 +268,7 @@ func TestRepairAvoidsPendingGates(t *testing.T) {
 	// router — the drain waits for exactly those. But a packet the link
 	// fail just REROUTED must not be detoured into the pending gate: that
 	// one-shot detour would be invalidated when the gate completes.
-	m.forEachInFlight(func(p *network.Packet, at geom.NodeID) {
+	m.forEachInFlight(func(p *network.Packet, at geom.NodeID, _ int) {
 		if !repaired[p.ID] {
 			return
 		}

@@ -28,6 +28,7 @@
 package reconfig
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -190,7 +191,7 @@ func (m *Manager) completeGates() []geom.NodeID {
 			busy[n] = true
 		}
 	}
-	m.forEachInFlight(func(p *network.Packet, at geom.NodeID) {
+	m.forEachInFlight(func(p *network.Packet, at geom.NodeID, _ int) {
 		cur := at
 		if m.pendingGate[cur] {
 			busy[cur] = true
@@ -301,16 +302,8 @@ func (m *Manager) failRouter(n geom.NodeID) Outcome {
 	}
 	delete(m.pendingGate, n)
 	// Discard the dead router's buffered packets.
-	r := &m.sim.Routers[n]
-	for _, port := range geom.AllPorts {
-		for slot := range r.In[port] {
-			if r.In[port][slot].Pkt != nil {
-				m.discardVC(&r.In[port][slot], n, port)
-			}
-		}
-	}
-	if r.Bubble.VC.Pkt != nil {
-		m.discardVC(&r.Bubble.VC, n, r.Bubble.InPort)
+	for w := m.sim.OccupancyMirror(n); w != 0; w &= w - 1 {
+		m.discard(n, bits.TrailingZeros64(w))
 	}
 	m.topo.DisableRouter(n)
 	m.epoch++
@@ -347,31 +340,24 @@ func (m *Manager) recoverRouter(n geom.NodeID) Outcome {
 	return OutApplied
 }
 
-// discardVC removes a packet from a VC with full accounting.
-func (m *Manager) discardVC(vc *network.VC, at geom.NodeID, port geom.Direction) {
+// discard removes the packet in buffer ci of router at with full
+// accounting.
+func (m *Manager) discard(at geom.NodeID, ci int) {
 	if m.OnRepair != nil {
-		m.OnRepair(vc.Pkt, true)
+		m.OnRepair(m.sim.Routers[at].Buf(ci).Pkt, true)
 	}
-	m.sim.RemovePacket(vc, at, port)
+	m.sim.RemovePacket(at, ci)
 	m.Dropped++
 }
 
-// forEachInFlight visits every buffered packet with its current router.
-func (m *Manager) forEachInFlight(fn func(p *network.Packet, at geom.NodeID)) {
+// forEachInFlight visits every buffered packet with its current router
+// and buffer, in ascending router id and candidate index.
+func (m *Manager) forEachInFlight(fn func(p *network.Packet, at geom.NodeID, ci int)) {
 	for id := range m.sim.Routers {
-		r := &m.sim.Routers[id]
-		if r.Occupied() == 0 {
-			continue
-		}
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				if p := r.In[port][slot].Pkt; p != nil {
-					fn(p, geom.NodeID(id))
-				}
-			}
-		}
-		if p := r.Bubble.VC.Pkt; p != nil {
-			fn(p, geom.NodeID(id))
+		at := geom.NodeID(id)
+		for w := m.sim.OccupancyMirror(at); w != 0; w &= w - 1 {
+			ci := bits.TrailingZeros64(w)
+			fn(m.sim.Routers[id].Buf(ci).Pkt, at, ci)
 		}
 	}
 }
@@ -403,30 +389,18 @@ func (m *Manager) repairTraffic() {
 	}
 	// In-flight packets: reroute from the router they currently occupy.
 	type fix struct {
-		vc   *network.VC
-		at   geom.NodeID
-		port geom.Direction
+		p  *network.Packet
+		at geom.NodeID
+		ci int
 	}
 	var broken []fix
-	for id := range m.sim.Routers {
-		r := &m.sim.Routers[id]
-		if r.Occupied() == 0 {
-			continue
+	m.forEachInFlight(func(p *network.Packet, at geom.NodeID, ci int) {
+		if !m.routeValidFrom(p, at) {
+			broken = append(broken, fix{p, at, ci})
 		}
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				p := r.In[port][slot].Pkt
-				if p != nil && !m.routeValidFrom(p, geom.NodeID(id)) {
-					broken = append(broken, fix{&r.In[port][slot], geom.NodeID(id), port})
-				}
-			}
-		}
-		if p := r.Bubble.VC.Pkt; p != nil && !m.routeValidFrom(p, geom.NodeID(id)) {
-			broken = append(broken, fix{&r.Bubble.VC, geom.NodeID(id), r.Bubble.InPort})
-		}
-	}
+	})
 	for _, b := range broken {
-		p := b.vc.Pkt
+		p := b.p
 		if nr, ok := reroute(b.at, p.Dst); ok {
 			m.setRoute(p, nr)
 			m.Rerouted++
@@ -434,7 +408,7 @@ func (m *Manager) repairTraffic() {
 				m.OnRepair(p, false)
 			}
 		} else {
-			m.discardVC(b.vc, b.at, b.port)
+			m.discard(b.at, b.ci)
 		}
 	}
 	// Queued packets: reroute from their source.

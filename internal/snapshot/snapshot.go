@@ -8,6 +8,7 @@ package snapshot
 import (
 	"encoding/json"
 	"io"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -75,15 +76,13 @@ func Capture(s *network.Sim, ctrl *core.Controller) State {
 	for id := range s.Routers {
 		r := &s.Routers[id]
 		node := geom.NodeID(id)
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				if p := r.In[port][slot].Pkt; p != nil {
-					st.Packets = append(st.Packets, packetState(s, p, node, port, slot))
-				}
+		for w := s.OccupancyMirror(node); w != 0; w &= w - 1 {
+			ci := bits.TrailingZeros64(w)
+			port, slot := geom.Direction(ci/network.SlotsPerPort), ci%network.SlotsPerPort
+			if ci == network.BubbleIndex {
+				port, slot = r.Bubble.InPort, -1
 			}
-		}
-		if p := r.Bubble.VC.Pkt; p != nil {
-			st.Packets = append(st.Packets, packetState(s, p, node, r.Bubble.InPort, -1))
+			st.Packets = append(st.Packets, packetState(s, r.Buf(ci).Pkt, node, port, slot))
 		}
 		if r.Fence.Active {
 			st.Fences = append(st.Fences, FenceState{

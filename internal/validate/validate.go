@@ -38,41 +38,23 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			total, s.Stats.Offered, s.Stats.Delivered, s.InFlight(), s.QueuedPackets(), s.Stats.Lost)
 	}
 
-	// Occupancy counters match buffer contents; in-flight matches the sum.
+	// The occupancy word matches buffer contents; in-flight matches the sum.
 	escVC, hasClass := s.EscapeClass()
 	masker, hasHops := s.HopClass()
 	choose, hopMasks, _ := s.HopVectors()
-	const slots = network.SlotsPerPort
 	var globalOcc, globalQueued int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
-		occ, nonLocal := 0, 0
-		var occWord uint64 // what the slot-occupancy mirror must hold
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				if r.In[port][slot].Pkt != nil {
-					occ++
-					occWord |= 1 << uint(int(port)*slots+slot)
-					if port != geom.Local {
-						nonLocal++
-					}
-				}
+		occ := 0
+		var occWord uint64 // what the occupancy word must hold
+		for ci := 0; ci <= network.BubbleIndex; ci++ {
+			if r.Buf(ci).Pkt != nil {
+				occ++
+				occWord |= 1 << uint(ci)
 			}
 		}
-		if r.Bubble.VC.Pkt != nil {
-			occ++
-			nonLocal++
-			occWord |= 1 << uint(geom.NumPorts*slots)
-			if !r.Bubble.Present {
-				report("bubble", "router %d holds a packet in a non-present bubble", id)
-			}
-		}
-		if r.Occupied() != occ {
-			report("occupancy", "router %d: counter %d != actual %d", id, r.Occupied(), occ)
-		}
-		if r.OccupiedNonLocal() != nonLocal {
-			report("occupancy", "router %d: non-local counter %d != actual %d",
-				id, r.OccupiedNonLocal(), nonLocal)
+		if r.Bubble.VC.Pkt != nil && !r.Bubble.Present {
+			report("bubble", "router %d holds a packet in a non-present bubble", id)
 		}
 		// The NI-pending aggregate must equal the sum of ring lengths
 		// (the stepper's activity predicate trusts it).
@@ -91,11 +73,12 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			report("active-set", "router %d holds %d and queues %d packets but is not in the active summary",
 				id, occ, queued)
 		}
-		// The slot-granular occupancy mirror must match buffer contents
-		// bit for bit: it drives the fused allocator's classification and
-		// the recovery FSM's round-robin scan under every stepper, so
-		// drift would alter results without tripping the differential
-		// harness.
+		// The occupancy word must match buffer contents bit for bit: it is
+		// the router's only occupancy record (Occupied and
+		// OccupiedNonLocal are its popcounts), and it drives the fused
+		// allocator's classification and the recovery FSM's round-robin
+		// scan under every stepper, so drift would alter results without
+		// tripping the differential harness.
 		if mirror := s.OccupancyMirror(geom.NodeID(id)); mirror != occWord {
 			report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, occWord)
 		}
@@ -108,13 +91,14 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
 			var expWant [geom.NumPorts]uint64
 			var inFlight, draining, expEsc, expChoose uint64
-			stride := geom.NumPorts*slots + 1
-			note := func(vc *network.VC, bit int) {
+			const stride = network.BubbleIndex + 1
+			for bit := 0; bit < stride; bit++ {
+				vc := r.Buf(bit)
 				if vc.Pkt == nil {
 					if vc.FreeAt > s.Now {
 						draining |= 1 << uint(bit)
 					}
-					return
+					continue
 				}
 				// Under a hop class only the fixed hops are want bits: a
 				// packet with several minimal directions is registered in
@@ -138,12 +122,6 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 					expEsc |= 1 << uint(bit)
 				}
 			}
-			for _, port := range geom.AllPorts {
-				for slot := range r.In[port] {
-					note(&r.In[port][slot], int(port)*slots+slot)
-				}
-			}
-			note(&r.Bubble.VC, geom.NumPorts*slots)
 			if want != expWant {
 				report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
 			}

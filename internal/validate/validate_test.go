@@ -161,6 +161,23 @@ func TestViolationError(t *testing.T) {
 	}
 }
 
+// TestBubbleOccupantCountsAsNonLocal places a bubble occupant that
+// arrived on the local port: the bubble is a non-local candidate whatever
+// its input port, so the non-local count and the detection FSM's scan
+// both see it, and Check finds nothing to report.
+func TestBubbleOccupantCountsAsNonLocal(t *testing.T) {
+	topo := topology.NewMesh(3, 1)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
+	s.Routers[1].Bubble.Present = true
+	s.PlaceBubblePacket(1, geom.Local, s.NewPacket(1, 2, 0, 1, routing.Route{geom.East}))
+	if vs := Check(s, nil); len(vs) != 0 {
+		t.Fatalf("violations after placing a local-port bubble occupant: %v", vs)
+	}
+	if n := s.Routers[1].OccupiedNonLocal(); n != 1 {
+		t.Fatalf("OccupiedNonLocal = %d, want 1", n)
+	}
+}
+
 func TestDetectsRequestVectorDrift(t *testing.T) {
 	topo := topology.NewMesh(3, 1)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(10)))
