@@ -269,19 +269,31 @@ func (c *Controller) dependenceExists(node geom.NodeID, in geom.Direction, vnet 
 		return false
 	}
 	r := &c.sim.Routers[node]
-	base := vnet * network.VCsPerVnet
-	for i := 0; i < network.VCsPerVnet; i++ {
-		vc := &r.In[in][base+i]
-		if vc.Pkt != nil && c.sim.OutputOf(vc.Pkt, node) == out {
+	for w := c.chainBufs(node, in, vnet); w != 0; w &= w - 1 {
+		if c.sim.OutputOf(r.Buf(bits.TrailingZeros64(w)).Pkt, node) == out {
 			return true
 		}
 	}
-	// A stale bubble occupant is part of the dependence picture too.
-	if b := &r.Bubble; b.Present && b.InPort == in && b.VC.Pkt != nil &&
-		c.sim.OutputOf(b.VC.Pkt, node) == out {
-		return true
-	}
 	return false
+}
+
+// vnetSlots masks, in a router's occupancy word, the VCs of vnet at
+// input port in.
+func vnetSlots(in geom.Direction, vnet int) uint64 {
+	return (1<<network.VCsPerVnet - 1) << uint(int(in)*network.SlotsPerPort+vnet*network.VCsPerVnet)
+}
+
+// chainBufs returns the occupied buffers of vnet at router node's input
+// port in, plus an occupied bubble serving in — a stranded occupant is
+// part of the dependence picture too (rule #8). Walked in ascending
+// candidate index, the bubble comes last.
+func (c *Controller) chainBufs(node geom.NodeID, in geom.Direction, vnet int) uint64 {
+	occ := c.sim.OccupancyMirror(node)
+	w := occ & vnetSlots(in, vnet)
+	if b := &c.sim.Routers[node].Bubble; b.Present && b.InPort == in {
+		w |= occ & (1 << network.BubbleIndex)
+	}
+	return w
 }
 
 // send originates a control message from a static-bubble router out of
@@ -527,21 +539,14 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Mes
 func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m Message, reqs []outReq) []outReq {
 	s := c.sim
 	in := m.inPort()
-	base := m.Vnet * network.VCsPerVnet
-	var wanted [geom.NumPorts]bool
-	for i := 0; i < network.VCsPerVnet; i++ {
-		vc := &r.In[in][base+i]
-		if vc.Pkt == nil {
-			return reqs // a free VC means no deadlock through this port
-		}
-		out := s.OutputOf(vc.Pkt, id)
-		if out.IsLink() {
-			wanted[out] = true
-		}
+	w := c.chainBufs(id, in, m.Vnet)
+	if lane := vnetSlots(in, m.Vnet); w&lane != lane {
+		return reqs // a free VC means no deadlock through this port
 	}
-	// A bubble occupant on this port extends the chain too.
-	if b := &r.Bubble; b.Present && b.InPort == in && b.VC.Pkt != nil {
-		if out := s.OutputOf(b.VC.Pkt, id); out.IsLink() {
+	// Every occupant extends the chain, a bubble occupant included.
+	var wanted [geom.NumPorts]bool
+	for ; w != 0; w &= w - 1 {
+		if out := s.OutputOf(r.Buf(bits.TrailingZeros64(w)).Pkt, id); out.IsLink() {
 			wanted[out] = true
 		}
 	}
@@ -679,13 +684,12 @@ func (c *Controller) enableReturned(f *fsm) {
 	}
 }
 
-// spinLink is one router's slot on a latched dependency cycle, as
+// spinLink is one router's buffer on a latched dependency cycle, as
 // reconstructed by buildSpinChain. Hoisted to package scope so the chain
 // can live in the Controller's reusable scratch slice.
 type spinLink struct {
-	vc   *network.VC
 	node geom.NodeID
-	in   geom.Direction
+	ci   int
 }
 
 // buildSpinChain reconstructs the latched cycle's walk into c.spinChain's
@@ -699,36 +703,34 @@ func (c *Controller) buildSpinChain(f *fsm) (chain []spinLink, ok bool) {
 	chain = c.spinChain[:0]
 	node := f.node
 	heading := f.probeOut
-	pick := func(n geom.NodeID, in, out geom.Direction) *network.VC {
+	pick := func(n geom.NodeID, in, out geom.Direction) (spinLink, bool) {
 		r := &s.Routers[n]
-		base := f.vnet * network.VCsPerVnet
-		for i := 0; i < network.VCsPerVnet; i++ {
-			vc := &r.In[in][base+i]
-			if vc.Pkt != nil && vc.HeadReady(s.Now) && s.OutputOf(vc.Pkt, n) == out {
-				return vc
+		for w := s.OccupancyMirror(n) & vnetSlots(in, f.vnet); w != 0; w &= w - 1 {
+			ci := bits.TrailingZeros64(w)
+			if vc := r.Buf(ci); vc.HeadReady(s.Now) && s.OutputOf(vc.Pkt, n) == out {
+				return spinLink{n, ci}, true
 			}
 		}
-		return nil
+		return spinLink{}, false
 	}
 	// The originator's chain packet sits at f.probeIn wanting f.probeOut.
-	vc := pick(f.node, f.probeIn, f.probeOut)
-	if vc == nil {
+	l, ok := pick(f.node, f.probeIn, f.probeOut)
+	if !ok {
 		return chain, false
 	}
-	chain = append(chain, spinLink{vc, f.node, f.probeIn})
+	chain = append(chain, l)
 	for i := 0; i < f.turnBuf.Len(); i++ {
 		turn := f.turnBuf.At(i)
 		next := s.Topo.Neighbor(node, heading)
 		if next == geom.InvalidNode {
 			return chain, false
 		}
-		in := heading.Opposite()
 		out := turn.Apply(heading)
-		vc := pick(next, in, out)
-		if vc == nil {
+		l, ok := pick(next, heading.Opposite(), out)
+		if !ok {
 			return chain, false
 		}
-		chain = append(chain, spinLink{vc, next, in})
+		chain = append(chain, l)
 		node, heading = next, out
 	}
 	// The walk must close: the final hop re-enters the originator.
@@ -739,10 +741,10 @@ func (c *Controller) buildSpinChain(f *fsm) (chain []spinLink, ok bool) {
 }
 
 // spinCycle performs one synchronized rotation of the latched dependency
-// cycle: each selected packet moves into the slot its successor vacates.
-// All packets advance one hop in one step; the cycle provides its own
-// buffering. Returns false (no movement) if the chain dissolved since
-// the disable validated it.
+// cycle: each selected packet moves into the buffer its successor
+// vacates. All packets advance one hop in one step; the cycle provides
+// its own buffering. Returns false (no movement) if the chain dissolved
+// since the disable validated it.
 func (c *Controller) spinCycle(f *fsm) bool {
 	s := c.sim
 	chain, ok := c.buildSpinChain(f)
@@ -750,29 +752,21 @@ func (c *Controller) spinCycle(f *fsm) bool {
 	if !ok {
 		return false
 	}
-	// Rotate: packet i moves into the slot packet i+1 vacates (its next
+	// Rotate: packet i moves into the buffer packet i+1 vacates (its next
 	// hop on its own route). All moves are simultaneous, so snapshot the
 	// occupants first.
 	n := len(chain)
 	pkts := c.spinPkts[:0]
 	for _, l := range chain {
-		pkts = append(pkts, l.vc.Pkt)
+		pkts = append(pkts, s.Routers[l.node].Buf(l.ci).Pkt)
 	}
 	c.spinPkts = pkts[:0]
-	for i := range chain {
+	for i, p := range pkts {
 		dst := chain[(i+1)%n]
-		p := pkts[i]
-		dst.vc.Pkt = p
-		dst.vc.ReadyAt = s.Now + network.HopLatency
-		p.Hop++
+		s.ReplacePacket(dst.node, dst.ci, p)
 		s.Stats.HopMoves++
 		s.Stats.LinkCycles[network.ClassFlit] += int64(p.Len)
 	}
-	// Occupancy counts are unchanged at every router (one out, one in,
-	// both on link-side ports), but every rotated slot now holds a
-	// different packet with a different next hop: tell the stepper, whose
-	// request vectors were registered for the old occupants.
-	s.Wake(f.node)
 	s.LastProgress = s.Now
 	s.Stats.SpinRotations++
 	return true

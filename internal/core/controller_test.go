@@ -63,7 +63,7 @@ func TestForkProbeRequiresAllVCsOccupied(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 		p.Hop = 1
-		r.In[geom.West][i].Pkt = p
+		s.PlacePacket(1, geom.West, i, p)
 	}
 	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
 		t.Fatal("probe with a free VC should drop")
@@ -71,7 +71,7 @@ func TestForkProbeRequiresAllVCsOccupied(t *testing.T) {
 	// Fill the 4th: forks out of East (all packets want East).
 	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
-	r.In[geom.West][3].Pkt = p
+	s.PlacePacket(1, geom.West, 3, p)
 	reqs := c.forkProbe(1, r, m, nil)
 	if len(reqs) != 1 || reqs[0].out != geom.East {
 		t.Fatalf("fork = %+v, want one East fork", reqs)
@@ -89,7 +89,7 @@ func TestForkProbeEjectionOnlyDrops(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p := s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
 		p.Hop = 1 // at destination, wants Local
-		r.In[geom.West][i].Pkt = p
+		s.PlacePacket(1, geom.West, i, p)
 	}
 	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East}
 	if reqs := c.forkProbe(1, r, m, nil); reqs != nil {
@@ -103,7 +103,7 @@ func TestForkProbeTurnCapacity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 		p.Hop = 1
-		r.In[geom.West][i].Pkt = p
+		s.PlacePacket(1, geom.West, i, p)
 	}
 	probe := func(turns int) Message {
 		var p Path
@@ -130,7 +130,7 @@ func TestForkProbeForksToMultipleOutputs(t *testing.T) {
 		dst := s.Topo.Neighbor(center, want)
 		p := s.NewPacket(3, dst, 0, 1, routing.Route{geom.East, want})
 		p.Hop = 1
-		r.In[geom.West][i].Pkt = p
+		s.PlacePacket(center, geom.West, i, p)
 	}
 	m := Message{Type: MsgProbe, Src: 8, Vnet: 0, At: center, Heading: geom.East}
 	reqs := c.forkProbe(center, r, m, nil)
@@ -156,7 +156,7 @@ func TestDependenceExistsChecksVnetAndBubble(t *testing.T) {
 	r := &s.Routers[node]
 	p := s.NewPacket(0, 2, 1, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
-	r.In[geom.West][1*network.VCsPerVnet].Pkt = p // vnet 1 slot
+	s.PlacePacket(node, geom.West, 1*network.VCsPerVnet, p) // vnet 1 slot
 	if !c.dependenceExists(node, geom.West, 1, geom.East) {
 		t.Fatal("vnet-1 dependence should be visible")
 	}
@@ -170,10 +170,11 @@ func TestDependenceExistsChecksVnetAndBubble(t *testing.T) {
 		t.Fatal("local port never carries chain dependence")
 	}
 	// Bubble occupant counts.
-	r.In[geom.West][1*network.VCsPerVnet].Pkt = nil
+	s.RemovePacket(node, int(geom.West)*network.SlotsPerPort+1*network.VCsPerVnet)
+	p = s.NewPacket(0, 2, 1, 1, routing.Route{geom.East, geom.East})
+	p.Hop = 1
 	r.Bubble.Present = true
-	r.Bubble.InPort = geom.West
-	r.Bubble.VC.Pkt = p
+	s.PlaceBubblePacket(node, geom.West, p)
 	if !c.dependenceExists(node, geom.West, 1, geom.East) {
 		t.Fatal("bubble occupant dependence should be visible")
 	}
@@ -186,7 +187,7 @@ func TestDisableInstallsAndEnableClearsFence(t *testing.T) {
 	// A packet at West wanting East makes the dependence real.
 	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
-	r.In[geom.West][0].Pkt = p
+	s.PlacePacket(node, geom.West, 0, p)
 
 	dis := Message{Type: MsgDisable, Src: 7, Vnet: 0, At: node, Heading: geom.East,
 		Turns: pathOf(geom.Straight), Seq: 1}
@@ -247,7 +248,7 @@ func TestCheckProbeRequiresMatchingFence(t *testing.T) {
 	r := &s.Routers[node]
 	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 	p.Hop = 1
-	r.In[geom.West][0].Pkt = p
+	s.PlacePacket(node, geom.West, 0, p)
 	cp := Message{Type: MsgCheckProbe, Src: 7, Vnet: 0, At: node, Heading: geom.East,
 		Turns: pathOf(geom.Straight), Seq: 1}
 	// No fence: dropped.
@@ -368,7 +369,7 @@ func TestProbeSeqPreservedThroughForks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 		p.Hop = 1
-		r.In[geom.West][i].Pkt = p
+		s.PlacePacket(1, geom.West, i, p)
 	}
 	m := Message{Type: MsgProbe, Src: 5, Vnet: 0, At: 1, Heading: geom.East,
 		Seq: 42, OutPort: geom.North}

@@ -7,8 +7,9 @@
 // (up/down tree routing, Router Parking style) and may only occupy escape
 // VCs, which the tree's acyclicity guarantees will drain.
 //
-// The reservation and the tree routing are an escape class the simulator
-// reads as data (network.AttachEscapeClass), so an escape run keeps the
+// The reservation (VC index network.EscapeVC) and the tree routing are
+// an escape class the simulator reads as data (network.AttachEscapeClass;
+// a rebuilt tree goes to Sim.SetEscapeTree), so an escape run keeps the
 // fused allocation pass; this package owns the
 // policy, one PostCycle hook that promotes a packet once it has sat in
 // the same buffer for Timeout cycles. The hook is driven by deadlines,
@@ -24,10 +25,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/routing"
 )
-
-// EscapeVCIndex is the VC index (within each vnet) reserved for escape
-// traffic.
-const EscapeVCIndex = 0
 
 // Timeout is the stuck-packet threshold in cycles before a packet moves
 // to escape routing: the paper uses a timer comparable to the SB
@@ -55,15 +52,10 @@ func Attach(s *network.Sim, ud *routing.UpDown) *Controller {
 		sim: s,
 		due: make([]int64, s.Topo.NumNodes()),
 	}
-	s.AttachEscapeClass(EscapeVCIndex, ud)
+	s.AttachEscapeClass(ud)
 	s.PostCycle = append(s.PostCycle, c.promoteDue)
 	return c
 }
-
-// SetTree swaps the spanning tree used for escape paths — called after a
-// runtime reconfiguration rebuilds the tree. Escaped packets immediately
-// follow the new tree.
-func (c *Controller) SetTree(ud *routing.UpDown) { c.sim.SetEscapeTree(ud) }
 
 // promoteDue moves every packet that has sat in its buffer for the
 // timeout to escape routing, visiting only routers whose bound has come

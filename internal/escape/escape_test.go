@@ -67,7 +67,7 @@ func TestEscapeVCsStayReserved(t *testing.T) {
 			r := &s.Routers[id]
 			for _, port := range geom.AllPorts {
 				for vnet := 0; vnet < network.NumVnets; vnet++ {
-					if p := r.In[port][vnet*network.VCsPerVnet+EscapeVCIndex].Pkt; p != nil && !p.Escaped {
+					if p := r.In[port][vnet*network.VCsPerVnet+network.EscapeVC].Pkt; p != nil && !p.Escaped {
 						t.Fatalf("cycle %d: escape VC occupied by regular packet %d", cyc, p.ID)
 					}
 				}

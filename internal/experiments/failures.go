@@ -139,10 +139,9 @@ func failureRun(p Params, kind, stall int, seed int64) (out failureRes) {
 		}
 	}
 	rebuild()
-	var esc *escape.Controller
 	switch kind {
 	case int(EscapeVC):
-		esc = escape.Attach(s, ud)
+		escape.Attach(s, ud)
 	case int(StaticBubble):
 		core.Attach(s, core.Options{TDD: p.TDD, Spin: p.SpinMode})
 	}
@@ -180,9 +179,9 @@ func failureRun(p Params, kind, stall int, seed int64) (out failureRes) {
 			l := links[rng.Intn(len(links))]
 			mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: l.From, Dir: l.Dir})
 			rebuild()
-			if esc != nil {
+			if s.EscapeClass() {
 				// Escaped packets must follow the new tree.
-				esc.SetTree(ud)
+				s.SetEscapeTree(ud)
 			}
 			stallUntil = cyc + stall
 		}

@@ -50,23 +50,15 @@ package network
 // rotate-and-scan does, and a candidate is skipped exactly when tryGrant
 // would have rejected it, so the pass produces the reference's grants.
 //
-// Staleness rule. The vectors are maintained by the package's own
-// fill/clear sites and by PromoteEscape, which re-registers the one
-// buffer whose packet it moves to the escape class. Anything else that
-// changes what a buffered packet wants raises one flag, dense.stale:
-// exported SetRoute (reconfig's reroutes), attaching an escape or hop
-// class, swapping the escape tree (SetEscapeTree), and Wake — the notice
-// a scheme that moves packets by hand (core's SPIN rotation, which also
-// rewrites ReadyAt) owes the simulator. A sweep rebuilds the vectors and
-// pend, and re-files pend's timers, from the buffers before it starts
-// (syncVectors; O(resident packets) plus one pass over the wheel). drain
-// needs no rebuild: nothing that marks the vectors stale touches an
-// empty buffer. Invariant: whenever the pass reads want/pend/drain/esc/
-// choose they equal a from-scratch derivation from the buffers
-// (validate.Check and TestRequestVectorsMatchRebuild assert it). The
-// fence and the Bubble flags stay live reads in the pass: core writes
-// them directly, every cycle of a recovery, and reading a few fields per
-// visit is cheaper than a notice per write.
+// Exact at every instant. Every entry point of the package that fills,
+// clears, moves, reroutes or reclassifies a buffered packet keeps the
+// words exact before it returns: the fill and clear sites above (a SPIN
+// rotation's ReplacePacket is a clear and a fill), and reregister for a
+// packet that changes what it wants in place (Reroute, PromoteEscape,
+// attaching a class, SetEscapeTree). Nothing is rebuilt later, so
+// validate.Check compares them with the buffers under every stepper. The fence and
+// the Bubble flags stay live reads in the pass: core writes them
+// directly, every cycle of a recovery.
 //
 // This is the one allocation pass Step runs, for every scheme: a class or
 // a rule is state the pass reads, not a hook it must call — the escape
@@ -96,35 +88,25 @@ type denseState struct {
 	// occupancy counts, the stepper's and allocator's early-outs and the
 	// recovery FSM's scan all read it. The fused classification walks
 	// only the set bits, so a barely-occupied router costs its
-	// occupancy, not its capacity. SPIN rotations (core) move packets
-	// between slots that stay occupied, so the bitmap survives them; the
-	// request vectors and pend do not, which is why core announces a
-	// rotation with Wake.
+	// occupancy, not its capacity.
 	occBits []uint64
 	// want[id][out] is router id's registered request vector for output
 	// out (file comment): bit ci is set iff buffer ci holds a packet whose
-	// next hop at id is out. A subset of occBits[id] at all times, and
-	// equal to a rebuild whenever stale is false.
+	// next hop at id is out. A subset of occBits[id].
 	want [][geom.NumPorts]uint64
 	// pend[id] and drain[id] are the timer words (file comment): bit ci
 	// of pend is set iff buffer ci holds a packet with ReadyAt > Now, of
 	// drain iff buffer ci is empty with FreeAt > Now. pend is a subset of
-	// occBits[id] and drain disjoint from it; both are exact whenever
-	// stale is false.
+	// occBits[id] and drain disjoint from it.
 	pend  []uint64
 	drain []uint64
 	// esc[id] is the class word beside them: bit ci is set iff buffer ci
 	// holds an escaped packet (escclass.go) — all zero without an escape
 	// class. Downstream buffer availability differs by class, so the pass
-	// splits each output's candidates on it. Same subset and rebuild rules
-	// as want.
+	// splits each output's candidates on it. A subset of occBits[id].
 	esc []uint64
 	// wheel clears pend and drain bits as their timers run out.
 	wheel timerWheel
-	// stale records that something other than a maintained fill/clear
-	// may have changed what a buffered packet wants; the next sweep
-	// rebuilds.
-	stale bool
 }
 
 func (d *denseState) init(numNodes int) {
@@ -293,13 +275,7 @@ func (s *Sim) occBitClear(id geom.NodeID, bit int, freeAt int64) {
 	m := uint64(1) << uint(bit)
 	d.occBits[id] &^= m
 	d.esc[id] &^= m
-	w := &d.want[id]
-	for out := range w {
-		w[out] &^= m
-	}
-	if h := s.hopClass; h != nil {
-		h.choose[id] &^= m
-	}
+	s.unregister(id, m)
 	if freeAt > s.Now {
 		d.drain[id] |= m
 		d.wheel.schedule(id, m, freeAt)
@@ -322,83 +298,52 @@ func (s *Sim) cancelTimer(id geom.NodeID, bit int) {
 	d.wheel.cancel(id, m)
 }
 
-// rebuildVectors derives router id's request vectors, pend (filing its
-// timers on the wheel) and the hop class's word from its buffers: the
-// definition the maintained copies must equal.
-func (s *Sim) rebuildVectors(id geom.NodeID) {
-	d := &s.dense
-	r := &s.Routers[id]
-	d.want[id], d.pend[id], d.esc[id] = [geom.NumPorts]uint64{}, 0, 0
-	if h := s.hopClass; h != nil {
-		h.choose[id] = 0
+// unregister clears the buffers of m at router id from every output's
+// request vector and from the hop class's word.
+func (s *Sim) unregister(id geom.NodeID, m uint64) {
+	w := &s.dense.want[id]
+	for out := range w {
+		w[out] &^= m
 	}
-	for w := d.occBits[id]; w != 0; w &= w - 1 {
-		ci := bits.TrailingZeros64(w)
-		m := uint64(1) << uint(ci)
-		vc := r.Buf(ci)
-		s.registerHop(id, ci, vc.Pkt)
-		if vc.ReadyAt > s.Now {
-			d.pend[id] |= m
-			d.wheel.schedule(id, m, vc.ReadyAt)
-		}
-		if vc.Pkt.Escaped {
-			d.esc[id] |= m
-		}
+	if h := s.hopClass; h != nil {
+		h.choose[id] &^= m
 	}
 }
 
-// syncVectors runs at the top of every sweep: it rebuilds the request
-// vectors and pend from the buffers if they are stale, unfiling every
-// occupied buffer's timer first (drain's timers, on empty buffers, stay
-// filed).
-func (s *Sim) syncVectors() {
-	d := &s.dense
-	if d.stale {
-		due := d.wheel.due
-		for base := 0; base < len(due); base += d.wheel.n {
-			for id, occ := range d.occBits {
-				due[base+id] &^= occ
-			}
+// reregister re-files occupied buffer ci of router id under the output
+// its packet wants now: for a packet that changes what it wants without
+// moving.
+func (s *Sim) reregister(id geom.NodeID, ci int) {
+	s.unregister(id, 1<<uint(ci))
+	s.registerHop(id, ci, s.Routers[id].Buf(ci).Pkt)
+}
+
+// reregisterAll re-files every occupied buffer: for a change of the
+// routing rule itself (a class attached, an escape tree swapped).
+func (s *Sim) reregisterAll() {
+	for id, occ := range s.dense.occBits {
+		for w := occ; w != 0; w &= w - 1 {
+			s.reregister(geom.NodeID(id), bits.TrailingZeros64(w))
 		}
-		for id := range d.occBits {
-			s.rebuildVectors(geom.NodeID(id))
-		}
-		d.stale = false
 	}
 }
 
 // RequestVectors returns router id's registered request vectors (want
-// per output, pend) and whether they are live — not marked stale, i.e.
-// what the next sweep would read as is. Exposed for the validate
-// package, which recomputes them from buffer contents: a drifted bit
-// moves or strands a packet under Step only, so the refmodel harness
-// would catch it late and far from the cause.
-func (s *Sim) RequestVectors(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64, live bool) {
-	if !s.vectorsLive() {
-		return want, 0, false
-	}
-	return s.dense.want[id], s.dense.pend[id], true
+// per output, pend). Exposed for the validate package, which recomputes
+// them from buffer contents: a drifted bit moves or strands a packet
+// under Step only, so the refmodel harness would catch it late and far
+// from the cause.
+func (s *Sim) RequestVectors(id geom.NodeID) (want [geom.NumPorts]uint64, pend uint64) {
+	return s.dense.want[id], s.dense.pend[id]
 }
 
-// DrainVector returns router id's drain word (bit ci set iff buffer ci
-// is empty with FreeAt > Now); it is live exactly when RequestVectors is.
-func (s *Sim) DrainVector(id geom.NodeID) (drain uint64, live bool) {
-	if !s.vectorsLive() {
-		return 0, false
-	}
-	return s.dense.drain[id], true
-}
+// DrainVector returns router id's drain word: bit ci set iff buffer ci
+// is empty with FreeAt > Now.
+func (s *Sim) DrainVector(id geom.NodeID) uint64 { return s.dense.drain[id] }
 
-// EscapedVector returns router id's class word (bit ci set iff buffer ci
-// holds an escaped packet); it is live exactly when RequestVectors is.
-func (s *Sim) EscapedVector(id geom.NodeID) (esc uint64, live bool) {
-	if !s.vectorsLive() {
-		return 0, false
-	}
-	return s.dense.esc[id], true
-}
-
-func (s *Sim) vectorsLive() bool { return !s.dense.stale }
+// EscapedVector returns router id's class word: bit ci set iff buffer ci
+// holds an escaped packet.
+func (s *Sim) EscapedVector(id geom.NodeID) uint64 { return s.dense.esc[id] }
 
 // OccupancyMirror returns router id's occupancy word: bit ci is set iff
 // buffer ci (Router.Buf) holds a packet. Schemes walk it to visit the
@@ -411,9 +356,8 @@ func (s *Sim) OccupancyMirror(id geom.NodeID) uint64 { return s.dense.occBits[id
 // gatherAllocate's candidate classification, read off the registered
 // request vectors, and commitAllocate's round-robin arbitration in a
 // single sweep over bitmasks, with no bucket building, no per-head work
-// and no downstream buffer reads. Only valid with the vectors in sync
-// (syncVectors); produces bit-for-bit the grants, Stats mutations and
-// pool releases of AllocateNode.
+// and no downstream buffer reads. Produces bit-for-bit the grants, Stats
+// mutations and pool releases of AllocateNode.
 func (s *Sim) denseAllocNode(id geom.NodeID) {
 	if s.dense.occBits[id] == 0 || !s.Topo.RouterAlive(id) {
 		// A dead router's buffered traffic cannot move; it stays in the

@@ -41,9 +41,9 @@ func attachOracle(s *network.Sim, ud *routing.UpDown) *oracle {
 	network.SetReferenceHooks(s,
 		func(p *network.Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
 			if p.Escaped {
-				return vcIdx == escape.EscapeVCIndex
+				return vcIdx == network.EscapeVC
 			}
-			return vcIdx != escape.EscapeVCIndex
+			return vcIdx != network.EscapeVC
 		},
 		func(p *network.Packet, at geom.NodeID) (geom.Direction, bool) {
 			if !p.Escaped {
@@ -141,7 +141,8 @@ func TestClassMatchesHookOracle(t *testing.T) {
 			step[0], step[1] = sims[0].Step, refmodel.New(sims[1]).Step
 			attach := func() {
 				ud := routing.NewUpDown(sims[0].Topo)
-				setTree[0] = escape.Attach(sims[0], ud).SetTree
+				escape.Attach(sims[0], ud)
+				setTree[0] = func(ud *routing.UpDown) { sims[0].SetEscapeTree(ud) }
 				o := attachOracle(sims[1], ud)
 				setTree[1] = func(ud *routing.UpDown) { o.updown = ud }
 			}

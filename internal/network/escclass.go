@@ -27,8 +27,11 @@ type TreeRouter interface {
 	TreeNextHop(at, dst geom.NodeID) geom.Direction
 }
 
+// EscapeVC is the VC index, within every vnet, that an escape class
+// reserves for escaped packets.
+const EscapeVC = 0
+
 type escapeClass struct {
-	vc   int // reserved VC index within every vnet
 	tree TreeRouter
 	// fill[id*numCand+ci] is the cycle buffer ci (candidate index
 	// in*SlotsPerPort+sl, the bubble last) of router id was last filled,
@@ -36,21 +39,19 @@ type escapeClass struct {
 	fill []int64
 }
 
-// AttachEscapeClass reserves VC index vcIndex of every vnet for escaped
-// packets and routes them over tree. Buffers occupied at attach time
-// count as filled now; a regular packet already sitting in a reserved VC
-// leaves it normally (validate.Check reports it until it does).
-func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
+// AttachEscapeClass reserves VC index EscapeVC of every vnet for
+// escaped packets and routes them over tree. Buffers occupied at attach
+// time count as filled now; a regular packet already sitting in a
+// reserved VC leaves it normally (validate.Check reports it until it
+// does).
+func (s *Sim) AttachEscapeClass(tree TreeRouter) {
 	if s.escClass != nil {
 		panic("network: escape class already attached")
 	}
 	if s.hopClass != nil {
 		panic("network: an escape class cannot share a Sim with a hop class")
 	}
-	if vcIndex < 0 || vcIndex >= VCsPerVnet {
-		panic("network: escape VC index outside the vnet")
-	}
-	e := &escapeClass{vc: vcIndex, tree: tree}
+	e := &escapeClass{tree: tree}
 	e.fill = make([]int64, len(s.Routers)*numCand)
 	if s.Now != 0 {
 		for i := range e.fill {
@@ -59,26 +60,19 @@ func (s *Sim) AttachEscapeClass(vcIndex int, tree TreeRouter) {
 	}
 	s.escClass = e
 	s.setLanes()
-	s.Wake(0)
+	s.reregisterAll()
 }
 
 // SetEscapeTree swaps the attached class's tree — after a runtime
 // reconfiguration rebuilt it. Escaped packets follow the new tree from
-// their next allocation on: the request vectors are rebuilt before the
-// next sweep.
+// their next allocation on.
 func (s *Sim) SetEscapeTree(tree TreeRouter) {
 	s.escClass.tree = tree
-	s.Wake(0)
+	s.reregisterAll()
 }
 
-// EscapeClass returns the reserved VC index of the attached escape
-// class, with ok false when none is attached.
-func (s *Sim) EscapeClass() (vcIndex int, ok bool) {
-	if s.escClass == nil {
-		return 0, false
-	}
-	return s.escClass.vc, true
-}
+// EscapeClass reports whether an escape class is attached.
+func (s *Sim) EscapeClass() bool { return s.escClass != nil }
 
 // FillCycles returns the cycles at which router id's buffers were last
 // filled, indexed in*slots+sl — meaningful for a buffer that holds a
@@ -91,23 +85,15 @@ func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 
 // PromoteEscape moves the packet buffered in slot `slot` of router id's
 // input port in to the escape class where it stands: from now on it
-// follows the tree and may enter only reserved VCs. The buffer's entries
-// in the request vectors are re-registered, so the next pass sees the
-// tree hop. Call it outside the allocation phase (from a
-// PreCycle/PostCycle hook).
+// follows the tree and may enter only reserved VCs. The buffer is
+// re-registered under the tree hop. Call it outside the allocation phase
+// (from a PreCycle/PostCycle hook).
 func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
-	p := s.Routers[id].In[in][slot].Pkt
-	p.Escaped = true
-	s.Stats.EscapeTransfers++
-	d := &s.dense
 	ci := int(in)*SlotsPerPort + slot
-	m := uint64(1) << uint(ci)
-	w := &d.want[id]
-	for out := range w {
-		w[out] &^= m
-	}
-	s.registerHop(id, ci, p)
-	d.esc[id] |= m
+	s.Routers[id].Buf(ci).Pkt.Escaped = true
+	s.Stats.EscapeTransfers++
+	s.dense.esc[id] |= 1 << uint(ci)
+	s.reregister(id, ci)
 }
 
 // classVCs returns the VC indices of a vnet a packet of the given class
@@ -115,12 +101,11 @@ func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
 // attached, else the reserved index alone for an escaped packet and
 // every index but it for the rest.
 func (s *Sim) classVCs(escaped bool) (lo, hi, skip int) {
-	e := s.escClass
 	switch {
-	case e == nil:
+	case s.escClass == nil:
 		return 0, VCsPerVnet, -1
 	case escaped:
-		return e.vc, e.vc + 1, -1
+		return EscapeVC, EscapeVC + 1, -1
 	}
-	return 0, VCsPerVnet, e.vc
+	return 0, VCsPerVnet, EscapeVC
 }

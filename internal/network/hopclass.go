@@ -39,7 +39,7 @@ type hopClass struct {
 	// choose[id] has bit ci set iff buffer ci of router id holds a packet
 	// with more than one minimal direction, and mask[id*numCand+ci] is then
 	// that packet's mask (meaningless under a clear bit). Written where
-	// want is (occBitSet, occBitClear, the stale rebuild), and disjoint
+	// want is (occBitSet, occBitClear, reregister), and disjoint
 	// from every want word: a buffer is registered in one or the other.
 	choose []uint64
 	mask   []uint8
@@ -61,7 +61,7 @@ func (s *Sim) AttachHopClass(masker HopMasker) {
 	h.choose = make([]uint64, len(s.Routers))
 	h.mask = make([]uint8, len(s.Routers)*numCand)
 	s.hopClass = h
-	s.Wake(0)
+	s.reregisterAll()
 }
 
 // HopClass returns the attached hop class's mask source, with ok false
@@ -76,14 +76,13 @@ func (s *Sim) HopClass() (masker HopMasker, ok bool) {
 // HopVectors returns the hop class's registered state beside the request
 // vectors: choose[id] is router id's "choose per visit" word and
 // masks[id*(NumPorts*SlotsPerPort+1)+ci] the mask byte of a buffer whose
-// bit is set there. Live exactly when RequestVectors is, with a class
-// attached. Exposed for the validate package; the slices alias simulator
-// state and must not be written.
-func (s *Sim) HopVectors() (choose []uint64, masks []uint8, live bool) {
-	if s.hopClass == nil || !s.vectorsLive() {
-		return nil, nil, false
+// bit is set there; both nil without a class. Exposed for the validate
+// package; the slices alias simulator state and must not be written.
+func (s *Sim) HopVectors() (choose []uint64, masks []uint8) {
+	if s.hopClass == nil {
+		return nil, nil
 	}
-	return s.hopClass.choose, s.hopClass.mask, true
+	return s.hopClass.choose, s.hopClass.mask
 }
 
 // hopOf splits p's next hop at router at into the part that holds while p

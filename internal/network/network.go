@@ -120,9 +120,9 @@ type Sim struct {
 	grantN []int64
 	// niPend[id] counts packets queued across router id's NI rings —
 	// the stepper's activity predicate reads it instead of touching
-	// every ring — and queued is their sum (QueuedPackets). Maintained
-	// by Enqueue and InjectNode; code that edits NIQueue contents
-	// directly must call RecountNIPending.
+	// every ring — and queued is their sum (QueuedPackets). Enqueue,
+	// InjectNode and FilterQueued keep both: they are the rings' only
+	// writers.
 	niPend []int32
 	queued int64
 	// pool recycles delivered/lost packets and their route spans (see
@@ -220,7 +220,7 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 	p.Vnet, p.Len = vnet, length
 	p.CreatedAt = s.Now
 	p.InjectedAt, p.DeliveredAt = -1, -1
-	s.setRoute(p, route)
+	s.SetRoute(p, route)
 	return p
 }
 
@@ -238,18 +238,26 @@ func (s *Sim) Enqueue(p *Packet) {
 // rings (the aggregate the activity predicate reads).
 func (s *Sim) NIPending(id geom.NodeID) int { return int(s.niPend[id]) }
 
-// RecountNIPending resynchronizes router id's NI-pending counter from
-// its rings. Code that mutates NIQueue contents without going through
-// Enqueue/InjectNode (reconfig's reroute filter) must call it before
-// the simulation steps again.
-func (s *Sim) RecountNIPending(id geom.NodeID) {
-	var n int32
-	for v := range s.NIQueue[id] {
-		n += int32(s.NIQueue[id][v].Len())
+// FilterQueued keeps, in ring order, only the packets queued at router
+// id's NI for which keep returns true (reconfig's repair of queued
+// traffic); each packet dropped counts as lost and is recycled.
+func (s *Sim) FilterQueued(id geom.NodeID, keep func(*Packet) bool) {
+	if s.niPend[id] == 0 {
+		return
 	}
-	s.queued += int64(n - s.niPend[id])
-	s.niPend[id] = n
-	s.markActive(id)
+	filter := func(p *Packet) bool {
+		if keep(p) {
+			return true
+		}
+		s.niPend[id]--
+		s.queued--
+		s.Stats.Lost++
+		s.releasePacket(p)
+		return false
+	}
+	for v := range s.NIQueue[id] {
+		s.NIQueue[id][v].Filter(filter)
+	}
 }
 
 // Drop records a packet that could not be routed (destination
@@ -276,13 +284,6 @@ func (s *Sim) RemovePacket(at geom.NodeID, ci int) {
 	s.releasePacket(p)
 }
 
-// DiscardQueued records the loss of a queued (offered but not injected)
-// packet and recycles it; the caller removes it from the NI queue first.
-func (s *Sim) DiscardQueued(p *Packet) {
-	s.Stats.Lost++
-	s.releasePacket(p)
-}
-
 // PlacePacket installs p directly into slot `slot` of input port `in` at
 // router id with its head immediately ready — a hook for tests that need
 // a precise hand-built buffer state (e.g. the recovery-FSM transition
@@ -300,6 +301,33 @@ func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet
 	vc.ReadyAt = s.Now
 	s.occBitSet(id, ci, p, vc.ReadyAt)
 	s.placeAccount(id, p)
+}
+
+// ReplacePacket puts p into occupied buffer ci of router at in place of
+// its occupant, one hop further along, its head arriving a hop from now:
+// the move of a SPIN rotation (core), which advances every packet of a
+// dependency cycle one hop at once, so each buffer is vacated and
+// refilled in the same instant. The rotation places the displaced
+// occupant in turn; the caller keeps the counters.
+func (s *Sim) ReplacePacket(at geom.NodeID, ci int, p *Packet) {
+	vc := s.Routers[at].Buf(ci)
+	if vc.Pkt == nil {
+		panic("network: ReplacePacket into an empty buffer")
+	}
+	s.cancelTimer(at, ci)
+	s.occBitClear(at, ci, s.Now)
+	vc.Pkt = p
+	p.Hop++
+	vc.ReadyAt = s.Now + HopLatency
+	s.occBitSet(at, ci, p, vc.ReadyAt)
+}
+
+// Reroute replaces the route of the packet in buffer ci of router at
+// with a copy of r, starting there (reconfig's repair of in-flight
+// traffic), and re-files the buffer under its new next hop.
+func (s *Sim) Reroute(at geom.NodeID, ci int, r routing.Route) {
+	s.SetRoute(s.Routers[at].Buf(ci).Pkt, r)
+	s.reregister(at, ci)
 }
 
 // PlaceBubblePacket installs p as the static-bubble occupant of router
@@ -429,10 +457,10 @@ func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet in
 // falls back to the source route), else the next hop of its source route,
 // else Local (ejection) once the route is exhausted. The route-derived
 // answer depends only on (Route, Hop) and, for a buffered packet, is
-// registered in its router's request vectors (dense.go) — so SetRoute is
-// the only sanctioned way to change a live packet's route: it marks the
-// vectors stale, which a write to Route or Hop from outside the package
-// cannot.
+// registered in its router's request vectors (dense.go) — so a buffered
+// packet changes route only through Reroute, which re-files it; a write
+// to Route or Hop from outside the package would leave the vectors
+// behind.
 func (s *Sim) OutputOf(p *Packet, at geom.NodeID) geom.Direction {
 	if s.hopClass != nil {
 		return s.hopOutput(p, at)

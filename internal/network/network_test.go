@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -341,27 +342,38 @@ func TestDeadRouterDoesNotInject(t *testing.T) {
 	}
 }
 
-// QueuedPackets is a running count: Enqueue and InjectNode move it, and a
-// ring edited by hand moves it by RecountNIPending's delta.
-func TestQueuedPacketsFollowsRecount(t *testing.T) {
+// QueuedPackets is a running count: Enqueue, InjectNode and FilterQueued
+// move it, and FilterQueued also counts and recycles what it drops.
+func TestQueuedPacketsFollowsFilter(t *testing.T) {
 	topo := topology.NewMesh(2, 1)
 	topo.DisableRouter(0) // router 0's queue stays put
 	s := mkSim(topo, 1)
+	var ids []int64
 	for _, vnet := range []int{0, 2, 2} {
-		s.Enqueue(s.NewPacket(0, 1, vnet, 1, routing.Route{geom.East}))
+		p := s.NewPacket(0, 1, vnet, 1, routing.Route{geom.East})
+		ids = append(ids, p.ID)
+		s.Enqueue(p)
 	}
 	s.Enqueue(s.NewPacket(1, 0, 0, 1, routing.Route{geom.West}))
 	if s.QueuedPackets() != 4 {
 		t.Fatalf("queued %d after four enqueues, want 4", s.QueuedPackets())
 	}
-	s.NIQueue[0][2].PopFront()
-	if s.QueuedPackets() != 4 {
-		t.Fatalf("queued %d before the recount, want the stale 4", s.QueuedPackets())
+	// Drop the middle packet: the filter visits router 0's rings in vnet
+	// order, each in ring order.
+	var seen []int64
+	s.FilterQueued(0, func(p *Packet) bool {
+		seen = append(seen, p.ID)
+		return p.ID != ids[1]
+	})
+	if !slices.Equal(seen, ids) {
+		t.Fatalf("filter visited %v, want %v", seen, ids)
 	}
-	s.RecountNIPending(0)
-	if s.QueuedPackets() != 3 || s.NIPending(0) != 2 {
-		t.Fatalf("after popping one and recounting: queued %d, router 0 pending %d; want 3 and 2",
-			s.QueuedPackets(), s.NIPending(0))
+	if s.QueuedPackets() != 3 || s.NIPending(0) != 2 || s.Stats.Lost != 1 || s.PoolStats().PacketReleases != 1 {
+		t.Fatalf("after dropping one: queued %d, router 0 pending %d, lost %d, released %d; want 3, 2, 1 and 1",
+			s.QueuedPackets(), s.NIPending(0), s.Stats.Lost, s.PoolStats().PacketReleases)
+	}
+	if q := &s.NIQueue[0][2]; q.Len() != 1 || q.Front().ID != ids[2] {
+		t.Fatalf("vnet 2 ring holds %d packets, want packet %d alone", q.Len(), ids[2])
 	}
 	s.Run(5) // router 1 injects its packet, dead router 0 keeps its two
 	if s.Stats.Injected != 1 || s.QueuedPackets() != 2 {

@@ -29,12 +29,13 @@ import (
 //     one route slice) safe.
 //   - A *Packet obtained from NewPacket is owned by the Sim from
 //     delivery/loss onward: grant's local-ejection branch,
-//     DeliverOutOfBand, RemovePacket and DiscardQueued all return it to
+//     DeliverOutOfBand, RemovePacket and FilterQueued all return it to
 //     the pool. Holders that outlive delivery must use Packet.Ref; a
 //     reserved packet is recycled like any other, so the same rule holds.
-//   - SetRoute is the only sanctioned way to replace a live packet's
-//     route (reconfig's reroutes); it recycles the old span in place
-//     when the new route fits.
+//   - SetRoute (a packet in no buffer) and Reroute (a buffered one) are
+//     the only sanctioned ways to replace a live packet's route
+//     (reconfig's reroutes); both recycle the old span in place when the
+//     new route fits.
 //
 // The refmodel differential unit runs with SetPooling(false): it keeps
 // plain new(Packet) allocation and never touches the reservation, so a
@@ -152,20 +153,12 @@ func (s *Sim) releasePacket(p *Packet) {
 	s.pool.free = append(s.pool.free, p)
 }
 
-// SetRoute replaces p's route with a copy of r and rewinds it to hop 0
-// (reconfig's in-place reroute). r must not alias p.Route. Under pooling
+// SetRoute replaces p's route with a copy of r and rewinds it to hop 0.
+// p must be in no buffer (NewPacket, a queued packet); Reroute is the
+// buffered packet's counterpart. r must not alias p.Route. Under pooling
 // the copy goes to the arena, reusing p's current span when it fits;
-// without pooling it is a fresh heap slice, mirroring what reroute
-// callers allocated historically. p may sit in a buffer, so the request
-// vectors are marked stale (dense.go).
+// without pooling it is a fresh heap slice.
 func (s *Sim) SetRoute(p *Packet, r routing.Route) {
-	s.dense.stale = true
-	s.setRoute(p, r)
-}
-
-// setRoute is SetRoute for a packet known to be in no buffer (NewPacket:
-// every packet passes through here, and must not cost a rebuild).
-func (s *Sim) setRoute(p *Packet, r routing.Route) {
 	p.Hop = 0
 	if s.pool.disabled {
 		p.Route = append(routing.Route(nil), r...)

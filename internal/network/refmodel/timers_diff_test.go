@@ -100,17 +100,18 @@ func TestTimerRemoveInFlightThenRefill(t *testing.T) {
 	}
 }
 
-// TestTimerRotationThenWake: P_A waits in router 0's East slot wanting
-// East, P_B in router 1's West slot wanting West — a two-router
-// dependency cycle. A hand rotation in the PreCycle of cycle 3 (what
-// core's SPIN does) swaps them across the link, advances both hops and
-// rewrites both ReadyAt to cycle 5, then calls Wake. Both must be
-// granted ejection at cycle 5, delivered a cycle later: not earlier
-// (pend re-derived from the rewritten ReadyAt), not never (its timer
-// filed on the wheel).
-func TestTimerRotationThenWake(t *testing.T) {
+// TestTimerRotationThenReplace: P_A waits in router 0's East slot
+// wanting East, P_B in router 1's West slot wanting West — a two-router
+// dependency cycle. A rotation in the PreCycle of cycle 3 (what core's
+// SPIN does) swaps them across the link through ReplacePacket, which
+// advances both hops and sets both heads to arrive at cycle 5; the
+// words must be exact at once, before the sweep. Both must be granted
+// ejection at cycle 5, delivered a cycle later: not earlier (pend set
+// from the new ReadyAt), not never (its timer filed on the wheel).
+func TestTimerRotationThenReplace(t *testing.T) {
 	units := timerFleet()
 	const rotateAt = 3
+	east, west := int(geom.East)*network.SlotsPerPort, int(geom.West)*network.SlotsPerPort
 	for _, u := range units {
 		s := u.sim
 		// Hold both links busy until the rotation so neither packet moves
@@ -119,17 +120,17 @@ func TestTimerRotationThenWake(t *testing.T) {
 		s.Routers[1].OutFreeAt[geom.West] = 1 << 40
 		s.PlacePacket(0, geom.East, 0, s.NewPacket(0, 1, 0, 1, routing.Route{geom.East}))
 		s.PlacePacket(1, geom.West, 0, s.NewPacket(1, 0, 0, 1, routing.Route{geom.West}))
+		name := u.name
 		s.PreCycle = append(s.PreCycle, func(s *network.Sim) {
 			if s.Now != rotateAt {
 				return
 			}
-			a, b := &s.Routers[0].In[geom.East][0], &s.Routers[1].In[geom.West][0]
-			a.Pkt, b.Pkt = b.Pkt, a.Pkt
-			for _, vc := range []*network.VC{a, b} {
-				vc.Pkt.Hop++
-				vc.ReadyAt = s.Now + 2
+			a, b := s.Routers[0].Buf(east).Pkt, s.Routers[1].Buf(west).Pkt
+			s.ReplacePacket(0, east, b)
+			s.ReplacePacket(1, west, a)
+			if vs := validate.Check(s, nil); len(vs) > 0 {
+				t.Errorf("%s: after the rotation: %v", name, vs[0])
 			}
-			s.Wake(0)
 		})
 	}
 	runTimerFleet(t, units, 12, func(int) {})

@@ -2,22 +2,20 @@ package refmodel
 
 // The registered request vectors (network/dense.go) are state the fused
 // allocation pass trusts instead of looking at packets, so every way a
-// buffered packet's wanted output can change must either maintain them
-// or mark them stale. This test drives all of those ways in one run —
-// grants and injections (maintained at the fill), SPIN rotations (core
-// announces them with Wake), a reconfig link failure (SetRoute on
-// buffered packets), PlacePacket / RemovePacket / DeliverOutOfBand
-// between cycles, and, in the escape variant, promotions (PromoteEscape
-// re-registers the buffer) and a tree swap after the link failure
-// (SetEscapeTree marks stale); the adaptive variant runs the same
-// schedule under a hop class, whose choose-per-visit word and mask bytes
-// follow the same rules — and asserts, in a PreCycle hook that runs after
-// every other hook and therefore immediately before the sweep, that
-// vectors claiming to be live equal a recomputation from the buffers,
-// while Stats stay equal to the refmodel after every cycle. Reverting any
-// one of the invalidation sources (tryGrant writing the vectors before
-// the packet has moved, SetRoute, SPIN's Wake, the promotion's
-// re-registration, the tree swap's Wake) fails it.
+// buffered packet's wanted output can change must keep them exact. This
+// test drives all of those ways in one run — grants and injections
+// (registered at the fill), SPIN rotations (ReplacePacket), a reconfig
+// link failure (Reroute on buffered packets), PlacePacket / RemovePacket
+// / DeliverOutOfBand between cycles, and, in the escape variant,
+// promotions (PromoteEscape) and a tree swap after the link failure
+// (SetEscapeTree); the adaptive variant runs the same schedule under a
+// hop class, whose choose-per-visit word and mask bytes follow the same
+// rules — and asserts, in a PreCycle hook that runs after every other
+// hook and therefore immediately before the sweep, that the vectors of
+// both units, refmodel-stepped and fused, equal a recomputation from the
+// buffers, while Stats stay equal to the refmodel after every cycle.
+// Dropping the re-registration from any one of them (or letting grant
+// write the vectors before the packet has moved) fails it.
 
 import (
 	"fmt"
@@ -59,13 +57,12 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 		pokeEvery  = 97
 		linkFaults = 12
 	)
-	// The adaptive variant recovers by SPIN: rotations rewrite buffers in
-	// place, the one change the hop class's word and mask bytes survive
-	// only through Wake.
+	// The adaptive variant recovers by SPIN: rotations refill buffers in
+	// place, so the hop class's word and mask bytes must follow
+	// ReplacePacket.
 	adapt := scheme == "adaptive"
 	spin, esc := scheme == "spin" || adapt, scheme == "escape"
 	units := []*unit{{name: "refmodel"}, {name: "step"}}
-	escs := make([]*escape.Controller, len(units))
 	var drift error
 	for i, u := range units {
 		topo := topology.RandomIrregular(8, 8, topology.LinkFaults, linkFaults, topoSeed)
@@ -76,13 +73,13 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			u.sim.SetPooling(false)
 		}
 		if esc {
-			escs[i] = escape.Attach(u.sim, routing.NewUpDown(topo))
+			escape.Attach(u.sim, routing.NewUpDown(topo))
 		} else {
 			u.ctl = core.Attach(u.sim, core.Options{TDD: 24, Spin: spin})
 		}
 		if adapt {
-			// Packets keep their source routes (reconfig reroutes them, and
-			// SetRoute marks the vectors stale) but follow the hop class.
+			// Packets keep their source routes (reconfig reroutes them) but
+			// follow the hop class.
 			adaptive.Attach(u.sim)
 		}
 		u.mgr = reconfig.New(u.sim)
@@ -107,17 +104,17 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 		if cyc == failAt {
 			links := ref.Topo.AliveUndirectedLinks()
 			l := links[hrng.Intn(len(links))]
-			for i, u := range units {
+			for _, u := range units {
 				u.mgr.Submit(reconfig.Event{Kind: reconfig.EvFailLink, Node: l.From, Dir: l.Dir})
 				if esc {
 					// The old tree may cross the dead link.
-					escs[i].SetTree(routing.NewUpDown(u.sim.Topo))
+					u.sim.SetEscapeTree(routing.NewUpDown(u.sim.Topo))
 				}
 			}
 		}
 		if esc && cyc == swapAt {
-			for i, u := range units {
-				escs[i].SetTree(routing.NewUpDownRooted(u.sim.Topo, routing.RootLowestID))
+			for _, u := range units {
+				u.sim.SetEscapeTree(routing.NewUpDownRooted(u.sim.Topo, routing.RootLowestID))
 			}
 		}
 		// Out-of-cycle pokes.
@@ -126,7 +123,7 @@ func requestVectorRun(t *testing.T, scheme string, topoSeed int64) {
 			// Place a fresh packet into a free local-port buffer (one a
 			// regular packet may occupy).
 			if id, port, slot, ok := findVC(start, func(vc *network.VC, port geom.Direction, slot int) bool {
-				return port == geom.Local && vc.Empty(ref.Now) && !(esc && slot%network.VCsPerVnet == escape.EscapeVCIndex)
+				return port == geom.Local && vc.Empty(ref.Now) && !(esc && slot%network.VCsPerVnet == network.EscapeVC)
 			}); ok {
 				alive := ref.Topo.AliveRouters()
 				dst := alive[hrng.Intn(len(alive))]

@@ -7,8 +7,8 @@ package network
 // (niPend[id] != 0 — a dead router polling for a re-enable included).
 // The set is kept as a summary bitmap: every site that fills a buffer or
 // raises niPend marks the router's bit (Enqueue, a grant's arrival at the
-// downstream router, the placement helpers, RecountNIPending), and the
-// sweep clears a bit when it finds both zero. Every cycle
+// downstream router, the placement helpers), and the sweep clears a bit
+// when it finds both zero. Every cycle
 // runs the PreCycle hooks, walks the set bits in ascending router
 // id, and runs inject / allocate / bubble-transfer over exactly those
 // routers before the PostCycle hooks. The summary is also what a scheme
@@ -58,28 +58,6 @@ import (
 
 // StepperCounters returns the stepper path counters accumulated so far.
 func (s *Sim) StepperCounters() StepperCounters { return s.ctr }
-
-// Wake tells the stepper that what a buffered packet wants changed
-// behind its back: it marks the registered request vectors stale, so the
-// next sweep rebuilds them from the buffers (dense.go). The effect is
-// global — n names where the change happened for the reader of the call
-// site and is otherwise unused. The simulator's own entry points that
-// add, move, remove, reroute or reclassify a packet (Enqueue,
-// PlacePacket, PlaceBubblePacket, RemovePacket, DeliverOutOfBand,
-// SetRoute, RecountNIPending, PromoteEscape, SetEscapeTree) look after
-// themselves, and the fence, the bubble flags, Topo.HasLink and
-// Topo.RouterAlive are live reads in the fused pass, so
-// re-enabling a router or link or clearing a fence needs no call. Call
-// Wake after moving buffered packets between occupied slots by hand
-// (core's SPIN rotation rewrites vc.Pkt, ReadyAt and p.Hop along a
-// chain): the rebuild re-derives pend from ReadyAt and re-files its
-// timers. It does not make a packet written into an *empty* buffer
-// visible to the stepper: occupancy is the occBits word — the fused pass
-// may grant another packet into that buffer — so packets enter buffers
-// only through Enqueue, PlacePacket or PlaceBubblePacket.
-func (s *Sim) Wake(n geom.NodeID) {
-	s.dense.stale = true
-}
 
 // markActive adds router id to the active set: bit id of the summary.
 func (s *Sim) markActive(id geom.NodeID) {
@@ -133,7 +111,6 @@ func (s *Sim) Step() {
 		f(s)
 	}
 	s.collectActive()
-	s.syncVectors()
 	for _, id := range s.ids {
 		if s.niPend[id] != 0 {
 			s.InjectNode(geom.NodeID(id))

@@ -41,7 +41,7 @@ func TestStepperPathCounters(t *testing.T) {
 	if ctr.DenseCycles != 2000 || ctr.QuietCycles != 0 {
 		t.Fatalf("want 2000 swept cycles and none skipped, got %+v", ctr)
 	}
-	// A busy workload keeps the request vectors live.
+	// A busy workload sweeps every cycle.
 	s2 := New(topo, Config{}, rand.New(rand.NewSource(3)))
 	for n := 0; n < 64; n++ {
 		r, ok := min.Route(geom.NodeID(n), geom.NodeID(63-n), rng)
@@ -51,9 +51,6 @@ func TestStepperPathCounters(t *testing.T) {
 		s2.Enqueue(s2.NewPacket(geom.NodeID(n), geom.NodeID(63-n), 0, 5, r))
 	}
 	s2.Run(50)
-	if _, _, live := s2.RequestVectors(0); !live {
-		t.Fatalf("request vectors live %v after a busy run", live)
-	}
 	if c2 := s2.StepperCounters(); c2.DenseCycles != 50 {
 		t.Fatalf("a busy run must sweep every cycle, got %+v", c2)
 	}

@@ -402,49 +402,44 @@ func (m *Manager) repairTraffic() {
 	for _, b := range broken {
 		p := b.p
 		if nr, ok := reroute(b.at, p.Dst); ok {
-			m.setRoute(p, nr)
-			m.Rerouted++
-			if m.OnRepair != nil {
-				m.OnRepair(p, false)
-			}
+			m.sim.Reroute(b.at, b.ci, nr)
+			m.repaired(p, nr)
 		} else {
 			m.discard(b.at, b.ci)
 		}
 	}
 	// Queued packets: reroute from their source.
-	for id := range m.sim.NIQueue {
-		src := geom.NodeID(id)
-		for vnet := range m.sim.NIQueue[id] {
-			m.sim.NIQueue[id][vnet].Filter(func(p *network.Packet) bool {
-				if m.routeValidFrom(p, src) {
-					return true
-				}
-				if nr, ok := reroute(src, p.Dst); ok {
-					m.setRoute(p, nr)
-					m.Rerouted++
-					if m.OnRepair != nil {
-						m.OnRepair(p, false)
-					}
-					return true
-				}
-				if m.OnRepair != nil {
-					m.OnRepair(p, true)
-				}
-				m.sim.DiscardQueued(p)
-				m.Dropped++
-				return false
-			})
+	var src geom.NodeID
+	keep := func(p *network.Packet) bool {
+		if m.routeValidFrom(p, src) {
+			return true
 		}
-		m.sim.RecountNIPending(src)
+		if nr, ok := reroute(src, p.Dst); ok {
+			m.sim.SetRoute(p, nr)
+			m.repaired(p, nr)
+			return true
+		}
+		if m.OnRepair != nil {
+			m.OnRepair(p, true)
+		}
+		m.Dropped++
+		return false
+	}
+	for id := range m.sim.NIQueue {
+		src = geom.NodeID(id)
+		m.sim.FilterQueued(src, keep)
 	}
 }
 
-// setRoute installs nr (built in m.routeBuf) as p's route. SetRoute
-// copies, so the scratch can be reused for the next repair; the grown
-// capacity is kept.
-func (m *Manager) setRoute(p *network.Packet, nr routing.Route) {
-	m.sim.SetRoute(p, nr)
+// repaired counts p's reroute onto nr, built in m.routeBuf: the
+// simulator copied it, so the scratch is reused for the next repair, its
+// grown capacity kept.
+func (m *Manager) repaired(p *network.Packet, nr routing.Route) {
 	m.routeBuf = nr[:0]
+	m.Rerouted++
+	if m.OnRepair != nil {
+		m.OnRepair(p, false)
+	}
 }
 
 // Algorithm adapts the manager to routing.Algorithm so traffic

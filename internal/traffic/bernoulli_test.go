@@ -137,19 +137,16 @@ func TestBernoulliResamplesLikeFloat64(t *testing.T) {
 	}
 }
 
-// drainEnqueued pops everything the last Tick enqueued at s, in source
-// and vnet order.
+// drainEnqueued drops everything the last Tick enqueued at s, in source,
+// vnet and ring order, and returns it. FilterQueued recycles the dropped
+// packets, but only the next NewPacket reuses one, so they stay intact
+// until the next Tick.
 func drainEnqueued(s *network.Sim, sources []geom.NodeID, out []*network.Packet) []*network.Packet {
 	for _, src := range sources {
-		if s.NIPending(src) == 0 {
-			continue
-		}
-		for v := range s.NIQueue[src] {
-			for s.NIQueue[src][v].Len() > 0 {
-				out = append(out, s.NIQueue[src][v].PopFront())
-			}
-		}
-		s.RecountNIPending(src)
+		s.FilterQueued(src, func(p *network.Packet) bool {
+			out = append(out, p)
+			return false
+		})
 	}
 	return out
 }

@@ -39,9 +39,9 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	}
 
 	// The occupancy word matches buffer contents; in-flight matches the sum.
-	escVC, hasClass := s.EscapeClass()
+	hasClass := s.EscapeClass()
 	masker, hasHops := s.HopClass()
-	choose, hopMasks, _ := s.HopVectors()
+	choose, hopMasks := s.HopVectors()
 	var globalOcc, globalQueued int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
@@ -82,61 +82,60 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if mirror := s.OccupancyMirror(geom.NodeID(id)); mirror != occWord {
 			report("occupancy", "router %d: mirror %#x != actual %#x", id, mirror, occWord)
 		}
-		// The registered request vectors and timer words, while live, must
-		// equal what the buffers say: the fused allocator reads them in
-		// place of the packets and the downstream buffers, so a drifted bit
-		// misroutes, strands or overwrites a packet under Step and nowhere
-		// else. pend is exactly the heads still in flight, drain exactly
+		// The registered request vectors and timer words must equal what
+		// the buffers say, under every stepper: the fused allocator reads
+		// them in place of the packets and the downstream buffers, so a
+		// drifted bit misroutes, strands or overwrites a packet under Step
+		// and nowhere else. pend is exactly the heads still in flight, drain exactly
 		// the empty buffers whose tail is still streaming out.
-		if want, pend, live := s.RequestVectors(geom.NodeID(id)); live {
-			var expWant [geom.NumPorts]uint64
-			var inFlight, draining, expEsc, expChoose uint64
-			const stride = network.BubbleIndex + 1
-			for bit := 0; bit < stride; bit++ {
-				vc := r.Buf(bit)
-				if vc.Pkt == nil {
-					if vc.FreeAt > s.Now {
-						draining |= 1 << uint(bit)
-					}
-					continue
+		want, pend := s.RequestVectors(geom.NodeID(id))
+		var expWant [geom.NumPorts]uint64
+		var inFlight, draining, expEsc, expChoose uint64
+		const stride = network.BubbleIndex + 1
+		for bit := 0; bit < stride; bit++ {
+			vc := r.Buf(bit)
+			if vc.Pkt == nil {
+				if vc.FreeAt > s.Now {
+					draining |= 1 << uint(bit)
 				}
-				// Under a hop class only the fixed hops are want bits: a
-				// packet with several minimal directions is registered in
-				// the class's word, its mask byte beside it.
-				var mask uint8
-				if hasHops && vc.Pkt.Dst != geom.NodeID(id) {
-					mask = masker.NextHopMask(geom.NodeID(id), vc.Pkt.Dst)
+				continue
+			}
+			// Under a hop class only the fixed hops are want bits: a
+			// packet with several minimal directions is registered in
+			// the class's word, its mask byte beside it.
+			var mask uint8
+			if hasHops && vc.Pkt.Dst != geom.NodeID(id) {
+				mask = masker.NextHopMask(geom.NodeID(id), vc.Pkt.Dst)
+			}
+			if mask&(mask-1) != 0 {
+				expChoose |= 1 << uint(bit)
+				if got := hopMasks[id*stride+bit]; got != mask {
+					report("hop-class", "router %d buffer %d: mask byte %#x != table %#x", id, bit, got, mask)
 				}
-				if mask&(mask-1) != 0 {
-					expChoose |= 1 << uint(bit)
-					if got := hopMasks[id*stride+bit]; got != mask {
-						report("hop-class", "router %d buffer %d: mask byte %#x != table %#x", id, bit, got, mask)
-					}
-				} else if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
-					expWant[out] |= 1 << uint(bit)
-				}
-				if vc.ReadyAt > s.Now {
-					inFlight |= 1 << uint(bit)
-				}
-				if vc.Pkt.Escaped {
-					expEsc |= 1 << uint(bit)
-				}
+			} else if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
+				expWant[out] |= 1 << uint(bit)
 			}
-			if want != expWant {
-				report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
+			if vc.ReadyAt > s.Now {
+				inFlight |= 1 << uint(bit)
 			}
-			if pend != inFlight {
-				report("request-vectors", "router %d: pend %#x != heads in flight %#x", id, pend, inFlight)
+			if vc.Pkt.Escaped {
+				expEsc |= 1 << uint(bit)
 			}
-			if drain, _ := s.DrainVector(geom.NodeID(id)); drain != draining {
-				report("request-vectors", "router %d: drain %#x != draining buffers %#x", id, drain, draining)
-			}
-			if esc, _ := s.EscapedVector(geom.NodeID(id)); hasClass && esc != expEsc {
-				report("escape-class", "router %d: class word %#x != actual %#x", id, esc, expEsc)
-			}
-			if hasHops && choose[id] != expChoose {
-				report("hop-class", "router %d: choose-per-visit word %#x != actual %#x", id, choose[id], expChoose)
-			}
+		}
+		if want != expWant {
+			report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
+		}
+		if pend != inFlight {
+			report("request-vectors", "router %d: pend %#x != heads in flight %#x", id, pend, inFlight)
+		}
+		if drain := s.DrainVector(geom.NodeID(id)); drain != draining {
+			report("request-vectors", "router %d: drain %#x != draining buffers %#x", id, drain, draining)
+		}
+		if esc := s.EscapedVector(geom.NodeID(id)); hasClass && esc != expEsc {
+			report("escape-class", "router %d: class word %#x != actual %#x", id, esc, expEsc)
+		}
+		if hasHops && choose[id] != expChoose {
+			report("hop-class", "router %d: choose-per-visit word %#x != actual %#x", id, choose[id], expChoose)
 		}
 		// The escape class's reservation: whatever sits in the reserved VC
 		// index has been promoted, and injection (regular packets only)
@@ -144,7 +143,7 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if hasClass {
 			for _, port := range geom.AllPorts {
 				for vnet := 0; vnet < network.NumVnets; vnet++ {
-					p := r.VCAt(port, vnet, escVC).Pkt
+					p := r.VCAt(port, vnet, network.EscapeVC).Pkt
 					if p == nil {
 						continue
 					}

@@ -106,7 +106,8 @@ func TestDetectsQueuedCounterDrift(t *testing.T) {
 	if vs := Check(s, nil); len(vs) != 0 {
 		t.Fatalf("violations with two packets queued: %v", vs)
 	}
-	// A ring edited without RecountNIPending leaves both counters stale.
+	// A ring edited behind the simulator's back leaves both counters
+	// stale.
 	s.NIQueue[0][0].PopFront()
 	var got []string
 	for _, v := range Check(s, nil) {
@@ -117,10 +118,6 @@ func TestDetectsQueuedCounterDrift(t *testing.T) {
 		if !slices.Contains(got, w) {
 			t.Fatalf("missing %q in %q", w, got)
 		}
-	}
-	s.RecountNIPending(0)
-	if vs := Check(s, nil); len(vs) != 1 || vs[0].Invariant != "conservation" {
-		t.Fatalf("after the recount only the popped packet's conservation gap should remain, got %v", vs)
 	}
 }
 
@@ -187,35 +184,18 @@ func TestDetectsRequestVectorDrift(t *testing.T) {
 	if s.Routers[1].Occupied() != 1 {
 		t.Fatalf("packet is not buffered at router 1 (hop %d)", p.Hop)
 	}
-	if _, _, live := s.RequestVectors(1); !live {
-		t.Fatal("request vectors should be live on a hook-free sim")
-	}
 	if vs := Check(s, nil); len(vs) != 0 {
 		t.Fatalf("violations before the corruption: %v", vs)
 	}
 	// Change what the packet wants behind the simulator's back: its want
 	// bit is now registered under the wrong output.
 	p.Hop++
-	drifted := func() bool {
-		for _, v := range Check(s, nil) {
-			if v.Invariant == "request-vectors" {
-				return true
-			}
-		}
-		return false
+	drifted := false
+	for _, v := range Check(s, nil) {
+		drifted = drifted || v.Invariant == "request-vectors"
 	}
-	if !drifted() {
+	if !drifted {
 		t.Fatal("request-vector drift not detected")
-	}
-	// A Wake marks the vectors stale: nothing is vouched for until the
-	// next fused sweep rebuilds them, after which they match again.
-	s.Wake(1)
-	if _, _, live := s.RequestVectors(1); live {
-		t.Fatal("vectors still reported live after Wake")
-	}
-	s.Step()
-	if _, _, live := s.RequestVectors(1); !live || drifted() {
-		t.Fatalf("vectors not rebuilt by the sweep after Wake (live %v)", live)
 	}
 }
 
@@ -303,9 +283,6 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 		if s.Routers[1].Occupied() != 1 {
 			t.Fatalf("packet is not buffered at router 1 (hop %d)", p.Hop)
 		}
-		if _, live := s.EscapedVector(1); !live {
-			t.Fatal("the class word should be live on an escape sim")
-		}
 		if vs := Check(s, nil); len(vs) != 0 {
 			t.Fatalf("violations before the corruption: %v", vs)
 		}
@@ -333,7 +310,7 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 
 	// A regular packet in the reserved VC of a link port.
 	s, _ = build()
-	s.PlacePacket(1, geom.West, escape.EscapeVCIndex, fresh(s, 1))
+	s.PlacePacket(1, geom.West, network.EscapeVC, fresh(s, 1))
 	if !reported(s) {
 		t.Error("a regular packet in a reserved VC went unreported")
 	}
@@ -342,7 +319,7 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 	s, _ = build()
 	q := fresh(s, 1)
 	q.Escaped = true
-	s.PlacePacket(1, geom.Local, escape.EscapeVCIndex, q)
+	s.PlacePacket(1, geom.Local, network.EscapeVC, q)
 	if !reported(s) {
 		t.Error("a packet in the local port's reserved VC went unreported")
 	}
@@ -365,20 +342,16 @@ func TestDetectsHopClassDrift(t *testing.T) {
 	topo.DisableRouter(dead)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(12)))
 	s.AttachHopClass(routing.NewMinimal(topo))
-	s.Step() // the attach marked the vectors stale; an empty sweep vouches for them again
 	// One buffer per kind of registration at router 0 = (0,0): several
 	// minimal directions, one, none (destination unreachable), and a
 	// packet at its destination.
 	for slot, dst := range []geom.NodeID{topo.ID(geom.Coord{X: 2, Y: 2}), topo.ID(geom.Coord{X: 2, Y: 0}), dead, 0} {
 		s.PlacePacket(0, geom.Local, slot, s.NewPacket(1, dst, 0, 1, nil))
 	}
-	choose, masks, live := s.HopVectors()
-	if !live {
-		t.Fatal("hop vectors should be live on a hook-free sim with a hop class")
-	}
+	choose, masks := s.HopVectors()
 	slots := network.SlotsPerPort
 	ci := int(geom.Local) * slots // slot 0: the only choose-per-visit buffer
-	want, _, _ := s.RequestVectors(0)
+	want, _ := s.RequestVectors(0)
 	exp := [geom.NumPorts]uint64{geom.East: 1 << uint(ci+1), geom.Local: 1 << uint(ci+3)}
 	if choose[0] != 1<<uint(ci) || masks[ci] != 1<<geom.North|1<<geom.East || want != exp {
 		t.Fatalf("registered choose %#x mask %#x want %#x", choose[0], masks[ci], want)
