@@ -277,19 +277,13 @@ func (c *Controller) dependenceExists(node geom.NodeID, in geom.Direction, vnet 
 	return false
 }
 
-// vnetSlots masks, in a router's occupancy word, the VCs of vnet at
-// input port in.
-func vnetSlots(in geom.Direction, vnet int) uint64 {
-	return (1<<network.VCsPerVnet - 1) << uint(int(in)*network.SlotsPerPort+vnet*network.VCsPerVnet)
-}
-
 // chainBufs returns the occupied buffers of vnet at router node's input
 // port in, plus an occupied bubble serving in — a stranded occupant is
 // part of the dependence picture too (rule #8). Walked in ascending
 // candidate index, the bubble comes last.
 func (c *Controller) chainBufs(node geom.NodeID, in geom.Direction, vnet int) uint64 {
 	occ := c.sim.OccupancyMirror(node)
-	w := occ & vnetSlots(in, vnet)
+	w := occ & network.VnetSlots(in, vnet)
 	if b := &c.sim.Routers[node].Bubble; b.Present && b.InPort == in {
 		w |= occ & (1 << network.BubbleIndex)
 	}
@@ -434,7 +428,7 @@ func (c *Controller) processOne(id geom.NodeID, r *network.Router, f *fsm, m Mes
 			}
 			return reqs
 		}
-		if f != nil && m.Src < id && !f.state.inRecovery() && r.Bubble.VC.Pkt == nil {
+		if f != nil && m.Src < id && !f.state.inRecovery() && r.Buf(network.BubbleIndex).Pkt == nil {
 			// A static-bubble router drops probes from lower-id SB
 			// routers; its own probe will resolve the shared cycle. It
 			// abstains — forwards them — when it cannot act itself (bubble
@@ -540,7 +534,7 @@ func (c *Controller) forkProbe(id geom.NodeID, r *network.Router, m Message, req
 	s := c.sim
 	in := m.inPort()
 	w := c.chainBufs(id, in, m.Vnet)
-	if lane := vnetSlots(in, m.Vnet); w&lane != lane {
+	if lane := network.VnetSlots(in, m.Vnet); w&lane != lane {
 		return reqs // a free VC means no deadlock through this port
 	}
 	// Every occupant extends the chain, a bubble occupant included.
@@ -705,7 +699,7 @@ func (c *Controller) buildSpinChain(f *fsm) (chain []spinLink, ok bool) {
 	heading := f.probeOut
 	pick := func(n geom.NodeID, in, out geom.Direction) (spinLink, bool) {
 		r := &s.Routers[n]
-		for w := s.OccupancyMirror(n) & vnetSlots(in, f.vnet); w != 0; w &= w - 1 {
+		for w := s.OccupancyMirror(n) & network.VnetSlots(in, f.vnet); w != 0; w &= w - 1 {
 			ci := bits.TrailingZeros64(w)
 			if vc := r.Buf(ci); vc.HeadReady(s.Now) && s.OutputOf(vc.Pkt, n) == out {
 				return spinLink{n, ci}, true
@@ -872,12 +866,12 @@ func (c *Controller) tickFSM(f *fsm) {
 			f.lastGrants = g
 			f.deadline = now + c.sbActiveGuard(f)
 		}
-		if b.VC.Pkt != nil {
-			if !f.bubbleWasOccupied || b.VC.Pkt.ID != f.bubblePktID {
+		if p := r.Buf(network.BubbleIndex).Pkt; p != nil {
+			if !f.bubbleWasOccupied || p.ID != f.bubblePktID {
 				// A fresh occupant means the chain advanced: renew the
 				// guard.
 				f.bubbleWasOccupied = true
-				f.bubblePktID = b.VC.Pkt.ID
+				f.bubblePktID = p.ID
 				f.deadline = now + c.sbActiveGuard(f)
 			}
 			if now >= f.deadline {

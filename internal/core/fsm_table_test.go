@@ -462,8 +462,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				dep := h.activate()
 				// The congested-not-deadlocked chain drains through regular
 				// VCs without ever touching the bubble.
-				vc := h.r.VCAt(h.f.probeIn, 0, 0)
-				if vc.Pkt != dep {
+				if h.r.Buf(int(h.f.probeIn)*network.SlotsPerPort).Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
 				h.s.RemovePacket(h.node, int(h.f.probeIn)*network.SlotsPerPort)
@@ -491,7 +490,7 @@ func TestFSMTransitionTable(t *testing.T) {
 				if h.r.Bubble.Active {
 					h.t.Fatal("bubble still on after teardown")
 				}
-				if h.r.Bubble.VC.Pkt == nil {
+				if h.r.Buf(network.BubbleIndex).Pkt == nil {
 					h.t.Fatal("teardown must not evict the resident packet")
 				}
 				if h.s.Stats.EnablesSent != 1 {
@@ -606,8 +605,7 @@ func TestFSMTransitionTable(t *testing.T) {
 			run: func(h *fsmHarness) {
 				dep := h.latch(true)
 				h.disableReturn()
-				vc := h.r.VCAt(h.f.probeIn, 0, 0)
-				if vc.Pkt != dep {
+				if h.r.Buf(int(h.f.probeIn)*network.SlotsPerPort).Pkt != dep {
 					h.t.Fatal("dependence packet not where expected")
 				}
 				h.s.RemovePacket(h.node, int(h.f.probeIn)*network.SlotsPerPort)
@@ -705,9 +703,8 @@ func TestFSMTransitionTable(t *testing.T) {
 				h.disableReturn()
 				h.at(h.s.Now + network.HopLatency)
 				// Break the ring at its second router.
-				r2 := &h.s.Routers[nodes[1]]
 				for _, in := range geom.LinkDirs {
-					for i := range r2.In[in] {
+					for i := 0; i < network.SlotsPerPort; i++ {
 						h.s.RemovePacket(nodes[1], int(in)*network.SlotsPerPort+i)
 					}
 				}
@@ -749,12 +746,12 @@ func TestFSMSpinRotationMovesEveryPacket(t *testing.T) {
 	}
 	for i, nd := range nodes {
 		in := headings[(i+n-1)%n].Opposite()
-		before[i] = h.s.Routers[nd].VCAt(in, 0, 0).Pkt
+		before[i] = h.s.Routers[nd].Buf(int(in) * network.SlotsPerPort).Pkt
 	}
 	h.disableReturn()
 	for i, nd := range nodes {
 		in := headings[(i+n-1)%n].Opposite()
-		got := h.s.Routers[nd].VCAt(in, 0, 0).Pkt
+		got := h.s.Routers[nd].Buf(int(in) * network.SlotsPerPort).Pkt
 		want := before[(i+n-1)%n]
 		if got != want {
 			t.Fatalf("slot %d holds packet %v, want predecessor's %v", i, got, want)

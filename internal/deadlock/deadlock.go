@@ -6,6 +6,8 @@
 package deadlock
 
 import (
+	"math/bits"
+
 	"repro/internal/geom"
 	"repro/internal/network"
 )
@@ -15,10 +17,9 @@ import (
 type BlockedPacket struct {
 	Pkt    *network.Packet
 	Router geom.NodeID
-	In     geom.Direction
-	// Slot is the VC index within the input port (-1 for a static
-	// bubble).
-	Slot int
+	// CI is the candidate index of the packet's buffer at Router
+	// (network.Router.Buf).
+	CI int
 	// Wants is the output port the packet is blocked on.
 	Wants geom.Direction
 }
@@ -28,112 +29,64 @@ type BlockedPacket struct {
 // could move into is free or drainable-and-will-free. Packets outside the
 // fixpoint are deadlocked (they can never move regardless of future
 // scheduling). Fences are ignored: this reports true buffer deadlocks,
-// not protocol-induced stalls.
+// not protocol-induced stalls. Blocked packets are listed by router, then
+// by candidate index.
 //
 // The analysis is exact for this simulator because routes are fixed at
-// the source (each packet has one desired output per router).
+// the source (each packet has one desired output per router). It keeps
+// one drainable word per router in the occupancy word's layout, so
+// whether a packet's next lane has room or drains is two mask tests.
 func Analyze(s *network.Sim) []BlockedPacket {
-	type ref struct {
-		router geom.NodeID
-		in     geom.Direction
-		slot   int // -1 = bubble
-	}
-	occupied := map[ref]*network.Packet{}
-	for id := range s.Routers {
-		r := &s.Routers[id]
-		if r.Occupied() == 0 {
-			continue
-		}
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				if p := r.In[port][slot].Pkt; p != nil {
-					occupied[ref{geom.NodeID(id), port, slot}] = p
-				}
-			}
-		}
-		if p := r.Bubble.VC.Pkt; p != nil {
-			occupied[ref{geom.NodeID(id), r.Bubble.InPort, -1}] = p
-		}
-	}
-
-	drainable := map[ref]bool{}
+	drainable := make([]uint64, len(s.Routers))
 	// Iterate to fixpoint: O(V·E) worst case, fine at mesh scale.
 	for changed := true; changed; {
 		changed = false
-		for rf, p := range occupied {
-			if drainable[rf] {
-				continue
-			}
-			out := s.OutputOf(p, rf.router)
-			if out == geom.Local {
-				drainable[rf] = true
-				changed = true
-				continue
-			}
-			if !out.IsLink() || !s.Topo.HasLink(rf.router, out) {
-				continue // wedged on a dead link: never drainable
-			}
-			nb := s.Topo.Neighbor(rf.router, out)
-			in := out.Opposite()
-			nbr := &s.Routers[nb]
-			base := p.Vnet * network.VCsPerVnet
-			ok := false
-			for i := 0; i < network.VCsPerVnet; i++ {
-				slot := base + i
-				target := ref{nb, in, slot}
-				if nbr.In[in][slot].Pkt == nil || drainable[target] {
-					ok = true
-					break
+		for id := range s.Routers {
+			for w := s.OccupancyMirror(geom.NodeID(id)) &^ drainable[id]; w != 0; w &= w - 1 {
+				ci := bits.TrailingZeros64(w)
+				if drains(s, drainable, geom.NodeID(id), ci) {
+					drainable[id] |= 1 << uint(ci)
+					changed = true
 				}
-			}
-			if !ok && nbr.Bubble.Present {
-				// A present bubble may be activated by recovery, so for
-				// ground-truth purposes an empty or drainable bubble on
-				// the right port counts as an escape route only when
-				// active now.
-				if nbr.Bubble.Active && nbr.Bubble.InPort == in {
-					target := ref{nb, in, -1}
-					if nbr.Bubble.VC.Pkt == nil || drainable[target] {
-						ok = true
-					}
-				}
-			}
-			if ok {
-				drainable[rf] = true
-				changed = true
 			}
 		}
 	}
 
 	var blocked []BlockedPacket
 	for id := range s.Routers {
-		r := &s.Routers[id]
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				p := r.In[port][slot].Pkt
-				if p == nil {
-					continue
-				}
-				rf := ref{geom.NodeID(id), port, slot}
-				if !drainable[rf] {
-					blocked = append(blocked, BlockedPacket{
-						Pkt: p, Router: geom.NodeID(id), In: port, Slot: slot,
-						Wants: s.OutputOf(p, geom.NodeID(id)),
-					})
-				}
-			}
-		}
-		if p := r.Bubble.VC.Pkt; p != nil {
-			rf := ref{geom.NodeID(id), r.Bubble.InPort, -1}
-			if !drainable[rf] {
-				blocked = append(blocked, BlockedPacket{
-					Pkt: p, Router: geom.NodeID(id), In: r.Bubble.InPort, Slot: -1,
-					Wants: s.OutputOf(p, geom.NodeID(id)),
-				})
-			}
+		node := geom.NodeID(id)
+		for w := s.OccupancyMirror(node) &^ drainable[id]; w != 0; w &= w - 1 {
+			ci := bits.TrailingZeros64(w)
+			p := s.Routers[id].Buf(ci).Pkt
+			blocked = append(blocked, BlockedPacket{Pkt: p, Router: node, CI: ci, Wants: s.OutputOf(p, node)})
 		}
 	}
 	return blocked
+}
+
+// drains reports whether the packet in buffer ci of router id can move
+// on, given the buffers already known drainable: it ejects, or the VCs of
+// its vnet at the next router's input port are not all occupied or hold a
+// drainable packet. A present bubble may be activated by recovery, so
+// for ground-truth purposes an empty or drainable bubble on that port
+// counts as an escape route only when active now.
+func drains(s *network.Sim, drainable []uint64, id geom.NodeID, ci int) bool {
+	p := s.Routers[id].Buf(ci).Pkt
+	out := s.OutputOf(p, id)
+	if out == geom.Local {
+		return true
+	}
+	if !out.IsLink() || !s.Topo.HasLink(id, out) {
+		return false // wedged on a dead link: never drainable
+	}
+	nb, in := s.Topo.Neighbor(id, out), out.Opposite()
+	occ, done := s.OccupancyMirror(nb), drainable[nb]
+	if lane := network.VnetSlots(in, p.Vnet); occ&lane != lane || done&lane != 0 {
+		return true
+	}
+	const bubble = uint64(1) << network.BubbleIndex
+	b := &s.Routers[nb].Bubble
+	return b.Present && b.Active && b.InPort == in && (occ&bubble == 0 || done&bubble != 0)
 }
 
 // IsDeadlocked reports whether any buffered packet can never drain.

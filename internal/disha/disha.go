@@ -43,7 +43,8 @@ type Controller struct {
 	// tokenReleaseAt is when the drain completes.
 	tokenHeldBy    geom.NodeID
 	tokenReleaseAt int64
-	// timers per VC, as in the escape scheme.
+	// timers per VC, as in the escape scheme: timers[id*BubbleIndex+ci]
+	// for router id's buffer ci (the bubble has none).
 	timers []vcTimer
 
 	// Recoveries counts packets drained through the deadlock-buffer
@@ -89,9 +90,6 @@ func HamiltonianCycle(width, height int) ([]geom.NodeID, error) {
 	return path, nil
 }
 
-// slots is the number of VCs at each input port.
-const slots = network.SlotsPerPort
-
 // Attach installs DISHA on s. The token path is the standard Hamiltonian
 // cycle over the full mesh; it is fixed at attach time, exactly as in the
 // original design — runtime topology changes are NOT accommodated (that
@@ -110,7 +108,7 @@ func Attach(s *network.Sim, opt Options) (*Controller, error) {
 		path:        path,
 		pathIdx:     make([]int, s.Topo.NumNodes()),
 		tokenHeldBy: geom.InvalidNode,
-		timers:      make([]vcTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
+		timers:      make([]vcTimer, s.Topo.NumNodes()*network.BubbleIndex),
 	}
 	for i := range c.pathIdx {
 		c.pathIdx[i] = -1
@@ -169,35 +167,30 @@ func (c *Controller) tick() {
 		if r.Occupied() == 0 {
 			continue
 		}
-		base := id * geom.NumPorts * slots
-		for _, port := range geom.AllPorts {
-			pbase := base + int(port)*slots
-			for slot := 0; slot < slots; slot++ {
-				vc := &r.In[port][slot]
-				p := vc.Pkt
-				tm := &c.timers[pbase+slot]
-				if p == nil {
-					tm.pktID = 0
-					continue
-				}
-				if tm.pktID != p.ID {
-					tm.pktID = p.ID
-					tm.since = now
-					continue
-				}
-				if now-tm.since < c.opt.Timeout {
-					continue
-				}
-				// Timed out: capture the token if it is here and free.
-				if c.tokenHeldBy != geom.InvalidNode || tokenRouter != geom.NodeID(id) {
-					continue
-				}
-				if !c.drain(geom.NodeID(id), int(port)*slots+slot) {
-					continue
-				}
+		for ci := 0; ci < network.BubbleIndex; ci++ {
+			p := r.Buf(ci).Pkt
+			tm := &c.timers[id*network.BubbleIndex+ci]
+			if p == nil {
 				tm.pktID = 0
-				return // one capture per cycle (single token)
+				continue
 			}
+			if tm.pktID != p.ID {
+				tm.pktID = p.ID
+				tm.since = now
+				continue
+			}
+			if now-tm.since < c.opt.Timeout {
+				continue
+			}
+			// Timed out: capture the token if it is here and free.
+			if c.tokenHeldBy != geom.InvalidNode || tokenRouter != geom.NodeID(id) {
+				continue
+			}
+			if !c.drain(geom.NodeID(id), ci) {
+				continue
+			}
+			tm.pktID = 0
+			return // one capture per cycle (single token)
 		}
 	}
 }
@@ -237,7 +230,7 @@ func xyDistance(t *topology.Topology, src, dst geom.NodeID) (int, bool) {
 		hops++
 		return true
 	}
-	a, b := t.Coord(src), t.Coord(dst)
+	b := t.Coord(dst)
 	for t.Coord(cur).X < b.X {
 		if !step(geom.East) {
 			return 0, false
@@ -258,6 +251,5 @@ func xyDistance(t *topology.Topology, src, dst geom.NodeID) (int, bool) {
 			return 0, false
 		}
 	}
-	_ = a
 	return hops, true
 }

@@ -139,7 +139,7 @@ func TestDishaXYDrainBreaksAroundFaults(t *testing.T) {
 	}
 	// A packet wedged at src for dst cannot be drained by DISHA.
 	p := s.NewPacket(src, dst, 0, 5, routing.Route{geom.North, geom.North, geom.East, geom.East})
-	s.Routers[src].In[geom.Local][0].Pkt = p
+	s.Routers[src].Buf(int(geom.Local) * network.SlotsPerPort).Pkt = p
 	if ok := c.drain(src, int(geom.Local)*network.SlotsPerPort); ok {
 		t.Fatal("drain must refuse a broken XY path")
 	}

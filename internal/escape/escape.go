@@ -20,6 +20,7 @@ package escape
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/network"
@@ -83,24 +84,13 @@ func (c *Controller) promoteDue(s *network.Sim) {
 func (c *Controller) walk(id geom.NodeID, now int64) int64 {
 	s := c.sim
 	next := now + Timeout + 1
-	r := &s.Routers[id]
-	if r.Occupied() == 0 {
-		return next
-	}
 	fill := s.FillCycles(id)
-	for _, port := range geom.AllPorts {
-		vcs := r.In[port]
-		for slot := range vcs {
-			p := vcs[slot].Pkt
-			if p == nil || p.Escaped {
-				continue
-			}
-			at := fill[int(port)*len(vcs)+slot] + Timeout
-			if at <= now {
-				s.PromoteEscape(id, port, slot)
-			} else if at < next {
-				next = at
-			}
+	for w := s.OccupancyMirror(id) &^ s.EscapedVector(id) &^ (1 << network.BubbleIndex); w != 0; w &= w - 1 {
+		ci := bits.TrailingZeros64(w)
+		if at := fill[ci] + Timeout; at <= now {
+			s.PromoteEscape(id, ci)
+		} else if at < next {
+			next = at
 		}
 	}
 	return next

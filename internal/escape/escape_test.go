@@ -65,11 +65,9 @@ func TestEscapeVCsStayReserved(t *testing.T) {
 		s.Step()
 		for id := range s.Routers {
 			r := &s.Routers[id]
-			for _, port := range geom.AllPorts {
-				for vnet := 0; vnet < network.NumVnets; vnet++ {
-					if p := r.In[port][vnet*network.VCsPerVnet+network.EscapeVC].Pkt; p != nil && !p.Escaped {
-						t.Fatalf("cycle %d: escape VC occupied by regular packet %d", cyc, p.ID)
-					}
+			for ci := network.EscapeVC; ci < network.BubbleIndex; ci += network.VCsPerVnet {
+				if p := r.Buf(ci).Pkt; p != nil && !p.Escaped {
+					t.Fatalf("cycle %d: escape VC occupied by regular packet %d", cyc, p.ID)
 				}
 			}
 		}

@@ -106,8 +106,7 @@ func BenchmarkTryGrantRejected(b *testing.B) {
 			}
 			nb := s.Topo.Neighbor(geom.NodeID(id), out)
 			in := out.Opposite()
-			if s.Routers[nb].Bubble.EligibleFor(in, s.Now) ||
-				s.findFreeVC(nb, in, p, p.Vnet) >= 0 {
+			if s.bubbleOpen(nb, in) || s.findFreeVC(nb, in, p) >= 0 {
 				continue
 			}
 			b.ReportAllocs()
@@ -131,16 +130,9 @@ func BenchmarkTransferBubbleNodeBlocked(b *testing.B) {
 	// Occupy a bubble on a router whose West port is fully buffered, so
 	// the transfer scan always comes back empty-handed.
 	var target geom.NodeID = geom.InvalidNode
-	for id := range s.Routers {
-		r := &s.Routers[id]
-		full := true
-		for sl := range r.In[geom.West] {
-			if r.In[geom.West][sl].Pkt == nil {
-				full = false
-				break
-			}
-		}
-		if full && r.Bubble.VC.Pkt == nil {
+	west := slotMask << (int(geom.West) * SlotsPerPort)
+	for id, occ := range s.dense.occBits {
+		if occ&west == west && occ>>BubbleIndex&1 == 0 {
 			target = geom.NodeID(id)
 			break
 		}
@@ -150,7 +142,7 @@ func BenchmarkTransferBubbleNodeBlocked(b *testing.B) {
 	}
 	r := &s.Routers[target]
 	r.Bubble.Present = true
-	p := r.In[geom.West][0].Pkt
+	p := r.Buf(int(geom.West) * SlotsPerPort).Pkt
 	occupant := s.NewPacket(p.Src, p.Dst, p.Vnet, 1, p.Route)
 	s.PlaceBubblePacket(target, geom.West, occupant)
 	b.ReportAllocs()

@@ -42,7 +42,7 @@ package network
 // Empty(Now) for every buffer at once. A candidate is grantable iff its
 // (vnet, class) word is non-zero or the downstream bubble is eligible,
 // and the winner's destination is the word's lowest set bit, which is
-// the slot findFreeVC would pick; the grant body (grant) is the one
+// the candidate index findFreeVC returns; the grant body (grant) is the one
 // tryGrant ends in. Round-robin arbitration walks the mask cyclically
 // from saPtr with TrailingZeros64. The mask holds exactly the gather's
 // candidate set (same fence, liveness, readiness and output filters), the
@@ -430,7 +430,7 @@ func (s *Sim) denseAllocNode(id geom.NodeID) {
 						eligible |= esc
 					}
 				}
-				if m&bubbleBit != 0 && lane[r.Bubble.VC.Pkt.Vnet<<1|int(ew>>BubbleIndex&1)]<<sh&^busy != 0 {
+				if m&bubbleBit != 0 && lane[r.bufs[BubbleIndex].Pkt.Vnet<<1|int(ew>>BubbleIndex&1)]<<sh&^busy != 0 {
 					eligible |= bubbleBit
 				}
 				if eligible == 0 {

@@ -22,7 +22,6 @@ type oracle struct {
 	sim    *network.Sim
 	updown *routing.UpDown
 	timers []oracleTimer
-	slots  int
 }
 
 type oracleTimer struct {
@@ -31,12 +30,10 @@ type oracleTimer struct {
 }
 
 func attachOracle(s *network.Sim, ud *routing.UpDown) *oracle {
-	slots := network.SlotsPerPort
 	c := &oracle{
 		sim:    s,
 		updown: ud,
-		timers: make([]oracleTimer, s.Topo.NumNodes()*geom.NumPorts*slots),
-		slots:  slots,
+		timers: make([]oracleTimer, s.Topo.NumNodes()*network.BubbleIndex),
 	}
 	network.SetReferenceHooks(s,
 		func(p *network.Packet, dst geom.NodeID, in geom.Direction, vcIdx int) bool {
@@ -67,26 +64,22 @@ func (c *oracle) scan() {
 		if r.Occupied() == 0 {
 			continue
 		}
-		base := id * geom.NumPorts * c.slots
-		for _, port := range geom.AllPorts {
-			pbase := base + int(port)*c.slots
-			for slot := 0; slot < c.slots; slot++ {
-				p := r.In[port][slot].Pkt
-				tm := &c.timers[pbase+slot]
-				if p == nil || p.Escaped {
-					tm.pktID = 0
-					continue
-				}
-				if tm.pktID != p.ID {
-					tm.pktID = p.ID
-					tm.since = now
-					continue
-				}
-				if now-tm.since >= escape.Timeout {
-					p.Escaped = true
-					s.Stats.EscapeTransfers++
-					tm.pktID = 0
-				}
+		for ci := 0; ci < network.BubbleIndex; ci++ {
+			p := r.Buf(ci).Pkt
+			tm := &c.timers[id*network.BubbleIndex+ci]
+			if p == nil || p.Escaped {
+				tm.pktID = 0
+				continue
+			}
+			if tm.pktID != p.ID {
+				tm.pktID = p.ID
+				tm.since = now
+				continue
+			}
+			if now-tm.since >= escape.Timeout {
+				p.Escaped = true
+				s.Stats.EscapeTransfers++
+				tm.pktID = 0
 			}
 		}
 	}

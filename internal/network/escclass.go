@@ -83,13 +83,12 @@ func (s *Sim) FillCycles(id geom.NodeID) []int64 {
 	return e.fill[int(id)*numCand : int(id)*numCand+BubbleIndex]
 }
 
-// PromoteEscape moves the packet buffered in slot `slot` of router id's
-// input port in to the escape class where it stands: from now on it
-// follows the tree and may enter only reserved VCs. The buffer is
-// re-registered under the tree hop. Call it outside the allocation phase
-// (from a PreCycle/PostCycle hook).
-func (s *Sim) PromoteEscape(id geom.NodeID, in geom.Direction, slot int) {
-	ci := int(in)*SlotsPerPort + slot
+// PromoteEscape moves the packet in buffer ci (a candidate index) of
+// router id to the escape class where it stands: from now on it follows
+// the tree and may enter only reserved VCs. The buffer is re-registered
+// under the tree hop. Call it outside the allocation phase (from a
+// PreCycle/PostCycle hook).
+func (s *Sim) PromoteEscape(id geom.NodeID, ci int) {
 	s.Routers[id].Buf(ci).Pkt.Escaped = true
 	s.Stats.EscapeTransfers++
 	s.dense.esc[id] |= 1 << uint(ci)

@@ -29,15 +29,14 @@ func snapshotBuffers(s *Sim, snap []buffered) []buffered {
 		add := func(vc *VC, in geom.Direction) {
 			snap = append(snap, buffered{p: vc.Pkt, at: r.ID, in: in, readyAt: vc.ReadyAt, freeAt: vc.FreeAt, hop: vc.Pkt.Hop, fence: r.Fence})
 		}
-		for _, in := range geom.AllPorts {
-			for sl := range r.In[in] {
-				if r.In[in][sl].Pkt != nil {
-					add(&r.In[in][sl], in)
+		for ci := range r.bufs {
+			if vc := &r.bufs[ci]; vc.Pkt != nil {
+				in := geom.Direction(ci / SlotsPerPort)
+				if ci == BubbleIndex {
+					in = r.Bubble.InPort
 				}
+				add(vc, in)
 			}
-		}
-		if r.Bubble.VC.Pkt != nil {
-			add(&r.Bubble.VC, r.Bubble.InPort)
 		}
 	}
 	return snap

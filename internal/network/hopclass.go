@@ -177,7 +177,7 @@ func (s *Sim) hopResolve(id geom.NodeID, cw uint64, desire *[geom.NumPorts]uint6
 	}
 	if cw>>BubbleIndex&1 != 0 {
 		m := masks[BubbleIndex]
-		s.hopFree(id, s.Routers[id].Bubble.VC.Pkt.Vnet, m, &free)
+		s.hopFree(id, s.Routers[id].bufs[BubbleIndex].Pkt.Vnet, m, &free)
 		desire[hopBest(m, &free)] |= 1 << BubbleIndex
 	}
 }

@@ -4,6 +4,10 @@
 // (packet-sized VCs, as the paper assumes in Section IV-A),
 // credit-accurate buffer reuse, 1-cycle routers and 1-cycle links,
 // multiple virtual networks, and per-class link utilization accounting.
+// A router's buffers — its input VCs, then the static bubble — are one
+// array addressed by candidate index; code outside the package reads
+// them only through Router.Buf, the occupancy word (OccupancyMirror) and
+// VnetSlots, so the layout is decided here alone.
 //
 // Step sweeps an active set every cycle: a router is visited only if it
 // holds a buffered packet or has traffic queued at its NI (see
@@ -54,7 +58,7 @@ const (
 	HopLatency = RouterLatency + LinkLatency
 )
 
-// A router's buffers are addressed by candidate index: its
+// A router's buffers are one array addressed by candidate index: its
 // NumPorts*SlotsPerPort input VCs at in*SlotsPerPort+sl, then the static
 // bubble at BubbleIndex (Router.Buf resolves one). numCand counts them;
 // slotMask masks one input port's slots, and nonLocalBits the link ports'
@@ -65,6 +69,12 @@ const (
 	slotMask     uint64 = 1<<SlotsPerPort - 1
 	nonLocalBits uint64 = 1<<(geom.NumLinkDirs*SlotsPerPort) - 1 | 1<<BubbleIndex
 )
+
+// VnetSlots masks, in a router's occupancy word, the VCs of vnet at
+// input port in.
+func VnetSlots(in geom.Direction, vnet int) uint64 {
+	return (1<<VCsPerVnet - 1) << uint(int(in)*SlotsPerPort+vnet*VCsPerVnet)
+}
 
 // Every candidate must fit the allocator's one 64-bit request word: the
 // paper's 3x4 gives 61. A wider router fails to compile.
@@ -172,10 +182,6 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 		r := &s.Routers[id]
 		r.ID = geom.NodeID(id)
 		r.sim = s
-		r.bufs = make([]VC, BubbleIndex)
-		for p := 0; p < geom.NumPorts; p++ {
-			r.In[p] = r.bufs[p*SlotsPerPort : (p+1)*SlotsPerPort : (p+1)*SlotsPerPort]
-		}
 		s.NIQueue[id] = make([]NIRing, NumVnets)
 	}
 	s.seqGather.init()
@@ -206,9 +212,9 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 		s.pool.free[n-1] = nil
 		s.pool.free = s.pool.free[:n-1]
 		s.pool.stats.PacketReuses++
-		// Reset everything except the recycling identity (gen) and the
-		// arena span, which setRoute below reuses in place when it fits.
-		*p = Packet{gen: p.gen, Route: p.Route, routeOwned: p.routeOwned}
+		// Reset everything except the arena span, which setRoute below
+		// reuses in place when it fits.
+		*p = Packet{Route: p.Route, routeOwned: p.routeOwned}
 	} else {
 		if p = s.carvePacket(); p == nil {
 			p = new(Packet)
@@ -291,16 +297,26 @@ func (s *Sim) RemovePacket(at geom.NodeID, ci int) {
 // Conservation counters are adjusted as if the packet had been offered
 // and injected, and the router joins the active set.
 func (s *Sim) PlacePacket(id geom.NodeID, in geom.Direction, slot int, p *Packet) {
-	vc := &s.Routers[id].In[in][slot]
+	s.place(id, int(in)*SlotsPerPort+slot, p)
+}
+
+// place is PlacePacket and PlaceBubblePacket's body: p into buffer ci
+// of router id.
+func (s *Sim) place(id geom.NodeID, ci int, p *Packet) {
+	vc := s.Routers[id].Buf(ci)
 	if vc.Pkt != nil {
-		panic("network: PlacePacket into an occupied VC")
+		panic("network: PlacePacket into an occupied buffer")
 	}
-	ci := int(in)*SlotsPerPort + slot
 	s.cancelTimer(id, ci) // the buffer may still be draining
 	vc.Pkt = p
 	vc.ReadyAt = s.Now
 	s.occBitSet(id, ci, p, vc.ReadyAt)
-	s.placeAccount(id, p)
+	s.inFlight++
+	s.Stats.Offered++
+	s.Stats.Injected++
+	s.Stats.InjectedFlits += int64(p.Len)
+	p.InjectedAt = s.Now
+	s.markActive(id)
 }
 
 // ReplacePacket puts p into occupied buffer ci of router at in place of
@@ -333,25 +349,8 @@ func (s *Sim) Reroute(at geom.NodeID, ci int, r routing.Route) {
 // PlaceBubblePacket installs p as the static-bubble occupant of router
 // id, arriving on input port in — PlacePacket's bubble-slot counterpart.
 func (s *Sim) PlaceBubblePacket(id geom.NodeID, in geom.Direction, p *Packet) {
-	b := &s.Routers[id].Bubble
-	if b.VC.Pkt != nil {
-		panic("network: PlaceBubblePacket into an occupied bubble")
-	}
-	s.cancelTimer(id, BubbleIndex)
-	b.InPort = in
-	b.VC.Pkt = p
-	b.VC.ReadyAt = s.Now
-	s.occBitSet(id, BubbleIndex, p, b.VC.ReadyAt)
-	s.placeAccount(id, p)
-}
-
-func (s *Sim) placeAccount(id geom.NodeID, p *Packet) {
-	s.inFlight++
-	s.Stats.Offered++
-	s.Stats.Injected++
-	s.Stats.InjectedFlits += int64(p.Len)
-	p.InjectedAt = s.Now
-	s.markActive(id)
+	s.Routers[id].Bubble.InPort = in
+	s.place(id, BubbleIndex, p)
 }
 
 // DeliverOutOfBand removes the packet in buffer ci (a candidate index)
@@ -415,14 +414,14 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 			continue
 		}
 		p := q.Front()
-		slot := s.findFreeVC(id, geom.Local, p, vnet)
-		if slot < 0 {
+		ci := s.findFreeVC(id, geom.Local, p)
+		if ci < 0 {
 			continue // blocked on a free VC: retry next cycle
 		}
-		vc := &r.In[geom.Local][slot]
+		vc := &r.bufs[ci]
 		vc.Pkt = p
 		vc.ReadyAt = s.Now + RouterLatency
-		s.occBitSet(id, int(geom.Local)*SlotsPerPort+slot, p, vc.ReadyAt)
+		s.occBitSet(id, ci, p, vc.ReadyAt)
 		p.InjectedAt = s.Now
 		q.PopFront() // one injection per vnet per cycle
 		s.niPend[id]--
@@ -433,16 +432,16 @@ func (s *Sim) InjectNode(id geom.NodeID) {
 	}
 }
 
-// findFreeVC returns a free VC slot index (within the full slot array) at
-// router node's input port `in` for packet p, or -1. Only slots of p's
-// vnet that admit p's class (escclass.go) are considered; a test's
+// findFreeVC returns the candidate index of a free VC at router node's
+// input port `in` for packet p, or -1. Only slots of p's vnet that admit
+// p's class (escclass.go) are considered, lowest first; a test's
 // reference vcFilter may veto individual slots.
-func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet, vnet int) int {
-	vcs := s.Routers[node].In[in]
-	base := vnet * VCsPerVnet
+func (s *Sim) findFreeVC(node geom.NodeID, in geom.Direction, p *Packet) int {
+	r := &s.Routers[node]
+	base := int(in)*SlotsPerPort + p.Vnet*VCsPerVnet
 	lo, hi, skip := s.classVCs(p.Escaped)
 	for i := lo; i < hi; i++ {
-		if i != skip && vcs[base+i].Empty(s.Now) && (s.vcFilter == nil || s.vcFilter(p, node, in, i)) {
+		if i != skip && r.bufs[base+i].Empty(s.Now) && (s.vcFilter == nil || s.vcFilter(p, node, in, i)) {
 			return base + i
 		}
 	}

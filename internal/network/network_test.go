@@ -255,7 +255,7 @@ func TestBubbleAcceptsOverflowPacket(t *testing.T) {
 	s.Routers[1].Bubble.Active = true
 	s.Routers[1].Bubble.InPort = geom.West
 	s.Run(20)
-	if s.Routers[1].Bubble.VC.Pkt == nil {
+	if s.Routers[1].Buf(BubbleIndex).Pkt == nil {
 		t.Fatal("bubble should have accepted the overflow packet")
 	}
 	if s.Stats.BubbleOccupancies != 1 {
@@ -267,7 +267,7 @@ func TestBubbleAcceptsOverflowPacket(t *testing.T) {
 	if s.Stats.Delivered != 5 {
 		t.Fatalf("delivered %d of 5 after unstall", s.Stats.Delivered)
 	}
-	if s.Routers[1].Bubble.VC.Pkt != nil {
+	if s.Routers[1].Buf(BubbleIndex).Pkt != nil {
 		t.Fatal("bubble should have drained")
 	}
 }
@@ -282,7 +282,7 @@ func TestBubbleInactiveRejects(t *testing.T) {
 		s.Enqueue(s.NewPacket(0, 1, 0, 5, routing.Route{geom.East}))
 	}
 	s.Run(100)
-	if s.Routers[1].Bubble.VC.Pkt != nil {
+	if s.Routers[1].Buf(BubbleIndex).Pkt != nil {
 		t.Fatal("inactive bubble must not accept packets")
 	}
 	if s.Routers[0].Occupied() == 0 {
@@ -432,10 +432,10 @@ func TestVnetIsolation(t *testing.T) {
 	s.Run(100)
 	r := &s.Routers[1]
 	for i := 0; i < VCsPerVnet; i++ {
-		if r.In[geom.West][i].Pkt != nil { // vnet 0 slots
+		if r.Buf(int(geom.West)*SlotsPerPort+i).Pkt != nil { // vnet 0 slots
 			t.Fatal("vnet 1 packet in vnet 0 VC")
 		}
-		if r.In[geom.West][VCsPerVnet+i].Pkt == nil { // vnet 1 slots
+		if r.Buf(int(geom.West)*SlotsPerPort+VCsPerVnet+i).Pkt == nil { // vnet 1 slots
 			t.Fatal("vnet 1 VCs should be full")
 		}
 	}

@@ -37,51 +37,11 @@ type Packet struct {
 	InjectedAt  int64
 	DeliveredAt int64
 
-	// gen is the recycling generation: bumped every time the owning
-	// Sim's pool reclaims this packet, so a PacketRef taken before the
-	// release can detect that the pointer now names a different packet.
-	gen uint32
 	// routeOwned marks Route as a span of the owning Sim's route arena
 	// (returned to it on the next SetRoute/recycle). Packets built
 	// outside the pool — refmodel runs, hand-built test packets — carry
 	// plain heap routes and leave this false.
 	routeOwned bool
-}
-
-// Gen returns the packet's recycling generation (see PacketRef).
-func (p *Packet) Gen() uint32 { return p.gen }
-
-// PacketRef is a use-after-release-checked reference to a pooled packet:
-// it remembers the generation at capture time, and Get refuses to return
-// the pointer once the pool has recycled the packet — even if the same
-// memory is already hosting a new one. Holders that outlive a packet's
-// delivery (timers, watchdogs) should hold a PacketRef, not a bare
-// *Packet.
-type PacketRef struct {
-	p   *Packet
-	gen uint32
-}
-
-// Ref captures a generation-checked reference to p.
-func (p *Packet) Ref() PacketRef {
-	if p == nil {
-		return PacketRef{}
-	}
-	return PacketRef{p: p, gen: p.gen}
-}
-
-// Get returns the referenced packet, or ok=false if the reference is
-// empty or the packet has since been recycled.
-func (r PacketRef) Get() (*Packet, bool) {
-	if r.p == nil || r.p.gen != r.gen {
-		return nil, false
-	}
-	return r.p, true
-}
-
-// Valid reports whether the reference still names the original packet.
-func (r PacketRef) Valid() bool {
-	return r.p != nil && r.p.gen == r.gen
 }
 
 func (p *Packet) String() string {

@@ -30,8 +30,10 @@ import (
 //   - A *Packet obtained from NewPacket is owned by the Sim from
 //     delivery/loss onward: grant's local-ejection branch,
 //     DeliverOutOfBand, RemovePacket and FilterQueued all return it to
-//     the pool. Holders that outlive delivery must use Packet.Ref; a
-//     reserved packet is recycled like any other, so the same rule holds.
+//     the pool, and NewPacket may hand the same memory out again. Holders
+//     that outlive delivery keep the packet's ID, which is never reused,
+//     not the pointer; a reserved packet is recycled like any other, so
+//     the same rule holds.
 //   - SetRoute (a packet in no buffer) and Reroute (a buffered one) are
 //     the only sanctioned ways to replace a live packet's route
 //     (reconfig's reroutes); both recycle the old span in place when the
@@ -142,13 +144,11 @@ func (s *Sim) carvePacket() *Packet {
 }
 
 // releasePacket returns p to the free list. The caller must have removed
-// every live reference the simulator holds (VC slots, NI queues); stale
-// references elsewhere are caught by the generation check.
+// every live reference the simulator holds (VC slots, NI queues).
 func (s *Sim) releasePacket(p *Packet) {
 	if p == nil || s.pool.disabled {
 		return
 	}
-	p.gen++
 	s.pool.stats.PacketReleases++
 	s.pool.free = append(s.pool.free, p)
 }

@@ -83,7 +83,7 @@ func TestTimerRemoveInFlightThenRefill(t *testing.T) {
 		}
 		for _, u := range units {
 			s := u.sim
-			vc := &s.Routers[1].In[geom.West][0]
+			vc := s.Routers[1].Buf(int(geom.West) * network.SlotsPerPort)
 			if vc.Pkt == nil || vc.ReadyAt != 2 {
 				t.Fatalf("%s: setup: router 1 West slot 0 holds %v ready at %d, want P1 ready at 2", u.name, vc.Pkt, vc.ReadyAt)
 			}

@@ -221,8 +221,8 @@ func findBuffer(s *network.Sim, from int, pred func(vc *network.VC, port geom.Di
 			continue
 		}
 		for _, port := range geom.AllPorts {
-			for slot := range s.Routers[id].In[port] {
-				if pred(&s.Routers[id].In[port][slot], port, slot) {
+			for slot := 0; slot < network.SlotsPerPort; slot++ {
+				if pred(s.Routers[id].Buf(int(port)*network.SlotsPerPort+slot), port, slot) {
 					return geom.NodeID(id), port, slot, true
 				}
 			}

@@ -21,7 +21,8 @@ type Fence struct {
 
 // Bubble is the optional extra packet buffer of a static-bubble router.
 // It is off until the recovery FSM activates it, at which point it acts
-// as one additional VC on input port InPort, usable by any vnet.
+// as one additional VC on input port InPort, usable by any vnet. The
+// buffer itself is the router's last, Buf(BubbleIndex).
 type Bubble struct {
 	// Present marks this router as chosen by the placement algorithm.
 	Present bool
@@ -30,31 +31,21 @@ type Bubble struct {
 	// InPort is the input port the bubble serves while active (the input
 	// side of the IO-priority buffer).
 	InPort geom.Direction
-	VC     VC
 }
 
-// EligibleFor reports whether the bubble can accept a packet arriving on
-// input port `in` at cycle now.
-func (b *Bubble) EligibleFor(in geom.Direction, now int64) bool {
-	return b.Present && b.Active && b.InPort == in && b.VC.Empty(now)
-}
-
-// Router is the per-node switch state. In[port] holds the input VCs,
-// indexed vnet*VCsPerVnet+vc. OutFreeAt[port] is the earliest cycle a new
-// packet grant may start on that output (links and the ejection port are
-// busy for Len cycles per packet).
+// Router is the per-node switch state. OutFreeAt[port] is the earliest
+// cycle a new packet grant may start on that output (links and the
+// ejection port are busy for Len cycles per packet).
 type Router struct {
 	ID        geom.NodeID
-	In        [geom.NumPorts][]VC
 	OutFreeAt [geom.NumPorts]int64
 	Fence     Fence
 	Bubble    Bubble
 
 	saPtr [geom.NumPorts]int
-	// bufs holds the router's input VCs in candidate-index order
-	// (in*slots+sl); In[port] are its sub-slices, so a candidate index
-	// addresses its buffer directly.
-	bufs []VC
+	// bufs holds the router's buffers in candidate-index order: the input
+	// VCs at in*SlotsPerPort+sl, then the static bubble at BubbleIndex.
+	bufs [numCand]VC
 	// sim points back to the owning Sim: the router's occupancy word and
 	// grant count live there in struct-of-arrays layout and are reached
 	// through it by the accessors below.
@@ -75,11 +66,6 @@ func (r *Router) OccupiedNonLocal() int {
 // lifetime (including ejections) — a local progress signal used by the
 // recovery liveness guards.
 func (r *Router) Grants() int64 { return r.sim.grantN[r.ID] }
-
-// VCAt returns the VC at input port in, vnet, index vc.
-func (r *Router) VCAt(in geom.Direction, vnet, vc int) *VC {
-	return &r.In[in][vnet*VCsPerVnet+vc]
-}
 
 // AllocateNode performs one cycle of switch allocation at router id —
 // the allocation phase for a single node: for each output port, at most
@@ -114,11 +100,13 @@ func (g *allocGather) init() {
 
 // Buf resolves a candidate index (in*SlotsPerPort+sl, or BubbleIndex)
 // to its buffer.
-func (r *Router) Buf(ci int) *VC {
-	if ci < len(r.bufs) {
-		return &r.bufs[ci]
-	}
-	return &r.Bubble.VC
+func (r *Router) Buf(ci int) *VC { return &r.bufs[ci] }
+
+// bubbleOpen reports whether router id's static bubble can accept a
+// packet arriving on input port in now.
+func (s *Sim) bubbleOpen(id geom.NodeID, in geom.Direction) bool {
+	r := &s.Routers[id]
+	return r.Bubble.Present && r.Bubble.Active && r.Bubble.InPort == in && r.bufs[BubbleIndex].Empty(s.Now)
 }
 
 // gatherAllocate buckets router id's ready heads by desired output and
@@ -139,27 +127,23 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 	for i := range g.cand {
 		g.cand[i] = g.cand[i][:0]
 	}
-	for in := 0; in < geom.NumPorts; in++ {
-		vcs := r.In[in]
-		for sl := range vcs {
-			vc := &vcs[sl]
-			if vc.Pkt == nil || vc.ReadyAt > s.Now {
+	for ci := range r.bufs {
+		vc := &r.bufs[ci]
+		if vc.Pkt == nil || vc.ReadyAt > s.Now {
+			continue
+		}
+		in := geom.Direction(ci / SlotsPerPort)
+		if ci == BubbleIndex {
+			if !r.Bubble.Present {
 				continue
 			}
-			out := s.OutputOf(vc.Pkt, id)
-			if out == geom.Invalid ||
-				(r.Fence.Active && out == r.Fence.Out && geom.Direction(in) != r.Fence.In) {
-				continue
-			}
-			g.cand[out] = append(g.cand[out], int32(in*SlotsPerPort+sl))
+			in = r.Bubble.InPort
 		}
-	}
-	if b := &r.Bubble; b.Present && b.VC.Pkt != nil && b.VC.ReadyAt <= s.Now {
-		out := s.OutputOf(b.VC.Pkt, id)
-		if out != geom.Invalid &&
-			!(r.Fence.Active && out == r.Fence.Out && b.InPort != r.Fence.In) {
-			g.cand[out] = append(g.cand[out], BubbleIndex)
+		out := s.OutputOf(vc.Pkt, id)
+		if out == geom.Invalid || (r.Fence.Active && out == r.Fence.Out && in != r.Fence.In) {
+			continue
 		}
+		g.cand[out] = append(g.cand[out], int32(ci))
 	}
 	work := false
 	for _, out := range geom.AllPorts {
@@ -176,11 +160,10 @@ func (s *Sim) gatherAllocate(id geom.NodeID, g *allocGather) bool {
 			// now (ejection always has room once the port is idle).
 			nb := s.Topo.Neighbor(id, out)
 			in := out.Opposite()
-			bubbleOK := s.Routers[nb].Bubble.EligibleFor(in, s.Now)
+			bubbleOK := s.bubbleOpen(nb, in)
 			keep := cands[:0]
 			for _, ci := range cands {
-				vc := r.Buf(int(ci))
-				if bubbleOK || s.findFreeVC(nb, in, vc.Pkt, vc.Pkt.Vnet) >= 0 {
+				if bubbleOK || s.findFreeVC(nb, in, r.bufs[ci].Pkt) >= 0 {
 					keep = append(keep, ci)
 				}
 			}
@@ -231,22 +214,23 @@ func (s *Sim) commitAllocate(id geom.NodeID, g *allocGather) {
 // this path a packet wedged in the bubble would block every later
 // recovery at the router.
 func (s *Sim) TransferBubbleNode(id geom.NodeID) {
-	b := &s.Routers[id].Bubble
-	if !b.Present || b.VC.Pkt == nil || b.VC.ReadyAt > s.Now {
+	r := &s.Routers[id]
+	b := &r.bufs[BubbleIndex]
+	if !r.Bubble.Present || b.Pkt == nil || b.ReadyAt > s.Now {
 		return
 	}
-	p := b.VC.Pkt
-	slot := s.findFreeVC(id, b.InPort, p, p.Vnet)
-	if slot < 0 {
+	p := b.Pkt
+	ci := s.findFreeVC(id, r.Bubble.InPort, p)
+	if ci < 0 {
 		return
 	}
-	vc := &s.Routers[id].In[b.InPort][slot]
+	vc := &r.bufs[ci]
 	vc.Pkt = p
 	vc.ReadyAt = s.Now + 1
-	s.occBitSet(id, int(b.InPort)*SlotsPerPort+slot, p, vc.ReadyAt)
-	b.VC.Pkt = nil
-	b.VC.FreeAt = s.Now + 1
-	s.occBitClear(id, BubbleIndex, b.VC.FreeAt)
+	s.occBitSet(id, ci, p, vc.ReadyAt)
+	b.Pkt = nil
+	b.FreeAt = s.Now + 1
+	s.occBitClear(id, BubbleIndex, b.FreeAt)
 	s.Stats.BubbleTransfers++
 	s.LastProgress = s.Now
 }
@@ -261,14 +245,12 @@ func (s *Sim) TransferBubbleNode(id geom.NodeID) {
 func (s *Sim) tryGrant(r *Router, out geom.Direction, ci int) bool {
 	dst := 0
 	if out != geom.Local {
-		p := r.Buf(ci).Pkt
 		nb, in := s.Topo.Neighbor(r.ID, out), out.Opposite()
-		if slot := s.findFreeVC(nb, in, p, p.Vnet); slot >= 0 {
-			dst = int(in)*SlotsPerPort + slot
-		} else if s.Routers[nb].Bubble.EligibleFor(in, s.Now) {
+		if dst = s.findFreeVC(nb, in, r.bufs[ci].Pkt); dst < 0 {
+			if !s.bubbleOpen(nb, in) {
+				return false
+			}
 			dst = BubbleIndex
-		} else {
-			return false
 		}
 	}
 	s.grant(r, out, ci, dst)

@@ -32,16 +32,16 @@ func TestBubbleTransferToFreedVC(t *testing.T) {
 	r.Bubble.Active = false // transfer works regardless of Active
 
 	s.Run(3)
-	if r.Bubble.VC.Pkt == nil {
+	if r.Buf(BubbleIndex).Pkt == nil {
 		t.Fatal("no VC free yet: occupant must stay put")
 	}
 	// Free one VC.
 	s.RemovePacket(1, int(geom.West)*SlotsPerPort+2)
 	s.Run(3)
-	if r.Bubble.VC.Pkt != nil {
+	if r.Buf(BubbleIndex).Pkt != nil {
 		t.Fatal("occupant should have transferred into the freed VC")
 	}
-	if r.In[geom.West][2].Pkt != occupant {
+	if r.Buf(int(geom.West)*SlotsPerPort+2).Pkt != occupant {
 		t.Fatal("occupant should occupy the freed slot")
 	}
 	if s.Stats.BubbleTransfers != 1 {
@@ -67,7 +67,7 @@ func TestBubbleTransferRespectsVnet(t *testing.T) {
 	}
 	s.Routers[1].OutFreeAt[geom.Local] = 1 << 30
 	s.Run(5)
-	if r.Bubble.VC.Pkt == nil {
+	if r.Buf(BubbleIndex).Pkt == nil {
 		t.Fatal("occupant must not transfer into a different vnet's VC")
 	}
 }
@@ -93,19 +93,13 @@ func TestOccupancyInvariant(t *testing.T) {
 		for id := range s.Routers {
 			r := &s.Routers[id]
 			total, nonLocal := 0, 0
-			for _, port := range geom.AllPorts {
-				for slot := range r.In[port] {
-					if r.In[port][slot].Pkt != nil {
-						total++
-						if port != geom.Local {
-							nonLocal++
-						}
+			for ci := 0; ci < numCand; ci++ {
+				if r.Buf(ci).Pkt != nil {
+					total++
+					if ci/SlotsPerPort != int(geom.Local) {
+						nonLocal++
 					}
 				}
-			}
-			if r.Bubble.VC.Pkt != nil {
-				total++
-				nonLocal++
 			}
 			if r.Occupied() != total {
 				t.Fatalf("cycle %d router %d: occupied=%d actual=%d", cyc, id, r.Occupied(), total)
@@ -128,22 +122,22 @@ func TestSwitchAllocationRoundRobinRotates(t *testing.T) {
 	var westGrants, localGrants int
 	for cyc := 0; cyc < 400; cyc++ {
 		r := &s.Routers[mid]
-		if r.In[geom.West][0].Pkt == nil {
+		west, local := r.Buf(int(geom.West)*SlotsPerPort), r.Buf(int(geom.Local)*SlotsPerPort)
+		if west.Pkt == nil {
 			p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East, geom.East})
 			p.Hop = 1
 			s.PlacePacket(mid, geom.West, 0, p)
 		}
-		if r.In[geom.Local][0].Pkt == nil {
+		if local.Pkt == nil {
 			p := s.NewPacket(1, 2, 0, 1, routing.Route{geom.East})
 			s.PlacePacket(mid, geom.Local, 0, p)
 		}
-		wBefore := r.In[geom.West][0].Pkt
-		lBefore := r.In[geom.Local][0].Pkt
+		wBefore, lBefore := west.Pkt, local.Pkt
 		s.Step()
-		if r.In[geom.West][0].Pkt == nil && wBefore != nil {
+		if west.Pkt == nil && wBefore != nil {
 			westGrants++
 		}
-		if r.In[geom.Local][0].Pkt == nil && lBefore != nil {
+		if local.Pkt == nil && lBefore != nil {
 			localGrants++
 		}
 	}
@@ -199,18 +193,20 @@ func TestBubbleHeadReadyParticipatesInSA(t *testing.T) {
 	if p.DeliveredAt < 0 {
 		t.Fatal("bubble occupant should be forwarded and delivered")
 	}
-	if r.Bubble.VC.Pkt != nil {
+	if r.Buf(BubbleIndex).Pkt != nil {
 		t.Fatal("bubble should be empty after forwarding")
 	}
 }
 
-func TestVCAtHelper(t *testing.T) {
+func TestVnetSlots(t *testing.T) {
+	// Packets of vnet 2 placed at West fill exactly its VnetSlots lane.
 	topo := topology.NewMesh(2, 1)
 	s := mkSim(topo, 1)
-	r := &s.Routers[0]
-	vc := r.VCAt(geom.West, 2, 3)
-	if vc != &r.In[geom.West][2*VCsPerVnet+3] {
-		t.Fatal("VCAt indexes wrong slot")
+	for i := 0; i < VCsPerVnet; i++ {
+		s.PlacePacket(0, geom.West, 2*VCsPerVnet+i, s.NewPacket(0, 1, 2, 1, routing.Route{geom.East}))
+	}
+	if got, want := s.OccupancyMirror(0), VnetSlots(geom.West, 2); got != want {
+		t.Fatalf("occupancy %#x != VnetSlots(West, 2) %#x", got, want)
 	}
 }
 
@@ -226,13 +222,10 @@ func TestRemovePacketAccounting(t *testing.T) {
 	// Find its VC and remove it.
 	removed := false
 	for id := range s.Routers {
-		r := &s.Routers[id]
-		for _, port := range geom.AllPorts {
-			for slot := range r.In[port] {
-				if r.In[port][slot].Pkt == p {
-					s.RemovePacket(geom.NodeID(id), int(port)*SlotsPerPort+slot)
-					removed = true
-				}
+		for ci := 0; ci < numCand; ci++ {
+			if s.Routers[id].Buf(ci).Pkt == p {
+				s.RemovePacket(geom.NodeID(id), ci)
+				removed = true
 			}
 		}
 	}

@@ -86,12 +86,6 @@ func (m *Minimal) NextHopMask(src, dst geom.NodeID) uint8 {
 	return m.tab.cols[dst].mask[src]
 }
 
-// NeighborOf returns the node reached over the usable channel src→d at
-// compile time, or InvalidNode (flat-snapshot Neighbor/HasLink).
-func (m *Minimal) NeighborOf(src geom.NodeID, d geom.Direction) geom.NodeID {
-	return m.g.NeighborOf(src, d)
-}
-
 // Route implements Algorithm: it samples one shortest path uniformly at
 // random among the minimal next hops at each step. With a nil rng the
 // first minimal direction in N,E,S,W order is chosen (deterministic).

@@ -92,11 +92,12 @@ func Capture(s *network.Sim, ctrl *core.Controller) State {
 		}
 		if r.Bubble.Present {
 			b := BubbleState{Router: id, Active: r.Bubble.Active}
-			if r.Bubble.Active || r.Bubble.VC.Pkt != nil {
+			occupant := r.Buf(network.BubbleIndex).Pkt
+			if r.Bubble.Active || occupant != nil {
 				b.InPort = r.Bubble.InPort.String()
 			}
-			if r.Bubble.VC.Pkt != nil {
-				b.Occupant = r.Bubble.VC.Pkt.ID
+			if occupant != nil {
+				b.Occupant = occupant.ID
 			}
 			if ctrl != nil {
 				b.FSM = ctrl.FSMState(node).String()

@@ -45,15 +45,66 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 	var globalOcc, globalQueued int64
 	for id := range s.Routers {
 		r := &s.Routers[id]
+		// One pass over the buffers in candidate-index order derives what
+		// every word must hold and checks each occupant's own invariants.
 		occ := 0
 		var occWord uint64 // what the occupancy word must hold
-		for ci := 0; ci <= network.BubbleIndex; ci++ {
-			if r.Buf(ci).Pkt != nil {
-				occ++
-				occWord |= 1 << uint(ci)
+		var expWant [geom.NumPorts]uint64
+		var inFlight, draining, expEsc, expChoose uint64
+		const stride = network.BubbleIndex + 1
+		for ci := 0; ci < stride; ci++ {
+			vc, bit := r.Buf(ci), uint64(1)<<uint(ci)
+			p := vc.Pkt
+			if p == nil {
+				if vc.FreeAt > s.Now {
+					draining |= bit
+				}
+				continue
+			}
+			occ++
+			occWord |= bit
+			// Under a hop class only the fixed hops are want bits: a
+			// packet with several minimal directions is registered in
+			// the class's word, its mask byte beside it.
+			var mask uint8
+			if hasHops && p.Dst != geom.NodeID(id) {
+				mask = masker.NextHopMask(geom.NodeID(id), p.Dst)
+			}
+			if mask&(mask-1) != 0 {
+				expChoose |= bit
+				if got := hopMasks[id*stride+ci]; got != mask {
+					report("hop-class", "router %d buffer %d: mask byte %#x != table %#x", id, ci, got, mask)
+				}
+			} else if out := s.OutputOf(p, geom.NodeID(id)); out != geom.Invalid {
+				expWant[out] |= bit
+			}
+			if vc.ReadyAt > s.Now {
+				inFlight |= bit
+			}
+			if p.Escaped {
+				expEsc |= bit
+			}
+			// The escape class's reservation: whatever sits in the
+			// reserved VC index has been promoted, and injection (regular
+			// packets only) never fills it.
+			if hasClass && ci != network.BubbleIndex && ci%network.VCsPerVnet == network.EscapeVC {
+				port, vnet := geom.Direction(ci/network.SlotsPerPort), ci%network.SlotsPerPort/network.VCsPerVnet
+				if port == geom.Local {
+					report("escape-class", "router %d: packet %d in the reserved VC of the local port (vnet %d)", id, p.ID, vnet)
+				} else if !p.Escaped {
+					report("escape-class", "router %d: regular packet %d in the reserved VC of port %v (vnet %d)", id, p.ID, port, vnet)
+				}
+			}
+			// A buffered packet must be at a position consistent with its
+			// route (the remaining route starts here and is walkable) —
+			// except one that no longer follows it: an escaped packet is
+			// on the tree, and under a hop class the route may be unused
+			// altogether.
+			if !hasHops && !p.Escaped && p.Hop > len(p.Route) {
+				report("route", "packet %d hop %d beyond route length %d", p.ID, p.Hop, len(p.Route))
 			}
 		}
-		if r.Bubble.VC.Pkt != nil && !r.Bubble.Present {
+		if occWord>>network.BubbleIndex&1 != 0 && !r.Bubble.Present {
 			report("bubble", "router %d holds a packet in a non-present bubble", id)
 		}
 		// The NI-pending aggregate must equal the sum of ring lengths
@@ -89,39 +140,6 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		// and nowhere else. pend is exactly the heads still in flight, drain exactly
 		// the empty buffers whose tail is still streaming out.
 		want, pend := s.RequestVectors(geom.NodeID(id))
-		var expWant [geom.NumPorts]uint64
-		var inFlight, draining, expEsc, expChoose uint64
-		const stride = network.BubbleIndex + 1
-		for bit := 0; bit < stride; bit++ {
-			vc := r.Buf(bit)
-			if vc.Pkt == nil {
-				if vc.FreeAt > s.Now {
-					draining |= 1 << uint(bit)
-				}
-				continue
-			}
-			// Under a hop class only the fixed hops are want bits: a
-			// packet with several minimal directions is registered in
-			// the class's word, its mask byte beside it.
-			var mask uint8
-			if hasHops && vc.Pkt.Dst != geom.NodeID(id) {
-				mask = masker.NextHopMask(geom.NodeID(id), vc.Pkt.Dst)
-			}
-			if mask&(mask-1) != 0 {
-				expChoose |= 1 << uint(bit)
-				if got := hopMasks[id*stride+bit]; got != mask {
-					report("hop-class", "router %d buffer %d: mask byte %#x != table %#x", id, bit, got, mask)
-				}
-			} else if out := s.OutputOf(vc.Pkt, geom.NodeID(id)); out != geom.Invalid {
-				expWant[out] |= 1 << uint(bit)
-			}
-			if vc.ReadyAt > s.Now {
-				inFlight |= 1 << uint(bit)
-			}
-			if vc.Pkt.Escaped {
-				expEsc |= 1 << uint(bit)
-			}
-		}
 		if want != expWant {
 			report("request-vectors", "router %d: want %#x != actual %#x", id, want, expWant)
 		}
@@ -137,24 +155,6 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 		if hasHops && choose[id] != expChoose {
 			report("hop-class", "router %d: choose-per-visit word %#x != actual %#x", id, choose[id], expChoose)
 		}
-		// The escape class's reservation: whatever sits in the reserved VC
-		// index has been promoted, and injection (regular packets only)
-		// never fills it.
-		if hasClass {
-			for _, port := range geom.AllPorts {
-				for vnet := 0; vnet < network.NumVnets; vnet++ {
-					p := r.VCAt(port, vnet, network.EscapeVC).Pkt
-					if p == nil {
-						continue
-					}
-					if port == geom.Local {
-						report("escape-class", "router %d: packet %d in the reserved VC of the local port (vnet %d)", id, p.ID, vnet)
-					} else if !p.Escaped {
-						report("escape-class", "router %d: regular packet %d in the reserved VC of port %v (vnet %d)", id, p.ID, port, vnet)
-					}
-				}
-			}
-		}
 		globalOcc += int64(occ)
 
 		// Dead routers must be empty and unfenced.
@@ -164,24 +164,6 @@ func Check(s *network.Sim, ctrl *core.Controller) []Violation {
 			}
 			if r.Fence.Active {
 				report("dead-router", "router %d is dead but fenced", id)
-			}
-		}
-
-		// Buffered packets must be at a position consistent with their
-		// route (the remaining route starts here and is walkable) — except
-		// those that no longer follow it: an escaped packet is on the tree,
-		// and under a hop class the route may be unused altogether.
-		if !hasHops {
-			for _, port := range geom.AllPorts {
-				for slot := range r.In[port] {
-					p := r.In[port][slot].Pkt
-					if p == nil || p.Escaped {
-						continue
-					}
-					if p.Hop > len(p.Route) {
-						report("route", "packet %d hop %d beyond route length %d", p.ID, p.Hop, len(p.Route))
-					}
-				}
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func TestDetectsCounterCorruption(t *testing.T) {
 	// Plant a packet without bookkeeping: the occupancy invariant must
 	// trip, and so must active-set coverage — Step would never visit it.
 	p := s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
-	s.Routers[0].In[geom.West][0].Pkt = p
+	s.Routers[0].Buf(int(geom.West) * network.SlotsPerPort).Pkt = p
 	seen := map[string]bool{}
 	for _, v := range Check(s, nil) {
 		seen[v.Invariant] = true
@@ -142,7 +142,7 @@ func TestDetectsDeadRouterWithTraffic(t *testing.T) {
 func TestMustPanicsOnViolation(t *testing.T) {
 	topo := topology.NewMesh(2, 2)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(9)))
-	s.Routers[0].In[geom.West][0].Pkt = s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
+	s.Routers[0].Buf(int(geom.West) * network.SlotsPerPort).Pkt = s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Must should panic on violations")
@@ -172,6 +172,25 @@ func TestBubbleOccupantCountsAsNonLocal(t *testing.T) {
 	}
 	if n := s.Routers[1].OccupiedNonLocal(); n != 1 {
 		t.Fatalf("OccupiedNonLocal = %d, want 1", n)
+	}
+}
+
+// TestDetectsBubbleRouteOverrun: a bubble occupant whose hop count has
+// run past its route breaks the route invariant like any other buffered
+// packet.
+func TestDetectsBubbleRouteOverrun(t *testing.T) {
+	topo := topology.NewMesh(3, 1)
+	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
+	s.Routers[1].Bubble.Present = true
+	p := s.NewPacket(0, 2, 0, 1, routing.Route{geom.East})
+	p.Hop = 2
+	s.PlaceBubblePacket(1, geom.West, p)
+	found := false
+	for _, v := range Check(s, nil) {
+		found = found || v.Invariant == "route"
+	}
+	if !found {
+		t.Fatal("a bubble occupant past the end of its route went unreported")
 	}
 }
 
@@ -326,9 +345,9 @@ func TestDetectsEscapeClassViolation(t *testing.T) {
 
 	// The sanctioned promotion keeps every invariant.
 	s, _ = build()
-	for slot := range s.Routers[1].In[geom.West] {
-		if s.Routers[1].In[geom.West][slot].Pkt != nil {
-			s.PromoteEscape(1, geom.West, slot)
+	for ci := int(geom.West) * network.SlotsPerPort; ci < int(geom.West+1)*network.SlotsPerPort; ci++ {
+		if s.Routers[1].Buf(ci).Pkt != nil {
+			s.PromoteEscape(1, ci)
 		}
 	}
 	if vs := Check(s, nil); len(vs) != 0 {

@@ -63,11 +63,11 @@ func Recovery(w io.Writer, s *network.Sim, ctrl *core.Controller) {
 		if !s.Topo.RouterAlive(n) {
 			return " X"
 		}
-		b := &s.Routers[n].Bubble
+		r := &s.Routers[n]
 		switch {
-		case b.VC.Pkt != nil:
+		case r.Buf(network.BubbleIndex).Pkt != nil:
 			return " F"
-		case b.Active:
+		case r.Bubble.Active:
 			return " A"
 		default:
 			return " o"

@@ -56,7 +56,7 @@ func TestRecoveryMapStates(t *testing.T) {
 	// Mark one bubble active and one full.
 	bubbles := ctrl.BubbleRouters()
 	s.Routers[bubbles[0]].Bubble.Active = true
-	s.Routers[bubbles[1]].Bubble.VC.Pkt = s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
+	s.Routers[bubbles[1]].Buf(network.BubbleIndex).Pkt = s.NewPacket(0, 1, 0, 1, routing.Route{geom.East})
 	var buf bytes.Buffer
 	Recovery(&buf, s, ctrl)
 	out := buf.String()
