@@ -69,25 +69,27 @@ func maxVisits(cyc []channel) int {
 	return most
 }
 
-// drainCycle wedges cyc on a fresh mesh under Static Bubble (TDD 34;
-// SPIN's recovery when spin is set) and drains it for at most 20 k
-// cycles: every channel's source router enqueues 12 five-flit packets
-// whose routes follow the cycle for max(2, ⌊L/2⌋) hops, so the cycle is
-// the only deadlock they can form.
-func drainCycle(w, h int, cyc []channel, spin bool) RunMetrics {
+// drainCycle wedges cycs together on a fresh mesh under Static Bubble
+// (TDD 34; SPIN's recovery when spin is set) and drains them for at most
+// 20 k cycles: every channel's source router enqueues 12 five-flit
+// packets whose routes follow its cycle for max(2, ⌊L/2⌋) hops, so the
+// cycles are the only deadlocks they can form.
+func drainCycle(w, h int, spin bool, cycs ...[]channel) RunMetrics {
 	topo := topology.NewMesh(w, h)
 	s := network.New(topo, network.Config{}, rand.New(rand.NewSource(1)))
 	core.Attach(s, core.Options{TDD: 34, Spin: spin})
-	hops := max(2, len(cyc)/2)
-	for i, c := range cyc {
-		route := make(routing.Route, hops)
-		dst := c.from
-		for k := range route {
-			ch := cyc[(i+k)%len(cyc)]
-			route[k], dst = ch.dir, topo.Neighbor(ch.from, ch.dir)
-		}
-		for k := 0; k < 12; k++ {
-			s.Enqueue(s.NewPacket(c.from, dst, 0, 5, slices.Clone(route)))
+	for _, cyc := range cycs {
+		hops := max(2, len(cyc)/2)
+		for i, c := range cyc {
+			route := make(routing.Route, hops)
+			dst := c.from
+			for k := range route {
+				ch := cyc[(i+k)%len(cyc)]
+				route[k], dst = ch.dir, topo.Neighbor(ch.from, ch.dir)
+			}
+			for k := 0; k < 12; k++ {
+				s.Enqueue(s.NewPacket(c.from, dst, 0, 5, route))
+			}
 		}
 	}
 	return Run(s, nil, Phases{Drain: 20000})
@@ -104,7 +106,7 @@ func TestChannelCycles3x3(t *testing.T) {
 			continue
 		}
 		simple++
-		m := drainCycle(3, 3, cyc, false)
+		m := drainCycle(3, 3, false, cyc)
 		if m.Left != 0 || m.Stats.DeadlockRecoveries == 0 {
 			t.Errorf("cycle %v: %d packets left after %d drain cycles, %d recoveries",
 				cyc, m.Left, m.DrainCycles, m.Stats.DeadlockRecoveries)
@@ -132,7 +134,7 @@ func TestFigureEightWedgesWithOneFencePerRouter(t *testing.T) {
 			break
 		}
 	}
-	m := drainCycle(3, 3, eight, false)
+	m := drainCycle(3, 3, false, eight)
 	st := m.Stats
 	t.Logf("figure-eight %v: %d of %d delivered; %d probes sent, %d returned; %d disables and %d enables sent; %d recoveries in %d cycles",
 		eight, st.Delivered, st.Offered, st.ProbesSent, st.ProbesReturned,
@@ -211,7 +213,7 @@ func TestRecoveryTimeByCycleLength(t *testing.T) {
 					continue
 				}
 				byLen[len(cyc)]++
-				r := drainCycle(m.w, m.h, cyc, spin)
+				r := drainCycle(m.w, m.h, spin, cyc)
 				want, ok := recoveryCycles[spin][len(cyc)]
 				if !ok || r.Left != 0 || r.DrainCycles != want || r.Stats.DeadlockRecoveries != 3 {
 					t.Errorf("spin %v, %dx%d cycle %v: %d left after %d drain cycles (want 0 after %d), %d recoveries (want 3)",
@@ -222,5 +224,60 @@ func TestRecoveryTimeByCycleLength(t *testing.T) {
 				t.Errorf("%dx%d simple cycles by length: %v, want %v", m.w, m.h, byLen, m.byLen)
 			}
 		}
+	}
+}
+
+// cyclePair is two wedged cycles, by position among channelCycles'
+// simple cycles, and what draining them together left: completed
+// recoveries and packets stranded.
+type cyclePair struct{ i, j, recoveries, left int64 }
+
+// TestCyclePairsWedgeCounts pins which pairs of simple cycles, wedged at
+// once, fail to drain: every pair of 3x3 simple cycles, and every pair
+// of 4x4 simple cycles of at most 8 channels. A pair that starts
+// wedging is a regression; one that stops wedging is progress to record
+// by editing its entry out.
+func TestCyclePairsWedgeCounts(t *testing.T) {
+	// SB's 4x4 pairs show both frozen signatures: dead (3 recoveries,
+	// then nothing moves) and livelock (recoveries keep completing).
+	sb4 := []cyclePair{{1, 19, 94, 116}, {2, 5, 3, 128}, {14, 56, 78, 99}, {19, 26, 90, 88},
+		{20, 23, 3, 128}, {28, 69, 80, 112}, {45, 48, 3, 128}, {61, 64, 3, 128}}
+	sets := []struct {
+		name         string
+		w, h, maxLen int
+		spin         bool
+		wedged       []cyclePair
+	}{
+		{"sb/3x3", 3, 3, 0, false, []cyclePair{{1, 4, 3, 128}}},
+		{"spin/3x3", 3, 3, 0, true, nil},
+		{"sb/4x4", 4, 4, 8, false, sb4},
+		{"spin/4x4", 4, 4, 8, true, []cyclePair{{1, 73, 1, 152}, {3, 80, 1, 152}, {14, 60, 1, 152}, {15, 78, 1, 152}}},
+	}
+	for _, set := range sets {
+		t.Run(set.name, func(t *testing.T) {
+			if testing.Short() && set.w == 4 {
+				t.Skip("4x4 pairs skipped under -short")
+			}
+			t.Parallel()
+			var simple [][]channel
+			for _, cyc := range channelCycles(topology.NewMesh(set.w, set.h), set.maxLen) {
+				if maxVisits(cyc) == 1 {
+					simple = append(simple, cyc)
+				}
+			}
+			var wedged []cyclePair
+			for i := range simple {
+				for j := i + 1; j < len(simple); j++ {
+					m := drainCycle(set.w, set.h, set.spin, simple[i], simple[j])
+					if m.Left != 0 {
+						wedged = append(wedged, cyclePair{int64(i), int64(j), m.Stats.DeadlockRecoveries, m.Left})
+					}
+				}
+			}
+			if !slices.Equal(wedged, set.wedged) {
+				t.Errorf("wedged pairs (i, j, recoveries, left) of %d simple cycles:\n got  %v\n want %v",
+					len(simple), wedged, set.wedged)
+			}
+		})
 	}
 }

@@ -193,9 +193,9 @@ func New(topo *topology.Topology, cfg Config, rng *rand.Rand) *Sim {
 }
 
 // NewPacket allocates a packet with a fresh id. length is in flits and
-// must fit the VC depth. route is COPIED — into the Sim's arena under
-// pooling (the default), where the packet may be a recycled one, or to
-// the heap with SetPooling(false) — so the caller keeps its buffer.
+// must fit the VC depth. route is COPIED into the packet's own route
+// buffer — a recycled packet's, under pooling (the default) — so the
+// caller keeps its buffer.
 func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Route) *Packet {
 	if length < 1 || length > VCDepth {
 		panic(fmt.Sprintf("network: packet length %d outside [1,%d]", length, VCDepth))
@@ -212,9 +212,9 @@ func (s *Sim) NewPacket(src, dst geom.NodeID, vnet, length int, route routing.Ro
 		s.pool.free[n-1] = nil
 		s.pool.free = s.pool.free[:n-1]
 		s.pool.stats.PacketReuses++
-		// Reset everything except the arena span, which setRoute below
-		// reuses in place when it fits.
-		*p = Packet{Route: p.Route, routeOwned: p.routeOwned}
+		// Reset everything except the route buffer, which SetRoute below
+		// rewrites in place.
+		*p = Packet{Route: p.Route}
 	} else {
 		if p = s.carvePacket(); p == nil {
 			p = new(Packet)

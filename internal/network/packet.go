@@ -20,7 +20,9 @@ type Packet struct {
 	// default).
 	Len int
 	// Route is the source route: one output port per hop. Hop counts how
-	// many hops have been granted so far.
+	// many hops have been granted so far. The buffer belongs to the
+	// packet and stays with it when the pool recycles it; only SetRoute
+	// and Reroute write it.
 	Route routing.Route
 	Hop   int
 	// Escaped marks a packet that has moved to the escape class
@@ -36,12 +38,6 @@ type Packet struct {
 	CreatedAt   int64
 	InjectedAt  int64
 	DeliveredAt int64
-
-	// routeOwned marks Route as a span of the owning Sim's route arena
-	// (returned to it on the next SetRoute/recycle). Packets built
-	// outside the pool — refmodel runs, hand-built test packets — carry
-	// plain heap routes and leave this false.
-	routeOwned bool
 }
 
 func (p *Packet) String() string {

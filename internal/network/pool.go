@@ -3,6 +3,7 @@ package network
 import (
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/routing"
 )
 
@@ -10,23 +11,22 @@ import (
 // packet per delivery, which under plain allocation costs two heap
 // objects per packet (the Packet and its Route slice) and makes GC — not
 // compute — the bound on long saturation sweeps. Each Sim therefore owns
-// a packet free list and a routing.Arena: delivered and lost packets are
-// recycled, and every route lives in an arena span that returns to a
-// size-class free list with its packet. PrewarmPool reserves the storage
-// a run's peak population needs, and packets are carved from that
-// reservation on first use, so after warm-up the cycle loop allocates
-// nothing (verified by TestZeroAllocSteadyState and
-// TestZeroAllocSaturation, which CI runs).
+// a packet free list: delivered and lost packets are recycled, and each
+// packet keeps its route buffer across lives, rewriting it in place.
+// PrewarmPool reserves the storage a run's peak population needs, and
+// packets are carved from that reservation on first use, so after
+// warm-up the cycle loop allocates nothing (verified by
+// TestZeroAllocSteadyState and TestZeroAllocSaturation, which CI runs).
 //
 // Ownership rules:
 //
 //   - NewPacket serves the free list first, then the reservation's next
 //     unused packet, then the heap. NewPacket COPIES the caller's route
-//     into the arena (to the heap with pooling off); the caller keeps
-//     ownership of (and may immediately reuse) its buffer. This is what
-//     makes scratch-route injection (traffic.Injector) and cross-sim
-//     route sharing (the differential harness drives several Sims off
-//     one route slice) safe.
+//     into the packet's own buffer; the caller keeps ownership of (and
+//     may immediately reuse) its buffer. This is what makes
+//     scratch-route injection (traffic.Injector) and cross-sim route
+//     sharing (the differential harness drives several Sims off one
+//     route slice) safe.
 //   - A *Packet obtained from NewPacket is owned by the Sim from
 //     delivery/loss onward: grant's local-ejection branch,
 //     DeliverOutOfBand, RemovePacket and FilterQueued all return it to
@@ -36,16 +36,16 @@ import (
 //     the same rule holds.
 //   - SetRoute (a packet in no buffer) and Reroute (a buffered one) are
 //     the only sanctioned ways to replace a live packet's route
-//     (reconfig's reroutes); both recycle the old span in place when the
-//     new route fits.
+//     (reconfig's reroutes); both rewrite the packet's buffer in place,
+//     growing that one buffer when the new route does not fit.
 //
 // The refmodel differential unit runs with SetPooling(false): it keeps
 // plain new(Packet) allocation and never touches the reservation, so a
-// pooling bug in the stepper (premature recycle, route-span aliasing)
+// pooling bug in the stepper (premature recycle, route-buffer aliasing)
 // perturbs its trajectory but not the refmodel's and surfaces as a Stats
 // divergence.
 
-// PoolStats counts packet-pool and route-arena traffic; exposed for the
+// PoolStats counts packet-pool traffic; exposed for the
 // allocation-observability harness and asserted by lifecycle tests.
 type PoolStats struct {
 	// PacketAllocs counts packets constructed fresh: carved from the
@@ -56,28 +56,26 @@ type PoolStats struct {
 	// PacketReleases counts delivered or lost packets returned to the
 	// free list.
 	PacketReleases int64
-	// RouteArena is the route-span allocator's traffic.
-	RouteArena routing.ArenaStats
 }
 
 // poolState is the per-Sim recycling state (embedded in Sim).
 type poolState struct {
 	disabled bool
 	free     []*Packet
-	// slab holds the reserved packets not yet handed out; NewPacket
-	// carves from its front when free is empty, giving each carved packet
-	// a spanLen-class route span.
+	// slab holds the reserved packets not yet handed out, and spans the
+	// route storage reserved for them; NewPacket carves a packet from
+	// slab's front, and spanLen entries of spans, when free is empty.
 	slab    []Packet
+	spans   []geom.Direction
 	spanLen int
-	routes  routing.Arena
 	stats   PoolStats
 }
 
 // SetPooling enables or disables packet/route recycling. Pooling is on
 // by default; the refmodel differential unit turns it off so that the
 // two cores manage packet lifetime independently (see the package
-// comment above). Must be called before any packet is created: flipping
-// modes mid-run would mix arena-owned and heap routes on live packets.
+// comment above). Must be called before any packet is created, so that
+// a run is pooled throughout or not at all.
 func (s *Sim) SetPooling(on bool) {
 	if s.nextPktID != 0 {
 		panic("network: SetPooling after packets were created")
@@ -86,22 +84,19 @@ func (s *Sim) SetPooling(on bool) {
 }
 
 // PoolStats returns a snapshot of the recycling counters.
-func (s *Sim) PoolStats() PoolStats {
-	st := s.pool.stats
-	st.RouteArena = s.pool.routes.Stats()
-	return st
-}
+func (s *Sim) PoolStats() PoolStats { return s.pool.stats }
 
 // PrewarmPool reserves the storage a run's peak population needs, so a
 // measurement window opened afterwards sees no heap allocation at all.
 // It constructs nothing; the run carves what it uses on first use:
 //
 //   - one slab of `packets` packets, which NewPacket carves from once
-//     the free list is empty, each carved packet taking an arena span
-//     sized for routes up to routeLen hops (cover the scenario's
-//     in-flight population ceiling and its longest minimal route);
-//   - one arena block for those `packets` spans, and free-list capacity
-//     for `packets` recycled packets;
+//     the free list is empty (cover the scenario's in-flight population
+//     ceiling);
+//   - one route buffer of packets*routeLen hops, of which each carved
+//     packet takes its own routeLen-hop span for life (cover the
+//     scenario's longest minimal route), and free-list capacity for
+//     `packets` recycled packets;
 //   - one buffer of niDepth slots per NI injection ring, every ring
 //     pointing at its window of it (first-touch and high-water ring
 //     growth otherwise land in the window).
@@ -119,8 +114,8 @@ func (s *Sim) PrewarmPool(packets, routeLen, niDepth int) {
 		return
 	}
 	s.pool.slab = make([]Packet, packets)
+	s.pool.spans = make([]geom.Direction, packets*routeLen)
 	s.pool.spanLen = routeLen
-	s.pool.routes.Reserve(packets, routeLen)
 	s.pool.free = slices.Grow(s.pool.free, packets)
 	win := make([]*Packet, len(s.NIQueue)*NumVnets*niDepth)
 	for id := range s.NIQueue {
@@ -139,7 +134,11 @@ func (s *Sim) carvePacket() *Packet {
 	}
 	p := &s.pool.slab[0]
 	s.pool.slab = s.pool.slab[1:]
-	p.Route, p.routeOwned = s.pool.routes.Get(s.pool.spanLen), true
+	// Three-index slice: the span's capacity ends at its own boundary, so
+	// a route that outgrows it moves to the heap instead of scribbling on
+	// the next packet's span.
+	p.Route = s.pool.spans[:0:s.pool.spanLen]
+	s.pool.spans = s.pool.spans[s.pool.spanLen:]
 	return p
 }
 
@@ -155,24 +154,9 @@ func (s *Sim) releasePacket(p *Packet) {
 
 // SetRoute replaces p's route with a copy of r and rewinds it to hop 0.
 // p must be in no buffer (NewPacket, a queued packet); Reroute is the
-// buffered packet's counterpart. r must not alias p.Route. Under pooling
-// the copy goes to the arena, reusing p's current span when it fits;
-// without pooling it is a fresh heap slice.
+// buffered packet's counterpart. r must not alias p.Route. The copy
+// rewrites p's own route buffer, which grows when r does not fit.
 func (s *Sim) SetRoute(p *Packet, r routing.Route) {
 	p.Hop = 0
-	if s.pool.disabled {
-		p.Route = append(routing.Route(nil), r...)
-		p.routeOwned = false
-		return
-	}
-	if p.routeOwned && cap(p.Route) >= len(r) {
-		p.Route = p.Route[:len(r)]
-		copy(p.Route, r)
-		return
-	}
-	if p.routeOwned {
-		s.pool.routes.Put(p.Route)
-	}
-	p.Route = s.pool.routes.Copy(r)
-	p.routeOwned = true
+	p.Route = append(p.Route[:0], r...)
 }

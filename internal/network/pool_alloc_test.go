@@ -42,7 +42,7 @@ type steadyLoad struct {
 }
 
 // steadyLoop builds the load under the chosen core, runs steadyWarmup
-// cycles so every pool, arena and ring reaches its steady size, and
+// cycles so every pool, route buffer and ring reaches its steady size, and
 // returns a one-cycle advance function.
 func steadyLoop(ld steadyLoad, useRef bool) func() {
 	topo := topology.NewMesh(ld.w, ld.h)

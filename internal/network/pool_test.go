@@ -24,8 +24,10 @@ func TestPoolLifecycleStats(t *testing.T) {
 	r := routing.Route{1, 1}
 	const n = 8
 	pkts := make([]*Packet, n)
+	bufs := make(map[*Packet]*geom.Direction, n)
 	for i := range pkts {
 		pkts[i] = s.NewPacket(0, 3, 0, 1, r)
+		bufs[pkts[i]] = &pkts[i].Route[0]
 	}
 	for _, p := range pkts {
 		s.releasePacket(p)
@@ -43,13 +45,11 @@ func TestPoolLifecycleStats(t *testing.T) {
 	if st.PacketReleases != n {
 		t.Errorf("PacketReleases = %d, want %d", st.PacketReleases, n)
 	}
-	// The second generation reuses each packet's arena span in place, so
-	// the arena saw exactly one Get per packet and no Puts.
-	if st.RouteArena.Gets != n {
-		t.Errorf("RouteArena.Gets = %d, want %d", st.RouteArena.Gets, n)
-	}
-	if st.RouteArena.Puts != 0 {
-		t.Errorf("RouteArena.Puts = %d, want 0", st.RouteArena.Puts)
+	// The second generation rewrites each packet's own route buffer.
+	for _, p := range pkts {
+		if &p.Route[0] != bufs[p] {
+			t.Fatal("a recycled packet did not keep its route buffer")
+		}
 	}
 }
 
@@ -66,7 +66,8 @@ func TestNewPacketCopiesRoute(t *testing.T) {
 }
 
 // TestSetRouteReusesSpan: replacing a live packet's route with one that
-// fits must rewrite the existing arena span rather than fetch a new one.
+// fits must rewrite the packet's buffer in place; one that does not fit
+// grows the buffer, which the packet then keeps.
 func TestSetRouteReusesSpan(t *testing.T) {
 	s := newPoolSim(t)
 	p := s.NewPacket(0, 3, 0, 1, routing.Route{1, 1, 2})
@@ -82,13 +83,16 @@ func TestSetRouteReusesSpan(t *testing.T) {
 	if &p.Route[0] != old {
 		t.Fatal("SetRoute replaced a span the new route fits in")
 	}
-	gets := s.PoolStats().RouteArena.Gets
-	// A longer route must fetch a bigger span and recycle the old one.
 	long := make(routing.Route, 16)
+	long[15] = 3
 	s.SetRoute(p, long)
-	st := s.PoolStats().RouteArena
-	if st.Gets != gets+1 || st.Puts != 1 {
-		t.Fatalf("grow reroute: Gets=%d Puts=%d, want Gets=%d Puts=1", st.Gets, st.Puts, gets+1)
+	if !slices.Equal(p.Route, long) {
+		t.Fatalf("grow reroute content wrong: %v", p.Route)
+	}
+	grown := &p.Route[0]
+	s.SetRoute(p, routing.Route{1})
+	if &p.Route[0] != grown || len(p.Route) != 1 || p.Route[0] != 1 {
+		t.Fatal("SetRoute did not keep the grown buffer")
 	}
 }
 
@@ -106,7 +110,7 @@ func TestSetPoolingContract(t *testing.T) {
 	}
 	r := routing.Route{1, 1}
 	p := s.NewPacket(0, 3, 0, 1, r)
-	if &p.Route[0] == &r[0] || !slices.Equal(p.Route, r) || p.routeOwned {
+	if &p.Route[0] == &r[0] || !slices.Equal(p.Route, r) {
 		t.Fatal("unpooled NewPacket must store a heap copy of the route")
 	}
 	s.releasePacket(p)
@@ -179,13 +183,18 @@ func TestGatherScratchStable(t *testing.T) {
 // trajectory — identical seeds with and without prewarm land on
 // identical Stats — and the reservation must serve the run without
 // allocating: every packet the run constructs is carved from it, and
-// every route span from its one arena block.
+// every such packet's route still lies in its own span of the reserved
+// route buffer.
 func TestPrewarmPoolNeutral(t *testing.T) {
+	const P, routeLen = 64, 8
+	var slab []Packet
+	var spans []geom.Direction
 	run := func(prewarm bool) *Sim {
 		topo := topology.NewMesh(4, 4)
 		s := New(topo, Config{}, rand.New(rand.NewSource(5)))
 		if prewarm {
-			s.PrewarmPool(64, 8, 16)
+			s.PrewarmPool(P, routeLen, 16)
+			slab, spans = s.pool.slab, s.pool.spans
 		}
 		min := routing.NewMinimal(topo)
 		rng := rand.New(rand.NewSource(6))
@@ -213,12 +222,59 @@ func TestPrewarmPoolNeutral(t *testing.T) {
 			plain.Stats, warmed.Stats)
 	}
 	st := warmed.PoolStats()
-	if carved := int64(64 - len(warmed.pool.slab)); st.PacketAllocs != carved {
+	carved := P - len(warmed.pool.slab)
+	if st.PacketAllocs != int64(carved) {
 		t.Fatalf("%d packets constructed, %d carved from the reservation: %+v",
 			st.PacketAllocs, carved, st)
 	}
-	if st.RouteArena.Blocks != 1 || st.RouteArena.Oversize != 0 {
-		t.Fatalf("route spans outside the reservation: %+v", st.RouteArena)
+	for i := range slab[:carved] {
+		r := slab[i].Route
+		if cap(r) != routeLen || &r[:1][0] != &spans[i*routeLen] {
+			t.Fatalf("packet %d's route left its span of the reservation", i)
+		}
+	}
+}
+
+// TestPacketOwnsRouteSpan: the spans PrewarmPool carves are disjoint
+// three-index slices of one buffer, so a route grown past its span moves
+// that packet alone and leaves its neighbours' routes intact; a packet
+// recycled through the free list keeps its buffer, grown or not, and
+// refills it without allocating.
+func TestPacketOwnsRouteSpan(t *testing.T) {
+	const routeLen = 4
+	s := newPoolSim(t)
+	s.PrewarmPool(3, routeLen, 8)
+	spans := s.pool.spans
+	routes := []routing.Route{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}}
+	pkts := make([]*Packet, len(routes))
+	for i, r := range routes {
+		pkts[i] = s.NewPacket(0, 3, 0, 1, r)
+		if p := pkts[i].Route; cap(p) != routeLen || &p[0] != &spans[i*routeLen] {
+			t.Fatalf("packet %d's route is not span %d of the reservation", i, i)
+		}
+	}
+
+	long := routing.Route{0, 0, 0, 0, 0, 0}
+	s.SetRoute(pkts[1], long)
+	if !slices.Equal(pkts[1].Route, long) {
+		t.Fatalf("grown route content wrong: %v", pkts[1].Route)
+	}
+	for _, i := range []int{0, 2} {
+		if !slices.Equal(pkts[i].Route, routes[i]) {
+			t.Fatalf("growing packet 1's route changed packet %d's: %v", i, pkts[i].Route)
+		}
+	}
+
+	for i, r := range []routing.Route{routes[2], long} {
+		p, buf := pkts[i], &pkts[i].Route[0]
+		s.releasePacket(p)
+		var q *Packet
+		if n := mallocs(func() { q = s.NewPacket(0, 3, 0, 1, r) }); n != 0 {
+			t.Errorf("recycling packet %d allocated %d objects", i, n)
+		}
+		if q != p || &q.Route[0] != buf {
+			t.Fatalf("recycled packet %d did not keep its route buffer", i)
+		}
 	}
 }
 

@@ -75,9 +75,9 @@ type Manager struct {
 	// Rerouted counts packets whose route was recomputed in place.
 	Rerouted int64
 	// routeBuf is the route scratch: repairTraffic builds replacement
-	// routes here and Sim.SetRoute copies them into the packet's arena
-	// span, so repairs don't allocate per packet; Route builds here and
-	// returns a copy.
+	// routes here and Sim.SetRoute copies them into the packet's own
+	// route buffer, so repairs don't allocate per packet; Route builds
+	// here and returns a copy.
 	routeBuf routing.Route
 }
 

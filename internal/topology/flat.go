@@ -26,8 +26,6 @@ type FlatGraph struct {
 	// Adj[4*n+d] is the geometric mesh neighbor of n in direction d
 	// regardless of faults, or -1 off-mesh (Topology.Neighbor semantics).
 	Adj []int32
-	// LinkMask[n] has bit d set iff Next[4*n+d] >= 0.
-	LinkMask []uint8
 }
 
 // Flatten snapshots the topology's current state into a FlatGraph.
@@ -36,10 +34,9 @@ func (t *Topology) Flatten() *FlatGraph {
 	n := t.NumNodes()
 	g := &FlatGraph{
 		W: t.width, H: t.height, N: n,
-		Alive:    append([]bool(nil), t.routerAlive...),
-		Next:     make([]int32, geom.NumLinkDirs*n),
-		Adj:      make([]int32, geom.NumLinkDirs*n),
-		LinkMask: make([]uint8, n),
+		Alive: append([]bool(nil), t.routerAlive...),
+		Next:  make([]int32, geom.NumLinkDirs*n),
+		Adj:   make([]int32, geom.NumLinkDirs*n),
 	}
 	for id := 0; id < n; id++ {
 		for _, d := range geom.LinkDirs {
@@ -52,7 +49,6 @@ func (t *Topology) Flatten() *FlatGraph {
 			g.Adj[i] = int32(nb)
 			if t.HasLink(geom.NodeID(id), d) {
 				g.Next[i] = int32(nb)
-				g.LinkMask[id] |= 1 << uint(d)
 			}
 		}
 	}
@@ -68,7 +64,7 @@ func (g *FlatGraph) NeighborOf(n geom.NodeID, d geom.Direction) geom.NodeID {
 // Bytes returns the heap footprint of the snapshot's arrays, for cache
 // accounting.
 func (g *FlatGraph) Bytes() int64 {
-	return int64(len(g.Alive)) + 4*int64(len(g.Next)) + 4*int64(len(g.Adj)) + int64(len(g.LinkMask))
+	return int64(len(g.Alive)) + 4*int64(len(g.Next)) + 4*int64(len(g.Adj))
 }
 
 // FlatDelta describes the usable-channel and liveness differences between

@@ -42,9 +42,6 @@ func TestFlattenMatchesTopology(t *testing.T) {
 					if hasLink && geom.NodeID(next) != geo {
 						t.Fatalf("Next[%v,%v] = %d, Neighbor = %v", n, d, next, geo)
 					}
-					if hasLink != (g.LinkMask[id]&(1<<uint(i)) != 0) {
-						t.Fatalf("LinkMask[%v] bit %d disagrees with HasLink(%v)", n, i, d)
-					}
 					if nb := g.NeighborOf(n, d); (hasLink && nb != geo) || (!hasLink && nb != geom.InvalidNode) {
 						t.Fatalf("NeighborOf(%v,%v) = %v", n, d, nb)
 					}

@@ -133,7 +133,7 @@ type Injector struct {
 	st  *Stream
 	rng *rand.Rand
 	// routeBuf is the scratch the per-packet route is appended into
-	// (recycled when the target sim copies routes into its arena).
+	// (recycled: the target sim copies each route into its packet).
 	routeBuf routing.Route
 	// hit is the per-node injection test compiled for probability hitP;
 	// bernoulli re-derives it when the rate or the mix (public, mutable
@@ -215,8 +215,8 @@ func (in *Injector) emit(s *network.Sim, src geom.NodeID) *network.Packet {
 		return nil
 	}
 	// Routes are built in a reusable scratch buffer: NewPacket copies
-	// them (into the sim's arena under pooling), so injection allocates
-	// nothing in steady state.
+	// them (into a recycled packet's own buffer under pooling), so
+	// injection allocates nothing in steady state.
 	route, ok := routing.AppendRoute(in.router, in.routeBuf[:0], src, dst, in.rng)
 	if !ok {
 		s.Drop()
